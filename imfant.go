@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/ahocorasick"
 	"repro/internal/anml"
-	"repro/internal/dfa"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/hist"
@@ -609,17 +608,10 @@ func (rs *Ruleset) CountPerRule(input []byte) []int64 {
 // A Scanner is not safe for concurrent use; create one per goroutine (the
 // shared Ruleset remains concurrency-safe).
 type Scanner struct {
-	rs *Ruleset
-	// Per-automaton runners, indexed like rs.programs; exactly one entry is
-	// non-nil per automaton, selected by the plan's strategy for that group
-	// (anchored groups are stateless and have no runner at all).
-	runners  []*engine.Runner             // StrategyIMFAnt groups
-	lazies   []*lazydfa.Runner            // StrategyLazyDFA groups
-	acs      []*ahocorasick.StreamScanner // StrategyAC groups
-	dfaRuns  []*dfa.Runner                // StrategyDFA groups
-	ruleHits []int64                      // per-rule match counts, scanner lifetime
-	timeouts int64                        // scans cut short by Options.ScanTimeout
-	strat    [numStrategies]stratTotals   // scanner-local per-strategy totals
+	rs       *Ruleset
+	runs     []groupRunner // per automaton, indexed like rs.programs
+	ruleHits []int64       // per-rule match counts, scanner lifetime
+	timeouts int64         // scans cut short by Options.ScanTimeout
 	faults   *faultpoint.Injector
 
 	// Prefilter scratch; nil/zero while the ruleset is ungated.
@@ -628,58 +620,35 @@ type Scanner struct {
 	pref   prefCounters
 }
 
-// stratTotals accumulates one owner's per-strategy activity, feeding the
-// local Stats snapshot's Strategy section (and, for the strategies without a
-// stateful runner, the top-level scan totals too).
-type stratTotals struct {
-	scans, bytes, matches int64
-}
-
-func (t *stratTotals) fold(bytes, matches int64) {
-	t.scans++
-	t.bytes += bytes
-	t.matches += matches
-}
-
 // NewScanner returns a matching context for the ruleset.
 func (rs *Ruleset) NewScanner() *Scanner {
-	n := len(rs.programs)
 	s := &Scanner{
 		rs:       rs,
-		runners:  make([]*engine.Runner, n),
-		lazies:   make([]*lazydfa.Runner, n),
-		acs:      make([]*ahocorasick.StreamScanner, n),
-		dfaRuns:  make([]*dfa.Runner, n),
+		runs:     make([]groupRunner, len(rs.programs)),
 		ruleHits: make([]int64, len(rs.patterns)),
 		faults:   rs.faults,
 	}
-	for i, p := range rs.programs {
-		switch rs.plan.strat[i] {
-		case StrategyLazyDFA:
-			s.lazies[i] = lazydfa.NewRunner(rs.lazy[i])
-		case StrategyAC:
-			s.acs[i] = rs.plan.ac[i].m.NewStreamScanner()
-		case StrategyAnchored:
-			// Stateless: evaluated directly from the plan.
-		case StrategyDFA:
-			s.dfaRuns[i] = dfa.NewRunner(rs.plan.dfas[i])
-		default:
-			s.runners[i] = engine.NewRunner(p)
-		}
+	for i, x := range rs.plan.exec {
+		s.runs[i] = x.newRunner()
+	}
+	if rs.pf != nil {
+		s.sweep = rs.pf.ac.NewSweeper()
+		s.sweep.SetAccel(rs.opts.accelOn())
+		s.active = make([]bool, len(rs.programs))
 	}
 	return s
 }
 
 // Scan streams every match in input to fn, automaton by automaton.
 func (s *Scanner) Scan(input []byte, fn func(Match)) {
-	s.run(context.Background(), input, fn)
+	s.run(context.Background(), input, fn, nil)
 }
 
 // ScanContext is Scan under a context: cancellation stops the scan at the
 // next checkpoint; matches already streamed to fn before that point were
 // delivered, and the context's error is returned.
 func (s *Scanner) ScanContext(ctx context.Context, input []byte, fn func(Match)) error {
-	_, err := s.run(ctx, input, fn)
+	_, err := s.run(ctx, input, fn, nil)
 	return err
 }
 
@@ -690,13 +659,18 @@ func (s *Scanner) FindAllContext(ctx context.Context, input []byte) ([]Match, er
 	if err := s.ScanContext(ctx, input, func(m Match) { out = append(out, m) }); err != nil {
 		return nil, err
 	}
+	sortByEnd(out)
+	return out, nil
+}
+
+// sortByEnd imposes the FindAll report order: end offset, then rule.
+func sortByEnd(out []Match) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].End != out[j].End {
 			return out[i].End < out[j].End
 		}
 		return out[i].Rule < out[j].Rule
 	})
-	return out, nil
 }
 
 // Count returns the total number of match events in input.
@@ -708,36 +682,23 @@ func (s *Scanner) Count(input []byte) int64 {
 // CountContext is Count under a context; on cancellation it returns the
 // partial count together with the context's error.
 func (s *Scanner) CountContext(ctx context.Context, input []byte) (int64, error) {
-	results, err := s.run(ctx, input, nil)
-	var total int64
-	for _, res := range results {
-		total += res.matches
-	}
-	return total, err
+	return s.run(ctx, input, nil, nil)
 }
 
 // CountPerRule returns the number of match events per rule, indexed like
 // the compiled patterns.
 func (s *Scanner) CountPerRule(input []byte) []int64 {
-	results, _ := s.run(context.Background(), input, nil)
 	out := make([]int64, len(s.rs.patterns))
-	for i, res := range results {
-		for fsa, c := range res.perFSA {
-			out[s.rs.programs[i].Rules()[fsa].RuleID] += c
-		}
-	}
+	s.run(context.Background(), input, nil, out)
 	return out
 }
 
-type scanResult struct {
-	matches int64
-	perFSA  []int64
-}
-
-// run executes every automaton over input. The context is polled at engine
-// checkpoints (DefaultCheckpointEvery bytes); on cancellation the partial
-// results gathered so far are returned with the context's error.
-func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match)) ([]scanResult, error) {
+// run executes every automaton over input and returns the match count;
+// perRule, when non-nil, accumulates per-rule counts. The context is
+// polled at engine checkpoints (DefaultCheckpointEvery bytes); on
+// cancellation the partial count gathered so far is returned with the
+// context's error.
+func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule []int64) (total int64, err error) {
 	rs := s.rs
 	check := timeoutCheckpoint(checkpointOf(ctx), rs.opts.ScanTimeout)
 	if rs.scanLat != nil {
@@ -748,44 +709,34 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match)) ([]scan
 			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
 		}(time.Now())
 	}
-	out := make([]scanResult, 0, len(rs.programs))
 	if rs.trace != nil {
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanBegin,
 			Automaton: -1, Rule: -1, Offset: -1, Value: int64(len(input))})
 		defer func() {
-			var total int64
-			for _, res := range out {
-				total += res.matches
-			}
 			rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanEnd,
 				Automaton: -1, Rule: -1, Offset: -1, Value: total})
 		}()
 	}
-	gate, err := s.prefilterGate(input, check)
+	gate, err := rs.sweepMask(input, check, s.faults, s.sweep, s.active, &s.pref)
 	if err != nil {
-		return out, s.noteErr(err)
+		return 0, s.noteErr(err)
 	}
-	for i, p := range rs.programs {
+	for i, r := range s.runs {
 		if check != nil && i > 0 {
 			// Poll between automata too, so a deadline that expired during
 			// automaton i-1's final block (past its last in-chunk
 			// checkpoint) still cuts the scan off deterministically.
 			if err := check(); err != nil {
-				return out, s.noteErr(err)
+				return total, s.noteErr(err)
 			}
 		}
 		if gate != nil && !gate[i] {
 			// No member rule's factor occurred anywhere in input, so none
 			// can match: skip the whole automaton execution.
-			out = append(out, scanResult{})
-			if rs.trace != nil {
-				rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
-					Automaton: int32(i), Rule: -1, Offset: -1, Value: int64(len(input))})
-			}
 			continue
 		}
+		rules := rs.programs[i].Rules()
 		var onMatch func(fsa, end int)
-		rules := p.Rules()
 		if fn != nil {
 			onMatch = func(fsa, end int) {
 				fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
@@ -805,134 +756,22 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match)) ([]scan
 		}
 		// Stage timing brackets the whole dispatch, including the degraded
 		// exits — a timed-out automaton's wall clock is exactly the sample
-		// an operator wants attributed. stepErr is handled after the timer
-		// closes so every exit path records.
+		// an operator wants attributed.
 		st0 := rs.stageStart()
-		var stepErr error
-		switch {
-		case s.lazies[i] != nil:
-			res := s.lazies[i].Run(input, lazydfa.Config{
-				KeepOnMatch: rs.opts.KeepOnMatch,
-				MaxStates:   rs.opts.LazyDFAMaxStates,
-				OnMatch:     onMatch,
-				Checkpoint:  check,
-				Accel:       rs.opts.accelOn(),
-				Profile:     rs.profileOf(i),
-				ThrashRetry: rs.opts.thrashRetryOn(),
-				Faults:      s.faults,
-			})
-			s.record(p, res.Matches, int64(res.Symbols), res.PerFSA)
-			rs.collector.AddStrategyBytes(int(StrategyLazyDFA), int64(res.Symbols))
-			s.strat[StrategyLazyDFA].fold(int64(res.Symbols), res.Matches)
-			var thrash, grew, pinned int64
-			if res.Thrashed {
-				thrash = 1
-			}
-			if res.Grew {
-				grew = 1
-			}
-			if res.Pinned {
-				pinned = 1
-			}
-			if grew != 0 || pinned != 0 {
-				rs.collector.AddLazyDegraded(grew, pinned)
-			}
-			rs.collector.AddLazyScan(res.CacheHits, res.CacheMisses, int64(res.Flushes), thrash)
-			rs.collector.SetCachedStates(i, int64(res.CachedStates))
-			rs.collector.AddAccelScan(res.AccelBytes)
-			rs.collector.SetAccelStates(i, int64(res.AccelStates))
-			if rs.trace != nil {
-				if res.Flushes > 0 {
-					rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyFlush,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: int64(res.Flushes)})
-				}
-				if res.FellBack {
-					rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyFallback,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: thrash})
-				}
-				if res.Pinned {
-					rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyPin,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: 1})
-				}
-			}
-			out = append(out, scanResult{matches: res.Matches, perFSA: res.PerFSA})
-			stepErr = s.lazies[i].Err()
-		case s.acs[i] != nil:
-			res, err := s.runAC(i, input, check, onMatch)
-			out = append(out, res)
-			stepErr = err
-		case s.dfaRuns[i] != nil:
-			res, err := s.runDFA(i, input, check, onMatch)
-			out = append(out, res)
-			stepErr = err
-		case rs.plan.anch[i] != nil:
-			out = append(out, s.runAnchored(i, input, onMatch))
-		default:
-			res := s.runners[i].Run(input, engine.Config{
-				KeepOnMatch: rs.opts.KeepOnMatch,
-				OnMatch:     onMatch,
-				Checkpoint:  check,
-				Accel:       rs.opts.accelOn(),
-				Profile:     rs.profileOf(i),
-				Faults:      s.faults,
-			})
-			s.record(p, res.Matches, int64(res.Symbols), res.PerFSA)
-			rs.collector.AddStrategyBytes(int(StrategyIMFAnt), int64(res.Symbols))
-			s.strat[StrategyIMFAnt].fold(int64(res.Symbols), res.Matches)
-			rs.collector.AddAccelScan(res.AccelBytes)
-			out = append(out, scanResult{matches: res.Matches, perFSA: res.PerFSA})
-			stepErr = s.runners[i].Err()
-		}
+		run, stepErr := blockScan(r, input, runCfg{onMatch: onMatch, check: check, faults: s.faults})
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
+		rs.fold(i, &run, s.ruleHits, &s.pref)
+		total += run.matches
+		if perRule != nil {
+			for fsa, n := range run.perFSA {
+				perRule[rules[fsa].RuleID] += n
+			}
+		}
 		if stepErr != nil {
-			return out, s.noteErr(stepErr)
+			return total, s.noteErr(stepErr)
 		}
 	}
-	return out, nil
-}
-
-// runAC executes pure-AC group i: the Aho–Corasick scan over the member
-// literals is the whole group execution, and it doubles as the group's
-// factor sweep in the prefilter accounting (satellite of the double-scan
-// fix: these groups are never ALSO swept by the factor prefilter).
-func (s *Scanner) runAC(i int, input []byte, check func() error, onMatch func(fsa, end int)) (scanResult, error) {
-	rs := s.rs
-	sc := s.acs[i]
-	before := sc.Skipped()
-	res, distinct, scanned, err := rs.acScan(i, sc, input, check, s.faults, onMatch)
-	s.record(rs.programs[i], res.matches, scanned, res.perFSA)
-	rs.collector.AddStrategyBytes(int(StrategyAC), scanned)
-	rs.collector.AddAccelScan(sc.Skipped() - before)
-	s.strat[StrategyAC].fold(scanned, res.matches)
-	if rs.prefEnabled {
-		rs.collector.AddPrefilterScan(1, int64(distinct), 0, 0)
-		s.pref.sweeps++
-		s.pref.hits += int64(distinct)
-	}
-	return res, err
-}
-
-// runDFA executes eager-DFA group i: one table lookup per byte.
-func (s *Scanner) runDFA(i int, input []byte, check func() error, onMatch func(fsa, end int)) (scanResult, error) {
-	rs := s.rs
-	r := s.dfaRuns[i]
-	res := r.Run(input, dfa.Config{OnMatch: onMatch, Checkpoint: check, Faults: s.faults})
-	s.record(rs.programs[i], res.Matches, res.Symbols, res.PerRule)
-	rs.collector.AddStrategyBytes(int(StrategyDFA), res.Symbols)
-	s.strat[StrategyDFA].fold(res.Symbols, res.Matches)
-	return scanResult{matches: res.Matches, perFSA: res.PerRule}, r.Err()
-}
-
-// runAnchored executes anchored-literal group i: bounded prefix/suffix
-// compares (plus at most one violating-byte hunt) decide every member.
-// The whole input is considered covered — the checks are exact over it.
-func (s *Scanner) runAnchored(i int, input []byte, onMatch func(fsa, end int)) scanResult {
-	rs := s.rs
-	res := rs.anchScan(i, input, onMatch)
-	s.record(rs.programs[i], res.matches, int64(len(input)), res.perFSA)
-	rs.collector.AddStrategyBytes(int(StrategyAnchored), int64(len(input)))
-	s.strat[StrategyAnchored].fold(int64(len(input)), res.matches)
-	return res
+	return total, nil
 }
 
 // noteErr folds a failed scan into the degradation telemetry (ruleset-wide
@@ -949,86 +788,6 @@ func (s *Scanner) noteErr(err error) error {
 	return err
 }
 
-// record folds one automaton execution into the scanner's per-rule table
-// and the ruleset-wide telemetry collector. Called once per (scan,
-// automaton) — never inside the per-byte loop.
-func (s *Scanner) record(p *engine.Program, matches, symbols int64, perFSA []int64) {
-	c := s.rs.collector
-	c.AddScans(1)
-	c.AddBytes(symbols)
-	c.AddMatches(matches)
-	rules := p.Rules()
-	for fsa, n := range perFSA {
-		if n != 0 {
-			id := rules[fsa].RuleID
-			c.AddRuleHits(id, n)
-			if id >= 0 && id < len(s.ruleHits) {
-				s.ruleHits[id] += n
-			}
-		}
-	}
-}
-
-// acScan is the shared pure-AC group execution: a resumable Aho–Corasick
-// scan over the member literals in checkpoint-sized blocks, reporting every
-// (FSA, end) event. distinct counts member literals seen at least once (the
-// group's factor-sweep hit count) and scanned is how many input bytes were
-// actually consumed before an error, so accounting on the cancel path stays
-// truthful.
-func (rs *Ruleset) acScan(i int, sc *ahocorasick.StreamScanner, input []byte,
-	check func() error, fi *faultpoint.Injector, onMatch func(fsa, end int)) (res scanResult, distinct int, scanned int64, err error) {
-	g := rs.plan.ac[i]
-	sc.Reset()
-	sc.SetAccel(rs.opts.accelOn())
-	res.perFSA = make([]int64, g.rules)
-	seen := make([]bool, g.rules)
-	const block = engine.DefaultCheckpointEvery
-	for off := 0; off < len(input); off += block {
-		if check != nil {
-			if err = check(); err != nil {
-				return res, distinct, scanned, err
-			}
-		}
-		fi.Stall()
-		end := off + block
-		if end > len(input) {
-			end = len(input)
-		}
-		base := off
-		sc.Scan(input[off:end], func(pat, e int) {
-			res.matches++
-			res.perFSA[pat]++
-			if !seen[pat] {
-				seen[pat] = true
-				distinct++
-			}
-			if onMatch != nil {
-				onMatch(pat, base+e)
-			}
-		})
-		scanned = int64(end)
-	}
-	return res, distinct, scanned, nil
-}
-
-// anchScan is the shared anchored-literal group execution: every member is
-// decided by O(len(prefix)+len(suffix)) compares plus at most one vectorized
-// hunt for a byte its middle cannot consume.
-func (rs *Ruleset) anchScan(i int, input []byte, onMatch func(fsa, end int)) scanResult {
-	g := rs.plan.anch[i]
-	res := scanResult{perFSA: make([]int64, len(g.rules))}
-	for fsa := range g.rules {
-		if end, ok := g.rules[fsa].match(input); ok {
-			res.matches++
-			res.perFSA[fsa]++
-			if onMatch != nil {
-				onMatch(fsa, end)
-			}
-		}
-	}
-	return res
-}
-
 // CountParallel scans input with the paper's multi-threaded scheme
 // (§VI-C2): a pool of `threads` workers each executing whole MFSAs until
 // none remain. It returns the total match count. A panic inside a worker is
@@ -1043,26 +802,29 @@ func (rs *Ruleset) CountParallel(input []byte, threads int) (int64, error) {
 // call that finds every slot busy and the wait queue full is shed with
 // ErrOverloaded before doing any work.
 func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threads int) (int64, error) {
-	// With segmentation enabled the parallelism is intra-input: every group
-	// gets all the workers over its own segment set, instead of whole
-	// automata being dealt out to the pool. Results are byte-identical
-	// (exact boundary stitching — see segment.go).
-	if parts := rs.segmentParts(len(input), threads); parts > 1 {
-		return rs.scanSegmented(ctx, input, parts, nil)
-	}
+	return rs.scanParallel(ctx, input, threads, rs.segmentParts(len(input), threads), nil)
+}
+
+// scanParallel is the ruleset-level parallel scan behind CountParallel and
+// FindAll on large buffers. With parts ≤ 1 the admitted groups are dealt to
+// the §VI-C2 worker pool, one block scan each. With parts > 1 the
+// parallelism is intra-input instead: every group in turn runs over parts
+// segments with exact boundary stitching (see segment.go), and groups
+// without a segment-parallel scan run serially. emit, when non-nil,
+// receives every event of a segmented scan; events arrive grouped by
+// automaton, unsorted.
+func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, parts int,
+	emit func(automaton, fsa, end int)) (int64, error) {
 	// The ScanTimeout budget is anchored BEFORE the admission gate, so time
 	// spent queueing for a slot is charged against the same deadline the
-	// scan runs under (it used to re-arm after acquire, letting a saturated
-	// gate stretch total latency to queue-wait + ScanTimeout).
+	// scan runs under.
 	deadline := scanDeadline(rs.opts.ScanTimeout)
 	if err := rs.sched.acquire(ctx, deadline); err != nil {
 		return 0, rs.noteParallelErr(err)
 	}
 	defer rs.sched.release()
-	cfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch,
-		Checkpoint: deadlineCheckpoint(checkpointOf(ctx), deadline),
-		Accel:      rs.opts.accelOn(), Faults: rs.faults}
-	if rs.profiles != nil {
+	check := deadlineCheckpoint(checkpointOf(ctx), deadline)
+	if rs.scanLat != nil {
 		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
 	}
 	if rs.lat != nil {
@@ -1072,85 +834,21 @@ func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threa
 			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
 		}(time.Now())
 	}
-	gate, err := rs.prefilterSelect(input, cfg.Checkpoint)
+	gate, err := rs.sweepMask(input, check, rs.faults, nil, nil, nil)
 	if err != nil {
 		return 0, rs.noteParallelErr(err)
 	}
-	// Strategy-routed groups run inline — their scans are single-automaton
-	// and cheap — while the default-engine groups fan out to the worker
-	// pool. idx maps the executed-program index back to the ruleset
-	// automaton index for profile attribution.
-	var total int64
-	var progs []*engine.Program
-	var idx []int
+	var ids []int
 	for i := range rs.programs {
-		if gate != nil && !gate[i] {
-			continue
-		}
-		st0 := rs.stageStart()
-		switch rs.plan.strat[i] {
-		case StrategyAC:
-			n, err := rs.countACGroup(i, input, cfg.Checkpoint)
-			rs.stageEnd(telemetry.StageStrategyAC, st0)
-			if err != nil {
-				return 0, rs.noteParallelErr(err)
-			}
-			total += n
-		case StrategyAnchored:
-			total += rs.countAnchoredGroup(i, input, nil)
-			rs.stageEnd(telemetry.StageStrategyAnchored, st0)
-		case StrategyDFA:
-			n, err := rs.countDFAGroup(i, input, cfg.Checkpoint, nil)
-			rs.stageEnd(telemetry.StageStrategyDFA, st0)
-			if err != nil {
-				return 0, rs.noteParallelErr(err)
-			}
-			total += n
-		default:
-			progs = append(progs, rs.programs[i])
-			idx = append(idx, i)
+		if gate == nil || gate[i] {
+			ids = append(ids, i)
 		}
 	}
-	if rs.profiles != nil && len(progs) > 1 {
-		// Heat-balanced feeding: hand the hottest automata (by sampled state
-		// visits) to the worker pool first. RunParallel's workers pull from
-		// an atomic queue, so descending-cost order approximates LPT
-		// scheduling — the expensive groups start immediately instead of
-		// landing last on an otherwise-drained pool.
-		heat := make([]int64, len(progs))
-		for j := range idx {
-			heat[j] = rs.groupHeat(idx[j])
-		}
-		order := segment.OrderByHeat(heat)
-		sp := make([]*engine.Program, len(progs))
-		si := make([]int, len(idx))
-		for j, o := range order {
-			sp[j], si[j] = progs[o], idx[o]
-		}
-		progs, idx = sp, si
-	}
-	if rs.profiles != nil {
-		cfg.ProfileFor = func(j int) *engine.Profile { return rs.profileOf(idx[j]) }
-	}
-	if len(progs) == 0 {
-		return total, nil
-	}
-	pt0 := rs.stageStart()
-	results, err := engine.RunParallel(progs, input, threads, cfg)
-	rs.stageEnd(telemetry.StageParallel, pt0)
-	def := rs.defaultStrategy()
-	for j, res := range results {
-		rs.collector.AddScans(1)
-		rs.collector.AddBytes(int64(res.Symbols))
-		rs.collector.AddMatches(res.Matches)
-		rs.collector.AddAccelScan(res.AccelBytes)
-		rs.collector.AddStrategyBytes(int(def), int64(res.Symbols))
-		rules := progs[j].Rules()
-		for fsa, n := range res.PerFSA {
-			if n != 0 {
-				rs.collector.AddRuleHits(rules[fsa].RuleID, n)
-			}
-		}
+	var total int64
+	if parts > 1 {
+		err = rs.scanSegmented(input, parts, ids, check, emit, &total)
+	} else {
+		err = rs.scanPool(input, threads, ids, check, &total)
 	}
 	if err != nil {
 		// err may join several workers' failures (panics, timeouts); each
@@ -1158,7 +856,52 @@ func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threa
 		// scan_error span's cause mask carries the union.
 		return 0, rs.noteParallelErr(err)
 	}
-	return total + engine.TotalMatches(results), nil
+	return total, nil
+}
+
+// scanPool hands every admitted group to the worker pool as one block scan
+// on a fresh runner, folding each outcome as it completes.
+func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() error, total *int64) error {
+	if rs.profiles != nil && len(ids) > 1 {
+		// Heat-balanced feeding: hand the hottest automata (by sampled state
+		// visits) to the pool first. Workers pull from an atomic queue, so
+		// descending-cost order approximates LPT scheduling — the expensive
+		// groups start immediately instead of landing last on an
+		// otherwise-drained pool.
+		heat := make([]int64, len(ids))
+		for j, i := range ids {
+			heat[j] = rs.groupHeat(i)
+		}
+		ordered := make([]int, len(ids))
+		for j, o := range segment.OrderByHeat(heat) {
+			ordered[j] = ids[o]
+		}
+		ids = ordered
+	}
+	var sum atomic.Int64
+	pt0 := rs.stageStart()
+	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
+		r := rs.plan.exec[i].newRunner()
+		folded := false
+		defer func() {
+			if !folded {
+				// A contained worker panic: fold the work done up to it, so
+				// the byte partitions of the stats stay exact.
+				run := r.totals()
+				rs.fold(i, &run, nil, nil)
+			}
+		}()
+		st0 := rs.stageStart()
+		run, err := blockScan(r, input, runCfg{check: check, faults: rs.faults})
+		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
+		folded = true
+		rs.fold(i, &run, nil, nil)
+		sum.Add(run.matches)
+		return err
+	})
+	rs.stageEnd(telemetry.StageParallel, pt0)
+	*total = sum.Load()
+	return err
 }
 
 // noteParallelErr is noteErr's ruleset-level sibling for the parallel scan
@@ -1169,59 +912,6 @@ func (rs *Ruleset) noteParallelErr(err error) error {
 		rs.traceScanError(err)
 	}
 	return err
-}
-
-// countACGroup runs pure-AC group i for CountParallel, with a fresh
-// streaming scanner (the parallel path keeps no per-call scratch).
-func (rs *Ruleset) countACGroup(i int, input []byte, check func() error) (int64, error) {
-	sc := rs.plan.ac[i].m.NewStreamScanner()
-	res, distinct, scanned, err := rs.acScan(i, sc, input, check, rs.faults, nil)
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(scanned)
-	rs.collector.AddMatches(res.matches)
-	rs.collector.AddStrategyBytes(int(StrategyAC), scanned)
-	rs.collector.AddAccelScan(sc.Skipped())
-	if rs.prefEnabled {
-		rs.collector.AddPrefilterScan(1, int64(distinct), 0, 0)
-	}
-	rs.foldRuleHits(i, res.perFSA)
-	return res.matches, err
-}
-
-// countAnchoredGroup runs anchored-literal group i for CountParallel and
-// segmented scans; onMatch, when non-nil, receives every (fsa, end) event.
-func (rs *Ruleset) countAnchoredGroup(i int, input []byte, onMatch func(fsa, end int)) int64 {
-	res := rs.anchScan(i, input, onMatch)
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(int64(len(input)))
-	rs.collector.AddMatches(res.matches)
-	rs.collector.AddStrategyBytes(int(StrategyAnchored), int64(len(input)))
-	rs.foldRuleHits(i, res.perFSA)
-	return res.matches
-}
-
-// countDFAGroup runs eager-DFA group i for CountParallel and segmented
-// scans; onMatch, when non-nil, receives every (fsa, end) event.
-func (rs *Ruleset) countDFAGroup(i int, input []byte, check func() error, onMatch func(fsa, end int)) (int64, error) {
-	r := dfa.NewRunner(rs.plan.dfas[i])
-	res := r.Run(input, dfa.Config{Checkpoint: check, Faults: rs.faults, OnMatch: onMatch})
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(res.Symbols)
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddStrategyBytes(int(StrategyDFA), res.Symbols)
-	rs.foldRuleHits(i, res.PerRule)
-	return res.Matches, r.Err()
-}
-
-// foldRuleHits attributes per-FSA match counts of automaton i to rule ids in
-// the ruleset collector.
-func (rs *Ruleset) foldRuleHits(i int, perFSA []int64) {
-	rules := rs.programs[i].Rules()
-	for fsa, n := range perFSA {
-		if n != 0 {
-			rs.collector.AddRuleHits(rules[fsa].RuleID, n)
-		}
-	}
 }
 
 // checkpointOf adapts a context to an engine checkpoint; contexts that can

@@ -32,45 +32,78 @@ func (e *WorkerPanicError) Error() string {
 }
 
 // RunParallel executes a pool of programs over the same input using the
-// multi-threaded scheme of §VI-C2: a fixed pool of `threads` workers, each
-// taking one automaton at a time from the remaining ones until all are
-// executed. The returned results are indexed like programs; the caller
-// measures wall-clock latency around this call, which corresponds to the
-// paper's "latency to compute all the REs of a benchmark".
+// multi-threaded scheme of §VI-C2 (see ForEach). The returned results are
+// indexed like programs; the caller measures wall-clock latency around this
+// call, which corresponds to the paper's "latency to compute all the REs of
+// a benchmark".
 //
-// Fault containment: a panic inside a worker (e.g. from a user-supplied
-// OnMatch callback) is recovered and converted into a *WorkerPanicError
-// instead of aborting the process; the automaton's Result slot keeps the
-// partial result accumulated before the panic — every match already
-// delivered through OnMatch and every byte already counted stays visible,
-// so aggregate telemetry remains consistent with what callers observed —
-// and the remaining automata still execute. Checkpoint cancellations
-// (Config.Checkpoint) surface the same way, one error per cancelled
-// automaton. All failures are joined into the returned error.
-//
-// threads ≤ 0 selects min(len(programs), GOMAXPROCS) workers: one worker
-// per program, capped at the scheduler's parallelism — a 10k-automaton
-// ruleset must not launch 10k goroutines for a CPU-bound scan.
+// A worker panic (e.g. from a user-supplied OnMatch callback) surfaces as a
+// *WorkerPanicError, and the automaton's Result slot keeps the partial
+// result accumulated before the panic — every match already delivered
+// through OnMatch and every byte already counted stays visible, so
+// aggregate telemetry remains consistent with what callers observed.
+// Checkpoint cancellations (Config.Checkpoint) surface the same way, one
+// error per cancelled automaton. All failures are joined into the returned
+// error.
 func RunParallel(programs []*Program, input []byte, threads int, cfg Config) ([]Result, error) {
 	if len(programs) == 0 {
 		return nil, nil
 	}
+	results := make([]Result, len(programs))
+	ids := make([]int, len(programs))
+	for i := range ids {
+		ids[i] = i
+	}
+	err := ForEach(ids, threads, cfg.Faults, cfg.Checkpoint, func(i int, check func() error) error {
+		c := cfg
+		c.Checkpoint = check
+		if cfg.ProfileFor != nil {
+			c.Profile = cfg.ProfileFor(i)
+		}
+		r := NewRunner(programs[i])
+		// Deferred so a panic rolls the partial result forward too: the
+		// completed checkpoint blocks and delivered match events up to the
+		// panic (the interrupted block's bytes were never folded, so
+		// Symbols stays exact).
+		defer func() { results[i] = r.res }()
+		r.Run(input, c)
+		return r.Err()
+	})
+	return results, err
+}
+
+// ForEach runs task once per automaton id on the §VI-C2 worker pool: a fixed
+// pool of threads workers, each taking the next id from a lock-free queue
+// until none remain. threads ≤ 0 selects min(len(ids), GOMAXPROCS) workers
+// — a 10k-automaton ruleset must not launch 10k goroutines for a CPU-bound
+// scan.
+//
+// Each task runs under a pprof label carrying its automaton id, so CPU
+// profiles of a parallel scan attribute samples to the MFSA that consumed
+// them — the per-automaton view needed to decide which rule groups to
+// reshard. A panic inside a task is contained and converted into a
+// *WorkerPanicError for that id instead of aborting the process; the
+// remaining ids still execute. check is handed to every task as its
+// checkpoint; with faults armed, the WorkerPanic site fires before each task
+// and inside every checkpoint poll, so a scheduled panic can land mid-scan
+// with partial state to salvage. The task errors are joined.
+func ForEach(ids []int, threads int, faults *faultpoint.Injector, check func() error,
+	task func(id int, check func() error) error) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if threads > len(programs) {
-		threads = len(programs)
+	if threads > len(ids) {
+		threads = len(ids)
 	}
-	results := make([]Result, len(programs))
-	errs := make([]error, len(programs))
-	if threads == 1 {
-		for i, p := range programs {
-			results[i], errs[i] = runOne(i, p, input, cfg)
+	errs := make([]error, len(ids))
+	if threads <= 1 {
+		for j, id := range ids {
+			errs[j] = runTask(id, faults, check, task)
 		}
-		return results, errors.Join(errs...)
+		return errors.Join(errs...)
 	}
-	// Lock-free work queue: a single atomic counter hands out automaton
-	// indices, so workers never contend on a mutex between executions.
+	// Lock-free work queue: a single atomic counter hands out ids, so
+	// workers never contend on a mutex between executions.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(threads)
@@ -78,53 +111,33 @@ func RunParallel(programs []*Program, input []byte, threads int, cfg Config) ([]
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(programs) {
+				j := int(next.Add(1)) - 1
+				if j >= len(ids) {
 					return
 				}
-				results[i], errs[i] = runOne(i, programs[i], input, cfg)
+				errs[j] = runTask(ids[j], faults, check, task)
 			}
 		}()
 	}
 	wg.Wait()
-	return results, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
-// runOne executes a single automaton with panic containment. The execution
-// runs under a pprof label carrying the automaton index, so CPU profiles of
-// a parallel scan attribute samples to the MFSA that consumed them — the
-// per-automaton view needed to decide which rule groups to reshard.
-//
-// Panic accounting rolls forward: the runner's partial Result at the point
-// of the panic is returned alongside the *WorkerPanicError, because the
-// matches it reports were already delivered through OnMatch and its byte
-// counts were already observable through Totals — zeroing the slot would
-// leave Stats() totals claiming work the returned results deny.
-func runOne(i int, p *Program, input []byte, cfg Config) (res Result, err error) {
-	var r *Runner
+// runTask executes one ForEach task under its pprof label, with panic
+// containment and the WorkerPanic fault sites armed.
+func runTask(id int, faults *faultpoint.Injector, check func() error,
+	task func(id int, check func() error) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			if r != nil {
-				// Completed checkpoint blocks and delivered match events up
-				// to the panic; the interrupted block's bytes were never
-				// folded, so Symbols stays exact.
-				res = r.res
-			}
-			err = &WorkerPanicError{Automaton: i, Value: v, Stack: debug.Stack()}
+			err = &WorkerPanicError{Automaton: id, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if cfg.ProfileFor != nil {
-		cfg.Profile = cfg.ProfileFor(i)
-	}
-	if cfg.Faults != nil {
-		if cfg.Faults.Hit(faultpoint.WorkerPanic) {
+	if faults != nil {
+		if faults.Hit(faultpoint.WorkerPanic) {
 			panic("faultpoint: injected worker panic")
 		}
-		// Arm the mid-scan site too: every checkpoint poll consults the
-		// schedule, so a WorkerPanic scheduled past the first hit fires
-		// inside the traversal with partial state to salvage.
-		faults, inner := cfg.Faults, cfg.Checkpoint
-		cfg.Checkpoint = func() error {
+		inner := check
+		check = func() error {
 			if faults.Hit(faultpoint.WorkerPanic) {
 				panic("faultpoint: injected worker panic (mid-scan)")
 			}
@@ -134,12 +147,10 @@ func runOne(i int, p *Program, input []byte, cfg Config) (res Result, err error)
 			return nil
 		}
 	}
-	pprof.Do(context.Background(), pprof.Labels("mfsa_automaton", strconv.Itoa(i)), func(context.Context) {
-		r = NewRunner(p)
-		res = r.Run(input, cfg)
-		err = r.Err()
+	pprof.Do(context.Background(), pprof.Labels("mfsa_automaton", strconv.Itoa(id)), func(context.Context) {
+		err = task(id, check)
 	})
-	return res, err
+	return err
 }
 
 // TotalMatches sums the match counts of a result set.

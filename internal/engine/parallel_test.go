@@ -182,7 +182,7 @@ func TestRunOnePanicPartialAccounting(t *testing.T) {
 			in[i] = 'b'
 		}
 	}
-	// WorkerPanic hit sites: runOne start (hit 1), then every checkpoint
+	// WorkerPanic hit sites: task start (hit 1), then every checkpoint
 	// poll — before the block at offset 0 (hit 2) and before the block at
 	// offset 256 (hit 3). Firing on hit 3 panics mid-scan with exactly one
 	// 256-byte block completed.

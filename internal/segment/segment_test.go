@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/ahocorasick"
@@ -278,42 +277,6 @@ func TestOrderByHeat(t *testing.T) {
 	want := []int{1, 3, 4, 0, 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("OrderByHeat = %v, want %v", got, want)
-	}
-}
-
-func TestBalanceLPT(t *testing.T) {
-	weights := []int64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	shards := BalanceLPT(weights, 3)
-	if len(shards) != 3 {
-		t.Fatalf("%d shards, want 3", len(shards))
-	}
-	seen := make(map[int]bool)
-	var loads []int64
-	for _, shard := range shards {
-		var load int64
-		for _, i := range shard {
-			if seen[i] {
-				t.Fatalf("item %d assigned twice", i)
-			}
-			seen[i] = true
-			load += weights[i]
-		}
-		loads = append(loads, load)
-	}
-	if len(seen) != len(weights) {
-		t.Fatalf("%d items assigned, want %d", len(seen), len(weights))
-	}
-	sort.Slice(loads, func(i, j int) bool { return loads[i] < loads[j] })
-	// Total 55 over 3 shards: LPT lands within one small item of even.
-	if loads[2]-loads[0] > 3 {
-		t.Fatalf("shard loads %v too uneven for LPT", loads)
-	}
-	// Degenerate shapes.
-	if got := BalanceLPT(nil, 2); len(got) != 2 {
-		t.Fatalf("BalanceLPT(nil,2) = %v", got)
-	}
-	if got := BalanceLPT([]int64{5}, 0); len(got) != 1 || len(got[0]) != 1 {
-		t.Fatalf("BalanceLPT clamp = %v", got)
 	}
 }
 

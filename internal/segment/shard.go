@@ -23,33 +23,3 @@ func OrderByHeat(weight []int64) []int {
 	})
 	return order
 }
-
-// BalanceLPT partitions items into k shards by the longest-processing-time
-// greedy heuristic: items in descending weight order, each assigned to the
-// currently lightest shard. LPT is a 4/3-approximation of the optimal
-// makespan — good enough to keep per-shard absorbed time within a few
-// percent of even on the skewed heat distributions real rulesets show.
-// Shards are returned with their item lists in ascending index order; k is
-// clamped to [1, max(len(weight), 1)]. Empty shards are possible only when
-// k > len(weight).
-func BalanceLPT(weight []int64, k int) [][]int {
-	if k < 1 {
-		k = 1
-	}
-	shards := make([][]int, k)
-	loads := make([]int64, k)
-	for _, i := range OrderByHeat(weight) {
-		lightest := 0
-		for s := 1; s < k; s++ {
-			if loads[s] < loads[lightest] {
-				lightest = s
-			}
-		}
-		shards[lightest] = append(shards[lightest], i)
-		loads[lightest] += weight[i]
-	}
-	for s := range shards {
-		sort.Ints(shards[s])
-	}
-	return shards
-}

@@ -19,8 +19,8 @@ import (
 //   - "strategy_imfant", "strategy_lazydfa", "strategy_ac",
 //     "strategy_anchored", "strategy_dfa": one automaton's dispatch under
 //     that execution strategy — where a scan's time went, by strategy.
-//   - "parallel": the multi-threaded engine fan-out of a CountParallel
-//     call (wall clock over all default-strategy automata together).
+//   - "parallel": the worker-pool fan-out of a CountParallel
+//     call (wall clock over all admitted automata together).
 //   - "stream_write": one StreamMatcher.Write chunk.
 //   - "stream_flush": the end-of-stream flush inside Close.
 //

@@ -92,12 +92,14 @@ type anchGroup struct {
 }
 
 // scanPlan is the planner's output, recorded on the Ruleset: one strategy
-// per automaton group plus the compiled per-strategy artifacts.
+// per automaton group, the compiled per-strategy artifacts, and the group
+// executors built over them (see exec.go).
 type scanPlan struct {
 	strat   []Strategy
 	ac      []*acGroup   // non-nil iff strat[i] == StrategyAC
 	anch    []*anchGroup // non-nil iff strat[i] == StrategyAnchored
 	dfas    []*dfa.DFA   // non-nil iff strat[i] == StrategyDFA
+	exec    []groupExec
 	counts  [numStrategies]int
 	planned bool // false under a forced Options.Engine
 }
@@ -161,6 +163,7 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 		ac:      make([]*acGroup, n),
 		anch:    make([]*anchGroup, n),
 		dfas:    make([]*dfa.DFA, n),
+		exec:    make([]groupExec, n),
 		planned: rs.opts.Engine == EngineAuto,
 	}
 	def := rs.defaultStrategy()
@@ -170,6 +173,7 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 			rs.classifyGroup(pl, i, shapes, nfas)
 		}
 		pl.counts[pl.strat[i]]++
+		pl.exec[i] = rs.newExec(pl, i)
 	}
 	rs.plan = pl
 
@@ -301,65 +305,6 @@ func finalsAreSinks(a *nfa.NFA) bool {
 	}
 	for _, t := range a.Trans {
 		if final[t.From] {
-			return false
-		}
-	}
-	return true
-}
-
-// match evaluates one anchored rule against a whole input block, returning
-// the single possible match end. `^` means stream offset 0 and `$` means
-// end of stream, so a block scan sees both boundaries at once.
-func (r *anchRule) match(input []byte) (end int, ok bool) {
-	sh := &r.sh
-	p, s := len(sh.Prefix), len(sh.Suffix)
-	switch {
-	case sh.AnchorStart && sh.AnchorEnd && !sh.HasMiddle:
-		// `^lit$`: exact equality (the classifier folds all bytes into
-		// Prefix).
-		if len(input) == p && p > 0 && hasPrefix(input, sh.Prefix) {
-			return p - 1, true
-		}
-	case sh.AnchorStart && !sh.AnchorEnd:
-		// `^lit`: one event where the prefix completes.
-		if len(input) >= p && hasPrefix(input, sh.Prefix) {
-			return p - 1, true
-		}
-	case !sh.AnchorStart && sh.AnchorEnd:
-		// `lit$`: one event at the last byte.
-		if len(input) >= s && s > 0 && hasSuffix(input, sh.Suffix) {
-			return len(input) - 1, true
-		}
-	default:
-		// `^prefix<set>{m,}suffix$`.
-		if len(input) >= r.minLen && len(input) > 0 &&
-			hasPrefix(input, sh.Prefix) && hasSuffix(input, sh.Suffix) &&
-			(!r.hasBad || r.bad.Index(input[p:len(input)-s]) < 0) {
-			return len(input) - 1, true
-		}
-	}
-	return 0, false
-}
-
-func hasPrefix(in, lit []byte) bool {
-	if len(in) < len(lit) {
-		return false
-	}
-	for i, b := range lit {
-		if in[i] != b {
-			return false
-		}
-	}
-	return true
-}
-
-func hasSuffix(in, lit []byte) bool {
-	if len(in) < len(lit) {
-		return false
-	}
-	off := len(in) - len(lit)
-	for i, b := range lit {
-		if in[off+i] != b {
 			return false
 		}
 	}

@@ -226,20 +226,22 @@ func (p *prefCounters) stats(rs *Ruleset) *PrefilterStats {
 	}
 }
 
-// prefilterGate sweeps input through the factor automaton and returns the
+// sweepMask sweeps input through the factor automaton and returns the
 // per-automaton activation mask, or nil when every automaton must run
-// (prefilter inactive). The sweep polls check between blocks so hostile
-// inputs cannot wedge a cancellable scan inside the prefilter. Counters are
-// folded into the ruleset collector and the scanner's local totals; trace
-// skip events are the caller's job (it knows the skip sites).
-func (s *Scanner) prefilterGate(input []byte, check func() error) ([]bool, error) {
-	rs := s.rs
+// (prefilter inactive, or the effectiveness tracker elided the sweep). The
+// sweep polls check between blocks so hostile inputs cannot wedge a
+// cancellable scan inside the prefilter. sw and active, when non-nil, are
+// the caller's reusable sweeper and mask; pref, when non-nil, receives the
+// owner's local counts. Collector counters and prefilter_skip trace events
+// are recorded here.
+func (rs *Ruleset) sweepMask(input []byte, check func() error, faults *faultpoint.Injector,
+	sw *ahocorasick.Sweeper, active []bool, pref *prefCounters) ([]bool, error) {
 	pf := rs.pf
 	if pf == nil {
 		return nil, nil
 	}
-	if active := wakeAll(s.faults, len(rs.programs)); active != nil {
-		return active, nil
+	if woke := wakeAll(faults, len(rs.programs)); woke != nil {
+		return woke, nil
 	}
 	run, probe := rs.tracker.decide()
 	if !run {
@@ -251,80 +253,15 @@ func (s *Scanner) prefilterGate(input []byte, check func() error) ([]bool, error
 	if probe {
 		rs.collector.AddSweepProbes(1)
 	}
-	if s.sweep == nil {
-		s.sweep = pf.ac.NewSweeper()
-		s.sweep.SetAccel(rs.opts.accelOn())
+	if sw == nil {
+		sw = pf.ac.NewSweeper()
+		sw.SetAccel(rs.opts.accelOn())
 	} else {
-		s.sweep.Reset()
+		sw.Reset()
 	}
-	st0 := rs.stageStart()
-	const block = engine.DefaultCheckpointEvery
-	for off := 0; off < len(input) && !s.sweep.Done(); off += block {
-		if check != nil {
-			if err := check(); err != nil {
-				rs.stageEnd(telemetry.StagePrefilter, st0)
-				return nil, err
-			}
-		}
-		end := off + block
-		if end > len(input) {
-			end = len(input)
-		}
-		s.sweep.Sweep(input[off:end])
+	if active == nil {
+		active = make([]bool, len(rs.programs))
 	}
-	rs.stageEnd(telemetry.StagePrefilter, st0)
-	if s.active == nil {
-		s.active = make([]bool, len(rs.programs))
-	}
-	var skipped int64
-	for i := range s.active {
-		woke := pf.active(i, s.sweep)
-		act := woke
-		if !pf.groupAlways[i] {
-			// A gate the tracker disabled runs its group regardless of the
-			// sweep outcome; the observation below may re-enable it.
-			if rs.tracker.isDisabled(i) {
-				act = true
-			}
-			rs.tracker.observe(i, woke)
-		}
-		s.active[i] = act
-		if !act {
-			skipped++
-		}
-	}
-	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
-	saved := skipped * int64(len(input))
-	s.pref.sweeps++
-	s.pref.hits += int64(s.sweep.Seen())
-	s.pref.skipped += skipped
-	s.pref.saved += saved
-	rs.collector.AddPrefilterScan(1, int64(s.sweep.Seen()), skipped, saved)
-	return s.active, nil
-}
-
-// prefilterSelect is the Ruleset-level counterpart of Scanner.prefilterGate
-// for CountParallel: it allocates its own sweeper (the parallel path is
-// coarse-grained enough for that), folds collector counters, records trace
-// skip events, and returns the activation mask or nil when ungated.
-func (rs *Ruleset) prefilterSelect(input []byte, check func() error) ([]bool, error) {
-	pf := rs.pf
-	if pf == nil {
-		return nil, nil
-	}
-	if active := wakeAll(rs.faults, len(rs.programs)); active != nil {
-		return active, nil
-	}
-	run, probe := rs.tracker.decide()
-	if !run {
-		rs.collector.AddSweepsElided(1)
-		return nil, nil
-	}
-	if probe {
-		rs.collector.AddSweepProbes(1)
-	}
-	sw := pf.ac.NewSweeper()
-	sw.SetAccel(rs.opts.accelOn())
 	st0 := rs.stageStart()
 	const block = engine.DefaultCheckpointEvery
 	for off := 0; off < len(input) && !sw.Done(); off += block {
@@ -334,19 +271,16 @@ func (rs *Ruleset) prefilterSelect(input []byte, check func() error) ([]bool, er
 				return nil, err
 			}
 		}
-		end := off + block
-		if end > len(input) {
-			end = len(input)
-		}
-		sw.Sweep(input[off:end])
+		sw.Sweep(input[off:min(off+block, len(input))])
 	}
 	rs.stageEnd(telemetry.StagePrefilter, st0)
-	active := make([]bool, len(rs.programs))
 	var skipped int64
 	for i := range active {
 		woke := pf.active(i, sw)
 		act := woke
 		if !pf.groupAlways[i] {
+			// A gate the tracker disabled runs its group regardless of the
+			// sweep outcome; the observation below may re-enable it.
 			if rs.tracker.isDisabled(i) {
 				act = true
 			}
@@ -362,6 +296,13 @@ func (rs *Ruleset) prefilterSelect(input []byte, check func() error) ([]bool, er
 		}
 	}
 	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
-	rs.collector.AddPrefilterScan(1, int64(sw.Seen()), skipped, skipped*int64(len(input)))
+	hits, saved := int64(sw.Seen()), skipped*int64(len(input))
+	rs.collector.AddPrefilterScan(1, hits, skipped, saved)
+	if pref != nil {
+		pref.sweeps++
+		pref.hits += hits
+		pref.skipped += skipped
+		pref.saved += saved
+	}
 	return active, nil
 }

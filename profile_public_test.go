@@ -192,6 +192,41 @@ func TestTraceRingPublic(t *testing.T) {
 		}
 	}
 
+	// Lazy-cache events are emitted by every entry point, not only block
+	// scans: a three-state cache flushes on this churn.
+	var churn []byte
+	for i := 0; i < 2048; i++ {
+		churn = append(churn, "ab"[i*i%7%2], "ab"[i%3%2])
+	}
+	for _, c := range []struct {
+		name string
+		scan func(*Ruleset)
+	}{
+		{"StreamMatcher", func(rs *Ruleset) {
+			sm := rs.NewStreamMatcher(nil)
+			sm.Write(churn)
+			sm.Close()
+		}},
+		{"segmented CountParallel", func(rs *Ruleset) {
+			if _, err := rs.CountParallel(churn, 2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		lz := MustCompile([]string{"(ab|ba)+c", "a+b", "b+a+b"}, Options{TraceCapacity: 64,
+			Engine: EngineLazyDFA, KeepOnMatch: true, LazyDFAMaxStates: 3, Segment: SegmentOn})
+		c.scan(lz)
+		flushes := 0
+		for _, ev := range lz.TraceEvents() {
+			if ev.Kind == "lazy_flush" {
+				flushes++
+			}
+		}
+		if flushes == 0 {
+			t.Fatalf("%s emitted no lazy_flush event; stats %+v", c.name, lz.Stats().Lazy)
+		}
+	}
+
 	// Tracing off: everything degrades to no-ops.
 	off := MustCompile([]string{"abc"}, Options{})
 	off.Count([]byte("abc"))

@@ -3,11 +3,7 @@ package imfant
 import (
 	"context"
 	"runtime"
-	"sort"
-	"time"
 
-	"repro/internal/engine"
-	"repro/internal/lazydfa"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
 )
@@ -102,228 +98,53 @@ func (rs *Ruleset) groupHeat(i int) int64 {
 	return total
 }
 
-// scanSegmented is the segment-parallel ruleset scan behind CountParallel
-// and FindAll on large buffers. It mirrors CountParallelContext's shape —
-// admission gate, deadline, prefilter gating, per-group strategy dispatch —
-// but cuts the input into parts segments and runs each group's default- or
-// AC-strategy scan segment-parallel with exact boundary stitching (package
-// segment). Anchored and eager-DFA groups run serially: their scans are
-// O(1) or a single cache-resident sweep, and segmenting them buys nothing.
-// emit, when non-nil, receives every event; events arrive grouped by
-// automaton, unsorted.
-func (rs *Ruleset) scanSegmented(ctx context.Context, input []byte, parts int,
-	emit func(automaton, fsa, end int)) (int64, error) {
-	deadline := scanDeadline(rs.opts.ScanTimeout)
-	if err := rs.sched.acquire(ctx, deadline); err != nil {
-		return 0, rs.noteParallelErr(err)
-	}
-	defer rs.sched.release()
-	check := deadlineCheckpoint(checkpointOf(ctx), deadline)
-	if rs.profiles != nil {
-		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
-	if rs.lat != nil {
-		defer func(t0 time.Time) {
-			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
-		}(time.Now())
-	}
-	gate, err := rs.prefilterSelect(input, check)
-	if err != nil {
-		return 0, rs.noteParallelErr(err)
-	}
+// scanSegmented runs the admitted groups in turn, each over parts segments
+// with exact boundary stitching (package segment) when its executor offers
+// a segment-parallel scan and the group is not pinned serial; anchored and
+// eager-DFA groups run serially — their scans are O(1) or a single
+// cache-resident sweep, and segmenting them buys nothing.
+func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, check func() error,
+	emit func(automaton, fsa, end int), total *int64) error {
 	bounds := segment.Boundaries(len(input), parts)
-	var total int64
-	for i := range rs.programs {
-		if gate != nil && !gate[i] {
-			continue
-		}
+	for _, i := range ids {
 		var groupEmit func(fsa, end int)
 		if emit != nil {
 			automaton := i
 			groupEmit = func(fsa, end int) { emit(automaton, fsa, end) }
 		}
-		var n int64
-		var err error
+		x := rs.plan.exec[i]
 		st0 := rs.stageStart()
-		switch rs.plan.strat[i] {
-		case StrategyAC:
-			n, err = rs.segmentACGroup(i, input, bounds, check, groupEmit)
+		var run groupRun
+		var err error
+		if x.segment != nil && !rs.segSerial[i].Load() {
+			run, err = x.segment(input, bounds, check, groupEmit)
 			rs.stageEnd(telemetry.StageSegment, st0)
-		case StrategyAnchored:
-			n = rs.countAnchoredGroup(i, input, groupEmit)
-			rs.stageEnd(telemetry.StageStrategyAnchored, st0)
-		case StrategyDFA:
-			n, err = rs.countDFAGroup(i, input, check, groupEmit)
-			rs.stageEnd(telemetry.StageStrategyDFA, st0)
-		default:
-			if rs.segSerial[i].Load() {
-				n, err = rs.serialDefaultGroup(i, input, check, groupEmit)
-				rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-			} else {
-				n, err = rs.segmentDefaultGroup(i, input, bounds, check, groupEmit)
-				rs.stageEnd(telemetry.StageSegment, st0)
-			}
+		} else {
+			// Bytes of serial runs carry no segment fold, so they land in
+			// the derived SerialBytes bucket of the Segment partition.
+			run, err = blockScan(x.newRunner(), input, runCfg{onMatch: groupEmit, check: check, faults: rs.faults})
+			rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		}
+		rs.fold(i, &run, nil, nil)
 		if err != nil {
-			return 0, rs.noteParallelErr(err)
+			return err
 		}
-		total += n
+		*total += run.matches
 	}
-	return total, nil
-}
-
-// segmentDefaultGroup runs default-strategy group i segment-parallel: iMFAnt
-// or lazy-DFA workers per segment plus the sequential boundary stitch. A
-// scan whose boundary carry exceeds the frontier budget completes exactly
-// but pins the group serial for subsequent segmented scans.
-func (rs *Ruleset) segmentDefaultGroup(i int, input []byte, bounds []int,
-	check func() error, emit func(fsa, end int)) (int64, error) {
-	g := segment.Group{
-		Automaton: i,
-		Program:   rs.programs[i],
-		Cfg: engine.Config{
-			KeepOnMatch: rs.opts.KeepOnMatch,
-			Checkpoint:  check,
-			Accel:       rs.opts.accelOn(),
-			Profile:     rs.profileOf(i),
-			Faults:      rs.faults,
-		},
-		MaxFrontier: rs.maxFrontier(),
-	}
-	lazy := rs.plan.strat[i] == StrategyLazyDFA
-	if lazy {
-		g.Lazy = rs.lazy[i]
-		g.LazyCfg = lazydfa.Config{
-			KeepOnMatch: rs.opts.KeepOnMatch,
-			MaxStates:   rs.opts.LazyDFAMaxStates,
-			Checkpoint:  check,
-			Accel:       rs.opts.accelOn(),
-			Profile:     rs.profileOf(i),
-			Faults:      rs.faults,
-		}
-	}
-	res, err := segment.Scan(g, input, bounds, emit)
-	n := res.ParallelBytes + res.StitchBytes
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(n)
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddAccelScan(res.AccelBytes)
-	rs.collector.AddStrategyBytes(int(rs.plan.strat[i]), n)
-	var fell int64
-	if res.FellBack {
-		fell = 1
-		rs.segSerial[i].Store(true)
-	}
-	rs.collector.AddSegmentScan(int64(res.Segments), fell, res.ParallelBytes, res.StitchBytes)
-	if lazy {
-		rs.collector.AddLazyScan(res.CacheHits, res.CacheMisses, res.Flushes, res.Thrashes)
-	}
-	if err != nil {
-		return 0, err
-	}
-	rs.foldRuleHits(i, res.PerFSA)
-	return res.Matches, nil
-}
-
-// serialDefaultGroup runs default-strategy group i serially inside a
-// segmented scan — the sticky fallback for groups whose boundary frontier
-// blew the budget. Its bytes carry no AddSegmentScan fold, so they land in
-// the derived SerialBytes bucket of the Segment stats partition.
-func (rs *Ruleset) serialDefaultGroup(i int, input []byte, check func() error,
-	emit func(fsa, end int)) (int64, error) {
-	if rs.plan.strat[i] == StrategyLazyDFA {
-		r := lazydfa.NewRunner(rs.lazy[i])
-		res := r.Run(input, lazydfa.Config{
-			KeepOnMatch: rs.opts.KeepOnMatch,
-			MaxStates:   rs.opts.LazyDFAMaxStates,
-			OnMatch:     emit,
-			Checkpoint:  check,
-			Accel:       rs.opts.accelOn(),
-			Profile:     rs.profileOf(i),
-			Faults:      rs.faults,
-		})
-		rs.collector.AddScans(1)
-		rs.collector.AddBytes(int64(res.Symbols))
-		rs.collector.AddMatches(res.Matches)
-		rs.collector.AddAccelScan(res.AccelBytes)
-		rs.collector.AddStrategyBytes(int(StrategyLazyDFA), int64(res.Symbols))
-		var thrash int64
-		if res.Thrashed {
-			thrash = 1
-		}
-		rs.collector.AddLazyScan(res.CacheHits, res.CacheMisses, int64(res.Flushes), thrash)
-		if err := r.Err(); err != nil {
-			return 0, err
-		}
-		rs.foldRuleHits(i, res.PerFSA)
-		return res.Matches, nil
-	}
-	r := engine.NewRunner(rs.programs[i])
-	res := r.Run(input, engine.Config{
-		KeepOnMatch: rs.opts.KeepOnMatch,
-		OnMatch:     emit,
-		Checkpoint:  check,
-		Accel:       rs.opts.accelOn(),
-		Profile:     rs.profileOf(i),
-		Faults:      rs.faults,
-	})
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(int64(res.Symbols))
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddAccelScan(res.AccelBytes)
-	rs.collector.AddStrategyBytes(int(StrategyIMFAnt), int64(res.Symbols))
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	rs.foldRuleHits(i, res.PerFSA)
-	return res.Matches, nil
-}
-
-// segmentACGroup runs pure-AC group i segment-parallel: overlap windows
-// instead of stitching (a match ending in a segment starts at most
-// MaxPatternLen-1 bytes before it), exact by the AC suffix-closure.
-func (rs *Ruleset) segmentACGroup(i int, input []byte, bounds []int,
-	check func() error, emit func(fsa, end int)) (int64, error) {
-	res, err := segment.ScanAC(rs.plan.ac[i].m, input, bounds, rs.opts.accelOn(), check, 0, emit)
-	rs.collector.AddScans(1)
-	rs.collector.AddBytes(res.ScannedBytes)
-	rs.collector.AddMatches(res.Matches)
-	rs.collector.AddStrategyBytes(int(StrategyAC), res.ScannedBytes)
-	rs.collector.AddAccelScan(res.SkippedBytes)
-	rs.collector.AddSegmentScan(int64(len(bounds)-1), 0, res.ScannedBytes, 0)
-	if err != nil {
-		return 0, err
-	}
-	if rs.prefEnabled {
-		var distinct int64
-		for _, n := range res.PerPattern {
-			if n != 0 {
-				distinct++
-			}
-		}
-		rs.collector.AddPrefilterScan(1, distinct, 0, 0)
-	}
-	rs.foldRuleHits(i, res.PerPattern)
-	return res.Matches, nil
+	return nil
 }
 
 // findAllSegmented is FindAll's segment-parallel path: collect every event
-// with rule attribution, then impose the serial report order (end offset,
-// then rule).
+// with rule attribution, then impose the serial report order.
 func (rs *Ruleset) findAllSegmented(ctx context.Context, input []byte, parts int) ([]Match, error) {
 	var out []Match
-	_, err := rs.scanSegmented(ctx, input, parts, func(automaton, fsa, end int) {
+	_, err := rs.scanParallel(ctx, input, 0, parts, func(automaton, fsa, end int) {
 		r := rs.programs[automaton].Rules()[fsa]
 		out = append(out, Match{Rule: r.RuleID, Pattern: r.Pattern, End: end})
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
-		}
-		return out[i].Rule < out[j].Rule
-	})
+	sortByEnd(out)
 	return out, nil
 }

@@ -403,91 +403,7 @@ func (rs *Ruleset) StatsVar() expvar.Var {
 // executed, including a partial scan still in progress. Not safe for use
 // concurrent with the scanner's scans (the Scanner itself is single-owner).
 func (s *Scanner) Stats() Stats {
-	st := Stats{RuleHits: append([]int64(nil), s.ruleHits...),
-		Degraded: &DegradedStats{ScanTimeouts: s.timeouts}}
-	rs := s.rs
-	var accel *AccelStats
-	if rs.opts.accelOn() {
-		accel = &AccelStats{Automata: len(rs.programs)}
-	}
-	// Top-level totals are the fold of the per-strategy locals — every scan
-	// branch records into exactly one s.strat row, so the rows partition the
-	// totals by construction.
-	for k := range s.strat {
-		st.Scans += s.strat[k].scans
-		st.BytesScanned += s.strat[k].bytes
-		st.Matches += s.strat[k].matches
-	}
-	var l *LazyStats
-	for i := range rs.programs {
-		switch {
-		case s.lazies[i] != nil:
-			r := s.lazies[i]
-			if l == nil {
-				l = &LazyStats{}
-			}
-			l.Automata++
-			t := r.Totals()
-			l.Hits += t.CacheHits
-			l.Misses += t.CacheMisses
-			l.Flushes += t.Flushes
-			l.Fallbacks += t.Fallbacks
-			st.Degraded.CacheGrows += t.Grows
-			st.Degraded.PinnedScans += t.Pins
-			l.CachedStates += int64(r.CachedStates())
-			if m := r.MaxStates(); m > l.MaxStates {
-				l.MaxStates = m
-			}
-			l.ByteClasses += rs.lazy[i].NumClasses()
-			if accel != nil {
-				accel.BytesSkipped += t.AccelBytes
-				accel.AccelStates += int64(r.AccelStates())
-			}
-		case s.runners[i] != nil:
-			if accel != nil {
-				accel.BytesSkipped += s.runners[i].Totals().AccelBytes
-			}
-		case s.acs[i] != nil:
-			if accel != nil {
-				accel.BytesSkipped += s.acs[i].Skipped()
-			}
-		}
-	}
-	if l != nil {
-		if l.MaxStates == 0 {
-			l.MaxStates = lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates)
-		}
-		st.Degraded.ThrashFallbacks = l.Fallbacks
-		st.Lazy = l
-	}
-	st.Strategy = localStrategyStats(rs, s.strat)
-	st.Prefilter = s.pref.stats(rs)
-	st.Accel = accel
-	st.Segment = rs.localSegmentStats(st.BytesScanned)
-	return st
-}
-
-// localStrategyStats builds the Scanner/StreamMatcher-scope planner section:
-// classification outcome from the shared plan, bytes from the owner's local
-// per-strategy totals, and the shared tracker's ungated gauge. The tracker's
-// sweep-disable event counters are ruleset-scope and stay zero here.
-func localStrategyStats(rs *Ruleset, strat [numStrategies]stratTotals) *StrategyStats {
-	pl := rs.plan
-	if pl == nil {
-		return nil
-	}
-	ss := &StrategyStats{Planned: pl.planned, GroupsUngated: rs.tracker.disabledNow()}
-	for k := 0; k < numStrategies; k++ {
-		if pl.counts[k] == 0 {
-			continue
-		}
-		ss.Groups = append(ss.Groups, StrategyGroupStats{
-			Strategy: Strategy(k).String(),
-			Groups:   pl.counts[k],
-			Bytes:    strat[k].bytes,
-		})
-	}
-	return ss
+	return s.rs.localStats(s.runs, nil, s.ruleHits, s.timeouts, &s.pref)
 }
 
 // Stats returns this stream's telemetry, including the in-progress state of
@@ -495,87 +411,53 @@ func localStrategyStats(rs *Ruleset, strat [numStrategies]stratTotals) *Strategy
 // stream counts as one completed scan per automaton). Not safe for use
 // concurrent with Write or Close.
 func (sm *StreamMatcher) Stats() Stats {
-	st := Stats{RuleHits: append([]int64(nil), sm.ruleHits...),
-		Degraded: &DegradedStats{ScanTimeouts: sm.timeouts}}
-	rs := sm.rs
+	return sm.rs.localStats(sm.runs, sm.gated, sm.ruleHits, sm.timeouts, &sm.pref)
+}
+
+// localStats builds a Scanner- or StreamMatcher-scope snapshot from the
+// owner's runners (automata marked in gated never ran and are left out),
+// its rule hits, timeouts and prefilter counters. The planner section
+// takes its classification from the shared plan and the tracker's ungated
+// gauge; the tracker's sweep-disable event counters are ruleset-scope and
+// stay zero here.
+func (rs *Ruleset) localStats(runs []groupRunner, gated []bool, ruleHits []int64, timeouts int64, pref *prefCounters) Stats {
+	st := Stats{RuleHits: append([]int64(nil), ruleHits...),
+		Degraded: &DegradedStats{ScanTimeouts: timeouts}}
 	var accel *AccelStats
 	if rs.opts.accelOn() {
 		accel = &AccelStats{Automata: len(rs.programs)}
 	}
-	var strat [numStrategies]stratTotals
+	var stratBytes [numStrategies]int64
 	var l *LazyStats
-	for i := range rs.programs {
-		switch {
-		case sm.engines[i] != nil:
-			if sm.isGated(i) {
-				continue
-			}
-			t := sm.engines[i].Totals()
-			strat[StrategyIMFAnt].scans += t.Scans
-			strat[StrategyIMFAnt].bytes += t.Symbols
-			strat[StrategyIMFAnt].matches += t.Matches
-			if accel != nil {
-				accel.BytesSkipped += t.AccelBytes
-			}
-		case sm.lazies[i] != nil:
-			if sm.isGated(i) {
-				continue
-			}
-			r := sm.lazies[i]
-			if l == nil {
-				l = &LazyStats{}
-			}
-			l.Automata++
-			t := r.Totals()
-			strat[StrategyLazyDFA].scans += t.Scans
-			strat[StrategyLazyDFA].bytes += t.Symbols
-			strat[StrategyLazyDFA].matches += t.Matches
-			l.Hits += t.CacheHits
-			l.Misses += t.CacheMisses
-			l.Flushes += t.Flushes
-			l.Fallbacks += t.Fallbacks
-			st.Degraded.CacheGrows += t.Grows
-			st.Degraded.PinnedScans += t.Pins
-			l.CachedStates += int64(r.CachedStates())
-			if m := r.MaxStates(); m > l.MaxStates {
-				l.MaxStates = m
-			}
-			l.ByteClasses += rs.lazy[i].NumClasses()
-			if accel != nil {
-				accel.BytesSkipped += t.AccelBytes
-				accel.AccelStates += int64(r.AccelStates())
-			}
-		case sm.dfaRuns[i] != nil:
-			if sm.isGated(i) {
-				continue
-			}
-			t := sm.dfaRuns[i].Totals()
-			strat[StrategyDFA].scans += t.Scans
-			strat[StrategyDFA].bytes += t.Symbols
-			strat[StrategyDFA].matches += t.Matches
-		case sm.acRuns[i] != nil:
-			// AC groups count like engine streams: one completed scan at
-			// Close, bytes as they are consumed.
-			if sm.closed {
-				strat[StrategyAC].scans++
-			}
-			strat[StrategyAC].bytes += sm.consumed
-			strat[StrategyAC].matches += sm.groupMatches[i]
-			if accel != nil {
-				accel.BytesSkipped += sm.acRuns[i].Skipped()
-			}
-		case sm.anchRuns[i] != nil:
-			if sm.closed {
-				strat[StrategyAnchored].scans++
-			}
-			strat[StrategyAnchored].bytes += sm.consumed
-			strat[StrategyAnchored].matches += sm.groupMatches[i]
+	for i, r := range runs {
+		if gated != nil && gated[i] {
+			continue
 		}
-	}
-	for k := range strat {
-		st.Scans += strat[k].scans
-		st.BytesScanned += strat[k].bytes
-		st.Matches += strat[k].matches
+		t := r.totals()
+		st.Scans += t.scans
+		st.BytesScanned += t.bytes
+		st.Matches += t.matches
+		stratBytes[rs.plan.strat[i]] += t.bytes
+		if accel != nil {
+			accel.BytesSkipped += t.accel
+			accel.AccelStates += t.accelStates
+		}
+		if !t.lazy {
+			continue
+		}
+		if l == nil {
+			l = &LazyStats{}
+		}
+		l.Automata++
+		l.Hits += t.hits
+		l.Misses += t.misses
+		l.Flushes += t.flushes
+		l.Fallbacks += t.fallbacks
+		st.Degraded.CacheGrows += t.grows
+		st.Degraded.PinnedScans += t.pins
+		l.CachedStates += t.cached
+		l.MaxStates = max(l.MaxStates, t.maxStates)
+		l.ByteClasses += t.classes
 	}
 	if l != nil {
 		if l.MaxStates == 0 {
@@ -584,8 +466,15 @@ func (sm *StreamMatcher) Stats() Stats {
 		st.Degraded.ThrashFallbacks = l.Fallbacks
 		st.Lazy = l
 	}
-	st.Strategy = localStrategyStats(rs, strat)
-	st.Prefilter = sm.pref.stats(rs)
+	ss := &StrategyStats{Planned: rs.plan.planned, GroupsUngated: rs.tracker.disabledNow()}
+	for k, n := range rs.plan.counts {
+		if n > 0 {
+			ss.Groups = append(ss.Groups, StrategyGroupStats{
+				Strategy: Strategy(k).String(), Groups: n, Bytes: stratBytes[k]})
+		}
+	}
+	st.Strategy = ss
+	st.Prefilter = pref.stats(rs)
 	st.Accel = accel
 	st.Segment = rs.localSegmentStats(st.BytesScanned)
 	return st

@@ -86,6 +86,33 @@ func TestLazyStats(t *testing.T) {
 	if rst.Lazy == nil || rst.Lazy.Hits != l.Hits || rst.Lazy.Misses != l.Misses {
 		t.Fatalf("ruleset lazy fold %+v, scanner %+v", rst.Lazy, l)
 	}
+
+	// Every entry point runs lazy-DFA groups on the lazy engine: a parallel
+	// count below the segment path and a stream serve every byte from the
+	// cache too.
+	for _, c := range []struct {
+		name string
+		scan func(*Ruleset)
+	}{
+		{"CountParallel", func(rs *Ruleset) {
+			if _, err := rs.CountParallel(input, 2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"StreamMatcher", func(rs *Ruleset) {
+			sm := rs.NewStreamMatcher(nil)
+			sm.Write(input[:5])
+			sm.Write(input[5:])
+			sm.Close()
+		}},
+	} {
+		rs := MustCompile([]string{"abc", "b+c"}, Options{Engine: EngineLazyDFA, KeepOnMatch: true, Segment: SegmentOff})
+		c.scan(rs)
+		st := rs.Stats()
+		if st.Lazy == nil || st.BytesScanned != int64(len(input)) || st.Lazy.Hits+st.Lazy.Misses != st.BytesScanned {
+			t.Fatalf("%s: bytes %d, lazy %+v", c.name, st.BytesScanned, st.Lazy)
+		}
+	}
 }
 
 // TestStreamMatcherStats checks the stream scope: live reads during the

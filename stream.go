@@ -1,7 +1,6 @@
 package imfant
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -9,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/ahocorasick"
-	"repro/internal/dfa"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
-	"repro/internal/lazydfa"
 	"repro/internal/telemetry"
 )
 
@@ -62,33 +59,21 @@ import (
 // onMatch runs under the lock — it must not call back into the matcher.
 // Stats remains single-owner: call it only with Writes quiesced.
 type StreamMatcher struct {
-	mu sync.Mutex // serializes Write/Close/Err/Matches
-	rs *Ruleset
-	// Per-automaton runners, indexed like rs.programs; exactly one entry is
-	// non-nil per automaton, selected by the plan's strategy for the group.
-	engines  []*engine.Runner             // StrategyIMFAnt groups
-	lazies   []*lazydfa.Runner            // StrategyLazyDFA groups
-	acRuns   []*ahocorasick.StreamScanner // StrategyAC groups
-	dfaRuns  []*dfa.Runner                // StrategyDFA groups
-	anchRuns []*anchStream                // StrategyAnchored groups
-	// Per-automaton match counts and — for AC groups — distinct-literal
-	// tracking (the group's factor-sweep hit count at Close).
-	groupMatches []int64
-	acSeen       [][]bool
-	acDistinct   []int
-	acEmit       []func(fsa, end int)
-	check        func() error // context poll; nil when not cancellable
-	onMatch      func(Match)
-	closed       bool
-	err          error // sticky: first checkpoint failure
-	matches      int64
-	consumed     int64 // bytes consumed across Writes
-	ruleHits     []int64
-	budget       time.Duration // Options.ScanTimeout: per-Write/Close time budget
-	deadline     time.Time     // current call's cutoff; zero without a budget
-	timeouts     int64         // 1 once the stream failed with ErrScanTimeout
-	faults       *faultpoint.Injector
-	onClose      func() // registry drain hook; runs once, after a Close completes
+	mu       sync.Mutex // serializes Write/Close/Err/Matches
+	rs       *Ruleset
+	runs     []groupRunner // per automaton, indexed like rs.programs
+	check    func() error  // context poll; nil when not cancellable
+	onMatch  func(Match)
+	closed   bool
+	err      error // sticky: first checkpoint failure
+	matches  int64
+	consumed int64 // bytes consumed across Writes
+	ruleHits []int64
+	budget   time.Duration // Options.ScanTimeout: per-Write/Close time budget
+	deadline time.Time     // current call's cutoff; zero without a budget
+	timeouts int64         // 1 once the stream failed with ErrScanTimeout
+	faults   *faultpoint.Injector
+	onClose  func() // registry drain hook; runs once, after a Close completes
 
 	// Prefilter state; inert when the ruleset is ungated.
 	sweep      *ahocorasick.Sweeper
@@ -124,69 +109,21 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 		budget:   rs.opts.ScanTimeout,
 		faults:   rs.faults,
 	}
-	n := len(rs.programs)
-	sm.engines = make([]*engine.Runner, n)
-	sm.lazies = make([]*lazydfa.Runner, n)
-	sm.acRuns = make([]*ahocorasick.StreamScanner, n)
-	sm.dfaRuns = make([]*dfa.Runner, n)
-	sm.anchRuns = make([]*anchStream, n)
-	sm.groupMatches = make([]int64, n)
-	sm.acSeen = make([][]bool, n)
-	sm.acDistinct = make([]int, n)
-	sm.acEmit = make([]func(fsa, end int), n)
-	for i, p := range rs.programs {
-		infos := make([]RuleInfo, 0, len(p.Rules()))
-		for _, ri := range p.Rules() {
-			infos = append(infos, RuleInfo{Rule: ri.RuleID, Pattern: ri.Pattern})
-		}
-		group := i
+	sm.runs = make([]groupRunner, len(rs.programs))
+	for i, x := range rs.plan.exec {
+		rules := rs.programs[i].Rules()
 		emit := func(fsa, end int) {
 			sm.matches++
-			sm.groupMatches[group]++
-			info := infos[fsa]
-			if info.Rule >= 0 && info.Rule < len(sm.ruleHits) {
-				sm.ruleHits[info.Rule]++
+			ri := rules[fsa]
+			if ri.RuleID >= 0 && ri.RuleID < len(sm.ruleHits) {
+				sm.ruleHits[ri.RuleID]++
 			}
 			if sm.onMatch != nil {
-				sm.onMatch(Match{Rule: info.Rule, Pattern: info.Pattern, End: end})
+				sm.onMatch(Match{Rule: ri.RuleID, Pattern: ri.Pattern, End: end})
 			}
 		}
-		switch rs.plan.strat[i] {
-		case StrategyLazyDFA:
-			runner := lazydfa.NewRunner(rs.lazy[i])
-			runner.Begin(lazydfa.Config{
-				KeepOnMatch: rs.opts.KeepOnMatch,
-				MaxStates:   rs.opts.LazyDFAMaxStates,
-				OnMatch:     emit,
-				Accel:       rs.opts.accelOn(),
-				Profile:     rs.profileOf(i),
-				ThrashRetry: rs.opts.thrashRetryOn(),
-				Faults:      sm.faults,
-			})
-			sm.lazies[i] = runner
-		case StrategyAC:
-			sc := rs.plan.ac[i].m.NewStreamScanner()
-			sc.SetAccel(rs.opts.accelOn())
-			sm.acRuns[i] = sc
-			sm.acSeen[i] = make([]bool, rs.plan.ac[i].rules)
-			sm.acEmit[i] = emit
-		case StrategyAnchored:
-			sm.anchRuns[i] = newAnchStream(rs.plan.anch[i], emit)
-		case StrategyDFA:
-			runner := dfa.NewRunner(rs.plan.dfas[i])
-			runner.Begin(dfa.Config{OnMatch: emit, Faults: sm.faults})
-			sm.dfaRuns[i] = runner
-		default:
-			runner := engine.NewRunner(p)
-			runner.Begin(engine.Config{
-				KeepOnMatch: rs.opts.KeepOnMatch,
-				OnMatch:     emit,
-				Accel:       rs.opts.accelOn(),
-				Profile:     rs.profileOf(i),
-				Faults:      sm.faults,
-			})
-			sm.engines[i] = runner
-		}
+		sm.runs[i] = x.newRunner()
+		sm.runs[i].begin(runCfg{onMatch: emit, faults: sm.faults})
 	}
 	if pf := rs.pf; pf != nil {
 		sm.gated = make([]bool, len(rs.programs))
@@ -211,71 +148,11 @@ func (sm *StreamMatcher) isGated(i int) bool {
 }
 
 // feed hands one chunk to every active automaton; gated ones stay idle.
-// The AC and anchored runners report chunk-relative positions, so they get
-// the chunk's absolute base offset too.
 func (sm *StreamMatcher) feed(chunk []byte, final bool) {
-	base := sm.consumed
-	for i := range sm.rs.programs {
-		if sm.isGated(i) {
-			continue
+	for i, r := range sm.runs {
+		if !sm.isGated(i) {
+			r.feed(chunk, final)
 		}
-		switch {
-		case sm.engines[i] != nil:
-			sm.engines[i].Feed(chunk, final)
-		case sm.lazies[i] != nil:
-			sm.lazies[i].Feed(chunk, final)
-		case sm.acRuns[i] != nil:
-			if len(chunk) > 0 {
-				// The strategy runners without their own fault plumbing arm
-				// the chunk-stall site here, so the injected-wedge robustness
-				// contract (a stalled Write is cut by ScanTimeout) holds on
-				// every strategy, not just the engine-backed ones.
-				sm.faults.Stall()
-				sm.feedAC(i, base, chunk)
-			}
-		case sm.dfaRuns[i] != nil:
-			if len(chunk) > 0 {
-				sm.dfaRuns[i].Feed(chunk)
-			}
-		case sm.anchRuns[i] != nil:
-			if len(chunk) > 0 {
-				sm.faults.Stall()
-				sm.anchRuns[i].feed(base, chunk)
-			}
-			if final {
-				// The clean stream end: `$` is observable now, and only now.
-				sm.anchRuns[i].finish()
-			}
-		}
-	}
-}
-
-// feedAC advances AC group i over one chunk, translating match ends to
-// absolute stream offsets and tracking distinct member literals seen (the
-// group's factor-sweep hit count).
-func (sm *StreamMatcher) feedAC(i int, base int64, chunk []byte) {
-	emit := sm.acEmit[i]
-	seen := sm.acSeen[i]
-	sm.acRuns[i].Scan(chunk, func(pat, e int) {
-		if !seen[pat] {
-			seen[pat] = true
-			sm.acDistinct[i]++
-		}
-		emit(pat, int(base)+e)
-	})
-}
-
-// feedOne hands one chunk to automaton i only (first-chunk replay when a
-// gated automaton wakes mid-stream). Only gatable groups — default-engine
-// and eager-DFA — can be gated, so only their runners appear here.
-func (sm *StreamMatcher) feedOne(i int, chunk []byte) {
-	switch {
-	case sm.engines[i] != nil:
-		sm.engines[i].Feed(chunk, false)
-	case sm.lazies[i] != nil:
-		sm.lazies[i].Feed(chunk, false)
-	case sm.dfaRuns[i] != nil:
-		sm.dfaRuns[i].Feed(chunk)
 	}
 }
 
@@ -342,7 +219,7 @@ func (sm *StreamMatcher) prefilterAdmit(p []byte) error {
 			if sm.splitChunks() && len(blk) > engine.DefaultCheckpointEvery {
 				blk = blk[:engine.DefaultCheckpointEvery]
 			}
-			sm.feedOne(i, blk)
+			sm.runs[i].feed(blk, false)
 			pending = pending[len(blk):]
 		}
 		sm.gated[i] = false
@@ -356,15 +233,8 @@ func (sm *StreamMatcher) prefilterAdmit(p []byte) error {
 // every byte reported as consumed has been matched against even though the
 // stream will never see a proper end.
 func (sm *StreamMatcher) flushHeld() {
-	for _, r := range sm.engines {
-		if r != nil {
-			r.FlushHeld()
-		}
-	}
-	for _, r := range sm.lazies {
-		if r != nil {
-			r.FlushHeld()
-		}
+	for _, r := range sm.runs {
+		r.flushHeld()
 	}
 }
 
@@ -489,21 +359,6 @@ func (sm *StreamMatcher) Close() error {
 	if sm.poll() == nil {
 		sm.feed(nil, true)
 	}
-	for i, r := range sm.engines {
-		if r != nil && !sm.isGated(i) {
-			r.End()
-		}
-	}
-	for i, r := range sm.lazies {
-		if r != nil && !sm.isGated(i) {
-			r.End()
-		}
-	}
-	for i, r := range sm.dfaRuns {
-		if r != nil && !sm.isGated(i) {
-			r.End()
-		}
-	}
 	sm.rs.stageEnd(telemetry.StageStreamFlush, ft0)
 	// Automata still gated here are skipped for good: each of their rules
 	// requires a factor that never occurred in the stream.
@@ -519,7 +374,17 @@ func (sm *StreamMatcher) Close() error {
 			}
 		}
 	}
-	sm.pushTelemetry()
+	// The admission sweep folds before the runs: AC runs add their own
+	// sweeps to sm.pref, which must not reach the collector twice.
+	if sm.sweep != nil {
+		sm.rs.collector.AddPrefilterScan(sm.pref.sweeps, sm.pref.hits, sm.pref.skipped, sm.pref.saved)
+	}
+	for i, r := range sm.runs {
+		if !sm.isGated(i) {
+			run := r.end()
+			sm.rs.fold(i, &run, nil, &sm.pref)
+		}
+	}
 	if sm.rs.trace != nil {
 		sm.rs.trace.Record(telemetry.Event{Kind: telemetry.EventStreamEnd,
 			Automaton: -1, Rule: -1, Offset: sm.consumed, Value: sm.matches})
@@ -529,265 +394,6 @@ func (sm *StreamMatcher) Close() error {
 		sm.onClose = nil
 	}
 	return sm.err
-}
-
-// pushTelemetry folds the closed stream's counters into the ruleset-wide
-// collector. Runs once, at Close — never on the byte path.
-func (sm *StreamMatcher) pushTelemetry() {
-	c := sm.rs.collector
-	for i, r := range sm.engines {
-		if r == nil || sm.isGated(i) {
-			continue
-		}
-		t := r.Totals()
-		c.AddScans(t.Scans)
-		c.AddBytes(t.Symbols)
-		c.AddMatches(t.Matches)
-		c.AddAccelScan(t.AccelBytes)
-		c.AddStrategyBytes(int(StrategyIMFAnt), t.Symbols)
-	}
-	for i, r := range sm.lazies {
-		if r == nil || sm.isGated(i) {
-			continue
-		}
-		t := r.Totals()
-		c.AddScans(t.Scans)
-		c.AddBytes(t.Symbols)
-		c.AddMatches(t.Matches)
-		c.AddLazyScan(t.CacheHits, t.CacheMisses, t.Flushes, t.Fallbacks)
-		if t.Grows != 0 || t.Pins != 0 {
-			c.AddLazyDegraded(t.Grows, t.Pins)
-		}
-		c.SetCachedStates(i, int64(r.CachedStates()))
-		c.AddAccelScan(t.AccelBytes)
-		c.SetAccelStates(i, int64(r.AccelStates()))
-		c.AddStrategyBytes(int(StrategyLazyDFA), t.Symbols)
-	}
-	for i, r := range sm.dfaRuns {
-		if r == nil || sm.isGated(i) {
-			continue
-		}
-		t := r.Totals()
-		c.AddScans(t.Scans)
-		c.AddBytes(t.Symbols)
-		c.AddMatches(t.Matches)
-		c.AddStrategyBytes(int(StrategyDFA), t.Symbols)
-	}
-	// AC groups: the literal scan covered the whole stream, and it doubles
-	// as the group's factor sweep in the prefilter accounting. Its sweeps
-	// fold into the collector here directly and into the local counters only
-	// after the admission sweep's own fold below, to keep both single-count.
-	var acSweeps, acHits int64
-	for i, sc := range sm.acRuns {
-		if sc == nil {
-			continue
-		}
-		c.AddScans(1)
-		c.AddBytes(sm.consumed)
-		c.AddMatches(sm.groupMatches[i])
-		c.AddAccelScan(sc.Skipped())
-		c.AddStrategyBytes(int(StrategyAC), sm.consumed)
-		if sm.rs.prefEnabled {
-			c.AddPrefilterScan(1, int64(sm.acDistinct[i]), 0, 0)
-			acSweeps++
-			acHits += int64(sm.acDistinct[i])
-		}
-	}
-	for i, r := range sm.anchRuns {
-		if r == nil {
-			continue
-		}
-		c.AddScans(1)
-		c.AddBytes(sm.consumed)
-		c.AddMatches(sm.groupMatches[i])
-		c.AddStrategyBytes(int(StrategyAnchored), sm.consumed)
-	}
-	if sm.sweep != nil {
-		c.AddPrefilterScan(sm.pref.sweeps, sm.pref.hits, sm.pref.skipped, sm.pref.saved)
-	}
-	sm.pref.sweeps += acSweeps
-	sm.pref.hits += acHits
-	for id, n := range sm.ruleHits {
-		if n != 0 {
-			c.AddRuleHits(id, n)
-		}
-	}
-}
-
-// anchStream evaluates one anchored-literal group over a stream. Everything
-// it needs is O(group) state: per rule an incremental prefix verdict and the
-// positions of recent middle-violating bytes, plus one shared tail window of
-// the group's longest suffix. `^` means stream offset 0 and `$` means the
-// clean stream end, so suffix-bearing rules are decided at finish (Close)
-// and `^lit` rules emit the moment their prefix completes mid-stream.
-type anchStream struct {
-	g        *anchGroup
-	emit     func(fsa, end int)
-	rules    []anchRuleState
-	tail     []byte // the last maxSuffix bytes of the stream
-	consumed int64
-	finished bool
-}
-
-type anchRuleState struct {
-	prefixOK  bool    // prefix still plausible (or confirmed once complete)
-	emitted   bool    // `^lit` rule already reported its one event
-	badBefore bool    // a violating byte is provably in the middle region
-	recentBad []int64 // violating-byte positions still close enough to land in the suffix
-}
-
-func newAnchStream(g *anchGroup, emit func(fsa, end int)) *anchStream {
-	st := &anchStream{g: g, emit: emit, rules: make([]anchRuleState, len(g.rules))}
-	for i := range st.rules {
-		st.rules[i].prefixOK = true
-	}
-	return st
-}
-
-// feed consumes the next chunk; base is the absolute offset of chunk[0].
-func (st *anchStream) feed(base int64, chunk []byte) {
-	for fsa := range st.g.rules {
-		st.feedRule(fsa, base, chunk)
-	}
-	// Maintain the shared suffix window.
-	if n := st.g.maxSuffix; n > 0 {
-		if len(chunk) >= n {
-			st.tail = append(st.tail[:0], chunk[len(chunk)-n:]...)
-		} else {
-			if drop := len(st.tail) + len(chunk) - n; drop > 0 {
-				m := copy(st.tail, st.tail[drop:])
-				st.tail = st.tail[:m]
-			}
-			st.tail = append(st.tail, chunk...)
-		}
-	}
-	st.consumed = base + int64(len(chunk))
-}
-
-func (st *anchStream) feedRule(fsa int, base int64, chunk []byte) {
-	r := &st.g.rules[fsa]
-	rs := &st.rules[fsa]
-	sh := &r.sh
-	p := int64(len(sh.Prefix))
-	// Incremental prefix compare while the stream is still inside it.
-	if rs.prefixOK && sh.AnchorStart && base < p {
-		for j := 0; j < len(chunk) && base+int64(j) < p; j++ {
-			if chunk[j] != sh.Prefix[base+int64(j)] {
-				rs.prefixOK = false
-				break
-			}
-		}
-	}
-	if sh.AnchorStart && !sh.AnchorEnd {
-		// `^lit`: its single event fires the moment the prefix completes.
-		if rs.prefixOK && !rs.emitted && p > 0 && base+int64(len(chunk)) >= p {
-			rs.emitted = true
-			st.emit(fsa, int(p)-1)
-		}
-		return
-	}
-	if !r.hasBad || !rs.prefixOK || rs.badBefore {
-		return
-	}
-	// Hunt bytes the middle cannot consume, at absolute positions >= p. A
-	// bad byte that can no longer land in the suffix window of any future
-	// stream end kills the rule outright; the handful that still could are
-	// kept and re-judged at finish. Previously kept positions age out the
-	// same way.
-	s := int64(len(sh.Suffix))
-	newEnd := base + int64(len(chunk))
-	for _, pos := range rs.recentBad {
-		if pos+s < newEnd {
-			rs.badBefore = true
-			rs.recentBad = nil
-			return
-		}
-	}
-	off := 0
-	if base < p {
-		off = int(p - base)
-		if off > len(chunk) {
-			off = len(chunk)
-		}
-	}
-	// chunk[off:cut] holds positions already decided (pos+s < newEnd).
-	cut := len(chunk) - int(s)
-	if cut > off {
-		if j := r.bad.Index(chunk[off:cut]); j >= 0 {
-			rs.badBefore = true
-			rs.recentBad = nil
-			return
-		}
-		off = cut
-	}
-	h := chunk[off:]
-	hb := base + int64(off)
-	for {
-		j := r.bad.Index(h)
-		if j < 0 {
-			break
-		}
-		rs.recentBad = append(rs.recentBad, hb+int64(j))
-		h = h[j+1:]
-		hb += int64(j) + 1
-	}
-}
-
-// finish evaluates the suffix-bearing rules at the clean stream end. Runs at
-// most once; error-path closes never reach it (`$` was never observed).
-func (st *anchStream) finish() {
-	if st.finished {
-		return
-	}
-	st.finished = true
-	L := st.consumed
-	for fsa := range st.g.rules {
-		r := &st.g.rules[fsa]
-		rs := &st.rules[fsa]
-		sh := &r.sh
-		p, s := int64(len(sh.Prefix)), int64(len(sh.Suffix))
-		switch {
-		case sh.AnchorStart && !sh.AnchorEnd:
-			// `^lit` already emitted mid-stream.
-		case sh.AnchorStart && sh.AnchorEnd && !sh.HasMiddle:
-			// `^lit$`: exact equality with the whole stream.
-			if rs.prefixOK && L == p && p > 0 {
-				st.emit(fsa, int(L)-1)
-			}
-		case !sh.AnchorStart && sh.AnchorEnd:
-			// `lit$`: one event at the last byte.
-			if s > 0 && L >= s && st.tailEndsWith(sh.Suffix) {
-				st.emit(fsa, int(L)-1)
-			}
-		default:
-			// `^prefix<set>{m,}suffix$`.
-			if !rs.prefixOK || rs.badBefore || L < int64(r.minLen) || L == 0 {
-				continue
-			}
-			if !st.tailEndsWith(sh.Suffix) {
-				continue
-			}
-			bad := false
-			for _, pos := range rs.recentBad {
-				if pos+s < L {
-					bad = true
-					break
-				}
-			}
-			if !bad {
-				st.emit(fsa, int(L)-1)
-			}
-		}
-	}
-}
-
-// tailEndsWith reports whether the stream ends with lit (lit fits in the
-// tail window by construction: it is at most maxSuffix long).
-func (st *anchStream) tailEndsWith(lit []byte) bool {
-	if len(st.tail) < len(lit) {
-		return false
-	}
-	return bytes.Equal(st.tail[len(st.tail)-len(lit):], lit)
 }
 
 // Err returns the sticky error that failed the stream, if any: the
