@@ -8,6 +8,7 @@ package imfant
 
 import (
 	"io"
+	"os"
 	"testing"
 
 	"repro/internal/dataset"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/lazydfa"
 	"repro/internal/pipeline"
 	"repro/internal/similarity"
+	"repro/internal/snort"
 )
 
 // benchOpts returns a scaled-down experiment configuration over a single
@@ -233,18 +235,51 @@ func BenchmarkINFAntBaseline(b *testing.B) {
 }
 
 // BenchmarkPublicAPICompile measures end-user compile latency through the
-// public facade.
+// public facade: one PEN slice through the default pipeline, and slices
+// that exercise plan lowering at MergeFactor 10 — BRO+TCP groups lower to
+// Aho–Corasick and the default engine, the snort-derived web-attacks rules
+// to eager DFAs.
 func BenchmarkPublicAPICompile(b *testing.B) {
-	s, err := dataset.ByAbbr("PEN")
+	slice := func(abbr string, n int) []string {
+		s, err := dataset.ByAbbr(abbr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s.Patterns()[:n]
+	}
+	broTCP := append(slice("BRO", 40), slice("TCP", 40)...)
+	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pats := s.Patterns()[:60]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compile(pats, Options{MergeFactor: 0}); err != nil {
-			b.Fatal(err)
-		}
+	rules, _, err := snort.ParseRules(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var web []string
+	for _, r := range rules {
+		web = append(web, r.Pattern)
+	}
+	cases := []struct {
+		name string
+		pats []string
+		opts Options
+	}{
+		{"PEN", slice("PEN", 60), Options{MergeFactor: 0}},
+		{"BRO+TCP/merge10", broTCP, Options{MergeFactor: 10}},
+		{"BRO+TCP/merge10/keep", broTCP, Options{MergeFactor: 10, KeepOnMatch: true}},
+		{"snort/merge10", web, Options{MergeFactor: 10}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := CompileLax(c.pats, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -11,7 +11,9 @@
 package ahocorasick
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/bytescan"
 )
@@ -38,59 +40,69 @@ func New(patterns [][]byte) (*Matcher, error) {
 			return nil, fmt.Errorf("ahocorasick: pattern %d is empty", i)
 		}
 	}
-	// Trie construction.
-	trie := []acNode{{children: map[byte]int32{}}}
+	// Size the table exactly: taken in sorted order, each pattern adds one
+	// trie node per byte past its longest common prefix with the previous
+	// one.
+	sorted := slices.Clone(patterns)
+	slices.SortFunc(sorted, bytes.Compare)
+	nodes := 1
+	for i, p := range sorted {
+		lcp := 0
+		if i > 0 {
+			prev := sorted[i-1]
+			for lcp < len(p) && lcp < len(prev) && p[lcp] == prev[lcp] {
+				lcp++
+			}
+		}
+		nodes += len(p) - lcp
+	}
+	// Trie construction, straight into the dense table: next[u*256+c] is
+	// u's goto edge on c, or 0 (the root is nobody's child) when absent.
+	next := make([]int32, nodes*256)
+	outputs := make([][]int32, 1, nodes)
 	for pi, p := range patterns {
 		cur := int32(0)
 		for _, c := range p {
-			nxt, ok := trie[cur].children[c]
-			if !ok {
-				nxt = int32(len(trie))
-				trie = append(trie, acNode{children: map[byte]int32{}})
-				trie[cur].children[c] = nxt
+			e := int(cur)<<8 | int(c)
+			if next[e] == 0 {
+				next[e] = int32(len(outputs))
+				outputs = append(outputs, nil)
 			}
-			cur = nxt
+			cur = next[e]
 		}
-		trie[cur].out = append(trie[cur].out, int32(pi))
+		outputs[cur] = append(outputs[cur], int32(pi))
 	}
-	// Failure links, BFS order; outputs are merged down the links.
-	queue := make([]int32, 0, len(trie))
-	for _, child := range trie[0].children {
-		trie[child].fail = 0
-		queue = append(queue, child)
+	// Resolve the table in BFS order. The root's row is already resolved
+	// (absent edges return to the root). A deeper node u inherits its
+	// failure node's row, resolved earlier because it is shallower, with
+	// u's own goto edges written over it; each child's failure node is
+	// then one lookup in that resolved row. Outputs are merged down the
+	// failure links in the same pass.
+	fail := make([]int32, len(outputs))
+	queue := make([]int32, 0, len(outputs))
+	for c := 0; c < 256; c++ {
+		if v := next[c]; v != 0 {
+			queue = append(queue, v) // fail[v] = 0
+		}
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for c, v := range trie[u].children {
-			f := trie[u].fail
-			for {
-				if w, ok := trie[f].children[c]; ok && w != v {
-					trie[v].fail = w
-					break
-				}
-				if f == 0 {
-					trie[v].fail = 0
-					break
-				}
-				f = trie[f].fail
+		row, frow := next[int(u)<<8:][:256], next[int(fail[u])<<8:][:256]
+		for c, v := range row {
+			if v == 0 {
+				row[c] = frow[c]
+				continue
 			}
-			trie[v].out = append(trie[v].out, trie[trie[v].fail].out...)
+			fail[v] = frow[c]
+			outputs[v] = append(outputs[v], outputs[fail[v]]...)
 			queue = append(queue, v)
 		}
 	}
-	// Flatten into a resolved next table: next(u, c) follows failure
-	// links until a goto edge exists (or the root).
 	m := &Matcher{
-		next:     make([]int32, len(trie)*256),
-		outputs:  make([][]int32, len(trie)),
+		next:     next,
+		outputs:  outputs,
 		patterns: patterns,
-		nodes:    len(trie),
-	}
-	for u := range trie {
-		m.outputs[u] = trie[u].out
-		for c := 0; c < 256; c++ {
-			m.next[u*256+c] = resolve(trie, int32(u), byte(c))
-		}
+		nodes:    len(outputs),
 	}
 	var rootBytes []byte
 	for c := 0; c < 256; c++ {
@@ -105,25 +117,6 @@ func New(patterns [][]byte) (*Matcher, error) {
 		}
 	}
 	return m, nil
-}
-
-// acNode is a trie node during construction.
-type acNode struct {
-	children map[byte]int32
-	out      []int32
-	fail     int32
-}
-
-func resolve(trie []acNode, u int32, c byte) int32 {
-	for {
-		if v, ok := trie[u].children[c]; ok {
-			return v
-		}
-		if u == 0 {
-			return 0
-		}
-		u = trie[u].fail
-	}
 }
 
 // NumNodes returns the automaton size in trie nodes.

@@ -172,6 +172,118 @@ func TestNumAccessors(t *testing.T) {
 	}
 }
 
+// refNode is a trie node of the reference construction.
+type refNode struct {
+	children map[byte]int32
+	out      []int32
+	fail     int32
+}
+
+// refTables is the reference construction New must agree with: a trie of
+// child maps, BFS failure links found by walking failure chains, and a
+// next table resolved entry by entry with resolve.
+func refTables(patterns [][]byte) (next []int32, outputs [][]int32) {
+	trie := []refNode{{children: map[byte]int32{}}}
+	for pi, p := range patterns {
+		cur := int32(0)
+		for _, c := range p {
+			nxt, ok := trie[cur].children[c]
+			if !ok {
+				nxt = int32(len(trie))
+				trie = append(trie, refNode{children: map[byte]int32{}})
+				trie[cur].children[c] = nxt
+			}
+			cur = nxt
+		}
+		trie[cur].out = append(trie[cur].out, int32(pi))
+	}
+	queue := make([]int32, 0, len(trie))
+	for _, child := range trie[0].children {
+		queue = append(queue, child)
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for c, v := range trie[u].children {
+			f := trie[u].fail
+			for {
+				if w, ok := trie[f].children[c]; ok && w != v {
+					trie[v].fail = w
+					break
+				}
+				if f == 0 {
+					trie[v].fail = 0
+					break
+				}
+				f = trie[f].fail
+			}
+			trie[v].out = append(trie[v].out, trie[trie[v].fail].out...)
+			queue = append(queue, v)
+		}
+	}
+	next = make([]int32, len(trie)*256)
+	outputs = make([][]int32, len(trie))
+	for u := range trie {
+		outputs[u] = trie[u].out
+		for c := 0; c < 256; c++ {
+			next[u*256+c] = resolve(trie, int32(u), byte(c))
+		}
+	}
+	return next, outputs
+}
+
+// resolve follows failure links from u until a goto edge on c exists, or
+// the root is reached.
+func resolve(trie []refNode, u int32, c byte) int32 {
+	for {
+		if v, ok := trie[u].children[c]; ok {
+			return v
+		}
+		if u == 0 {
+			return 0
+		}
+		u = trie[u].fail
+	}
+}
+
+// TestQuickTablesMatchReference compares New's BFS row-copy flattening
+// with the fail-chain reference on random pattern sets over a small
+// alphabet that includes NUL and 0xFF, with prefixes, suffixes and exact
+// duplicates.
+func TestQuickTablesMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	alpha := []byte{0x00, 0xff, 'a', 'b'}
+	f := func() bool {
+		np := 1 + r.Intn(12)
+		patterns := make([][]byte, np)
+		for i := range patterns {
+			if i > 0 && r.Intn(4) == 0 {
+				prev := patterns[r.Intn(i)]
+				patterns[i] = prev[r.Intn(len(prev)):] // suffix or duplicate
+				continue
+			}
+			p := make([]byte, 1+r.Intn(6))
+			for k := range p {
+				p[k] = alpha[r.Intn(len(alpha))]
+			}
+			patterns[i] = p
+		}
+		m, err := New(patterns)
+		if err != nil {
+			t.Logf("patterns=%q: %v", patterns, err)
+			return false
+		}
+		next, outputs := refTables(patterns)
+		if m.nodes != len(outputs) || !reflect.DeepEqual(m.next, next) || !reflect.DeepEqual(m.outputs, outputs) {
+			t.Logf("patterns=%q: tables differ from the reference", patterns)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkScan(b *testing.B) {
 	patterns := make([][]byte, 100)
 	r := rand.New(rand.NewSource(6))

@@ -13,38 +13,32 @@ package charset
 func Partition(sets []Set) (classOf [256]uint8, n int) {
 	// Iterative refinement: start with one class and split every class by
 	// membership in each set. A class splits only when the set cuts it, so
-	// the result is the coarsest such partition; cost is O(256·len(sets)).
+	// the result is the coarsest such partition; cost is O(256·len(sets)),
+	// with no allocation.
 	n = 1
 	for _, s := range sets {
 		if s.IsEmpty() || s.Equal(Any()) {
 			continue // cuts nothing
 		}
-		type cell struct {
-			oldClass uint8
-			member   bool
-		}
-		seen := make(map[cell]uint8, n+1)
-		next := uint8(0)
-		wrapped := false
-		var refined [256]uint8
+		// cell[oldClass*2+member] is 1 + the refined id of that half of
+		// the old class, or 0 until its first byte is seen.
+		var cell [512]int16
+		next := int16(0)
 		for b := 0; b < 256; b++ {
-			k := cell{classOf[b], s.Contains(byte(b))}
-			id, ok := seen[k]
-			if !ok {
-				id = next
-				seen[k] = id
-				next++
-				if next == 0 { // 256 classes: ids exhausted, fully refined
-					wrapped = true
-				}
+			k := int(classOf[b]) << 1
+			if s.Contains(byte(b)) {
+				k++
 			}
-			refined[b] = id
-		}
-		classOf = refined
-		if wrapped {
-			return classOf, 256
+			if cell[k] == 0 {
+				next++
+				cell[k] = next
+			}
+			classOf[b] = uint8(cell[k] - 1)
 		}
 		n = int(next)
+		if n == 256 {
+			break // fully refined
+		}
 	}
 	return classOf, n
 }

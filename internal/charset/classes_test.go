@@ -1,6 +1,9 @@
 package charset
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // signature returns the membership fingerprint of byte b across sets.
 func signature(sets []Set, b byte) string {
@@ -84,4 +87,71 @@ func TestPartitionFullyRefined(t *testing.T) {
 	if n, _ := checkPartition(t, sets); n != 256 {
 		t.Fatalf("n=%d, want 256", n)
 	}
+}
+
+// bruteClasses is Partition by definition: two bytes share a class iff
+// every set agrees on them, and classes are numbered by their first byte.
+func bruteClasses(sets []Set) (classOf [256]uint8, n int) {
+	var sig [256]string
+	for b := range sig {
+		sig[b] = signature(sets, byte(b))
+	}
+	for b := 1; b < 256; b++ {
+		classOf[b] = uint8(n + 1) // a new class unless an earlier byte agrees
+		for a := 0; a < b; a++ {
+			if sig[a] == sig[b] {
+				classOf[b] = classOf[a]
+				break
+			}
+		}
+		if int(classOf[b]) == n+1 {
+			n++
+		}
+	}
+	return classOf, n + 1
+}
+
+// TestPartitionMatchesDefinition compares Partition with bruteClasses on
+// random families of ranges, singletons, complements and arbitrary sets,
+// and on the fully refined 256-class family in shuffled order.
+func TestPartitionMatchesDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	randomSet := func() Set {
+		switch r.Intn(4) {
+		case 0:
+			lo := byte(r.Intn(256))
+			return Range(lo, lo+byte(r.Intn(256-int(lo))))
+		case 1:
+			return Single(byte(r.Intn(256)))
+		case 2:
+			s := Range(byte(r.Intn(128)), byte(128+r.Intn(128)))
+			return s.Complement()
+		}
+		var s Set
+		for i := r.Intn(40); i > 0; i-- {
+			s.Add(byte(r.Intn(256)))
+		}
+		return s
+	}
+	check := func(sets []Set) {
+		t.Helper()
+		got, gn := Partition(sets)
+		want, wn := bruteClasses(sets)
+		if gn != wn || got != want {
+			t.Fatalf("%d sets: Partition gives %d classes %v, definition %d classes %v", len(sets), gn, got, wn, want)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		sets := make([]Set, r.Intn(12))
+		for j := range sets {
+			sets[j] = randomSet()
+		}
+		check(sets)
+	}
+	singles := make([]Set, 256)
+	for i, b := range r.Perm(256) {
+		singles[i] = Single(byte(b))
+	}
+	check(singles)
+	check(append(singles[:255:255], Any()))
 }

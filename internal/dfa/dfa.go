@@ -12,10 +12,11 @@
 package dfa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
+	"repro/internal/charset"
 	"repro/internal/mfsa"
 	"repro/internal/nfa"
 )
@@ -51,6 +52,15 @@ func (e *ErrStateExplosion) Error() string {
 // failing with ErrStateExplosion if more than maxStates subsets arise.
 // Anchored rules are rejected (the scan determinization has no notion of
 // stream boundaries).
+//
+// Construction runs over byte classes rather than bytes: the group's
+// transition labels partition the alphabet (charset.Partition), bytes of
+// one class have identical successors everywhere, so each subset computes
+// one successor per class and only the finished row is expanded to the
+// dense 256-entry Next. Subsets are fixed-width bitsets over the group's
+// NFA states. Classes are visited in order of their smallest byte, so
+// state numbering — and the point at which ErrStateExplosion fires — is
+// exactly that of a byte-by-byte construction.
 func FromNFAs(fsas []*nfa.NFA, maxStates int) (*DFA, error) {
 	if len(fsas) == 0 {
 		return nil, fmt.Errorf("dfa: empty rule group")
@@ -60,12 +70,9 @@ func FromNFAs(fsas []*nfa.NFA, maxStates int) (*DFA, error) {
 	}
 	// Combine the NFAs into one automaton over a shared global state
 	// space, with per-rule state offsets.
-	type gtrans struct {
-		to    int32
-		label [4]uint64
-	}
 	var offset []int32
-	total := int32(0)
+	total := 0
+	var labels []charset.Set
 	for _, a := range fsas {
 		if a.AnchorStart || a.AnchorEnd {
 			return nil, fmt.Errorf("dfa: anchored rule %q not supported by scan determinization", a.Pattern)
@@ -73,140 +80,142 @@ func FromNFAs(fsas []*nfa.NFA, maxStates int) (*DFA, error) {
 		if len(a.Eps) > 0 || len(a.Loops) > 0 {
 			return nil, fmt.Errorf("dfa: rule %q is not optimized", a.Pattern)
 		}
-		offset = append(offset, total)
-		total += int32(a.NumStates)
-	}
-	adj := make([][]int32, total)
-	var trans []gtrans
-	acceptRule := make([]int, total)
-	for i := range acceptRule {
-		acceptRule[i] = -1
-	}
-	starts := make([]int32, len(fsas))
-	for r, a := range fsas {
+		offset = append(offset, int32(total))
+		total += a.NumStates
 		for _, t := range a.Trans {
-			gt := gtrans{to: offset[r] + t.To}
-			for c := 0; c < 256; c++ {
-				if t.Label.Contains(byte(c)) {
-					gt.label[c>>6] |= 1 << (uint(c) & 63)
+			labels = append(labels, t.Label)
+		}
+	}
+	classOf, nc := charset.Partition(labels)
+	// rep[k] is class k's smallest byte; classes are numbered by it.
+	rep := make([]byte, 0, nc)
+	for c := 0; c < 256; c++ {
+		if int(classOf[c]) == len(rep) {
+			rep = append(rep, byte(c))
+		}
+	}
+
+	// The successor relation per (state, class), as a list of (class,
+	// target) arcs per state, and the final and start states as bitsets.
+	words := (total + 63) / 64
+	type arc struct{ class, to int32 }
+	arcsOf := make([][]arc, total)
+	final := make([]uint64, words)
+	acceptRule := make([]int, total)
+	start := make([]uint64, words)
+	for r, a := range fsas {
+		base := offset[r]
+		for _, t := range a.Trans {
+			from, to := base+t.From, base+t.To
+			for k, b := range rep {
+				if t.Label.Contains(b) {
+					arcsOf[from] = append(arcsOf[from], arc{int32(k), to})
 				}
 			}
-			adj[offset[r]+t.From] = append(adj[offset[r]+t.From], int32(len(trans)))
-			trans = append(trans, gt)
 		}
 		for _, f := range a.Finals {
-			acceptRule[offset[r]+f] = r
+			q := base + f
+			final[q>>6] |= 1 << (uint(q) & 63)
+			acceptRule[q] = r
 		}
-		starts[r] = offset[r] + a.Start
+		q := base + a.Start
+		start[q>>6] |= 1 << (uint(q) & 63)
 	}
-
-	key := func(ss []int32) string {
-		b := make([]byte, 0, len(ss)*4)
-		for _, s := range ss {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		return string(b)
-	}
-	canon := func(set map[int32]struct{}) []int32 {
-		out := make([]int32, 0, len(set))
-		for s := range set {
-			out = append(out, s)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-
-	startSet := make(map[int32]struct{}, len(starts))
-	for _, s := range starts {
-		startSet[s] = struct{}{}
-	}
-	startStates := canon(startSet)
 
 	// A DFA state is a (closure subset, acceptance) pair: acceptance is
 	// computed from the states actually reached by a transition, before
 	// the scan closure re-injects the start states — otherwise a rule
 	// whose NFA start is final (it accepts ε) would fire on every byte,
 	// while the match semantics report matches only on transition
-	// arrivals (empty matches are never reported).
-	fullKey := func(states []int32, acc mfsa.BelongSet) string {
-		k := key(states)
-		if acc != nil {
-			b := []byte(k)
-			for _, w := range acc {
-				for i := 0; i < 8; i++ {
-					b = append(b, byte(w>>(8*i)))
-				}
-			}
-			k = string(b)
+	// arrivals (empty matches are never reported). The interning key is
+	// the subset words followed by the acceptance words, fixed width.
+	accWords := (len(fsas) + 63) / 64
+	keyBuf := make([]byte, 8*(words+accWords))
+	key := func(states, acc []uint64) []byte {
+		for i, w := range states {
+			binary.LittleEndian.PutUint64(keyBuf[8*i:], w)
 		}
-		return k
+		for i := 0; i < accWords; i++ {
+			var w uint64
+			if acc != nil {
+				w = acc[i]
+			}
+			binary.LittleEndian.PutUint64(keyBuf[8*(words+i):], w)
+		}
+		return keyBuf
 	}
 
-	index := map[string]int32{fullKey(startStates, nil): 0}
-	subsets := [][]int32{startStates}
+	index := map[string]int32{string(key(start, nil)): 0}
+	subsets := append([]uint64(nil), start...) // state q's subset at [q*words:]
 	d := &DFA{Start: 0, NumRules: len(fsas)}
 	// No input consumed yet: the start state accepts nothing.
 	d.Accept = append(d.Accept, nil)
 
-	for head := 0; head < len(subsets); head++ {
-		cur := subsets[head]
-		var succ [256]map[int32]struct{}
-		for _, q := range cur {
-			for _, ti := range adj[q] {
-				t := &trans[ti]
-				for w := 0; w < 4; w++ {
-					word := t.label[w]
-					for word != 0 {
-						c := w*64 + bits.TrailingZeros64(word)
-						if succ[c] == nil {
-							succ[c] = make(map[int32]struct{}, 4)
-						}
-						succ[c][t.to] = struct{}{}
-						word &= word - 1
+	succ := make([]uint64, nc*words) // class k's successor set at [k*words:]
+	touched := make([]bool, nc)
+	var classRows []int32 // state q's successor per class at [q*nc:]
+	for head := 0; head*words < len(subsets); head++ {
+		cur := subsets[head*words : (head+1)*words]
+		for w, word := range cur {
+			for word != 0 {
+				q := w*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				for _, e := range arcsOf[q] {
+					set := succ[int(e.class)*words:]
+					set[e.to>>6] |= 1 << (uint(e.to) & 63)
+					touched[e.class] = true
+				}
+			}
+		}
+		for k := 0; k < nc; k++ {
+			id := int32(0) // no arrival: scan restart only, the start state
+			if touched[k] {
+				touched[k] = false
+				set := succ[k*words : (k+1)*words]
+				acc := acceptSet(set, final, acceptRule, len(fsas))
+				for i, w := range start {
+					set[i] |= w
+				}
+				kb := key(set, acc)
+				var ok bool
+				if id, ok = index[string(kb)]; !ok {
+					id = int32(len(d.Accept))
+					if int(id) >= maxStates {
+						return nil, &ErrStateExplosion{Limit: maxStates}
 					}
+					index[string(kb)] = id
+					subsets = append(subsets, set...)
+					d.Accept = append(d.Accept, acc)
 				}
+				clear(set)
 			}
+			classRows = append(classRows, id)
 		}
-		row := make([]int32, 256)
-		for c := 0; c < 256; c++ {
-			var states []int32
-			var acc mfsa.BelongSet
-			if succ[c] == nil {
-				states = startStates // scan restart only, no arrival
-			} else {
-				acc = acceptSet(canon(succ[c]), acceptRule, len(fsas))
-				for _, s := range starts {
-					succ[c][s] = struct{}{}
-				}
-				states = canon(succ[c])
-			}
-			k := fullKey(states, acc)
-			id, ok := index[k]
-			if !ok {
-				id = int32(len(subsets))
-				if int(id) >= maxStates {
-					return nil, &ErrStateExplosion{Limit: maxStates}
-				}
-				index[k] = id
-				subsets = append(subsets, states)
-				d.Accept = append(d.Accept, acc)
-			}
-			row[c] = id
-		}
-		d.Next = append(d.Next, row...)
 	}
-	d.NumStates = len(subsets)
+	d.NumStates = len(d.Accept)
+	d.Next = make([]int32, d.NumStates*256)
+	for q := 0; q < d.NumStates; q++ {
+		row, crow := d.Next[q*256:][:256], classRows[q*nc:][:nc]
+		for c, k := range classOf {
+			row[c] = crow[k]
+		}
+	}
 	return d, nil
 }
 
-func acceptSet(states []int32, acceptRule []int, numRules int) mfsa.BelongSet {
+// acceptSet returns the rules accepting in the subset states, or nil when
+// it holds no final state.
+func acceptSet(states, final []uint64, acceptRule []int, numRules int) mfsa.BelongSet {
 	var set mfsa.BelongSet
-	for _, q := range states {
-		if r := acceptRule[q]; r >= 0 {
+	for w, word := range states {
+		word &= final[w]
+		for word != 0 {
+			q := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
 			if set == nil {
 				set = mfsa.NewBelongSet(numRules)
 			}
-			set.Set(r)
+			set.Set(acceptRule[q])
 		}
 	}
 	return set

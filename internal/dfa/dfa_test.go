@@ -1,6 +1,9 @@
 package dfa
 
 import (
+	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -246,5 +249,239 @@ func BenchmarkD2FAMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Match(in, nil)
+	}
+}
+
+// refFromNFAs is the reference subset construction FromNFAs must agree
+// with: byte by byte, with a hash set per byte and a sorted-state string
+// key per subset. The key carries the subset length, so a (states,
+// acceptance) pair can never encode the same bytes as a longer accept-free
+// subset.
+func refFromNFAs(fsas []*nfa.NFA, maxStates int) (*DFA, error) {
+	if len(fsas) == 0 {
+		return nil, fmt.Errorf("dfa: empty rule group")
+	}
+	if maxStates <= 0 {
+		maxStates = 1 << 16
+	}
+	type gtrans struct {
+		to    int32
+		label [4]uint64
+	}
+	var offset []int32
+	total := int32(0)
+	for _, a := range fsas {
+		if a.AnchorStart || a.AnchorEnd || len(a.Eps) > 0 || len(a.Loops) > 0 {
+			return nil, fmt.Errorf("dfa: rule %q not supported", a.Pattern)
+		}
+		offset = append(offset, total)
+		total += int32(a.NumStates)
+	}
+	adj := make([][]int32, total)
+	var trans []gtrans
+	acceptRule := make([]int, total)
+	for i := range acceptRule {
+		acceptRule[i] = -1
+	}
+	starts := make([]int32, len(fsas))
+	for r, a := range fsas {
+		for _, t := range a.Trans {
+			gt := gtrans{to: offset[r] + t.To}
+			for c := 0; c < 256; c++ {
+				if t.Label.Contains(byte(c)) {
+					gt.label[c>>6] |= 1 << (uint(c) & 63)
+				}
+			}
+			adj[offset[r]+t.From] = append(adj[offset[r]+t.From], int32(len(trans)))
+			trans = append(trans, gt)
+		}
+		for _, f := range a.Finals {
+			acceptRule[offset[r]+f] = r
+		}
+		starts[r] = offset[r] + a.Start
+	}
+	canon := func(set map[int32]struct{}) []int32 {
+		out := make([]int32, 0, len(set))
+		for s := range set {
+			out = append(out, s)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	accept := func(states []int32) mfsa.BelongSet {
+		var set mfsa.BelongSet
+		for _, q := range states {
+			if r := acceptRule[q]; r >= 0 {
+				if set == nil {
+					set = mfsa.NewBelongSet(len(fsas))
+				}
+				set.Set(r)
+			}
+		}
+		return set
+	}
+	fullKey := func(states []int32, acc mfsa.BelongSet) string {
+		b := []byte{byte(len(states)), byte(len(states) >> 8), byte(len(states) >> 16), byte(len(states) >> 24)}
+		for _, s := range states {
+			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+		}
+		for _, w := range acc {
+			for i := 0; i < 8; i++ {
+				b = append(b, byte(w>>(8*i)))
+			}
+		}
+		return string(b)
+	}
+	startSet := make(map[int32]struct{}, len(starts))
+	for _, s := range starts {
+		startSet[s] = struct{}{}
+	}
+	startStates := canon(startSet)
+
+	index := map[string]int32{fullKey(startStates, nil): 0}
+	subsets := [][]int32{startStates}
+	d := &DFA{Start: 0, NumRules: len(fsas)}
+	d.Accept = append(d.Accept, nil)
+	for head := 0; head < len(subsets); head++ {
+		var succ [256]map[int32]struct{}
+		for _, q := range subsets[head] {
+			for _, ti := range adj[q] {
+				t := &trans[ti]
+				for w := 0; w < 4; w++ {
+					for word := t.label[w]; word != 0; word &= word - 1 {
+						c := w*64 + bits.TrailingZeros64(word)
+						if succ[c] == nil {
+							succ[c] = make(map[int32]struct{}, 4)
+						}
+						succ[c][t.to] = struct{}{}
+					}
+				}
+			}
+		}
+		row := make([]int32, 256)
+		for c := 0; c < 256; c++ {
+			states := startStates // scan restart only, no arrival
+			var acc mfsa.BelongSet
+			if succ[c] != nil {
+				acc = accept(canon(succ[c]))
+				for _, s := range starts {
+					succ[c][s] = struct{}{}
+				}
+				states = canon(succ[c])
+			}
+			k := fullKey(states, acc)
+			id, ok := index[k]
+			if !ok {
+				id = int32(len(subsets))
+				if int(id) >= maxStates {
+					return nil, &ErrStateExplosion{Limit: maxStates}
+				}
+				index[k] = id
+				subsets = append(subsets, states)
+				d.Accept = append(d.Accept, acc)
+			}
+			row[c] = id
+		}
+		d.Next = append(d.Next, row...)
+	}
+	d.NumStates = len(subsets)
+	return d, nil
+}
+
+// checkAgainstReference requires FromNFAs and refFromNFAs to build the
+// same table under maxStates, and to explode at exactly the same budget:
+// a group of n states builds under a budget of n and explodes under n-1.
+func checkAgainstReference(t *testing.T, fsas []*nfa.NFA, maxStates int) (states int) {
+	t.Helper()
+	want, werr := refFromNFAs(fsas, maxStates)
+	got, gerr := FromNFAs(fsas, maxStates)
+	var wx, gx *ErrStateExplosion
+	if wexp, gexp := errors.As(werr, &wx), errors.As(gerr, &gx); wexp || gexp {
+		if wx == nil || gx == nil || *wx != *gx {
+			t.Fatalf("budget %d: reference error %v, FromNFAs error %v", maxStates, werr, gerr)
+		}
+		return -1
+	}
+	if werr != nil || gerr != nil {
+		t.Fatalf("reference error %v, FromNFAs error %v", werr, gerr)
+	}
+	if got.NumStates != want.NumStates || got.Start != want.Start || got.NumRules != want.NumRules {
+		t.Fatalf("shape: got %d states start %d rules %d, want %d/%d/%d",
+			got.NumStates, got.Start, got.NumRules, want.NumStates, want.Start, want.NumRules)
+	}
+	if !reflect.DeepEqual(got.Next, want.Next) {
+		t.Fatalf("Next tables differ (%d states)", got.NumStates)
+	}
+	if !reflect.DeepEqual(got.Accept, want.Accept) {
+		t.Fatalf("Accept sets differ (%d states)", got.NumStates)
+	}
+	n := got.NumStates
+	if _, err := FromNFAs(fsas, n); err != nil {
+		t.Fatalf("budget %d (%d states): %v", n, n, err)
+	}
+	if n > 1 {
+		_, werr := refFromNFAs(fsas, n-1)
+		_, gerr := FromNFAs(fsas, n-1)
+		if !errors.As(werr, &wx) || !errors.As(gerr, &gx) {
+			t.Fatalf("budget %d (%d states): reference error %v, FromNFAs error %v", n-1, n, werr, gerr)
+		}
+	}
+	return n
+}
+
+// TestQuickFromNFAsMatchesReference compares the class-based construction
+// with the byte-by-byte reference on random small groups, including
+// classes, dot-stars, NUL and high bytes.
+func TestQuickFromNFAsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	frags := []string{"a", "b", "ab", "[a-c]", "[^b]", ".*", "c?", "(ab|ba)", "b+",
+		"\\x00", "\\xff", "[\\x80-\\xfe]", "a{2,3}", "[0-9]+", "."}
+	f := func() bool {
+		m := 1 + r.Intn(5)
+		patterns := make([]string, m)
+		for i := range patterns {
+			patterns[i] = frags[r.Intn(len(frags))] + frags[r.Intn(len(frags))] + frags[r.Intn(len(frags))]
+		}
+		fsas := compileAll(t, patterns...)
+		budget := 1 << 12
+		if r.Intn(4) == 0 {
+			budget = 1 + r.Intn(16)
+		}
+		checkAgainstReference(t, fsas, budget)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFromNFAsMatchesReferenceDatasets compares the two constructions on
+// the first and last 40 rules of the BRO, PEN and TCP rulesets, both where the group
+// determinizes and at its explosion point.
+func TestFromNFAsMatchesReferenceDatasets(t *testing.T) {
+	for _, abbr := range []string{"BRO", "PEN", "TCP"} {
+		t.Run(abbr, func(t *testing.T) {
+			s, err := dataset.ByAbbr(abbr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fsas []*nfa.NFA
+			for _, p := range s.Patterns() {
+				n, err := nfa.Compile(p)
+				if err != nil || n.AnchorStart || n.AnchorEnd {
+					continue
+				}
+				n.ID = len(fsas)
+				fsas = append(fsas, n)
+			}
+			if len(fsas) < 80 {
+				t.Fatalf("%d unanchored rules, want ≥ 80", len(fsas))
+			}
+			for _, lo := range []int{0, len(fsas) - 40} {
+				n := checkAgainstReference(t, fsas[lo:lo+40], 1<<11)
+				t.Logf("rules %d-%d: %d states", lo, lo+39, n)
+				checkAgainstReference(t, fsas[lo:lo+40], 64)
+			}
+		})
 	}
 }

@@ -78,7 +78,7 @@ func literalString(n *rex.Node) (string, bool) {
 	switch n.Op {
 	case rex.OpLit:
 		if b, ok := n.Set.IsSingle(); ok {
-			return string(b), true
+			return string([]byte{b}), true // the byte itself, not a UTF-8 rune
 		}
 	case rex.OpConcat:
 		out := make([]byte, 0, len(n.Subs))

@@ -276,6 +276,7 @@ func FuzzFactorSoundness(f *testing.F) {
 	f.Add("x(y)?z", []byte("xzxyz"))
 	f.Add("^abc$", []byte("abc"))
 	f.Add("needle[a-z]+", []byte("haystack needlex"))
+	f.Add("ab\\xca{1,3}cd", []byte("ab\xcacd"))
 	f.Fuzz(func(t *testing.T, pattern string, input []byte) {
 		if len(pattern) > 64 || len(input) > 4096 {
 			t.Skip()

@@ -247,6 +247,27 @@ func TestPrefilterStreamSingleWrite(t *testing.T) {
 	}
 }
 
+// TestPrefilterHighByteRepeatFactor pins the factor of a counted repeat of
+// a byte ≥ 0x80: it must hold the byte itself, not the byte's UTF-8
+// encoding, or the prefilter skips the group on input that matches.
+func TestPrefilterHighByteRepeatFactor(t *testing.T) {
+	patterns := []string{`ab\xca{1,3}cd`}
+	input := []byte("xxab\xcacd")
+	want := MustCompile(patterns, Options{Prefilter: PrefilterOff}).FindAll(input)
+	if len(want) != 1 {
+		t.Fatalf("PrefilterOff matches %v, want one", want)
+	}
+	for _, mode := range []PrefilterMode{PrefilterAuto, PrefilterOn} {
+		rs := MustCompile(patterns, Options{Prefilter: mode})
+		if got := rs.FindAll(input); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mode %v: FindAll matches %v, PrefilterOff %v", mode, got, want)
+		}
+		if got, _ := streamMatches(t, rs, input, len(input)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mode %v: single-Write stream matches %v, PrefilterOff %v", mode, got, want)
+		}
+	}
+}
+
 // TestPrefilterStreamConformance verifies streamed results are
 // byte-identical to FindAll and to an unfiltered stream across chunk sizes
 // — including 1-byte chunks, factors split across chunk boundaries, and
