@@ -112,8 +112,7 @@ func TestAccelConformancePublic(t *testing.T) {
 			}
 
 			// The accel section must report, and with the '/'-hub ruleset the
-			// skips must actually engage (lazy-pop delegates to iMFAnt, whose
-			// start-byte skip still fires).
+			// skips must actually engage.
 			st := on.Stats()
 			if st.Accel == nil {
 				t.Fatal("accel on: Stats().Accel is nil")

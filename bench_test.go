@@ -208,6 +208,33 @@ func BenchmarkLazyDFAThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkLazyDFAPopThroughput is BenchmarkLazyDFAThroughput under the
+// paper's default Eq. 5 pop semantics, which the lazy DFA caches over
+// pre-pop state vectors.
+func BenchmarkLazyDFAPopThroughput(b *testing.B) {
+	s, err := dataset.ByAbbr("BRO")
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := pipeline.Compile(s.Patterns(), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := lazydfa.New(engine.NewProgram(out.MFSAs[0]))
+	in := s.Stream(64<<10, 0)
+	runner := lazydfa.NewRunner(m)
+	cfg := lazydfa.Config{}
+	if res := runner.Run(in, cfg); res.FellBack { // warm the cache
+		b.Fatal("warm-up fell back to iMFAnt; raise MaxStates")
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(in)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runner.Run(in, cfg)
+	}
+}
+
 // BenchmarkINFAntBaseline isolates the baseline: the same ruleset executed
 // as separate per-RE automata on one thread (the M=1 configuration the
 // paper compares against).

@@ -54,7 +54,7 @@ func TestRunStrategy(t *testing.T) {
 		"all-literal": "ac",
 		"anchored":    "anchored",
 		"small-group": "dfa",
-		"mixed":       "ac,anchored,dfa,imfant",
+		"mixed":       "ac,anchored,dfa,lazydfa",
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(want))

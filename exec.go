@@ -144,8 +144,10 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 
 // segmentScan runs default-engine group i segment-parallel: iMFAnt or
 // lazy-DFA workers per segment plus the sequential boundary stitch. A scan
-// whose boundary carry exceeds the frontier budget completes exactly but
-// pins the group serial for subsequent segmented scans.
+// whose boundary carry exceeds the frontier budget, or outlives a whole
+// segment (its stitch then costs a serial scan of that segment), completes
+// exactly but pins the group serial for subsequent segmented scans; the pin
+// counts as one segment fallback.
 func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input []byte, bounds []int,
 	check func() error, emit func(fsa, end int)) (groupRun, error) {
 	g.Automaton, g.Program, g.MaxFrontier = i, rs.programs[i], rs.maxFrontier()
@@ -155,7 +157,7 @@ func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input 
 	run := groupRun{scans: 1, bytes: res.ParallelBytes + res.StitchBytes, matches: res.Matches,
 		perFSA: res.PerFSA, accel: res.AccelBytes, segments: int64(res.Segments),
 		parallelBytes: res.ParallelBytes, stitchBytes: res.StitchBytes}
-	if res.FellBack {
+	if res.FellBack || res.CarryOutlived {
 		run.segFallbacks = 1
 		rs.segSerial[i].Store(true)
 	}

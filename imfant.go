@@ -46,17 +46,17 @@ import (
 type EngineMode int
 
 const (
-	// EngineAuto picks the lazy-DFA engine whenever its semantics apply
-	// (KeepOnMatch, whose keep semantics make the traversal cacheable)
-	// and the iMFAnt engine otherwise.
+	// EngineAuto runs every group on the lazy-DFA engine, under either
+	// match semantics, unless the strategy planner routes it to a faster
+	// special-purpose engine (Aho–Corasick, anchored literals, eager DFA).
 	EngineAuto EngineMode = iota
 	// EngineIMFAnt forces the paper's NFA-style iMFAnt engine.
 	EngineIMFAnt
 	// EngineLazyDFA forces the lazy-DFA engine: on-the-fly
 	// determinization of the iMFAnt state vector with a bounded,
-	// byte-class-compressed transition cache. Configurations it cannot
-	// cache (KeepOnMatch == false, the paper's Eq. 5 pop) and inputs
-	// that thrash the cache fall back transparently to iMFAnt.
+	// byte-class-compressed transition cache, for every group. Both the
+	// paper's Eq. 5 pop and KeepOnMatch are cached; inputs that thrash
+	// the cache fall back transparently to iMFAnt.
 	EngineLazyDFA
 )
 
@@ -96,9 +96,10 @@ type Options struct {
 	// reported. Off by default (paper semantics).
 	KeepOnMatch bool
 	// Engine selects the execution engine. The zero value (EngineAuto)
-	// uses the lazy-DFA engine when KeepOnMatch is set and iMFAnt
-	// otherwise. Both engines report each (rule, end offset) pair exactly
-	// once, so their match-event streams are identical.
+	// plans each group's strategy and runs the rest on the lazy-DFA
+	// engine; EngineIMFAnt forces the paper's engine. Every engine
+	// reports each (rule, end offset) pair exactly once, so their
+	// match-event sets are identical.
 	Engine EngineMode
 	// Prefilter selects the literal-factor prefilter: a compile-time
 	// Hyperscan-style decomposition that extracts a required literal factor
@@ -262,8 +263,9 @@ type Ruleset struct {
 	faults *faultpoint.Injector
 	// segSerial[i], once set, pins group i to the serial path in segmented
 	// scans: its speculative boundary frontier exceeded SegmentMaxFrontier,
-	// so the group is almost always mid-match and segmentation buys nothing
-	// (see segment.go). Sticky for the ruleset's lifetime.
+	// or a boundary carry outlived a whole segment, so the group is almost
+	// always mid-match and segmentation buys nothing (see segment.go).
+	// Sticky for the ruleset's lifetime.
 	segSerial []atomic.Bool
 
 	// Profiling state; all nil/absent when Options.Profile is false.
@@ -278,18 +280,6 @@ type Ruleset struct {
 
 // accelOn resolves the Accel knob: every mode but AccelOff accelerates.
 func (o Options) accelOn() bool { return o.Accel != AccelOff }
-
-// useLazy reports whether scans run on the lazy-DFA engine.
-func (rs *Ruleset) useLazy() bool {
-	switch rs.opts.Engine {
-	case EngineIMFAnt:
-		return false
-	case EngineLazyDFA:
-		return true
-	default:
-		return rs.opts.KeepOnMatch
-	}
-}
 
 // buildEngines lowers the compiled MFSAs into executable programs and their
 // lazy-DFA matchers, and sets up the ruleset-wide telemetry collector.

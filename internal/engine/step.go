@@ -15,10 +15,15 @@ type Activation struct {
 
 // Stepper evaluates single iMFAnt steps from explicit activation vectors —
 // the step-function form of the Runner hot loop, reusable as the successor
-// constructor of on-the-fly (lazy) determinization. It implements
-// keep-on-match scan semantics (no Eq. 5 pop), under which the successor
-// vector is a pure function of (vector, symbol): matched FSAs stay active,
-// so no run-time emission decision feeds back into the traversal state.
+// constructor of on-the-fly (lazy) determinization. Step itself is the
+// keep-on-match step (no Eq. 5 pop); Pop supplies the pop. The Eq. 5 pop of
+// an arrival at state q removes finalMask(q) &^ endAnchored from its Jnew —
+// a mask that depends on q alone, never on J — so it distributes over the
+// union of arrivals: the runner's post-step vector in pop mode is exactly
+// Pop(S), where S is the pre-pop vector Step returns. Under both semantics
+// the successor is therefore a pure function of (S, symbol):
+// Step(S, c) in keep mode and Step(Pop(S), c) in pop mode, with the match
+// masks of an arrival read off S either way.
 //
 // A Stepper owns scratch buffers sized for its Program and is not safe for
 // concurrent use.
@@ -105,6 +110,46 @@ func (s *Stepper) Step(acts []Activation, c byte, streamStart bool) (next []Acti
 	s.cur.reset(W)
 	s.nxt.reset(W)
 	return next, accept, acceptAtEnd
+}
+
+// Pop applies the Eq. 5 pop to a pre-pop vector as returned by Step: each
+// activation loses the FSAs its state accepts outside the $ anchor, and
+// emptied activations are dropped. A vector with nothing to pop is returned
+// as is; otherwise the result is a new canonical vector (untouched
+// activations share their J sets with acts).
+func (s *Stepper) Pop(acts []Activation) []Activation {
+	p := s.p
+	W := p.words
+	var out []Activation
+	for i, a := range acts {
+		base := int(a.State) * W
+		hit := uint64(0)
+		for w := 0; w < W; w++ {
+			hit |= a.J[w] & p.finalMask[base+w] &^ p.endAnchored[w]
+		}
+		if hit == 0 {
+			if out != nil {
+				out = append(out, a)
+			}
+			continue
+		}
+		if out == nil {
+			out = append(make([]Activation, 0, len(acts)), acts[:i]...)
+		}
+		J := make([]uint64, W)
+		any := uint64(0)
+		for w := 0; w < W; w++ {
+			J[w] = a.J[w] &^ (p.finalMask[base+w] &^ p.endAnchored[w])
+			any |= J[w]
+		}
+		if any != 0 {
+			out = append(out, Activation{State: a.State, J: J})
+		}
+	}
+	if out == nil {
+		return acts
+	}
+	return out
 }
 
 // Frontier returns the runner's current activation vector in canonical form

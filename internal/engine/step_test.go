@@ -45,8 +45,9 @@ func TestStatsWideRuleset(t *testing.T) {
 
 // stepAll drives a whole input through the Stepper, one symbol at a time,
 // and collects the distinct (FSA, end) match sets — the lazy-determinization
-// view of a scan, which must agree with the Runner in keep mode.
-func stepAll(p *Program, in []byte) [][]int {
+// view of a scan, which must agree with the Runner under the same semantics.
+// In pop mode each pre-pop successor is popped before the next step.
+func stepAll(p *Program, in []byte, keep bool) [][]int {
 	s := NewStepper(p)
 	var acts []Activation
 	var events []MatchEvent
@@ -66,6 +67,9 @@ func stepAll(p *Program, in []byte) [][]int {
 			}
 		}
 		acts = next
+		if !keep {
+			acts = s.Pop(next)
+		}
 	}
 	return DistinctEnds(events, p.NumFSAs())
 }
@@ -101,10 +105,12 @@ func TestStepperMatchesRunner(t *testing.T) {
 		}
 		p := NewProgram(z)
 		in := randInput(r, r.Intn(32))
-		got := stepAll(p, in)
-		want := DistinctEnds(Matches(p, in, Config{KeepOnMatch: true}), m)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("patterns=%v input=%q: stepper %v runner %v", patterns, in, got, want)
+		for _, keep := range []bool{true, false} {
+			got := stepAll(p, in, keep)
+			want := DistinctEnds(Matches(p, in, Config{KeepOnMatch: keep}), m)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("keep=%v patterns=%v input=%q: stepper %v runner %v", keep, patterns, in, got, want)
+			}
 		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzCacheLimits drives the lazy engine over arbitrary inputs with
-// fuzzer-chosen cache caps and flush budgets — exercising the flush and
-// fallback paths at every possible trigger point — and demands the exact
-// event stream of the unconstrained run and the distinct (FSA, end) sets of
-// the iMFAnt engine in keep mode.
+// fuzzer-chosen cache caps, flush budgets and match semantics (keep or the
+// Eq. 5 pop) — exercising the flush and fallback paths at every possible
+// trigger point under both — and demands the exact event stream of the
+// unconstrained run and the distinct (FSA, end) sets of the iMFAnt engine
+// under the same semantics.
 func FuzzCacheLimits(f *testing.F) {
 	patterns := []string{"a+b", "b+a", "ab+a", "aa", "bb", "^ab", "ba$", "a[ab]b"}
 	fsas := make([]*nfa.NFA, len(patterns))
@@ -32,21 +33,23 @@ func FuzzCacheLimits(f *testing.F) {
 	p := engine.NewProgram(z)
 	m := New(p)
 
-	f.Add([]byte("abbaabab"), uint8(0), uint8(0), uint8(4))
-	f.Add([]byte("aabbaabbaabb"), uint8(3), uint8(1), uint8(1))
-	f.Add([]byte("abababababab"), uint8(4), uint8(0), uint8(7))
-	f.Add([]byte(""), uint8(5), uint8(2), uint8(3))
+	for _, keep := range []bool{true, false} {
+		f.Add([]byte("abbaabab"), uint8(0), uint8(0), uint8(4), keep)
+		f.Add([]byte("aabbaabbaabb"), uint8(3), uint8(1), uint8(1), keep)
+		f.Add([]byte("abababababab"), uint8(4), uint8(0), uint8(7), keep)
+		f.Add([]byte(""), uint8(5), uint8(2), uint8(3), keep)
+	}
 
-	f.Fuzz(func(t *testing.T, in []byte, maxStates, maxFlushes, chunk uint8) {
+	f.Fuzz(func(t *testing.T, in []byte, maxStates, maxFlushes, chunk uint8, keep bool) {
 		if len(in) > 1<<12 {
 			return
 		}
 		cfg := Config{
-			KeepOnMatch: true,
+			KeepOnMatch: keep,
 			MaxStates:   int(maxStates), // 0 → default; small values force flushes
 			MaxFlushes:  int(maxFlushes),
 		}
-		want := Matches(m, in, Config{KeepOnMatch: true})
+		want := Matches(m, in, Config{KeepOnMatch: keep})
 
 		var got []engine.MatchEvent
 		c := cfg
@@ -69,7 +72,7 @@ func FuzzCacheLimits(f *testing.F) {
 			t.Fatalf("cfg=%+v chunk=%d: %d events, want %d (res=%+v)",
 				cfg, step, len(got), len(want), res)
 		}
-		wantSets := engine.DistinctEnds(engine.Matches(p, in, engine.Config{KeepOnMatch: true}), len(patterns))
+		wantSets := engine.DistinctEnds(engine.Matches(p, in, engine.Config{KeepOnMatch: keep}), len(patterns))
 		gotSets := engine.DistinctEnds(got, len(patterns))
 		if !reflect.DeepEqual(gotSets, wantSets) {
 			t.Fatalf("distinct sets diverged from iMFAnt: %v vs %v", gotSets, wantSets)

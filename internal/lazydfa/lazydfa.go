@@ -16,19 +16,24 @@
 // attached to each cached state, so the hot loop is one load plus an
 // occasional accept emission.
 //
+// Both match semantics are cached. A cached state is the *pre-pop* vector
+// S of a step: the union of the Jnew values arriving at each state before
+// the Eq. 5 pop. The pop of an arrival at state q removes
+// finalMask(q) &^ endAnchored — a mask of q alone — so in pop mode the
+// iMFAnt runner's post-step vector is exactly Pop(S) and the successor on
+// byte c is Step(Pop(S), c); in keep mode Pop is the identity. Either way
+// the successor is a pure function of (S, c), and the accept masks are read
+// off S.
+//
 // When the cache fills, the whole table is flushed (RE2-style) and rebuilt
 // from the current vector; inputs that keep flushing fall back transparently
 // to the iMFAnt engine.Runner for the rest of the stream, resumed from the
-// exact mid-stream activation vector. Configurations the cache cannot
-// represent at all — the Eq. 5 pop (KeepOnMatch == false), under which the
-// successor vector is no longer a pure function of (vector, symbol) at the
-// stream end — delegate to the engine from the first byte.
+// exact mid-stream (post-pop) activation vector.
 //
-// Match events are reported at most once per (FSA, end offset): the cached
-// accept mask is the union over the accepting paths of a step, so the
-// per-final-state multiplicity of raw iMFAnt events collapses. The distinct
-// (FSA, end) sets are identical to the iMFAnt engine's in keep mode,
-// regardless of cache size, flushes, or fallback.
+// Match events are reported once per (FSA, end offset), in ascending FSA
+// order at each offset. The distinct (FSA, end) sets are identical to the
+// iMFAnt engine's under the same semantics, regardless of cache size,
+// flushes, or fallback.
 package lazydfa
 
 import (
@@ -69,9 +74,10 @@ type Config struct {
 	// to the iMFAnt engine; 0 selects DefaultMaxFlushes, negative values
 	// disable flushing (fallback on the first full cache).
 	MaxFlushes int
-	// KeepOnMatch mirrors engine.Config.KeepOnMatch. Only keep semantics
-	// (true) are cacheable; pop semantics delegate the whole stream to
-	// the iMFAnt engine, preserving its exact event stream.
+	// KeepOnMatch mirrors engine.Config.KeepOnMatch: false (the zero
+	// value) runs the paper's Eq. 5 pop. Both semantics are cached;
+	// toggling it between scans rebuilds the cache (the successor rows
+	// differ).
 	KeepOnMatch bool
 	// OnMatch, when non-nil, receives every match with the FSA identifier
 	// and the end offset (inclusive, absolute within the stream).
@@ -97,12 +103,13 @@ type Config struct {
 	Accel bool
 	// Profile, when non-nil, enables the sampling state profiler: every
 	// Profile.Stride() input symbols the current cached state's
-	// activation vector is folded into the shared Profile, attributing
-	// heat to the underlying MFSA states. The iMFAnt fallback (and the
-	// pop-mode delegate) inherit the Profile, so a scan is profiled end
-	// to end regardless of which engine finishes it. Sampling happens at
-	// stride-block boundaries outside the per-byte loop; a nil Profile
-	// costs one branch per fed chunk.
+	// (post-pop) activation vector is folded into the shared Profile,
+	// attributing heat to the underlying MFSA states exactly as the
+	// iMFAnt engine samples its own vector. The iMFAnt fallback inherits
+	// the Profile, so a scan is profiled end to end regardless of which
+	// engine finishes it. Sampling happens at stride-block boundaries
+	// outside the per-byte loop; a nil Profile costs one branch per fed
+	// chunk.
 	Profile *engine.Profile
 	// ThrashRetry enables the degradation ladder across scans of this
 	// Runner: the first thrash fallback doubles the cache cap for the
@@ -114,18 +121,17 @@ type Config struct {
 	ThrashRetry bool
 	// Faults, when non-nil, arms this scan's fault-injection sites
 	// (flush storms, forced thrash, allocation caps, stalled chunks) and
-	// is inherited by the iMFAnt fallback and delegates. Like Profile, a
-	// nil Faults costs one predictable branch per fed chunk. Injected
-	// faults only force transitions the runner already implements
-	// exactly; they never change the reported matches.
+	// is inherited by the iMFAnt fallback. Like Profile, a nil Faults
+	// costs one predictable branch per fed chunk. Injected faults only
+	// force transitions the runner already implements exactly; they
+	// never change the reported matches.
 	Faults *faultpoint.Injector
 }
 
 // Result aggregates one scan.
 type Result struct {
-	// Matches counts the reported match events. In keep (cached) mode an
-	// event is one distinct (FSA, end offset); in pop mode the engine's
-	// per-final-state multiplicity is preserved.
+	// Matches counts the reported match events, one per distinct
+	// (FSA, end offset).
 	Matches int64
 	// PerFSA counts events per merged-FSA identifier.
 	PerFSA []int64
@@ -139,16 +145,15 @@ type Result struct {
 	// FellBack reports that the scan finished on the iMFAnt engine.
 	FellBack bool
 	// Thrashed reports that the fallback was forced by cache thrash (the
-	// flush budget ran out), as opposed to pop-mode delegation, which is
-	// a configuration choice. Thrashed implies FellBack.
+	// flush budget ran out on this scan), as opposed to a ladder pin.
+	// Thrashed implies FellBack.
 	Thrashed bool
 	// CacheHits counts input bytes served by a cached transition row;
 	// CacheMisses counts bytes whose successor had to be computed by an
 	// iMFAnt step. Both cover only the cached portion of the scan — bytes
-	// executed on the iMFAnt fallback (or the pop-mode delegate) perform
-	// no cache lookups and count in neither. Hits are derived at chunk
-	// granularity (cached bytes minus misses), so the per-byte hot loop
-	// carries no counter update.
+	// executed on the iMFAnt fallback perform no cache lookups and count
+	// in neither. Hits are derived at chunk granularity (cached bytes
+	// minus misses), so the per-byte hot loop carries no counter update.
 	CacheHits, CacheMisses int64
 	// AccelBytes counts input bytes jumped over by state acceleration
 	// (Config.Accel) rather than stepped one at a time — on the cached
@@ -186,8 +191,7 @@ type Totals struct {
 	// Flushes counts whole-cache flushes.
 	Flushes int64
 	// Fallbacks counts scans abandoned to the iMFAnt engine because the
-	// input thrashed the cache. Pop-mode delegation (a configuration
-	// choice, not a cache defeat) is not counted.
+	// input thrashed the cache. Ladder pins are counted in Pins instead.
 	Fallbacks int64
 	// AccelBytes aggregates the per-scan accelerated-jump byte counters.
 	AccelBytes int64
@@ -239,10 +243,15 @@ func (m *Matcher) NumClasses() int { return m.nc }
 // Program returns the underlying program.
 func (m *Matcher) Program() *engine.Program { return m.p }
 
-// state is one cached lazy-DFA state: a canonical iMFAnt activation vector
-// with the match metadata of every step arriving at it.
+// state is one cached lazy-DFA state: a canonical pre-pop iMFAnt activation
+// vector with the match metadata of every step arriving at it.
 type state struct {
-	acts []engine.Activation
+	// acts is the pre-pop vector, the cache key. live is the vector the
+	// iMFAnt runner holds after the step — Pop(acts) in pop mode, acts
+	// itself in keep mode or when nothing pops — and is what successors
+	// are stepped from, what Frontier and the fallback hand over, and what
+	// the profiler samples.
+	acts, live []engine.Activation
 	// accept: FSAs matching on any arrival at this state. acceptEnd:
 	// $-anchored FSAs matching only when the arriving symbol ends the
 	// stream. Both are NumFSAs-wide bitsets (Words words).
@@ -270,10 +279,11 @@ type Runner struct {
 	maxStates  int
 	maxFlushes int
 	stop       error // non-nil: scan cancelled by a Checkpoint failure
-	// accelOn mirrors the Config.Accel the cache was built under; a toggle
-	// rebuilds the cache so every cached state is (re)classified, keeping
-	// classification a pure function of (vector, program, accelOn).
-	accelOn bool
+	// accelOn and keepOn mirror the Config.Accel and Config.KeepOnMatch
+	// the cache was built under; a toggle of either rebuilds the cache, so
+	// every cached state is (re)classified and its successor rows follow
+	// the scan's semantics.
+	accelOn, keepOn bool
 	// accelStates counts currently cached accelerable states (gauge).
 	accelStates int
 
@@ -300,7 +310,7 @@ type Runner struct {
 	hasHeld bool
 
 	// thrashed records that this scan's fallback was a cache defeat (as
-	// opposed to pop-mode delegation). Begin then rebuilds the cache: the
+	// opposed to a ladder pin). Begin then rebuilds the cache: the
 	// table is at capacity with traffic that defeated it, so the next
 	// scan would flush on its first miss anyway — a clean rebuild is
 	// cheaper and leaves no half-stale table behind.
@@ -312,8 +322,8 @@ type Runner struct {
 	grown     bool
 	grownCap  int
 	permanent bool
-	ended    bool // End already folded this scan into totals
-	profFill int  // symbols fed since the last profiler sample
+	ended     bool // End already folded this scan into totals
+	profFill  int  // symbols fed since the last profiler sample
 	// cachedSymbols counts bytes executed through the cached hot loop
 	// this scan (chunk granularity); CacheHits = cachedSymbols − misses.
 	cachedSymbols int64
@@ -358,7 +368,7 @@ func (r *Runner) Begin(cfg Config) {
 	// traffic has defeated both caps, so rebuilding the cache every scan
 	// would only add churn on top of the fallback it always ends in.
 	var grew, pinned bool
-	if cfg.ThrashRetry && cfg.KeepOnMatch {
+	if cfg.ThrashRetry {
 		if r.thrashed && !r.permanent {
 			if !r.grown {
 				r.grown = true
@@ -374,10 +384,11 @@ func (r *Runner) Begin(cfg Config) {
 		pinned = r.permanent
 	}
 	rebuild := (cfg.MaxStates != r.maxStates && r.maxStates != 0) ||
-		r.thrashed || cfg.Accel != r.accelOn
-	r.accelOn = cfg.Accel // before resetCache, so state 0 is classified
+		r.thrashed || cfg.Accel != r.accelOn || cfg.KeepOnMatch != r.keepOn
+	// Before resetCache, so state 0 is classified under the new modes.
+	r.accelOn, r.keepOn = cfg.Accel, cfg.KeepOnMatch
 	if rebuild {
-		r.resetCache() // cache shaped by the old cap/accel mode or thrashed
+		r.resetCache() // cache shaped by the old cap/modes or thrashed
 	}
 	r.thrashed = false
 	r.maxStates = cfg.MaxStates
@@ -396,17 +407,6 @@ func (r *Runner) Begin(cfg Config) {
 	for i := range r.fbSeen {
 		r.fbSeen[i] = 0
 	}
-	if !cfg.KeepOnMatch {
-		// Pop semantics: the successor vector depends on what was
-		// emitted at the stream end, so it cannot be cached. Delegate
-		// the whole stream, preserving iMFAnt's exact event stream
-		// (per-final-state multiplicity included).
-		r.res.FellBack = true
-		r.fb = engine.NewRunner(r.m.p)
-		r.fb.Begin(engine.Config{KeepOnMatch: false, OnMatch: r.emitOne,
-			Profile: cfg.Profile, Accel: cfg.Accel, Faults: cfg.Faults})
-		return
-	}
 	if pinned {
 		// Ladder bottom: delegate the whole stream to the iMFAnt engine,
 		// deduplicated to the cached path's exact event semantics (one
@@ -414,8 +414,7 @@ func (r *Runner) Begin(cfg Config) {
 		r.res.FellBack = true
 		r.res.Pinned = true
 		r.fb = engine.NewRunner(r.m.p)
-		r.fb.Begin(engine.Config{KeepOnMatch: true, OnMatch: r.emitDedup,
-			Profile: cfg.Profile, Accel: cfg.Accel, Faults: cfg.Faults})
+		r.fb.Begin(r.fallbackCfg())
 	}
 }
 
@@ -433,31 +432,24 @@ func (r *Runner) BeginAt(cfg Config, offset int) {
 	}
 	r.offset = offset
 	if r.fb != nil {
-		// Begin started the delegate (pop-mode or ladder-pinned) at offset
-		// 0; re-resume it at the true offset with the same emission wiring
-		// Begin chose. The delegate carries no Checkpoint — this runner's
-		// feedSplit polls it.
-		ecfg := engine.Config{KeepOnMatch: true, OnMatch: r.emitDedup,
-			Profile: cfg.Profile, Accel: cfg.Accel, Faults: cfg.Faults}
-		if !cfg.KeepOnMatch {
-			ecfg = engine.Config{KeepOnMatch: false, OnMatch: r.emitOne,
-				Profile: cfg.Profile, Accel: cfg.Accel, Faults: cfg.Faults}
-		}
-		r.fb.Resume(ecfg, nil, offset)
+		// Begin started the ladder-pinned delegate at offset 0; re-resume
+		// it at the true offset.
+		r.fb.Resume(r.fallbackCfg(), nil, offset)
 	}
 }
 
 // Frontier returns the scan's current activation vector in canonical form
 // (sorted by state, fresh slices): the complete traversal state after the
-// bytes fed so far, suitable for seeding a continuation via
-// engine.Runner.Resume. Call FlushHeld first — a held-back byte is not yet
-// reflected in the vector. On an engine fallback (thrash, pop-mode
-// delegation, or a ladder pin) the fallback runner's vector is returned.
+// bytes fed so far — in pop mode the post-pop vector, exactly what an iMFAnt
+// runner holds after the same bytes — suitable for seeding a continuation
+// via engine.Runner.Resume. Call FlushHeld first — a held-back byte is not
+// yet reflected in the vector. On an engine fallback (thrash or ladder pin)
+// the fallback runner's vector is returned.
 func (r *Runner) Frontier() []engine.Activation {
 	if r.fb != nil {
 		return r.fb.Frontier()
 	}
-	acts := r.states[r.cur].acts
+	acts := r.states[r.cur].live
 	out := make([]engine.Activation, len(acts))
 	for i, a := range acts {
 		J := make([]uint64, len(a.J))
@@ -599,7 +591,7 @@ func (r *Runner) feedProfiled(chunk []byte, final bool) {
 						j = jumpEnd
 					}
 					if j > 0 {
-						pr.SampleActivationsN(st.acts, int64((r.profFill+j)/stride))
+						pr.SampleActivationsN(st.live, int64((r.profFill+j)/stride))
 						r.profFill = (r.profFill + j) % stride
 						r.res.AccelBytes += int64(j)
 						r.res.Symbols += j
@@ -628,7 +620,7 @@ func (r *Runner) feedProfiled(chunk []byte, final bool) {
 			return
 		}
 		r.profFill = 0
-		pr.SampleActivations(r.states[r.cur].acts)
+		pr.SampleActivations(r.states[r.cur].live)
 		if len(chunk) == 0 {
 			return
 		}
@@ -840,7 +832,7 @@ func ResolveMaxStates(n int) int {
 func (r *Runner) miss(cls int, streamStart bool) int32 {
 	var src []engine.Activation
 	if !streamStart {
-		src = r.states[r.cur].acts
+		src = r.states[r.cur].live
 	}
 	next, accept, acceptEnd := r.stepper.Step(src, r.m.rep[cls], streamStart)
 	key := r.key(next)
@@ -897,7 +889,11 @@ func (r *Runner) resetCache() {
 // uncomputed row.
 func (r *Runner) add(acts []engine.Activation, accept, acceptEnd []uint64) int32 {
 	id := int32(len(r.states))
-	st := state{acts: acts, accept: accept, acceptEnd: acceptEnd}
+	live := acts
+	if !r.keepOn {
+		live = r.stepper.Pop(acts)
+	}
+	st := state{acts: acts, live: live, accept: accept, acceptEnd: acceptEnd}
 	for _, w := range accept {
 		st.hasAccept = st.hasAccept || w != 0
 	}
@@ -934,7 +930,7 @@ func (r *Runner) classify(id int32) {
 	n := 0
 	rowBase := int(id) * r.m.nc
 	for cls := 0; cls < r.m.nc; cls++ {
-		next, _, _ := r.stepper.Step(st.acts, r.m.rep[cls], false)
+		next, _, _ := r.stepper.Step(st.live, r.m.rep[cls], false)
 		if sameVector(next, st.acts) {
 			r.rows[rowBase+cls] = id
 			continue
@@ -985,26 +981,31 @@ func (r *Runner) key(acts []engine.Activation) string {
 	return string(b)
 }
 
-// fallback resumes the iMFAnt engine from the current activation vector at
-// absolute offset and feeds it the unconsumed tail of the chunk. Emission
-// goes through a per-offset dedup so the event stream stays byte-identical
-// to the cached path's.
+// fallback resumes the iMFAnt engine from the current (post-pop) activation
+// vector at absolute offset and feeds it the unconsumed tail of the chunk.
 func (r *Runner) fallback(chunk []byte, pos int, final bool) {
 	r.res.FellBack = true
 	r.res.Thrashed = true
 	r.thrashed = true
 	r.fb = engine.NewRunner(r.m.p)
-	r.fb.Resume(engine.Config{KeepOnMatch: true, OnMatch: r.emitDedup, Profile: r.cfg.Profile,
-		Accel: r.cfg.Accel, Faults: r.cfg.Faults}, r.states[r.cur].acts, r.offset+pos)
+	r.fb.Resume(r.fallbackCfg(), r.states[r.cur].live, r.offset+pos)
 	r.fb.Feed(chunk[pos:], final)
 	r.flushPending()
 	r.offset += len(chunk)
 }
 
-// emitDedup buffers engine events into a per-offset mask, collapsing the
-// per-final-state multiplicity of raw iMFAnt events to one event per
-// (FSA, end) and restoring ascending-FSA emission order — the cached
-// path's exact semantics. flushPending emits the buffered offset.
+// fallbackCfg configures the iMFAnt engine that finishes a scan (thrash
+// fallback or ladder pin) under the scan's own semantics. The engine
+// carries no Checkpoint — this runner's feedSplit polls it.
+func (r *Runner) fallbackCfg() engine.Config {
+	return engine.Config{KeepOnMatch: r.cfg.KeepOnMatch, OnMatch: r.emitDedup,
+		Profile: r.cfg.Profile, Accel: r.cfg.Accel, Faults: r.cfg.Faults}
+}
+
+// emitDedup buffers engine events into a per-offset mask. The engine
+// already reports each (FSA, end) once, but in transition order; the mask
+// restores the cached path's ascending-FSA order within an offset.
+// flushPending emits the buffered offset.
 func (r *Runner) emitDedup(fsa, end int) {
 	if end != r.fbSeenEnd {
 		r.flushPending()

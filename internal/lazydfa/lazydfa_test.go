@@ -195,25 +195,115 @@ func TestChunkedFeed(t *testing.T) {
 	}
 }
 
-// TestPopSemanticsDelegates checks the transparent fallback for the Eq. 5
-// pop mode: the whole stream runs on the iMFAnt engine with its exact
-// semantics.
-func TestPopSemanticsDelegates(t *testing.T) {
-	_, m := compile(t, "ab*", "a+")
-	in := []byte("abbaab")
-	var got []engine.MatchEvent
-	res := NewRunner(m).Run(in, Config{
-		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) },
-	})
-	if !res.FellBack {
-		t.Fatal("pop mode did not delegate")
+// popPatterns accept on states with outgoing transitions, so the Eq. 5 pop
+// changes the event sets; "ab$" and "^ab" cover both anchors, and "ab+$"
+// reaches its final state before the stream end, where it must not pop.
+var popPatterns = []string{"ab*", "a+", "ab$", "^ab", "b(ab)*c", "a[ab]*b", "ab+$"}
+
+// TestPopSemanticsCached checks the paper's default Eq. 5 pop on the cached
+// path: pop scans stay cached and report exactly the distinct (FSA, end)
+// sets of the iMFAnt engine in pop mode — including $-anchored accepts on
+// the last byte and stream ends announced after the fact — and those sets
+// differ from keep mode, so the pop is really exercised.
+func TestPopSemanticsCached(t *testing.T) {
+	_, m := compile(t, popPatterns...)
+	n := m.p.NumFSAs()
+	differs := false
+	for _, s := range []string{"abbaab", "ab", "abbabcabab", "aaab", "babababc", "xxab", "aabbab", "xabbb"} {
+		in := []byte(s)
+		engPop := engine.Matches(m.p, in, engine.Config{})
+		want := engine.DistinctEnds(engPop, n)
+		differs = differs || !reflect.DeepEqual(want, engineEnds(m, in))
+
+		var got []engine.MatchEvent
+		res := NewRunner(m).Run(in, Config{
+			OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) },
+		})
+		if res.FellBack || res.CacheMisses == 0 {
+			t.Fatalf("%q: pop scan left the cached path (FellBack=%v, misses=%d)", s, res.FellBack, res.CacheMisses)
+		}
+		if g := engine.DistinctEnds(got, n); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%q: pop sets %v, want %v", s, g, want)
+		}
+		if res.Matches != int64(len(engPop)) {
+			t.Fatalf("%q: Matches=%d, want %d", s, res.Matches, len(engPop))
+		}
+
+		// Stream end announced after the fact: the held-back last byte
+		// still carries the $-anchored accepts.
+		var late []engine.MatchEvent
+		r := NewRunner(m)
+		r.Begin(Config{OnMatch: func(fsa, end int) { late = append(late, engine.MatchEvent{FSA: fsa, End: end}) }})
+		r.Feed(in, false)
+		r.Feed(nil, true)
+		r.End()
+		if !reflect.DeepEqual(late, got) {
+			t.Fatalf("%q: end announced late: %v, want %v", s, late, got)
+		}
 	}
-	want := engine.Matches(m.p, in, engine.Config{})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pop events %v, want %v", got, want)
+	if !differs {
+		t.Fatal("no input distinguishes pop from keep semantics")
 	}
-	if res.Matches != int64(len(want)) {
-		t.Fatalf("Matches=%d, want %d", res.Matches, len(want))
+}
+
+// TestPopFrontierMatchesEngine pins the pre-pop cache key: at every prefix
+// of random inputs, the pop-mode Frontier — the post-pop vector of the
+// current cached state — equals the iMFAnt runner's vector after the same
+// bytes. The tiny-cache configuration forces the thrash hand-off mid-input,
+// after which the frontier comes from the resumed engine.
+func TestPopFrontierMatchesEngine(t *testing.T) {
+	_, m := compile(t, popPatterns...)
+	rng := rand.New(rand.NewSource(31))
+	for _, cfg := range []Config{{}, {MaxStates: 3, MaxFlushes: -1}} {
+		thrashed := false
+		for trial := 0; trial < 8; trial++ {
+			in := make([]byte, 300)
+			for i := range in {
+				in[i] = "abcx"[rng.Intn(4)]
+			}
+			lr := NewRunner(m)
+			lr.Begin(cfg)
+			er := engine.NewRunner(m.p)
+			er.Begin(engine.Config{})
+			for i := range in {
+				lr.Feed(in[i:i+1], false)
+				lr.FlushHeld()
+				er.Feed(in[i:i+1], false)
+				er.FlushHeld()
+				if got, want := lr.Frontier(), er.Frontier(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cfg=%+v trial %d after %d bytes: frontier %v, want %v", cfg, trial, i+1, got, want)
+				}
+			}
+			thrashed = thrashed || lr.End().Thrashed
+		}
+		if cfg.MaxStates != 0 && !thrashed {
+			t.Fatalf("cfg=%+v never handed off to the engine", cfg)
+		}
+	}
+}
+
+// TestKeepPopToggleRebuildsCache checks that toggling Config.KeepOnMatch
+// between scans rebuilds the cache — successor rows differ between the two
+// semantics — so a warm runner reports exactly what a fresh one does, and a
+// repeated scan under unchanged semantics runs warm.
+func TestKeepPopToggleRebuildsCache(t *testing.T) {
+	_, m := compile(t, popPatterns...)
+	in := []byte("abbabcababaabbbab")
+	r := NewRunner(m)
+	for step, keep := range []bool{true, false, true} {
+		want := Matches(m, in, Config{KeepOnMatch: keep})
+		for rep := 0; rep < 2; rep++ {
+			var got []engine.MatchEvent
+			res := r.Run(in, Config{KeepOnMatch: keep,
+				OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d keep=%v rep %d: %v, want %v", step, keep, rep, got, want)
+			}
+			if cold := rep == 0; cold != (res.CacheMisses > 0) {
+				t.Fatalf("step %d keep=%v rep %d: %d misses (cache rebuilt on toggle only)",
+					step, keep, rep, res.CacheMisses)
+			}
+		}
 	}
 }
 
@@ -281,7 +371,7 @@ func TestEndAnnouncedAfterFactLazy(t *testing.T) {
 	for _, cfg := range []Config{
 		{KeepOnMatch: true},
 		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1},
-		{}, // pop mode: delegated wholesale to iMFAnt
+		{}, // pop mode
 	} {
 		var want []engine.MatchEvent
 		ref := cfg
@@ -322,10 +412,10 @@ func TestWarmCacheConfigInvariance(t *testing.T) {
 	configs := []Config{
 		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 2},       // thrash → fallback
 		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1 << 30}, // right after thrash
-		{KeepOnMatch: true},                                    // default cap
-		{},                                                     // pop delegation
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1},      // immediate fallback
-		{KeepOnMatch: true},                                    // and back to cached
+		{KeepOnMatch: true}, // default cap
+		{},                  // pop semantics
+		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1}, // immediate fallback
+		{KeepOnMatch: true}, // and back to cached
 	}
 	r := NewRunner(m)
 	for step, cfg := range configs {
@@ -405,12 +495,16 @@ func TestCacheCounters(t *testing.T) {
 		t.Fatalf("Fallbacks = %d, want 1", tot.Fallbacks)
 	}
 
-	// Pop-mode delegation is a configuration choice, not a cache defeat.
+	// Pop semantics run on the cached path with the same accounting.
 	r3 := NewRunner(m)
-	if res := r3.Run(in, Config{}); !res.FellBack || res.Thrashed {
-		t.Fatalf("pop mode: FellBack=%v Thrashed=%v", res.FellBack, res.Thrashed)
+	res = r3.Run(in, Config{})
+	if res.FellBack || res.CacheMisses == 0 {
+		t.Fatalf("pop mode: FellBack=%v misses=%d, want a cached scan", res.FellBack, res.CacheMisses)
+	}
+	if res.CacheHits+res.CacheMisses != int64(res.Symbols) {
+		t.Fatalf("pop mode: hits %d + misses %d != symbols %d", res.CacheHits, res.CacheMisses, res.Symbols)
 	}
 	if tot := r3.Totals(); tot.Fallbacks != 0 {
-		t.Fatalf("pop delegation counted as fallback: %+v", tot)
+		t.Fatalf("pop scan counted as fallback: %+v", tot)
 	}
 }

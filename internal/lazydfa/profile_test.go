@@ -82,17 +82,40 @@ func TestProfileAcrossFallback(t *testing.T) {
 	}
 }
 
-// TestProfilePopDelegates checks that pop-mode scans (delegated to the
-// engine outright) still profile.
-func TestProfilePopDelegates(t *testing.T) {
-	_, m := compile(t, "ab", "abc")
-	in := []byte("zabcabczzabz")
-	pr := engine.NewProfile(m.Program(), 4)
-	res := NewRunner(m).Run(in, Config{KeepOnMatch: false, Profile: pr})
-	if !res.FellBack {
-		t.Fatal("pop mode did not delegate")
+// TestProfilePopCached checks profiling under the Eq. 5 pop: the scan
+// stays on the cached path, events are unchanged by profiling, and the
+// heat — sample count, per-state visits and per-FSA activity — is exactly
+// what the iMFAnt engine records in pop mode, because the cached path
+// samples the post-pop vector the engine holds.
+func TestProfilePopCached(t *testing.T) {
+	_, m := compile(t, "ab*", "abc", "a+", "b(ab)*c")
+	rng := rand.New(rand.NewSource(7))
+	in := make([]byte, 4096)
+	for i := range in {
+		in[i] = "abcz"[rng.Intn(4)]
 	}
-	if pr.Samples() != int64(len(in)/4) {
-		t.Fatalf("samples = %d, want %d", pr.Samples(), len(in)/4)
+	want := Matches(m, in, Config{})
+
+	pr := engine.NewProfile(m.Program(), 16)
+	var got []engine.MatchEvent
+	res := NewRunner(m).Run(in, Config{Profile: pr,
+		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
+	if res.FellBack {
+		t.Fatal("pop scan left the cached path")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("profiled pop run diverged: %d events vs %d", len(got), len(want))
+	}
+
+	epr := engine.NewProfile(m.Program(), 16)
+	engine.Run(m.Program(), in, engine.Config{Profile: epr})
+	if pr.Samples() != epr.Samples() || pr.Samples() != int64(len(in)/16) {
+		t.Fatalf("samples = %d, engine %d, want %d", pr.Samples(), epr.Samples(), len(in)/16)
+	}
+	if !reflect.DeepEqual(pr.Visits(), epr.Visits()) {
+		t.Fatalf("visits %v, engine %v", pr.Visits(), epr.Visits())
+	}
+	if !reflect.DeepEqual(pr.FSAActive(), epr.FSAActive()) {
+		t.Fatalf("FSA activity %v, engine %v", pr.FSAActive(), epr.FSAActive())
 	}
 }

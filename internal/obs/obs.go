@@ -166,7 +166,7 @@ func StatsFamilies(s telemetry.Stats, lat *telemetry.Latency) []Family {
 		fams = append(fams,
 			CounterFamily("imfant_segment_scans", "Automaton-group executions run segment-parallel.", float64(sg.SegmentedScans)),
 			CounterFamily("imfant_segment_segments", "Segments executed across segmented scans.", float64(sg.Segments)),
-			CounterFamily("imfant_segment_fallbacks", "Segmented scans whose boundary frontier exceeded the budget.", float64(sg.Fallbacks)),
+			CounterFamily("imfant_segment_fallbacks", "Segmented scans that pinned their group serial.", float64(sg.Fallbacks)),
 			segBytes,
 		)
 	}

@@ -93,6 +93,13 @@ type Result struct {
 	// The scan's results are still exact; the flag advises the caller to
 	// run this group serially on future scans.
 	FellBack bool
+	// CarryOutlived reports that some boundary carry stayed alive across
+	// its whole segment, so its stitch re-scanned every byte of that
+	// segment. Such a carry typically never dies (a `.*`-style loop keeps
+	// it alive), making each stitch as costly as a serial scan of its
+	// segment: the scan is still exact, but segmenting the group can only
+	// lose. Like FellBack it advises serial scans, on a different signal.
+	CarryOutlived bool
 
 	// Lazy-DFA worker counters, summed across workers (zero for iMFAnt
 	// groups).
@@ -225,6 +232,7 @@ func Scan(g Group, input []byte, bounds []int, emit func(fsa, end int)) (Result,
 			}
 			deliver(st.events)
 			prev = st.frontier
+			res.CarryOutlived = res.CarryOutlived || st.outlived
 		}
 		deliver(outs[k].events)
 	}
@@ -314,6 +322,9 @@ type stitchOut struct {
 	// matched, the local recomputation window.
 	bytes int64
 	accel int64
+	// outlived reports that the carry was still alive on the segment's
+	// last byte: the carry runner traversed the whole segment.
+	outlived bool
 }
 
 // stitch replays the carry component of one boundary. A carry-only runner
@@ -351,6 +362,7 @@ func (g *Group) stitch(carry []engine.Activation, input []byte, segStart, segEnd
 	// deduplication past segStart+window.
 	window := ares.Symbols
 	out.frontier = front
+	out.outlived = window == len(win)
 	if len(aEvents) == 0 {
 		return out, nil
 	}

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -202,6 +203,48 @@ func TestFrontierBudget(t *testing.T) {
 	}
 	if !res.FellBack {
 		t.Fatalf("budget %d not flagged with MaxFrontier %d", gTight.MaxFrontier, res.MaxFrontier)
+	}
+}
+
+// TestCarryOutlived: a carry that stays alive across a whole segment (the
+// .* rule of TestFrontierBudget never lets go) flags CarryOutlived on both
+// worker engines, independently of the frontier budget, while a carry that
+// dies mid-segment, or no carry at all, does not. Results stay exact.
+func TestCarryOutlived(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		patterns []string
+		input    string
+		parts    int
+		stitched bool // some carry crossed a boundary
+		want     bool
+	}{
+		{"dotstar", []string{"a.*b", "ab"}, "a xxxx xxxx xxxx b xxxx ab xxxx", 4, true, true},
+		{"dying", []string{"abcdef"}, "xxxxxxxxabcdefxxxxxxxxxxxxxxxxxx", 3, true, false},
+		{"sparse", []string{"needle"}, string(bytes.Repeat([]byte("x"), 1<<14)), 8, false, false},
+	} {
+		p := compile(t, tc.patterns...)
+		input := []byte(tc.input)
+		want := serialEvents(p, input, engine.Config{})
+		for name, g := range map[string]Group{
+			"imfant":  {Program: p},
+			"lazydfa": {Program: p, Lazy: lazydfa.New(p)},
+		} {
+			got, res := scanEvents(t, g, input, tc.parts)
+			if !sameEvents(got, want) {
+				t.Fatalf("%s/%s: events %v, want %v", tc.name, name, got, want)
+			}
+			if (res.StitchBytes > 0) != tc.stitched {
+				t.Fatalf("%s/%s: StitchBytes=%d, want stitched=%v", tc.name, name, res.StitchBytes, tc.stitched)
+			}
+			if res.CarryOutlived != tc.want {
+				t.Fatalf("%s/%s: CarryOutlived=%v, want %v (StitchBytes=%d)",
+					tc.name, name, res.CarryOutlived, tc.want, res.StitchBytes)
+			}
+			if res.FellBack {
+				t.Fatalf("%s/%s: FellBack with no frontier budget", tc.name, name)
+			}
+		}
 	}
 }
 

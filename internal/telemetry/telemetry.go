@@ -135,8 +135,9 @@ type SegmentStats struct {
 	// Segments counts segments executed across those scans.
 	Segments int64 `json:"segments"`
 	// Fallbacks counts scans whose boundary frontier exceeded the
-	// speculative budget; the scan still completed exactly and the group
-	// was pinned serial for subsequent scans.
+	// speculative budget or whose boundary carry outlived a whole segment;
+	// the scan still completed exactly and the group was pinned serial for
+	// subsequent scans.
 	Fallbacks int64 `json:"fallbacks"`
 	// ParallelBytes counts input bytes scanned inside segment workers.
 	ParallelBytes int64 `json:"parallel_bytes"`

@@ -23,7 +23,7 @@ const (
 	EventLazyFlush
 	// EventLazyFallback reports a scan that abandoned the lazy-DFA cache
 	// for the iMFAnt engine; Value is 1 for a thrash-forced fallback, 0
-	// for pop-mode delegation.
+	// for a ladder pin.
 	EventLazyFallback
 	// EventStreamEnd marks a StreamMatcher Close; Value is the stream's
 	// total match count, Offset the total bytes consumed per automaton.

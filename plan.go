@@ -143,12 +143,13 @@ func (rs *Ruleset) Strategies() []Strategy {
 }
 
 // defaultStrategy resolves the engine groups fall to when no fast shape
-// applies, mirroring useLazy.
+// applies: the lazy DFA, under either match semantics, unless iMFAnt is
+// forced.
 func (rs *Ruleset) defaultStrategy() Strategy {
-	if rs.useLazy() {
-		return StrategyLazyDFA
+	if rs.opts.Engine == EngineIMFAnt {
+		return StrategyIMFAnt
 	}
-	return StrategyIMFAnt
+	return StrategyLazyDFA
 }
 
 // buildPlan classifies every automaton group. shapes is the Front-End's

@@ -54,7 +54,7 @@ func TestStrategyPlanClassification(t *testing.T) {
 		// Small cyclic NFAs determinize eagerly too; only a group past the
 		// state bound stays on the default engine.
 		{"loops", []string{"ne+dle[0-9]*x"}, StrategyDFA},
-		{"large", []string{"x[0-9]{200}y"}, StrategyIMFAnt},
+		{"large", []string{"x[0-9]{200}y"}, StrategyLazyDFA},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := MustCompile(tc.patterns, Options{MergeFactor: len(tc.patterns)})

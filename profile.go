@@ -284,7 +284,7 @@ type TraceEvent struct {
 	Offset int64 `json:"offset"`
 	// Value is kind-specific: input length for scan_begin, match count
 	// for scan_end/stream_end, flush count for lazy_flush, 1 for a
-	// thrash-forced lazy_fallback (0 for pop-mode delegation), the
+	// thrash-forced lazy_fallback (0 for a ladder pin), the
 	// degradation-cause bitmask for scan_error (bit 0 timeout, bit 1
 	// shed, bit 2 canceled, bit 3 worker panic), the sequence number that
 	// became current for ruleset_swap, and the number of versions drained

@@ -31,9 +31,9 @@ func segConfInputs(t testing.TB) [][]byte {
 	for i := range big {
 		big[i] = alpha[rnd.Intn(len(alpha))]
 	}
-	copy(big[4094:], "needle")    // straddles the 2-way boundary
-	copy(big[2729:], "foobaz")    // straddles a 3-way boundary
-	copy(big[1020:], "xqqy")      // straddles an 8-way boundary
+	copy(big[4094:], "needle") // straddles the 2-way boundary
+	copy(big[2729:], "foobaz") // straddles a 3-way boundary
+	copy(big[1020:], "xqqy")   // straddles an 8-way boundary
 	copy(big[len(big)-7:], "suffix\n")
 	return [][]byte{
 		nil,
@@ -222,6 +222,52 @@ func TestSegmentFrontierFallbackSticky(t *testing.T) {
 	if st.Segment.SerialBytes <= serialBytes {
 		t.Fatalf("pinned group did not run serially: serial bytes %d -> %d",
 			serialBytes, st.Segment.SerialBytes)
+	}
+}
+
+// TestSegmentCarryOutlivedPins pins the stitch-cost rule: in a ruleset
+// whose .* carries never die, every group's first segmented CountParallel
+// re-stitches whole segments, so it records exactly one segment fallback
+// and pins the group serial; a second call then stitches nothing and adds
+// no fallback, and both calls count exactly what SegmentOff counts. Engines
+// are forced so the planner cannot route these small groups to the serial
+// eager-DFA strategy.
+func TestSegmentCarryOutlivedPins(t *testing.T) {
+	patterns := []string{"a.*b", "c.*d", "e.*f"}
+	rng := rand.New(rand.NewSource(5))
+	in := make([]byte, 8192)
+	for i := range in {
+		in[i] = "abcdefx "[rng.Intn(8)]
+	}
+	for _, eng := range []EngineMode{EngineLazyDFA, EngineIMFAnt} {
+		off := MustCompile(patterns, Options{MergeFactor: 1, Engine: eng, Segment: SegmentOff})
+		want, err := off.CountParallel(in, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := MustCompile(patterns, Options{MergeFactor: 1, Engine: eng, Segment: SegmentOn})
+		var stitch int64
+		for call := 0; call < 2; call++ {
+			got, err := rs.CountParallel(in, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("engine %d call %d: %d matches, SegmentOff %d", eng, call, got, want)
+			}
+			s := rs.Stats().Segment
+			if s.Fallbacks != int64(rs.NumAutomata()) {
+				t.Fatalf("engine %d call %d: %d fallbacks, want one per group (%d)",
+					eng, call, s.Fallbacks, rs.NumAutomata())
+			}
+			if call == 0 {
+				if stitch = s.StitchBytes; stitch == 0 {
+					t.Fatalf("engine %d: first call stitched nothing", eng)
+				}
+			} else if s.StitchBytes != stitch {
+				t.Fatalf("engine %d: pinned call stitched %d more bytes", eng, s.StitchBytes-stitch)
+			}
+		}
 	}
 }
 

@@ -108,8 +108,9 @@ type DegradedStats struct {
 // segment worker, by a boundary-stitch runner, or serially. A high
 // StitchBytes share means boundary carries survive deep into segments
 // (match-dense or always-live rules) and segmentation is paying for its
-// parallelism; Fallbacks counts groups whose speculative frontier exceeded
-// Options.SegmentMaxFrontier and were pinned serial.
+// parallelism; Fallbacks counts groups pinned serial because their
+// speculative frontier exceeded Options.SegmentMaxFrontier or a boundary
+// carry outlived a whole segment.
 type SegmentStats struct {
 	// SegmentedScans counts automaton-group executions that ran
 	// segment-parallel.
@@ -117,7 +118,8 @@ type SegmentStats struct {
 	// Segments counts segments executed across those scans.
 	Segments int64 `json:"segments"`
 	// Fallbacks counts segmented scans whose boundary frontier exceeded the
-	// budget; results stayed exact and the group runs serially afterwards.
+	// budget or whose boundary carry outlived a whole segment; results
+	// stayed exact and the group runs serially afterwards.
 	Fallbacks int64 `json:"fallbacks"`
 	// ParallelBytes counts input bytes scanned inside segment workers.
 	ParallelBytes int64 `json:"parallel_bytes"`
@@ -258,8 +260,7 @@ type LazyStats struct {
 	// Flushes counts whole-cache resets forced by the capacity limit.
 	Flushes int64 `json:"flushes"`
 	// Fallbacks counts scans that abandoned the cache for iMFAnt after
-	// thrashing. Pop-mode delegation is a configuration choice and is
-	// not counted.
+	// thrashing. Ladder pins count in Degraded.PinnedScans instead.
 	Fallbacks int64 `json:"fallbacks"`
 }
 
