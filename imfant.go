@@ -31,7 +31,6 @@ import (
 	"repro/internal/anml"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
-	"repro/internal/hist"
 	"repro/internal/lazydfa"
 	"repro/internal/metrics"
 	"repro/internal/mfsa"
@@ -130,9 +129,11 @@ type Options struct {
 	// to disable that check.
 	Limits Limits
 	// Profile enables the sampling execution profiler: per-state visit
-	// counts attributed to rules through the belonging sets, scan and
-	// stream-chunk latency histograms, and active-set size distributions,
-	// all readable via Ruleset.Profile and the Stats().Profile section.
+	// counts attributed to rules through the belonging sets and active-set
+	// size distributions, readable via Ruleset.Profile and the
+	// Stats().Profile section. Profile implies Latency: the report's scan
+	// and stream-chunk latency distributions are the "scan" and
+	// "stream_write" stage histograms, also in Stats().Latency.
 	// Sampling happens once every ProfileStride input bytes outside the
 	// per-byte hot loops; with Profile off the engines pay a single nil
 	// check per chunk and Profile() returns nil.
@@ -146,7 +147,7 @@ type Options struct {
 	// dispatch, the parallel fan-out, and stream chunk/flush work, folded
 	// into allocation-free log2 histograms and surfaced as the
 	// Stats().Latency section (p50/p90/p99 per stage, nanoseconds).
-	// Independent of Profile; with Latency off the scan paths pay a single
+	// Profile turns it on too; with both off the scan paths pay a single
 	// nil check per chunk and the section is omitted.
 	Latency bool
 	// TraceCapacity, when positive, enables the structured trace ring:
@@ -268,13 +269,13 @@ type Ruleset struct {
 	// Sticky for the ruleset's lifetime.
 	segSerial []atomic.Bool
 
-	// Profiling state; all nil/absent when Options.Profile is false.
-	profiles []*engine.Profile // per-program sampled state heat
-	scanLat  *hist.Histogram   // per-scan wall-clock latency, ns
-	chunkLat *hist.Histogram   // per-StreamMatcher.Write latency, ns
+	// profiles holds per-program sampled state heat; nil when
+	// Options.Profile is false.
+	profiles []*engine.Profile
 	trace    *telemetry.TraceRing
-	// lat is the per-stage latency histogram set; nil when Options.Latency
-	// is false — the single nil check instrumentation-off scans pay.
+	// lat is the per-stage latency histogram set; nil unless
+	// Options.Latency or Options.Profile is set — the single nil check
+	// instrumentation-off scans pay.
 	lat *telemetry.Latency
 }
 
@@ -303,14 +304,12 @@ func (rs *Ruleset) buildEngines() {
 		for i, p := range rs.programs {
 			rs.profiles[i] = engine.NewProfile(p, rs.opts.ProfileStride)
 		}
-		rs.scanLat = new(hist.Histogram)
-		rs.chunkLat = new(hist.Histogram)
 		rs.collector.SetProfileFunc(rs.profileStats)
 	}
 	if rs.opts.TraceCapacity > 0 {
 		rs.trace = telemetry.NewTraceRing(rs.opts.TraceCapacity)
 	}
-	if rs.opts.Latency {
+	if rs.opts.Latency || rs.opts.Profile {
 		rs.lat = rs.collector.EnableLatency()
 	}
 	rs.sched = newScanGate(rs.opts.MaxConcurrentScans, rs.opts.MaxQueuedScans)
@@ -691,9 +690,6 @@ func (s *Scanner) CountPerRule(input []byte) []int64 {
 func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule []int64) (total int64, err error) {
 	rs := s.rs
 	check := timeoutCheckpoint(checkpointOf(ctx), rs.opts.ScanTimeout)
-	if rs.scanLat != nil {
-		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
 	if rs.lat != nil {
 		defer func(t0 time.Time) {
 			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
@@ -814,9 +810,6 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 	}
 	defer rs.sched.release()
 	check := deadlineCheckpoint(checkpointOf(ctx), deadline)
-	if rs.scanLat != nil {
-		defer func(t0 time.Time) { rs.scanLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
 	if rs.lat != nil {
 		// The scan stage starts after admission, so queue wait under a
 		// saturated gate is not misattributed to scanning.

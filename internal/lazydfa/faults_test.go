@@ -170,7 +170,7 @@ func TestInjectedThrashAtStreamStart(t *testing.T) {
 	want := Matches(m, in, Config{KeepOnMatch: true})
 	var got []engine.MatchEvent
 	res := NewRunner(m).Run(in, Config{KeepOnMatch: true,
-		Faults: faultpoint.New(faultpoint.OnHit(faultpoint.LazyThrash, 1)),
+		Faults:  faultpoint.New(faultpoint.OnHit(faultpoint.LazyThrash, 1)),
 		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
 	if !res.Thrashed {
 		t.Fatal("injected thrash did not fire")

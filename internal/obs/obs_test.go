@@ -16,7 +16,7 @@ func fullStats() (telemetry.Stats, *telemetry.Latency) {
 	c.AddMatch(0)
 	c.AddMatch(2)
 	c.AddMatch(2)
-	c.EnableLazy(2, 512, 17)
+	c.EnableLazy(2, 2, 512, 17)
 	c.AddLazyScan(100, 7, 1, 0)
 	c.EnablePrefilter(2, 2)
 	c.AddPrefilterScan(3, 5, 2, 2048)

@@ -116,33 +116,7 @@ func (l *Latency) Stats() *LatencyStats {
 		if out == nil {
 			out = &LatencyStats{}
 		}
-		out.Stages = append(out.Stages, StageLatencyStats{
-			Stage: s.String(),
-			HistStats: HistStats{
-				Count: snap.Count,
-				Mean:  snap.Mean(),
-				P50:   snap.Percentile(0.50),
-				P90:   snap.Percentile(0.90),
-				P99:   snap.Percentile(0.99),
-				Max:   snap.Max,
-			},
-		})
+		out.Stages = append(out.Stages, StageLatency{Stage: s.String(), HistStats: Summarize(snap)})
 	}
 	return out
-}
-
-// LatencyStats is the latency section of a snapshot: one summarized
-// wall-clock distribution (nanoseconds) per pipeline stage that fired.
-type LatencyStats struct {
-	// Stages lists the active stages in pipeline order. Strategy-dispatch
-	// stages ("strategy_ac", …) attribute per-automaton dispatch time to
-	// the strategy that ran it.
-	Stages []StageLatencyStats `json:"stages"`
-}
-
-// StageLatencyStats is one stage's latency summary, in nanoseconds.
-type StageLatencyStats struct {
-	// Stage is the stable stage name (see Stage.String).
-	Stage string `json:"stage"`
-	HistStats
 }

@@ -33,7 +33,7 @@ func TestSnapshotBasics(t *testing.T) {
 
 func TestLazySection(t *testing.T) {
 	c := NewCollector(1)
-	c.EnableLazy(2, 4096, 17)
+	c.EnableLazy(2, 2, 4096, 17)
 	c.AddLazyScan(90, 10, 1, 0)
 	c.AddLazyScan(50, 50, 0, 1)
 	c.SetCachedStates(0, 30)
@@ -65,7 +65,7 @@ func TestLazySection(t *testing.T) {
 // JSON that round-trips into a Stats.
 func TestExpvarString(t *testing.T) {
 	c := NewCollector(2)
-	c.EnableLazy(1, 8, 3)
+	c.EnableLazy(1, 1, 8, 3)
 	c.AddScans(1)
 	c.AddBytes(64)
 	c.AddMatch(1)
@@ -86,7 +86,7 @@ func TestExpvarString(t *testing.T) {
 // scanners fold whole-scan totals from many goroutines.
 func TestConcurrentFold(t *testing.T) {
 	c := NewCollector(4)
-	c.EnableLazy(4, 16, 8)
+	c.EnableLazy(4, 4, 16, 8)
 	var wg sync.WaitGroup
 	const workers, reps = 8, 500
 	for w := 0; w < workers; w++ {

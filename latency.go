@@ -9,34 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// LatencyStats is the per-stage latency section of a stats snapshot
-// (Options.Latency): one summarized wall-clock distribution, in
-// nanoseconds, per pipeline stage that has recorded at least one
-// observation. The stages, in pipeline order:
-//
-//   - "scan": one whole block scan or parallel count, end to end.
-//   - "prefilter": one literal-factor Aho–Corasick sweep.
-//   - "strategy_imfant", "strategy_lazydfa", "strategy_ac",
-//     "strategy_anchored", "strategy_dfa": one automaton's dispatch under
-//     that execution strategy — where a scan's time went, by strategy.
-//   - "parallel": the worker-pool fan-out of a CountParallel
-//     call (wall clock over all admitted automata together).
-//   - "stream_write": one StreamMatcher.Write chunk.
-//   - "stream_flush": the end-of-stream flush inside Close.
-//
-// Percentiles come from log2 buckets and are within 2× of exact.
-type LatencyStats struct {
-	// Stages lists the active stages in pipeline order.
-	Stages []StageLatency `json:"stages"`
-}
-
-// StageLatency is one stage's latency summary, in nanoseconds.
-type StageLatency struct {
-	// Stage is the stable stage name (see LatencyStats).
-	Stage string `json:"stage"`
-	HistStats
-}
-
 // stageStart opens a stage timer: the monotonic origin when latency
 // attribution is on, the zero time — which stageEnd treats as "off" —
 // otherwise. The nil check here is the whole cost of the disabled path.
@@ -97,32 +69,6 @@ func causeMask(err error) int64 {
 		return causeCanceled
 	}
 	return 0
-}
-
-// causeNames decodes a scan_error cause mask into its rung names, in bit
-// order; a zero mask decodes to "unknown".
-func causeNames(mask int64) []string {
-	if mask == 0 {
-		return []string{"unknown"}
-	}
-	var out []string
-	for _, c := range []struct {
-		bit  int64
-		name string
-	}{
-		{causeTimeout, "timeout"},
-		{causeShed, "shed"},
-		{causeCanceled, "canceled"},
-		{causeWorkerPanic, "worker_panic"},
-	} {
-		if mask&c.bit != 0 {
-			out = append(out, c.name)
-		}
-	}
-	if len(out) == 0 {
-		return []string{"unknown"}
-	}
-	return out
 }
 
 // traceScanError records a scan_error span carrying err's degradation

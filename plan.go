@@ -185,7 +185,7 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 				classes += rs.lazy[i].NumClasses()
 			}
 		}
-		rs.collector.EnableLazy(pl.counts[StrategyLazyDFA],
+		rs.collector.EnableLazy(pl.counts[StrategyLazyDFA], len(rs.programs),
 			lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates), classes)
 	}
 

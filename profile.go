@@ -54,24 +54,6 @@ func (d Distribution) Buckets() []Bucket {
 	return out
 }
 
-// HotState is one state of the profiler's heat report: a single MFSA
-// state, how often sampling found it active, its share of all sampled
-// visits, and the rules whose compiled paths traverse it. A state shared
-// by many rules that absorbs a large share is the signature of effective
-// merging — or, with one dominant rule, of a pathological pattern.
-type HotState struct {
-	// Automaton is the MFSA index within the ruleset.
-	Automaton int `json:"automaton"`
-	// State is the state id within that MFSA.
-	State int `json:"state"`
-	// Visits counts sampling points at which the state was active.
-	Visits int64 `json:"visits"`
-	// Share is Visits over all states' visits, in [0, 1].
-	Share float64 `json:"share"`
-	// Rules lists the owning rule ids, ascending.
-	Rules []int `json:"rules,omitempty"`
-}
-
 // ProfileReport is a point-in-time snapshot of the sampling profiler.
 // Obtain one with Ruleset.Profile; it is immutable and safe to keep.
 type ProfileReport struct {
@@ -82,10 +64,10 @@ type ProfileReport struct {
 	Samples int64
 	// ScanLatency is the wall-clock latency distribution of block scans
 	// (one observation per Scan/FindAll/Count/CountParallel call), in
-	// nanoseconds.
+	// nanoseconds: the "scan" stage histogram of Stats().Latency.
 	ScanLatency Distribution
 	// ChunkLatency is the latency distribution of StreamMatcher.Write
-	// calls, in nanoseconds.
+	// calls, in nanoseconds: the "stream_write" stage histogram.
 	ChunkLatency Distribution
 	// ActiveSet is the distribution of active (state, FSA) pairs at
 	// sampling points — the engine's live working-set size.
@@ -194,8 +176,8 @@ func (rs *Ruleset) Profile() *ProfileReport {
 	}
 	p := &ProfileReport{
 		Stride:       rs.profiles[0].Stride(),
-		ScanLatency:  Distribution{rs.scanLat.Snapshot()},
-		ChunkLatency: Distribution{rs.chunkLat.Snapshot()},
+		ScanLatency:  Distribution{rs.lat.Snapshot(telemetry.StageScan)},
+		ChunkLatency: Distribution{rs.lat.Snapshot(telemetry.StageStreamWrite)},
 		rs:           rs,
 	}
 	var pairs hist.Snapshot
@@ -228,40 +210,17 @@ func (rs *Ruleset) WriteProfileDOT(w io.Writer, a int) error {
 
 // profileStats builds the Stats().Profile section from the live profiler
 // state; installed on the collector by buildEngines.
-func (rs *Ruleset) profileStats() *telemetry.ProfileStats {
+func (rs *Ruleset) profileStats() *ProfileStats {
 	p := rs.Profile()
 	if p == nil {
 		return nil
 	}
-	ps := &telemetry.ProfileStats{Stride: p.Stride, Samples: p.Samples}
-	if p.ScanLatency.Count() > 0 {
-		ps.ScanLatencyNS = histStatsOf(p.ScanLatency)
-	}
-	if p.ChunkLatency.Count() > 0 {
-		ps.ChunkLatencyNS = histStatsOf(p.ChunkLatency)
-	}
+	ps := &ProfileStats{Stride: p.Stride, Samples: p.Samples, HotStates: p.HotStates(10)}
 	if p.ActiveSet.Count() > 0 {
-		ps.ActivePairs = histStatsOf(p.ActiveSet)
-	}
-	for _, h := range p.HotStates(10) {
-		ps.HotStates = append(ps.HotStates, telemetry.HotStateStats{
-			Automaton: h.Automaton, State: h.State,
-			Visits: h.Visits, Share: h.Share, Rules: h.Rules,
-		})
+		h := telemetry.Summarize(p.ActiveSet.s)
+		ps.ActivePairs = &h
 	}
 	return ps
-}
-
-// histStatsOf summarizes a distribution for the stats snapshot.
-func histStatsOf(d Distribution) *telemetry.HistStats {
-	return &telemetry.HistStats{
-		Count: d.Count(),
-		Mean:  d.Mean(),
-		P50:   d.Percentile(0.50),
-		P90:   d.Percentile(0.90),
-		P99:   d.Percentile(0.99),
-		Max:   d.Max(),
-	}
 }
 
 // TraceEvent is one structured runtime event from the trace ring (see

@@ -109,9 +109,21 @@ func TestProfileSnortHotStates(t *testing.T) {
 		t.Fatalf("stats hot states diverge from report: %+v vs %+v",
 			st.Profile.HotStates, all[0])
 	}
-	if st.Profile.ScanLatencyNS == nil || st.Profile.ScanLatencyNS.Count != p.ScanLatency.Count() {
-		t.Fatalf("scan latency missing or inconsistent: %+v", st.Profile.ScanLatencyNS)
+	if n := stageCounts(st)["scan"]; n == 0 || n != p.ScanLatency.Count() {
+		t.Fatalf("report scan latency count %d, Stats().Latency scan stage count %d",
+			p.ScanLatency.Count(), n)
 	}
+}
+
+// stageCounts maps each latency stage in st to its observation count.
+func stageCounts(st Stats) map[string]int64 {
+	out := map[string]int64{}
+	if st.Latency != nil {
+		for _, g := range st.Latency.Stages {
+			out[g.Stage] = g.Count
+		}
+	}
+	return out
 }
 
 // TestProfileOffIsAbsent pins the zero-overhead-off contract's API side:
@@ -238,8 +250,11 @@ func TestTraceRingPublic(t *testing.T) {
 }
 
 // TestProfileConcurrentSnapshots hammers one profiled ruleset with
-// concurrent Scanners, a StreamMatcher, and snapshot readers, checking
-// that Stats() JSON stays valid mid-scan. Run with -race.
+// concurrent Scanners, a CountParallel call, a StreamMatcher, and snapshot
+// readers, checking that Stats() JSON stays valid mid-scan. Profile alone
+// turns on the stage histograms: afterwards the report's scan and chunk
+// latency counts equal the "scan" and "stream_write" stage counts — one
+// per block scan or CountParallel call, one per Write. Run with -race.
 func TestProfileConcurrentSnapshots(t *testing.T) {
 	rs := MustCompile([]string{"abc", "abd", "xyz+", "hello"}, Options{
 		Profile: true, ProfileStride: 16, TraceCapacity: 64,
@@ -259,6 +274,13 @@ func TestProfileConcurrentSnapshots(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := rs.CountParallel(input, 2); err != nil {
+			t.Error(err)
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -299,7 +321,13 @@ func TestProfileConcurrentSnapshots(t *testing.T) {
 	if st.Profile == nil || st.Profile.Samples == 0 {
 		t.Fatalf("no profile after concurrent scans: %+v", st.Profile)
 	}
-	if st.Profile.ChunkLatencyNS == nil || st.Profile.ChunkLatencyNS.Count == 0 {
-		t.Fatalf("stream writes recorded no chunk latency: %+v", st.Profile.ChunkLatencyNS)
+	p, counts := rs.Profile(), stageCounts(st)
+	if p.ScanLatency.Count() != 61 || counts["scan"] != p.ScanLatency.Count() {
+		t.Fatalf("scan latency: report %d, stage %d, want 61 of each",
+			p.ScanLatency.Count(), counts["scan"])
+	}
+	if p.ChunkLatency.Count() != 50 || counts["stream_write"] != p.ChunkLatency.Count() {
+		t.Fatalf("chunk latency: report %d, stage %d, want 50 of each",
+			p.ChunkLatency.Count(), counts["stream_write"])
 	}
 }

@@ -104,7 +104,7 @@ func TestQuickStreamCancelThenClose(t *testing.T) {
 			written := 0
 			for written < len(in) {
 				n := 1 + rng.Intn(len(in)-written)
-				if w, err := sm.Write(in[written:written+n]); err != nil || w != n {
+				if w, err := sm.Write(in[written : written+n]); err != nil || w != n {
 					t.Fatalf("opts %+v: Write = (%d, %v)", opts, w, err)
 				}
 				written += n

@@ -3,6 +3,7 @@ package imfant
 import (
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -115,6 +116,28 @@ func TestLazyStats(t *testing.T) {
 	}
 }
 
+// TestLazyCachedStatesGauge pins the ruleset-scope cached-states gauge when
+// the lazy group is not among the first groups: the gauge is indexed by
+// automaton, so a lazy group at index 3 of a ruleset with one lazy group
+// must still be counted, and the ruleset and scanner scopes must agree.
+func TestLazyCachedStatesGauge(t *testing.T) {
+	rs := MustCompile([]string{"abc", "xyz", `a[^\n]*b[0-9]+c`, "q(r|s)*t[0-9]+"},
+		Options{MergeFactor: 1})
+	want := []Strategy{StrategyAC, StrategyAC, StrategyDFA, StrategyLazyDFA}
+	if got := rs.Strategies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("strategies %v, want %v", got, want)
+	}
+	sc := rs.NewScanner()
+	sc.Count([]byte("abc xyz a--b12c qrsrt42 abc"))
+	local, global := sc.Stats().Lazy, rs.Stats().Lazy
+	if local == nil || global == nil {
+		t.Fatalf("lazy section missing: scanner %+v, ruleset %+v", local, global)
+	}
+	if local.CachedStates == 0 || global.CachedStates != local.CachedStates {
+		t.Fatalf("cached states: scanner %d, ruleset %d", local.CachedStates, global.CachedStates)
+	}
+}
+
 // TestStreamMatcherStats checks the stream scope: live reads during the
 // stream, and the Close-time fold into the ruleset collector.
 func TestStreamMatcherStats(t *testing.T) {
@@ -179,71 +202,111 @@ func TestStatsVarJSON(t *testing.T) {
 	}
 }
 
-// jsonKeys returns the key set of a JSON object (one level).
-func jsonKeys(t *testing.T, raw json.RawMessage) map[string]bool {
+// jsonKeys returns the sorted key set of a JSON object (one level).
+func jsonKeys(t *testing.T, raw json.RawMessage) []string {
 	t.Helper()
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("not a JSON object: %v in %s", err, raw)
 	}
-	keys := make(map[string]bool, len(m))
+	keys := make([]string, 0, len(m))
 	for k := range m {
-		keys[k] = true
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	return keys
 }
 
-// TestStatsVarSchemaSync is the schema-drift guard for the expvar surface:
-// StatsVar's JSON must carry the strategy and degraded sections, and its
-// key sets — top level and within those sections — must equal those of the
-// public Stats marshalling. A field renamed on one side but not the other
-// fails here, before any dashboard notices.
-func TestStatsVarSchemaSync(t *testing.T) {
-	rs := MustCompile([]string{"abc", "^hdr", "lit(eral)?x"}, Options{
-		Latency: true, Prefilter: PrefilterOn,
+// TestStatsJSONKeys pins the stats JSON keys, a public contract (see
+// DESIGN.md): with every section turned on, the top level and each section
+// — including the first element of each list section — must carry exactly
+// the literal key sets below, so a renamed or dropped key fails here before
+// any dashboard notices. It also pins that the expvar surface renders the
+// same document as marshalling Stats.
+func TestStatsJSONKeys(t *testing.T) {
+	patterns := append([]string{"q(r|s)*t[0-9]+"}, obsTestPatterns...)
+	rs := MustCompile(patterns, Options{
+		MergeFactor: 3, Profile: true, ProfileStride: 8, Latency: true,
+		Segment: SegmentOn, Accel: AccelOn, Prefilter: PrefilterOn,
 	})
-	rs.Count([]byte("xxabcxx literalx hdr"))
-	if _, err := rs.CountParallel([]byte("abc abc literx"), 2); err != nil {
+	input := append(obsTraffic(16<<10, 5), "qrst42"...)
+	rs.Count(input)
+	if _, err := rs.CountParallel(input, 2); err != nil {
+		t.Fatal(err)
+	}
+	sm := rs.NewStreamMatcher(nil)
+	if _, err := sm.Write(input[:4<<10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var fromVar map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(rs.StatsVar().String()), &fromVar); err != nil {
-		t.Fatalf("StatsVar JSON: %v", err)
-	}
 	pub, err := json.Marshal(rs.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromStats map[string]json.RawMessage
-	if err := json.Unmarshal(pub, &fromStats); err != nil {
-		t.Fatal(err)
+	if v := rs.StatsVar().String(); v != string(pub) {
+		t.Fatalf("StatsVar JSON differs from Stats JSON:\n%s\n%s", v, pub)
 	}
 
-	for _, section := range []string{"strategy", "degraded"} {
-		if _, ok := fromVar[section]; !ok {
-			t.Errorf("StatsVar JSON missing %q section", section)
-		}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(pub, &top); err != nil {
+		t.Fatal(err)
 	}
-	for key := range fromVar {
-		if _, ok := fromStats[key]; !ok {
-			t.Errorf("StatsVar key %q absent from Stats() JSON", key)
+	// first returns the first element of a JSON array.
+	first := func(raw json.RawMessage) json.RawMessage {
+		var a []json.RawMessage
+		if err := json.Unmarshal(raw, &a); err != nil || len(a) == 0 {
+			t.Fatalf("want a non-empty JSON array, got %s", raw)
 		}
+		return a[0]
 	}
-	for key := range fromStats {
-		if _, ok := fromVar[key]; !ok {
-			t.Errorf("Stats() key %q absent from StatsVar JSON", key)
+	section := func(path ...string) json.RawMessage {
+		raw := json.RawMessage(pub)
+		for _, key := range path {
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatalf("%v: %v", path, err)
+			}
+			if m[key] == nil {
+				t.Fatalf("%v: key %q absent in %s", path, key, raw)
+			}
+			raw = m[key]
 		}
+		return raw
 	}
-	for _, section := range []string{"strategy", "degraded", "latency"} {
-		v, okV := fromVar[section]
-		s, okS := fromStats[section]
-		if !okV || !okS {
-			continue // absence parity already checked above
-		}
-		vk, sk := jsonKeys(t, v), jsonKeys(t, s)
-		if !reflect.DeepEqual(vk, sk) {
-			t.Errorf("section %q keys drifted: expvar %v vs Stats %v", section, vk, sk)
+	hist := []string{"count", "max", "mean", "p50", "p90", "p99"}
+	for _, c := range []struct {
+		name string
+		raw  json.RawMessage
+		want []string
+	}{
+		{"top", pub, []string{"accel", "bytes_scanned", "degraded", "latency", "lazy", "matches",
+			"prefilter", "profile", "rule_hits", "scans", "segment", "strategy"}},
+		{"lazy", section("lazy"), []string{"automata", "byte_classes", "cached_states", "fallbacks",
+			"flushes", "hits", "max_states", "misses"}},
+		{"prefilter", section("prefilter"), []string{"bytes_saved", "factors", "filterable_rules",
+			"groups_skipped", "prefilter_factor_hits", "sweeps"}},
+		{"accel", section("accel"), []string{"accel_states", "automata", "bytes_skipped"}},
+		{"strategy", section("strategy"), []string{"groups", "groups_ungated", "planned",
+			"sweep_probes", "sweeps_disabled"}},
+		{"strategy.groups[0]", first(section("strategy", "groups")), []string{"bytes", "groups", "strategy"}},
+		{"profile", section("profile"), []string{"active_pairs", "hot_states", "samples", "stride"}},
+		{"profile.active_pairs", section("profile", "active_pairs"), hist},
+		{"profile.hot_states[0]", first(section("profile", "hot_states")), []string{"automaton",
+			"rules", "share", "state", "visits"}},
+		{"segment", section("segment"), []string{"fallbacks", "parallel_bytes", "segmented_scans",
+			"segments", "serial_bytes", "stitch_bytes"}},
+		{"degraded", section("degraded"), []string{"cache_grows", "pinned_scans", "scan_timeouts",
+			"shed", "thrash_fallbacks", "worker_panics"}},
+		{"latency", section("latency"), []string{"stages"}},
+		{"latency.stages[0]", first(section("latency", "stages")), append([]string{"stage"}, hist...)},
+	} {
+		want := append([]string(nil), c.want...)
+		sort.Strings(want)
+		if got := jsonKeys(t, c.raw); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s keys %v, want %v", c.name, got, want)
 		}
 	}
 }

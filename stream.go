@@ -304,9 +304,6 @@ func (sm *StreamMatcher) Write(p []byte) (int, error) {
 	if err := sm.poll(); err != nil {
 		return 0, err
 	}
-	if sm.rs.chunkLat != nil {
-		defer func(t0 time.Time) { sm.rs.chunkLat.Record(time.Since(t0).Nanoseconds()) }(time.Now())
-	}
 	if sm.rs.lat != nil {
 		defer func(t0 time.Time) {
 			sm.rs.lat.Record(telemetry.StageStreamWrite, time.Since(t0).Nanoseconds())
