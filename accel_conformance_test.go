@@ -53,7 +53,6 @@ func TestAccelConformancePublic(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			onOpts, offOpts := tc.opts, tc.opts
-			onOpts.Accel = AccelOn
 			offOpts.Accel = AccelOff
 			on := MustCompile(accelTestPatterns, onOpts)
 			off := MustCompile(accelTestPatterns, offOpts)
@@ -152,7 +151,7 @@ func TestSnortAccelAccounting(t *testing.T) {
 		patterns = append(patterns, ru.Pattern)
 	}
 	rs, _, err := CompileLax(patterns, Options{
-		MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelOn,
+		MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelAuto,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +221,7 @@ func TestSnortAccelAccounting(t *testing.T) {
 		// under the planner the literal-heavy snort groups route to AC/DFA
 		// strategies, which have no cache to thrash.
 		rs2, _, err := CompileLax(patterns, Options{
-			MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelOn,
+			MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelAuto,
 			Engine: EngineLazyDFA,
 		})
 		if err != nil {
@@ -266,7 +265,7 @@ func TestSnortAccelAccounting(t *testing.T) {
 	// current version is swapped between scans still partition each
 	// version's byte volume exactly (one sweep per gated scan served).
 	t.Run("mid-scan-swap", func(t *testing.T) {
-		opts := Options{MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelOn}
+		opts := Options{MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelAuto}
 		rsA, _, err := CompileLax(patterns, opts)
 		if err != nil {
 			t.Fatal(err)

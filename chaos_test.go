@@ -83,7 +83,7 @@ func chaosConfigs() []chaosConfig {
 	accels := []struct {
 		name string
 		m    AccelMode
-	}{{"accel-on", AccelOn}, {"accel-off", AccelOff}}
+	}{{"accel-on", AccelAuto}, {"accel-off", AccelOff}}
 	var out []chaosConfig
 	for _, e := range engines {
 		for _, p := range prefs {

@@ -96,7 +96,6 @@ func runAccel(w io.Writer, o experiments.Opts) ([]accelRow, error) {
 			}
 			offOpts, onOpts := base, base
 			offOpts.Accel = imfant.AccelOff
-			onOpts.Accel = imfant.AccelOn
 			off, err := imfant.Compile(accelRules, offOpts)
 			if err != nil {
 				return nil, err

@@ -10,28 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// RetryMode selects the lazy-DFA thrash-retry policy of the degradation
-// ladder (see Options.ThrashRetry).
-type RetryMode int
-
-const (
-	// RetryAuto (the zero value) enables the ladder: after a matching
-	// context's lazy-DFA cache thrashes, its next scan retries once with
-	// the cache cap doubled; a thrash at the grown cap pins the context to
-	// the iMFAnt engine permanently. Results are identical on every rung.
-	RetryAuto RetryMode = iota
-	// RetryOn forces the ladder (currently identical to RetryAuto).
-	RetryOn
-	// RetryOff disables it: every thrash falls back for the rest of that
-	// scan only, and the next scan starts over on a rebuilt cache at the
-	// configured cap — the pre-ladder behaviour.
-	RetryOff
-)
-
-// thrashRetryOn resolves the ThrashRetry knob: every mode but RetryOff
-// enables the ladder.
-func (o Options) thrashRetryOn() bool { return o.ThrashRetry != RetryOff }
-
 // scanDeadline converts Options.ScanTimeout into an absolute cutoff,
 // anchored at the moment the caller entered the scan path. Anchoring early
 // matters: the same deadline must cover queue wait in scanGate.acquire AND

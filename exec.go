@@ -121,7 +121,7 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 	case StrategyLazyDFA:
 		m := rs.lazy[i]
 		lcfg := lazydfa.Config{KeepOnMatch: rs.opts.KeepOnMatch, MaxStates: rs.opts.LazyDFAMaxStates,
-			Accel: accel, Profile: rs.profileOf(i), ThrashRetry: rs.opts.thrashRetryOn()}
+			Accel: accel, Profile: rs.profileOf(i)}
 		return groupExec{
 			newRunner: func() groupRunner {
 				return &lazyRunner{r: lazydfa.NewRunner(m), cfg: lcfg, classes: m.NumClasses()}
@@ -150,7 +150,7 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 // counts as one segment fallback.
 func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input []byte, bounds []int,
 	check func() error, emit func(fsa, end int)) (groupRun, error) {
-	g.Automaton, g.Program, g.MaxFrontier = i, rs.programs[i], rs.maxFrontier()
+	g.Automaton, g.Program, g.MaxFrontier = i, rs.programs[i], segmentMaxFrontier
 	g.Cfg = cfg
 	g.Cfg.Checkpoint, g.Cfg.Faults = check, rs.faults
 	res, err := segment.Scan(g, input, bounds, emit)

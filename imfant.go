@@ -30,13 +30,13 @@ import (
 	"repro/internal/ahocorasick"
 	"repro/internal/anml"
 	"repro/internal/engine"
+	"repro/internal/factor"
 	"repro/internal/faultpoint"
 	"repro/internal/lazydfa"
 	"repro/internal/metrics"
 	"repro/internal/mfsa"
 	"repro/internal/nfa"
 	"repro/internal/pipeline"
-	"repro/internal/segment"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 )
@@ -75,8 +75,6 @@ const (
 	// states and programs that do not qualify run the ordinary per-byte
 	// loops unchanged.
 	AccelAuto AccelMode = iota
-	// AccelOn forces acceleration (currently identical to AccelAuto).
-	AccelOn
 	// AccelOff disables every byte-skipping path — the measurement
 	// baseline, and an escape hatch.
 	AccelOff
@@ -106,13 +104,9 @@ type Options struct {
 	// that skips whole MFSA groups whose rules cannot match the input. The
 	// zero value (PrefilterAuto) engages it only when at least one group is
 	// fully filterable; PrefilterOn additionally biases grouping so
-	// filterable rules share MFSAs. Results are identical in every mode.
+	// filterable rules share MFSAs. Factors are literals of at least
+	// three bytes. Results are identical in every mode.
 	Prefilter PrefilterMode
-	// MinFactorLen is the shortest literal factor worth prefiltering on;
-	// 0 selects the default (3). Shorter factors hit more often and gate
-	// less; raising the threshold trades filterable-rule coverage for
-	// sweep selectivity.
-	MinFactorLen int
 	// Accel selects byte-skipping acceleration (lazy-DFA state
 	// acceleration, the iMFAnt start-byte skip, and the prefilter sweep's
 	// root skip). The zero value (AccelAuto) enables it; results are
@@ -178,40 +172,20 @@ type Options struct {
 	// whenever every slot is busy (fail-fast). Ignored without
 	// MaxConcurrentScans.
 	MaxQueuedScans int
-	// ThrashRetry selects the lazy-DFA degradation ladder: after a
-	// matching context's cache thrashes, its next scan retries once with
-	// the cache cap doubled, and a thrash at the grown cap pins the
-	// context to the iMFAnt engine permanently — bounded backoff in
-	// place of rebuild-thrash-rebuild churn. The zero value (RetryAuto)
-	// enables the ladder; results are byte-identical on every rung. The
-	// rungs taken are recorded in Stats().Degraded (CacheGrows,
-	// PinnedScans).
-	ThrashRetry RetryMode
 	// Segment selects segment-parallel scanning for whole-buffer ruleset
 	// scans (CountParallel, FindAll): the input is cut into contiguous
 	// segments scanned concurrently, with exact boundary stitching — the
-	// reported events are byte-identical to a serial scan. SegmentAuto (the
-	// zero value) segments inputs of at least SegmentMinBytes; SegmentOn
-	// segments every input large enough to cut; SegmentOff disables the
-	// path. Scanner and StreamMatcher scans are never segmented — their
-	// value is warm per-goroutine state, not intra-input parallelism.
+	// reported events are byte-identical to a serial scan. The segment
+	// count is CountParallel's threads argument when positive, GOMAXPROCS
+	// otherwise. SegmentAuto (the zero value) segments inputs of at least
+	// 1 MiB; SegmentOn segments every input large enough to cut;
+	// SegmentOff disables the path. A group whose boundary carry exceeds
+	// 64 active states, or outlives a whole segment, still finishes the
+	// scan exactly but runs serially from then on (counted in
+	// Stats().Segment.Fallbacks). Scanner and StreamMatcher scans are
+	// never segmented — their value is warm per-goroutine state, not
+	// intra-input parallelism.
 	Segment SegmentMode
-	// SegmentMinBytes is the minimum input size SegmentAuto segments; 0
-	// selects DefaultSegmentMinBytes. Below it the fan-out overhead
-	// (per-worker runners plus boundary stitching) outweighs the
-	// parallelism.
-	SegmentMinBytes int
-	// SegmentWorkers is the segment count per scan; 0 selects GOMAXPROCS.
-	// CountParallel's explicit threads argument, when positive, takes
-	// precedence.
-	SegmentWorkers int
-	// SegmentMaxFrontier bounds the speculative boundary frontier, in
-	// active MFSA states; 0 selects DefaultSegmentMaxFrontier. A group
-	// whose boundary carry exceeds the budget still finishes the current
-	// scan exactly, but is pinned to the serial path for subsequent scans
-	// (counted in Stats().Segment.Fallbacks) — a group that is almost
-	// always mid-match gains nothing from segmentation.
-	SegmentMaxFrontier int
 }
 
 // Match is one reported match.
@@ -263,7 +237,7 @@ type Ruleset struct {
 	// in-package tests via setFaultInjector.
 	faults *faultpoint.Injector
 	// segSerial[i], once set, pins group i to the serial path in segmented
-	// scans: its speculative boundary frontier exceeded SegmentMaxFrontier,
+	// scans: its speculative boundary frontier exceeded segmentMaxFrontier,
 	// or a boundary carry outlived a whole segment, so the group is almost
 	// always mid-match and segmentation buys nothing (see segment.go).
 	// Sticky for the ruleset's lifetime.
@@ -337,14 +311,7 @@ func Compile(patterns []string, opts Options) (*Ruleset, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("imfant: empty ruleset")
 	}
-	out, _, err := pipeline.Run(pipeline.Request{
-		Patterns:     patterns,
-		Merge:        opts.MergeFactor,
-		Limits:       opts.Limits.pipeline(),
-		FactorMinLen: factorMinLenFor(opts),
-		FactorGroup:  opts.Prefilter == PrefilterOn,
-		Shapes:       opts.Engine == EngineAuto,
-	})
+	out, _, err := pipeline.Run(pipelineRequest(patterns, opts, false))
 	if err != nil {
 		return nil, wrapCompileError(err)
 	}
@@ -362,15 +329,7 @@ func CompileLax(patterns []string, opts Options) (rs *Ruleset, ruleErrs []RuleEr
 	if len(patterns) == 0 {
 		return nil, nil, fmt.Errorf("imfant: empty ruleset")
 	}
-	out, perrs, err := pipeline.Run(pipeline.Request{
-		Patterns:     patterns,
-		Merge:        opts.MergeFactor,
-		Limits:       opts.Limits.pipeline(),
-		Lax:          true,
-		FactorMinLen: factorMinLenFor(opts),
-		FactorGroup:  opts.Prefilter == PrefilterOn,
-		Shapes:       opts.Engine == EngineAuto,
-	})
+	out, perrs, err := pipeline.Run(pipelineRequest(patterns, opts, true))
 	for _, pe := range perrs {
 		ruleErrs = append(ruleErrs, RuleError{
 			Rule: pe.Rule, Pattern: pe.Pattern, Stage: pe.Stage, Err: pe.Err,
@@ -382,14 +341,22 @@ func CompileLax(patterns []string, opts Options) (rs *Ruleset, ruleErrs []RuleEr
 	return newRuleset(patterns, out, opts), ruleErrs, nil
 }
 
-// factorMinLenFor returns the factor-extraction threshold to pass to the
-// pipeline: 0 (extraction off) when the prefilter is disabled, the resolved
-// MinFactorLen otherwise.
-func factorMinLenFor(opts Options) int {
-	if opts.Prefilter == PrefilterOff {
-		return 0
+// pipelineRequest is the compile request for patterns under opts. Literal
+// factors of factor.MinLen bytes or more are extracted unless the
+// prefilter is off.
+func pipelineRequest(patterns []string, opts Options, lax bool) pipeline.Request {
+	req := pipeline.Request{
+		Patterns:    patterns,
+		Merge:       opts.MergeFactor,
+		Limits:      opts.Limits.pipeline(),
+		Lax:         lax,
+		FactorGroup: opts.Prefilter == PrefilterOn,
+		Shapes:      opts.Engine == EngineAuto,
 	}
-	return opts.minFactorLen()
+	if opts.Prefilter != PrefilterOff {
+		req.FactorMinLen = factor.MinLen
+	}
+	return req
 }
 
 // wrapCompileError converts a pipeline failure into the public typed form.
@@ -533,7 +500,7 @@ func LoadANML(r io.Reader, opts Options) (*Ruleset, error) {
 	}
 	rs.buildPlan(shapes, nil)
 	if opts.Prefilter != PrefilterOff {
-		rs.buildPrefilter(factorsOf(rs.patterns, opts.minFactorLen()))
+		rs.buildPrefilter(factorsOf(rs.patterns))
 	}
 	return rs, nil
 }
@@ -696,12 +663,8 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 		}(time.Now())
 	}
 	if rs.trace != nil {
-		rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanBegin,
-			Automaton: -1, Rule: -1, Offset: -1, Value: int64(len(input))})
-		defer func() {
-			rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanEnd,
-				Automaton: -1, Rule: -1, Offset: -1, Value: total})
-		}()
+		rs.traceScan(telemetry.EventScanBegin, int64(len(input)))
+		defer func() { rs.traceScan(telemetry.EventScanEnd, total) }()
 	}
 	gate, err := rs.sweepMask(input, check, s.faults, s.sweep, s.active, &s.pref)
 	if err != nil {
@@ -728,18 +691,7 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 				fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
 			}
 		}
-		if rs.trace != nil {
-			inner := onMatch
-			automaton := i
-			onMatch = func(fsa, end int) {
-				rs.trace.Record(telemetry.Event{Kind: telemetry.EventMatch,
-					Automaton: int32(automaton), Rule: int32(rules[fsa].RuleID),
-					Offset: int64(end), Value: 1})
-				if inner != nil {
-					inner(fsa, end)
-				}
-			}
-		}
+		onMatch = rs.traceMatches(i, onMatch)
 		// Stage timing brackets the whole dispatch, including the degraded
 		// exits — a timed-out automaton's wall clock is exactly the sample
 		// an operator wants attributed.
@@ -800,7 +752,7 @@ func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threa
 // receives every event of a segmented scan; events arrive grouped by
 // automaton, unsorted.
 func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, parts int,
-	emit func(automaton, fsa, end int)) (int64, error) {
+	emit func(automaton, fsa, end int)) (total int64, err error) {
 	// The ScanTimeout budget is anchored BEFORE the admission gate, so time
 	// spent queueing for a slot is charged against the same deadline the
 	// scan runs under.
@@ -817,6 +769,10 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 			rs.lat.Record(telemetry.StageScan, time.Since(t0).Nanoseconds())
 		}(time.Now())
 	}
+	if rs.trace != nil {
+		rs.traceScan(telemetry.EventScanBegin, int64(len(input)))
+		defer func() { rs.traceScan(telemetry.EventScanEnd, total) }()
+	}
 	gate, err := rs.sweepMask(input, check, rs.faults, nil, nil, nil)
 	if err != nil {
 		return 0, rs.noteParallelErr(err)
@@ -827,7 +783,6 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 			ids = append(ids, i)
 		}
 	}
-	var total int64
 	if parts > 1 {
 		err = rs.scanSegmented(input, parts, ids, check, emit, &total)
 	} else {
@@ -845,22 +800,6 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 // scanPool hands every admitted group to the worker pool as one block scan
 // on a fresh runner, folding each outcome as it completes.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() error, total *int64) error {
-	if rs.profiles != nil && len(ids) > 1 {
-		// Heat-balanced feeding: hand the hottest automata (by sampled state
-		// visits) to the pool first. Workers pull from an atomic queue, so
-		// descending-cost order approximates LPT scheduling — the expensive
-		// groups start immediately instead of landing last on an
-		// otherwise-drained pool.
-		heat := make([]int64, len(ids))
-		for j, i := range ids {
-			heat[j] = rs.groupHeat(i)
-		}
-		ordered := make([]int, len(ids))
-		for j, o := range segment.OrderByHeat(heat) {
-			ordered[j] = ids[o]
-		}
-		ids = ordered
-	}
 	var sum atomic.Int64
 	pt0 := rs.stageStart()
 	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
@@ -875,7 +814,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() e
 			}
 		}()
 		st0 := rs.stageStart()
-		run, err := blockScan(r, input, runCfg{check: check, faults: rs.faults})
+		run, err := blockScan(r, input, runCfg{onMatch: rs.traceMatches(i, nil), check: check, faults: rs.faults})
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		folded = true
 		rs.fold(i, &run, nil, nil)

@@ -41,10 +41,6 @@ type Matcher struct {
 	keep      bool
 }
 
-// MinFactorLen is the shortest literal factor worth prefiltering; shorter
-// strings hit too often to skip any work.
-const MinFactorLen = factor.MinLen
-
 // New compiles a decomposed matcher. keepOnMatch selects the engine's match
 // semantics, as in engine.Config.
 func New(patterns []string, keepOnMatch bool) (*Matcher, error) {
@@ -74,7 +70,7 @@ func New(patterns []string, keepOnMatch bool) (*Matcher, error) {
 			return nil, err
 		}
 		m.programs[i] = engine.NewProgram(z)
-		if f, ok := Factor(ast, MinFactorLen); ok {
+		if f, ok := Factor(ast, factor.MinLen); ok {
 			m.factorOf[i] = len(factors)
 			factors = append(factors, []byte(f))
 		} else {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/factor"
 	"repro/internal/mfsa"
 	"repro/internal/nfa"
 	"repro/internal/rex"
@@ -25,7 +26,7 @@ func TestFactorExtraction(t *testing.T) {
 		{"xy[0-9]longest", "longest", true},
 		{"a*needle", "needle", true},
 		{"nee(d|D)le", "nee", true},
-		{"ab", "", false}, // below MinFactorLen
+		{"ab", "", false}, // below factor.MinLen
 		{"x{5}", "xxxxx", true},
 		{"(ab){3}", "ababab", true},
 		{"(ab){2,5}", "abab", true}, // min copies guaranteed contiguous
@@ -36,7 +37,7 @@ func TestFactorExtraction(t *testing.T) {
 	}
 	for _, c := range cases {
 		ast := rex.MustParse(c.pattern)
-		got, ok := Factor(ast, MinFactorLen)
+		got, ok := Factor(ast, factor.MinLen)
 		if ok != c.ok || got != c.want {
 			t.Errorf("Factor(%q) = %q,%v want %q,%v", c.pattern, got, ok, c.want, c.ok)
 		}

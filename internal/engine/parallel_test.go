@@ -242,42 +242,6 @@ func BenchmarkRunParallel(b *testing.B) {
 	}
 }
 
-func TestPoolMatchesRunParallel(t *testing.T) {
-	patterns := []string{"abc", "bcd", "a[bc]", "c+"}
-	ps := buildPrograms(t, 2, patterns)
-	rnd := rand.New(rand.NewSource(44))
-	in := make([]byte, 2048)
-	for i := range in {
-		in[i] = byte('a' + rnd.Intn(4))
-	}
-	want, err := RunParallel(ps, in, 1, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(ps)
-	for _, threads := range []int{1, 2, 4, -1} {
-		got := pool.Run(in, threads, Config{})
-		for i := range want {
-			if got[i].Matches != want[i].Matches || !reflect.DeepEqual(got[i].PerFSA, want[i].PerFSA) {
-				t.Fatalf("threads=%d program %d mismatch", threads, i)
-			}
-		}
-	}
-	// Repeated runs must not leak state.
-	again := pool.Run(in, 2, Config{})
-	for i := range want {
-		if again[i].Matches != want[i].Matches {
-			t.Fatalf("pool reuse leaked state at program %d", i)
-		}
-	}
-}
-
-func TestPoolEmpty(t *testing.T) {
-	if got := NewPool(nil).Run([]byte("x"), 2, Config{}); got != nil {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestRunParallelContainsWorkerPanic(t *testing.T) {
 	checkNoGoroutineLeak(t)
 	ps := buildPrograms(t, 1, []string{"ab", "cd", "ef"})

@@ -394,11 +394,32 @@ func (r *Runner) renderFig9Summary(w io.Writer, rows []Fig9Row) {
 // averaged over Reps, returning the total latency. Runner state is reused
 // across reps, as the paper's repeated measurements would.
 func (r *Runner) timeSequential(ps []*engine.Program, in []byte) time.Duration {
-	pool := engine.NewPool(ps)
+	return r.timeThreads(newRunners(ps), in, 1)
+}
+
+// newRunners returns one reusable engine Runner per program.
+func newRunners(ps []*engine.Program) []*engine.Runner {
+	runners := make([]*engine.Runner, len(ps))
+	for i, p := range ps {
+		runners[i] = engine.NewRunner(p)
+	}
+	return runners
+}
+
+// timeThreads runs every runner over the input on `threads` workers with
+// the work-queue scheme of §VI-C2, averaged over Reps.
+func (r *Runner) timeThreads(runners []*engine.Runner, in []byte, threads int) time.Duration {
+	ids := make([]int, len(runners))
+	for i := range ids {
+		ids[i] = i
+	}
 	var total time.Duration
 	for rep := 0; rep < r.o.Reps; rep++ {
 		start := time.Now()
-		pool.Run(in, 1, engine.Config{})
+		engine.ForEach(ids, threads, nil, nil, func(i int, _ func() error) error {
+			runners[i].Run(in, engine.Config{})
+			return nil
+		})
 		total += time.Since(start)
 	}
 	return total / time.Duration(r.o.Reps)
@@ -426,15 +447,9 @@ func (r *Runner) Fig10(w io.Writer) ([]Fig10Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			pool := engine.NewPool(ps)
+			runners := newRunners(ps)
 			for _, t := range r.o.Threads {
-				var total time.Duration
-				for rep := 0; rep < r.o.Reps; rep++ {
-					start := time.Now()
-					pool.Run(in, t, engine.Config{})
-					total += time.Since(start)
-				}
-				elapsed := total / time.Duration(r.o.Reps)
+				elapsed := r.timeThreads(runners, in, t)
 				rows = append(rows, Fig10Row{Abbr: s.Abbr, M: m, Threads: t, ExeTime: elapsed})
 				tb.AddRow(s.Abbr, mLabel(m), t, elapsed)
 			}

@@ -35,7 +35,7 @@ func TestThrashRetryLadder(t *testing.T) {
 	// This ruleset reaches 7 distinct lazy states on this input; cap 3 and
 	// its grown double 6 both overflow, and the negative flush budget turns
 	// the first full cache into a thrash.
-	cfg := Config{KeepOnMatch: true, MaxStates: 3, MaxFlushes: -1, ThrashRetry: true}
+	cfg := Config{KeepOnMatch: true, MaxStates: 3, MaxFlushes: -1}
 	r := NewRunner(m)
 
 	var got []engine.MatchEvent
@@ -93,7 +93,7 @@ func TestThrashRetrySucceedsAtGrownCap(t *testing.T) {
 	r := NewRunner(m)
 	// Cap 4 overflows this ruleset's 7 lazy states and the negative budget
 	// turns that into a thrash; the doubled cap 8 holds the full state set.
-	cfg := Config{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1, ThrashRetry: true}
+	cfg := Config{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1}
 	res := r.Run(in, cfg)
 	if !res.Thrashed {
 		t.Fatalf("cap 4 did not thrash (cached %d states)", res.CachedStates)

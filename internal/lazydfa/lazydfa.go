@@ -111,14 +111,6 @@ type Config struct {
 	// outside the per-byte loop; a nil Profile costs one branch per fed
 	// chunk.
 	Profile *engine.Profile
-	// ThrashRetry enables the degradation ladder across scans of this
-	// Runner: the first thrash fallback doubles the cache cap for the
-	// next scan (one-shot retry-with-larger-cache), and a thrash at the
-	// grown cap pins the runner to the iMFAnt engine permanently —
-	// bounded backoff instead of rebuild-thrash-rebuild churn on traffic
-	// the cache cannot hold. Result.Grew/Pinned and Totals.Grows/Pins
-	// record the rungs taken.
-	ThrashRetry bool
 	// Faults, when non-nil, arms this scan's fault-injection sites
 	// (flush storms, forced thrash, allocation caps, stalled chunks) and
 	// is inherited by the iMFAnt fallback. Like Profile, a nil Faults
@@ -165,7 +157,7 @@ type Result struct {
 	// accelerable (a gauge over the live cache, like CachedStates).
 	AccelStates int
 	// Grew reports that this scan ran with the cache cap doubled by the
-	// ThrashRetry ladder after the previous scan thrashed.
+	// degradation ladder after the previous scan thrashed.
 	Grew bool
 	// Pinned reports that this scan was delegated whole to the iMFAnt
 	// engine because the ladder is out of rungs: the traffic thrashed the
@@ -195,9 +187,8 @@ type Totals struct {
 	Fallbacks int64
 	// AccelBytes aggregates the per-scan accelerated-jump byte counters.
 	AccelBytes int64
-	// Grows counts scans retried with a doubled cache cap after a thrash
-	// (Config.ThrashRetry); at most 1 per Runner lifetime — the ladder
-	// has one grow rung.
+	// Grows counts scans retried with a doubled cache cap after a thrash;
+	// at most 1 per Runner lifetime — the ladder has one grow rung.
 	Grows int64
 	// Pins counts scans delegated whole to the iMFAnt engine because the
 	// ladder bottomed out (thrash at the grown cap).
@@ -315,7 +306,7 @@ type Runner struct {
 	// scan would flush on its first miss anyway — a clean rebuild is
 	// cheaper and leaves no half-stale table behind.
 	thrashed bool
-	// Degradation-ladder state (Config.ThrashRetry), runner lifetime:
+	// Degradation-ladder state, runner lifetime (see Begin):
 	// grown records the one-shot cache grow has been spent (grownCap is
 	// the doubled cap it selected); permanent pins every further scan to
 	// the iMFAnt engine.
@@ -367,21 +358,18 @@ func (r *Runner) Begin(cfg Config) {
 	// thrash at the grown cap pins the runner to the iMFAnt engine — the
 	// traffic has defeated both caps, so rebuilding the cache every scan
 	// would only add churn on top of the fallback it always ends in.
-	var grew, pinned bool
-	if cfg.ThrashRetry {
-		if r.thrashed && !r.permanent {
-			if !r.grown {
-				r.grown = true
-				r.grownCap = 2 * cfg.MaxStates
-				grew = true
-			} else {
-				r.permanent = true
-			}
+	var grew bool
+	if r.thrashed && !r.permanent {
+		if !r.grown {
+			r.grown = true
+			r.grownCap = 2 * cfg.MaxStates
+			grew = true
+		} else {
+			r.permanent = true
 		}
-		if r.grown && !r.permanent {
-			cfg.MaxStates = r.grownCap
-		}
-		pinned = r.permanent
+	}
+	if r.grown && !r.permanent {
+		cfg.MaxStates = r.grownCap
 	}
 	rebuild := (cfg.MaxStates != r.maxStates && r.maxStates != 0) ||
 		r.thrashed || cfg.Accel != r.accelOn || cfg.KeepOnMatch != r.keepOn
@@ -407,7 +395,7 @@ func (r *Runner) Begin(cfg Config) {
 	for i := range r.fbSeen {
 		r.fbSeen[i] = 0
 	}
-	if pinned {
+	if r.permanent {
 		// Ladder bottom: delegate the whole stream to the iMFAnt engine,
 		// deduplicated to the cached path's exact event semantics (one
 		// event per (FSA, end), ascending FSA order).

@@ -401,7 +401,9 @@ func TestEndAnnouncedAfterFactLazy(t *testing.T) {
 // fix: reusing a runner across scans — including immediately after a scan
 // that thrashed the cache and fell back, and across KeepOnMatch/MaxFlushes
 // changes — must never change the (FSA, end) event set versus a fresh
-// runner with the same config.
+// runner with the same config. The thrash on the first scan spends the
+// ladder's grow rung, so the warm runner scans at the doubled cap from
+// then on while each fresh reference runner starts at the configured one.
 func TestWarmCacheConfigInvariance(t *testing.T) {
 	_, m := compile(t, "a+b", "b+a", "ab+a", "ba+b", "aa", "bb")
 	rng := rand.New(rand.NewSource(17))
@@ -411,11 +413,11 @@ func TestWarmCacheConfigInvariance(t *testing.T) {
 	}
 	configs := []Config{
 		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 2},       // thrash → fallback
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1 << 30}, // right after thrash
+		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1 << 30}, // grown retry
 		{KeepOnMatch: true}, // default cap
 		{},                  // pop semantics
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1}, // immediate fallback
-		{KeepOnMatch: true}, // and back to cached
+		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1}, // no flush budget
+		{KeepOnMatch: true}, // and back
 	}
 	r := NewRunner(m)
 	for step, cfg := range configs {
@@ -432,9 +434,12 @@ func TestWarmCacheConfigInvariance(t *testing.T) {
 			t.Fatalf("step %d cfg=%+v: warm runner diverged (%d events vs %d)",
 				step, cfg, len(got), len(want))
 		}
-		if step == 1 && res.FellBack {
-			t.Fatal("generous flush budget fell back on the scan after a thrash — stale table kept")
+		if step == 1 && (res.FellBack || !res.Grew) {
+			t.Fatalf("scan after a thrash: FellBack=%v Grew=%v, want a grown cached retry", res.FellBack, res.Grew)
 		}
+	}
+	if tot := r.Totals(); tot.Fallbacks != 1 || tot.Grows != 1 || tot.Pins != 0 {
+		t.Fatalf("ladder totals Fallbacks=%d Grows=%d Pins=%d, want 1/1/0", tot.Fallbacks, tot.Grows, tot.Pins)
 	}
 }
 

@@ -25,6 +25,7 @@
 package segment
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -195,7 +196,7 @@ func Scan(g Group, input []byte, bounds []int, emit func(fsa, end int)) (Result,
 		}
 	}
 	if len(errs) > 0 {
-		return res, joinErrs(errs)
+		return res, errors.Join(errs...)
 	}
 
 	deliver := func(events []Event) {
@@ -539,7 +540,7 @@ func ScanAC(m *ahocorasick.Matcher, input []byte, bounds []int, accel bool,
 		}
 	}
 	if len(errs) > 0 {
-		return res, joinErrs(errs)
+		return res, errors.Join(errs...)
 	}
 	for k := range outs {
 		for _, e := range outs[k].events {

@@ -315,14 +315,6 @@ func TestScanACEquivalence(t *testing.T) {
 	}
 }
 
-func TestOrderByHeat(t *testing.T) {
-	got := OrderByHeat([]int64{3, 9, 1, 9, 5})
-	want := []int{1, 3, 4, 0, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("OrderByHeat = %v, want %v", got, want)
-	}
-}
-
 func randomInput(rng *rand.Rand, alphabet []byte, n int) []byte {
 	out := make([]byte, n)
 	for i := range out {

@@ -93,9 +93,9 @@ type DegradedStats struct {
 	// engine after thrashing the cache — the ladder's first rung,
 	// mirroring Lazy.Fallbacks.
 	ThrashFallbacks int64 `json:"thrash_fallbacks"`
-	// CacheGrows counts one-shot retry-with-larger-cache events
-	// (Options.ThrashRetry): a matching context re-entering the cached
-	// path with its cap doubled after a thrash.
+	// CacheGrows counts one-shot retry-with-larger-cache events: a
+	// matching context re-entering the cached path with its cap doubled
+	// after a thrash.
 	CacheGrows int64 `json:"cache_grows"`
 	// PinnedScans counts scans delegated whole to the iMFAnt engine
 	// because the ladder bottomed out (thrash at the grown cap too).
@@ -110,8 +110,8 @@ type DegradedStats struct {
 // construction across mixed workloads). A high StitchBytes share means
 // boundary carries survive deep into segments (match-dense or always-live
 // rules) and segmentation is paying for its parallelism; Fallbacks counts
-// groups pinned serial because their speculative frontier exceeded
-// Options.SegmentMaxFrontier or a boundary carry outlived a whole segment.
+// groups pinned serial because their speculative frontier exceeded 64
+// active states or a boundary carry outlived a whole segment.
 type SegmentStats struct {
 	// SegmentedScans counts automaton-group executions that ran
 	// segment-parallel.

@@ -74,9 +74,32 @@ func causeMask(err error) int64 {
 // traceScanError records a scan_error span carrying err's degradation
 // cause chain in Value; no-op when tracing is off.
 func (rs *Ruleset) traceScanError(err error) {
-	if rs.trace == nil || err == nil {
-		return
+	if err != nil {
+		rs.traceScan(telemetry.EventScanError, causeMask(err))
 	}
-	rs.trace.Record(telemetry.Event{Kind: telemetry.EventScanError,
-		Automaton: -1, Rule: -1, Offset: -1, Value: causeMask(err)})
+}
+
+// traceScan records a ruleset-scan span: scan_begin carries the input
+// length, scan_end the match count. No-op when tracing is off.
+func (rs *Ruleset) traceScan(kind telemetry.EventKind, value int64) {
+	if rs.trace != nil {
+		rs.trace.Record(telemetry.Event{Kind: kind, Automaton: -1, Rule: -1, Offset: -1, Value: value})
+	}
+}
+
+// traceMatches wraps automaton i's match callback so every match is also
+// recorded as a match event. onMatch may be nil; it is returned unchanged
+// when tracing is off.
+func (rs *Ruleset) traceMatches(i int, onMatch func(fsa, end int)) func(fsa, end int) {
+	if rs.trace == nil {
+		return onMatch
+	}
+	rules := rs.programs[i].Rules()
+	return func(fsa, end int) {
+		rs.trace.Record(telemetry.Event{Kind: telemetry.EventMatch,
+			Automaton: int32(i), Rule: int32(rules[fsa].RuleID), Offset: int64(end), Value: 1})
+		if onMatch != nil {
+			onMatch(fsa, end)
+		}
+	}
 }

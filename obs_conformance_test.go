@@ -46,9 +46,9 @@ func TestObsConformance(t *testing.T) {
 		{"auto", Options{MergeFactor: 3}},
 		{"auto-pref", Options{MergeFactor: 3, Prefilter: PrefilterOn}},
 		{"imfant", Options{MergeFactor: 3, Engine: EngineIMFAnt, Prefilter: PrefilterOff}},
-		{"imfant-accel", Options{MergeFactor: 3, Engine: EngineIMFAnt, Accel: AccelOn}},
+		{"imfant-accel", Options{MergeFactor: 3, Engine: EngineIMFAnt, Accel: AccelAuto}},
 		{"lazy", Options{MergeFactor: 3, Engine: EngineLazyDFA, KeepOnMatch: true}},
-		{"lazy-accel-pref", Options{MergeFactor: 3, Engine: EngineLazyDFA, Accel: AccelOn, Prefilter: PrefilterOn}},
+		{"lazy-accel-pref", Options{MergeFactor: 3, Engine: EngineLazyDFA, Accel: AccelAuto, Prefilter: PrefilterOn}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			onOpts, offOpts := tc.opts, tc.opts

@@ -231,7 +231,7 @@ func TestStrategyPlannerConformance(t *testing.T) {
 			}
 			sortMatches(want)
 			for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, ac := range []AccelMode{AccelOff, AccelOn} {
+				for _, ac := range []AccelMode{AccelOff, AccelAuto} {
 					opts := Options{MergeFactor: 2, KeepOnMatch: keep,
 						Engine: EngineAuto, Prefilter: pf, Accel: ac}
 					on := MustCompile(plannerPatterns, opts)

@@ -64,14 +64,6 @@ type prefilter struct {
 	groupAlways  []bool    // automaton has a factor-less member: always runs
 }
 
-// minFactorLen resolves Options.MinFactorLen to the effective threshold.
-func (o Options) minFactorLen() int {
-	if o.MinFactorLen <= 0 {
-		return factor.MinLen
-	}
-	return o.MinFactorLen
-}
-
 // buildPrefilter compiles the gating plan from per-rule factors (indexed by
 // rule id, "" meaning unfilterable). Called after buildPlan — only groups
 // the plan left gatable participate: AC-routed groups must not ALSO be swept
@@ -156,7 +148,7 @@ func (rs *Ruleset) buildPrefilter(factors []string) {
 // whose compilation pipeline did not run (LoadANML). Rules whose source is
 // missing or no longer parses are treated as unfilterable, which is always
 // sound. Returns nil when no rule yields a factor.
-func factorsOf(patterns []string, minLen int) []string {
+func factorsOf(patterns []string) []string {
 	out := make([]string, len(patterns))
 	any := false
 	for i, p := range patterns {
@@ -167,7 +159,7 @@ func factorsOf(patterns []string, minLen int) []string {
 		if err != nil {
 			continue
 		}
-		if f, ok := factor.Extract(ast, minLen); ok {
+		if f, ok := factor.Extract(ast, factor.MinLen); ok {
 			out[i] = f
 			any = true
 		}

@@ -333,6 +333,9 @@ func TestPrefilterStreamWakeReplay(t *testing.T) {
 // (including 1-byte writes), on both engines, with the prefilter on and
 // off. Every combination must produce the identical match set.
 func TestQuickPrefilterConformance(t *testing.T) {
+	// quickcheckPatterns plus rules whose literal factors reach the
+	// three-byte extraction threshold over the input alphabets below.
+	patterns := append([]string{"abc", "cde", "b+cde", "(abc|bcd)e"}, quickcheckPatterns...)
 	rng := rand.New(rand.NewSource(7))
 	engines := []Options{
 		{},                  // iMFAnt, pop semantics
@@ -342,76 +345,61 @@ func TestQuickPrefilterConformance(t *testing.T) {
 	gatingLive := 0                             // configs where literal gating engaged; 0 would be vacuous
 	alphabets := []string{"abcde", "cde", "de"} // from factor-rich to factor-free
 	for _, base := range engines {
-		for _, minLen := range []int{1, 2} {
-			for _, merge := range []int{0, 2} {
-				offOpts, onOpts := base, base
-				offOpts.Prefilter, offOpts.MergeFactor = PrefilterOff, merge
-				onOpts.Prefilter, onOpts.MergeFactor, onOpts.MinFactorLen = PrefilterOn, merge, minLen
-				off := MustCompile(quickcheckPatterns, offOpts)
-				on := MustCompile(quickcheckPatterns, onOpts)
-				// A config may legitimately end up ungated: the planner can
-				// route every factor-bearing rule to an AC or anchored
-				// strategy, and a grouping with no fully-filterable group
-				// compiles the sweep away as pure overhead. The differential
-				// matrix runs either way; the cross-config tally below keeps
-				// the whole test from going vacuous.
-				if on.Stats().Prefilter != nil {
-					gatingLive++
+		for _, merge := range []int{0, 2} {
+			offOpts, onOpts := base, base
+			offOpts.Prefilter, offOpts.MergeFactor = PrefilterOff, merge
+			onOpts.Prefilter, onOpts.MergeFactor = PrefilterOn, merge
+			off := MustCompile(patterns, offOpts)
+			on := MustCompile(patterns, onOpts)
+			// A config may legitimately end up ungated: the planner can
+			// route every factor-bearing rule to an AC or anchored
+			// strategy, and a grouping with no fully-filterable group
+			// compiles the sweep away as pure overhead. The differential
+			// matrix runs either way; the cross-config tally below keeps
+			// the whole test from going vacuous.
+			if on.Stats().Prefilter != nil {
+				gatingLive++
+			}
+			for trial := 0; trial < 50; trial++ {
+				ab := alphabets[rng.Intn(len(alphabets))]
+				in := make([]byte, rng.Intn(100))
+				for i := range in {
+					in[i] = ab[rng.Intn(len(ab))]
 				}
-				for trial := 0; trial < 25; trial++ {
-					ab := alphabets[rng.Intn(len(alphabets))]
-					in := make([]byte, rng.Intn(100))
-					for i := range in {
-						in[i] = ab[rng.Intn(len(ab))]
+				want := off.FindAll(in)
+				if got := on.FindAll(in); !reflect.DeepEqual(got, want) {
+					t.Fatalf("opts %+v merge=%d input %q: FindAll %v, unfiltered %v",
+						base, merge, in, got, want)
+				}
+				wantN, _ := off.CountParallel(in, 2)
+				if gotN, _ := on.CountParallel(in, 2); gotN != wantN {
+					t.Fatalf("opts %+v merge=%d input %q: CountParallel %d, unfiltered %d",
+						base, merge, in, gotN, wantN)
+				}
+				var got []Match
+				sm := on.NewStreamMatcher(func(m Match) { got = append(got, m) })
+				for written := 0; written < len(in); {
+					n := 1
+					if rng.Intn(3) > 0 {
+						n = 1 + rng.Intn(len(in)-written)
 					}
-					want := off.FindAll(in)
-					if got := on.FindAll(in); !reflect.DeepEqual(got, want) {
-						t.Fatalf("opts %+v minLen=%d input %q: FindAll %v, unfiltered %v",
-							base, minLen, in, got, want)
+					if w, err := sm.Write(in[written : written+n]); err != nil || w != n {
+						t.Fatalf("opts %+v: Write = (%d, %v)", base, w, err)
 					}
-					wantN, _ := off.CountParallel(in, 2)
-					if gotN, _ := on.CountParallel(in, 2); gotN != wantN {
-						t.Fatalf("opts %+v minLen=%d input %q: CountParallel %d, unfiltered %d",
-							base, minLen, in, gotN, wantN)
-					}
-					var got []Match
-					sm := on.NewStreamMatcher(func(m Match) { got = append(got, m) })
-					for written := 0; written < len(in); {
-						n := 1
-						if rng.Intn(3) > 0 {
-							n = 1 + rng.Intn(len(in)-written)
-						}
-						if w, err := sm.Write(in[written : written+n]); err != nil || w != n {
-							t.Fatalf("opts %+v: Write = (%d, %v)", base, w, err)
-						}
-						written += n
-					}
-					if err := sm.Close(); err != nil {
-						t.Fatal(err)
-					}
-					sortMatches(got)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("opts %+v minLen=%d input %q: stream %v, unfiltered %v",
-							base, minLen, in, got, want)
-					}
+					written += n
+				}
+				if err := sm.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sortMatches(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("opts %+v merge=%d input %q: stream %v, unfiltered %v",
+						base, merge, in, got, want)
 				}
 			}
 		}
 	}
 	if gatingLive == 0 {
 		t.Fatal("no configuration had literal gating live; the matrix was vacuous")
-	}
-}
-
-// TestPrefilterMinFactorLen verifies the knob: a threshold longer than any
-// extractable factor leaves every rule unfilterable, so auto mode stays off.
-func TestPrefilterMinFactorLen(t *testing.T) {
-	rs := MustCompile([]string{"abc[0-9]", "xyz[0-9]"}, Options{MinFactorLen: 10})
-	if rs.PrefilterActive() {
-		t.Fatal("prefilter engaged although MinFactorLen exceeds every literal run")
-	}
-	rs = MustCompile([]string{"abc[0-9]", "xyz[0-9]"}, Options{MinFactorLen: 3})
-	if !rs.PrefilterActive() {
-		t.Fatal("prefilter off although both rules have 3-byte factors")
 	}
 }

@@ -13,24 +13,24 @@ import (
 type SegmentMode int
 
 const (
-	// SegmentAuto segments inputs of at least Options.SegmentMinBytes when
-	// more than one worker is available.
+	// SegmentAuto segments inputs of at least 1 MiB when more than one
+	// worker is available.
 	SegmentAuto SegmentMode = iota
-	// SegmentOn segments every input large enough to cut, regardless of
-	// SegmentMinBytes.
+	// SegmentOn segments every input large enough to cut, whatever its
+	// size.
 	SegmentOn
 	// SegmentOff disables segment-parallel scanning.
 	SegmentOff
 )
 
 const (
-	// DefaultSegmentMinBytes is the SegmentAuto threshold: below 1 MiB the
+	// segmentMinBytes is the SegmentAuto threshold: below 1 MiB the
 	// per-worker runner setup and boundary stitching outweigh the
 	// parallelism.
-	DefaultSegmentMinBytes = 1 << 20
-	// DefaultSegmentMaxFrontier is the speculative boundary-frontier budget,
-	// in active MFSA states.
-	DefaultSegmentMaxFrontier = 64
+	segmentMinBytes = 1 << 20
+	// segmentMaxFrontier is the speculative boundary-frontier budget, in
+	// active MFSA states. A group whose carry exceeds it is pinned serial.
+	segmentMaxFrontier = 64
 )
 
 // localSegmentStats builds the Segment stats section for a Scanner or
@@ -46,24 +46,13 @@ func (rs *Ruleset) localSegmentStats(bytes int64) *SegmentStats {
 // segmentParts resolves the segment count for an n-byte scan: 0 means "do
 // not segment" (mode off, input below the auto threshold, or only one worker
 // available). threads, when positive, is CountParallel's explicit worker
-// count and takes precedence over Options.SegmentWorkers.
+// count; otherwise every available processor gets a segment.
 func (rs *Ruleset) segmentParts(n, threads int) int {
-	if rs.opts.Segment == SegmentOff {
+	if rs.opts.Segment == SegmentOff ||
+		rs.opts.Segment == SegmentAuto && n < segmentMinBytes {
 		return 0
 	}
-	if rs.opts.Segment == SegmentAuto {
-		min := rs.opts.SegmentMinBytes
-		if min <= 0 {
-			min = DefaultSegmentMinBytes
-		}
-		if n < min {
-			return 0
-		}
-	}
 	p := threads
-	if p <= 0 {
-		p = rs.opts.SegmentWorkers
-	}
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
@@ -74,28 +63,6 @@ func (rs *Ruleset) segmentParts(n, threads int) int {
 		return 0
 	}
 	return p
-}
-
-// maxFrontier resolves the speculative-frontier budget.
-func (rs *Ruleset) maxFrontier() int {
-	if rs.opts.SegmentMaxFrontier > 0 {
-		return rs.opts.SegmentMaxFrontier
-	}
-	return DefaultSegmentMaxFrontier
-}
-
-// groupHeat is automaton i's total sampled state-visit count — the planner's
-// work estimate for heat-balanced ordering. 0 when profiling is off.
-func (rs *Ruleset) groupHeat(i int) int64 {
-	p := rs.profileOf(i)
-	if p == nil {
-		return 0
-	}
-	var total int64
-	for _, v := range p.Visits() {
-		total += v
-	}
-	return total
 }
 
 // scanSegmented runs the admitted groups in turn, each over parts segments
@@ -112,6 +79,7 @@ func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, check func(
 			automaton := i
 			groupEmit = func(fsa, end int) { emit(automaton, fsa, end) }
 		}
+		groupEmit = rs.traceMatches(i, groupEmit)
 		x := rs.plan.exec[i]
 		st0 := rs.stageStart()
 		var run groupRun

@@ -55,9 +55,12 @@ func segRuleset(t testing.TB, opts Options) *Ruleset {
 	return rs
 }
 
-// TestSegmentedScanConformance is the tentpole's correctness gate: segmented
-// CountParallel and FindAll are byte-identical to their serial counterparts
-// across engines × prefilter × acceleration × worker counts.
+// TestSegmentedScanConformance is the segment path's correctness gate:
+// segmented CountParallel and FindAll are byte-identical to their serial
+// counterparts across engines × prefilter × acceleration × worker counts.
+// The worker counts come from CountParallel's threads argument and from
+// findAllSegmented directly, so coverage does not depend on the host's CPU
+// count; the public FindAll runs at GOMAXPROCS segments.
 func TestSegmentedScanConformance(t *testing.T) {
 	inputs := segConfInputs(t)
 	for _, eng := range []EngineMode{EngineIMFAnt, EngineLazyDFA} {
@@ -66,7 +69,7 @@ func TestSegmentedScanConformance(t *testing.T) {
 				continue // lazy engine runs keep-semantics scans
 			}
 			for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, accel := range []AccelMode{AccelOff, AccelOn} {
+				for _, accel := range []AccelMode{AccelOff, AccelAuto} {
 					base := Options{Engine: eng, KeepOnMatch: keep, Prefilter: pf, Accel: accel}
 					serialOpts := base
 					serialOpts.Segment = SegmentOff
@@ -74,17 +77,20 @@ func TestSegmentedScanConformance(t *testing.T) {
 					for _, workers := range []int{2, 3, 8} {
 						segOpts := base
 						segOpts.Segment = SegmentOn
-						segOpts.SegmentWorkers = workers
 						seg := segRuleset(t, segOpts)
 						for ii, in := range inputs {
 							wantMatches := serial.FindAll(in)
-							gotMatches, err := seg.FindAllContext(t.Context(), in)
+							gotMatches, err := seg.findAllSegmented(t.Context(), in, workers)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if !reflect.DeepEqual(gotMatches, wantMatches) {
 								t.Fatalf("eng=%v keep=%v pf=%v accel=%v workers=%d input#%d: FindAll\ngot  %v\nwant %v",
 									eng, keep, pf, accel, workers, ii, gotMatches, wantMatches)
+							}
+							if got := seg.FindAll(in); !reflect.DeepEqual(got, wantMatches) {
+								t.Fatalf("eng=%v keep=%v pf=%v accel=%v input#%d: public FindAll\ngot  %v\nwant %v",
+									eng, keep, pf, accel, ii, got, wantMatches)
 							}
 							want, err := serial.CountParallel(in, 1)
 							if err != nil {
@@ -106,13 +112,13 @@ func TestSegmentedScanConformance(t *testing.T) {
 	}
 }
 
-// TestSegmentAutoThreshold pins the SegmentAuto gate: inputs under
-// SegmentMinBytes stay serial (Segment section all-serial), larger ones
-// segment.
+// TestSegmentAutoThreshold pins the SegmentAuto gate: an input one byte
+// under 1 MiB stays serial (Segment section all-serial), a 1 MiB one
+// segments.
 func TestSegmentAutoThreshold(t *testing.T) {
-	rs := segRuleset(t, Options{SegmentMinBytes: 1024, SegmentWorkers: 4})
-	small := []byte(strings.Repeat("ab", 256)) // 512 B: under the threshold
-	if _, err := rs.CountParallel(small, 0); err != nil {
+	rs := segRuleset(t, Options{})
+	small := []byte(strings.Repeat("ab", 1<<19)[1:]) // 1 MiB − 1: under the threshold
+	if _, err := rs.CountParallel(small, 4); err != nil {
 		t.Fatal(err)
 	}
 	st := rs.Stats()
@@ -125,8 +131,8 @@ func TestSegmentAutoThreshold(t *testing.T) {
 	if st.Segment.SerialBytes != st.BytesScanned {
 		t.Fatalf("sub-threshold serial bytes %d, want all %d", st.Segment.SerialBytes, st.BytesScanned)
 	}
-	large := []byte(strings.Repeat("ab", 1024)) // 2 KiB: over it
-	if _, err := rs.CountParallel(large, 0); err != nil {
+	large := []byte(strings.Repeat("ab", 1<<19)) // 1 MiB: at it
+	if _, err := rs.CountParallel(large, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st = rs.Stats(); st.Segment.SegmentedScans == 0 {
@@ -138,7 +144,7 @@ func TestSegmentAutoThreshold(t *testing.T) {
 // StitchBytes + SerialBytes == BytesScanned, exactly, on a workload mixing
 // segmented parallel scans with serial Scanner scans.
 func TestSegmentStatsPartition(t *testing.T) {
-	rs := segRuleset(t, Options{Segment: SegmentOn, SegmentWorkers: 4})
+	rs := segRuleset(t, Options{Segment: SegmentOn})
 	inputs := segConfInputs(t)
 	for _, in := range inputs {
 		if _, err := rs.CountParallel(in, 4); err != nil {
@@ -173,30 +179,30 @@ func TestSegmentStatsPartition(t *testing.T) {
 }
 
 // TestSegmentFrontierFallbackSticky pins the degradation contract: a group
-// whose boundary carry exceeds SegmentMaxFrontier still reports exact
-// results, records a fallback, and runs serially on subsequent segmented
-// scans.
+// whose boundary carry exceeds the segmentMaxFrontier budget still reports
+// exact results, records a fallback, and runs serially on subsequent
+// segmented scans.
 func TestSegmentFrontierFallbackSticky(t *testing.T) {
-	// "a.*b" keeps its loop state alive from the first 'a' on, and the
-	// repeated "ax" prefix keeps several overlapping "a[xy]{0,8}b" windows
-	// live at every position — so every boundary carry holds multiple
-	// states, over the minimal budget of 1.
-	// Engine forced so the planner cannot route the groups to the eager-DFA
+	// On a run of 'a's every position opens a new "a[ax]{0,100}b" window,
+	// so every boundary carry holds 101 live states, over the budget of
+	// segmentMaxFrontier. Each window dies within 102 bytes, far short of a
+	// 1 KiB segment, so the carry never outlives a segment: the pin comes
+	// from the frontier budget alone.
+	// Engine forced so the planner cannot route the group to the eager-DFA
 	// strategy, which runs serially and never carries a frontier.
-	patterns := []string{"a.*b", "a[xy]{0,8}b"}
+	patterns := []string{"a[ax]{0,100}b"}
 	serial, err := Compile(patterns, Options{Engine: EngineIMFAnt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Compile(patterns, Options{Engine: EngineIMFAnt,
-		Segment: SegmentOn, SegmentWorkers: 4, SegmentMaxFrontier: 1})
+	rs, err := Compile(patterns, Options{Engine: EngineIMFAnt, Segment: SegmentOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []byte(strings.Repeat("ax", 2048) + "b" + strings.Repeat("q", 64) + "axb")
+	in := []byte(strings.Repeat("a", 4096) + "b" + strings.Repeat("q", 64) + "axb")
 	want := serial.FindAll(in)
 	for round := 0; round < 2; round++ {
-		got, err := rs.FindAllContext(t.Context(), in)
+		got, err := rs.findAllSegmented(t.Context(), in, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +218,7 @@ func TestSegmentFrontierFallbackSticky(t *testing.T) {
 	// serial bytes but no fallback growth.
 	fallbacks := st.Segment.Fallbacks
 	serialBytes := st.Segment.SerialBytes
-	if _, err := rs.FindAllContext(t.Context(), in); err != nil {
+	if _, err := rs.findAllSegmented(t.Context(), in, 4); err != nil {
 		t.Fatal(err)
 	}
 	st = rs.Stats()
@@ -305,11 +311,11 @@ func FuzzSegmentStitch(f *testing.F) {
 		sortMatches(want)
 		for _, eng := range []EngineMode{EngineIMFAnt, EngineLazyDFA} {
 			for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, accel := range []AccelMode{AccelOff, AccelOn} {
+				for _, accel := range []AccelMode{AccelOff, AccelAuto} {
 					keep := eng == EngineLazyDFA
 					seg, err := Compile([]string{pattern, "zz9fixed"}, Options{
 						Engine: eng, KeepOnMatch: keep, Prefilter: pf, Accel: accel,
-						Segment: SegmentOn, SegmentWorkers: parts,
+						Segment: SegmentOn,
 					})
 					if err != nil {
 						t.Fatalf("%.60q: segmented compile failed after serial succeeded: %v", pattern, err)
@@ -326,7 +332,7 @@ func FuzzSegmentStitch(f *testing.F) {
 						wantSet = oracle.FindAll(in)
 						sortMatches(wantSet)
 					}
-					got, err := seg.FindAllContext(t.Context(), in)
+					got, err := seg.findAllSegmented(t.Context(), in, parts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -339,4 +345,51 @@ func FuzzSegmentStitch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSegmentedScanTrace pins that the parallel scan paths record the same
+// trace events as a serial Scanner: scan_begin, one match event per match,
+// and scan_end. The (kind, rule, offset) multisets of a segmented FindAll
+// and of a pooled CountParallel must equal the serial FindAll's.
+func TestSegmentedScanTrace(t *testing.T) {
+	patterns := []string{"ab", "x[0-9]+y"}
+	in := []byte(strings.Repeat("xxabxx", 200))
+	type key struct {
+		kind   string
+		rule   int
+		offset int64
+	}
+	traced := func(seg SegmentMode, scan func(rs *Ruleset) error) map[key]int {
+		t.Helper()
+		rs := MustCompile(patterns, Options{Engine: EngineIMFAnt, TraceCapacity: 4096, Segment: seg})
+		if err := scan(rs); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[key]int)
+		for _, ev := range rs.TraceEvents() {
+			out[key{ev.Kind, ev.Rule, ev.Offset}]++
+		}
+		return out
+	}
+	want := traced(SegmentOff, func(rs *Ruleset) error {
+		_, err := rs.FindAllContext(t.Context(), in)
+		return err
+	})
+	if n := len(want); n != 202 || want[key{"scan_begin", -1, -1}] != 1 || want[key{"scan_end", -1, -1}] != 1 {
+		t.Fatalf("serial trace has %d distinct events %v, want 200 matches plus scan_begin and scan_end", n, want)
+	}
+	segmented := traced(SegmentOn, func(rs *Ruleset) error {
+		_, err := rs.findAllSegmented(t.Context(), in, 4)
+		return err
+	})
+	if !reflect.DeepEqual(segmented, want) {
+		t.Fatalf("segmented FindAll trace %v, serial %v", segmented, want)
+	}
+	pooled := traced(SegmentOff, func(rs *Ruleset) error {
+		_, err := rs.CountParallel(in, 2)
+		return err
+	})
+	if !reflect.DeepEqual(pooled, want) {
+		t.Fatalf("CountParallel trace %v, serial %v", pooled, want)
+	}
 }

@@ -217,6 +217,26 @@ func jsonKeys(t *testing.T, raw json.RawMessage) []string {
 	return keys
 }
 
+// TestOptionsFields pins the public Options field set: adding, removing or
+// renaming a knob fails here until the list below is edited in review.
+// It is the Options counterpart of TestStatsJSONKeys.
+func TestOptionsFields(t *testing.T) {
+	want := []string{
+		"MergeFactor", "KeepOnMatch", "Engine", "Prefilter", "Accel",
+		"LazyDFAMaxStates", "Limits", "Profile", "ProfileStride", "Latency",
+		"TraceCapacity", "ScanTimeout", "MaxConcurrentScans", "MaxQueuedScans",
+		"Segment",
+	}
+	typ := reflect.TypeOf(Options{})
+	got := make([]string, typ.NumField())
+	for i := range got {
+		got[i] = typ.Field(i).Name
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Options fields = %v,\nwant %v", got, want)
+	}
+}
+
 // TestStatsJSONKeys pins the stats JSON keys, a public contract (see
 // DESIGN.md): with every section turned on, the top level and each section
 // — including the first element of each list section — must carry exactly
@@ -227,7 +247,7 @@ func TestStatsJSONKeys(t *testing.T) {
 	patterns := append([]string{"q(r|s)*t[0-9]+"}, obsTestPatterns...)
 	rs := MustCompile(patterns, Options{
 		MergeFactor: 3, Profile: true, ProfileStride: 8, Latency: true,
-		Segment: SegmentOn, Accel: AccelOn, Prefilter: PrefilterOn,
+		Segment: SegmentOn, Accel: AccelAuto, Prefilter: PrefilterOn,
 	})
 	input := append(obsTraffic(16<<10, 5), "qrst42"...)
 	rs.Count(input)
