@@ -17,10 +17,17 @@ import (
 // scans, CountParallel, segmented scans and StreamMatchers — runs groups
 // only through it, and folds every outcome through Ruleset.fold.
 type groupExec struct {
-	// newRunner returns a fresh runner: a Scanner keeps one per group
-	// across scans (warm lazy-DFA caches), a stream one per stream, and a
-	// parallel count one per call.
+	// newRunner returns a fresh runner its caller owns for good: a Scanner
+	// keeps one per group across scans, so its lazy-DFA caches stay warm.
 	newRunner func() groupRunner
+	// checkout returns a runner for one stream or one block scan, handed
+	// back with groupRunner.release once it ended: StreamMatchers,
+	// CountParallel tasks, serial runs of segmented scans and the one-shot
+	// Ruleset scan helpers. A lazy-DFA group borrows a runner, warm cache
+	// included, from its lazydfa.Matcher pool, which belongs to this
+	// compiled Ruleset alone; other strategies carry no cache worth keeping
+	// and get a fresh runner.
+	checkout func() groupRunner
 	// segment scans the input segment-parallel over bounds (as produced by
 	// segment.Boundaries); nil for strategies whose scans are O(1) or one
 	// cache-resident sweep, which run serially inside segmented scans.
@@ -47,9 +54,14 @@ type groupRunner interface {
 	// end finishes the run and returns its outcome.
 	end() groupRun
 	// totals returns the runner's cumulative counters, including a run in
-	// progress, with the live cache gauges; perFSA stays nil.
+	// progress, with the live cache gauges; perFSA stays nil. For a
+	// checked-out runner they cover the current checkout only.
 	totals() groupRun
 	err() error
+	// release hands a runner obtained from groupExec.checkout back for
+	// reuse. Call it only once the run ended normally: a runner whose run
+	// panicked is dropped, never released.
+	release()
 }
 
 // groupRun is the outcome of one group execution, or a runner's cumulative
@@ -68,7 +80,7 @@ type groupRun struct {
 	lazy                                          bool
 	hits, misses, flushes, fallbacks, grows, pins int64
 	fellBack                                      bool // finished on iMFAnt
-	cached, accelStates                           int64
+	cached, accelStates, cacheBytes               int64
 	maxStates, classes                            int
 
 	// Segment-parallel runs; segments == 0 for runner-based runs.
@@ -85,6 +97,15 @@ func blockScan(r groupRunner, input []byte, c runCfg) (groupRun, error) {
 // newExec builds group i's executor for its planned strategy — the one
 // place the root package dispatches on Strategy.
 func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
+	x := rs.strategyExec(pl, i)
+	if x.checkout == nil {
+		x.checkout = x.newRunner
+	}
+	return x
+}
+
+// strategyExec builds the strategy-specific part of group i's executor.
+func (rs *Ruleset) strategyExec(pl *scanPlan, i int) groupExec {
 	accel := rs.opts.accelOn()
 	p := rs.programs[i]
 	ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: accel, Profile: rs.profileOf(i)}
@@ -124,7 +145,10 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 			Accel: accel, Profile: rs.profileOf(i)}
 		return groupExec{
 			newRunner: func() groupRunner {
-				return &lazyRunner{r: lazydfa.NewRunner(m), cfg: lcfg, classes: m.NumClasses()}
+				return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg, classes: m.NumClasses()}
+			},
+			checkout: func() groupRunner {
+				return &lazyRunner{r: m.Get(), m: m, cfg: lcfg, classes: m.NumClasses()}
 			},
 			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error) {
 				lc := lcfg
@@ -211,6 +235,7 @@ func (rs *Ruleset) fold(i int, run *groupRun, ruleHits []int64, pref *prefCounte
 	}
 	if run.segments == 0 {
 		c.SetCachedStates(i, run.cached)
+		c.SetCacheBytes(i, run.cacheBytes)
 		c.SetAccelStates(i, run.accelStates)
 	}
 	if rs.trace == nil {
@@ -245,6 +270,7 @@ func (x *imfantRunner) begin(c runCfg) {
 func (x *imfantRunner) feed(chunk []byte, final bool) { x.r.Feed(chunk, final) }
 func (x *imfantRunner) flushHeld()                    { x.r.FlushHeld() }
 func (x *imfantRunner) err() error                    { return x.r.Err() }
+func (x *imfantRunner) release()                      {}
 
 func (x *imfantRunner) end() groupRun {
 	res := x.r.End()
@@ -258,9 +284,11 @@ func (x *imfantRunner) totals() groupRun {
 }
 
 // lazyRunner runs a group on the lazy-DFA engine; its transition cache
-// persists across the runs of the runner.
+// persists across the runs of the runner and, for a checked-out runner,
+// across checkouts through m's pool.
 type lazyRunner struct {
 	r       *lazydfa.Runner
+	m       *lazydfa.Matcher
 	cfg     lazydfa.Config
 	classes int
 }
@@ -274,6 +302,7 @@ func (x *lazyRunner) begin(c runCfg) {
 func (x *lazyRunner) feed(chunk []byte, final bool) { x.r.Feed(chunk, final) }
 func (x *lazyRunner) flushHeld()                    { x.r.FlushHeld() }
 func (x *lazyRunner) err() error                    { return x.r.Err() }
+func (x *lazyRunner) release()                      { x.m.Put(x.r) }
 
 func (x *lazyRunner) end() groupRun {
 	res := x.r.End()
@@ -305,6 +334,7 @@ func (x *lazyRunner) totals() groupRun {
 
 func (x *lazyRunner) gauges(run *groupRun) {
 	run.cached, run.accelStates = int64(x.r.CachedStates()), int64(x.r.AccelStates())
+	run.cacheBytes = x.r.CacheBytes()
 	run.maxStates, run.classes = x.r.MaxStates(), x.classes
 }
 
@@ -324,6 +354,7 @@ func (x *dfaRunner) feed(chunk []byte, _ bool) {
 
 func (x *dfaRunner) flushHeld() {}
 func (x *dfaRunner) err() error { return x.r.Err() }
+func (x *dfaRunner) release()   {}
 
 func (x *dfaRunner) end() groupRun {
 	res := x.r.End()
@@ -422,6 +453,7 @@ func (x *acRunner) feed(chunk []byte, _ bool) {
 
 func (x *acRunner) flushHeld() {}
 func (x *acRunner) err() error { return x.stop }
+func (x *acRunner) release()   {}
 
 func (x *acRunner) end() groupRun {
 	x.cur.accel = x.sc.Skipped() - x.skip0
@@ -614,5 +646,6 @@ func (st *anchRunner) finish() {
 
 func (st *anchRunner) flushHeld()       {}
 func (st *anchRunner) err() error       { return nil }
+func (st *anchRunner) release()         {}
 func (st *anchRunner) end() groupRun    { return st.endRun() }
 func (st *anchRunner) totals() groupRun { return st.tally.totals() }

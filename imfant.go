@@ -113,8 +113,10 @@ type Options struct {
 	// byte-identical in every mode. See AccelMode.
 	Accel AccelMode
 	// LazyDFAMaxStates caps the lazy-DFA transition cache per automaton
-	// and matching context; 0 selects lazydfa.DefaultMaxStates. Smaller
-	// caps bound memory at the cost of more cache flushes.
+	// and matching context (a Scanner's runner, or a runner borrowed from
+	// the automaton's pool of at most GOMAXPROCS idle ones); 0 selects
+	// lazydfa.DefaultMaxStates. Smaller caps bound memory at the cost of
+	// more cache flushes.
 	LazyDFAMaxStates int
 	// Limits is the compile-side resource budget: pattern length, nesting
 	// depth, per-rule NFA states under loop expansion, and the total MFSA
@@ -523,39 +525,55 @@ func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, e
 	if parts := rs.segmentParts(len(input), 0); parts > 1 {
 		return rs.findAllSegmented(ctx, input, parts)
 	}
-	return rs.NewScanner().FindAllContext(ctx, input)
+	s := rs.oneShot()
+	out, err := s.FindAllContext(ctx, input)
+	s.release()
+	return out, err
 }
 
 // Scan streams every match to fn, automaton by automaton, on the engine
-// selected by Options.Engine. Hot paths scanning many inputs should reuse a
-// Scanner instead, which keeps per-goroutine buffers — and, in lazy-DFA
-// mode, the transition cache — warm across calls.
+// selected by Options.Engine. Like every one-shot Ruleset scan it borrows
+// its lazy-DFA runners, warm caches included, from the ruleset's per-group
+// pools. Hot paths scanning many inputs should still reuse a Scanner, which
+// also keeps its per-goroutine buffers and owns its caches outright.
 func (rs *Ruleset) Scan(input []byte, fn func(Match)) {
-	rs.NewScanner().Scan(input, fn)
+	s := rs.oneShot()
+	s.Scan(input, fn)
+	s.release()
 }
 
 // ScanContext is Scan under a context: cancellation stops the scan at the
 // next checkpoint; matches already streamed to fn before that point were
 // delivered, and the context's error is returned.
 func (rs *Ruleset) ScanContext(ctx context.Context, input []byte, fn func(Match)) error {
-	return rs.NewScanner().ScanContext(ctx, input, fn)
+	s := rs.oneShot()
+	err := s.ScanContext(ctx, input, fn)
+	s.release()
+	return err
 }
 
 // Count returns the total number of match events in input.
 func (rs *Ruleset) Count(input []byte) int64 {
-	return rs.NewScanner().Count(input)
+	n, _ := rs.CountContext(context.Background(), input)
+	return n
 }
 
 // CountContext is Count under a context; on cancellation it returns the
 // partial count together with the context's error.
 func (rs *Ruleset) CountContext(ctx context.Context, input []byte) (int64, error) {
-	return rs.NewScanner().CountContext(ctx, input)
+	s := rs.oneShot()
+	n, err := s.CountContext(ctx, input)
+	s.release()
+	return n, err
 }
 
 // CountPerRule returns the number of match events per rule, indexed like
 // the compiled patterns.
 func (rs *Ruleset) CountPerRule(input []byte) []int64 {
-	return rs.NewScanner().CountPerRule(input)
+	s := rs.oneShot()
+	out := s.CountPerRule(input)
+	s.release()
+	return out
 }
 
 // Scanner is a reusable matching context over one Ruleset: the scratch
@@ -578,6 +596,16 @@ type Scanner struct {
 
 // NewScanner returns a matching context for the ruleset.
 func (rs *Ruleset) NewScanner() *Scanner {
+	return rs.newScanner(false)
+}
+
+// oneShot returns a Scanner for one scan whose runners are checked out of
+// the group pools; call its release once the scan returned normally.
+func (rs *Ruleset) oneShot() *Scanner {
+	return rs.newScanner(true)
+}
+
+func (rs *Ruleset) newScanner(checkout bool) *Scanner {
 	s := &Scanner{
 		rs:       rs,
 		runs:     make([]groupRunner, len(rs.programs)),
@@ -585,7 +613,11 @@ func (rs *Ruleset) NewScanner() *Scanner {
 		faults:   rs.faults,
 	}
 	for i, x := range rs.plan.exec {
-		s.runs[i] = x.newRunner()
+		if checkout {
+			s.runs[i] = x.checkout()
+		} else {
+			s.runs[i] = x.newRunner()
+		}
 	}
 	if rs.pf != nil {
 		s.sweep = rs.pf.ac.NewSweeper()
@@ -593,6 +625,13 @@ func (rs *Ruleset) NewScanner() *Scanner {
 		s.active = make([]bool, len(rs.programs))
 	}
 	return s
+}
+
+// release hands a one-shot Scanner's runners back to their pools.
+func (s *Scanner) release() {
+	for _, r := range s.runs {
+		r.release()
+	}
 }
 
 // Scan streams every match in input to fn, automaton by automaton.
@@ -798,17 +837,19 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 }
 
 // scanPool hands every admitted group to the worker pool as one block scan
-// on a fresh runner, folding each outcome as it completes.
+// on a checked-out runner, folding each outcome as it completes.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() error, total *int64) error {
 	var sum atomic.Int64
 	pt0 := rs.stageStart()
 	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
-		r := rs.plan.exec[i].newRunner()
+		r := rs.plan.exec[i].checkout()
 		folded := false
 		defer func() {
 			if !folded {
-				// A contained worker panic: fold the work done up to it, so
-				// the byte partitions of the stats stay exact.
+				// A contained worker panic: fold the work done up to it (a
+				// checked-out runner's totals cover this checkout only), so
+				// the byte partitions of the stats stay exact. The runner
+				// is dropped, not released.
 				run := r.totals()
 				rs.fold(i, &run, nil, nil)
 			}
@@ -818,6 +859,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() e
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		folded = true
 		rs.fold(i, &run, nil, nil)
+		r.release()
 		sum.Add(run.matches)
 		return err
 	})

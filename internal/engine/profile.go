@@ -100,38 +100,23 @@ func (pr *Profile) sampleVector(v *vector, W int) {
 	pr.samples.Add(1)
 }
 
-// SampleActivations folds one canonical activation-vector sample (the
-// lazy-DFA engine's current cached state) into the profile.
-func (pr *Profile) SampleActivations(acts []Activation) {
-	var pairs int64
-	for _, a := range acts {
-		pr.visits[a.State].Add(1)
-		for w, m := range a.J {
-			pairs += int64(popcount(m))
-			for ; m != 0; m &= m - 1 {
-				pr.fsa[w<<6+trailingZeros(m)].Add(1)
-			}
-		}
-	}
-	pr.pairs.Record(pairs)
-	pr.samples.Add(1)
-}
-
-// SampleActivationsN folds n identical samples of one canonical activation
-// vector in a single pass — the bulk catch-up of an accelerated jump. A
-// lazy-DFA runner parked in an accelerable state consumes many bytes
-// without the vector changing, so the k stride boundaries a jump crosses
-// are semantically k samples of the same vector; recording them in bulk
-// keeps heat shares and sample counts byte-comparable with an unaccelerated
-// scan while doing the vector walk once.
-func (pr *Profile) SampleActivationsN(acts []Activation, n int64) {
+// SamplePacked folds n identical samples of one packed activation vector
+// (the lazy-DFA engine's current cached state) in a single pass. n > 1 is
+// the bulk catch-up of an accelerated jump: a lazy-DFA runner parked in an
+// accelerable state consumes many bytes without the vector changing, so the
+// k stride boundaries a jump crosses are semantically k samples of the same
+// vector; recording them in bulk keeps heat shares and sample counts
+// byte-comparable with an unaccelerated scan while doing the vector walk
+// once.
+func (pr *Profile) SamplePacked(vec []uint64, n int64) {
 	if n <= 0 {
 		return
 	}
+	W := pr.p.words
 	var pairs int64
-	for _, a := range acts {
-		pr.visits[a.State].Add(n)
-		for w, m := range a.J {
+	for k := 0; k < len(vec); k += 1 + W {
+		pr.visits[vec[k]].Add(n)
+		for w, m := range vec[k+1 : k+1+W] {
 			pairs += int64(popcount(m))
 			for ; m != 0; m &= m - 1 {
 				pr.fsa[w<<6+trailingZeros(m)].Add(n)

@@ -1,6 +1,6 @@
 package engine
 
-import "sort"
+import "slices"
 
 // Activation is one (state, J-set) entry of an iMFAnt state vector: J is the
 // set of merged FSAs still valid on some path reaching State, one bitset
@@ -13,53 +13,79 @@ type Activation struct {
 	J     []uint64
 }
 
-// Stepper evaluates single iMFAnt steps from explicit activation vectors —
-// the step-function form of the Runner hot loop, reusable as the successor
-// constructor of on-the-fly (lazy) determinization. Step itself is the
-// keep-on-match step (no Eq. 5 pop); Pop supplies the pop. The Eq. 5 pop of
-// an arrival at state q removes finalMask(q) &^ endAnchored from its Jnew —
-// a mask that depends on q alone, never on J — so it distributes over the
-// union of arrivals: the runner's post-step vector in pop mode is exactly
-// Pop(S), where S is the pre-pop vector Step returns. Under both semantics
-// the successor is therefore a pure function of (S, symbol):
+// A packed vector is the flat, pointer-free form of a canonical activation
+// vector, as Stepper.Step produces and consumes it: for each activation, in
+// ascending state order, one word holding the state followed by its
+// Program.Words J words. Two canonical vectors are equal exactly when their
+// packed forms are, so a packed vector doubles as its own cache key, and a
+// cache can keep many of them in one arena that the garbage collector
+// never scans.
+
+// Unpack returns the activation vector of a packed one over words J words
+// per activation, as fresh slices.
+func Unpack(vec []uint64, words int) []Activation {
+	out := make([]Activation, 0, len(vec)/(1+words))
+	for k := 0; k < len(vec); k += 1 + words {
+		J := make([]uint64, words)
+		copy(J, vec[k+1:k+1+words])
+		out = append(out, Activation{State: int32(vec[k]), J: J})
+	}
+	return out
+}
+
+// Stepper evaluates single iMFAnt steps from explicit (packed) activation
+// vectors — the step-function form of the Runner hot loop, reusable as the
+// successor constructor of on-the-fly (lazy) determinization. Step itself
+// is the keep-on-match step (no Eq. 5 pop); Pop supplies the pop. The Eq. 5
+// pop of an arrival at state q removes finalMask(q) &^ endAnchored from its
+// Jnew — a mask that depends on q alone, never on J — so it distributes
+// over the union of arrivals: the runner's post-step vector in pop mode is
+// exactly Pop(S), where S is the pre-pop vector Step returns. Under both
+// semantics the successor is therefore a pure function of (S, symbol):
 // Step(S, c) in keep mode and Step(Pop(S), c) in pop mode, with the match
 // masks of an arrival read off S either way.
 //
-// A Stepper owns scratch buffers sized for its Program and is not safe for
-// concurrent use.
+// Step and Pop write into caller-owned buffers and allocate nothing once
+// those have grown to the vectors' size. A Stepper owns scratch buffers
+// sized for its Program and is not safe for concurrent use.
 type Stepper struct {
-	p        *Program
-	cur, nxt *vector
-	tmp      []uint64
+	p                 *Program
+	cur, nxt          *vector
+	tmp               []uint64
+	accept, acceptEnd []uint64
 }
 
 // NewStepper returns a step evaluator for p.
 func NewStepper(p *Program) *Stepper {
 	return &Stepper{
-		p:   p,
-		cur: newVector(p.numStates, p.words),
-		nxt: newVector(p.numStates, p.words),
-		tmp: make([]uint64, p.words),
+		p:         p,
+		cur:       newVector(p.numStates, p.words),
+		nxt:       newVector(p.numStates, p.words),
+		tmp:       make([]uint64, p.words),
+		accept:    make([]uint64, p.words),
+		acceptEnd: make([]uint64, p.words),
 	}
 }
 
-// Step runs one iMFAnt transition step on symbol c from the given activation
-// vector: every transition enabled by c is evaluated with the activation
+// Step runs one iMFAnt transition step on symbol c from the packed vector
+// src: every transition enabled by c is evaluated with the activation
 // update Jnew = (J(q1) ∪ inits(q1)) ∩ bel(t) (Eqs. 4 and 6), with the
-// ^-anchored inits participating only when streamStart is set. It returns
-// the successor vector in canonical form (sorted by state, fresh slices) and
+// ^-anchored inits participating only when streamStart is set. It appends
+// the packed successor vector to dst and returns the extended slice with
 // the match masks of the step: accept has bit j set when FSA j matches on
 // this symbol at any stream position, acceptAtEnd when it matches only if
-// this symbol is the last of the stream ($-anchored FSAs).
-func (s *Stepper) Step(acts []Activation, c byte, streamStart bool) (next []Activation, accept, acceptAtEnd []uint64) {
+// this symbol is the last of the stream ($-anchored FSAs). The masks are
+// the Stepper's own scratch, valid until its next Step.
+func (s *Stepper) Step(dst, src []uint64, c byte, streamStart bool) (next, accept, acceptAtEnd []uint64) {
 	p := s.p
 	W := p.words
-	for _, a := range acts {
-		base := int(a.State) * W
-		copy(s.cur.j[base:base+W], a.J)
-		if !s.cur.member[a.State] {
-			s.cur.member[a.State] = true
-			s.cur.dirty = append(s.cur.dirty, a.State)
+	for k := 0; k < len(src); k += 1 + W {
+		q := int32(src[k])
+		base := int(q) * W
+		copy(s.cur.j[base:base+W], src[k+1:k+1+W])
+		if !s.cur.member[q] {
+			s.cur.member[q] = true
+			s.cur.dirty = append(s.cur.dirty, q)
 		}
 	}
 	init := p.initAlways
@@ -92,64 +118,61 @@ func (s *Stepper) Step(acts []Activation, c byte, streamStart bool) (next []Acti
 	// Canonicalize the successor and derive the match masks. With keep
 	// semantics the per-transition match sets union to J'(q2) ∩ F(q2), so
 	// the masks depend on the successor vector alone.
-	sort.Slice(s.nxt.dirty, func(i, j int) bool { return s.nxt.dirty[i] < s.nxt.dirty[j] })
-	accept = make([]uint64, W)
-	acceptAtEnd = make([]uint64, W)
-	next = make([]Activation, 0, len(s.nxt.dirty))
+	slices.Sort(s.nxt.dirty)
+	clear(s.accept)
+	clear(s.acceptEnd)
 	for _, q := range s.nxt.dirty {
 		base := int(q) * W
-		J := make([]uint64, W)
-		copy(J, s.nxt.j[base:base+W])
+		J := s.nxt.j[base : base+W]
+		dst = append(dst, uint64(q))
+		dst = append(dst, J...)
 		for w := 0; w < W; w++ {
 			m := J[w] & p.finalMask[base+w]
-			accept[w] |= m &^ p.endAnchored[w]
-			acceptAtEnd[w] |= m & p.endAnchored[w]
+			s.accept[w] |= m &^ p.endAnchored[w]
+			s.acceptEnd[w] |= m & p.endAnchored[w]
 		}
-		next = append(next, Activation{State: q, J: J})
 	}
 	s.cur.reset(W)
 	s.nxt.reset(W)
-	return next, accept, acceptAtEnd
+	return dst, s.accept, s.acceptEnd
 }
 
-// Pop applies the Eq. 5 pop to a pre-pop vector as returned by Step: each
-// activation loses the FSAs its state accepts outside the $ anchor, and
-// emptied activations are dropped. A vector with nothing to pop is returned
-// as is; otherwise the result is a new canonical vector (untouched
-// activations share their J sets with acts).
-func (s *Stepper) Pop(acts []Activation) []Activation {
+// Pop applies the Eq. 5 pop to a packed pre-pop vector as returned by
+// Step: each activation loses the FSAs its state accepts outside the $
+// anchor, and emptied activations are dropped. When nothing pops it returns
+// dst unchanged and popped false — the vector is its own post-pop form;
+// otherwise it appends the packed post-pop vector to dst.
+func (s *Stepper) Pop(dst, src []uint64) (out []uint64, popped bool) {
 	p := s.p
 	W := p.words
-	var out []Activation
-	for i, a := range acts {
-		base := int(a.State) * W
-		hit := uint64(0)
+	for k := 0; k < len(src) && !popped; k += 1 + W {
+		base := int(src[k]) * W
 		for w := 0; w < W; w++ {
-			hit |= a.J[w] & p.finalMask[base+w] &^ p.endAnchored[w]
-		}
-		if hit == 0 {
-			if out != nil {
-				out = append(out, a)
+			if src[k+1+w]&p.finalMask[base+w]&^p.endAnchored[w] != 0 {
+				popped = true
+				break
 			}
-			continue
 		}
-		if out == nil {
-			out = append(make([]Activation, 0, len(acts)), acts[:i]...)
-		}
-		J := make([]uint64, W)
+	}
+	if !popped {
+		return dst, false
+	}
+	for k := 0; k < len(src); k += 1 + W {
+		q := src[k]
+		base := int(q) * W
+		n := len(dst)
+		dst = append(dst, q)
 		any := uint64(0)
 		for w := 0; w < W; w++ {
-			J[w] = a.J[w] &^ (p.finalMask[base+w] &^ p.endAnchored[w])
-			any |= J[w]
+			J := src[k+1+w] &^ (p.finalMask[base+w] &^ p.endAnchored[w])
+			dst = append(dst, J)
+			any |= J
 		}
-		if any != 0 {
-			out = append(out, Activation{State: a.State, J: J})
+		if any == 0 {
+			dst = dst[:n]
 		}
 	}
-	if out == nil {
-		return acts
-	}
-	return out
+	return dst, true
 }
 
 // Frontier returns the runner's current activation vector in canonical form
@@ -159,8 +182,8 @@ func (s *Stepper) Pop(acts []Activation) []Activation {
 // States whose activation set emptied (Eq. 5 pops) are omitted.
 func (r *Runner) Frontier() []Activation {
 	W := r.p.words
-	dirty := append([]int32(nil), r.cur.dirty...)
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	dirty := slices.Clone(r.cur.dirty)
+	slices.Sort(dirty)
 	out := make([]Activation, 0, len(dirty))
 	for _, q := range dirty {
 		base := int(q) * W

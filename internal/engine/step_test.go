@@ -49,11 +49,11 @@ func TestStatsWideRuleset(t *testing.T) {
 // In pop mode each pre-pop successor is popped before the next step.
 func stepAll(p *Program, in []byte, keep bool) [][]int {
 	s := NewStepper(p)
-	var acts []Activation
+	var acts []uint64
 	var events []MatchEvent
 	last := len(in) - 1
 	for pos, c := range in {
-		next, accept, acceptEnd := s.Step(acts, c, pos == 0)
+		next, accept, acceptEnd := s.Step(nil, acts, c, pos == 0)
 		for w, m := range accept {
 			for ; m != 0; m &= m - 1 {
 				events = append(events, MatchEvent{FSA: w*64 + trailingZeros(m&(-m)), End: pos})
@@ -67,8 +67,8 @@ func stepAll(p *Program, in []byte, keep bool) [][]int {
 			}
 		}
 		acts = next
-		if !keep {
-			acts = s.Pop(next)
+		if popped, ok := s.Pop(nil, next); ok && !keep {
+			acts = popped
 		}
 	}
 	return DistinctEnds(events, p.NumFSAs())
@@ -124,10 +124,10 @@ func TestResumeContinuesMidStream(t *testing.T) {
 	// the mid-stream vector for the rest.
 	split := 5
 	s := NewStepper(p)
-	var acts []Activation
+	var acts []uint64
 	var events []MatchEvent
 	for pos := 0; pos < split; pos++ {
-		next, accept, _ := s.Step(acts, in[pos], pos == 0)
+		next, accept, _ := s.Step(nil, acts, in[pos], pos == 0)
 		for w, m := range accept {
 			for ; m != 0; m &= m - 1 {
 				events = append(events, MatchEvent{FSA: w*64 + trailingZeros(m&(-m)), End: pos})
@@ -139,7 +139,7 @@ func TestResumeContinuesMidStream(t *testing.T) {
 	r.Resume(Config{
 		KeepOnMatch: true,
 		OnMatch:     func(fsa, end int) { events = append(events, MatchEvent{FSA: fsa, End: end}) },
-	}, acts, split)
+	}, Unpack(acts, p.Words()), split)
 	r.Feed(in[split:], true)
 	r.End()
 

@@ -38,6 +38,10 @@ package lazydfa
 
 import (
 	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"repro/internal/bytescan"
 	"repro/internal/engine"
@@ -195,9 +199,11 @@ type Totals struct {
 	Pins int64
 }
 
-// Matcher is the immutable, shareable lazy-DFA form of one engine.Program:
-// the program plus its compressed byte-class alphabet. Create per-goroutine
-// Runners from it; the Matcher itself is safe for concurrent use.
+// Matcher is the shareable lazy-DFA form of one engine.Program: the program
+// plus its compressed byte-class alphabet, and a bounded pool of idle
+// Runners whose transition caches stay warm between the scans that check
+// them out (Get, Put). The Matcher is safe for concurrent use; each Runner
+// is used by one goroutine at a time.
 type Matcher struct {
 	p       *engine.Program
 	classOf [256]uint8
@@ -208,9 +214,12 @@ type Matcher struct {
 	// class probed live contributes exactly these bytes to the state's
 	// hunt set.
 	classBytes [][]byte
+
+	poolMu sync.Mutex
+	pool   []*Runner // idle runners, at most GOMAXPROCS
 }
 
-// New builds a Matcher over p.
+// New builds a Matcher over p. Its runner pool starts empty.
 func New(p *engine.Program) *Matcher {
 	classOf, nc := p.ByteClasses()
 	m := &Matcher{p: p, classOf: classOf, nc: nc, rep: make([]byte, nc),
@@ -234,35 +243,114 @@ func (m *Matcher) NumClasses() int { return m.nc }
 // Program returns the underlying program.
 func (m *Matcher) Program() *engine.Program { return m.p }
 
-// state is one cached lazy-DFA state: a canonical pre-pop iMFAnt activation
-// vector with the match metadata of every step arriving at it.
-type state struct {
-	// acts is the pre-pop vector, the cache key. live is the vector the
-	// iMFAnt runner holds after the step — Pop(acts) in pop mode, acts
-	// itself in keep mode or when nothing pops — and is what successors
-	// are stepped from, what Frontier and the fallback hand over, and what
-	// the profiler samples.
-	acts, live []engine.Activation
-	// accept: FSAs matching on any arrival at this state. acceptEnd:
-	// $-anchored FSAs matching only when the arriving symbol ends the
-	// stream. Both are NumFSAs-wide bitsets (Words words).
-	accept, acceptEnd       []uint64
-	hasAccept, hasAcceptEnd bool
-	// accel is the prepared skip kernel of an accelerable state (accelOK):
-	// every byte outside its needle set steps the state back to itself
-	// without emitting, so the run loop may jump to the next needle
-	// occurrence. Classified once, when the state is cached (see classify).
-	accel   bytescan.Finder
-	accelOK bool
+// Get checks a Runner out of the pool, or returns a new one with an empty
+// cache when the pool is empty. A pooled runner keeps the transition cache
+// an earlier checkout built; its Totals restart from zero, so they count
+// this checkout only. Hand the runner back with Put once its scan or stream
+// has ended.
+func (m *Matcher) Get() *Runner {
+	m.poolMu.Lock()
+	n := len(m.pool)
+	if n == 0 {
+		m.poolMu.Unlock()
+		return NewRunner(m)
+	}
+	r := m.pool[n-1]
+	m.pool[n-1] = nil
+	m.pool = m.pool[:n-1]
+	m.poolMu.Unlock()
+	r.totals = Totals{}
+	return r
 }
+
+// Put returns a runner checked out with Get to the pool. A runner the
+// degradation ladder touched — its last scan thrashed, or its cache cap grew,
+// or it was pinned to the iMFAnt engine — is dropped instead, so the ladder
+// and the flush budget start afresh with every checkout; so is a runner
+// that would take the pool beyond GOMAXPROCS idle runners. A runner whose
+// scan panicked must never be Put: its cache may be half-updated.
+func (m *Matcher) Put(r *Runner) {
+	if r.thrashed || r.grown || r.permanent {
+		return
+	}
+	// Drop the references of the last scan: its callbacks (and whatever
+	// they capture) and a fallback engine runner must not be retained.
+	r.cfg, r.fb, r.res = Config{}, nil, Result{}
+	m.poolMu.Lock()
+	if len(m.pool) < runtime.GOMAXPROCS(0) {
+		m.pool = append(m.pool, r)
+	}
+	m.poolMu.Unlock()
+}
+
+// Per-state flag bits (Runner.flags): the one byte the hot loop loads per
+// step besides the transition row.
+const (
+	stAccept    uint8 = 1 << iota // the state's accept mask is non-zero
+	stAcceptEnd                   // its $-anchored accept mask is non-zero
+	stAccel                       // the state is accelerable (see classify)
+)
+
+// stateMeta locates one cached lazy-DFA state in the runner's word arena.
+// A state is a canonical pre-pop iMFAnt activation vector with the match
+// metadata of every step arriving at it; everything is stored as packed
+// vectors (see engine.Unpack) so the cache holds no pointers.
+type stateMeta struct {
+	// acts is the packed pre-pop vector, the cache key. live is the vector
+	// the iMFAnt runner holds after the step — Pop(acts) in pop mode, acts
+	// itself in keep mode or when nothing pops (then both share words) — and
+	// is what successors are stepped from, what Frontier and the fallback
+	// hand over, and what the profiler samples. Word offsets and lengths.
+	acts, nActs, live, nLive int32
+	// masks is the word offset of the accept mask (FSAs matching on any
+	// arrival at this state) followed by the acceptEnd mask ($-anchored
+	// FSAs matching only when the arriving symbol ends the stream), each
+	// Words words.
+	masks int32
+	// finder indexes Runner.finders when the state is accelerable.
+	finder int32
+	hash   uint32 // hashVec of the packed acts
+}
+
+// maxArenaWords bounds the word arena so int32 offsets stay valid; a cache
+// reaching it counts as full.
+const maxArenaWords = 1 << 30
 
 // Runner executes scans over one Matcher. The transition cache persists
 // across scans (Begin does not clear it), so repeated scans of similar
-// traffic run warm. A Runner is not safe for concurrent use; create one per
-// goroutine.
+// traffic run warm. It is pointer-free: states live packed in one word
+// arena, looked up through an open-addressing index over their hashes, so
+// a retained cache costs the garbage collector nothing to scan and a miss
+// that lands on an already-cached state allocates nothing.
+//
+// Runners come from NewRunner (the caller owns the runner and its cache for
+// good — a Scanner keeps one per group) or from Matcher.Get (the cache is
+// borrowed from the Matcher's pool and returned with Matcher.Put). The
+// flush budget applies per scan, the degradation ladder per runner lifetime
+// — for a pooled runner, per checkout. A Runner is not safe for concurrent
+// use.
 type Runner struct {
 	m       *Matcher
 	stepper *engine.Stepper
+
+	// Hot cache fields, read per input byte.
+	rows     []int32 // len(meta)·nc successor ids, -1 = not computed
+	flags    []uint8 // per state: stAccept | stAcceptEnd | stAccel
+	startRow []int32 // per-class successor of the stream-start step
+	cur      int32
+
+	// The rest of the cache, read on misses, emissions and accelerated
+	// jumps.
+	meta    []stateMeta
+	words   []uint64 // arena: packed vectors and masks of every state
+	index   []int32  // open-addressing slots over meta[].hash, -1 = empty
+	finders []bytescan.Finder
+	w       int // words per FSA bitset (Program.Words)
+	// Step scratch: scratch receives a miss's successor, probe the
+	// classification steps, carry the state preserved across a flush, and
+	// masks a miss's accept masks (a flush's classification would clobber
+	// the Stepper's own); zeroMasks are the restart state's.
+	scratch, probe, carry, masks, zeroMasks []uint64
 
 	cfg        Config
 	res        Result
@@ -277,13 +365,6 @@ type Runner struct {
 	accelOn, keepOn bool
 	// accelStates counts currently cached accelerable states (gauge).
 	accelStates int
-
-	states   []state
-	rows     []int32 // len(states)·nc successor ids, -1 = not computed
-	index    map[string]int32
-	startRow []int32 // per-class successor of the stream-start step
-	cur      int32
-	keyBuf   []byte
 
 	// Fallback state: fb non-nil routes everything to the iMFAnt engine.
 	fb        *engine.Runner
@@ -321,14 +402,17 @@ type Runner struct {
 	totals        Totals
 }
 
-// NewRunner returns an execution context with an empty cache.
+// NewRunner returns an execution context with an empty cache, owned by the
+// caller (see Matcher.Get for a pooled one).
 func NewRunner(m *Matcher) *Runner {
+	W := m.p.Words()
 	r := &Runner{
 		m:         m,
 		stepper:   engine.NewStepper(m.p),
-		index:     make(map[string]int32),
 		startRow:  make([]int32, m.nc),
-		fbSeen:    make([]uint64, m.p.Words()),
+		w:         W,
+		zeroMasks: make([]uint64, 2*W),
+		fbSeen:    make([]uint64, W),
 		fbSeenEnd: -1,
 	}
 	r.resetCache()
@@ -437,14 +521,7 @@ func (r *Runner) Frontier() []engine.Activation {
 	if r.fb != nil {
 		return r.fb.Frontier()
 	}
-	acts := r.states[r.cur].live
-	out := make([]engine.Activation, len(acts))
-	for i, a := range acts {
-		J := make([]uint64, len(a.J))
-		copy(J, a.J)
-		out[i] = engine.Activation{State: a.State, J: J}
-	}
-	return out
+	return engine.Unpack(r.liveOf(r.cur), r.w)
 }
 
 // Feed consumes the next chunk of the stream. Set final on the last chunk so
@@ -573,13 +650,13 @@ func (r *Runner) feedProfiled(chunk []byte, final bool) {
 				jumpEnd-- // the true last byte always steps normally
 			}
 			if jumpEnd > 0 {
-				if st := &r.states[r.cur]; st.accelOK {
-					j := st.accel.Index(chunk[:jumpEnd])
+				if r.flags[r.cur]&stAccel != 0 {
+					j := r.finderOf(r.cur).Index(chunk[:jumpEnd])
 					if j < 0 {
 						j = jumpEnd
 					}
 					if j > 0 {
-						pr.SampleActivationsN(st.live, int64((r.profFill+j)/stride))
+						pr.SamplePacked(r.liveOf(r.cur), int64((r.profFill+j)/stride))
 						r.profFill = (r.profFill + j) % stride
 						r.res.AccelBytes += int64(j)
 						r.res.Symbols += j
@@ -608,7 +685,7 @@ func (r *Runner) feedProfiled(chunk []byte, final bool) {
 			return
 		}
 		r.profFill = 0
-		pr.SampleActivations(r.states[r.cur].live)
+		pr.SamplePacked(r.liveOf(r.cur), 1)
 		if len(chunk) == 0 {
 			return
 		}
@@ -657,20 +734,23 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 		jumpEnd--
 	}
 	pos := 0
-	if r.accelOn && base > 0 && jumpEnd > 0 {
-		// The state parked across the chunk boundary may be accelerable:
-		// hunt its live bytes from the first byte of the chunk. Stream
-		// byte 0 is exempt (base > 0) — its step also enables the
-		// ^-anchored inits, which classification does not model.
-		if st := &r.states[r.cur]; st.accelOK {
-			j := st.accel.Index(chunk[:jumpEnd])
-			if j < 0 {
-				j = jumpEnd
-			}
-			r.res.AccelBytes += int64(j)
-			pos = j
+	cur := r.cur
+	if r.accelOn && base > 0 && jumpEnd > 0 && r.flags[cur]&stAccel != 0 {
+		// The state parked across the chunk boundary is accelerable: hunt
+		// its live bytes from the first byte of the chunk. Stream byte 0 is
+		// exempt (base > 0) — its step also enables the ^-anchored inits,
+		// which classification does not model.
+		j := r.finderOf(cur).Index(chunk[:jumpEnd])
+		if j < 0 {
+			j = jumpEnd
 		}
+		r.res.AccelBytes += int64(j)
+		pos = j
 	}
+	// The loop keeps the row and flag tables in locals; a miss may grow
+	// (reallocate) them, and a flush renumbers the current state, so both
+	// are reloaded after every miss.
+	rows, flags := r.rows, r.flags
 	for ; pos < len(chunk); pos++ {
 		cls := int(classOf[chunk[pos]])
 		var next int32
@@ -679,9 +759,12 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 			// inits; its successors live in a dedicated row.
 			if next = r.startRow[cls]; next < 0 {
 				next = r.miss(cls, true)
+				rows, flags = r.rows, r.flags
 			}
-		} else if next = r.rows[int(r.cur)*nc+cls]; next < 0 {
+		} else if next = rows[int(cur)*nc+cls]; next < 0 {
+			r.cur = cur
 			next = r.miss(cls, false)
+			rows, flags = r.rows, r.flags
 		}
 		if next < 0 {
 			// Cache thrash: hand the rest of the stream to iMFAnt,
@@ -691,21 +774,24 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 			r.fallback(chunk, pos, final)
 			return
 		}
-		st := &r.states[next]
-		if st.hasAccept {
-			r.emitMask(st.accept, base+pos)
+		cur = next
+		f := flags[next]
+		if f == 0 {
+			continue
 		}
-		if final && pos == last && st.hasAcceptEnd {
-			r.emitMask(st.acceptEnd, base+pos)
+		if f&stAccept != 0 {
+			r.emitMask(r.acceptOf(next), base+pos)
 		}
-		r.cur = next
-		if st.accelOK && pos+1 < jumpEnd {
+		if final && pos == last && f&stAcceptEnd != 0 {
+			r.emitMask(r.acceptEndOf(next), base+pos)
+		}
+		if f&stAccel != 0 && pos+1 < jumpEnd {
 			// Arrived in an accelerable state: every byte outside its
 			// needle set self-loops without emitting, so jump straight to
 			// the next needle (or the jump bound). Skipped bytes count as
 			// cache hits — they were matched, in bulk.
 			rest := chunk[pos+1 : jumpEnd]
-			j := st.accel.Index(rest)
+			j := r.finderOf(next).Index(rest)
 			if j < 0 {
 				j = len(rest)
 			}
@@ -713,6 +799,7 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 			pos += j
 		}
 	}
+	r.cur = cur
 	r.cachedSymbols += int64(len(chunk))
 	r.offset += len(chunk)
 }
@@ -730,7 +817,7 @@ func (r *Runner) End() Result {
 		r.fb.End()
 		r.flushPending()
 	}
-	r.res.CachedStates = len(r.states)
+	r.res.CachedStates = len(r.meta)
 	r.res.AccelStates = r.accelStates
 	r.res.CacheHits = r.cachedSymbols - r.res.CacheMisses
 	if !r.ended {
@@ -790,7 +877,18 @@ func (r *Runner) Totals() Totals {
 
 // CachedStates returns the current number of cached DFA states — the live
 // size of the transition table, bounded by MaxStates.
-func (r *Runner) CachedStates() int { return len(r.states) }
+func (r *Runner) CachedStates() int { return len(r.meta) }
+
+// CacheBytes returns the bytes held by the runner's transition cache: the
+// capacities of its row, flag, state, word-arena, index and finder tables.
+// O(1); like CachedStates a gauge, which a flush does not shrink (the
+// tables keep their capacity for reuse).
+func (r *Runner) CacheBytes() int64 {
+	return int64(cap(r.rows))*4 + int64(cap(r.flags)) +
+		int64(cap(r.meta))*int64(unsafe.Sizeof(stateMeta{})) + int64(cap(r.words))*8 +
+		int64(cap(r.index))*4 + int64(cap(r.finders))*int64(unsafe.Sizeof(bytescan.Finder{})) +
+		int64(cap(r.startRow))*4
+}
 
 // AccelStates returns the number of currently cached states classified as
 // accelerable — like CachedStates, a gauge over the live transition table.
@@ -816,26 +914,30 @@ func ResolveMaxStates(n int) int {
 // miss computes the uncached successor of the current state (or of the
 // stream-start pseudo-state) on byte class cls, caching and returning its
 // id. It returns -1 when the cache is full and the flush budget is spent —
-// the caller must fall back.
+// the caller must fall back. A successor that is already cached costs one
+// Step into scratch plus an index probe, and allocates nothing.
 func (r *Runner) miss(cls int, streamStart bool) int32 {
-	var src []engine.Activation
+	var src []uint64
 	if !streamStart {
-		src = r.states[r.cur].live
+		src = r.liveOf(r.cur)
 	}
-	next, accept, acceptEnd := r.stepper.Step(src, r.m.rep[cls], streamStart)
-	key := r.key(next)
-	id, ok := r.index[key]
-	if !ok {
+	next, accept, acceptEnd := r.stepper.Step(r.scratch[:0], src, r.m.rep[cls], streamStart)
+	r.scratch = next
+	h := hashVec(next)
+	id := r.lookup(next, h)
+	if id < 0 {
+		r.masks = append(append(r.masks[:0], accept...), acceptEnd...)
 		// AllocCap injection: the next insertion behaves as if the state
 		// cap had been reached (allocation pressure) without the cache
 		// actually being full — the flush-or-fallback path verbatim.
-		if len(r.states) >= r.maxStates || r.cfg.Faults.Hit(faultpoint.AllocCap) {
+		if len(r.meta) >= r.maxStates || len(r.words) > maxArenaWords ||
+			r.cfg.Faults.Hit(faultpoint.AllocCap) {
 			if r.res.Flushes >= r.maxFlushes {
 				return -1
 			}
 			r.flush()
 		}
-		id = r.add(next, accept, acceptEnd)
+		id = r.add(next, h, r.masks)
 	}
 	r.res.CacheMisses++
 	if streamStart {
@@ -850,49 +952,70 @@ func (r *Runner) miss(cls int, streamStart bool) int32 {
 // state and the current state, so the scan continues without replay.
 func (r *Runner) flush() {
 	r.res.Flushes++
-	cur := r.states[r.cur]
+	st := r.meta[r.cur]
+	// The current state's words live in the arena resetCache truncates.
+	r.carry = append(append(r.carry[:0], r.actsOf(r.cur)...), r.words[st.masks:int(st.masks)+2*r.w]...)
 	r.resetCache()
-	if len(cur.acts) > 0 {
-		r.cur = r.add(cur.acts, cur.accept, cur.acceptEnd)
-	} else {
-		r.cur = 0
+	if st.nActs > 0 {
+		r.cur = r.add(r.carry[:st.nActs], st.hash, r.carry[st.nActs:])
 	}
 }
 
 // resetCache empties the transition table and re-inserts state 0, the
-// restart state (the empty activation vector).
+// restart state (the empty activation vector). The tables keep their
+// capacity.
 func (r *Runner) resetCache() {
-	r.states = r.states[:0]
 	r.rows = r.rows[:0]
-	clear(r.index)
+	r.flags = r.flags[:0]
+	r.meta = r.meta[:0]
+	r.words = r.words[:0]
+	r.finders = r.finders[:0]
+	for i := range r.index {
+		r.index[i] = -1
+	}
 	for i := range r.startRow {
 		r.startRow[i] = -1
 	}
 	r.accelStates = 0
-	r.add(nil, nil, nil)
+	r.add(nil, hashVec(nil), r.zeroMasks)
 	r.cur = 0
 }
 
-// add caches a state and returns its id, growing the row table by one
-// uncomputed row.
-func (r *Runner) add(acts []engine.Activation, accept, acceptEnd []uint64) int32 {
-	id := int32(len(r.states))
-	live := acts
+// add caches the state of packed pre-pop vector acts (hash h) with its
+// accept and acceptEnd masks (masks, 2·Words words) and returns its id,
+// growing the row table by one uncomputed row. Neither acts nor masks may
+// alias the word arena.
+func (r *Runner) add(acts []uint64, h uint32, masks []uint64) int32 {
+	id := int32(len(r.meta))
+	st := stateMeta{acts: int32(len(r.words)), nActs: int32(len(acts)), hash: h}
+	r.words = append(r.words, acts...)
+	st.live, st.nLive = st.acts, st.nActs
 	if !r.keepOn {
-		live = r.stepper.Pop(acts)
+		n := len(r.words)
+		var popped bool
+		if r.words, popped = r.stepper.Pop(r.words, acts); popped {
+			st.live, st.nLive = int32(n), int32(len(r.words)-n)
+		}
 	}
-	st := state{acts: acts, live: live, accept: accept, acceptEnd: acceptEnd}
-	for _, w := range accept {
-		st.hasAccept = st.hasAccept || w != 0
+	st.masks = int32(len(r.words))
+	r.words = append(r.words, masks...)
+	var f uint8
+	for w, m := range masks {
+		if m == 0 {
+			continue
+		}
+		if w < r.w {
+			f |= stAccept
+		} else {
+			f |= stAcceptEnd
+		}
 	}
-	for _, w := range acceptEnd {
-		st.hasAcceptEnd = st.hasAcceptEnd || w != 0
-	}
-	r.states = append(r.states, st)
-	r.index[r.key(acts)] = id
+	r.meta = append(r.meta, st)
+	r.flags = append(r.flags, f)
 	for i := 0; i < r.m.nc; i++ {
 		r.rows = append(r.rows, -1)
 	}
+	r.insert(id)
 	r.classify(id)
 	return id
 }
@@ -910,16 +1033,16 @@ func (r *Runner) add(acts []engine.Activation, accept, acceptEnd []uint64) int32
 // lists. Dead-class successor rows are prefilled as a side effect — the
 // Step that proved them self-loops already paid for them.
 func (r *Runner) classify(id int32) {
-	st := &r.states[id]
-	if !r.accelOn || st.hasAccept || len(st.acts) > maxAccelActs {
+	if !r.accelOn || r.flags[id]&stAccept != 0 ||
+		int(r.meta[id].nActs) > maxAccelActs*(1+r.w) {
 		return
 	}
 	var live [bytescan.MaxNeedles]byte
 	n := 0
 	rowBase := int(id) * r.m.nc
 	for cls := 0; cls < r.m.nc; cls++ {
-		next, _, _ := r.stepper.Step(st.live, r.m.rep[cls], false)
-		if sameVector(next, st.acts) {
+		r.probe, _, _ = r.stepper.Step(r.probe[:0], r.liveOf(id), r.m.rep[cls], false)
+		if slices.Equal(r.probe, r.actsOf(id)) {
 			r.rows[rowBase+cls] = id
 			continue
 		}
@@ -930,43 +1053,86 @@ func (r *Runner) classify(id int32) {
 		n += copy(live[n:], bs)
 	}
 	if f, ok := bytescan.NewFinder(live[:n]); ok {
-		st.accel = f
-		st.accelOK = true
+		r.meta[id].finder = int32(len(r.finders))
+		r.finders = append(r.finders, f)
+		r.flags[id] |= stAccel
 		r.accelStates++
 	}
 }
 
-// sameVector reports whether two canonical activation vectors are equal.
-func sameVector(a, b []engine.Activation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].State != b[i].State {
-			return false
-		}
-		for w := range a[i].J {
-			if a[i].J[w] != b[i].J[w] {
-				return false
-			}
-		}
-	}
-	return true
+// actsOf and liveOf return the packed pre-pop and live vectors of state
+// id; acceptOf and acceptEndOf its match masks. All alias the word arena
+// and are valid until the next add or flush.
+func (r *Runner) actsOf(id int32) []uint64 {
+	st := &r.meta[id]
+	return r.words[st.acts : st.acts+st.nActs]
 }
 
-// key renders an activation vector (already canonical: sorted by state) as
-// the cache lookup key.
-func (r *Runner) key(acts []engine.Activation) string {
-	b := r.keyBuf[:0]
-	for _, a := range acts {
-		b = append(b, byte(a.State), byte(a.State>>8), byte(a.State>>16), byte(a.State>>24))
-		for _, w := range a.J {
-			b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-				byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
+func (r *Runner) liveOf(id int32) []uint64 {
+	st := &r.meta[id]
+	return r.words[st.live : st.live+st.nLive]
+}
+
+func (r *Runner) acceptOf(id int32) []uint64 {
+	m := int(r.meta[id].masks)
+	return r.words[m : m+r.w]
+}
+
+func (r *Runner) acceptEndOf(id int32) []uint64 {
+	m := int(r.meta[id].masks) + r.w
+	return r.words[m : m+r.w]
+}
+
+func (r *Runner) finderOf(id int32) *bytescan.Finder {
+	return &r.finders[r.meta[id].finder]
+}
+
+// hashVec hashes a packed vector for the cache index.
+func hashVec(v []uint64) uint32 {
+	h := uint64(len(v))
+	for _, w := range v {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
+	}
+	return uint32(h)
+}
+
+// lookup returns the id of the cached state whose packed pre-pop vector is
+// vec (hash h), or -1.
+func (r *Runner) lookup(vec []uint64, h uint32) int32 {
+	mask := len(r.index) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		id := r.index[i]
+		if id < 0 || r.meta[id].hash == h && slices.Equal(r.actsOf(id), vec) {
+			return id
 		}
 	}
-	r.keyBuf = b
-	return string(b)
+}
+
+// insert indexes the just-appended state id, doubling the index (and
+// reinserting every state) when it would pass half full. The index is a
+// power of two wide, so a linear probe always finds an empty slot.
+func (r *Runner) insert(id int32) {
+	if 2*len(r.meta) > len(r.index) {
+		r.index = make([]int32, max(16, 2*len(r.index)))
+		for i := range r.index {
+			r.index[i] = -1
+		}
+		for k := range r.meta {
+			r.place(int32(k))
+		}
+		return
+	}
+	r.place(id)
+}
+
+func (r *Runner) place(id int32) {
+	mask := len(r.index) - 1
+	i := int(r.meta[id].hash) & mask
+	for r.index[i] >= 0 {
+		i = (i + 1) & mask
+	}
+	r.index[i] = id
 }
 
 // fallback resumes the iMFAnt engine from the current (post-pop) activation
@@ -976,7 +1142,7 @@ func (r *Runner) fallback(chunk []byte, pos int, final bool) {
 	r.res.Thrashed = true
 	r.thrashed = true
 	r.fb = engine.NewRunner(r.m.p)
-	r.fb.Resume(r.fallbackCfg(), r.states[r.cur].live, r.offset+pos)
+	r.fb.Resume(r.fallbackCfg(), engine.Unpack(r.liveOf(r.cur), r.w), r.offset+pos)
 	r.fb.Feed(chunk[pos:], final)
 	r.flushPending()
 	r.offset += len(chunk)

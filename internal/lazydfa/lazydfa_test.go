@@ -47,12 +47,12 @@ func TestRowWidthEqualsClasses(t *testing.T) {
 	}
 	r := NewRunner(m)
 	r.Run([]byte("abxyzyzcx"), Config{KeepOnMatch: true})
-	if len(r.states) == 0 {
+	if len(r.meta) == 0 {
 		t.Fatal("no states cached")
 	}
-	if got, want := len(r.rows), len(r.states)*m.NumClasses(); got != want {
+	if got, want := len(r.rows), len(r.meta)*m.NumClasses(); got != want {
 		t.Fatalf("row table %d entries for %d states, want %d (= states × classes)",
-			got, len(r.states), want)
+			got, len(r.meta), want)
 	}
 	if len(r.startRow) != m.NumClasses() {
 		t.Fatalf("start row %d entries, want %d", len(r.startRow), m.NumClasses())
@@ -128,8 +128,8 @@ func TestFlushAndFallback(t *testing.T) {
 	if res.FellBack {
 		t.Fatal("unlimited flush budget fell back")
 	}
-	if len(flushRunner.states) > 4 {
-		t.Fatalf("cache overran its cap: %d states", len(flushRunner.states))
+	if len(flushRunner.meta) > 4 {
+		t.Fatalf("cache overran its cap: %d states", len(flushRunner.meta))
 	}
 	if !reflect.DeepEqual(gotFlush, want) {
 		t.Fatalf("flush run diverged: %d events vs %d", len(gotFlush), len(want))

@@ -102,6 +102,7 @@ func StatsFamilies(s telemetry.Stats, lat *telemetry.Latency) []Family {
 		fams = append(fams,
 			GaugeFamily("imfant_lazy_automata", "Automata running on the lazy-DFA engine.", float64(l.Automata)),
 			GaugeFamily("imfant_lazy_cached_states", "Cached DFA states across automata.", float64(l.CachedStates)),
+			GaugeFamily("imfant_lazy_cache_bytes", "Bytes held by the transition caches across automata.", float64(l.CacheBytes)),
 			GaugeFamily("imfant_lazy_max_states", "Per-automaton transition-cache capacity.", float64(l.MaxStates)),
 			GaugeFamily("imfant_lazy_byte_classes", "Total byte-class count across automata.", float64(l.ByteClasses)),
 			CounterFamily("imfant_lazy_hits", "Input bytes served by a cached transition.", float64(l.Hits)),

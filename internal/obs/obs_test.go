@@ -50,7 +50,7 @@ func TestWriteParsesAsOpenMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"imfant_scans", "imfant_bytes_scanned", "imfant_matches",
-		"imfant_rule_hits", "imfant_lazy_hits", "imfant_lazy_cached_states",
+		"imfant_rule_hits", "imfant_lazy_hits", "imfant_lazy_cached_states", "imfant_lazy_cache_bytes",
 		"imfant_prefilter_sweeps", "imfant_prefilter_bytes_saved",
 		"imfant_accel_bytes_skipped", "imfant_strategy_groups",
 		"imfant_strategy_bytes", "imfant_degraded",

@@ -273,7 +273,10 @@ func (g *Group) runWorker(input []byte, start, end int, final bool) (out workerO
 	}
 	collect := func(fsa, endOff int) { out.events = append(out.events, Event{FSA: fsa, End: endOff}) }
 	if g.Lazy != nil {
-		r := lazydfa.NewRunner(g.Lazy)
+		// The worker borrows a pooled runner, warm cache included; a
+		// panicking scan never reaches the Put below, so its runner is
+		// dropped.
+		r := g.Lazy.Get()
 		cfg := g.LazyCfg
 		cfg.OnMatch = collect
 		r.BeginAt(cfg, start)
@@ -287,6 +290,7 @@ func (g *Group) runWorker(input []byte, start, end int, final bool) (out workerO
 		out.hits, out.misses = res.CacheHits, res.CacheMisses
 		out.flushes, out.thrashed = res.Flushes, res.Thrashed
 		out.err = r.Err()
+		g.Lazy.Put(r)
 		return out
 	}
 	r := engine.NewRunner(g.Program)

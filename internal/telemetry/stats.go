@@ -306,6 +306,12 @@ type LazyStats struct {
 	// CachedStates is the most recently observed total number of cached
 	// DFA states across automata (a gauge, not a cumulative counter).
 	CachedStates int64 `json:"cached_states"`
+	// CacheBytes is the memory held by the transition caches behind
+	// CachedStates — row, state, index and word-arena tables, by capacity
+	// (a gauge). At Ruleset scope it is the sum, over automata, of the most
+	// recently finished runner's cache; at Scanner and StreamMatcher scope,
+	// of the scope's own runners.
+	CacheBytes int64 `json:"cache_bytes"`
 	// MaxStates is the per-automaton cache capacity in effect.
 	MaxStates int `json:"max_states"`
 	// ByteClasses is the total byte-class count across automata — the

@@ -33,6 +33,7 @@ type Collector struct {
 	flushes      atomic.Int64
 	fallbacks    atomic.Int64
 	cachedStates []atomic.Int64 // per-automaton gauge
+	cacheBytes   []atomic.Int64 // per-automaton gauge
 
 	prefEnabled bool
 	prefRules   int
@@ -95,6 +96,7 @@ func (c *Collector) EnableLazy(automata, total, maxStates, byteClasses int) {
 	c.maxStates = maxStates
 	c.byteClasses = byteClasses
 	c.cachedStates = make([]atomic.Int64, total)
+	c.cacheBytes = make([]atomic.Int64, total)
 }
 
 // EnablePrefilter turns on the prefilter section of the snapshot and
@@ -253,6 +255,14 @@ func (c *Collector) SetCachedStates(automaton int, n int64) {
 	}
 }
 
+// SetCacheBytes records the transition-cache bytes of one automaton's most
+// recently finished runner.
+func (c *Collector) SetCacheBytes(automaton int, n int64) {
+	if automaton >= 0 && automaton < len(c.cacheBytes) {
+		c.cacheBytes[automaton].Store(n)
+	}
+}
+
 // SetProfileFunc installs fn as the producer of the snapshot's Profile
 // section. Snapshot calls it on every invocation; fn returning nil leaves
 // the section omitted. Safe for concurrent use with Snapshot.
@@ -287,6 +297,7 @@ func (c *Collector) Snapshot() Stats {
 		}
 		for i := range c.cachedStates {
 			l.CachedStates += c.cachedStates[i].Load()
+			l.CacheBytes += c.cacheBytes[i].Load()
 		}
 		s.Lazy = l
 	}

@@ -60,24 +60,38 @@ func (rs *Ruleset) StatsVar() expvar.Var {
 // executed, including a partial scan still in progress. Not safe for use
 // concurrent with the scanner's scans (the Scanner itself is single-owner).
 func (s *Scanner) Stats() Stats {
-	return s.rs.localStats(s.runs, nil, s.ruleHits, s.timeouts, &s.pref)
+	return s.rs.localStats(runTotals(s.runs), nil, s.ruleHits, s.timeouts, &s.pref)
 }
 
 // Stats returns this stream's telemetry, including the in-progress state of
 // a stream that has not been closed yet (Scans stays 0 until Close, since a
-// stream counts as one completed scan per automaton). Not safe for use
-// concurrent with Write or Close.
+// stream counts as one completed scan per automaton). After Close the
+// numbers are frozen: the stream's runners have returned to their pools.
+// Not safe for use concurrent with Write or Close on the same matcher.
 func (sm *StreamMatcher) Stats() Stats {
-	return sm.rs.localStats(sm.runs, sm.gated, sm.ruleHits, sm.timeouts, &sm.pref)
+	totals := sm.final
+	if totals == nil {
+		totals = runTotals(sm.runs)
+	}
+	return sm.rs.localStats(totals, sm.gated, sm.ruleHits, sm.timeouts, &sm.pref)
+}
+
+// runTotals reads every runner's totals.
+func runTotals(runs []groupRunner) []groupRun {
+	out := make([]groupRun, len(runs))
+	for i, r := range runs {
+		out[i] = r.totals()
+	}
+	return out
 }
 
 // localStats builds a Scanner- or StreamMatcher-scope snapshot from the
-// owner's runners (automata marked in gated never ran and are left out),
-// its rule hits, timeouts and prefilter counters. The planner section
-// takes its classification from the shared plan and the tracker's ungated
-// gauge; the tracker's sweep-disable event counters are ruleset-scope and
-// stay zero here.
-func (rs *Ruleset) localStats(runs []groupRunner, gated []bool, ruleHits []int64, timeouts int64, pref *prefCounters) Stats {
+// owner's per-automaton runner totals (automata marked in gated never ran
+// and are left out), its rule hits, timeouts and prefilter counters. The
+// planner section takes its classification from the shared plan and the
+// tracker's ungated gauge; the tracker's sweep-disable event counters are
+// ruleset-scope and stay zero here.
+func (rs *Ruleset) localStats(totals []groupRun, gated []bool, ruleHits []int64, timeouts int64, pref *prefCounters) Stats {
 	st := Stats{RuleHits: append([]int64(nil), ruleHits...),
 		Degraded: &DegradedStats{ScanTimeouts: timeouts}}
 	var accel *AccelStats
@@ -86,11 +100,10 @@ func (rs *Ruleset) localStats(runs []groupRunner, gated []bool, ruleHits []int64
 	}
 	var stratBytes [numStrategies]int64
 	var l *LazyStats
-	for i, r := range runs {
+	for i, t := range totals {
 		if gated != nil && gated[i] {
 			continue
 		}
-		t := r.totals()
 		st.Scans += t.scans
 		st.BytesScanned += t.bytes
 		st.Matches += t.matches
@@ -113,6 +126,7 @@ func (rs *Ruleset) localStats(runs []groupRunner, gated []bool, ruleHits []int64
 		st.Degraded.CacheGrows += t.grows
 		st.Degraded.PinnedScans += t.pins
 		l.CachedStates += t.cached
+		l.CacheBytes += t.cacheBytes
 		l.MaxStates = max(l.MaxStates, t.maxStates)
 		l.ByteClasses += t.classes
 	}

@@ -304,7 +304,7 @@ func TestStatsJSONKeys(t *testing.T) {
 	}{
 		{"top", pub, []string{"accel", "bytes_scanned", "degraded", "latency", "lazy", "matches",
 			"prefilter", "profile", "rule_hits", "scans", "segment", "strategy"}},
-		{"lazy", section("lazy"), []string{"automata", "byte_classes", "cached_states", "fallbacks",
+		{"lazy", section("lazy"), []string{"automata", "byte_classes", "cache_bytes", "cached_states", "fallbacks",
 			"flushes", "hits", "max_states", "misses"}},
 		{"prefilter", section("prefilter"), []string{"bytes_saved", "factors", "filterable_rules",
 			"groups_skipped", "prefilter_factor_hits", "sweeps"}},

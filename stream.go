@@ -20,8 +20,10 @@ import (
 // io.Copy or a TeeReader in a packet-processing pipeline.
 //
 // The matcher runs on the engine selected by Options.Engine: in lazy-DFA
-// mode each automaton keeps a bounded transition cache that persists for
-// the life of the matcher, in iMFAnt mode the classic chunked runner.
+// mode each automaton's runner, with its bounded transition cache, is
+// borrowed from the Ruleset's per-group pool when the matcher is created and
+// returned at Close, so a new stream starts on the cache earlier streams
+// warmed; in iMFAnt mode the classic chunked runner.
 //
 // Close marks the end of the stream; it is required for correctness of
 // $-anchored rules, which may only match on the final byte. The runners
@@ -61,7 +63,8 @@ import (
 type StreamMatcher struct {
 	mu       sync.Mutex // serializes Write/Close/Err/Matches
 	rs       *Ruleset
-	runs     []groupRunner // per automaton, indexed like rs.programs
+	runs     []groupRunner // per automaton, indexed like rs.programs; nil after Close
+	final    []groupRun    // the runners' totals frozen at Close, before their release
 	check    func() error  // context poll; nil when not cancellable
 	onMatch  func(Match)
 	closed   bool
@@ -122,7 +125,7 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 				sm.onMatch(Match{Rule: ri.RuleID, Pattern: ri.Pattern, End: end})
 			}
 		}
-		sm.runs[i] = x.newRunner()
+		sm.runs[i] = x.checkout()
 		sm.runs[i].begin(runCfg{onMatch: emit, faults: sm.faults})
 	}
 	if pf := rs.pf; pf != nil {
@@ -382,6 +385,13 @@ func (sm *StreamMatcher) Close() error {
 			sm.rs.fold(i, &run, nil, &sm.pref)
 		}
 	}
+	// The runners go back to their pools, where another stream may take
+	// them at once: freeze this stream's totals first.
+	sm.final = runTotals(sm.runs)
+	for _, r := range sm.runs {
+		r.release()
+	}
+	sm.runs = nil
 	if sm.rs.trace != nil {
 		sm.rs.trace.Record(telemetry.Event{Kind: telemetry.EventStreamEnd,
 			Automaton: -1, Rule: -1, Offset: sm.consumed, Value: sm.matches})
