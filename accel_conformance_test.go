@@ -10,15 +10,6 @@ import (
 	"repro/internal/snort"
 )
 
-// accelTestPatterns share the '/' start byte so every execution layer's skip
-// engages: the lazy DFA's state acceleration, the iMFAnt start-byte skip,
-// and the prefilter sweep's root skip. Anchored and $-anchored rules pin the
-// stream-edge carve-outs.
-var accelTestPatterns = []string{
-	"/admin", "/etc/passwd", "/bin/sh[0-9]*", "/usr/(bin|lib)",
-	"^GET /", "/logout$", "/cgi-bin/.*\\.pl",
-}
-
 // accelTraffic builds n bytes of benign HTTP-ish filler salted with pattern
 // fragments, the traffic shape of the snort studies.
 func accelTraffic(n int, seed int64) []byte {
@@ -33,101 +24,6 @@ func accelTraffic(n int, seed int64) []byte {
 		out = append(out, frags[rng.Intn(len(frags))]...)
 	}
 	return out[:n]
-}
-
-// TestAccelConformancePublic checks Options.Accel end to end: accel on and
-// off produce byte-identical results for FindAll, CountParallel, and
-// randomly chunked streams, on both engines, with the prefilter off and on.
-func TestAccelConformancePublic(t *testing.T) {
-	input := accelTraffic(128<<10, 17)
-	rng := rand.New(rand.NewSource(23))
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"imfant", Options{MergeFactor: 2, Engine: EngineIMFAnt, Prefilter: PrefilterOff}},
-		{"imfant-pref", Options{MergeFactor: 2, Engine: EngineIMFAnt, Prefilter: PrefilterOn}},
-		{"lazy", Options{MergeFactor: 2, Engine: EngineLazyDFA, KeepOnMatch: true, Prefilter: PrefilterOff}},
-		{"lazy-pref", Options{MergeFactor: 2, Engine: EngineLazyDFA, KeepOnMatch: true, Prefilter: PrefilterOn}},
-		{"lazy-pop", Options{MergeFactor: 2, Engine: EngineLazyDFA, Prefilter: PrefilterOff}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			onOpts, offOpts := tc.opts, tc.opts
-			offOpts.Accel = AccelOff
-			on := MustCompile(accelTestPatterns, onOpts)
-			off := MustCompile(accelTestPatterns, offOpts)
-
-			want := off.FindAll(input)
-			got := on.FindAll(input)
-			sortMatches(want)
-			sortMatches(got)
-			if len(want) == 0 {
-				t.Fatal("test traffic produced no matches; conformance vacuous")
-			}
-			if len(got) != len(want) {
-				t.Fatalf("FindAll: %d matches accel on, %d off", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("FindAll match %d differs: %+v vs %+v", i, got[i], want[i])
-				}
-			}
-
-			nOn, err := on.CountParallel(input, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nOff, err := off.CountParallel(input, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nOn != nOff {
-				t.Fatalf("CountParallel: %d accel on, %d off", nOn, nOff)
-			}
-
-			var streamed []Match
-			sm := on.NewStreamMatcher(func(m Match) { streamed = append(streamed, m) })
-			for pos := 0; pos < len(input); {
-				end := pos + 1 + rng.Intn(4096)
-				if end > len(input) {
-					end = len(input)
-				}
-				if _, err := sm.Write(input[pos:end]); err != nil {
-					t.Fatal(err)
-				}
-				pos = end
-			}
-			if err := sm.Close(); err != nil {
-				t.Fatal(err)
-			}
-			sortMatches(streamed)
-			if len(streamed) != len(want) {
-				t.Fatalf("stream: %d matches accel on, %d block accel off", len(streamed), len(want))
-			}
-			for i := range streamed {
-				if streamed[i] != want[i] {
-					t.Fatalf("stream match %d differs: %+v vs %+v", i, streamed[i], want[i])
-				}
-			}
-
-			// The accel section must report, and with the '/'-hub ruleset the
-			// skips must actually engage.
-			st := on.Stats()
-			if st.Accel == nil {
-				t.Fatal("accel on: Stats().Accel is nil")
-			}
-			if st.Accel.BytesSkipped == 0 {
-				t.Fatal("accel on: no bytes skipped on a '/'-hub ruleset")
-			}
-			if st.Accel.BytesSkipped > st.BytesScanned {
-				t.Fatalf("BytesSkipped %d exceeds BytesScanned %d",
-					st.Accel.BytesSkipped, st.BytesScanned)
-			}
-			if stOff := off.Stats(); stOff.Accel != nil {
-				t.Fatalf("accel off: Stats().Accel = %+v, want nil", stOff.Accel)
-			}
-		})
-	}
 }
 
 // TestSnortAccelAccounting pins the non-overlap invariant between the two

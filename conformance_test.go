@@ -1,0 +1,588 @@
+package imfant
+
+import (
+	"fmt"
+	"math/rand"
+	"regexp"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/lazydfa"
+	"repro/internal/nfa"
+)
+
+// The conformance matrix checks every execution configuration and every
+// entry point against a ground truth anchored in stdlib regexp, which shares
+// no code with this repo's parser or NFA construction. A match is a (rule,
+// end offset) event. Under KeepOnMatch the event (r, e) exists iff some
+// s ≤ e has input[s:e+1] in the language of rule r, decided by stdlib
+// regexp; under the paper's Eq. 5 pop the truth is engine.ReferenceScan over
+// the rule's own NFA, whose events must in turn be a subset of the keep
+// events. Small inputs are checked against that truth directly; large,
+// boundary-straddling inputs against the plain iMFAnt configuration
+// (prefilter, acceleration and segmentation off), which the small inputs
+// validate in the same run.
+
+// confPatterns are fixed shapes that every generated matrix ruleset
+// carries, chosen so that each execution layer engages somewhere in the
+// matrix: under EngineAuto at MergeFactor 1 they plan to the AC, anchored,
+// eager-DFA and lazy-DFA strategies.
+var confPatterns = []string{
+	"needle", "cab", // literals: an AC group at M ≤ 2, prefilter factors
+	"^HDR", "tail$", // anchored literals
+	"a[bc]+d", "(foo|bar)baz", // small sets: the eager DFA
+	"x.{2,5}y", "b+c", // carries across chunk and segment boundaries
+	"/adm[a-z]*",                             // one start byte: acceleration skips filler
+	"(xc+)?", "(xc+)?y", "((c)+[^ab]c){0,1}", // an optional over a + loop
+	"x[0-9a-c]{40}y", // a long counted chain
+}
+
+// confFragments salt the generated inputs with near and full matches of
+// confPatterns.
+var confFragments = []string{
+	"needle", "neede", "cab", "HDR", "tail", "abd", "acbd", "foobaz", "barba",
+	"xqqy", "x12345y", "bbc", "/admin", "xc", "xccy", "cc", "c", "y", "\n",
+}
+
+// confConfig is one cell of the configuration matrix.
+type confConfig struct {
+	name string
+	opts Options
+}
+
+// conformanceConfigs enumerates the full product Engine × KeepOnMatch ×
+// Prefilter × Accel × Segment. Three further dimensions rotate through each
+// engine × semantics block of 18 cells, so that every value meets every
+// engine and semantics: MergeFactor {0, 1, 2}, LazyDFAMaxStates {0, 3} and
+// instrumentation (Latency, TraceCapacity and Profile) off or on.
+func conformanceConfigs() []confConfig {
+	engines := []EngineMode{EngineAuto, EngineIMFAnt, EngineLazyDFA}
+	engineNames := []string{"auto", "imfant", "lazydfa"}
+	prefilters := []PrefilterMode{PrefilterAuto, PrefilterOff, PrefilterOn}
+	accels := []AccelMode{AccelAuto, AccelOff}
+	segments := []SegmentMode{SegmentAuto, SegmentOff, SegmentOn}
+	modeNames := []string{"auto", "off", "on"}
+	var out []confConfig
+	for e, eng := range engines {
+		for _, keep := range []bool{false, true} {
+			for p, pf := range prefilters {
+				for a, accel := range accels {
+					for s, seg := range segments {
+						mix := p + a + s
+						instr := (p+s)%2 == 1
+						o := Options{Engine: eng, KeepOnMatch: keep, Prefilter: pf, Accel: accel,
+							Segment: seg, MergeFactor: mix % 3, LazyDFAMaxStates: 3 * (mix % 2),
+							Latency: instr, Profile: instr}
+						if instr {
+							o.TraceCapacity = 256
+						}
+						sem := "pop"
+						if keep {
+							sem = "keep"
+						}
+						out = append(out, confConfig{
+							name: fmt.Sprintf("%s/%s/pf-%s/accel-%s/seg-%s/m%d/cap%d/obs-%v",
+								engineNames[e], sem, modeNames[p], []string{"auto", "off"}[a],
+								modeNames[s], o.MergeFactor, o.LazyDFAMaxStates, instr),
+							opts: o,
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// confRule is one rule's independent oracle: the stdlib regexp of its
+// anchor-free body and its own NFA for ReferenceScan.
+type confRule struct {
+	re               *regexp.Regexp
+	anchorS, anchorE bool
+	fsa              *nfa.NFA
+}
+
+// newConfRules builds the oracles of a ruleset, or fails when a pattern is
+// outside the subset both parsers accept. The stdlib regexp runs without
+// the s flag: like this repo's '.', its '.' excludes '\n'.
+func newConfRules(patterns []string) ([]confRule, error) {
+	out := make([]confRule, len(patterns))
+	for i, p := range patterns {
+		r := &out[i]
+		body, anchorS := strings.CutPrefix(p, "^")
+		body, anchorE := strings.CutSuffix(body, "$")
+		r.anchorS, r.anchorE = anchorS, anchorE
+		var err error
+		if r.re, err = regexp.Compile(`\A(?:` + body + `)\z`); err != nil {
+			return nil, err
+		}
+		if r.fsa, err = nfa.Compile(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// confTruth returns the KeepOnMatch and pop ground truths of in, in FindAll
+// order, and fails the test when a pop event is not a keep event.
+func confTruth(t testing.TB, patterns []string, rules []confRule, in []byte) (keep, pop []Match) {
+	t.Helper()
+	for e := range in {
+		for i, r := range rules {
+			if r.anchorE && e != len(in)-1 {
+				continue
+			}
+			for s := 0; s <= e && (s == 0 || !r.anchorS); s++ {
+				if r.re.Match(in[s : e+1]) {
+					keep = append(keep, Match{Rule: i, Pattern: patterns[i], End: e})
+					break
+				}
+			}
+		}
+	}
+	for i, r := range rules {
+		for _, e := range engine.ReferenceScan(r.fsa, in, false) {
+			pop = append(pop, Match{Rule: i, Pattern: patterns[i], End: e})
+		}
+	}
+	sortByEnd(pop)
+	for _, m := range pop {
+		if !slices.Contains(keep, m) {
+			t.Fatalf("pop event %+v on %q is not a keep event of stdlib regexp", m, in)
+		}
+	}
+	return keep, pop
+}
+
+// confCase is one input with the events every configuration must report.
+type confCase struct {
+	in        []byte
+	keep, pop []Match
+}
+
+// want returns the events of the case under the given semantics.
+func (c confCase) want(keepOnMatch bool) []Match {
+	if keepOnMatch {
+		return c.keep
+	}
+	return c.pop
+}
+
+// genConfPattern draws a pattern from the ERE subset both this repo's
+// parser and stdlib regexp accept: literals, classes, '.', groups,
+// alternation, the quantifiers * + ? {0,1} {0,2} {1,3} {2,} {3}, and
+// anchors at the pattern ends.
+func genConfPattern(r *rand.Rand) string {
+	p := genConfExpr(r, 3)
+	switch r.Intn(6) {
+	case 0:
+		p = "^" + p
+	case 1:
+		p += "$"
+	}
+	return p
+}
+
+// genConfExpr draws an anchor-free expression of genConfPattern's subset.
+func genConfExpr(r *rand.Rand, depth int) string {
+	if depth == 0 || r.Intn(4) == 0 {
+		atoms := []string{"a", "b", "c", "x", "y", "ab", "xc", "abc", "[a-c]", "[bx]", "[^ab]", "."}
+		return atoms[r.Intn(len(atoms))]
+	}
+	switch r.Intn(4) {
+	case 0, 1:
+		return genConfExpr(r, depth-1) + genConfExpr(r, depth-1)
+	case 2:
+		return "(" + genConfExpr(r, depth-1) + "|" + genConfExpr(r, depth-1) + ")"
+	default:
+		quants := []string{"*", "+", "?", "{0,1}", "{0,2}", "{1,3}", "{2,}", "{3}"}
+		return "(" + genConfExpr(r, depth-1) + ")" + quants[r.Intn(len(quants))]
+	}
+}
+
+// genConfInput builds a small input of at most 20 bytes from fragments and
+// single bytes of the pattern alphabet.
+func genConfInput(r *rand.Rand) []byte {
+	n := r.Intn(21)
+	var b []byte
+	for len(b) < n {
+		if r.Intn(2) == 0 {
+			b = append(b, confFragments[r.Intn(len(confFragments))]...)
+		} else {
+			b = append(b, "abcxy/ -"[r.Intn(8)])
+		}
+	}
+	return b[:n]
+}
+
+// confLargeInput builds 3 KiB of sparse filler salted with fragments, with
+// matches straddling every segment boundary for 2, 3, 4 and 8 parts (the
+// length is a multiple of 24, so the cuts fall at exact fractions).
+func confLargeInput(r *rand.Rand) []byte {
+	const n = 3 << 10
+	b := []byte(strings.Repeat("-", n))
+	for pos := r.Intn(64); pos < n-16; pos += 16 + r.Intn(160) {
+		copy(b[pos:], confFragments[r.Intn(len(confFragments))])
+	}
+	straddle := []string{"needle", "xqqqy", "foobaz", "/admin", "xccy", "acbd"}
+	for _, parts := range []int{2, 3, 4, 8} {
+		for k := 1; k < parts; k++ {
+			f := straddle[(parts+k)%len(straddle)]
+			copy(b[k*n/parts-len(f)/2:], f)
+		}
+	}
+	copy(b[:4], "HDR ")
+	copy(b[n-5:], " tail")
+	return b
+}
+
+// confRuleset is one matrix ruleset with its cases: small inputs carry the
+// independent truth, large ones the reference configuration's events.
+type confRuleset struct {
+	patterns []string
+	cases    []confCase
+}
+
+// newConfRuleset builds sixteen small inputs and one large input for
+// patterns, and their truths.
+func newConfRuleset(t *testing.T, patterns []string, r *rand.Rand) confRuleset {
+	t.Helper()
+	rules, err := newConfRules(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := confRuleset{patterns: patterns}
+	for i := range 16 {
+		in := genConfInput(r)
+		switch i {
+		case 0:
+			in = nil
+		case 1:
+			in = []byte("c") // the (xc+)? bypass
+		}
+		c := confCase{in: in}
+		c.keep, c.pop = confTruth(t, patterns, rules, in)
+		cs.cases = append(cs.cases, c)
+	}
+	large := confCase{in: confLargeInput(r)}
+	reference := func(keep bool) []Match {
+		return MustCompile(patterns, Options{Engine: EngineIMFAnt, KeepOnMatch: keep,
+			Prefilter: PrefilterOff, Accel: AccelOff, Segment: SegmentOff}).FindAll(large.in)
+	}
+	large.keep, large.pop = reference(true), reference(false)
+	cs.cases = append(cs.cases, large)
+	return cs
+}
+
+// TestConformanceMatrix runs every cell of conformanceConfigs over a
+// rotating set of rulesets, through every entry point, against the
+// independent truth, and checks the stats invariants of each cell.
+func TestConformanceMatrix(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var rulesets []confRuleset
+	r := rand.New(rand.NewSource(1))
+	for range 6 {
+		patterns := slices.Clone(confPatterns)
+		for range 3 {
+			patterns = append(patterns, genConfPattern(r))
+		}
+		rulesets = append(rulesets, newConfRuleset(t, patterns, r))
+	}
+	// More than 64 rules behind two start bytes: at MergeFactor 0 the group
+	// runs iMFAnt's multi-word activation sets, whose start-byte skip
+	// engages on the filler.
+	var wide []string
+	for k := range 66 {
+		wide = append(wide, string("x/"[k%2])+genConfExpr(r, 2))
+	}
+	rulesets = append(rulesets, newConfRuleset(t, wide, r))
+	// Runs once every parallel cell has finished.
+	t.Cleanup(func() { checkGoroutines(t, goroutines) })
+	for i, cfg := range conformanceConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			t.Parallel()
+			cs := rulesets[i%len(rulesets)]
+			checkConformance(t, cfg.opts, cs.patterns, cs.cases, rand.New(rand.NewSource(int64(i))))
+		})
+	}
+}
+
+// checkConformance compiles patterns under opts and checks every entry
+// point on every case, a Registry stream across an Update on the last case,
+// and the stats invariants.
+func checkConformance(t *testing.T, opts Options, patterns []string, cases []confCase, rng *rand.Rand) {
+	t.Helper()
+	rs, err := Compile(patterns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := rs.NewScanner()
+	for _, c := range cases {
+		checkEntryPoints(t, rs, sc, c.in, c.want(opts.KeepOnMatch), rng)
+	}
+	last := cases[len(cases)-1]
+	checkRegistryStream(t, rs, patterns, opts, last.in, last.want(opts.KeepOnMatch), rng)
+	checkStatsInvariants(t, rs, opts)
+}
+
+// checkEntryPoints runs in through FindAll, the reused Scanner, Count,
+// CountPerRule, CountParallel at 1, 2 and 4 threads, findAllSegmented at 2,
+// 3 and 8 segments, and a randomly chunked StreamMatcher.
+func checkEntryPoints(t *testing.T, rs *Ruleset, sc *Scanner, in []byte, want []Match, rng *rand.Rand) {
+	t.Helper()
+	fail := func(what string, got any) {
+		t.Helper()
+		t.Fatalf("%s on %.80q:\ngot  %v\nwant %v", what, in, got, want)
+	}
+	ctx := t.Context()
+	if got, err := rs.FindAllContext(ctx, in); err != nil || !slices.Equal(got, want) {
+		fail(fmt.Sprintf("FindAll (err %v)", err), got)
+	}
+	if got, err := sc.FindAllContext(ctx, in); err != nil || !slices.Equal(got, want) {
+		fail(fmt.Sprintf("reused Scanner (err %v)", err), got)
+	}
+	if n := rs.Count(in); n != int64(len(want)) {
+		fail("Count", n)
+	}
+	perRule := make([]int64, rs.NumRules())
+	for _, m := range want {
+		perRule[m.Rule]++
+	}
+	if got := rs.CountPerRule(in); !slices.Equal(got, perRule) {
+		fail(fmt.Sprintf("CountPerRule (want %v)", perRule), got)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		if n, err := rs.CountParallel(in, threads); err != nil || n != int64(len(want)) {
+			fail(fmt.Sprintf("CountParallel(%d) (err %v)", threads, err), n)
+		}
+	}
+	for _, parts := range []int{2, 3, 8} {
+		// Unpinned, so the stitch runs even where an earlier carry
+		// outlived a segment and pinned its group serial.
+		for i := range rs.segSerial {
+			rs.segSerial[i].Store(false)
+		}
+		if got, err := rs.findAllSegmented(ctx, in, parts); err != nil || !slices.Equal(got, want) {
+			fail(fmt.Sprintf("findAllSegmented(%d) (err %v)", parts, err), got)
+		}
+	}
+	if got, _ := streamAll(t, rs, in, randomChunks(rng)); !slices.Equal(got, want) {
+		fail("chunked StreamMatcher", got)
+	}
+}
+
+// checkRegistryStream opens a Registry stream, writes half of in, updates
+// the registry to the same rules, writes the rest and closes: the stream
+// stays pinned to its version and reports want, and so does the new
+// version's FindAll.
+func checkRegistryStream(t *testing.T, rs *Ruleset, patterns []string, opts Options,
+	in []byte, want []Match, rng *rand.Rand) {
+	t.Helper()
+	reg := NewRegistryFrom(rs)
+	var got []Match
+	sm := reg.NewStreamMatcher(func(m Match) { got = append(got, m) })
+	half := len(in) / 2
+	writeChunks(t, sm, in[:half], randomChunks(rng))
+	if _, err := reg.Update(patterns, opts); err != nil {
+		t.Fatal(err)
+	}
+	writeChunks(t, sm, in[half:], randomChunks(rng))
+	if err := sm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sortByEnd(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("registry stream across Update: %d matches, want %d", len(got), len(want))
+	}
+	if got := reg.FindAll(in); !slices.Equal(got, want) {
+		t.Fatalf("registry FindAll after Update: %d matches, want %d", len(got), len(want))
+	}
+	if err := reg.DrainOld(t.Context()); err != nil || reg.Draining() != 0 {
+		t.Fatalf("DrainOld = %v with %d versions draining", err, reg.Draining())
+	}
+}
+
+// checkStatsInvariants checks the ruleset-scope stats of a cell after its
+// traffic: strategy and segment bytes partition BytesScanned, each optional
+// section is present exactly when its option is on, skipped bytes stay
+// within scanned ones, and lazy caches within the retry ladder's grown cap.
+func checkStatsInvariants(t *testing.T, rs *Ruleset, opts Options) {
+	t.Helper()
+	st := rs.Stats()
+	var strat int64
+	for _, g := range st.Strategy.Groups {
+		strat += g.Bytes
+	}
+	if strat != st.BytesScanned {
+		t.Errorf("strategy bytes %d, BytesScanned %d", strat, st.BytesScanned)
+	}
+	if (st.Segment == nil) != (opts.Segment == SegmentOff) {
+		t.Errorf("Segment section %+v under %v", st.Segment, opts.Segment)
+	} else if s := st.Segment; s != nil && s.ParallelBytes+s.StitchBytes+s.SerialBytes != st.BytesScanned {
+		t.Errorf("segment bytes %+v do not partition BytesScanned %d", s, st.BytesScanned)
+	}
+	if (st.Accel == nil) != (opts.Accel == AccelOff) {
+		t.Errorf("Accel section %+v under %v", st.Accel, opts.Accel)
+	} else if a := st.Accel; a != nil && a.BytesSkipped > st.BytesScanned {
+		t.Errorf("BytesSkipped %d exceeds BytesScanned %d", a.BytesSkipped, st.BytesScanned)
+	}
+	instr := opts.Latency
+	if (st.Latency == nil) == instr || (rs.Profile() == nil) == instr || (len(rs.TraceEvents()) == 0) == instr {
+		t.Errorf("instrumentation %v: latency %v, profile %v, %d trace events",
+			instr, st.Latency != nil, rs.Profile() != nil, len(rs.TraceEvents()))
+	} else if instr && !slices.ContainsFunc(st.Latency.Stages, func(s StageLatency) bool {
+		return s.Stage == "scan" && s.Count > 0
+	}) {
+		t.Errorf("instrumented cell recorded no scan stage: %+v", st.Latency.Stages)
+	}
+	if l := st.Lazy; l != nil {
+		grown := 2 * lazydfa.ResolveMaxStates(opts.LazyDFAMaxStates)
+		if l.CachedStates > int64(l.Automata*grown) {
+			t.Errorf("%d cached states over %d automata, cap %d each", l.CachedStates, l.Automata, grown)
+		}
+	}
+}
+
+// checkGoroutines waits briefly for the goroutine count to return to
+// baseline: no entry point may leak a worker.
+func checkGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	for range 100 {
+		if runtime.NumGoroutine() <= baseline {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("%d goroutines, baseline %d", runtime.NumGoroutine(), baseline)
+}
+
+// randomChunks sizes stream writes: empty, 1-byte and random pieces.
+func randomChunks(rng *rand.Rand) func(left int) int {
+	return func(left int) int {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		}
+		return rng.Intn(left + 1)
+	}
+}
+
+// fixedChunks sizes every stream write at n bytes.
+func fixedChunks(n int) func(int) int { return func(int) int { return n } }
+
+// writeChunks writes in to sm in pieces sized by chunk, called with the
+// number of bytes still to write; every Write must consume its piece.
+func writeChunks(t testing.TB, sm *StreamMatcher, in []byte, chunk func(left int) int) {
+	t.Helper()
+	for len(in) > 0 {
+		n := min(chunk(len(in)), len(in))
+		if w, err := sm.Write(in[:n]); err != nil || w != n {
+			t.Fatalf("Write(%d bytes) = (%d, %v)", n, w, err)
+		}
+		in = in[n:]
+	}
+}
+
+// streamAll streams in through a new StreamMatcher on rs and returns its
+// matches in FindAll order, plus the closed matcher for stats inspection.
+func streamAll(t testing.TB, rs *Ruleset, in []byte, chunk func(left int) int) ([]Match, *StreamMatcher) {
+	t.Helper()
+	var got []Match
+	sm := rs.NewStreamMatcher(func(m Match) { got = append(got, m) })
+	writeChunks(t, sm, in, chunk)
+	if err := sm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sortByEnd(got)
+	return got, sm
+}
+
+// confToken is one token of the pattern subset genConfPattern draws from.
+var confToken = regexp.MustCompile(`^(?:[abcxy.]|\[\^?(?:[abcxy](?:-[abcxy])?)+\]|[()|*+?]|\{[0-9]{1,2}(?:,[0-9]{0,2})?\})`)
+
+// inConfSubset reports whether a fuzzed pattern lies in the subset whose
+// syntax this repo's parser and stdlib regexp read alike: the grammar of
+// genConfPattern over the bytes "abcxy", with any counted bounds. Stacked
+// quantifiers pass: stdlib rejects them or reads them lazily, which leaves
+// the language unchanged.
+func inConfSubset(p string) bool {
+	p = strings.TrimSuffix(strings.TrimPrefix(p, "^"), "$")
+	depth, operand := 0, false // operand: the tokens so far end in an operand
+	for p != "" {
+		tok := confToken.FindString(p)
+		if tok == "" {
+			return false
+		}
+		p = p[len(tok):]
+		switch tok[0] {
+		case '(':
+			depth++
+			operand = false
+		case ')', '|':
+			if !operand || tok == ")" && depth == 0 {
+				return false
+			}
+			if tok == ")" {
+				depth--
+			}
+			operand = tok == ")"
+		case '*', '+', '?', '{':
+			if !operand {
+				return false
+			}
+		default:
+			operand = true
+		}
+	}
+	return depth == 0 && operand
+}
+
+// FuzzConformance is the matrix's fuzz target: newline-separated patterns
+// from the shared subset, an ASCII input, one configuration of the matrix,
+// and a seed for the stream's chunking, checked against the independent
+// truth through every entry point.
+func FuzzConformance(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	f.Add("(xc+)?\nneedle", "c needle", uint(0), int64(1))
+	f.Add("(xc+)?y\n((c)+[^ab]c){0,1}", "cy xcy c", uint(41), int64(2))
+	f.Add("^ab\nb+c$\nx.{2,5}y", "abxaaayabbc", uint(77), int64(3))
+	for i := range 7 {
+		pats := []string{genConfPattern(r), genConfPattern(r), confPatterns[r.Intn(len(confPatterns))]}
+		f.Add(strings.Join(pats, "\n"), string(genConfInput(r)), uint(i*15), int64(i))
+	}
+	configs := conformanceConfigs()
+	f.Fuzz(func(t *testing.T, patterns, input string, config uint, chunkSeed int64) {
+		pats := strings.Split(patterns, "\n")
+		if len(pats) > 8 || len(input) > 64 {
+			return
+		}
+		for _, c := range []byte(input) {
+			if c >= 0x80 {
+				return
+			}
+		}
+		for _, p := range pats {
+			if len(p) > 48 || !inConfSubset(p) && !slices.Contains(confPatterns, p) {
+				return
+			}
+		}
+		// Compile first: within its budgets the oracle's NFAs stay small.
+		cfg := configs[config%uint(len(configs))]
+		if _, err := Compile(pats, cfg.opts); err != nil {
+			return // FuzzCompile owns compile-error typing
+		}
+		rules, err := newConfRules(pats)
+		if err != nil {
+			return
+		}
+		c := confCase{in: []byte(input)}
+		c.keep, c.pop = confTruth(t, pats, rules, c.in)
+		checkConformance(t, cfg.opts, pats, []confCase{c}, rand.New(rand.NewSource(chunkSeed)))
+	})
+}

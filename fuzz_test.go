@@ -2,7 +2,6 @@ package imfant
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -55,53 +54,5 @@ func FuzzCompile(f *testing.F) {
 		}
 		// A compiled hostile pattern must also execute without panicking.
 		rs.FindAll(probe)
-	})
-}
-
-// FuzzStrategyPlan is the planner's differential fuzz target: whatever
-// strategy the classifier picks for a pattern — pure AC, anchored-literal,
-// eager DFA, or an engine — the match set must be byte-identical to the
-// forced iMFAnt engine on the same input, with and without the prefilter.
-func FuzzStrategyPlan(f *testing.F) {
-	type seed struct{ pattern, input string }
-	for _, s := range []seed{
-		{"alpha", "xx alpha yy alphaalpha"},
-		{"^HDR:", "HDR: content"},
-		{"trail$", "stuff trail"},
-		{"^PING$", "PING"},
-		{"^GET [a-z]{1,}$", "GET abc"},
-		{"a[bc]d", "abd acd aad abcd"},
-		{"ne+dle[0-9]*x", "needle77x nedlex"},
-		{"a{2,3}", "aaaa"},
-		{"^a.*d$", "abcd"},
-		{"(foo|bar)baz", "fooba foobaz barbaz"},
-	} {
-		f.Add(s.pattern, s.input)
-	}
-	f.Fuzz(func(t *testing.T, pattern, input string) {
-		if len(input) > 1<<12 {
-			return
-		}
-		oracleRS, err := Compile([]string{pattern, "zz9fixed"},
-			Options{Engine: EngineIMFAnt, Prefilter: PrefilterOff})
-		if err != nil {
-			return // FuzzCompile owns compile-error typing
-		}
-		in := []byte(input + " zz9fixed")
-		want := oracleRS.FindAll(in)
-		sortMatches(want)
-		for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-			planned, err := Compile([]string{pattern, "zz9fixed"},
-				Options{Prefilter: pf})
-			if err != nil {
-				t.Fatalf("%.60q: planner-on compile failed after planner-off succeeded: %v", pattern, err)
-			}
-			got := planned.FindAll(in)
-			sortMatches(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%.60q on %.60q (pf=%v, strategies %v): planned %v, oracle %v",
-					pattern, input, pf, planned.Strategies(), got, want)
-			}
-		}
 	})
 }

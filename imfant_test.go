@@ -2,10 +2,8 @@ package imfant
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestCompileAndFindAll(t *testing.T) {
@@ -53,23 +51,6 @@ func TestMergeFactorGrouping(t *testing.T) {
 	}
 }
 
-func TestMergingResultsIndependentOfM(t *testing.T) {
-	pats := []string{"GET /a", "GET /b", "POST /c", "x[yz]", "cmd"}
-	input := []byte("GET /a POST /c xz cmd GET /b")
-	var want []Match
-	for _, m := range []int{0, 1, 2, 3, 5} {
-		rs := MustCompile(pats, Options{MergeFactor: m})
-		got := rs.FindAll(input)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("M=%d: %v, want %v", m, got, want)
-		}
-	}
-}
-
 func TestCompression(t *testing.T) {
 	rs := MustCompile([]string{"GET /aaa", "GET /bbb", "GET /ccc"}, Options{})
 	sp, tp := rs.Compression()
@@ -93,26 +74,6 @@ func TestCountAndPerRule(t *testing.T) {
 	per := rs.CountPerRule(input)
 	if per[0] != 2 || per[1] != 2 {
 		t.Fatalf("per-rule %v", per)
-	}
-}
-
-func TestCountParallelAgrees(t *testing.T) {
-	pats := []string{"aa", "ab", "bc", "ca", "cc"}
-	rs := MustCompile(pats, Options{MergeFactor: 2})
-	rnd := rand.New(rand.NewSource(3))
-	input := make([]byte, 2048)
-	for i := range input {
-		input[i] = byte('a' + rnd.Intn(3))
-	}
-	seq := rs.Count(input)
-	for _, threads := range []int{1, 2, 4, 8} {
-		got, err := rs.CountParallel(input, threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != seq {
-			t.Fatalf("threads=%d: %d, want %d", threads, got, seq)
-		}
 	}
 }
 
@@ -198,41 +159,5 @@ func TestScanCallback(t *testing.T) {
 	rs.Scan([]byte("xxhx"), func(m Match) { n++ })
 	if n != 3 {
 		t.Fatalf("scan callbacks=%d", n)
-	}
-}
-
-func TestQuickFindAllMatchesRegexpEnds(t *testing.T) {
-	// Cross-check single-literal rules against simple substring scanning.
-	r := rand.New(rand.NewSource(4))
-	f := func() bool {
-		lit := make([]byte, 1+r.Intn(4))
-		for i := range lit {
-			lit[i] = byte('a' + r.Intn(3))
-		}
-		in := make([]byte, r.Intn(64))
-		for i := range in {
-			in[i] = byte('a' + r.Intn(3))
-		}
-		rs := MustCompile([]string{string(lit)}, Options{})
-		var want []int
-		for i := 0; i+len(lit) <= len(in); i++ {
-			if bytes.Equal(in[i:i+len(lit)], lit) {
-				want = append(want, i+len(lit)-1)
-			}
-		}
-		got := rs.FindAll(in)
-		if len(got) != len(want) {
-			t.Logf("lit=%q in=%q got=%v want=%v", lit, in, got, want)
-			return false
-		}
-		for i := range got {
-			if got[i].End != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

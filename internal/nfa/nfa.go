@@ -258,12 +258,19 @@ func (n *NFA) buildRepeat(node *rex.Node) (frag, error) {
 		n.Eps = append(n.Eps, EpsTransition{sf.end, sf.start})
 		return sf, nil
 	case min == 0 && max == 1: // X?
+		// Fresh endpoints, like X*: a bypass straight from sf.start to
+		// sf.end would also open every path that re-enters sf.start
+		// (an X+ back edge inside X), so (xc+)? would accept "c".
+		s, f := n.newState(), n.newState()
 		sf, err := n.build(node.Subs[0])
 		if err != nil {
 			return frag{}, err
 		}
-		n.Eps = append(n.Eps, EpsTransition{sf.start, sf.end})
-		return sf, nil
+		n.Eps = append(n.Eps,
+			EpsTransition{s, sf.start},
+			EpsTransition{sf.end, f},
+			EpsTransition{s, f})
+		return frag{s, f}, nil
 	default:
 		// Counted repetition: record the loop, leave Entry..Exit
 		// unconnected until ExpandLoops materializes it (§IV-C(2)).

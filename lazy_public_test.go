@@ -1,51 +1,10 @@
 package imfant
 
-import (
-	"reflect"
-	"sort"
-	"testing"
-)
-
-// distinct reduces matches to sorted distinct (rule, end) pairs, the form
-// in which the two engines are guaranteed to agree.
-func distinct(ms []Match) []Match {
-	seen := map[[2]int]Match{}
-	for _, m := range ms {
-		seen[[2]int{m.Rule, m.End}] = m
-	}
-	out := make([]Match, 0, len(seen))
-	for _, m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
-		}
-		return out[i].Rule < out[j].Rule
-	})
-	return out
-}
+import "testing"
 
 var enginePats = []string{"GET /a[bd]", "cmd\\.exe", "ab+c", "^GET", "exe$"}
 
 const engineInput = "GET /ab cmd.exe abbbc GET /ad x.exe"
-
-func TestEngineModesAgree(t *testing.T) {
-	for _, keep := range []bool{false, true} {
-		base := MustCompile(enginePats, Options{KeepOnMatch: keep, Engine: EngineIMFAnt})
-		want := distinct(base.FindAll([]byte(engineInput)))
-		for _, mode := range []EngineMode{EngineAuto, EngineLazyDFA} {
-			rs := MustCompile(enginePats, Options{KeepOnMatch: keep, Engine: mode})
-			got := distinct(rs.FindAll([]byte(engineInput)))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("keep=%v mode=%v: %v, want %v", keep, mode, got, want)
-			}
-			if c, bc := rs.Count([]byte(engineInput)), base.Count([]byte(engineInput)); c != bc {
-				t.Fatalf("keep=%v mode=%v: count %d, want %d", keep, mode, c, bc)
-			}
-		}
-	}
-}
 
 func TestScannerReuse(t *testing.T) {
 	rs := MustCompile(enginePats, Options{KeepOnMatch: true, Engine: EngineLazyDFA})
@@ -69,22 +28,5 @@ func TestScannerReuse(t *testing.T) {
 	}
 	if total != first {
 		t.Fatalf("per-rule sum %d, want %d", total, first)
-	}
-}
-
-func TestStreamMatcherLazyEqualsScan(t *testing.T) {
-	for _, maxStates := range []int{0, 3} { // default and flush-forcing cap
-		rs := MustCompile(enginePats, Options{
-			KeepOnMatch: true, Engine: EngineLazyDFA, LazyDFAMaxStates: maxStates,
-		})
-		input := []byte(engineInput + " GET /ab cmd.exe")
-		want := rs.FindAll(input)
-		for _, chunk := range []int{1, 4, len(input)} {
-			got := streamAll(rs, input, chunk)
-			sortMatches(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("maxStates=%d chunk=%d: %v, want %v", maxStates, chunk, got, want)
-			}
-		}
 	}
 }

@@ -32,107 +32,6 @@ func obsTraffic(n int, seed int64) []byte {
 	return out[:n]
 }
 
-// TestObsConformance checks the observability plane's prime directive:
-// latency attribution and tracing on versus all-off produce byte-identical
-// match results for FindAll, CountParallel, and randomly chunked streams,
-// across engines × prefilter × accel.
-func TestObsConformance(t *testing.T) {
-	input := obsTraffic(96<<10, 41)
-	rng := rand.New(rand.NewSource(43))
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"auto", Options{MergeFactor: 3}},
-		{"auto-pref", Options{MergeFactor: 3, Prefilter: PrefilterOn}},
-		{"imfant", Options{MergeFactor: 3, Engine: EngineIMFAnt, Prefilter: PrefilterOff}},
-		{"imfant-accel", Options{MergeFactor: 3, Engine: EngineIMFAnt, Accel: AccelAuto}},
-		{"lazy", Options{MergeFactor: 3, Engine: EngineLazyDFA, KeepOnMatch: true}},
-		{"lazy-accel-pref", Options{MergeFactor: 3, Engine: EngineLazyDFA, Accel: AccelAuto, Prefilter: PrefilterOn}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			onOpts, offOpts := tc.opts, tc.opts
-			onOpts.Latency = true
-			onOpts.TraceCapacity = 512
-			on := MustCompile(obsTestPatterns, onOpts)
-			off := MustCompile(obsTestPatterns, offOpts)
-
-			want := off.FindAll(input)
-			got := on.FindAll(input)
-			sortMatches(want)
-			sortMatches(got)
-			if len(want) == 0 {
-				t.Fatal("test traffic produced no matches; conformance vacuous")
-			}
-			if len(got) != len(want) {
-				t.Fatalf("FindAll: %d matches instrumented, %d off", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("FindAll match %d differs: %+v vs %+v", i, got[i], want[i])
-				}
-			}
-
-			nOn, err := on.CountParallel(input, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nOff, err := off.CountParallel(input, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nOn != nOff {
-				t.Fatalf("CountParallel: %d instrumented, %d off", nOn, nOff)
-			}
-
-			var streamed []Match
-			sm := on.NewStreamMatcher(func(m Match) { streamed = append(streamed, m) })
-			for pos := 0; pos < len(input); {
-				end := pos + 1 + rng.Intn(4096)
-				if end > len(input) {
-					end = len(input)
-				}
-				if _, err := sm.Write(input[pos:end]); err != nil {
-					t.Fatal(err)
-				}
-				pos = end
-			}
-			if err := sm.Close(); err != nil {
-				t.Fatal(err)
-			}
-			sortMatches(streamed)
-			if len(streamed) != len(want) {
-				t.Fatalf("stream: %d matches instrumented, %d block off", len(streamed), len(want))
-			}
-			for i := range streamed {
-				if streamed[i] != want[i] {
-					t.Fatalf("stream match %d differs: %+v vs %+v", i, streamed[i], want[i])
-				}
-			}
-
-			// The instrumented ruleset must actually have recorded latency:
-			// at least the whole-scan stage, with block + parallel + stream
-			// traffic all folded in.
-			lat := on.Stats().Latency
-			if lat == nil || len(lat.Stages) == 0 {
-				t.Fatal("latency on: Stats().Latency empty after traffic")
-			}
-			var scanCount int64
-			for _, st := range lat.Stages {
-				if st.Stage == "scan" {
-					scanCount = st.Count
-				}
-			}
-			if scanCount == 0 {
-				t.Fatalf("no scan-stage observations: %+v", lat.Stages)
-			}
-			if off.Stats().Latency != nil {
-				t.Fatal("latency off: Stats().Latency must be nil")
-			}
-		})
-	}
-}
-
 // TestLatencyStageCoverage pins which stages fire on each path: prefilter
 // and per-strategy dispatch on block scans, parallel and strategy stages on
 // CountParallel, stream write/flush on streams.

@@ -3,40 +3,11 @@ package imfant
 import (
 	"bytes"
 	"errors"
-	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/faultpoint"
 )
-
-// plannerPatterns exercises every strategy class at once: all-literal rules
-// (pure AC), anchored literals, small set-based rules (eager DFA), and
-// loop-carrying rules that stay on the default engine.
-var plannerPatterns = []string{
-	"alpha", "beta7", // literals
-	"^HDR:", "trail$", // anchored literals
-	"a[bc]d", "x[yz]w", // small, unanchored, finals are sinks → eager DFA
-	"ne+dle[0-9]*x", // loops → default engine
-	"(foo|bar)baz+", // loops → default engine
-}
-
-// plannerTraffic builds n bytes of filler salted with fragments that hit
-// every strategy class.
-func plannerTraffic(n int, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	frags := []string{
-		"the quick brown fox ", "alpha", "beta7", "HDR: stuff", "trail",
-		"abd", "acd", "xyw", "needle77x", "neeedlex", "foobazzz", "barbaz",
-		"alphabeta7", " filler filler ",
-	}
-	var out []byte
-	for len(out) < n {
-		out = append(out, frags[rng.Intn(len(frags))]...)
-	}
-	return out[:n]
-}
 
 // TestStrategyPlanClassification pins the compile-time classification: each
 // homogeneous ruleset lands on its fast strategy, a forced engine disables
@@ -209,69 +180,6 @@ func TestScanTimeoutChargesQueueWait(t *testing.T) {
 	}
 	if got := rs.Stats().Degraded.ScanTimeouts; got < 1 {
 		t.Fatalf("Degraded.ScanTimeouts = %d, want >= 1", got)
-	}
-}
-
-// TestStrategyPlannerConformance is the differential check of the tentpole:
-// the planner is a pure execution-strategy choice, so planner-on (EngineAuto)
-// must produce byte-identical results to both forced legacy engines, across
-// prefilter on/off, accel on/off, pop and keep semantics, for FindAll,
-// CountParallel, and randomly chunked streams.
-func TestStrategyPlannerConformance(t *testing.T) {
-	input := plannerTraffic(64<<10, 99)
-	rng := rand.New(rand.NewSource(101))
-	for _, keep := range []bool{false, true} {
-		for _, forced := range []EngineMode{EngineIMFAnt, EngineLazyDFA} {
-			base := Options{MergeFactor: 2, KeepOnMatch: keep, Engine: forced,
-				Prefilter: PrefilterOff, Accel: AccelOff}
-			oracle := MustCompile(plannerPatterns, base)
-			want := oracle.FindAll(input)
-			if len(want) == 0 {
-				t.Fatal("planner traffic produced no matches; conformance vacuous")
-			}
-			sortMatches(want)
-			for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, ac := range []AccelMode{AccelOff, AccelAuto} {
-					opts := Options{MergeFactor: 2, KeepOnMatch: keep,
-						Engine: EngineAuto, Prefilter: pf, Accel: ac}
-					on := MustCompile(plannerPatterns, opts)
-					got := on.FindAll(input)
-					sortMatches(got)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("keep=%v forced=%v pf=%v accel=%v: FindAll %d matches, oracle %d",
-							keep, forced, pf, ac, len(got), len(want))
-					}
-					nOn, err := on.CountParallel(input, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if nOn != int64(len(want)) {
-						t.Fatalf("keep=%v forced=%v pf=%v accel=%v: CountParallel %d, want %d",
-							keep, forced, pf, ac, nOn, len(want))
-					}
-					var streamed []Match
-					sm := on.NewStreamMatcher(func(m Match) { streamed = append(streamed, m) })
-					for pos := 0; pos < len(input); {
-						end := pos + 1 + rng.Intn(4096)
-						if end > len(input) {
-							end = len(input)
-						}
-						if _, err := sm.Write(input[pos:end]); err != nil {
-							t.Fatal(err)
-						}
-						pos = end
-					}
-					if err := sm.Close(); err != nil {
-						t.Fatal(err)
-					}
-					sortMatches(streamed)
-					if !reflect.DeepEqual(streamed, want) {
-						t.Fatalf("keep=%v forced=%v pf=%v accel=%v: stream %d matches, oracle %d",
-							keep, forced, pf, ac, len(streamed), len(want))
-					}
-				}
-			}
-		}
 	}
 }
 

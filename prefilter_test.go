@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -17,51 +16,6 @@ var pfPatterns = []string{
 	"cmd\\.exe",           // factor "cmd.exe"
 	"needle(x|y)+z",       // factor "needle"
 	"(foo|bar)quux[0-9]?", // factor "quux"
-}
-
-// TestPrefilterResultsIdentical verifies the tentpole invariant: prefilter
-// on, off, and auto produce byte-identical match sets on inputs that hit
-// all, some, or none of the factors.
-func TestPrefilterResultsIdentical(t *testing.T) {
-	inputs := [][]byte{
-		[]byte("GET /adminxx then cmd.exe and needlexyz plus fooquux7"),
-		[]byte("only needlexz here"),
-		[]byte("nothing relevant at all"),
-		[]byte(""),
-		bytes.Repeat([]byte("padding GET /admin padding "), 100),
-	}
-	for _, merge := range []int{0, 1, 2} {
-		base := Options{MergeFactor: merge, Prefilter: PrefilterOff}
-		off := MustCompile(pfPatterns, base)
-		for _, mode := range []PrefilterMode{PrefilterAuto, PrefilterOn} {
-			o := base
-			o.Prefilter = mode
-			rs := MustCompile(pfPatterns, o)
-			if !rs.PrefilterActive() {
-				t.Fatalf("merge=%d mode=%v: prefilter inactive on a fully filterable ruleset", merge, mode)
-			}
-			for _, in := range inputs {
-				want := off.FindAll(in)
-				got := rs.FindAll(in)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("merge=%d mode=%v input %q: prefiltered matches %v, unfiltered %v",
-						merge, mode, in, got, want)
-				}
-				wantN, err := off.CountParallel(in, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotN, err := rs.CountParallel(in, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotN != wantN {
-					t.Fatalf("merge=%d mode=%v input %q: CountParallel %d, unfiltered %d",
-						merge, mode, in, gotN, wantN)
-				}
-			}
-		}
-	}
 }
 
 // TestPrefilterSkipsAndStats verifies that a factor-free input skips every
@@ -204,34 +158,13 @@ func TestPrefilterANMLRoundTrip(t *testing.T) {
 	}
 }
 
-// streamMatches feeds input to a StreamMatcher in the given chunk sizes and
-// returns the collected matches plus the matcher for stats inspection.
-func streamMatches(t *testing.T, rs *Ruleset, input []byte, chunk int) ([]Match, *StreamMatcher) {
-	t.Helper()
-	var got []Match
-	sm := rs.NewStreamMatcher(func(m Match) { got = append(got, m) })
-	for off := 0; off < len(input); off += chunk {
-		end := off + chunk
-		if end > len(input) {
-			end = len(input)
-		}
-		if _, err := sm.Write(input[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return got, sm
-}
-
 // TestPrefilterStreamSingleWrite verifies the streaming fast path: a
 // one-Write stream of factor-free input skips every gated automaton
 // entirely, and the stream's Stats record the skip.
 func TestPrefilterStreamSingleWrite(t *testing.T) {
 	rs := MustCompile(pfPatterns, Options{MergeFactor: 2})
 	input := bytes.Repeat([]byte("benign payload "), 100)
-	got, sm := streamMatches(t, rs, input, len(input))
+	got, sm := streamAll(t, rs, input, fixedChunks(len(input)))
 	if len(got) != 0 {
 		t.Fatalf("matches = %v on factor-free stream", got)
 	}
@@ -262,36 +195,8 @@ func TestPrefilterHighByteRepeatFactor(t *testing.T) {
 		if got := rs.FindAll(input); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mode %v: FindAll matches %v, PrefilterOff %v", mode, got, want)
 		}
-		if got, _ := streamMatches(t, rs, input, len(input)); !reflect.DeepEqual(got, want) {
+		if got, _ := streamAll(t, rs, input, fixedChunks(len(input))); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mode %v: single-Write stream matches %v, PrefilterOff %v", mode, got, want)
-		}
-	}
-}
-
-// TestPrefilterStreamConformance verifies streamed results are
-// byte-identical to FindAll and to an unfiltered stream across chunk sizes
-// — including 1-byte chunks, factors split across chunk boundaries, and
-// matches that start before the factor's first occurrence.
-func TestPrefilterStreamConformance(t *testing.T) {
-	inputs := [][]byte{
-		[]byte("xxneedlexz then GET /adminq"),       // factors inside one input
-		[]byte("no factors whatsoever in this one"), //
-		[]byte("cmd.exe"),                           // exact single match
-		bytes.Repeat([]byte("fooquux1 "), 40),       // many matches
-	}
-	off := MustCompile(pfPatterns, Options{MergeFactor: 2, Prefilter: PrefilterOff})
-	on := MustCompile(pfPatterns, Options{MergeFactor: 2})
-	if !on.PrefilterActive() {
-		t.Fatal("prefilter inactive")
-	}
-	for _, in := range inputs {
-		want := off.FindAll(in)
-		for _, chunk := range []int{1, 3, 7, len(in) + 1} {
-			got, _ := streamMatches(t, on, in, chunk)
-			sortMatches(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("chunk=%d input %q: streamed %v, FindAll %v", chunk, in, got, want)
-			}
 		}
 	}
 }
@@ -316,90 +221,12 @@ func TestPrefilterStreamWakeReplay(t *testing.T) {
 	}
 	want := MustCompile(pfPatterns, Options{MergeFactor: 2, Prefilter: PrefilterOff}).
 		FindAll(bytes.Join(chunks, nil))
-	sortMatches(got)
+	sortByEnd(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wake-replay streamed %v, want %v", got, want)
 	}
 	// Nothing may be reported skipped: every automaton ultimately ran.
 	if pf := sm.Stats().Prefilter; pf == nil || pf.GroupsSkipped != 0 {
 		t.Fatalf("prefilter stats = %+v, want zero skips after wake", pf)
-	}
-}
-
-// TestQuickPrefilterConformance is the differential quickcheck of the
-// prefilter across the full execution matrix: random inputs — over
-// alphabets chosen so factors sometimes occur and sometimes cannot — run
-// through FindAll, CountParallel, and randomly chunked StreamMatchers
-// (including 1-byte writes), on both engines, with the prefilter on and
-// off. Every combination must produce the identical match set.
-func TestQuickPrefilterConformance(t *testing.T) {
-	// quickcheckPatterns plus rules whose literal factors reach the
-	// three-byte extraction threshold over the input alphabets below.
-	patterns := append([]string{"abc", "cde", "b+cde", "(abc|bcd)e"}, quickcheckPatterns...)
-	rng := rand.New(rand.NewSource(7))
-	engines := []Options{
-		{},                  // iMFAnt, pop semantics
-		{KeepOnMatch: true}, // auto → lazy-DFA
-		{Engine: EngineIMFAnt, KeepOnMatch: true}, // keep semantics on iMFAnt
-	}
-	gatingLive := 0                             // configs where literal gating engaged; 0 would be vacuous
-	alphabets := []string{"abcde", "cde", "de"} // from factor-rich to factor-free
-	for _, base := range engines {
-		for _, merge := range []int{0, 2} {
-			offOpts, onOpts := base, base
-			offOpts.Prefilter, offOpts.MergeFactor = PrefilterOff, merge
-			onOpts.Prefilter, onOpts.MergeFactor = PrefilterOn, merge
-			off := MustCompile(patterns, offOpts)
-			on := MustCompile(patterns, onOpts)
-			// A config may legitimately end up ungated: the planner can
-			// route every factor-bearing rule to an AC or anchored
-			// strategy, and a grouping with no fully-filterable group
-			// compiles the sweep away as pure overhead. The differential
-			// matrix runs either way; the cross-config tally below keeps
-			// the whole test from going vacuous.
-			if on.Stats().Prefilter != nil {
-				gatingLive++
-			}
-			for trial := 0; trial < 50; trial++ {
-				ab := alphabets[rng.Intn(len(alphabets))]
-				in := make([]byte, rng.Intn(100))
-				for i := range in {
-					in[i] = ab[rng.Intn(len(ab))]
-				}
-				want := off.FindAll(in)
-				if got := on.FindAll(in); !reflect.DeepEqual(got, want) {
-					t.Fatalf("opts %+v merge=%d input %q: FindAll %v, unfiltered %v",
-						base, merge, in, got, want)
-				}
-				wantN, _ := off.CountParallel(in, 2)
-				if gotN, _ := on.CountParallel(in, 2); gotN != wantN {
-					t.Fatalf("opts %+v merge=%d input %q: CountParallel %d, unfiltered %d",
-						base, merge, in, gotN, wantN)
-				}
-				var got []Match
-				sm := on.NewStreamMatcher(func(m Match) { got = append(got, m) })
-				for written := 0; written < len(in); {
-					n := 1
-					if rng.Intn(3) > 0 {
-						n = 1 + rng.Intn(len(in)-written)
-					}
-					if w, err := sm.Write(in[written : written+n]); err != nil || w != n {
-						t.Fatalf("opts %+v: Write = (%d, %v)", base, w, err)
-					}
-					written += n
-				}
-				if err := sm.Close(); err != nil {
-					t.Fatal(err)
-				}
-				sortMatches(got)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("opts %+v merge=%d input %q: stream %v, unfiltered %v",
-						base, merge, in, got, want)
-				}
-			}
-		}
-	}
-	if gatingLive == 0 {
-		t.Fatal("no configuration had literal gating live; the matrix was vacuous")
 	}
 }

@@ -8,68 +8,10 @@ import (
 	"testing"
 )
 
-// quickcheckOpts are the engine configurations the differential streaming
-// quickcheck runs under: iMFAnt, lazy-DFA, and a lazy-DFA cache small
-// enough to flush and fall back mid-stream.
-func quickcheckOpts() []Options {
-	return []Options{
-		{},
-		{KeepOnMatch: true},
-		{Engine: EngineLazyDFA, KeepOnMatch: true},
-		{Engine: EngineLazyDFA, KeepOnMatch: true, LazyDFAMaxStates: 3},
-	}
-}
-
 // quickcheckPatterns stresses boundary-sensitive features: anchors on both
 // ends, counted repetition, alternation, and overlapping literals.
 var quickcheckPatterns = []string{
 	"ab", "a[bc]d", "b+c", "^ab", "cd$", "a{2,3}", "(bc|cb)d", "d?c", "^a.*d$",
-}
-
-// TestQuickStreamEqualsFindAll is the differential quickcheck of the
-// streaming path: random inputs split at random chunk boundaries —
-// including empty and 1-byte writes — through StreamMatcher on every
-// engine configuration must produce exactly the single-shot FindAll match
-// set.
-func TestQuickStreamEqualsFindAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, opts := range quickcheckOpts() {
-		rs := MustCompile(quickcheckPatterns, opts)
-		for trial := 0; trial < 80; trial++ {
-			in := make([]byte, rng.Intn(120))
-			for i := range in {
-				in[i] = byte('a' + rng.Intn(5))
-			}
-			want := rs.FindAll(in)
-
-			var got []Match
-			sm := rs.NewStreamMatcher(func(m Match) { got = append(got, m) })
-			written := 0
-			for written < len(in) {
-				var n int
-				switch rng.Intn(4) {
-				case 0: // empty write
-					n = 0
-				case 1: // 1-byte write
-					n = 1
-				default:
-					n = rng.Intn(len(in) - written + 1)
-				}
-				w, err := sm.Write(in[written : written+n])
-				if err != nil || w != n {
-					t.Fatalf("opts %+v: Write(%d bytes) = (%d, %v)", opts, n, w, err)
-				}
-				written += n
-			}
-			if err := sm.Close(); err != nil {
-				t.Fatalf("opts %+v: Close = %v", opts, err)
-			}
-			sortMatches(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("opts %+v input %q: stream %v, want %v", opts, in, got, want)
-			}
-		}
-	}
 }
 
 // TestQuickStreamCancelThenClose quickchecks the cancellation path: after
@@ -81,7 +23,14 @@ func TestQuickStreamEqualsFindAll(t *testing.T) {
 // error. Inputs stay under one checkpoint so each Write consumes fully.
 func TestQuickStreamCancelThenClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
-	for _, opts := range quickcheckOpts() {
+	// iMFAnt, lazy-DFA, and a lazy-DFA cache small enough to flush and fall
+	// back mid-stream.
+	for _, opts := range []Options{
+		{},
+		{KeepOnMatch: true},
+		{Engine: EngineLazyDFA, KeepOnMatch: true},
+		{Engine: EngineLazyDFA, KeepOnMatch: true, LazyDFAMaxStates: 3},
+	} {
 		rs := MustCompile(quickcheckPatterns, opts)
 		for trial := 0; trial < 40; trial++ {
 			in := make([]byte, 1+rng.Intn(80))
@@ -101,19 +50,12 @@ func TestQuickStreamCancelThenClose(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var got []Match
 			sm := rs.NewStreamMatcherContext(ctx, func(m Match) { got = append(got, m) })
-			written := 0
-			for written < len(in) {
-				n := 1 + rng.Intn(len(in)-written)
-				if w, err := sm.Write(in[written : written+n]); err != nil || w != n {
-					t.Fatalf("opts %+v: Write = (%d, %v)", opts, w, err)
-				}
-				written += n
-			}
+			writeChunks(t, sm, in, randomChunks(rng))
 			cancel()
 			if err := sm.Close(); !errors.Is(err, context.Canceled) {
 				t.Fatalf("opts %+v: Close after cancel = %v", opts, err)
 			}
-			sortMatches(got)
+			sortByEnd(got)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("opts %+v input %q: cancelled stream %v, want %v", opts, in, got, want)
 			}

@@ -233,7 +233,7 @@ func TestRegistrySwapDrainUnderTraffic(t *testing.T) {
 					report("stream close: %v", err)
 					return
 				}
-				sortMatches(got)
+				sortByEnd(got)
 				if !matchesOneOracle(got) {
 					report("stream returned a blended/truncated match list (%d matches)", len(got))
 					return

@@ -21,8 +21,8 @@ var segConfPatterns = []string{
 	"b+c",
 }
 
-// segConfInputs builds inputs whose matches straddle segment boundaries for
-// every small worker count used by the conformance tests.
+// segConfInputs builds inputs whose matches straddle segment boundaries at
+// 2, 3 and 8 segments, so segmented scans of them stitch.
 func segConfInputs(t testing.TB) [][]byte {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(77))
@@ -45,7 +45,7 @@ func segConfInputs(t testing.TB) [][]byte {
 	}
 }
 
-// segRuleset compiles segConfPatterns with segmentation forced on.
+// segRuleset compiles segConfPatterns under opts.
 func segRuleset(t testing.TB, opts Options) *Ruleset {
 	t.Helper()
 	rs, err := Compile(segConfPatterns, opts)
@@ -53,63 +53,6 @@ func segRuleset(t testing.TB, opts Options) *Ruleset {
 		t.Fatal(err)
 	}
 	return rs
-}
-
-// TestSegmentedScanConformance is the segment path's correctness gate:
-// segmented CountParallel and FindAll are byte-identical to their serial
-// counterparts across engines × prefilter × acceleration × worker counts.
-// The worker counts come from CountParallel's threads argument and from
-// findAllSegmented directly, so coverage does not depend on the host's CPU
-// count; the public FindAll runs at GOMAXPROCS segments.
-func TestSegmentedScanConformance(t *testing.T) {
-	inputs := segConfInputs(t)
-	for _, eng := range []EngineMode{EngineIMFAnt, EngineLazyDFA} {
-		for _, keep := range []bool{false, true} {
-			if eng == EngineLazyDFA && !keep {
-				continue // lazy engine runs keep-semantics scans
-			}
-			for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, accel := range []AccelMode{AccelOff, AccelAuto} {
-					base := Options{Engine: eng, KeepOnMatch: keep, Prefilter: pf, Accel: accel}
-					serialOpts := base
-					serialOpts.Segment = SegmentOff
-					serial := segRuleset(t, serialOpts)
-					for _, workers := range []int{2, 3, 8} {
-						segOpts := base
-						segOpts.Segment = SegmentOn
-						seg := segRuleset(t, segOpts)
-						for ii, in := range inputs {
-							wantMatches := serial.FindAll(in)
-							gotMatches, err := seg.findAllSegmented(t.Context(), in, workers)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(gotMatches, wantMatches) {
-								t.Fatalf("eng=%v keep=%v pf=%v accel=%v workers=%d input#%d: FindAll\ngot  %v\nwant %v",
-									eng, keep, pf, accel, workers, ii, gotMatches, wantMatches)
-							}
-							if got := seg.FindAll(in); !reflect.DeepEqual(got, wantMatches) {
-								t.Fatalf("eng=%v keep=%v pf=%v accel=%v input#%d: public FindAll\ngot  %v\nwant %v",
-									eng, keep, pf, accel, ii, got, wantMatches)
-							}
-							want, err := serial.CountParallel(in, 1)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := seg.CountParallel(in, workers)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got != want {
-								t.Fatalf("eng=%v keep=%v pf=%v accel=%v workers=%d input#%d: CountParallel got %d want %d",
-									eng, keep, pf, accel, workers, ii, got, want)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestSegmentAutoThreshold pins the SegmentAuto gate: an input one byte
@@ -275,76 +218,6 @@ func TestSegmentCarryOutlivedPins(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzSegmentStitch is the boundary-stitching conformance fuzzer: random
-// patterns × inputs × segment counts, both engines, prefilter and accel on
-// and off — the segmented match set must be byte-identical to the serial
-// scan every time.
-func FuzzSegmentStitch(f *testing.F) {
-	type seed struct {
-		pattern, input string
-		parts          int
-	}
-	for _, s := range []seed{
-		{"abc", "xxabcxx", 2},
-		{"a.*b", "a" + strings.Repeat("x", 64) + "b", 3},
-		{"^start", "start middle end", 2},
-		{"end$", "the end", 2},
-		{"a[bc]{2,4}d", strings.Repeat("abccd", 20), 7},
-		{"(ab|ba)+", strings.Repeat("ab", 40), 5},
-		{"n+e", "nnnneeee", 4},
-	} {
-		f.Add(s.pattern, s.input, s.parts)
-	}
-	f.Fuzz(func(t *testing.T, pattern, input string, parts int) {
-		if len(input) > 1<<12 || parts < 2 || parts > 32 {
-			return
-		}
-		serial, err := Compile([]string{pattern, "zz9fixed"},
-			Options{Engine: EngineIMFAnt, Prefilter: PrefilterOff, Segment: SegmentOff})
-		if err != nil {
-			return // FuzzCompile owns compile-error typing
-		}
-		in := []byte(input + " zz9fixed")
-		want := serial.FindAll(in)
-		sortMatches(want)
-		for _, eng := range []EngineMode{EngineIMFAnt, EngineLazyDFA} {
-			for _, pf := range []PrefilterMode{PrefilterOff, PrefilterOn} {
-				for _, accel := range []AccelMode{AccelOff, AccelAuto} {
-					keep := eng == EngineLazyDFA
-					seg, err := Compile([]string{pattern, "zz9fixed"}, Options{
-						Engine: eng, KeepOnMatch: keep, Prefilter: pf, Accel: accel,
-						Segment: SegmentOn,
-					})
-					if err != nil {
-						t.Fatalf("%.60q: segmented compile failed after serial succeeded: %v", pattern, err)
-					}
-					wantSet := want
-					if keep {
-						// Keep semantics report a superset; compare against a
-						// keep-mode serial oracle instead.
-						oracle, err := Compile([]string{pattern, "zz9fixed"},
-							Options{Engine: eng, KeepOnMatch: true, Segment: SegmentOff})
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantSet = oracle.FindAll(in)
-						sortMatches(wantSet)
-					}
-					got, err := seg.findAllSegmented(t.Context(), in, parts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sortMatches(got)
-					if !reflect.DeepEqual(got, wantSet) {
-						t.Fatalf("%.60q on %.60q (eng=%v pf=%v accel=%v parts=%d): segmented %v, serial %v",
-							pattern, input, eng, pf, accel, parts, got, wantSet)
-					}
-				}
-			}
-		}
-	})
 }
 
 // TestSegmentedScanTrace pins that the parallel scan paths record the same

@@ -74,8 +74,8 @@ func TestSnortPrefilterSkipRate(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := off.FindAll(in)
-		sortMatches(got)
-		sortMatches(want)
+		sortByEnd(got)
+		sortByEnd(want)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d matches with prefilter, %d without", name, len(got), len(want))
 		}

@@ -5,46 +5,9 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math/rand"
 	"reflect"
 	"testing"
 )
-
-func streamAll(rs *Ruleset, input []byte, chunk int) []Match {
-	var out []Match
-	sm := rs.NewStreamMatcher(func(m Match) { out = append(out, m) })
-	for i := 0; i < len(input); i += chunk {
-		end := i + chunk
-		if end > len(input) {
-			end = len(input)
-		}
-		sm.Write(input[i:end])
-	}
-	sm.Close()
-	return out
-}
-
-func TestStreamMatcherEqualsFindAll(t *testing.T) {
-	rs := MustCompile([]string{"abc", "b+c", "^ab", "cd$"}, Options{})
-	input := []byte("abcxbbbcxabcd")
-	want := rs.FindAll(input)
-	for _, chunk := range []int{1, 2, 3, 5, len(input), 100} {
-		got := streamAll(rs, input, chunk)
-		// FindAll sorts; sort streaming output equivalently.
-		sortMatches(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk=%d: %v, want %v", chunk, got, want)
-		}
-	}
-}
-
-func sortMatches(ms []Match) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && (ms[j].End < ms[j-1].End || (ms[j].End == ms[j-1].End && ms[j].Rule < ms[j-1].Rule)); j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
 
 func TestStreamMatcherAsWriter(t *testing.T) {
 	rs := MustCompile([]string{"needle"}, Options{})
@@ -166,23 +129,6 @@ func TestStreamCloseImmediatelyAfterCancel(t *testing.T) {
 		}
 		if !errors.Is(sm.Err(), context.Canceled) {
 			t.Fatalf("opts %+v: Err() = %v", opts, sm.Err())
-		}
-	}
-}
-
-func TestQuickStreamChunkInvariance(t *testing.T) {
-	rs := MustCompile([]string{"ab", "a[bc]d", "b+", "ca$"}, Options{})
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		in := make([]byte, 1+r.Intn(60))
-		for i := range in {
-			in[i] = byte('a' + r.Intn(4))
-		}
-		want := streamAll(rs, in, len(in))
-		chunk := 1 + r.Intn(7)
-		got := streamAll(rs, in, chunk)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("input %q chunk %d: %v want %v", in, chunk, got, want)
 		}
 	}
 }
