@@ -2,12 +2,10 @@ package imfant
 
 import (
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/faultpoint"
-	"repro/internal/snort"
 )
 
 // accelTraffic builds n bytes of benign HTTP-ish filler salted with pattern
@@ -33,19 +31,7 @@ func accelTraffic(n int, seed int64) []byte {
 // saved bytes partition the total automaton-byte volume exactly, and skipped
 // bytes stay within the scanned share.
 func TestSnortAccelAccounting(t *testing.T) {
-	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rules, _, err := snort.ParseRules(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := make([]string, 0, len(rules))
-	for _, ru := range rules {
-		patterns = append(patterns, ru.Pattern)
-	}
+	patterns := snortPatterns(t)
 	rs, _, err := CompileLax(patterns, Options{
 		MergeFactor: 2, KeepOnMatch: true, Prefilter: PrefilterOn, Accel: AccelAuto,
 	})

@@ -8,7 +8,6 @@ package imfant
 
 import (
 	"io"
-	"os"
 	"testing"
 
 	"repro/internal/dataset"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/lazydfa"
 	"repro/internal/pipeline"
 	"repro/internal/similarity"
-	"repro/internal/snort"
 )
 
 // benchOpts returns a scaled-down experiment configuration over a single
@@ -275,19 +273,7 @@ func BenchmarkPublicAPICompile(b *testing.B) {
 		return s.Patterns()[:n]
 	}
 	broTCP := append(slice("BRO", 40), slice("TCP", 40)...)
-	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rules, _, err := snort.ParseRules(f)
-	f.Close()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var web []string
-	for _, r := range rules {
-		web = append(web, r.Pattern)
-	}
+	web := snortPatterns(b)
 	cases := []struct {
 		name string
 		pats []string

@@ -3,6 +3,7 @@ package imfant
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"regexp"
 	"runtime"
 	"slices"
@@ -13,19 +14,32 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lazydfa"
 	"repro/internal/nfa"
+	"repro/internal/snort"
 )
 
 // The conformance matrix checks every execution configuration and every
 // entry point against a ground truth anchored in stdlib regexp, which shares
 // no code with this repo's parser or NFA construction. A match is a (rule,
-// end offset) event. Under KeepOnMatch the event (r, e) exists iff some
-// s ≤ e has input[s:e+1] in the language of rule r, decided by stdlib
-// regexp; under the paper's Eq. 5 pop the truth is engine.ReferenceScan over
-// the rule's own NFA, whose events must in turn be a subset of the keep
-// events. Small inputs are checked against that truth directly; large,
+// end offset) event. Patterns and inputs range over the full byte alphabet:
+// stdlib reads each input byte as the rune U+0000–U+00FF of the same value,
+// so a pattern's \xNN escapes and classes mean the same bytes to both
+// parsers, and this repo's \s and \S (POSIX space, with \v) are rewritten to
+// explicit classes for stdlib.
+//
+// Under KeepOnMatch the event (r, e) exists iff some s ≤ e has in[s:e+1] in
+// the language of rule r, decided by stdlib alone. Under the paper's Eq. 5
+// pop the truth is engine.ReferenceScan over the rule's own NFA, pinned from
+// both sides by stdlib: its events are keep events, and for a rule without
+// a trailing $ they include, from every start s, the end of the shortest
+// in[s:e+1] in the language, since no proper prefix of that word is
+// accepted and so no path through it was popped. Only the few pop events
+// that depend on the automaton's shape rest on ReferenceScan alone.
+//
+// Small inputs are checked against that truth directly; large,
 // boundary-straddling inputs against the plain iMFAnt configuration
 // (prefilter, acceleration and segmentation off), which the small inputs
-// validate in the same run.
+// validate in the same run. The rulesets are generated ones, a wide one of
+// more than 64 rules, and the snort-derived web-attacks rules.
 
 // confPatterns are fixed shapes that every generated matrix ruleset
 // carries, chosen so that each execution layer engages somewhere in the
@@ -46,6 +60,40 @@ var confPatterns = []string{
 var confFragments = []string{
 	"needle", "neede", "cab", "HDR", "tail", "abd", "acbd", "foobaz", "barba",
 	"xqqy", "x12345y", "bbc", "/admin", "xc", "xccy", "cc", "c", "y", "\n",
+}
+
+// snortFragments salt the snort ruleset's inputs with the literals of its
+// rules, in several letter cases, and with near misses.
+var snortFragments = []string{
+	"/cgi-bin/phf", "/cgi-bin/test-cgi", "cmd.exe", "CmD.ExE", "/etc/passwd",
+	"../..", "union select", "UNION/**/SELECT", "<script", "<ScRiPt",
+	".php?u=http://", "\x90\x90\x90\x90", "site exec", "SITE  EXEC",
+	"User-Agent: nikto", "User-Agent:sqlmap", "nmap", "GET ", "\r\n", "\n",
+}
+
+// confEdgeBytes are the bytes where this repo's classes and stdlib's are
+// most likely to part: NUL, the POSIX spaces (\v among them), DEL, the high
+// half and the word-class borders.
+const confEdgeBytes = "\x00\t\n\v\f\r \x7f\x80\x90\xff09AZ_"
+
+// snortPatterns returns the patterns of the snort-derived web-attacks
+// ruleset.
+func snortPatterns(t testing.TB) []string {
+	t.Helper()
+	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rules, _, err := snort.ParseRules(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := make([]string, len(rules))
+	for i, ru := range rules {
+		patterns[i] = ru.Pattern
+	}
+	return patterns
 }
 
 // confConfig is one cell of the configuration matrix.
@@ -98,10 +146,11 @@ func conformanceConfigs() []confConfig {
 	return out
 }
 
-// confRule is one rule's independent oracle: the stdlib regexp of its
-// anchor-free body and its own NFA for ReferenceScan.
+// confRule is one rule's independent oracle: stdlib regexps of its
+// anchor-free body, whole-word and suffix-anchored, and its own NFA for
+// ReferenceScan.
 type confRule struct {
-	re               *regexp.Regexp
+	whole, suffix    *regexp.Regexp
 	anchorS, anchorE bool
 	fsa              *nfa.NFA
 }
@@ -116,10 +165,12 @@ func newConfRules(patterns []string) ([]confRule, error) {
 		body, anchorS := strings.CutPrefix(p, "^")
 		body, anchorE := strings.CutSuffix(body, "$")
 		r.anchorS, r.anchorE = anchorS, anchorE
+		body = stdlibSyntax(body)
 		var err error
-		if r.re, err = regexp.Compile(`\A(?:` + body + `)\z`); err != nil {
+		if r.whole, err = regexp.Compile(`\A(?:` + body + `)\z`); err != nil {
 			return nil, err
 		}
+		r.suffix = regexp.MustCompile(`(?:` + body + `)\z`)
 		if r.fsa, err = nfa.Compile(p); err != nil {
 			return nil, err
 		}
@@ -127,32 +178,95 @@ func newConfRules(patterns []string) ([]confRule, error) {
 	return out, nil
 }
 
+// stdlibSyntax rewrites a pattern body of the shared subset for stdlib,
+// whose \s lacks \v: \s and \S become POSIX space and its complement over
+// the bytes, as classes or, inside a bracket, as bare byte lists.
+func stdlibSyntax(p string) string {
+	var b strings.Builder
+	bracket := false
+	for i := 0; i < len(p); i++ {
+		switch c := p[i]; {
+		case c == '\\' && i+1 < len(p) && (p[i+1] == 's' || p[i+1] == 'S'):
+			list := `\t\n\v\f\r `
+			if p[i+1] == 'S' {
+				list = `\x00-\x08\x0e-\x1f!-\xff`
+			}
+			if !bracket {
+				list = "[" + list + "]"
+			}
+			b.WriteString(list)
+			i++
+		case c == '\\' && i+1 < len(p):
+			b.WriteString(p[i : i+2])
+			i++
+		case c == '[' && bracket && strings.HasPrefix(p[i:], "[:"):
+			// A POSIX class: its ']' does not close the bracket.
+			n := strings.Index(p[i:], ":]") + 2
+			b.WriteString(p[i : i+n])
+			i += n - 1
+		default:
+			bracket = c == '[' || bracket && c != ']'
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
 // confTruth returns the KeepOnMatch and pop ground truths of in, in FindAll
-// order, and fails the test when a pop event is not a keep event.
+// order, and fails the test unless the pop events lie between the stdlib
+// lower bound and the keep events.
 func confTruth(t testing.TB, patterns []string, rules []confRule, in []byte) (keep, pop []Match) {
 	t.Helper()
-	for e := range in {
-		for i, r := range rules {
+	// Byte i of in is the rune text[off[i]:off[i+1]].
+	var sb strings.Builder
+	off := make([]int, len(in)+1)
+	for i, c := range in {
+		off[i] = sb.Len()
+		sb.WriteRune(rune(c))
+	}
+	off[len(in)] = sb.Len()
+	text := sb.String()
+	var lower []Match
+	for i, r := range rules {
+		ends := make([]bool, len(in))
+		for e := range in {
 			if r.anchorE && e != len(in)-1 {
 				continue
 			}
-			for s := 0; s <= e && (s == 0 || !r.anchorS); s++ {
-				if r.re.Match(in[s : e+1]) {
-					keep = append(keep, Match{Rule: i, Pattern: patterns[i], End: e})
+			if r.anchorS {
+				ends[e] = r.whole.MatchString(text[:off[e+1]])
+			} else {
+				// The leftmost start of a match ending at e: some
+				// nonempty word ends there iff it lies before e+1.
+				loc := r.suffix.FindStringIndex(text[:off[e+1]])
+				ends[e] = loc != nil && loc[0] < off[e+1]
+			}
+			if ends[e] {
+				keep = append(keep, Match{Rule: i, Pattern: patterns[i], End: e})
+			}
+		}
+		for s := 0; s < len(in) && !r.anchorE && (s == 0 || !r.anchorS); s++ {
+			for e := s; e < len(in); e++ {
+				if ends[e] && r.whole.MatchString(text[off[s]:off[e+1]]) {
+					lower = append(lower, Match{Rule: i, Pattern: patterns[i], End: e})
 					break
 				}
 			}
 		}
-	}
-	for i, r := range rules {
 		for _, e := range engine.ReferenceScan(r.fsa, in, false) {
 			pop = append(pop, Match{Rule: i, Pattern: patterns[i], End: e})
 		}
 	}
+	sortByEnd(keep)
 	sortByEnd(pop)
 	for _, m := range pop {
 		if !slices.Contains(keep, m) {
 			t.Fatalf("pop event %+v on %q is not a keep event of stdlib regexp", m, in)
+		}
+	}
+	for _, m := range lower {
+		if !slices.Contains(pop, m) {
+			t.Fatalf("pop truth on %q lacks %+v, the end of a shortest stdlib match", in, m)
 		}
 	}
 	return keep, pop
@@ -172,10 +286,12 @@ func (c confCase) want(keepOnMatch bool) []Match {
 	return c.pop
 }
 
-// genConfPattern draws a pattern from the ERE subset both this repo's
-// parser and stdlib regexp accept: literals, classes, '.', groups,
-// alternation, the quantifiers * + ? {0,1} {0,2} {1,3} {2,} {3}, and
-// anchors at the pattern ends.
+// genConfPattern draws a pattern from the subset both this repo's parser
+// and stdlib regexp accept: literals, \xNN escapes, classes (negated,
+// ranged, POSIX and the \d \w \s \S shorthands), '.', groups, alternation,
+// the quantifiers * + ? {0,1} {0,2} {1,3} {2,} {3}, and anchors at the
+// pattern ends. High bytes appear only as \xNN escapes, so the pattern
+// stays valid UTF-8 for stdlib.
 func genConfPattern(r *rand.Rand) string {
 	p := genConfExpr(r, 3)
 	switch r.Intn(6) {
@@ -190,7 +306,9 @@ func genConfPattern(r *rand.Rand) string {
 // genConfExpr draws an anchor-free expression of genConfPattern's subset.
 func genConfExpr(r *rand.Rand, depth int) string {
 	if depth == 0 || r.Intn(4) == 0 {
-		atoms := []string{"a", "b", "c", "x", "y", "ab", "xc", "abc", "[a-c]", "[bx]", "[^ab]", "."}
+		atoms := []string{"a", "b", "c", "x", "y", "ab", "xc", "abc", "[a-c]", "[bx]", "[^ab]", ".",
+			`\x00`, `\x0b`, `\x90`, `\xff`, `[\x80-\xff]`, `[^a\x90]`, `[^\s\xff]`,
+			`\d`, `\w`, `\s`, `\S`, `[[:alpha:]]`}
 		return atoms[r.Intn(len(atoms))]
 	}
 	switch r.Intn(4) {
@@ -204,34 +322,42 @@ func genConfExpr(r *rand.Rand, depth int) string {
 	}
 }
 
-// genConfInput builds a small input of at most 20 bytes from fragments and
-// single bytes of the pattern alphabet.
-func genConfInput(r *rand.Rand) []byte {
-	n := r.Intn(21)
+// genConfInput builds a small input of at most max bytes from frags, single
+// bytes of the pattern alphabet, edge bytes and arbitrary bytes.
+func genConfInput(r *rand.Rand, frags []string, max int) []byte {
+	n := r.Intn(max + 1)
 	var b []byte
 	for len(b) < n {
-		if r.Intn(2) == 0 {
-			b = append(b, confFragments[r.Intn(len(confFragments))]...)
-		} else {
+		switch r.Intn(8) {
+		case 0, 1, 2, 3:
+			b = append(b, frags[r.Intn(len(frags))]...)
+		case 4, 5:
 			b = append(b, "abcxy/ -"[r.Intn(8)])
+		case 6:
+			b = append(b, confEdgeBytes[r.Intn(len(confEdgeBytes))])
+		default:
+			b = append(b, byte(r.Intn(256)))
 		}
 	}
 	return b[:n]
 }
 
-// confLargeInput builds 3 KiB of sparse filler salted with fragments, with
-// matches straddling every segment boundary for 2, 3, 4 and 8 parts (the
-// length is a multiple of 24, so the cuts fall at exact fractions).
-func confLargeInput(r *rand.Rand) []byte {
+// confLargeInput builds 3 KiB of sparse filler salted with frags, with
+// fragments of four bytes or more straddling every segment boundary for 2,
+// 3, 4 and 8 parts (the length is a multiple of 24, so the cuts fall at
+// exact fractions).
+func confLargeInput(r *rand.Rand, frags []string) []byte {
 	const n = 3 << 10
 	b := []byte(strings.Repeat("-", n))
 	for pos := r.Intn(64); pos < n-16; pos += 16 + r.Intn(160) {
-		copy(b[pos:], confFragments[r.Intn(len(confFragments))])
+		copy(b[pos:], frags[r.Intn(len(frags))])
 	}
-	straddle := []string{"needle", "xqqqy", "foobaz", "/admin", "xccy", "acbd"}
 	for _, parts := range []int{2, 3, 4, 8} {
 		for k := 1; k < parts; k++ {
-			f := straddle[(parts+k)%len(straddle)]
+			f := ""
+			for len(f) < 4 {
+				f = frags[r.Intn(len(frags))]
+			}
 			copy(b[k*n/parts-len(f)/2:], f)
 		}
 	}
@@ -247,9 +373,9 @@ type confRuleset struct {
 	cases    []confCase
 }
 
-// newConfRuleset builds sixteen small inputs and one large input for
-// patterns, and their truths.
-func newConfRuleset(t *testing.T, patterns []string, r *rand.Rand) confRuleset {
+// newConfRuleset builds sixteen small inputs of at most max bytes and one
+// large input for patterns, salted with frags, and their truths.
+func newConfRuleset(t *testing.T, patterns, frags []string, max int, r *rand.Rand) confRuleset {
 	t.Helper()
 	rules, err := newConfRules(patterns)
 	if err != nil {
@@ -257,7 +383,7 @@ func newConfRuleset(t *testing.T, patterns []string, r *rand.Rand) confRuleset {
 	}
 	cs := confRuleset{patterns: patterns}
 	for i := range 16 {
-		in := genConfInput(r)
+		in := genConfInput(r, frags, max)
 		switch i {
 		case 0:
 			in = nil
@@ -268,7 +394,7 @@ func newConfRuleset(t *testing.T, patterns []string, r *rand.Rand) confRuleset {
 		c.keep, c.pop = confTruth(t, patterns, rules, in)
 		cs.cases = append(cs.cases, c)
 	}
-	large := confCase{in: confLargeInput(r)}
+	large := confCase{in: confLargeInput(r, frags)}
 	reference := func(keep bool) []Match {
 		return MustCompile(patterns, Options{Engine: EngineIMFAnt, KeepOnMatch: keep,
 			Prefilter: PrefilterOff, Accel: AccelOff, Segment: SegmentOff}).FindAll(large.in)
@@ -290,7 +416,7 @@ func TestConformanceMatrix(t *testing.T) {
 		for range 3 {
 			patterns = append(patterns, genConfPattern(r))
 		}
-		rulesets = append(rulesets, newConfRuleset(t, patterns, r))
+		rulesets = append(rulesets, newConfRuleset(t, patterns, confFragments, 20, r))
 	}
 	// More than 64 rules behind two start bytes: at MergeFactor 0 the group
 	// runs iMFAnt's multi-word activation sets, whose start-byte skip
@@ -299,7 +425,10 @@ func TestConformanceMatrix(t *testing.T) {
 	for k := range 66 {
 		wide = append(wide, string("x/"[k%2])+genConfExpr(r, 2))
 	}
-	rulesets = append(rulesets, newConfRuleset(t, wide, r))
+	rulesets = append(rulesets, newConfRuleset(t, wide, confFragments, 20, r))
+	// The snort rules' cells alternate LazyDFAMaxStates 0 and 3, so their
+	// lazy groups flush and fall back to iMFAnt on thrash.
+	rulesets = append(rulesets, newConfRuleset(t, snortPatterns(t), snortFragments, 48, r))
 	// Runs once every parallel cell has finished.
 	t.Cleanup(func() { checkGoroutines(t, goroutines) })
 	for i, cfg := range conformanceConfigs() {
@@ -326,7 +455,7 @@ func checkConformance(t *testing.T, opts Options, patterns []string, cases []con
 	}
 	last := cases[len(cases)-1]
 	checkRegistryStream(t, rs, patterns, opts, last.in, last.want(opts.KeepOnMatch), rng)
-	checkStatsInvariants(t, rs, opts)
+	checkStatsInvariants(t, rs, sc, opts)
 }
 
 // checkEntryPoints runs in through FindAll, the reused Scanner, Count,
@@ -361,11 +490,6 @@ func checkEntryPoints(t *testing.T, rs *Ruleset, sc *Scanner, in []byte, want []
 		}
 	}
 	for _, parts := range []int{2, 3, 8} {
-		// Unpinned, so the stitch runs even where an earlier carry
-		// outlived a segment and pinned its group serial.
-		for i := range rs.segSerial {
-			rs.segSerial[i].Store(false)
-		}
 		if got, err := rs.findAllSegmented(ctx, in, parts); err != nil || !slices.Equal(got, want) {
 			fail(fmt.Sprintf("findAllSegmented(%d) (err %v)", parts, err), got)
 		}
@@ -406,11 +530,12 @@ func checkRegistryStream(t *testing.T, rs *Ruleset, patterns []string, opts Opti
 	}
 }
 
-// checkStatsInvariants checks the ruleset-scope stats of a cell after its
-// traffic: strategy and segment bytes partition BytesScanned, each optional
-// section is present exactly when its option is on, skipped bytes stay
-// within scanned ones, and lazy caches within the retry ladder's grown cap.
-func checkStatsInvariants(t *testing.T, rs *Ruleset, opts Options) {
+// checkStatsInvariants checks the stats of a cell after its traffic:
+// strategy and segment bytes partition BytesScanned, each optional section
+// is present exactly when its option is on, skipped bytes stay within
+// scanned ones, lazy caches within the retry ladder's grown cap, and the
+// reused Scanner, which never segments, counts all its bytes serial.
+func checkStatsInvariants(t *testing.T, rs *Ruleset, sc *Scanner, opts Options) {
 	t.Helper()
 	st := rs.Stats()
 	var strat int64
@@ -424,6 +549,11 @@ func checkStatsInvariants(t *testing.T, rs *Ruleset, opts Options) {
 		t.Errorf("Segment section %+v under %v", st.Segment, opts.Segment)
 	} else if s := st.Segment; s != nil && s.ParallelBytes+s.StitchBytes+s.SerialBytes != st.BytesScanned {
 		t.Errorf("segment bytes %+v do not partition BytesScanned %d", s, st.BytesScanned)
+	}
+	if scs := sc.Stats(); (scs.Segment == nil) != (opts.Segment == SegmentOff) ||
+		scs.Segment != nil && *scs.Segment != (SegmentStats{SerialBytes: scs.BytesScanned}) {
+		t.Errorf("Scanner Segment section %+v under %v, want all %d bytes serial",
+			scs.Segment, opts.Segment, scs.BytesScanned)
 	}
 	if (st.Accel == nil) != (opts.Accel == AccelOff) {
 		t.Errorf("Accel section %+v under %v", st.Accel, opts.Accel)
@@ -503,14 +633,21 @@ func streamAll(t testing.TB, rs *Ruleset, in []byte, chunk func(left int) int) (
 	return got, sm
 }
 
-// confToken is one token of the pattern subset genConfPattern draws from.
-var confToken = regexp.MustCompile(`^(?:[abcxy.]|\[\^?(?:[abcxy](?:-[abcxy])?)+\]|[()|*+?]|\{[0-9]{1,2}(?:,[0-9]{0,2})?\})`)
+// confToken is one token of the subset shared by this repo's parser and
+// stdlib regexp: '.', a literal letter, digit or unspecial punctuation, an
+// escaped punctuation byte, a \xNN escape, a \d \D \w \W \s \S shorthand, a
+// bracket of letters, digits, \xNN escapes, their ranges, shorthands and
+// POSIX classes, or an operator.
+var confToken = regexp.MustCompile(`^(?:[.0-9A-Za-z _/<>=:;,!@#%&~'"-]|\\[!-/:-@[-` + "`" + `{-~]|\\x[0-9a-fA-F]{2}|\\[dDwWsS]|` +
+	`\[\^?(?:(?:[0-9A-Za-z]|\\x[0-9a-fA-F]{2})(?:-(?:[0-9A-Za-z]|\\x[0-9a-fA-F]{2}))?|\\[dDwWsS]|` +
+	`\[:(?:alpha|digit|alnum|upper|lower|space|blank|punct|print|graph|cntrl|xdigit|word):\])+\]|` +
+	`[()|*+?]|\{[0-9]{1,2}(?:,[0-9]{0,2})?\})`)
 
 // inConfSubset reports whether a fuzzed pattern lies in the subset whose
-// syntax this repo's parser and stdlib regexp read alike: the grammar of
-// genConfPattern over the bytes "abcxy", with any counted bounds. Stacked
-// quantifiers pass: stdlib rejects them or reads them lazily, which leaves
-// the language unchanged.
+// syntax this repo's parser and stdlib regexp read alike (after
+// stdlibSyntax): confToken's tokens under genConfPattern's grammar, with
+// any counted bounds. Stacked quantifiers pass: stdlib rejects them or
+// reads them lazily, which leaves the language unchanged.
 func inConfSubset(p string) bool {
 	p = strings.TrimSuffix(strings.TrimPrefix(p, "^"), "$")
 	depth, operand := 0, false // operand: the tokens so far end in an operand
@@ -520,11 +657,11 @@ func inConfSubset(p string) bool {
 			return false
 		}
 		p = p[len(tok):]
-		switch tok[0] {
-		case '(':
+		switch tok {
+		case "(":
 			depth++
 			operand = false
-		case ')', '|':
+		case ")", "|":
 			if !operand || tok == ")" && depth == 0 {
 				return false
 			}
@@ -532,11 +669,14 @@ func inConfSubset(p string) bool {
 				depth--
 			}
 			operand = tok == ")"
-		case '*', '+', '?', '{':
+		case "*", "+", "?":
 			if !operand {
 				return false
 			}
 		default:
+			if tok[0] == '{' && !operand {
+				return false
+			}
 			operand = true
 		}
 	}
@@ -544,31 +684,36 @@ func inConfSubset(p string) bool {
 }
 
 // FuzzConformance is the matrix's fuzz target: newline-separated patterns
-// from the shared subset, an ASCII input, one configuration of the matrix,
-// and a seed for the stream's chunking, checked against the independent
-// truth through every entry point.
+// from the shared subset, an input of any bytes, one configuration of the
+// matrix, and a seed for the stream's chunking, checked against the
+// independent truth through every entry point.
 func FuzzConformance(f *testing.F) {
+	add := func(pats []string, input string, config uint, chunkSeed int64) {
+		for _, p := range pats {
+			if !inConfSubset(p) {
+				f.Fatalf("seed pattern %q is outside the fuzzed subset", p)
+			}
+		}
+		f.Add(strings.Join(pats, "\n"), input, config, chunkSeed)
+	}
+	add([]string{"(xc+)?", "needle"}, "c needle", 0, 1)
+	add([]string{"(xc+)?y", "((c)+[^ab]c){0,1}"}, "cy xcy c", 41, 2)
+	add([]string{"^ab", "b+c$", "x.{2,5}y"}, "abxaaayabbc", 77, 3)
 	r := rand.New(rand.NewSource(1))
-	f.Add("(xc+)?\nneedle", "c needle", uint(0), int64(1))
-	f.Add("(xc+)?y\n((c)+[^ab]c){0,1}", "cy xcy c", uint(41), int64(2))
-	f.Add("^ab\nb+c$\nx.{2,5}y", "abxaaayabbc", uint(77), int64(3))
 	for i := range 7 {
 		pats := []string{genConfPattern(r), genConfPattern(r), confPatterns[r.Intn(len(confPatterns))]}
-		f.Add(strings.Join(pats, "\n"), string(genConfInput(r)), uint(i*15), int64(i))
+		add(pats, string(genConfInput(r, confFragments, 20)), uint(i*15), int64(i))
 	}
+	add([]string{`[^a\x90]+`, `\s\S`, `.[\x80-\xff]`}, "a\x90\xff \v\x0b\x00x\x80\n\x90", 5, 10)
+	add(snortPatterns(f)[7:], "x.php?u=http://SITE  ExEc\x90\x90\x90\x90\x90\x90\x90\x90\x90", 87, 11)
 	configs := conformanceConfigs()
 	f.Fuzz(func(t *testing.T, patterns, input string, config uint, chunkSeed int64) {
 		pats := strings.Split(patterns, "\n")
 		if len(pats) > 8 || len(input) > 64 {
 			return
 		}
-		for _, c := range []byte(input) {
-			if c >= 0x80 {
-				return
-			}
-		}
 		for _, p := range pats {
-			if len(p) > 48 || !inConfSubset(p) && !slices.Contains(confPatterns, p) {
+			if len(p) > 64 || !inConfSubset(p) {
 				return
 			}
 		}

@@ -170,8 +170,10 @@ func (rs *Ruleset) strategyExec(pl *scanPlan, i int) groupExec {
 // lazy-DFA workers per segment plus the sequential boundary stitch. A scan
 // whose boundary carry exceeds the frontier budget, or outlives a whole
 // segment (its stitch then costs a serial scan of that segment), completes
-// exactly but pins the group serial for subsequent segmented scans; the pin
-// counts as one segment fallback.
+// exactly; when the input is at least segmentMinBytes it also pins the group
+// serial for subsequent segmented scans, and the pin counts as one segment
+// fallback. Smaller inputs never pin: their segments are too short for a
+// carry that outlives one to predict anything about a large scan.
 func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input []byte, bounds []int,
 	check func() error, emit func(fsa, end int)) (groupRun, error) {
 	g.Automaton, g.Program, g.MaxFrontier = i, rs.programs[i], segmentMaxFrontier
@@ -181,7 +183,7 @@ func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input 
 	run := groupRun{scans: 1, bytes: res.ParallelBytes + res.StitchBytes, matches: res.Matches,
 		perFSA: res.PerFSA, accel: res.AccelBytes, segments: int64(res.Segments),
 		parallelBytes: res.ParallelBytes, stitchBytes: res.StitchBytes}
-	if res.FellBack || res.CarryOutlived {
+	if (res.FellBack || res.CarryOutlived) && len(input) >= segmentMinBytes {
 		run.segFallbacks = 1
 		rs.segSerial[i].Store(true)
 	}

@@ -183,10 +183,10 @@ type Options struct {
 	// 1 MiB; SegmentOn segments every input large enough to cut;
 	// SegmentOff disables the path. A group whose boundary carry exceeds
 	// 64 active states, or outlives a whole segment, still finishes the
-	// scan exactly but runs serially from then on (counted in
-	// Stats().Segment.Fallbacks). Scanner and StreamMatcher scans are
-	// never segmented — their value is warm per-goroutine state, not
-	// intra-input parallelism.
+	// scan exactly; on an input of at least 1 MiB it also runs serially
+	// from then on (counted in Stats().Segment.Fallbacks). Scanner and
+	// StreamMatcher scans are never segmented — their value is warm
+	// per-goroutine state, not intra-input parallelism.
 	Segment SegmentMode
 }
 
@@ -242,7 +242,8 @@ type Ruleset struct {
 	// scans: its speculative boundary frontier exceeded segmentMaxFrontier,
 	// or a boundary carry outlived a whole segment, so the group is almost
 	// always mid-match and segmentation buys nothing (see segment.go).
-	// Sticky for the ruleset's lifetime.
+	// Set only by scans of at least segmentMinBytes; sticky for the
+	// ruleset's lifetime.
 	segSerial []atomic.Bool
 
 	// profiles holds per-program sampled state heat; nil when

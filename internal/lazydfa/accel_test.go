@@ -61,78 +61,6 @@ func TestAccelClassification(t *testing.T) {
 	}
 }
 
-// TestAccelConformance checks accel on ≡ off byte-identical events across
-// anchored, end-anchored, and loop-heavy patterns, whole-stream and under
-// random chunking.
-func TestAccelConformance(t *testing.T) {
-	_, m := compile(t, "xya", "x[yz]b", "^xy", "yz$", "z+x", "xx")
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		in := make([]byte, 1+r.Intn(2048))
-		for i := range in {
-			if r.Intn(4) == 0 {
-				in[i] = byte('x' + r.Intn(3))
-			} else {
-				in[i] = byte('0' + r.Intn(10))
-			}
-		}
-		want := Matches(m, in, Config{KeepOnMatch: true})
-		got := Matches(m, in, Config{KeepOnMatch: true, Accel: true})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: whole-stream accel diverged: %d events vs %d",
-				trial, len(got), len(want))
-		}
-		// Random chunking, fresh runner, accel on.
-		var chunked []engine.MatchEvent
-		runner := NewRunner(m)
-		runner.Begin(Config{KeepOnMatch: true, Accel: true,
-			OnMatch: func(fsa, end int) {
-				chunked = append(chunked, engine.MatchEvent{FSA: fsa, End: end})
-			}})
-		for pos := 0; pos < len(in); {
-			end := pos + 1 + r.Intn(64)
-			if end > len(in) {
-				end = len(in)
-			}
-			runner.Feed(in[pos:end], end == len(in))
-			pos = end
-		}
-		runner.End()
-		if !reflect.DeepEqual(chunked, want) {
-			t.Fatalf("trial %d: chunked accel diverged: %d events vs %d",
-				trial, len(chunked), len(want))
-		}
-	}
-}
-
-// TestAccelWithTinyCache checks that jumps compose with flushes and the
-// iMFAnt fallback without changing the event stream.
-func TestAccelWithTinyCache(t *testing.T) {
-	_, m := compile(t, "x+y", "y+x", "xy+x", "xx", "yy")
-	r := rand.New(rand.NewSource(9))
-	in := make([]byte, 4096)
-	for i := range in {
-		if r.Intn(3) == 0 {
-			in[i] = byte('x' + r.Intn(2))
-		} else {
-			in[i] = byte('0' + r.Intn(10))
-		}
-	}
-	want := Matches(m, in, Config{KeepOnMatch: true})
-	for _, cfg := range []Config{
-		{KeepOnMatch: true, Accel: true, MaxStates: 4, MaxFlushes: 1 << 30},
-		{KeepOnMatch: true, Accel: true, MaxStates: 4, MaxFlushes: 1},
-	} {
-		var got []engine.MatchEvent
-		c := cfg
-		c.OnMatch = func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }
-		NewRunner(m).Run(in, c)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cfg=%+v diverged: %d events vs %d", cfg, len(got), len(want))
-		}
-	}
-}
-
 // TestAccelToggleRebuildsCache checks the classification invariant: toggling
 // Config.Accel between scans rebuilds the cache so every cached state is
 // (re)classified under the new mode.

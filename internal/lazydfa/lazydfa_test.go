@@ -59,50 +59,6 @@ func TestRowWidthEqualsClasses(t *testing.T) {
 	}
 }
 
-func TestMatchesEngineKeepMode(t *testing.T) {
-	_, m := compile(t, "ab", "a[bc]d", "b+c", "^ab", "cd$")
-	for _, in := range []string{"", "abcdabcd", "abdbbbcabd", "xxabcdxx", "ab"} {
-		got := lazyEnds(m, []byte(in), Config{KeepOnMatch: true})
-		want := engineEnds(m, []byte(in))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("input %q: lazy %v engine %v", in, got, want)
-		}
-	}
-}
-
-func TestMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	frags := []string{"a", "b", "c", "ab", "bc", "a[bc]", "(ab|ba)", "b+", "c?", "a{2,3}"}
-	for trial := 0; trial < 150; trial++ {
-		n := 1 + r.Intn(5)
-		patterns := make([]string, n)
-		for i := range patterns {
-			s := ""
-			for j, k := 0, 1+r.Intn(3); j < k; j++ {
-				s += frags[r.Intn(len(frags))]
-			}
-			patterns[i] = s
-		}
-		fsas, m := compile(t, patterns...)
-		in := make([]byte, r.Intn(40))
-		for i := range in {
-			in[i] = byte('a' + r.Intn(3))
-		}
-		got := lazyEnds(m, in, Config{KeepOnMatch: true})
-		want := engine.ReferenceScanAll(fsas, in, true)
-		for j := range fsas {
-			w := want[j]
-			if w == nil {
-				w = []int{}
-			}
-			if !reflect.DeepEqual(got[j], w) {
-				t.Fatalf("patterns=%v input=%q FSA %d: lazy %v oracle %v",
-					patterns, in, j, got[j], w)
-			}
-		}
-	}
-}
-
 // TestFlushAndFallback forces both cache-exhaustion paths with a tiny cap
 // and checks the event stream stays byte-identical to the unconstrained run.
 func TestFlushAndFallback(t *testing.T) {

@@ -3,12 +3,16 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/anml"
 	"repro/internal/budget"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/mfsa"
 )
 
@@ -184,6 +188,91 @@ func TestRunLaxAllRulesFail(t *testing.T) {
 	}
 	if len(ruleErrs) != 2 {
 		t.Fatalf("want 2 rule errors, got %d", len(ruleErrs))
+	}
+}
+
+// TestQuickLaxCompileAgrees is the fault-isolation differential: random
+// rulesets are salted with hostile rules (syntax errors, budget blowups)
+// and compiled in lax mode; the surviving rules must produce exactly the
+// match events of compiling them alone — same automata, same (rule, end)
+// sets modulo the original ruleset indices.
+func TestQuickLaxCompileAgrees(t *testing.T) {
+	r := rand.New(rand.NewSource(2025))
+	frags := []string{"a", "b", "c", "ab", "bc", "ca", "a[bc]", "(ab|ba)", "b+", "c?", "a{2,3}", "[abc]c"}
+	hostile := []string{
+		"(",
+		"[",
+		"a{2,1}",
+		"a{1,100000}",
+		"(a{500}){500}",
+		strings.Repeat("(", 300) + "a",
+	}
+	f := func() bool {
+		m := 1 + r.Intn(5)
+		good := make([]string, m)
+		for i := range good {
+			for j, n := 0, 1+r.Intn(3); j < n; j++ {
+				good[i] += frags[r.Intn(len(frags))]
+			}
+		}
+		// Interleave hostile rules at random positions, remembering where
+		// each good rule lands in the mixed ruleset.
+		var mixed []string
+		origIdx := make([]int, m)
+		for i, g := range good {
+			for r.Intn(2) == 0 {
+				mixed = append(mixed, hostile[r.Intn(len(hostile))])
+			}
+			origIdx[i] = len(mixed)
+			mixed = append(mixed, g)
+		}
+
+		laxOut, ruleErrs, err := Run(Request{Patterns: mixed, Lax: true})
+		if err != nil {
+			return false
+		}
+		if len(ruleErrs) != len(mixed)-m {
+			t.Logf("mixed=%v: want %d rule errors, got %v", mixed, len(mixed)-m, ruleErrs)
+			return false
+		}
+		aloneOut, _, err := Run(Request{Patterns: good})
+		if err != nil {
+			return false
+		}
+
+		in := make([]byte, r.Intn(40))
+		for i := range in {
+			in[i] = byte('a' + r.Intn(3))
+		}
+		cfg := engine.Config{KeepOnMatch: true}
+
+		// Collect distinct (rule, end) events keyed by original index.
+		events := func(out *Output, remap []int) map[[2]int]struct{} {
+			set := map[[2]int]struct{}{}
+			for _, z := range out.MFSAs {
+				p := engine.NewProgram(z)
+				rules := p.Rules()
+				for _, ev := range engine.Matches(p, in, cfg) {
+					rule := rules[ev.FSA].RuleID
+					if remap != nil {
+						rule = remap[rule]
+					}
+					set[[2]int{rule, ev.End}] = struct{}{}
+				}
+			}
+			return set
+		}
+		laxEvents := events(laxOut, nil)
+		aloneEvents := events(aloneOut, origIdx)
+		if !reflect.DeepEqual(laxEvents, aloneEvents) {
+			t.Logf("lax survivors diverge\nmixed=%v input=%q\nlax=%v\nalone=%v",
+				mixed, in, laxEvents, aloneEvents)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -118,9 +118,9 @@ type SegmentStats struct {
 	SegmentedScans int64 `json:"segmented_scans"`
 	// Segments counts segments executed across those scans.
 	Segments int64 `json:"segments"`
-	// Fallbacks counts segmented scans whose boundary frontier exceeded the
-	// budget or whose boundary carry outlived a whole segment; results
-	// stayed exact and the group runs serially afterwards.
+	// Fallbacks counts segmented scans of at least 1 MiB whose boundary
+	// frontier exceeded the budget or whose boundary carry outlived a whole
+	// segment; results stayed exact and the group runs serially afterwards.
 	Fallbacks int64 `json:"fallbacks"`
 	// ParallelBytes counts input bytes scanned inside segment workers.
 	ParallelBytes int64 `json:"parallel_bytes"`

@@ -5,31 +5,16 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/snort"
 )
 
 // snortProfiled compiles the snort-derived web-attacks ruleset with the
 // profiler on, plus HTTP-ish traffic salted with attack fragments.
 func snortProfiled(t *testing.T, opts Options) (*Ruleset, []byte) {
 	t.Helper()
-	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rules, _, err := snort.ParseRules(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := make([]string, 0, len(rules))
-	for _, ru := range rules {
-		patterns = append(patterns, ru.Pattern)
-	}
+	patterns := snortPatterns(t)
 	rs, _, err := CompileLax(patterns, opts)
 	if err != nil {
 		t.Fatal(err)

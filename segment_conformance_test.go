@@ -1,7 +1,7 @@
 package imfant
 
 import (
-	"math/rand"
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,45 +21,11 @@ var segConfPatterns = []string{
 	"b+c",
 }
 
-// segConfInputs builds inputs whose matches straddle segment boundaries at
-// 2, 3 and 8 segments, so segmented scans of them stitch.
-func segConfInputs(t testing.TB) [][]byte {
-	t.Helper()
-	rnd := rand.New(rand.NewSource(77))
-	big := make([]byte, 8192)
-	alpha := []byte("abcdfoxy ")
-	for i := range big {
-		big[i] = alpha[rnd.Intn(len(alpha))]
-	}
-	copy(big[4094:], "needle") // straddles the 2-way boundary
-	copy(big[2729:], "foobaz") // straddles a 3-way boundary
-	copy(big[1020:], "xqqy")   // straddles an 8-way boundary
-	copy(big[len(big)-7:], "suffix\n")
-	return [][]byte{
-		nil,
-		[]byte("n"),
-		[]byte("needle"),
-		[]byte("HDR: foobazsuffix"),
-		[]byte(strings.Repeat("abdacd", 300) + "suffix"),
-		big,
-	}
-}
-
-// segRuleset compiles segConfPatterns under opts.
-func segRuleset(t testing.TB, opts Options) *Ruleset {
-	t.Helper()
-	rs, err := Compile(segConfPatterns, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
-}
-
 // TestSegmentAutoThreshold pins the SegmentAuto gate: an input one byte
 // under 1 MiB stays serial (Segment section all-serial), a 1 MiB one
 // segments.
 func TestSegmentAutoThreshold(t *testing.T) {
-	rs := segRuleset(t, Options{})
+	rs := MustCompile(segConfPatterns, Options{})
 	small := []byte(strings.Repeat("ab", 1<<19)[1:]) // 1 MiB − 1: under the threshold
 	if _, err := rs.CountParallel(small, 4); err != nil {
 		t.Fatal(err)
@@ -83,42 +49,13 @@ func TestSegmentAutoThreshold(t *testing.T) {
 	}
 }
 
-// TestSegmentStatsPartition pins the accounting contract: ParallelBytes +
-// StitchBytes + SerialBytes == BytesScanned, exactly, on a workload mixing
-// segmented parallel scans with serial Scanner scans.
-func TestSegmentStatsPartition(t *testing.T) {
-	rs := segRuleset(t, Options{Segment: SegmentOn})
-	inputs := segConfInputs(t)
-	for _, in := range inputs {
-		if _, err := rs.CountParallel(in, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs.Count(inputs[len(inputs)-1]) // a serial Scanner scan in the mix
-	st := rs.Stats()
-	if st.Segment == nil {
-		t.Fatal("Segment section missing with SegmentOn")
-	}
-	s := st.Segment
-	if s.SegmentedScans == 0 || s.Segments <= s.SegmentedScans {
-		t.Fatalf("implausible segmentation counters: %+v", s)
-	}
-	if got := s.ParallelBytes + s.StitchBytes + s.SerialBytes; got != st.BytesScanned {
-		t.Fatalf("partition broken: parallel %d + stitch %d + serial %d = %d, BytesScanned %d",
-			s.ParallelBytes, s.StitchBytes, s.SerialBytes, got, st.BytesScanned)
-	}
-	if s.SerialBytes == 0 {
-		t.Fatal("serial Scanner scan not reflected in SerialBytes")
-	}
-
-	// Scanner scope: every byte serial, and the snapshot matches the
-	// ruleset's shape contract.
-	sc := rs.NewScanner()
-	sc.Count(inputs[len(inputs)-1])
-	scs := sc.Stats()
-	if scs.Segment == nil || scs.Segment.SerialBytes != scs.BytesScanned {
-		t.Fatalf("scanner-scope segment section = %+v, want all-serial of %d", scs.Segment, scs.BytesScanned)
-	}
+// segPinInput builds a 1 MiB input, the size at which a segmented scan may
+// pin a group: dead filler, which acceleration skips, with run centred on
+// the last cut of n equal segments.
+func segPinInput(n int, filler byte, run string) []byte {
+	in := bytes.Repeat([]byte{filler}, segmentMinBytes)
+	copy(in[(n-1)*len(in)/n-len(run)/2:], run)
+	return in
 }
 
 // TestSegmentFrontierFallbackSticky pins the degradation contract: a group
@@ -126,11 +63,11 @@ func TestSegmentStatsPartition(t *testing.T) {
 // exact results, records a fallback, and runs serially on subsequent
 // segmented scans.
 func TestSegmentFrontierFallbackSticky(t *testing.T) {
-	// On a run of 'a's every position opens a new "a[ax]{0,100}b" window,
-	// so every boundary carry holds 101 live states, over the budget of
-	// segmentMaxFrontier. Each window dies within 102 bytes, far short of a
-	// 1 KiB segment, so the carry never outlives a segment: the pin comes
-	// from the frontier budget alone.
+	// Across the last cut of 4 segments lies a run of 'a's, where every
+	// position opens a new "a[ax]{0,100}b" window, so the boundary carry
+	// holds 101 live states, over the budget of segmentMaxFrontier. Each
+	// window dies within 102 bytes, far short of a segment, so the carry
+	// never outlives one: the pin comes from the frontier budget alone.
 	// Engine forced so the planner cannot route the group to the eager-DFA
 	// strategy, which runs serially and never carries a frontier.
 	patterns := []string{"a[ax]{0,100}b"}
@@ -142,7 +79,7 @@ func TestSegmentFrontierFallbackSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []byte(strings.Repeat("a", 4096) + "b" + strings.Repeat("q", 64) + "axb")
+	in := segPinInput(4, 'q', strings.Repeat("a", 300)+"b"+strings.Repeat("q", 64)+"axb")
 	want := serial.FindAll(in)
 	for round := 0; round < 2; round++ {
 		got, err := rs.findAllSegmented(t.Context(), in, 4)
@@ -150,7 +87,7 @@ func TestSegmentFrontierFallbackSticky(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: exactness lost under frontier fallback:\ngot  %v\nwant %v", round, got, want)
+			t.Fatalf("round %d: exactness lost under frontier fallback: %d matches, want %d", round, len(got), len(want))
 		}
 	}
 	st := rs.Stats()
@@ -176,28 +113,32 @@ func TestSegmentFrontierFallbackSticky(t *testing.T) {
 
 // TestSegmentCarryOutlivedPins pins the stitch-cost rule: in a ruleset
 // whose .* carries never die, every group's first segmented CountParallel
-// re-stitches whole segments, so it records exactly one segment fallback
-// and pins the group serial; a second call then stitches nothing and adds
-// no fallback, and both calls count exactly what SegmentOff counts. Engines
-// are forced so the planner cannot route these small groups to the serial
-// eager-DFA strategy.
+// of 1 MiB re-stitches a whole segment, so it records exactly one segment
+// fallback and pins the group serial; a second call then stitches nothing
+// and adds no fallback, and both calls count exactly what SegmentOff
+// counts. A segmented scan of a small input, whose carries outlive its
+// few-byte segments just the same, pins nothing and records no fallback.
+// Engines are forced so the planner cannot route these small groups to the
+// serial eager-DFA strategy.
 func TestSegmentCarryOutlivedPins(t *testing.T) {
 	patterns := []string{"a.*b", "c.*d", "e.*f"}
-	rng := rand.New(rand.NewSource(5))
-	in := make([]byte, 8192)
-	for i := range in {
-		in[i] = "abcdefx "[rng.Intn(8)]
-	}
+	small := []byte("axcxexbxdxfxaxcxex") // 18 bytes: 8 segments of 2 or 3
+	// Every carry opens just before the last cut, so only the last of 8
+	// segments runs live.
+	in := segPinInput(8, '-', "axcxexbxdxf")
 	for _, eng := range []EngineMode{EngineLazyDFA, EngineIMFAnt} {
 		off := MustCompile(patterns, Options{MergeFactor: 1, Engine: eng, Segment: SegmentOff})
-		want, err := off.CountParallel(in, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rs := MustCompile(patterns, Options{MergeFactor: 1, Engine: eng, Segment: SegmentOn})
+		if got, err := rs.CountParallel(small, 8); err != nil || got != off.Count(small) {
+			t.Fatalf("engine %d small input: %d matches (err %v), SegmentOff %d", eng, got, err, off.Count(small))
+		}
+		if s := rs.Stats().Segment; s.SegmentedScans == 0 || s.Fallbacks != 0 {
+			t.Fatalf("engine %d small input: %+v, want segmented scans and no fallback", eng, s)
+		}
+		want := off.Count(in)
 		var stitch int64
 		for call := 0; call < 2; call++ {
-			got, err := rs.CountParallel(in, 4)
+			got, err := rs.CountParallel(in, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

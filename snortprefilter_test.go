@@ -2,10 +2,7 @@ package imfant
 
 import (
 	"math/rand"
-	"os"
 	"testing"
-
-	"repro/internal/snort"
 )
 
 // TestSnortPrefilterSkipRate measures the production literal-factor
@@ -15,19 +12,7 @@ import (
 // skips every group, salted traffic wakes only the groups whose factors
 // occur, and match results are byte-identical to the unfiltered ruleset.
 func TestSnortPrefilterSkipRate(t *testing.T) {
-	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rules, _, err := snort.ParseRules(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := make([]string, 0, len(rules))
-	for _, ru := range rules {
-		patterns = append(patterns, ru.Pattern)
-	}
+	patterns := snortPatterns(t)
 	// The forced engine keeps every group behind the factor sweep — this
 	// study measures sweep gating itself. Under the strategy planner
 	// (EngineAuto) all-literal groups route to self-filtering AC scans and
@@ -45,7 +30,7 @@ func TestSnortPrefilterSkipRate(t *testing.T) {
 	}
 
 	// Benign HTTP traffic, and the same traffic salted with attack
-	// fragments, as in the lazy-DFA conformance suite.
+	// fragments.
 	rng := rand.New(rand.NewSource(42))
 	benignFrags := []string{
 		"GET /index.html HTTP/1.0\r\n", "Host: example.com\r\n",

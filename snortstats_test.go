@@ -2,10 +2,7 @@ package imfant
 
 import (
 	"math/rand"
-	"os"
 	"testing"
-
-	"repro/internal/snort"
 )
 
 // TestSnortRulesetCacheTelemetry measures the lazy-DFA cache behaviour on
@@ -14,19 +11,7 @@ import (
 // properties: the warm cache fits the default cap, never flushes or falls
 // back on HTTP-like traffic, and serves essentially every byte.
 func TestSnortRulesetCacheTelemetry(t *testing.T) {
-	f, err := os.Open("internal/snort/testdata/web-attacks.rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rules, _, err := snort.ParseRules(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := make([]string, 0, len(rules))
-	for _, ru := range rules {
-		patterns = append(patterns, ru.Pattern)
-	}
+	patterns := snortPatterns(t)
 	rs, ruleErrs, err := CompileLax(patterns, Options{Engine: EngineLazyDFA, KeepOnMatch: true})
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +20,7 @@ func TestSnortRulesetCacheTelemetry(t *testing.T) {
 		t.Fatalf("too few compilable snort rules: %d", rs.NumRules()-len(ruleErrs))
 	}
 
-	// HTTP-ish traffic salted with attack fragments, as in the
-	// conformance suite.
+	// HTTP-ish traffic salted with attack fragments.
 	rng := rand.New(rand.NewSource(42))
 	frags := []string{
 		"GET /index.html HTTP/1.0\r\n", "Host: example.com\r\n",
