@@ -191,10 +191,10 @@ func BenchmarkLazyDFAThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := engine.NewProgram(out.MFSAs[0])
-	m := lazydfa.New(p)
+	m := lazydfa.New(p, lazydfa.Options{KeepOnMatch: true})
 	in := s.Stream(64<<10, 0)
 	runner := lazydfa.NewRunner(m)
-	cfg := lazydfa.Config{KeepOnMatch: true}
+	cfg := lazydfa.Config{}
 	res := runner.Run(in, cfg) // warm the cache
 	if res.FellBack {
 		b.Fatal("warm-up fell back to iMFAnt; raise MaxStates")

@@ -460,7 +460,9 @@ func checkConformance(t *testing.T, opts Options, patterns []string, cases []con
 
 // checkEntryPoints runs in through FindAll, the reused Scanner, Count,
 // CountPerRule, CountParallel at 1, 2 and 4 threads, findAllSegmented at 2,
-// 3 and 8 segments, and a randomly chunked StreamMatcher.
+// 3 and 8 segments, a randomly chunked StreamMatcher, and three interleaved
+// ones — the shape of many open flows on one shared lazy-DFA table, which
+// the cap-3 cells flush while the other streams hold states in it.
 func checkEntryPoints(t *testing.T, rs *Ruleset, sc *Scanner, in []byte, want []Match, rng *rand.Rand) {
 	t.Helper()
 	fail := func(what string, got any) {
@@ -497,6 +499,47 @@ func checkEntryPoints(t *testing.T, rs *Ruleset, sc *Scanner, in []byte, want []
 	if got, _ := streamAll(t, rs, in, randomChunks(rng)); !slices.Equal(got, want) {
 		fail("chunked StreamMatcher", got)
 	}
+	for i, got := range interleaveStreams(t, rs, in, 3, rng) {
+		if !slices.Equal(got, want) {
+			fail(fmt.Sprintf("interleaved StreamMatcher %d of 3", i), got)
+		}
+	}
+}
+
+// interleaveStreams writes in through n StreamMatchers open on rs at once,
+// each in its own random chunking, one chunk per open matcher in turn, and
+// returns each matcher's matches in FindAll order.
+func interleaveStreams(t testing.TB, rs *Ruleset, in []byte, n int, rng *rand.Rand) [][]Match {
+	t.Helper()
+	got := make([][]Match, n)
+	sms := make([]*StreamMatcher, n)
+	rest := make([][]byte, n)
+	chunk := randomChunks(rng)
+	for i := range sms {
+		sms[i] = rs.NewStreamMatcher(func(m Match) { got[i] = append(got[i], m) })
+		rest[i] = in
+	}
+	for open := n; open > 0; {
+		open = 0
+		for i, sm := range sms {
+			if len(rest[i]) == 0 {
+				continue
+			}
+			k := min(chunk(len(rest[i])), len(rest[i]))
+			if w, err := sm.Write(rest[i][:k]); err != nil || w != k {
+				t.Fatalf("stream %d: Write(%d bytes) = (%d, %v)", i, k, w, err)
+			}
+			rest[i] = rest[i][k:]
+			open++
+		}
+	}
+	for i, sm := range sms {
+		if err := sm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sortByEnd(got[i])
+	}
+	return got
 }
 
 // checkRegistryStream opens a Registry stream, writes half of in, updates

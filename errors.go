@@ -47,6 +47,14 @@ const (
 // errors.Is(err, imfant.ErrBudget) or IsBudget.
 var ErrBudget = budget.Err
 
+// ErrUnknownEscape is the sentinel wrapped by the syntax error of a
+// backslash escape of an ASCII letter or digit the pattern dialect does not
+// define — \b, \B, \k, \e, \c, \p, \1–\9 and the like — which other dialects
+// read as word boundaries, back-references or property classes. Classify
+// with errors.Is(err, imfant.ErrUnknownEscape); the wrapped *rex.SyntaxError
+// names the escape and its offset.
+var ErrUnknownEscape = rex.ErrUnknownEscape
+
 // IsBudget reports whether err is (or wraps) a resource-budget violation,
 // as opposed to a plain syntax error.
 func IsBudget(err error) bool { return budget.Is(err) }

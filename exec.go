@@ -17,17 +17,13 @@ import (
 // scans, CountParallel, segmented scans and StreamMatchers — runs groups
 // only through it, and folds every outcome through Ruleset.fold.
 type groupExec struct {
-	// newRunner returns a fresh runner its caller owns for good: a Scanner
-	// keeps one per group across scans, so its lazy-DFA caches stay warm.
-	newRunner func() groupRunner
-	// checkout returns a runner for one stream or one block scan, handed
-	// back with groupRunner.release once it ended: StreamMatchers,
-	// CountParallel tasks, serial runs of segmented scans and the one-shot
-	// Ruleset scan helpers. A lazy-DFA group borrows a runner, warm cache
-	// included, from its lazydfa.Matcher pool, which belongs to this
-	// compiled Ruleset alone; other strategies carry no cache worth keeping
-	// and get a fresh runner.
-	checkout func() groupRunner
+	// runner returns a fresh runner: one per Scanner, StreamMatcher,
+	// CountParallel task, serial run of a segmented scan and one-shot
+	// Ruleset scan. A lazy-DFA group's runners are cursors on the group's
+	// one transition table (its lazydfa.Matcher, which belongs to this
+	// compiled Ruleset alone), so every runner starts warm on what the
+	// others cached.
+	runner func() groupRunner
 	// segment scans the input segment-parallel over bounds (as produced by
 	// segment.Boundaries); nil for strategies whose scans are O(1) or one
 	// cache-resident sweep, which run serially inside segmented scans.
@@ -54,14 +50,9 @@ type groupRunner interface {
 	// end finishes the run and returns its outcome.
 	end() groupRun
 	// totals returns the runner's cumulative counters, including a run in
-	// progress, with the live cache gauges; perFSA stays nil. For a
-	// checked-out runner they cover the current checkout only.
+	// progress, with the live cache gauges; perFSA stays nil.
 	totals() groupRun
 	err() error
-	// release hands a runner obtained from groupExec.checkout back for
-	// reuse. Call it only once the run ended normally: a runner whose run
-	// panicked is dropped, never released.
-	release()
 }
 
 // groupRun is the outcome of one group execution, or a runner's cumulative
@@ -97,15 +88,6 @@ func blockScan(r groupRunner, input []byte, c runCfg) (groupRun, error) {
 // newExec builds group i's executor for its planned strategy — the one
 // place the root package dispatches on Strategy.
 func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
-	x := rs.strategyExec(pl, i)
-	if x.checkout == nil {
-		x.checkout = x.newRunner
-	}
-	return x
-}
-
-// strategyExec builds the strategy-specific part of group i's executor.
-func (rs *Ruleset) strategyExec(pl *scanPlan, i int) groupExec {
 	accel := rs.opts.accelOn()
 	p := rs.programs[i]
 	ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: accel, Profile: rs.profileOf(i)}
@@ -113,7 +95,7 @@ func (rs *Ruleset) strategyExec(pl *scanPlan, i int) groupExec {
 	case StrategyAC:
 		g := pl.ac[i]
 		return groupExec{
-			newRunner: func() groupRunner {
+			runner: func() groupRunner {
 				sc := g.m.NewStreamScanner()
 				sc.SetAccel(accel)
 				return &acRunner{sc: sc, seen: make([]bool, g.rules), perFSA: make([]int64, g.rules)}
@@ -133,22 +115,18 @@ func (rs *Ruleset) strategyExec(pl *scanPlan, i int) groupExec {
 		}
 	case StrategyAnchored:
 		g := pl.anch[i]
-		return groupExec{newRunner: func() groupRunner {
+		return groupExec{runner: func() groupRunner {
 			return &anchRunner{g: g, rules: make([]anchRuleState, len(g.rules)), perFSA: make([]int64, len(g.rules))}
 		}}
 	case StrategyDFA:
 		d := pl.dfas[i]
-		return groupExec{newRunner: func() groupRunner { return &dfaRunner{r: dfa.NewRunner(d)} }}
+		return groupExec{runner: func() groupRunner { return &dfaRunner{r: dfa.NewRunner(d)} }}
 	case StrategyLazyDFA:
 		m := rs.lazy[i]
-		lcfg := lazydfa.Config{KeepOnMatch: rs.opts.KeepOnMatch, MaxStates: rs.opts.LazyDFAMaxStates,
-			Accel: accel, Profile: rs.profileOf(i)}
+		lcfg := lazydfa.Config{Profile: rs.profileOf(i)}
 		return groupExec{
-			newRunner: func() groupRunner {
-				return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg, classes: m.NumClasses()}
-			},
-			checkout: func() groupRunner {
-				return &lazyRunner{r: m.Get(), m: m, cfg: lcfg, classes: m.NumClasses()}
+			runner: func() groupRunner {
+				return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg}
 			},
 			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error) {
 				lc := lcfg
@@ -158,7 +136,7 @@ func (rs *Ruleset) strategyExec(pl *scanPlan, i int) groupExec {
 		}
 	default:
 		return groupExec{
-			newRunner: func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} },
+			runner: func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} },
 			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error) {
 				return rs.segmentScan(segment.Group{}, i, ecfg, input, bounds, check, emit)
 			},
@@ -272,7 +250,6 @@ func (x *imfantRunner) begin(c runCfg) {
 func (x *imfantRunner) feed(chunk []byte, final bool) { x.r.Feed(chunk, final) }
 func (x *imfantRunner) flushHeld()                    { x.r.FlushHeld() }
 func (x *imfantRunner) err() error                    { return x.r.Err() }
-func (x *imfantRunner) release()                      {}
 
 func (x *imfantRunner) end() groupRun {
 	res := x.r.End()
@@ -285,14 +262,12 @@ func (x *imfantRunner) totals() groupRun {
 	return groupRun{scans: t.Scans, bytes: t.Symbols, matches: t.Matches, accel: t.AccelBytes}
 }
 
-// lazyRunner runs a group on the lazy-DFA engine; its transition cache
-// persists across the runs of the runner and, for a checked-out runner,
-// across checkouts through m's pool.
+// lazyRunner runs a group on the lazy-DFA engine, as a cursor on m's
+// shared transition table.
 type lazyRunner struct {
-	r       *lazydfa.Runner
-	m       *lazydfa.Matcher
-	cfg     lazydfa.Config
-	classes int
+	r   *lazydfa.Runner
+	m   *lazydfa.Matcher
+	cfg lazydfa.Config
 }
 
 func (x *lazyRunner) begin(c runCfg) {
@@ -304,7 +279,6 @@ func (x *lazyRunner) begin(c runCfg) {
 func (x *lazyRunner) feed(chunk []byte, final bool) { x.r.Feed(chunk, final) }
 func (x *lazyRunner) flushHeld()                    { x.r.FlushHeld() }
 func (x *lazyRunner) err() error                    { return x.r.Err() }
-func (x *lazyRunner) release()                      { x.m.Put(x.r) }
 
 func (x *lazyRunner) end() groupRun {
 	res := x.r.End()
@@ -335,9 +309,9 @@ func (x *lazyRunner) totals() groupRun {
 }
 
 func (x *lazyRunner) gauges(run *groupRun) {
-	run.cached, run.accelStates = int64(x.r.CachedStates()), int64(x.r.AccelStates())
-	run.cacheBytes = x.r.CacheBytes()
-	run.maxStates, run.classes = x.r.MaxStates(), x.classes
+	st := x.m.Stats()
+	run.cached, run.accelStates, run.cacheBytes = int64(st.States), int64(st.AccelStates), st.Bytes
+	run.maxStates, run.classes = st.MaxStates, x.m.NumClasses()
 }
 
 // dfaRunner runs a group on its eagerly determinized DFA: one table lookup
@@ -356,7 +330,6 @@ func (x *dfaRunner) feed(chunk []byte, _ bool) {
 
 func (x *dfaRunner) flushHeld() {}
 func (x *dfaRunner) err() error { return x.r.Err() }
-func (x *dfaRunner) release()   {}
 
 func (x *dfaRunner) end() groupRun {
 	res := x.r.End()
@@ -455,7 +428,6 @@ func (x *acRunner) feed(chunk []byte, _ bool) {
 
 func (x *acRunner) flushHeld() {}
 func (x *acRunner) err() error { return x.stop }
-func (x *acRunner) release()   {}
 
 func (x *acRunner) end() groupRun {
 	x.cur.accel = x.sc.Skipped() - x.skip0
@@ -648,6 +620,5 @@ func (st *anchRunner) finish() {
 
 func (st *anchRunner) flushHeld()       {}
 func (st *anchRunner) err() error       { return nil }
-func (st *anchRunner) release()         {}
 func (st *anchRunner) end() groupRun    { return st.endRun() }
 func (st *anchRunner) totals() groupRun { return st.tally.totals() }

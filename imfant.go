@@ -19,11 +19,12 @@
 package imfant
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -112,9 +113,10 @@ type Options struct {
 	// root skip). The zero value (AccelAuto) enables it; results are
 	// byte-identical in every mode. See AccelMode.
 	Accel AccelMode
-	// LazyDFAMaxStates caps the lazy-DFA transition cache per automaton
-	// and matching context (a Scanner's runner, or a runner borrowed from
-	// the automaton's pool of at most GOMAXPROCS idle ones); 0 selects
+	// LazyDFAMaxStates caps the lazy-DFA transition table of each
+	// automaton: one table per automaton group per compiled Ruleset,
+	// shared by every matching context on it (Scanners, StreamMatchers,
+	// CountParallel tasks, segment workers and one-shot scans); 0 selects
 	// lazydfa.DefaultMaxStates. Smaller caps bound memory at the cost of
 	// more cache flushes.
 	LazyDFAMaxStates int
@@ -264,7 +266,8 @@ func (o Options) accelOn() bool { return o.Accel != AccelOff }
 func (rs *Ruleset) buildEngines() {
 	rs.lazy = make([]*lazydfa.Matcher, len(rs.programs))
 	for i, p := range rs.programs {
-		rs.lazy[i] = lazydfa.New(p)
+		rs.lazy[i] = lazydfa.New(p, lazydfa.Options{KeepOnMatch: rs.opts.KeepOnMatch,
+			Accel: rs.opts.accelOn(), MaxStates: rs.opts.LazyDFAMaxStates})
 	}
 	rs.collector = telemetry.NewCollector(len(rs.patterns))
 	// The Lazy section is enabled by buildPlan, which knows how many groups
@@ -526,31 +529,23 @@ func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, e
 	if parts := rs.segmentParts(len(input), 0); parts > 1 {
 		return rs.findAllSegmented(ctx, input, parts)
 	}
-	s := rs.oneShot()
-	out, err := s.FindAllContext(ctx, input)
-	s.release()
-	return out, err
+	return rs.NewScanner().FindAllContext(ctx, input)
 }
 
 // Scan streams every match to fn, automaton by automaton, on the engine
-// selected by Options.Engine. Like every one-shot Ruleset scan it borrows
-// its lazy-DFA runners, warm caches included, from the ruleset's per-group
-// pools. Hot paths scanning many inputs should still reuse a Scanner, which
-// also keeps its per-goroutine buffers and owns its caches outright.
+// selected by Options.Engine. Like every one-shot Ruleset scan it runs on
+// a fresh Scanner, whose lazy-DFA runners read the ruleset's shared,
+// already warm transition tables. Hot paths scanning many inputs should
+// still reuse a Scanner, which also keeps its per-goroutine buffers.
 func (rs *Ruleset) Scan(input []byte, fn func(Match)) {
-	s := rs.oneShot()
-	s.Scan(input, fn)
-	s.release()
+	rs.NewScanner().Scan(input, fn)
 }
 
 // ScanContext is Scan under a context: cancellation stops the scan at the
 // next checkpoint; matches already streamed to fn before that point were
 // delivered, and the context's error is returned.
 func (rs *Ruleset) ScanContext(ctx context.Context, input []byte, fn func(Match)) error {
-	s := rs.oneShot()
-	err := s.ScanContext(ctx, input, fn)
-	s.release()
-	return err
+	return rs.NewScanner().ScanContext(ctx, input, fn)
 }
 
 // Count returns the total number of match events in input.
@@ -562,24 +557,19 @@ func (rs *Ruleset) Count(input []byte) int64 {
 // CountContext is Count under a context; on cancellation it returns the
 // partial count together with the context's error.
 func (rs *Ruleset) CountContext(ctx context.Context, input []byte) (int64, error) {
-	s := rs.oneShot()
-	n, err := s.CountContext(ctx, input)
-	s.release()
-	return n, err
+	return rs.NewScanner().CountContext(ctx, input)
 }
 
 // CountPerRule returns the number of match events per rule, indexed like
 // the compiled patterns.
 func (rs *Ruleset) CountPerRule(input []byte) []int64 {
-	s := rs.oneShot()
-	out := s.CountPerRule(input)
-	s.release()
-	return out
+	return rs.NewScanner().CountPerRule(input)
 }
 
 // Scanner is a reusable matching context over one Ruleset: the scratch
-// state of every automaton's engine, plus — in lazy-DFA mode — the lazily
-// built transition caches, which stay warm across scans of similar traffic.
+// state of every automaton's engine — in lazy-DFA mode a cursor on the
+// automaton's transition table, which the Ruleset's every scan shares and
+// which stays warm across scans of similar traffic.
 // A Scanner is not safe for concurrent use; create one per goroutine (the
 // shared Ruleset remains concurrency-safe).
 type Scanner struct {
@@ -597,16 +587,6 @@ type Scanner struct {
 
 // NewScanner returns a matching context for the ruleset.
 func (rs *Ruleset) NewScanner() *Scanner {
-	return rs.newScanner(false)
-}
-
-// oneShot returns a Scanner for one scan whose runners are checked out of
-// the group pools; call its release once the scan returned normally.
-func (rs *Ruleset) oneShot() *Scanner {
-	return rs.newScanner(true)
-}
-
-func (rs *Ruleset) newScanner(checkout bool) *Scanner {
 	s := &Scanner{
 		rs:       rs,
 		runs:     make([]groupRunner, len(rs.programs)),
@@ -614,11 +594,7 @@ func (rs *Ruleset) newScanner(checkout bool) *Scanner {
 		faults:   rs.faults,
 	}
 	for i, x := range rs.plan.exec {
-		if checkout {
-			s.runs[i] = x.checkout()
-		} else {
-			s.runs[i] = x.newRunner()
-		}
+		s.runs[i] = x.runner()
 	}
 	if rs.pf != nil {
 		s.sweep = rs.pf.ac.NewSweeper()
@@ -626,13 +602,6 @@ func (rs *Ruleset) newScanner(checkout bool) *Scanner {
 		s.active = make([]bool, len(rs.programs))
 	}
 	return s
-}
-
-// release hands a one-shot Scanner's runners back to their pools.
-func (s *Scanner) release() {
-	for _, r := range s.runs {
-		r.release()
-	}
 }
 
 // Scan streams every match in input to fn, automaton by automaton.
@@ -661,11 +630,11 @@ func (s *Scanner) FindAllContext(ctx context.Context, input []byte) ([]Match, er
 
 // sortByEnd imposes the FindAll report order: end offset, then rule.
 func sortByEnd(out []Match) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
+	slices.SortFunc(out, func(a, b Match) int {
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		return out[i].Rule < out[j].Rule
+		return cmp.Compare(a.Rule, b.Rule)
 	})
 }
 
@@ -838,19 +807,18 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 }
 
 // scanPool hands every admitted group to the worker pool as one block scan
-// on a checked-out runner, folding each outcome as it completes.
+// on a fresh runner, folding each outcome as it completes.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() error, total *int64) error {
 	var sum atomic.Int64
 	pt0 := rs.stageStart()
 	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
-		r := rs.plan.exec[i].checkout()
+		r := rs.plan.exec[i].runner()
 		folded := false
 		defer func() {
 			if !folded {
-				// A contained worker panic: fold the work done up to it (a
-				// checked-out runner's totals cover this checkout only), so
-				// the byte partitions of the stats stay exact. The runner
-				// is dropped, not released.
+				// A contained worker panic: fold the work done up to it (the
+				// fresh runner's totals cover this task only), so the byte
+				// partitions of the stats stay exact.
 				run := r.totals()
 				rs.fold(i, &run, nil, nil)
 			}
@@ -860,7 +828,6 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() e
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		folded = true
 		rs.fold(i, &run, nil, nil)
-		r.release()
 		sum.Add(run.matches)
 		return err
 	})

@@ -67,10 +67,10 @@ func (r *Runner) Lazy(w io.Writer) ([]LazyRow, error) {
 			strideCell = row.StrideTime
 		}
 
-		m := lazydfa.New(p)
+		m := lazydfa.New(p, lazydfa.Options{KeepOnMatch: true})
 		row.Classes = m.NumClasses()
 		lrunner := lazydfa.NewRunner(m)
-		lcfg := lazydfa.Config{KeepOnMatch: true}
+		lcfg := lazydfa.Config{}
 		lrunner.Run(in, lcfg) // warm the cache
 		start = time.Now()
 		var res lazydfa.Result

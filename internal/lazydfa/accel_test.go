@@ -32,16 +32,16 @@ func fillerInput(n int, seed int64, frags ...string) []byte {
 func TestAccelClassification(t *testing.T) {
 	_, m := compile(t, "xy", "xz")
 	in := fillerInput(4096, 1) // no 'x' anywhere: the scan never leaves state 0
-	r := NewRunner(m)
-	res := r.Run(in, Config{KeepOnMatch: true, Accel: true})
+	am := with(m, Options{KeepOnMatch: true, Accel: true})
+	res := NewRunner(am).Run(in, Config{})
 	if res.Matches != 0 {
 		t.Fatalf("filler input matched %d times", res.Matches)
 	}
 	if res.AccelStates == 0 {
 		t.Fatal("no cached state classified accelerable")
 	}
-	if r.AccelStates() != res.AccelStates {
-		t.Fatalf("AccelStates() = %d, Result.AccelStates = %d", r.AccelStates(), res.AccelStates)
+	if n := am.Stats().AccelStates; n != res.AccelStates {
+		t.Fatalf("Stats().AccelStates = %d, Result.AccelStates = %d", n, res.AccelStates)
 	}
 	// Byte 0 and the final byte always step; everything between is dead.
 	if want := int64(len(in) - 2); res.AccelBytes < want {
@@ -52,36 +52,12 @@ func TestAccelClassification(t *testing.T) {
 	}
 
 	// Accel off: same events, zero accel counters.
-	off := NewRunner(m).Run(in, Config{KeepOnMatch: true})
+	off := NewRunner(with(m, keepOpts)).Run(in, Config{})
 	if off.AccelBytes != 0 || off.AccelStates != 0 {
 		t.Fatalf("accel off reported AccelBytes=%d AccelStates=%d", off.AccelBytes, off.AccelStates)
 	}
 	if off.Matches != res.Matches {
 		t.Fatalf("match counts diverged: on=%d off=%d", res.Matches, off.Matches)
-	}
-}
-
-// TestAccelToggleRebuildsCache checks the classification invariant: toggling
-// Config.Accel between scans rebuilds the cache so every cached state is
-// (re)classified under the new mode.
-func TestAccelToggleRebuildsCache(t *testing.T) {
-	_, m := compile(t, "xy", "xz")
-	in := fillerInput(512, 2, "xy", "xz")
-	r := NewRunner(m)
-	res := r.Run(in, Config{KeepOnMatch: true, Accel: true})
-	if res.AccelStates == 0 {
-		t.Fatal("accel run classified nothing")
-	}
-	res = r.Run(in, Config{KeepOnMatch: true})
-	if r.AccelStates() != 0 {
-		t.Fatalf("accel-off cache kept %d accelerable states", r.AccelStates())
-	}
-	if res.AccelBytes != 0 {
-		t.Fatalf("accel-off scan jumped %d bytes", res.AccelBytes)
-	}
-	res = r.Run(in, Config{KeepOnMatch: true, Accel: true})
-	if res.AccelStates == 0 || res.AccelBytes == 0 {
-		t.Fatalf("re-enabled accel inert: states=%d bytes=%d", res.AccelStates, res.AccelBytes)
 	}
 }
 
@@ -99,8 +75,8 @@ func TestAccelProfiledSamples(t *testing.T) {
 			prof  *engine.Profile
 			accel bool
 		}{{profOn, true}, {profOff, false}} {
-			r := NewRunner(m)
-			r.Begin(Config{KeepOnMatch: true, Accel: run.accel, Profile: run.prof})
+			r := NewRunner(with(m, Options{KeepOnMatch: true, Accel: run.accel}))
+			r.Begin(Config{Profile: run.prof})
 			for pos := 0; pos < len(in); pos += chunk {
 				end := pos + chunk
 				if end > len(in) {
@@ -130,8 +106,8 @@ func TestAccelProfiledSamples(t *testing.T) {
 func TestAccelEndAnchoredLastByte(t *testing.T) {
 	_, m := compile(t, "x$")
 	in := append(fillerInput(256, 6), 'x') // only 'x' is the last byte
-	want := Matches(m, in, Config{KeepOnMatch: true})
-	got := Matches(m, in, Config{KeepOnMatch: true, Accel: true})
+	want := Matches(with(m, keepOpts), in, Config{})
+	got := Matches(with(m, Options{KeepOnMatch: true, Accel: true}), in, Config{})
 	if len(want) == 0 {
 		t.Fatal("oracle found no match; test input broken")
 	}

@@ -12,7 +12,7 @@ func BenchmarkLazyDFAMiss(b *testing.B) {
 	b.SetBytes(int64(len(chunk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		forgetRows(r)
+		forgetRows(r.m)
 		r.Feed(chunk, false)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// thrashy returns a matcher and an input that thrash a MaxStates-4 cache
-// (reused from TestFlushAndFallback's setup).
-func thrashy(t *testing.T) (*Matcher, []byte) {
+// thrashy returns a pop-semantics matcher and an input that thrash a
+// MaxStates-4 table (reused from TestFlushAndFallback's setup).
+func thrashy(t testing.TB) (*Matcher, []byte) {
 	t.Helper()
 	_, m := compile(t, "a+b", "b+a", "ab+a", "ba+b", "aa", "bb")
 	r := rand.New(rand.NewSource(11))
@@ -27,7 +27,7 @@ func thrashy(t *testing.T) (*Matcher, []byte) {
 // stay byte-identical on every rung.
 func TestThrashRetryLadder(t *testing.T) {
 	m, in := thrashy(t)
-	want := Matches(m, in, Config{KeepOnMatch: true})
+	want := Matches(with(m, keepOpts), in, Config{})
 	collect := func(sink *[]engine.MatchEvent) func(int, int) {
 		*sink = nil
 		return func(fsa, end int) { *sink = append(*sink, engine.MatchEvent{FSA: fsa, End: end}) }
@@ -35,8 +35,9 @@ func TestThrashRetryLadder(t *testing.T) {
 	// This ruleset reaches 7 distinct lazy states on this input; cap 3 and
 	// its grown double 6 both overflow, and the negative flush budget turns
 	// the first full cache into a thrash.
-	cfg := Config{KeepOnMatch: true, MaxStates: 3, MaxFlushes: -1}
-	r := NewRunner(m)
+	lm := with(m, Options{KeepOnMatch: true, MaxStates: 3})
+	cfg := Config{MaxFlushes: -1}
+	r := NewRunner(lm)
 
 	var got []engine.MatchEvent
 	cfg.OnMatch = collect(&got)
@@ -53,8 +54,8 @@ func TestThrashRetryLadder(t *testing.T) {
 	if !res.Grew || res.Pinned {
 		t.Fatalf("scan 2: Grew=%v Pinned=%v, want grown retry", res.Grew, res.Pinned)
 	}
-	if r.MaxStates() != 6 {
-		t.Fatalf("scan 2 ran with cap %d, want doubled 6", r.MaxStates())
+	if c := lm.Stats().MaxStates; c != 6 {
+		t.Fatalf("scan 2 ran with cap %d, want doubled 6", c)
 	}
 	if !res.Thrashed {
 		t.Fatal("scan 2: cap 6 should still thrash this input")
@@ -90,10 +91,11 @@ func TestThrashRetryLadder(t *testing.T) {
 // cache holds the traffic, the runner stays on the cached path and never pins.
 func TestThrashRetrySucceedsAtGrownCap(t *testing.T) {
 	m, in := thrashy(t)
-	r := NewRunner(m)
 	// Cap 4 overflows this ruleset's 7 lazy states and the negative budget
 	// turns that into a thrash; the doubled cap 8 holds the full state set.
-	cfg := Config{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1}
+	lm := with(m, Options{KeepOnMatch: true, MaxStates: 4})
+	r := NewRunner(lm)
+	cfg := Config{MaxFlushes: -1}
 	res := r.Run(in, cfg)
 	if !res.Thrashed {
 		t.Fatalf("cap 4 did not thrash (cached %d states)", res.CachedStates)
@@ -103,7 +105,7 @@ func TestThrashRetrySucceedsAtGrownCap(t *testing.T) {
 		t.Fatal("scan 2 did not grow")
 	}
 	if res.Thrashed || res.FellBack {
-		t.Fatalf("grown cap %d still fell back (%d states)", r.MaxStates(), res.CachedStates)
+		t.Fatalf("grown cap %d still fell back (%d states)", lm.Stats().MaxStates, res.CachedStates)
 	}
 	for i := 0; i < 2; i++ {
 		if res = r.Run(in, cfg); res.Pinned || res.FellBack {
@@ -120,7 +122,7 @@ func TestThrashRetrySucceedsAtGrownCap(t *testing.T) {
 // byte-identical to the fault-free run.
 func TestInjectedFaultsPreserveEvents(t *testing.T) {
 	m, in := thrashy(t)
-	want := Matches(m, in, Config{KeepOnMatch: true})
+	want := Matches(with(m, keepOpts), in, Config{})
 	scheds := map[string]faultpoint.Schedule{
 		"thrash-first-chunk": faultpoint.OnHit(faultpoint.LazyThrash, 1),
 		"thrash-mid":         faultpoint.OnHit(faultpoint.LazyThrash, 3),
@@ -136,8 +138,8 @@ func TestInjectedFaultsPreserveEvents(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			in2 := faultpoint.New(sched)
 			var got []engine.MatchEvent
-			r := NewRunner(m)
-			r.Begin(Config{KeepOnMatch: true, Faults: in2,
+			r := NewRunner(with(m, keepOpts))
+			r.Begin(Config{Faults: in2,
 				Checkpoint: func() error { return nil }, CheckpointEvery: 256,
 				OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
 			for off := 0; off < len(in); off += 777 {
@@ -166,10 +168,11 @@ func TestInjectedFaultsPreserveEvents(t *testing.T) {
 // which must behave exactly like a fresh engine run (^-anchored inits fire).
 func TestInjectedThrashAtStreamStart(t *testing.T) {
 	_, m := compile(t, "^ab", "ab", "b$")
+	m = with(m, keepOpts)
 	in := []byte("abab")
-	want := Matches(m, in, Config{KeepOnMatch: true})
+	want := Matches(m, in, Config{})
 	var got []engine.MatchEvent
-	res := NewRunner(m).Run(in, Config{KeepOnMatch: true,
+	res := NewRunner(m).Run(in, Config{
 		Faults:  faultpoint.New(faultpoint.OnHit(faultpoint.LazyThrash, 1)),
 		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
 	if !res.Thrashed {

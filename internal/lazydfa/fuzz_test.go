@@ -1,7 +1,6 @@
 package lazydfa
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -32,7 +31,6 @@ func FuzzCacheLimits(f *testing.F) {
 		f.Fatal(err)
 	}
 	p := engine.NewProgram(z)
-	m := New(p)
 
 	for _, keep := range []bool{true, false} {
 		f.Add([]byte("abbaabab"), uint8(0), uint8(0), uint8(4), keep)
@@ -45,17 +43,15 @@ func FuzzCacheLimits(f *testing.F) {
 		if len(in) > 1<<12 {
 			return
 		}
-		cfg := Config{
-			KeepOnMatch: keep,
-			MaxStates:   int(maxStates), // 0 → default; small values force flushes
-			MaxFlushes:  int(maxFlushes),
-		}
-		want := Matches(m, in, Config{KeepOnMatch: keep})
+		// MaxStates 0 → default; small values force flushes.
+		opts := Options{KeepOnMatch: keep, MaxStates: int(maxStates)}
+		cfg := Config{MaxFlushes: int(maxFlushes)}
+		want := Matches(New(p, Options{KeepOnMatch: keep}), in, Config{})
 
 		var got []engine.MatchEvent
 		c := cfg
 		c.OnMatch = func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }
-		r := NewRunner(m)
+		r := NewRunner(New(p, opts))
 		r.Begin(c)
 		step := int(chunk)%8 + 1
 		for i := 0; i < len(in); i += step {
@@ -70,58 +66,13 @@ func FuzzCacheLimits(f *testing.F) {
 		}
 		res := r.End()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cfg=%+v chunk=%d: %d events, want %d (res=%+v)",
-				cfg, step, len(got), len(want), res)
+			t.Fatalf("opts=%+v cfg=%+v chunk=%d: %d events, want %d (res=%+v)",
+				opts, cfg, step, len(got), len(want), res)
 		}
 		wantSets := engine.DistinctEnds(engine.Matches(p, in, engine.Config{KeepOnMatch: keep}), len(patterns))
 		gotSets := engine.DistinctEnds(got, len(patterns))
 		if !reflect.DeepEqual(gotSets, wantSets) {
 			t.Fatalf("distinct sets diverged from iMFAnt: %v vs %v", gotSets, wantSets)
-		}
-	})
-}
-
-// FuzzPooledReuse checks that pooling is invisible: a fuzzed sequence of
-// scans, each under fuzzer-chosen semantics (keep or the Eq. 5 pop), cache
-// cap and chunking, runs on runners checked out of one Matcher's pool and
-// put back after every scan — so a scan usually inherits the cache, the
-// semantics and the flush history of the previous one — and every scan
-// must report exactly the events of a fresh runner.
-func FuzzPooledReuse(f *testing.F) {
-	_, m := compile(f, "a+b", "b+a", "ab+a", "aa", "bb", "^ab", "ba$", "a[ab]b")
-	f.Add([]byte("abbaab|abab|bbaa"), uint8(0), uint8(0b101), uint8(3))
-	f.Add([]byte("aabbaabb||abababab|ba"), uint8(3), uint8(0b010), uint8(1))
-	f.Add([]byte("abababababab|aaaa|bbbb|abba"), uint8(4), uint8(0b1111), uint8(7))
-
-	f.Fuzz(func(t *testing.T, in []byte, maxStates, keepBits, chunk uint8) {
-		if len(in) > 1<<12 {
-			return
-		}
-		pool := New(m.p) // a fresh pool per input keeps runs independent
-		step := int(chunk)%8 + 1
-		for k, scan := range bytes.Split(in, []byte("|")) {
-			keep := keepBits>>(k%8)&1 == 1
-			cfg := Config{KeepOnMatch: keep, MaxStates: int(maxStates) % 8}
-			want := Matches(pool, scan, Config{KeepOnMatch: keep, MaxStates: cfg.MaxStates})
-
-			var got []engine.MatchEvent
-			c := cfg
-			c.OnMatch = func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }
-			r := pool.Get()
-			r.Begin(c)
-			for i := 0; i < len(scan); i += step {
-				end := min(i+step, len(scan))
-				r.Feed(scan[i:end], end == len(scan))
-			}
-			res := r.End()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("scan %d %q cfg=%+v chunk=%d: %v, fresh runner %v (res=%+v)",
-					k, scan, cfg, step, got, want, res)
-			}
-			if tot := r.Totals(); tot.Scans != 1 || tot.Symbols != int64(len(scan)) {
-				t.Fatalf("scan %d: totals %+v count more than this checkout", k, tot)
-			}
-			pool.Put(r)
 		}
 	})
 }

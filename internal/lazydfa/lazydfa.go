@@ -25,38 +25,37 @@
 // the successor is a pure function of (S, c), and the accept masks are read
 // off S.
 //
-// When the cache fills, the whole table is flushed (RE2-style) and rebuilt
-// from the current vector; inputs that keep flushing fall back transparently
-// to the iMFAnt engine.Runner for the rest of the stream, resumed from the
-// exact mid-stream (post-pop) activation vector.
+// A Matcher owns one transition table, shared by every Runner on it: hits
+// read a published snapshot without a lock, misses insert under the
+// Matcher's mutex (see table.go). When the table fills, it is flushed
+// whole (RE2-style) into a new generation; a runner whose scan keeps
+// flushing falls back transparently to the iMFAnt engine.Runner for the
+// rest of its stream, resumed from the exact mid-stream (post-pop)
+// activation vector.
 //
 // Match events are reported once per (FSA, end offset), in ascending FSA
 // order at each offset. The distinct (FSA, end) sets are identical to the
-// iMFAnt engine's under the same semantics, regardless of cache size,
-// flushes, or fallback.
+// iMFAnt engine's under the same semantics, regardless of table size,
+// flushes, sharing, or fallback.
 package lazydfa
 
 import (
 	"math/bits"
-	"runtime"
-	"slices"
-	"sync"
-	"unsafe"
+	"sync/atomic"
 
-	"repro/internal/bytescan"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Options and Config fields left zero.
 const (
-	// DefaultMaxStates bounds the cached DFA states per runner. With a
+	// DefaultMaxStates bounds the cached DFA states of a table. With a
 	// 256-class worst-case alphabet this caps the transition table at
 	// 4 MiB of row storage.
 	DefaultMaxStates = 4096
-	// DefaultMaxFlushes is the number of cache flushes tolerated per
-	// stream before the runner concludes the input thrashes the cache and
-	// falls back to the iMFAnt engine.
+	// DefaultMaxFlushes is the number of table flushes a scan may trigger
+	// before the runner concludes the input thrashes the table and falls
+	// back to the iMFAnt engine.
 	DefaultMaxFlushes = 8
 	// minStates is the smallest usable cap: the restart state, the
 	// current state preserved across a flush, and one successor.
@@ -69,20 +68,35 @@ const (
 	maxAccelActs = 4
 )
 
+// Options fix a Matcher's transition table for the Matcher's lifetime:
+// successor rows depend on the match semantics, and acceleration
+// classification is part of every cached state.
+type Options struct {
+	// KeepOnMatch mirrors engine.Config.KeepOnMatch: false (the zero
+	// value) runs the paper's Eq. 5 pop. Both semantics are cached.
+	KeepOnMatch bool
+	// Accel enables state acceleration: every cached DFA state is
+	// classified at construction time, and a state whose live outgoing
+	// byte set is small (≤ 4 distinct bytes; every other byte provably
+	// self-loops back to it without emitting) lets the run loop jump with
+	// a bytescan kernel straight to the next live byte instead of stepping
+	// the transition table once per byte. Results are byte-identical with
+	// acceleration on or off. The iMFAnt fallback inherits the setting as
+	// its own start-byte skip.
+	Accel bool
+	// MaxStates caps the table's cached states; 0 selects
+	// DefaultMaxStates, values below the structural minimum of 3 are
+	// raised to it. The degradation ladder may double it once.
+	MaxStates int
+}
+
 // Config tunes one lazy-DFA scan.
 type Config struct {
-	// MaxStates caps the cached DFA states; 0 selects DefaultMaxStates,
-	// values below the structural minimum of 3 are raised to it.
-	MaxStates int
-	// MaxFlushes caps whole-cache flushes per stream before falling back
-	// to the iMFAnt engine; 0 selects DefaultMaxFlushes, negative values
-	// disable flushing (fallback on the first full cache).
+	// MaxFlushes caps the table flushes this scan may trigger before it
+	// falls back to the iMFAnt engine; 0 selects DefaultMaxFlushes,
+	// negative values disable flushing (fallback on the first full table).
+	// Flushes other runners trigger do not count.
 	MaxFlushes int
-	// KeepOnMatch mirrors engine.Config.KeepOnMatch: false (the zero
-	// value) runs the paper's Eq. 5 pop. Both semantics are cached;
-	// toggling it between scans rebuilds the cache (the successor rows
-	// differ).
-	KeepOnMatch bool
 	// OnMatch, when non-nil, receives every match with the FSA identifier
 	// and the end offset (inclusive, absolute within the stream).
 	OnMatch func(fsa, end int)
@@ -95,16 +109,6 @@ type Config struct {
 	// CheckpointEvery is the polling granularity of Checkpoint in bytes;
 	// 0 selects engine.DefaultCheckpointEvery.
 	CheckpointEvery int
-	// Accel enables state acceleration: every cached DFA state is
-	// classified at construction time, and a state whose live outgoing
-	// byte set is small (≤ 4 distinct bytes; every other byte provably
-	// self-loops back to it without emitting) lets the run loop jump with
-	// a bytescan kernel straight to the next live byte instead of stepping
-	// the transition table once per byte. Results are byte-identical with
-	// acceleration on or off; toggling it between scans rebuilds the cache
-	// (classification is part of a cached state). The iMFAnt fallback
-	// inherits the setting as its own start-byte skip.
-	Accel bool
 	// Profile, when non-nil, enables the sampling state profiler: every
 	// Profile.Stride() input symbols the current cached state's
 	// (post-pop) activation vector is folded into the shared Profile,
@@ -133,10 +137,10 @@ type Result struct {
 	PerFSA []int64
 	// Symbols is the number of input bytes processed.
 	Symbols int
-	// CachedStates is the number of distinct DFA states cached at stream
-	// end (after the last flush, if any).
+	// CachedStates is the number of states in the shared table at scan
+	// end (a gauge over every runner's work, like TableStats.States).
 	CachedStates int
-	// Flushes counts whole-cache flushes during the scan.
+	// Flushes counts the table flushes this scan triggered.
 	Flushes int
 	// FellBack reports that the scan finished on the iMFAnt engine.
 	FellBack bool
@@ -152,20 +156,20 @@ type Result struct {
 	// minus misses), so the per-byte hot loop carries no counter update.
 	CacheHits, CacheMisses int64
 	// AccelBytes counts input bytes jumped over by state acceleration
-	// (Config.Accel) rather than stepped one at a time — on the cached
+	// (Options.Accel) rather than stepped one at a time — on the cached
 	// path and, via the start-byte skip, on the iMFAnt fallback. Jumped
 	// bytes still count in Symbols and as cache hits: they were matched
 	// against, just in bulk.
 	AccelBytes int64
-	// AccelStates is the number of currently cached states classified as
-	// accelerable (a gauge over the live cache, like CachedStates).
+	// AccelStates is the number of states in the shared table classified
+	// as accelerable (a gauge, like CachedStates).
 	AccelStates int
-	// Grew reports that this scan ran with the cache cap doubled by the
-	// degradation ladder after the previous scan thrashed.
+	// Grew reports that this scan ran after the runner's previous scan
+	// thrashed, with the table's cap doubled by the degradation ladder.
 	Grew bool
 	// Pinned reports that this scan was delegated whole to the iMFAnt
 	// engine because the ladder is out of rungs: the traffic thrashed the
-	// grown cache too. Pinned implies FellBack (but not Thrashed — the
+	// grown table too. Pinned implies FellBack (but not Thrashed — the
 	// defeat happened on an earlier scan).
 	Pinned bool
 }
@@ -184,14 +188,14 @@ type Totals struct {
 	// Their ratio is the primary cache-sizing signal: a low hit rate on
 	// steady traffic means MaxStates is too small for the ruleset.
 	CacheHits, CacheMisses int64
-	// Flushes counts whole-cache flushes.
+	// Flushes counts the table flushes this runner triggered.
 	Flushes int64
 	// Fallbacks counts scans abandoned to the iMFAnt engine because the
-	// input thrashed the cache. Ladder pins are counted in Pins instead.
+	// input thrashed the table. Ladder pins are counted in Pins instead.
 	Fallbacks int64
 	// AccelBytes aggregates the per-scan accelerated-jump byte counters.
 	AccelBytes int64
-	// Grows counts scans retried with a doubled cache cap after a thrash;
+	// Grows counts scans retried with a doubled table cap after a thrash;
 	// at most 1 per Runner lifetime — the ladder has one grow rung.
 	Grows int64
 	// Pins counts scans delegated whole to the iMFAnt engine because the
@@ -199,10 +203,10 @@ type Totals struct {
 	Pins int64
 }
 
-// Matcher is the shareable lazy-DFA form of one engine.Program: the program
-// plus its compressed byte-class alphabet, and a bounded pool of idle
-// Runners whose transition caches stay warm between the scans that check
-// them out (Get, Put). The Matcher is safe for concurrent use; each Runner
+// Matcher is the shareable lazy-DFA form of one engine.Program: the program,
+// its compressed byte-class alphabet, and one transition table shared by
+// every Runner on it. The table is built by the first scan, so New
+// allocates none of it. The Matcher is safe for concurrent use; each Runner
 // is used by one goroutine at a time.
 type Matcher struct {
 	p       *engine.Program
@@ -213,17 +217,28 @@ type Matcher struct {
 	// the live-byte expansion of state-acceleration classification: a
 	// class probed live contributes exactly these bytes to the state's
 	// hunt set.
-	classBytes [][]byte
+	classBytes  [][]byte
+	stride      int // row width: nc successors plus the state's column
+	w           int // words per FSA bitset (Program.Words)
+	keep, accel bool
+	cap0        int // the resolved Options.MaxStates
 
-	poolMu sync.Mutex
-	pool   []*Runner // idle runners, at most GOMAXPROCS
+	table
 }
 
-// New builds a Matcher over p. Its runner pool starts empty.
-func New(p *engine.Program) *Matcher {
+// New builds a Matcher over p with the table fixed by opts (at most one;
+// none selects the zero Options: pop semantics, no acceleration,
+// DefaultMaxStates).
+func New(p *engine.Program, opts ...Options) *Matcher {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
 	classOf, nc := p.ByteClasses()
 	m := &Matcher{p: p, classOf: classOf, nc: nc, rep: make([]byte, nc),
-		classBytes: make([][]byte, nc)}
+		classBytes: make([][]byte, nc), stride: nc + 1, w: p.Words(), keep: o.KeepOnMatch, accel: o.Accel,
+		cap0: ResolveMaxStates(o.MaxStates)}
+	m.maxStates = m.cap0
 	seen := make([]bool, nc)
 	for b := 0; b < 256; b++ {
 		c := classOf[b]
@@ -243,136 +258,57 @@ func (m *Matcher) NumClasses() int { return m.nc }
 // Program returns the underlying program.
 func (m *Matcher) Program() *engine.Program { return m.p }
 
-// Get checks a Runner out of the pool, or returns a new one with an empty
-// cache when the pool is empty. A pooled runner keeps the transition cache
-// an earlier checkout built; its Totals restart from zero, so they count
-// this checkout only. Hand the runner back with Put once its scan or stream
-// has ended.
-func (m *Matcher) Get() *Runner {
-	m.poolMu.Lock()
-	n := len(m.pool)
-	if n == 0 {
-		m.poolMu.Unlock()
-		return NewRunner(m)
+// ResolveMaxStates normalizes an Options.MaxStates value to the cap a table
+// actually starts with: 0 (or negative) selects DefaultMaxStates and values
+// below the structural minimum are raised to it.
+func ResolveMaxStates(n int) int {
+	if n <= 0 {
+		return DefaultMaxStates
 	}
-	r := m.pool[n-1]
-	m.pool[n-1] = nil
-	m.pool = m.pool[:n-1]
-	m.poolMu.Unlock()
-	r.totals = Totals{}
-	return r
+	if n < minStates {
+		return minStates
+	}
+	return n
 }
 
-// Put returns a runner checked out with Get to the pool. A runner the
-// degradation ladder touched — its last scan thrashed, or its cache cap grew,
-// or it was pinned to the iMFAnt engine — is dropped instead, so the ladder
-// and the flush budget start afresh with every checkout; so is a runner
-// that would take the pool beyond GOMAXPROCS idle runners. A runner whose
-// scan panicked must never be Put: its cache may be half-updated.
-func (m *Matcher) Put(r *Runner) {
-	if r.thrashed || r.grown || r.permanent {
-		return
-	}
-	// Drop the references of the last scan: its callbacks (and whatever
-	// they capture) and a fallback engine runner must not be retained.
-	r.cfg, r.fb, r.res = Config{}, nil, Result{}
-	m.poolMu.Lock()
-	if len(m.pool) < runtime.GOMAXPROCS(0) {
-		m.pool = append(m.pool, r)
-	}
-	m.poolMu.Unlock()
-}
-
-// Per-state flag bits (Runner.flags): the one byte the hot loop loads per
-// step besides the transition row.
-const (
-	stAccept    uint8 = 1 << iota // the state's accept mask is non-zero
-	stAcceptEnd                   // its $-anchored accept mask is non-zero
-	stAccel                       // the state is accelerable (see classify)
-)
-
-// stateMeta locates one cached lazy-DFA state in the runner's word arena.
-// A state is a canonical pre-pop iMFAnt activation vector with the match
-// metadata of every step arriving at it; everything is stored as packed
-// vectors (see engine.Unpack) so the cache holds no pointers.
-type stateMeta struct {
-	// acts is the packed pre-pop vector, the cache key. live is the vector
-	// the iMFAnt runner holds after the step — Pop(acts) in pop mode, acts
-	// itself in keep mode or when nothing pops (then both share words) — and
-	// is what successors are stepped from, what Frontier and the fallback
-	// hand over, and what the profiler samples. Word offsets and lengths.
-	acts, nActs, live, nLive int32
-	// masks is the word offset of the accept mask (FSAs matching on any
-	// arrival at this state) followed by the acceptEnd mask ($-anchored
-	// FSAs matching only when the arriving symbol ends the stream), each
-	// Words words.
-	masks int32
-	// finder indexes Runner.finders when the state is accelerable.
-	finder int32
-	hash   uint32 // hashVec of the packed acts
-}
-
-// maxArenaWords bounds the word arena so int32 offsets stay valid; a cache
-// reaching it counts as full.
-const maxArenaWords = 1 << 30
-
-// Runner executes scans over one Matcher. The transition cache persists
-// across scans (Begin does not clear it), so repeated scans of similar
-// traffic run warm. It is pointer-free: states live packed in one word
-// arena, looked up through an open-addressing index over their hashes, so
-// a retained cache costs the garbage collector nothing to scan and a miss
-// that lands on an already-cached state allocates nothing.
-//
-// Runners come from NewRunner (the caller owns the runner and its cache for
-// good — a Scanner keeps one per group) or from Matcher.Get (the cache is
-// borrowed from the Matcher's pool and returned with Matcher.Put). The
-// flush budget applies per scan, the degradation ladder per runner lifetime
-// — for a pooled runner, per checkout. A Runner is not safe for concurrent
-// use.
+// Runner is a cursor on its Matcher's shared table: it executes scans, one
+// at a time, and owns only its position, its scratch and its counters, so
+// every Runner starts warm on what the others cached. While a chunk runs,
+// the runner reads one snapshot of the table; between chunks it holds no
+// reference to the table at all, only a copy of its current state's
+// vectors, so a flush by another runner in the meantime costs it one
+// re-insertion at its next chunk. The flush budget applies per scan, the
+// degradation ladder per runner lifetime. A Runner is not safe for
+// concurrent use.
 type Runner struct {
-	m       *Matcher
-	stepper *engine.Stepper
+	m *Matcher
 
-	// Hot cache fields, read per input byte.
-	rows     []int32 // len(meta)·nc successor ids, -1 = not computed
-	flags    []uint8 // per state: stAccept | stAcceptEnd | stAccel
-	startRow []int32 // per-class successor of the stream-start step
-	cur      int32
-
-	// The rest of the cache, read on misses, emissions and accelerated
-	// jumps.
-	meta    []stateMeta
-	words   []uint64 // arena: packed vectors and masks of every state
-	index   []int32  // open-addressing slots over meta[].hash, -1 = empty
-	finders []bytescan.Finder
-	w       int // words per FSA bitset (Program.Words)
-	// Step scratch: scratch receives a miss's successor, probe the
-	// classification steps, carry the state preserved across a flush, and
-	// masks a miss's accept masks (a flush's classification would clobber
-	// the Stepper's own); zeroMasks are the restart state's.
-	scratch, probe, carry, masks, zeroMasks []uint64
+	// Hot cursor fields. snap is the snapshot the current chunk reads (nil
+	// between chunks) and cur a state id of generation genID.
+	snap  *snapshot
+	cur   int32
+	genID uint64
 
 	cfg        Config
 	res        Result
 	offset     int
-	maxStates  int
 	maxFlushes int
 	stop       error // non-nil: scan cancelled by a Checkpoint failure
-	// accelOn and keepOn mirror the Config.Accel and Config.KeepOnMatch
-	// the cache was built under; a toggle of either rebuilds the cache, so
-	// every cached state is (re)classified and its successor rows follow
-	// the scan's semantics.
-	accelOn, keepOn bool
-	// accelStates counts currently cached accelerable states (gauge).
-	accelStates int
 
 	// Fallback state: fb non-nil routes everything to the iMFAnt engine.
 	fb        *engine.Runner
 	fbSeenEnd int
 	fbSeen    []uint64
 
-	// Cold state below: touched at chunk boundaries and scan edges only,
-	// kept after the hot cache fields so it does not displace them.
+	// Cold state below: touched at chunk boundaries and scan edges only.
+
+	// saved holds, between chunks, the current state's packed pre-pop
+	// vector (savedActs words), its accept masks (2·Words) and, when it
+	// differs from the pre-pop one, its live vector (savedLive words, -1
+	// when it does not). savedActs == 0 is the restart state, state 0 of
+	// every generation.
+	saved                []uint64
+	savedActs, savedLive int
 
 	// Held-byte stream-end handling, mirroring engine.Runner: the most
 	// recent byte of every non-final Feed is held back so a stream end
@@ -382,17 +318,12 @@ type Runner struct {
 	hasHeld bool
 
 	// thrashed records that this scan's fallback was a cache defeat (as
-	// opposed to a ladder pin). Begin then rebuilds the cache: the
-	// table is at capacity with traffic that defeated it, so the next
-	// scan would flush on its first miss anyway — a clean rebuild is
-	// cheaper and leaves no half-stale table behind.
+	// opposed to a ladder pin).
 	thrashed bool
-	// Degradation-ladder state, runner lifetime (see Begin):
-	// grown records the one-shot cache grow has been spent (grownCap is
-	// the doubled cap it selected); permanent pins every further scan to
-	// the iMFAnt engine.
+	// Degradation-ladder state, runner lifetime (see Begin): grown records
+	// the one-shot grow rung has been spent; permanent pins every further
+	// scan to the iMFAnt engine.
 	grown     bool
-	grownCap  int
 	permanent bool
 	ended     bool // End already folded this scan into totals
 	profFill  int  // symbols fed since the last profiler sample
@@ -402,21 +333,10 @@ type Runner struct {
 	totals        Totals
 }
 
-// NewRunner returns an execution context with an empty cache, owned by the
-// caller (see Matcher.Get for a pooled one).
+// NewRunner returns a cursor on m's shared table. It is cheap: a Runner
+// allocates no table of its own.
 func NewRunner(m *Matcher) *Runner {
-	W := m.p.Words()
-	r := &Runner{
-		m:         m,
-		stepper:   engine.NewStepper(m.p),
-		startRow:  make([]int32, m.nc),
-		w:         W,
-		zeroMasks: make([]uint64, 2*W),
-		fbSeen:    make([]uint64, W),
-		fbSeenEnd: -1,
-	}
-	r.resetCache()
-	return r
+	return &Runner{m: m, fbSeen: make([]uint64, m.w), fbSeenEnd: -1}
 }
 
 // Run scans input as one whole stream.
@@ -426,11 +346,8 @@ func (r *Runner) Run(input []byte, cfg Config) Result {
 	return r.End()
 }
 
-// Begin starts a (possibly chunked) scan. The transition cache survives
-// from previous scans unless the configured MaxStates changed or the
-// previous scan ended in a thrash fallback, both of which rebuild it.
+// Begin starts a (possibly chunked) scan from the restart state.
 func (r *Runner) Begin(cfg Config) {
-	cfg.MaxStates = ResolveMaxStates(cfg.MaxStates)
 	switch {
 	case cfg.MaxFlushes == 0:
 		cfg.MaxFlushes = DefaultMaxFlushes
@@ -438,37 +355,27 @@ func (r *Runner) Begin(cfg Config) {
 		cfg.MaxFlushes = 0
 	}
 	// Degradation ladder: a thrash on the previous scan spends the
-	// one-shot grow rung (double the cap and retry the cached path); a
-	// thrash at the grown cap pins the runner to the iMFAnt engine — the
-	// traffic has defeated both caps, so rebuilding the cache every scan
-	// would only add churn on top of the fallback it always ends in.
+	// one-shot grow rung (double the table's cap — at most once per
+	// Matcher, whichever runner asks first — and retry the cached path); a
+	// thrash after that pins the runner to the iMFAnt engine: the traffic
+	// has defeated both caps, so flushing the table every scan would only
+	// add churn on top of the fallback it always ends in.
 	var grew bool
 	if r.thrashed && !r.permanent {
 		if !r.grown {
 			r.grown = true
-			r.grownCap = 2 * cfg.MaxStates
 			grew = true
+			r.m.grow()
 		} else {
 			r.permanent = true
 		}
 	}
-	if r.grown && !r.permanent {
-		cfg.MaxStates = r.grownCap
-	}
-	rebuild := (cfg.MaxStates != r.maxStates && r.maxStates != 0) ||
-		r.thrashed || cfg.Accel != r.accelOn || cfg.KeepOnMatch != r.keepOn
-	// Before resetCache, so state 0 is classified under the new modes.
-	r.accelOn, r.keepOn = cfg.Accel, cfg.KeepOnMatch
-	if rebuild {
-		r.resetCache() // cache shaped by the old cap/modes or thrashed
-	}
 	r.thrashed = false
-	r.maxStates = cfg.MaxStates
 	r.maxFlushes = cfg.MaxFlushes
 	r.cfg = cfg
 	r.res = Result{PerFSA: make([]int64, r.m.p.NumFSAs()), Grew: grew}
 	r.offset = 0
-	r.cur = 0
+	r.snap, r.cur, r.savedActs, r.savedLive = nil, 0, 0, -1
 	r.stop = nil
 	r.hasHeld = false
 	r.ended = false
@@ -476,9 +383,7 @@ func (r *Runner) Begin(cfg Config) {
 	r.profFill = 0
 	r.fb = nil
 	r.fbSeenEnd = -1
-	for i := range r.fbSeen {
-		r.fbSeen[i] = 0
-	}
+	clear(r.fbSeen)
 	if r.permanent {
 		// Ladder bottom: delegate the whole stream to the iMFAnt engine,
 		// deduplicated to the cached path's exact event semantics (one
@@ -521,7 +426,7 @@ func (r *Runner) Frontier() []engine.Activation {
 	if r.fb != nil {
 		return r.fb.Frontier()
 	}
-	return engine.Unpack(r.liveOf(r.cur), r.w)
+	return engine.Unpack(r.liveVec(), r.m.w)
 }
 
 // Feed consumes the next chunk of the stream. Set final on the last chunk so
@@ -610,22 +515,91 @@ func (r *Runner) feedSplit(chunk []byte, final bool) {
 // Err returns the Checkpoint error that cancelled the scan, if any.
 func (r *Runner) Err() error { return r.stop }
 
-// feedChunk is the uninterruptible Feed body. Profiled scans on the cached
+// feedChunk is the uninterruptible Feed body: it attaches the cursor to the
+// table for the chunk and detaches it after. Profiled scans on the cached
 // path route through feedProfiled, which replays the same body in
 // stride-sized blocks; once the scan is on an engine fallback the fallback
 // runner profiles itself (its Config carries the same Profile).
 func (r *Runner) feedChunk(chunk []byte, final bool) {
-	if r.cfg.Faults != nil && r.fb == nil {
-		// Once on a fallback the engine runner (armed with the same
-		// injector) stalls its own chunks; stalling here too would count
-		// the site twice per chunk.
-		r.cfg.Faults.Stall()
-	}
-	if r.cfg.Profile != nil && r.fb == nil {
-		r.feedProfiled(chunk, final)
+	if r.fb != nil {
+		r.feedBody(chunk, final)
 		return
 	}
-	r.feedBody(chunk, final)
+	// Once on a fallback the engine runner (armed with the same injector)
+	// stalls its own chunks; stalling here too would count the site twice
+	// per chunk.
+	r.cfg.Faults.Stall()
+	if !r.attach() {
+		// Another runner flushed the table since this one's last chunk,
+		// and re-inserting its state needs a flush its budget no longer
+		// has.
+		r.res.Symbols += len(chunk)
+		r.fallback(chunk, 0, final)
+		return
+	}
+	if r.cfg.Profile != nil {
+		r.feedProfiled(chunk, final)
+	} else {
+		r.feedBody(chunk, final)
+	}
+	r.detach()
+}
+
+// attach points the cursor at the table's newest snapshot. A cursor whose
+// generation was flushed meanwhile re-inserts its saved state; attach
+// reports false when that needs a flush and the scan's budget is spent.
+func (r *Runner) attach() bool {
+	m := r.m
+	s := m.current()
+	if s.gen.id == r.genID {
+		r.snap = s
+		return true
+	}
+	if r.savedActs == 0 {
+		r.snap, r.cur, r.genID = s, 0, s.gen.id
+		return true
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.beginWrite()
+	ok := r.intern(r.saved[:r.savedActs], r.saved[r.savedActs:r.savedActs+2*m.w])
+	m.endWrite()
+	if ok {
+		r.snap = m.pub.Load()
+	}
+	return ok
+}
+
+// detach saves the current state's vectors and drops the snapshot, so an
+// idle cursor keeps no generation of the table alive.
+func (r *Runner) detach() {
+	s := r.snap
+	if s == nil {
+		return
+	}
+	r.snap = nil
+	if r.fb != nil {
+		return
+	}
+	st := &s.meta[r.cur]
+	r.saved = append(append(r.saved[:0], s.actsOf(r.cur)...), s.masksOf(r.cur)...)
+	r.savedActs, r.savedLive = int(st.nActs), -1
+	if st.live != st.acts {
+		r.saved = append(r.saved, s.liveOf(r.cur)...)
+		r.savedLive = int(st.nLive)
+	}
+}
+
+// liveVec returns the current state's live vector, from the snapshot while
+// attached and from the saved copy between chunks.
+func (r *Runner) liveVec() []uint64 {
+	if r.snap != nil {
+		return r.snap.liveOf(r.cur)
+	}
+	if r.savedLive < 0 {
+		return r.saved[:r.savedActs]
+	}
+	return r.saved[r.savedActs+2*r.m.w:]
 }
 
 // feedProfiled feeds chunk through the unmodified hot loop in stride-sized
@@ -644,19 +618,19 @@ func (r *Runner) feedProfiled(chunk []byte, final bool) {
 		// shares and sample counts therefore stay byte-comparable with
 		// acceleration off, while jumps are no longer capped at one
 		// stride-block.
-		if r.accelOn && r.offset > 0 {
+		if r.m.accel && r.offset > 0 {
 			jumpEnd := len(chunk)
 			if final {
 				jumpEnd-- // the true last byte always steps normally
 			}
 			if jumpEnd > 0 {
-				if r.flags[r.cur]&stAccel != 0 {
-					j := r.finderOf(r.cur).Index(chunk[:jumpEnd])
+				if s := r.snap; s.col(r.cur)&stAccel != 0 {
+					j := s.finderOf(r.cur).Index(chunk[:jumpEnd])
 					if j < 0 {
 						j = jumpEnd
 					}
 					if j > 0 {
-						pr.SamplePacked(r.liveOf(r.cur), int64((r.profFill+j)/stride))
+						pr.SamplePacked(s.liveOf(r.cur), int64((r.profFill+j)/stride))
 						r.profFill = (r.profFill + j) % stride
 						r.res.AccelBytes += int64(j)
 						r.res.Symbols += j
@@ -685,7 +659,7 @@ func (r *Runner) feedProfiled(chunk []byte, final bool) {
 			return
 		}
 		r.profFill = 0
-		pr.SamplePacked(r.liveOf(r.cur), 1)
+		pr.SamplePacked(r.snap.liveOf(r.cur), 1)
 		if len(chunk) == 0 {
 			return
 		}
@@ -713,18 +687,15 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 			r.fallback(chunk, 0, final)
 			return
 		}
-		if in.Hit(faultpoint.LazyFlush) {
-			if r.res.Flushes >= r.maxFlushes {
-				r.fallback(chunk, 0, final)
-				return
-			}
-			r.flush()
+		if in.Hit(faultpoint.LazyFlush) && !r.forceFlush() {
+			r.fallback(chunk, 0, final)
+			return
 		}
 	}
-	nc := r.m.nc
-	classOf := &r.m.classOf
+	m := r.m
+	nc := m.nc
+	classOf := &m.classOf
 	base := r.offset
-	last := len(chunk) - 1
 	// jumpEnd bounds accelerated jumps: the true last byte of the stream is
 	// always stepped normally, so a parked state's $-anchored accepts
 	// (acceptEnd) still fire on it — a jump may not cross the stream-end
@@ -734,74 +705,119 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 		jumpEnd--
 	}
 	pos := 0
-	cur := r.cur
-	if r.accelOn && base > 0 && jumpEnd > 0 && r.flags[cur]&stAccel != 0 {
+	if s := r.snap; m.accel && base > 0 && jumpEnd > 0 && s.col(r.cur)&stAccel != 0 {
 		// The state parked across the chunk boundary is accelerable: hunt
 		// its live bytes from the first byte of the chunk. Stream byte 0 is
 		// exempt (base > 0) — its step also enables the ^-anchored inits,
 		// which classification does not model.
-		j := r.finderOf(cur).Index(chunk[:jumpEnd])
+		j := s.finderOf(r.cur).Index(chunk[:jumpEnd])
 		if j < 0 {
 			j = jumpEnd
 		}
 		r.res.AccelBytes += int64(j)
 		pos = j
 	}
-	// The loop keeps the row and flag tables in locals; a miss may grow
-	// (reallocate) them, and a flush renumbers the current state, so both
-	// are reloaded after every miss.
-	rows, flags := r.rows, r.flags
-	for ; pos < len(chunk); pos++ {
-		cls := int(classOf[chunk[pos]])
-		var next int32
-		if base+pos == 0 {
-			// The stream's first step also enables the ^-anchored
-			// inits; its successors live in a dedicated row.
-			if next = r.startRow[cls]; next < 0 {
-				next = r.miss(cls, true)
-				rows, flags = r.rows, r.flags
-			}
-		} else if next = rows[int(cur)*nc+cls]; next < 0 {
-			r.cur = cur
-			next = r.miss(cls, false)
-			rows, flags = r.rows, r.flags
-		}
+	// The loop runs on row offsets (see the row layout in table.go) and
+	// keeps the row table in a local. Rows are loaded atomically: other
+	// runners fill uncomputed entries in place. An entry the snapshot
+	// cannot use — uncomputed, or a state added since the snapshot was
+	// taken — is settled off the hot path, which leaves r.snap current.
+	rows, nc := r.snap.rows, m.nc
+	cur := int(r.cur) * m.stride
+	if base == 0 && len(chunk) > 0 {
+		// The stream's first step also enables the ^-anchored inits; its
+		// successors live in a dedicated row.
+		cls := int(classOf[chunk[0]])
+		next := r.settle(atomic.LoadInt32(&r.snap.gen.startRow[cls]), cls, true)
 		if next < 0 {
-			// Cache thrash: hand the rest of the stream to iMFAnt,
-			// resumed from the current activation vector. Only the
-			// bytes before the thrashing one ran out of the cache.
-			r.cachedSymbols += int64(pos)
-			r.fallback(chunk, pos, final)
+			r.fallback(chunk, 0, final)
 			return
 		}
-		cur = next
-		f := flags[next]
-		if f == 0 {
-			continue
+		rows, cur = r.snap.rows, int(next)
+		if c := rows[cur+nc]; c&colFlags != 0 {
+			pos = r.arrive(c, chunk, 0, base, final, jumpEnd)
 		}
-		if f&stAccept != 0 {
-			r.emitMask(r.acceptOf(next), base+pos)
-		}
-		if final && pos == last && f&stAcceptEnd != 0 {
-			r.emitMask(r.acceptEndOf(next), base+pos)
-		}
-		if f&stAccel != 0 && pos+1 < jumpEnd {
-			// Arrived in an accelerable state: every byte outside its
-			// needle set self-loops without emitting, so jump straight to
-			// the next needle (or the jump bound). Skipped bytes count as
-			// cache hits — they were matched, in bulk.
-			rest := chunk[pos+1 : jumpEnd]
-			j := r.finderOf(next).Index(rest)
-			if j < 0 {
-				j = len(rest)
-			}
-			r.res.AccelBytes += int64(j)
-			pos += j
-		}
+		pos++
 	}
-	r.cur = cur
+	for pos < len(chunk) {
+		// The hit path, a loop without calls so that its values stay in
+		// registers: cached successors that neither accept nor accelerate.
+		for ; pos < len(chunk); pos++ {
+			next := atomic.LoadInt32(&rows[cur+int(classOf[chunk[pos]])])
+			if uint(uint32(next)) >= uint(len(rows)) || rows[int(next)+nc]&colFlags != 0 {
+				break
+			}
+			cur = int(uint32(next))
+		}
+		if pos == len(chunk) {
+			break
+		}
+		cls := int(classOf[chunk[pos]])
+		next := atomic.LoadInt32(&rows[cur+cls])
+		if uint(uint32(next)) >= uint(len(rows)) {
+			r.cur = rows[cur+nc] >> colShift
+			if next = r.settle(next, cls, false); next < 0 {
+				// Cache thrash: hand the rest of the stream to iMFAnt,
+				// resumed from the current activation vector. Only the
+				// bytes before the thrashing one ran out of the cache.
+				r.cachedSymbols += int64(pos)
+				r.fallback(chunk, pos, final)
+				return
+			}
+			rows = r.snap.rows
+		}
+		cur = int(next)
+		if c := rows[cur+nc]; c&colFlags != 0 {
+			pos = r.arrive(c, chunk, pos, base, final, jumpEnd)
+		}
+		pos++
+	}
+	r.cur = rows[cur+nc] >> colShift
 	r.cachedSymbols += int64(len(chunk))
 	r.offset += len(chunk)
+}
+
+// settle resolves a row entry next the runner's snapshot cannot use: an
+// uncomputed one (-1) is a miss, and an offset past the snapshot is a state
+// another runner added since, found in its generation's latest snapshot.
+// It returns -1 when the miss must fall back; otherwise r.snap holds the
+// returned row offset.
+func (r *Runner) settle(next int32, cls int, streamStart bool) int32 {
+	for uint(uint32(next)) >= uint(len(r.snap.rows)) {
+		if next >= 0 {
+			r.snap = r.snap.gen.latest.Load()
+		} else if next = r.miss(cls, streamStart); next < 0 {
+			return -1
+		}
+	}
+	return next
+}
+
+// arrive handles the arrival, on chunk[pos], in the state of column c,
+// whose flag bits are not all zero: it emits the state's accepts and, in an
+// accelerable state, jumps to the next live byte before jumpEnd. Skipped
+// bytes count as cache hits — they were matched, in bulk. It returns the
+// position of the last byte consumed.
+func (r *Runner) arrive(c int32, chunk []byte, pos, base int, final bool, jumpEnd int) int {
+	s, id := r.snap, c>>colShift
+	if c&stAccept != 0 {
+		r.emitMask(s.acceptOf(id), base+pos)
+	}
+	if final && pos == len(chunk)-1 && c&stAcceptEnd != 0 {
+		r.emitMask(s.acceptEndOf(id), base+pos)
+	}
+	if c&stAccel != 0 && pos+1 < jumpEnd {
+		// Every byte outside the state's needle set self-loops without
+		// emitting, so jump straight to the next needle (or the bound).
+		rest := chunk[pos+1 : jumpEnd]
+		j := s.finderOf(id).Index(rest)
+		if j < 0 {
+			j = len(rest)
+		}
+		r.res.AccelBytes += int64(j)
+		pos += j
+	}
+	return pos
 }
 
 // End finishes the scan and returns the accumulated result. If no Feed
@@ -817,8 +833,9 @@ func (r *Runner) End() Result {
 		r.fb.End()
 		r.flushPending()
 	}
-	r.res.CachedStates = len(r.meta)
-	r.res.AccelStates = r.accelStates
+	st := r.m.Stats()
+	r.res.CachedStates = st.States
+	r.res.AccelStates = st.AccelStates
 	r.res.CacheHits = r.cachedSymbols - r.res.CacheMisses
 	if !r.ended {
 		r.ended = true
@@ -875,264 +892,140 @@ func (r *Runner) Totals() Totals {
 	return t
 }
 
-// CachedStates returns the current number of cached DFA states — the live
-// size of the transition table, bounded by MaxStates.
-func (r *Runner) CachedStates() int { return len(r.meta) }
-
-// CacheBytes returns the bytes held by the runner's transition cache: the
-// capacities of its row, flag, state, word-arena, index and finder tables.
-// O(1); like CachedStates a gauge, which a flush does not shrink (the
-// tables keep their capacity for reuse).
-func (r *Runner) CacheBytes() int64 {
-	return int64(cap(r.rows))*4 + int64(cap(r.flags)) +
-		int64(cap(r.meta))*int64(unsafe.Sizeof(stateMeta{})) + int64(cap(r.words))*8 +
-		int64(cap(r.index))*4 + int64(cap(r.finders))*int64(unsafe.Sizeof(bytescan.Finder{})) +
-		int64(cap(r.startRow))*4
-}
-
-// AccelStates returns the number of currently cached states classified as
-// accelerable — like CachedStates, a gauge over the live transition table.
-func (r *Runner) AccelStates() int { return r.accelStates }
-
-// MaxStates returns the resolved cache cap of the current (or most recent)
-// scan; 0 before the first Begin.
-func (r *Runner) MaxStates() int { return r.maxStates }
-
-// ResolveMaxStates normalizes a Config.MaxStates value to the cap a scan
-// actually runs with: 0 (or negative) selects DefaultMaxStates and values
-// below the structural minimum are raised to it.
-func ResolveMaxStates(n int) int {
-	if n <= 0 {
-		return DefaultMaxStates
-	}
-	if n < minStates {
-		return minStates
-	}
-	return n
-}
-
 // miss computes the uncached successor of the current state (or of the
-// stream-start pseudo-state) on byte class cls, caching and returning its
-// id. It returns -1 when the cache is full and the flush budget is spent —
+// stream-start pseudo-state) on byte class cls under the table lock, and
+// returns its row offset in the table's current generation, with r.snap
+// current. It
+// returns -1 when the table is full and this scan's flush budget is spent —
 // the caller must fall back. A successor that is already cached costs one
-// Step into scratch plus an index probe, and allocates nothing.
+// Step into scratch plus an index probe, and allocates nothing; an edge
+// another runner computed since this one's snapshot costs no Step at all.
 func (r *Runner) miss(cls int, streamStart bool) int32 {
+	m := r.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.beginWrite()
+	id := r.missLocked(cls, streamStart)
+	m.endWrite()
+	if r.genID == m.tip.gen.id {
+		// Else re-inserting the current state failed, and the fallback
+		// reads it from the old snapshot.
+		r.snap = m.pub.Load()
+	}
+	return id
+}
+
+func (r *Runner) missLocked(cls int, streamStart bool) int32 {
+	m := r.m
+	t := &m.tip
+	if r.genID != t.gen.id {
+		// Flushed since this chunk attached. At the stream start the
+		// current state is the restart state, state 0 of every generation.
+		if streamStart {
+			r.cur, r.genID = 0, t.gen.id
+		} else if !r.intern(r.snap.actsOf(r.cur), r.snap.masksOf(r.cur)) {
+			return -1
+		}
+	}
+	// The edge's slot is taken afresh at each use: an add may reallocate
+	// the rows, and a flush replaces them.
+	slot := func() *int32 {
+		if streamStart {
+			return &t.gen.startRow[cls]
+		}
+		return &t.rows[int(r.cur)*m.stride+cls]
+	}
+	if off := *slot(); off >= 0 {
+		return off
+	}
 	var src []uint64
 	if !streamStart {
-		src = r.liveOf(r.cur)
+		src = t.liveOf(r.cur)
 	}
-	next, accept, acceptEnd := r.stepper.Step(r.scratch[:0], src, r.m.rep[cls], streamStart)
-	r.scratch = next
+	next, accept, acceptEnd := m.stepper.Step(m.scratch[:0], src, m.rep[cls], streamStart)
+	m.scratch = next
 	h := hashVec(next)
-	id := r.lookup(next, h)
+	id := m.lookup(next, h)
 	if id < 0 {
-		r.masks = append(append(r.masks[:0], accept...), acceptEnd...)
+		m.masks = append(append(m.masks[:0], accept...), acceptEnd...)
 		// AllocCap injection: the next insertion behaves as if the state
-		// cap had been reached (allocation pressure) without the cache
+		// cap had been reached (allocation pressure) without the table
 		// actually being full — the flush-or-fallback path verbatim.
-		if len(r.meta) >= r.maxStates || len(r.words) > maxArenaWords ||
-			r.cfg.Faults.Hit(faultpoint.AllocCap) {
+		if m.full() || r.cfg.Faults.Hit(faultpoint.AllocCap) {
 			if r.res.Flushes >= r.maxFlushes {
 				return -1
 			}
 			r.flush()
+			id = m.lookup(next, h) // the carried state may be the successor
 		}
-		id = r.add(next, h, r.masks)
+		if id < 0 {
+			id = m.add(next, h, m.masks)
+			m.publish()
+		}
 	}
 	r.res.CacheMisses++
-	if streamStart {
-		r.startRow[cls] = id
-	} else {
-		r.rows[int(r.cur)*r.m.nc+cls] = id
-	}
-	return id
+	off := id * int32(m.stride)
+	atomic.StoreInt32(slot(), off)
+	return off
 }
 
-// flush drops the whole cache (RE2-style) and reseeds it with the restart
-// state and the current state, so the scan continues without replay.
+// forceFlush flushes the table on an injected LazyFlush, spending the flush
+// budget; it reports false when the budget is spent (the caller falls
+// back).
+func (r *Runner) forceFlush() bool {
+	if r.res.Flushes >= r.maxFlushes {
+		return false
+	}
+	m := r.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.beginWrite()
+	ok := r.genID == m.tip.gen.id || r.intern(r.snap.actsOf(r.cur), r.snap.masksOf(r.cur))
+	if ok && r.res.Flushes < r.maxFlushes {
+		r.flush()
+	}
+	m.endWrite()
+	if ok {
+		r.snap = m.pub.Load()
+	}
+	return ok
+}
+
+// flush starts a new table generation holding the restart state and the
+// runner's current state, so its scan continues without replay. Called
+// with the lock held and the runner in the current generation.
 func (r *Runner) flush() {
+	m := r.m
 	r.res.Flushes++
-	st := r.meta[r.cur]
-	// The current state's words live in the arena resetCache truncates.
-	r.carry = append(append(r.carry[:0], r.actsOf(r.cur)...), r.words[st.masks:int(st.masks)+2*r.w]...)
-	r.resetCache()
-	if st.nActs > 0 {
-		r.cur = r.add(r.carry[:st.nActs], st.hash, r.carry[st.nActs:])
+	old := m.tip // the old arrays stay intact: a flush allocates fresh ones
+	m.newGeneration()
+	cur := r.cur
+	r.cur, r.genID = 0, m.tip.gen.id
+	if st := old.meta[cur]; st.nActs > 0 {
+		r.cur = m.add(old.actsOf(cur), st.hash, old.masksOf(cur))
 	}
 }
 
-// resetCache empties the transition table and re-inserts state 0, the
-// restart state (the empty activation vector). The tables keep their
-// capacity.
-func (r *Runner) resetCache() {
-	r.rows = r.rows[:0]
-	r.flags = r.flags[:0]
-	r.meta = r.meta[:0]
-	r.words = r.words[:0]
-	r.finders = r.finders[:0]
-	for i := range r.index {
-		r.index[i] = -1
-	}
-	for i := range r.startRow {
-		r.startRow[i] = -1
-	}
-	r.accelStates = 0
-	r.add(nil, hashVec(nil), r.zeroMasks)
-	r.cur = 0
-}
-
-// add caches the state of packed pre-pop vector acts (hash h) with its
-// accept and acceptEnd masks (masks, 2·Words words) and returns its id,
-// growing the row table by one uncomputed row. Neither acts nor masks may
-// alias the word arena.
-func (r *Runner) add(acts []uint64, h uint32, masks []uint64) int32 {
-	id := int32(len(r.meta))
-	st := stateMeta{acts: int32(len(r.words)), nActs: int32(len(acts)), hash: h}
-	r.words = append(r.words, acts...)
-	st.live, st.nLive = st.acts, st.nActs
-	if !r.keepOn {
-		n := len(r.words)
-		var popped bool
-		if r.words, popped = r.stepper.Pop(r.words, acts); popped {
-			st.live, st.nLive = int32(n), int32(len(r.words)-n)
+// intern makes the runner's current state — pre-pop vector acts with accept
+// masks masks, from an older generation — a state of the current one.
+// Called with the lock held; it reports false when that needs a flush and
+// the scan's budget is spent.
+func (r *Runner) intern(acts, masks []uint64) bool {
+	m := r.m
+	h := hashVec(acts)
+	id := m.lookup(acts, h)
+	if id < 0 {
+		if m.full() {
+			if r.res.Flushes >= r.maxFlushes {
+				return false
+			}
+			r.res.Flushes++
+			m.newGeneration()
 		}
+		id = m.add(acts, h, masks)
 	}
-	st.masks = int32(len(r.words))
-	r.words = append(r.words, masks...)
-	var f uint8
-	for w, m := range masks {
-		if m == 0 {
-			continue
-		}
-		if w < r.w {
-			f |= stAccept
-		} else {
-			f |= stAcceptEnd
-		}
-	}
-	r.meta = append(r.meta, st)
-	r.flags = append(r.flags, f)
-	for i := 0; i < r.m.nc; i++ {
-		r.rows = append(r.rows, -1)
-	}
-	r.insert(id)
-	r.classify(id)
-	return id
-}
-
-// classify decides, once, whether the freshly cached state id is accelerable:
-// a state with no unconditional accepts whose live outgoing byte set — the
-// bytes whose step leaves the activation vector — fits a bytescan.Finder
-// (≤ bytescan.MaxNeedles distinct bytes). Every other byte provably steps
-// the vector back to itself; since the state has no accepts, those arrivals
-// emit nothing (the self-loop successor's accept mask equals the state's
-// own, which is zero), so the run loop may jump straight to the next live
-// byte. $-anchored accepts need no gate here: the jump bound in feedBody
-// keeps the stream's true last byte on the stepped path. Probing is valid
-// per byte class because all bytes of a class enable identical transition
-// lists. Dead-class successor rows are prefilled as a side effect — the
-// Step that proved them self-loops already paid for them.
-func (r *Runner) classify(id int32) {
-	if !r.accelOn || r.flags[id]&stAccept != 0 ||
-		int(r.meta[id].nActs) > maxAccelActs*(1+r.w) {
-		return
-	}
-	var live [bytescan.MaxNeedles]byte
-	n := 0
-	rowBase := int(id) * r.m.nc
-	for cls := 0; cls < r.m.nc; cls++ {
-		r.probe, _, _ = r.stepper.Step(r.probe[:0], r.liveOf(id), r.m.rep[cls], false)
-		if slices.Equal(r.probe, r.actsOf(id)) {
-			r.rows[rowBase+cls] = id
-			continue
-		}
-		bs := r.m.classBytes[cls]
-		if n+len(bs) > bytescan.MaxNeedles {
-			return
-		}
-		n += copy(live[n:], bs)
-	}
-	if f, ok := bytescan.NewFinder(live[:n]); ok {
-		r.meta[id].finder = int32(len(r.finders))
-		r.finders = append(r.finders, f)
-		r.flags[id] |= stAccel
-		r.accelStates++
-	}
-}
-
-// actsOf and liveOf return the packed pre-pop and live vectors of state
-// id; acceptOf and acceptEndOf its match masks. All alias the word arena
-// and are valid until the next add or flush.
-func (r *Runner) actsOf(id int32) []uint64 {
-	st := &r.meta[id]
-	return r.words[st.acts : st.acts+st.nActs]
-}
-
-func (r *Runner) liveOf(id int32) []uint64 {
-	st := &r.meta[id]
-	return r.words[st.live : st.live+st.nLive]
-}
-
-func (r *Runner) acceptOf(id int32) []uint64 {
-	m := int(r.meta[id].masks)
-	return r.words[m : m+r.w]
-}
-
-func (r *Runner) acceptEndOf(id int32) []uint64 {
-	m := int(r.meta[id].masks) + r.w
-	return r.words[m : m+r.w]
-}
-
-func (r *Runner) finderOf(id int32) *bytescan.Finder {
-	return &r.finders[r.meta[id].finder]
-}
-
-// hashVec hashes a packed vector for the cache index.
-func hashVec(v []uint64) uint32 {
-	h := uint64(len(v))
-	for _, w := range v {
-		h = (h ^ w) * 0x9E3779B97F4A7C15
-		h ^= h >> 32
-	}
-	return uint32(h)
-}
-
-// lookup returns the id of the cached state whose packed pre-pop vector is
-// vec (hash h), or -1.
-func (r *Runner) lookup(vec []uint64, h uint32) int32 {
-	mask := len(r.index) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		id := r.index[i]
-		if id < 0 || r.meta[id].hash == h && slices.Equal(r.actsOf(id), vec) {
-			return id
-		}
-	}
-}
-
-// insert indexes the just-appended state id, doubling the index (and
-// reinserting every state) when it would pass half full. The index is a
-// power of two wide, so a linear probe always finds an empty slot.
-func (r *Runner) insert(id int32) {
-	if 2*len(r.meta) > len(r.index) {
-		r.index = make([]int32, max(16, 2*len(r.index)))
-		for i := range r.index {
-			r.index[i] = -1
-		}
-		for k := range r.meta {
-			r.place(int32(k))
-		}
-		return
-	}
-	r.place(id)
-}
-
-func (r *Runner) place(id int32) {
-	mask := len(r.index) - 1
-	i := int(r.meta[id].hash) & mask
-	for r.index[i] >= 0 {
-		i = (i + 1) & mask
-	}
-	r.index[i] = id
+	r.cur, r.genID = id, m.tip.gen.id
+	return true
 }
 
 // fallback resumes the iMFAnt engine from the current (post-pop) activation
@@ -1142,18 +1035,18 @@ func (r *Runner) fallback(chunk []byte, pos int, final bool) {
 	r.res.Thrashed = true
 	r.thrashed = true
 	r.fb = engine.NewRunner(r.m.p)
-	r.fb.Resume(r.fallbackCfg(), engine.Unpack(r.liveOf(r.cur), r.w), r.offset+pos)
+	r.fb.Resume(r.fallbackCfg(), engine.Unpack(r.liveVec(), r.m.w), r.offset+pos)
 	r.fb.Feed(chunk[pos:], final)
 	r.flushPending()
 	r.offset += len(chunk)
 }
 
 // fallbackCfg configures the iMFAnt engine that finishes a scan (thrash
-// fallback or ladder pin) under the scan's own semantics. The engine
-// carries no Checkpoint — this runner's feedSplit polls it.
+// fallback or ladder pin) under the table's semantics. The engine carries
+// no Checkpoint — this runner's feedSplit polls it.
 func (r *Runner) fallbackCfg() engine.Config {
-	return engine.Config{KeepOnMatch: r.cfg.KeepOnMatch, OnMatch: r.emitDedup,
-		Profile: r.cfg.Profile, Accel: r.cfg.Accel, Faults: r.cfg.Faults}
+	return engine.Config{KeepOnMatch: r.m.keep, OnMatch: r.emitDedup,
+		Profile: r.cfg.Profile, Accel: r.m.accel, Faults: r.cfg.Faults}
 }
 
 // emitDedup buffers engine events into a per-offset mask. The engine

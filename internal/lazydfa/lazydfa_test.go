@@ -28,6 +28,12 @@ func compile(t testing.TB, patterns ...string) ([]*nfa.NFA, *Matcher) {
 	return fsas, New(engine.NewProgram(z))
 }
 
+// keepOpts is the table of keep-semantics scans.
+var keepOpts = Options{KeepOnMatch: true}
+
+// with returns a fresh Matcher over m's program, its table fixed by o.
+func with(m *Matcher, o Options) *Matcher { return New(m.p, o) }
+
 func lazyEnds(m *Matcher, in []byte, cfg Config) [][]int {
 	return engine.DistinctEnds(Matches(m, in, cfg), m.p.NumFSAs())
 }
@@ -37,25 +43,31 @@ func engineEnds(m *Matcher, in []byte) [][]int {
 }
 
 // TestRowWidthEqualsClasses validates the byte-class compression: every
-// cached transition row is exactly NumClasses entries wide, and the class
-// count is the true number of alphabet equivalence classes of the ruleset.
+// cached row is exactly NumClasses successor entries plus the state's
+// column wide, and the class count is the true number of alphabet
+// equivalence classes of the ruleset.
 func TestRowWidthEqualsClasses(t *testing.T) {
 	_, m := compile(t, "[a-c]x", "yz")
 	// Labels: [a-c], x, y, z → classes {a-c}, {x}, {y}, {z}, rest.
 	if m.NumClasses() != 5 {
 		t.Fatalf("NumClasses=%d, want 5", m.NumClasses())
 	}
-	r := NewRunner(m)
-	r.Run([]byte("abxyzyzcx"), Config{KeepOnMatch: true})
-	if len(r.meta) == 0 {
+	NewRunner(m).Run([]byte("abxyzyzcx"), Config{})
+	s := m.pub.Load()
+	if len(s.meta) == 0 {
 		t.Fatal("no states cached")
 	}
-	if got, want := len(r.rows), len(r.meta)*m.NumClasses(); got != want {
-		t.Fatalf("row table %d entries for %d states, want %d (= states × classes)",
-			got, len(r.meta), want)
+	if got, want := len(s.rows), len(s.meta)*(m.NumClasses()+1); got != want {
+		t.Fatalf("row table %d entries for %d states, want %d (= states × (classes+1))",
+			got, len(s.meta), want)
 	}
-	if len(r.startRow) != m.NumClasses() {
-		t.Fatalf("start row %d entries, want %d", len(r.startRow), m.NumClasses())
+	for id := range s.meta {
+		if c := s.col(int32(id)); c>>colShift != int32(id) {
+			t.Fatalf("state %d's column names state %d", id, c>>colShift)
+		}
+	}
+	if len(s.gen.startRow) != m.NumClasses() {
+		t.Fatalf("start row %d entries, want %d", len(s.gen.startRow), m.NumClasses())
 	}
 }
 
@@ -68,15 +80,16 @@ func TestFlushAndFallback(t *testing.T) {
 	for i := range in {
 		in[i] = byte('a' + r.Intn(2))
 	}
-	want := Matches(m, in, Config{KeepOnMatch: true})
+	want := Matches(with(m, keepOpts), in, Config{})
+	cap4 := Options{KeepOnMatch: true, MaxStates: 4}
 
 	// Small cap, generous flush budget: flushes must occur, and events
 	// must not change.
-	flushRunner := NewRunner(m)
+	flushM := with(m, cap4)
 	var gotFlush []engine.MatchEvent
-	res := flushRunner.Run(in, Config{
-		KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1 << 30,
-		OnMatch: func(fsa, end int) { gotFlush = append(gotFlush, engine.MatchEvent{FSA: fsa, End: end}) },
+	res := NewRunner(flushM).Run(in, Config{
+		MaxFlushes: 1 << 30,
+		OnMatch:    func(fsa, end int) { gotFlush = append(gotFlush, engine.MatchEvent{FSA: fsa, End: end}) },
 	})
 	if res.Flushes == 0 {
 		t.Fatal("cap 4 run never flushed")
@@ -84,8 +97,8 @@ func TestFlushAndFallback(t *testing.T) {
 	if res.FellBack {
 		t.Fatal("unlimited flush budget fell back")
 	}
-	if len(flushRunner.meta) > 4 {
-		t.Fatalf("cache overran its cap: %d states", len(flushRunner.meta))
+	if n := flushM.Stats().States; n > 4 {
+		t.Fatalf("cache overran its cap: %d states", n)
 	}
 	if !reflect.DeepEqual(gotFlush, want) {
 		t.Fatalf("flush run diverged: %d events vs %d", len(gotFlush), len(want))
@@ -94,9 +107,9 @@ func TestFlushAndFallback(t *testing.T) {
 	// Small cap, tiny flush budget: fallback must occur, events must not
 	// change.
 	var gotFB []engine.MatchEvent
-	res = NewRunner(m).Run(in, Config{
-		KeepOnMatch: true, MaxStates: 4, MaxFlushes: 2,
-		OnMatch: func(fsa, end int) { gotFB = append(gotFB, engine.MatchEvent{FSA: fsa, End: end}) },
+	res = NewRunner(with(m, cap4)).Run(in, Config{
+		MaxFlushes: 2,
+		OnMatch:    func(fsa, end int) { gotFB = append(gotFB, engine.MatchEvent{FSA: fsa, End: end}) },
 	})
 	if !res.FellBack {
 		t.Fatal("flush budget 2 with cap 4 never fell back")
@@ -109,7 +122,7 @@ func TestFlushAndFallback(t *testing.T) {
 	}
 
 	// Negative flush budget: fall back on the first full cache.
-	res = NewRunner(m).Run(in, Config{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1})
+	res = NewRunner(with(m, cap4)).Run(in, Config{MaxFlushes: -1})
 	if !res.FellBack || res.Flushes != 0 {
 		t.Fatalf("MaxFlushes<0: FellBack=%v Flushes=%d", res.FellBack, res.Flushes)
 	}
@@ -124,17 +137,22 @@ func TestChunkedFeed(t *testing.T) {
 	for i := range in {
 		in[i] = byte('a' + r.Intn(3))
 	}
-	want := Matches(m, in, Config{KeepOnMatch: true})
-	for _, cfg := range []Config{
-		{KeepOnMatch: true},
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1 << 30},
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1},
+	want := Matches(with(m, keepOpts), in, Config{})
+	for _, tc := range []struct {
+		opts Options
+		cfg  Config
+	}{
+		{keepOpts, Config{}},
+		{Options{KeepOnMatch: true, MaxStates: 4}, Config{MaxFlushes: 1 << 30}},
+		{Options{KeepOnMatch: true, MaxStates: 4}, Config{MaxFlushes: 1}},
 	} {
+		// One table per configuration, warm across the chunkings.
+		tm, cfg := with(m, tc.opts), tc.cfg
 		for _, chunk := range []int{1, 3, 7, 100} {
 			var got []engine.MatchEvent
 			c := cfg
 			c.OnMatch = func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }
-			runner := NewRunner(m)
+			runner := NewRunner(tm)
 			runner.Begin(c)
 			for i := 0; i < len(in); i += chunk {
 				end := i + chunk
@@ -145,7 +163,7 @@ func TestChunkedFeed(t *testing.T) {
 			}
 			runner.End()
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cfg=%+v chunk=%d diverged: %d events vs %d", cfg, chunk, len(got), len(want))
+				t.Fatalf("opts=%+v cfg=%+v chunk=%d diverged: %d events vs %d", tc.opts, cfg, chunk, len(got), len(want))
 			}
 		}
 	}
@@ -172,7 +190,7 @@ func TestPopSemanticsCached(t *testing.T) {
 		differs = differs || !reflect.DeepEqual(want, engineEnds(m, in))
 
 		var got []engine.MatchEvent
-		res := NewRunner(m).Run(in, Config{
+		res := NewRunner(New(m.p)).Run(in, Config{
 			OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) },
 		})
 		if res.FellBack || res.CacheMisses == 0 {
@@ -210,14 +228,18 @@ func TestPopSemanticsCached(t *testing.T) {
 func TestPopFrontierMatchesEngine(t *testing.T) {
 	_, m := compile(t, popPatterns...)
 	rng := rand.New(rand.NewSource(31))
-	for _, cfg := range []Config{{}, {MaxStates: 3, MaxFlushes: -1}} {
+	for _, maxStates := range []int{0, 3} {
+		cfg := Config{}
+		if maxStates != 0 {
+			cfg.MaxFlushes = -1
+		}
 		thrashed := false
 		for trial := 0; trial < 8; trial++ {
 			in := make([]byte, 300)
 			for i := range in {
 				in[i] = "abcx"[rng.Intn(4)]
 			}
-			lr := NewRunner(m)
+			lr := NewRunner(with(m, Options{MaxStates: maxStates}))
 			lr.Begin(cfg)
 			er := engine.NewRunner(m.p)
 			er.Begin(engine.Config{})
@@ -227,53 +249,30 @@ func TestPopFrontierMatchesEngine(t *testing.T) {
 				er.Feed(in[i:i+1], false)
 				er.FlushHeld()
 				if got, want := lr.Frontier(), er.Frontier(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("cfg=%+v trial %d after %d bytes: frontier %v, want %v", cfg, trial, i+1, got, want)
+					t.Fatalf("cap %d trial %d after %d bytes: frontier %v, want %v", maxStates, trial, i+1, got, want)
 				}
 			}
 			thrashed = thrashed || lr.End().Thrashed
 		}
-		if cfg.MaxStates != 0 && !thrashed {
-			t.Fatalf("cfg=%+v never handed off to the engine", cfg)
+		if maxStates != 0 && !thrashed {
+			t.Fatalf("cap %d never handed off to the engine", maxStates)
 		}
 	}
 }
 
-// TestKeepPopToggleRebuildsCache checks that toggling Config.KeepOnMatch
-// between scans rebuilds the cache — successor rows differ between the two
-// semantics — so a warm runner reports exactly what a fresh one does, and a
-// repeated scan under unchanged semantics runs warm.
-func TestKeepPopToggleRebuildsCache(t *testing.T) {
-	_, m := compile(t, popPatterns...)
-	in := []byte("abbabcababaabbbab")
-	r := NewRunner(m)
-	for step, keep := range []bool{true, false, true} {
-		want := Matches(m, in, Config{KeepOnMatch: keep})
-		for rep := 0; rep < 2; rep++ {
-			var got []engine.MatchEvent
-			res := r.Run(in, Config{KeepOnMatch: keep,
-				OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d keep=%v rep %d: %v, want %v", step, keep, rep, got, want)
-			}
-			if cold := rep == 0; cold != (res.CacheMisses > 0) {
-				t.Fatalf("step %d keep=%v rep %d: %d misses (cache rebuilt on toggle only)",
-					step, keep, rep, res.CacheMisses)
-			}
-		}
-	}
-}
-
-// TestRunnerReuseWarmCache checks that the cache persists across scans and
-// that a reused runner reports identical results.
+// TestRunnerReuseWarmCache checks that the table persists across scans and
+// runners: a reused runner reports identical results, and a new runner on
+// the same Matcher starts warm.
 func TestRunnerReuseWarmCache(t *testing.T) {
 	_, m := compile(t, "abc", "bca", "ca+b")
+	m = with(m, keepOpts)
 	in := []byte("abcabcaabcbcacab")
 	r := NewRunner(m)
-	first := r.Run(in, Config{KeepOnMatch: true})
+	first := r.Run(in, Config{})
 	if first.CachedStates == 0 {
 		t.Fatal("no states cached")
 	}
-	second := r.Run(in, Config{KeepOnMatch: true})
+	second := r.Run(in, Config{})
 	if second.CachedStates != first.CachedStates {
 		t.Fatalf("cache not warm: %d then %d states", first.CachedStates, second.CachedStates)
 	}
@@ -281,17 +280,20 @@ func TestRunnerReuseWarmCache(t *testing.T) {
 		t.Fatalf("reuse changed matches: %d vs %d", first.Matches, second.Matches)
 	}
 	// State from one scan must not leak into the next.
-	third := r.Run([]byte("zzzz"), Config{KeepOnMatch: true})
+	third := r.Run([]byte("zzzz"), Config{})
 	if third.Matches != 0 {
 		t.Fatalf("state leaked: %d matches", third.Matches)
 	}
-	// Changing the cap rebuilds the cache rather than violating it.
-	fourth := r.Run(in, Config{KeepOnMatch: true, MaxStates: 3, MaxFlushes: 1 << 30})
-	if fourth.Matches != first.Matches {
-		t.Fatalf("cap change broke matches: %d vs %d", fourth.Matches, first.Matches)
+	// A new runner shares the warm table: no misses, same matches, and
+	// its Totals count only its own scan.
+	r2 := NewRunner(m)
+	fourth := r2.Run(in, Config{})
+	if fourth.CacheMisses != 0 || fourth.Matches != first.Matches {
+		t.Fatalf("second runner: %d misses, %d matches; want 0 misses, %d matches",
+			fourth.CacheMisses, fourth.Matches, first.Matches)
 	}
-	if fourth.CachedStates > 3 {
-		t.Fatalf("cache overran new cap: %d", fourth.CachedStates)
+	if tot := r2.Totals(); tot.Scans != 1 || tot.Symbols != int64(len(in)) {
+		t.Fatalf("second runner's totals %+v, want exactly its one scan", tot)
 	}
 }
 
@@ -299,7 +301,7 @@ func TestRunnerReuseWarmCache(t *testing.T) {
 // dedicated stream-start row.
 func TestAnchors(t *testing.T) {
 	_, m := compile(t, "^ab", "ab$", "ab")
-	got := lazyEnds(m, []byte("abxab"), Config{KeepOnMatch: true})
+	got := lazyEnds(with(m, keepOpts), []byte("abxab"), Config{})
 	want := [][]int{{1}, {4}, {1, 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("anchors: %v, want %v", got, want)
@@ -308,7 +310,7 @@ func TestAnchors(t *testing.T) {
 
 func TestPerFSACounts(t *testing.T) {
 	_, m := compile(t, "ab", "b")
-	res := NewRunner(m).Run([]byte("abab"), Config{KeepOnMatch: true})
+	res := NewRunner(with(m, keepOpts)).Run([]byte("abab"), Config{})
 	if res.PerFSA[0] != 2 || res.PerFSA[1] != 2 || res.Matches != 4 {
 		t.Fatalf("counts %+v", res)
 	}
@@ -324,15 +326,19 @@ func TestPerFSACounts(t *testing.T) {
 func TestEndAnnouncedAfterFactLazy(t *testing.T) {
 	_, m := compile(t, "^ab", "bc$", "abc", "c+a")
 	in := []byte("abcabcca abc")
-	for _, cfg := range []Config{
-		{KeepOnMatch: true},
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1},
-		{}, // pop mode
+	for _, tc := range []struct {
+		opts Options
+		cfg  Config
+	}{
+		{keepOpts, Config{}},
+		{Options{KeepOnMatch: true, MaxStates: 4}, Config{MaxFlushes: 1}},
+		{Options{}, Config{}}, // pop mode
 	} {
+		cfg := tc.cfg
 		var want []engine.MatchEvent
 		ref := cfg
 		ref.OnMatch = func(fsa, end int) { want = append(want, engine.MatchEvent{FSA: fsa, End: end}) }
-		NewRunner(m).Run(in, ref)
+		NewRunner(with(m, tc.opts)).Run(in, ref)
 
 		for name, drive := range map[string]func(r *Runner){
 			"Feed(nil,true)": func(r *Runner) { r.Feed(in, false); r.Feed(nil, true) },
@@ -342,12 +348,12 @@ func TestEndAnnouncedAfterFactLazy(t *testing.T) {
 			var got []engine.MatchEvent
 			c := cfg
 			c.OnMatch = func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }
-			r := NewRunner(m)
+			r := NewRunner(with(m, tc.opts))
 			r.Begin(c)
 			drive(r)
 			r.End()
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("cfg=%+v %s: %v, want %v", cfg, name, got, want)
+				t.Errorf("opts=%+v cfg=%+v %s: %v, want %v", tc.opts, cfg, name, got, want)
 			}
 		}
 	}
@@ -355,11 +361,11 @@ func TestEndAnnouncedAfterFactLazy(t *testing.T) {
 
 // TestWarmCacheConfigInvariance is the regression test for the stale-cache
 // fix: reusing a runner across scans — including immediately after a scan
-// that thrashed the cache and fell back, and across KeepOnMatch/MaxFlushes
-// changes — must never change the (FSA, end) event set versus a fresh
-// runner with the same config. The thrash on the first scan spends the
-// ladder's grow rung, so the warm runner scans at the doubled cap from
-// then on while each fresh reference runner starts at the configured one.
+// that thrashed the table and fell back, and across MaxFlushes changes —
+// must never change the (FSA, end) event set versus a fresh runner on a
+// fresh table. The thrash on the first scan spends the ladder's grow rung,
+// so the warm table holds the doubled cap from then on while each fresh
+// reference table starts at the configured one.
 func TestWarmCacheConfigInvariance(t *testing.T) {
 	_, m := compile(t, "a+b", "b+a", "ab+a", "ba+b", "aa", "bb")
 	rng := rand.New(rand.NewSource(17))
@@ -367,20 +373,20 @@ func TestWarmCacheConfigInvariance(t *testing.T) {
 	for i := range in {
 		in[i] = byte('a' + rng.Intn(2))
 	}
+	cap4 := Options{KeepOnMatch: true, MaxStates: 4}
 	configs := []Config{
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 2},       // thrash → fallback
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1 << 30}, // grown retry
-		{KeepOnMatch: true}, // default cap
-		{},                  // pop semantics
-		{KeepOnMatch: true, MaxStates: 4, MaxFlushes: -1}, // no flush budget
-		{KeepOnMatch: true}, // and back
+		{MaxFlushes: 2},       // thrash → fallback
+		{MaxFlushes: 1 << 30}, // grown retry
+		{},                    // default budget
+		{MaxFlushes: -1},      // no flush budget
+		{},                    // and back
 	}
-	r := NewRunner(m)
+	r := NewRunner(with(m, cap4))
 	for step, cfg := range configs {
 		var want []engine.MatchEvent
 		ref := cfg
 		ref.OnMatch = func(fsa, end int) { want = append(want, engine.MatchEvent{FSA: fsa, End: end}) }
-		NewRunner(m).Run(in, ref)
+		NewRunner(with(m, cap4)).Run(in, ref)
 
 		var got []engine.MatchEvent
 		c := cfg
@@ -405,9 +411,9 @@ func TestWarmCacheConfigInvariance(t *testing.T) {
 func TestCacheCounters(t *testing.T) {
 	_, m := compile(t, "abc", "bca")
 	in := []byte("abcabcabcbcabca")
-	r := NewRunner(m)
+	r := NewRunner(with(m, keepOpts))
 
-	first := r.Run(in, Config{KeepOnMatch: true})
+	first := r.Run(in, Config{})
 	if first.CacheMisses == 0 {
 		t.Fatal("cold scan reported no misses")
 	}
@@ -415,7 +421,7 @@ func TestCacheCounters(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != symbols %d", first.CacheHits, first.CacheMisses, first.Symbols)
 	}
 
-	second := r.Run(in, Config{KeepOnMatch: true})
+	second := r.Run(in, Config{})
 	if second.CacheMisses != 0 {
 		t.Fatalf("warm scan missed %d times", second.CacheMisses)
 	}
@@ -443,8 +449,8 @@ func TestCacheCounters(t *testing.T) {
 	for i := range big {
 		big[i] = byte('a' + rng.Intn(2))
 	}
-	r2 := NewRunner(m2)
-	res := r2.Run(big, Config{KeepOnMatch: true, MaxStates: 4, MaxFlushes: 1})
+	r2 := NewRunner(with(m2, Options{KeepOnMatch: true, MaxStates: 4}))
+	res := r2.Run(big, Config{MaxFlushes: 1})
 	if !res.Thrashed {
 		t.Fatal("expected a thrashing run")
 	}

@@ -22,11 +22,12 @@ func TestProfileInvarianceLazy(t *testing.T) {
 	}
 	in = in[:8192]
 
-	want := Matches(m, in, Config{KeepOnMatch: true})
+	m = with(m, keepOpts)
+	want := Matches(m, in, Config{})
 	pr := engine.NewProfile(m.Program(), 64)
 	var got []engine.MatchEvent
 	res := NewRunner(m).Run(in, Config{
-		KeepOnMatch: true, Profile: pr,
+		Profile: pr,
 		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) },
 	})
 	if res.FellBack {
@@ -60,12 +61,12 @@ func TestProfileAcrossFallback(t *testing.T) {
 	for i := range in {
 		in[i] = byte('a' + rng.Intn(2))
 	}
-	want := Matches(m, in, Config{KeepOnMatch: true})
+	want := Matches(with(m, keepOpts), in, Config{})
 
 	pr := engine.NewProfile(m.Program(), 32)
 	var got []engine.MatchEvent
-	res := NewRunner(m).Run(in, Config{
-		KeepOnMatch: true, MaxStates: 4, MaxFlushes: 2, Profile: pr,
+	res := NewRunner(with(m, Options{KeepOnMatch: true, MaxStates: 4})).Run(in, Config{
+		MaxFlushes: 2, Profile: pr,
 		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) },
 	})
 	if !res.Thrashed {
@@ -98,7 +99,7 @@ func TestProfilePopCached(t *testing.T) {
 
 	pr := engine.NewProfile(m.Program(), 16)
 	var got []engine.MatchEvent
-	res := NewRunner(m).Run(in, Config{Profile: pr,
+	res := NewRunner(New(m.p)).Run(in, Config{Profile: pr,
 		OnMatch: func(fsa, end int) { got = append(got, engine.MatchEvent{FSA: fsa, End: end}) }})
 	if res.FellBack {
 		t.Fatal("pop scan left the cached path")

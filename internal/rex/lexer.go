@@ -1,6 +1,7 @@
 package rex
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/budget"
@@ -89,6 +90,12 @@ func (e *SyntaxError) Error() string {
 
 // Unwrap exposes the classifying sentinel, if any.
 func (e *SyntaxError) Unwrap() error { return e.Err }
+
+// ErrUnknownEscape classifies a SyntaxError raised by a backslash escape of
+// an ASCII letter or digit the dialect does not define (anything but \n \t
+// \r \f \v \a \0 \xNN \d \D \w \W \s \S); its Msg names the escape and
+// its Pos is the backslash's offset.
+var ErrUnknownEscape = errors.New("unknown escape")
 
 // Lexer tokenizes a POSIX ERE pattern. It resolves escapes, bracket
 // expressions (including POSIX named classes and negation) and repetition
@@ -242,10 +249,22 @@ func (l *Lexer) lexEscape(start int) (Token, error) {
 		set := shorthandClass(c)
 		return Token{Kind: TokClass, Set: set, Pos: start}, nil
 	default:
-		// POSIX: a backslash escapes any special (and, pragmatically,
-		// any) character to its literal self.
+		if isASCIIAlnum(c) {
+			// Other dialects give these escapes meanings this one lacks —
+			// \b word boundaries, \1 back-references, \p properties — so
+			// reading them as the literal byte would silently compile a
+			// different language.
+			return Token{}, &SyntaxError{Pattern: l.src, Pos: start,
+				Msg: fmt.Sprintf("unknown escape \\%c", c), Err: ErrUnknownEscape}
+		}
+		// POSIX: a backslash escapes any special (and, pragmatically, any
+		// other non-alphanumeric) byte to its literal self.
 		return Token{Kind: TokChar, Ch: c, Pos: start}, nil
 	}
+}
+
+func isASCIIAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 func shorthandClass(c byte) charset.Set {

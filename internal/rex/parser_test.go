@@ -59,6 +59,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseUnknownEscape checks that escapes of ASCII letters and digits
+// the dialect does not define are rejected with a SyntaxError classified
+// ErrUnknownEscape, naming the escape at the backslash's offset — inside
+// brackets too — while escapes of punctuation and other bytes stay
+// literal.
+func TestParseUnknownEscape(t *testing.T) {
+	for in, pos := range map[string]int{
+		`\b`: 0, `a\B`: 1, `\k<n>`: 0, `x\ey`: 1, `\cA`: 0, `\p{L}`: 0,
+		`(a)\1`: 3, `\9`: 0, `[\b]`: 1, `[a\k]`: 2, `ab|\z`: 3, `\X`: 0,
+	} {
+		_, err := Parse(in)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !errors.Is(err, ErrUnknownEscape) {
+			t.Fatalf("%q: error %v, want an unknown-escape SyntaxError", in, err)
+		}
+		if esc := in[pos : pos+2]; se.Pos != pos || se.Msg != "unknown escape "+esc {
+			t.Fatalf("%q: %q at offset %d, want %q at %d", in, se.Msg, se.Pos, "unknown escape "+esc, pos)
+		}
+	}
+	for _, in := range []string{`\.`, `\-`, `\/`, `\ `, `\~`, `\"`, "\\\x80", `[\]]`, `\n\t\x41\d\0`} {
+		if _, err := Parse(in); err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+	}
+}
+
 func TestParseEmptyPattern(t *testing.T) {
 	n, err := Parse("")
 	if err != nil {

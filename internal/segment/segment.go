@@ -52,7 +52,8 @@ type Group struct {
 	// Program is the group's compiled MFSA.
 	Program *engine.Program
 	// Lazy, when non-nil, runs the segment workers on the lazy-DFA engine
-	// (configured by LazyCfg) instead of the iMFAnt engine. Stitch runners
+	// (on runners of its shared table, configured by LazyCfg) instead of
+	// the iMFAnt engine. Stitch runners
 	// always use the iMFAnt engine — their windows are short and the event
 	// sets of the two engines are identical.
 	Lazy    *lazydfa.Matcher
@@ -273,10 +274,8 @@ func (g *Group) runWorker(input []byte, start, end int, final bool) (out workerO
 	}
 	collect := func(fsa, endOff int) { out.events = append(out.events, Event{FSA: fsa, End: endOff}) }
 	if g.Lazy != nil {
-		// The worker borrows a pooled runner, warm cache included; a
-		// panicking scan never reaches the Put below, so its runner is
-		// dropped.
-		r := g.Lazy.Get()
+		// The worker's runner reads the group's shared, warm table.
+		r := lazydfa.NewRunner(g.Lazy)
 		cfg := g.LazyCfg
 		cfg.OnMatch = collect
 		r.BeginAt(cfg, start)
@@ -290,7 +289,6 @@ func (g *Group) runWorker(input []byte, start, end int, final bool) (out workerO
 		out.hits, out.misses = res.CacheHits, res.CacheMisses
 		out.flushes, out.thrashed = res.Flushes, res.Thrashed
 		out.err = r.Err()
-		g.Lazy.Put(r)
 		return out
 	}
 	r := engine.NewRunner(g.Program)

@@ -96,7 +96,10 @@ func TestScanEquivalence(t *testing.T) {
 	}
 	for pi, pats := range patterns {
 		p := compile(t, pats...)
-		lz := lazydfa.New(p)
+		lz := map[bool]*lazydfa.Matcher{ // keep-semantics tables by accel
+			false: lazydfa.New(p, lazydfa.Options{KeepOnMatch: true}),
+			true:  lazydfa.New(p, lazydfa.Options{KeepOnMatch: true, Accel: true}),
+		}
 		for ii, input := range inputs {
 			for _, keep := range []bool{false, true} {
 				for _, accel := range []bool{false, true} {
@@ -116,8 +119,7 @@ func TestScanEquivalence(t *testing.T) {
 						}
 						if keep {
 							// Lazy-DFA workers (cached determinization needs keep).
-							gl := Group{Program: p, Lazy: lz,
-								LazyCfg: lazydfa.Config{KeepOnMatch: true, Accel: accel}}
+							gl := Group{Program: p, Lazy: lz[accel]}
 							got, _ := scanEvents(t, gl, input, parts)
 							if !sameEvents(got, want) {
 								t.Fatalf("pats=%v input#%d accel=%v parts=%d (lazy):\ngot  %v\nwant %v",

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
+	"repro/internal/rex"
 )
 
 // checkNoGoroutineLeak registers a cleanup asserting the goroutine count
@@ -106,6 +107,37 @@ func TestCompileLaxAcceptance(t *testing.T) {
 	}
 	if got[0].Pattern != "GET /admin" || got[1].Pattern != "cmd\\.exe" {
 		t.Fatalf("survivor patterns wrong: %v", got)
+	}
+}
+
+// TestCompileLaxUnknownEscape checks that an escape of an ASCII letter or
+// digit the dialect does not define (a PCRE word boundary, an escape
+// letter, a back-reference) fails its own rule with a front-end syntax
+// error naming the escape and its offset, instead of compiling the literal
+// byte, while escaped punctuation stays literal.
+func TestCompileLaxUnknownEscape(t *testing.T) {
+	pats := []string{`\bab`, `ab`, `x\ky`, `(a)\1`, `a\.b`}
+	rs, ruleErrs, err := CompileLax(pats, Options{})
+	if err != nil {
+		t.Fatalf("CompileLax: %v", err)
+	}
+	want := map[int]string{0: `unknown escape \b`, 2: `unknown escape \k`, 3: `unknown escape \1`}
+	pos := map[int]int{0: 0, 2: 1, 3: 3}
+	if len(ruleErrs) != len(want) {
+		t.Fatalf("want %d rule errors, got %v", len(want), ruleErrs)
+	}
+	for _, re := range ruleErrs {
+		var se *rex.SyntaxError
+		if !errors.As(&re, &se) || !errors.Is(&re, ErrUnknownEscape) || re.Stage != StageFrontEnd {
+			t.Fatalf("rule %d: %v, want a front-end unknown-escape syntax error", re.Rule, re)
+		}
+		if se.Msg != want[re.Rule] || se.Pos != pos[re.Rule] {
+			t.Fatalf("rule %d: %q at offset %d, want %q at %d", re.Rule, se.Msg, se.Pos, want[re.Rule], pos[re.Rule])
+		}
+	}
+	got := rs.FindAll([]byte("bab xky a.b"))
+	if len(got) != 2 || got[0].Rule != 1 || got[1].Rule != 4 {
+		t.Fatalf("survivors: %v, want rule 1 at 2 and rule 4 at 10", got)
 	}
 }
 

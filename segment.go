@@ -90,9 +90,7 @@ func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, check func(
 		} else {
 			// Bytes of serial runs carry no segment fold, so they land in
 			// the derived SerialBytes bucket of the Segment partition.
-			r := x.checkout()
-			run, err = blockScan(r, input, runCfg{onMatch: groupEmit, check: check, faults: rs.faults})
-			r.release()
+			run, err = blockScan(x.runner(), input, runCfg{onMatch: groupEmit, check: check, faults: rs.faults})
 			rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		}
 		rs.fold(i, &run, nil, nil)

@@ -6,13 +6,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 )
 
 // TestStreamStatsFrozenAtClose checks that a closed stream's Stats stay put
-// while another stream runs on the pooled runners the first one returned
-// at Close, and that the second stream does start warm.
+// while another stream fills the lazy-DFA tables the first one shared, and
+// that the second stream does start warm.
 func TestStreamStatsFrozenAtClose(t *testing.T) {
 	rs := MustCompile(chaosPatterns, Options{Engine: EngineLazyDFA, Prefilter: PrefilterOff})
 	input := chaosInput()
@@ -63,10 +64,10 @@ func TestStreamStatsFrozenAtClose(t *testing.T) {
 }
 
 // TestCountParallelPanicNotPooled storms CountParallel with worker panics
-// on pooled lazy-DFA runners. A panicked task folds only its own checkout's
-// partial work, so the ruleset's byte partitions stay exact, and its
-// runner is dropped rather than pooled, so later calls still match the
-// reference.
+// on lazy-DFA runners of shared tables. A panicked task folds only its own
+// runner's partial work, so the ruleset's byte partitions stay exact; its
+// runner is dropped (no runner outlives its task), and the shared tables
+// stay sound, so later calls still match the reference.
 func TestCountParallelPanicNotPooled(t *testing.T) {
 	input := chaosInput()
 	for _, keep := range []bool{false, true} {
@@ -102,7 +103,7 @@ func TestCountParallelPanicNotPooled(t *testing.T) {
 		// Every (call, automaton) task either completed one scan or
 		// panicked, before its scan or mid-scan, folding no completed scan
 		// and at most the whole input. A panicked runner whose totals still
-		// carried an earlier checkout would fold that checkout's scans too.
+		// carried an earlier task would fold that task's scans too.
 		// The reference Scanner's scan counts as one more task.
 		tasks := int64(calls+2) * int64(rs.NumAutomata())
 		panics := st.Degraded.WorkerPanics
@@ -125,5 +126,56 @@ func TestCountParallelPanicNotPooled(t *testing.T) {
 				t.Fatalf("keep=%v after the storm: count %d (%v), reference %d", keep, got, err, want)
 			}
 		}
+	}
+}
+
+// TestCacheBytesFlatAcrossStreams pins what one shared table per group
+// buys: lazy-DFA memory does not grow with the number of open streams. The
+// same 64 flows, fed one open stream at a time and then all 64 open at
+// once with their chunks interleaved, leave the ruleset's
+// Stats().Lazy.CacheBytes — the summed bytes of its groups' tables —
+// within 1.1× of each other.
+func TestCacheBytesFlatAcrossStreams(t *testing.T) {
+	ds, err := dataset.ByAbbr("BRO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows, chunk = 64, 512
+	traffic := ds.Stream(flows*4<<10, 64)
+	sessions := make([][]byte, flows)
+	for i := range sessions {
+		sessions[i] = traffic[i*len(traffic)/flows : (i+1)*len(traffic)/flows]
+	}
+	cacheBytes := func(open int) int64 {
+		rs := MustCompile(ds.Patterns(), Options{Engine: EngineLazyDFA, Prefilter: PrefilterOff})
+		for first := 0; first < flows; first += open {
+			batch := sessions[first : first+open]
+			sms := make([]*StreamMatcher, open)
+			for i := range sms {
+				sms[i] = rs.NewStreamMatcher(nil)
+			}
+			for off := 0; off < len(batch[0]); off += chunk {
+				for i, sm := range sms {
+					if _, err := sm.Write(batch[i][off:min(off+chunk, len(batch[i]))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, sm := range sms {
+				if err := sm.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return rs.Stats().Lazy.CacheBytes
+	}
+	one, many := cacheBytes(1), cacheBytes(flows)
+	t.Logf("CacheBytes: %d with one open stream, %d with %d", one, many, flows)
+	if one == 0 {
+		t.Fatal("setup: the traffic built no lazy-DFA table")
+	}
+	if float64(many) > 1.1*float64(one) {
+		t.Fatalf("CacheBytes %d with %d open streams, %d with one: memory grows with concurrency",
+			many, flows, one)
 	}
 }

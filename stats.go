@@ -66,7 +66,7 @@ func (s *Scanner) Stats() Stats {
 // Stats returns this stream's telemetry, including the in-progress state of
 // a stream that has not been closed yet (Scans stays 0 until Close, since a
 // stream counts as one completed scan per automaton). After Close the
-// numbers are frozen: the stream's runners have returned to their pools.
+// numbers are frozen, though the stream's lazy-DFA tables live on.
 // Not safe for use concurrent with Write or Close on the same matcher.
 func (sm *StreamMatcher) Stats() Stats {
 	totals := sm.final

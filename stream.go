@@ -20,10 +20,10 @@ import (
 // io.Copy or a TeeReader in a packet-processing pipeline.
 //
 // The matcher runs on the engine selected by Options.Engine: in lazy-DFA
-// mode each automaton's runner, with its bounded transition cache, is
-// borrowed from the Ruleset's per-group pool when the matcher is created and
-// returned at Close, so a new stream starts on the cache earlier streams
-// warmed; in iMFAnt mode the classic chunked runner.
+// mode each automaton's runner is a cursor on the automaton's one bounded
+// transition table, shared by every stream and scan of the Ruleset, so a
+// new stream starts on the table earlier and concurrent streams warmed; in
+// iMFAnt mode the classic chunked runner.
 //
 // Close marks the end of the stream; it is required for correctness of
 // $-anchored rules, which may only match on the final byte. The runners
@@ -125,7 +125,7 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 				sm.onMatch(Match{Rule: ri.RuleID, Pattern: ri.Pattern, End: end})
 			}
 		}
-		sm.runs[i] = x.checkout()
+		sm.runs[i] = x.runner()
 		sm.runs[i].begin(runCfg{onMatch: emit, faults: sm.faults})
 	}
 	if pf := rs.pf; pf != nil {
@@ -385,12 +385,9 @@ func (sm *StreamMatcher) Close() error {
 			sm.rs.fold(i, &run, nil, &sm.pref)
 		}
 	}
-	// The runners go back to their pools, where another stream may take
-	// them at once: freeze this stream's totals first.
+	// Freeze this stream's totals: the lazy-DFA gauges read tables other
+	// streams keep filling, and the runners are dropped.
 	sm.final = runTotals(sm.runs)
-	for _, r := range sm.runs {
-		r.release()
-	}
 	sm.runs = nil
 	if sm.rs.trace != nil {
 		sm.rs.trace.Record(telemetry.Event{Kind: telemetry.EventStreamEnd,
