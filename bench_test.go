@@ -7,7 +7,9 @@ package imfant
 // regeneration. Per-experiment details live in DESIGN.md and EXPERIMENTS.md.
 
 import (
+	"context"
 	"io"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lazydfa"
 	"repro/internal/pipeline"
+	"repro/internal/rex"
 	"repro/internal/similarity"
 )
 
@@ -231,6 +234,65 @@ func BenchmarkLazyDFAPopThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runner.Run(in, cfg)
 	}
+}
+
+// BenchmarkScannerPacketsThroughput drives the DPI block-scan shape end to
+// end: one reused Scanner.FindAllContext per payload over the BRO, TCP and
+// snort web-attacks rules at MergeFactor 10, on seeded payloads of 64–1500
+// bytes (skewed small, one in four carrying a sample of a random rule). One
+// op is one payload; MB/s is the payload bytes over the elapsed time.
+func BenchmarkScannerPacketsThroughput(b *testing.B) {
+	var pats []string
+	for _, abbr := range []string{"BRO", "TCP"} {
+		s, err := dataset.ByAbbr(abbr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pats = append(pats, s.Patterns()...)
+	}
+	pats = append(pats, snortPatterns(b)...)
+	rs, err := Compile(pats, Options{MergeFactor: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	payloads := make([][]byte, 1000)
+	for i := range payloads {
+		u := rng.Float64()
+		p := make([]byte, 64+int(1436*u*u*u))
+		for j := range p {
+			if i%3 == 0 {
+				p[j] = byte(rng.Intn(256))
+			} else {
+				p[j] = byte(0x20 + rng.Intn(0x5f))
+			}
+		}
+		if rng.Intn(4) == 0 {
+			ast, err := rex.Parse(pats[rng.Intn(len(pats))])
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := dataset.SampleString(rng, ast)
+			copy(p[rng.Intn(len(p)):], s)
+		}
+		payloads[i] = p
+	}
+	sc := rs.NewScanner()
+	ctx := context.Background()
+	for _, p := range payloads { // warm the lazy-DFA tables
+		sc.FindAllContext(ctx, p)
+	}
+	var n int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := payloads[i%len(payloads)]
+		if _, err := sc.FindAllContext(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+		n += int64(len(p))
+	}
+	b.ReportMetric(float64(n)/1e6/b.Elapsed().Seconds(), "MB/s")
 }
 
 // BenchmarkINFAntBaseline isolates the baseline: the same ruleset executed

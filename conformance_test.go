@@ -47,6 +47,10 @@ import (
 // eager-DFA and lazy-DFA strategies.
 var confPatterns = []string{
 	"needle", "cab", // literals: an AC group at M ≤ 2, prefilter factors
+	// More literals, so that at M ≤ 2 three or more AC groups meet in the
+	// one literal pass: a suffix of another literal, a duplicate, a
+	// high-byte literal and a suffix that is also a generated atom.
+	"eedle", "needle", `\x90\x90`, "ab",
 	"^HDR", "tail$", // anchored literals
 	"a[bc]+d", "(foo|bar)baz", // small sets: the eager DFA
 	"x.{2,5}y", "b+c", // carries across chunk and segment boundaries
@@ -58,7 +62,7 @@ var confPatterns = []string{
 // confFragments salt the generated inputs with near and full matches of
 // confPatterns.
 var confFragments = []string{
-	"needle", "neede", "cab", "HDR", "tail", "abd", "acbd", "foobaz", "barba",
+	"needle", "neede", "cab", "\x90\x90\x90", "HDR", "tail", "abd", "acbd", "foobaz", "barba",
 	"xqqy", "x12345y", "bbc", "/admin", "xc", "xccy", "cc", "c", "y", "\n",
 }
 
@@ -429,6 +433,24 @@ func TestConformanceMatrix(t *testing.T) {
 	// The snort rules' cells alternate LazyDFAMaxStates 0 and 3, so their
 	// lazy groups flush and fall back to iMFAnt on thrash.
 	rulesets = append(rulesets, newConfRuleset(t, snortPatterns(t), snortFragments, 48, r))
+	// Several AC groups must meet in one literal pass somewhere in the
+	// matrix, or the pass's attribution goes unexercised.
+	acGroups := 0
+	for i, cfg := range conformanceConfigs() {
+		if cfg.opts.Engine != EngineAuto || acGroups >= 3 {
+			continue
+		}
+		n := 0
+		for _, st := range MustCompile(rulesets[i%len(rulesets)].patterns, cfg.opts).Strategies() {
+			if st == StrategyAC {
+				n++
+			}
+		}
+		acGroups = max(acGroups, n)
+	}
+	if acGroups < 3 {
+		t.Fatalf("no auto cell plans more than %d AC groups, want 3", acGroups)
+	}
 	// Runs once every parallel cell has finished.
 	t.Cleanup(func() { checkGoroutines(t, goroutines) })
 	for i, cfg := range conformanceConfigs() {

@@ -62,8 +62,8 @@ type groupRun struct {
 	perFSA                []int64 // per-FSA match counts, program FSA order
 	accel                 int64   // bytes jumped by byte-skipping acceleration
 
-	// sweep marks a pure-AC run, whose literal scan doubles as the group's
-	// factor sweep; sweepHits counts the distinct member literals seen.
+	// sweep marks the run that carries a literal pass, which doubles as the
+	// AC groups' factor sweep; sweepHits counts the distinct literals seen.
 	sweep     bool
 	sweepHits int64
 
@@ -92,27 +92,6 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 	p := rs.programs[i]
 	ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: accel, Profile: rs.profileOf(i)}
 	switch pl.strat[i] {
-	case StrategyAC:
-		g := pl.ac[i]
-		return groupExec{
-			runner: func() groupRunner {
-				sc := g.m.NewStreamScanner()
-				sc.SetAccel(accel)
-				return &acRunner{sc: sc, seen: make([]bool, g.rules), perFSA: make([]int64, g.rules)}
-			},
-			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error) {
-				res, err := segment.ScanAC(g.m, input, bounds, accel, check, 0, emit)
-				run := groupRun{scans: 1, bytes: res.ScannedBytes, matches: res.Matches,
-					perFSA: res.PerPattern, accel: res.SkippedBytes, sweep: true,
-					segments: int64(len(bounds) - 1), parallelBytes: res.ScannedBytes}
-				for _, n := range res.PerPattern {
-					if n != 0 {
-						run.sweepHits++
-					}
-				}
-				return run, err
-			},
-		}
 	case StrategyAnchored:
 		g := pl.anch[i]
 		return groupExec{runner: func() groupRunner {
@@ -341,8 +320,8 @@ func (x *dfaRunner) totals() groupRun {
 	return groupRun{scans: t.Scans, bytes: t.Symbols, matches: t.Matches}
 }
 
-// tally is the run bookkeeping of the runners whose scanners keep no totals
-// of their own (AC and anchored): the current run and the ended ones.
+// tally is the run bookkeeping of the anchored runner, whose checks keep no
+// totals of their own: the current run and the ended ones.
 type tally struct {
 	cur, done groupRun
 	open      bool
@@ -378,66 +357,134 @@ func (t *tally) totals() groupRun {
 	return run
 }
 
-// acRunner runs an all-literal group as one resumable Aho–Corasick scan in
-// checkpoint-sized blocks. The scan doubles as the group's factor sweep:
-// the distinct literals it sees are the sweep's hit count.
-type acRunner struct {
+// litRunner runs the fused literal pass of a Ruleset (see litPass): one
+// resumable Aho–Corasick scan in checkpoint-sized blocks, whose every hit is
+// attributed to the members carrying the literal. Each AC-routed group gets
+// its own run out of it — one scan over the same bytes, its own matches and
+// per-FSA counts — so the accounting is that of separate group runs. The
+// pass doubles as the groups' factor sweep: the distinct literals it sees
+// are the sweep's hits, reported once, on the first group's run. Not safe
+// for concurrent use.
+type litRunner struct {
+	lp     *litPass
 	sc     *ahocorasick.StreamScanner
-	seen   []bool
-	perFSA []int64
-	c      runCfg
-	skip0  int64 // sc.Skipped() at begin
+	check  func() error // checkpoint poll; nil when not cancellable
+	faults *faultpoint.Injector
+	emit   []func(fsa, end int) // per automaton; nil entries count only
+	seen   []bool               // per literal: seen in the current run
+	hits   int64                // distinct literals seen in the current run
+	counts []int64              // per member: events in the current run
+	bytes  int64                // bytes of the current run
+	skip0  int64                // sc.Skipped() at begin
 	stop   error
-	tally
+	open   bool
+	runs   []groupRun // per AC group: the last end()'s outcome
+	done   []groupRun // per AC group: totals of the ended runs
 }
 
-func (x *acRunner) begin(c runCfg) {
-	x.c, x.stop, x.skip0 = c, nil, x.sc.Skipped()
+func newLitRunner(lp *litPass, accel bool) *litRunner {
+	sc := lp.m.NewStreamScanner()
+	sc.SetAccel(accel)
+	return &litRunner{lp: lp, sc: sc, seen: make([]bool, lp.m.NumPatterns()),
+		counts: make([]int64, len(lp.members)), runs: make([]groupRun, len(lp.groups)),
+		done: make([]groupRun, len(lp.groups))}
+}
+
+// begin starts a run; emit, indexed by automaton, receives each AC group's
+// events (nil: count only).
+func (x *litRunner) begin(check func() error, faults *faultpoint.Injector, emit []func(fsa, end int)) {
+	x.check, x.faults, x.emit, x.stop, x.skip0 = check, faults, emit, nil, x.sc.Skipped()
 	x.sc.Reset()
 	clear(x.seen)
-	x.startRun(x.perFSA)
-	x.cur.sweep = true
+	clear(x.counts)
+	x.hits, x.bytes, x.open = 0, 0, true
 }
 
-func (x *acRunner) feed(chunk []byte, _ bool) {
+func (x *litRunner) feed(chunk []byte) {
 	const block = engine.DefaultCheckpointEvery
 	for off := 0; off < len(chunk) && x.stop == nil; off += block {
-		if x.c.check != nil {
-			if x.stop = x.c.check(); x.stop != nil {
+		if x.check != nil {
+			if x.stop = x.check(); x.stop != nil {
 				return
 			}
 		}
 		// Runners without their own fault plumbing arm the chunk-stall
 		// site, so a stalled chunk is cut by ScanTimeout on every strategy.
-		x.c.faults.Stall()
+		x.faults.Stall()
 		blk := chunk[off:min(off+block, len(chunk))]
-		base := int(x.cur.bytes)
+		base := int(x.bytes)
 		x.sc.Scan(blk, func(pat, e int) {
-			x.hit(pat)
 			if !x.seen[pat] {
 				x.seen[pat] = true
-				x.cur.sweepHits++
+				x.hits++
 			}
-			if x.c.onMatch != nil {
-				x.c.onMatch(pat, base+e)
-			}
+			x.lp.deliver(pat, base+e, x.counts, x.emit)
 		})
-		x.cur.bytes += int64(len(blk))
+		x.bytes += int64(len(blk))
 	}
 }
 
-func (x *acRunner) flushHeld() {}
-func (x *acRunner) err() error { return x.stop }
+func (x *litRunner) err() error { return x.stop }
 
-func (x *acRunner) end() groupRun {
-	x.cur.accel = x.sc.Skipped() - x.skip0
-	return x.endRun()
+// end finishes the run and returns one outcome per AC group, in
+// litPass.groups order. The slice and its per-FSA counts are reused by the
+// next begin.
+func (x *litRunner) end() []groupRun {
+	x.lp.split(x.counts, x.bytes, x.runs)
+	if x.open {
+		for j := range x.runs {
+			x.done[j].scans++
+			x.done[j].bytes += x.bytes
+			x.done[j].matches += x.runs[j].matches
+		}
+	}
+	x.runs[0].sweep, x.runs[0].sweepHits = true, x.hits
+	x.runs[0].accel = x.sc.Skipped() - x.skip0
+	x.open = false
+	return x.runs
 }
 
-func (x *acRunner) totals() groupRun {
-	run := x.tally.totals()
-	run.accel = x.sc.Skipped()
-	return run
+// totals writes every AC group's cumulative totals, including a run in
+// progress, into out (indexed by automaton). The pass's skipped bytes count
+// on the first group.
+func (x *litRunner) totals(out []groupRun) {
+	lp := x.lp
+	for j, g := range lp.groups {
+		t := x.done[j]
+		if x.open {
+			t.bytes += x.bytes
+			for _, n := range x.counts[lp.first[j]:lp.first[j+1]] {
+				t.matches += n
+			}
+		}
+		out[g] = t
+	}
+	out[lp.groups[0]].accel = x.sc.Skipped()
+}
+
+// scanLiterals runs the literal pass over input segment-parallel (see
+// segment.ScanAC): each worker scans its segment plus the longest literal's
+// left context, so no stitching is needed. emit is indexed by automaton.
+// Returns one outcome per AC group, in litPass.groups order.
+func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
+	emit []func(fsa, end int)) ([]groupRun, error) {
+	lp := rs.plan.lit
+	counts := make([]int64, len(lp.members))
+	res, err := segment.ScanAC(lp.m, input, bounds, rs.opts.accelOn(), check, 0, func(pat, end int) {
+		lp.deliver(pat, end, counts, emit)
+	})
+	runs := make([]groupRun, len(lp.groups))
+	lp.split(counts, res.ScannedBytes, runs)
+	for j := range runs {
+		runs[j].segments, runs[j].parallelBytes = int64(len(bounds)-1), res.ScannedBytes
+	}
+	runs[0].sweep, runs[0].accel = true, res.SkippedBytes
+	for _, n := range res.PerPattern {
+		if n != 0 {
+			runs[0].sweepHits++
+		}
+	}
+	return runs, err
 }
 
 // anchRunner evaluates an anchored-literal group. Everything it needs is

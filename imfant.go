@@ -252,6 +252,10 @@ type Ruleset struct {
 	// Options.Profile is false.
 	profiles []*engine.Profile
 	trace    *telemetry.TraceRing
+	// traceEmit is the count-only match callback of each automaton: it
+	// records match trace events, and its entries are nil when tracing is
+	// off.
+	traceEmit []func(fsa, end int)
 	// lat is the per-stage latency histogram set; nil unless
 	// Options.Latency or Options.Profile is set — the single nil check
 	// instrumentation-off scans pay.
@@ -288,6 +292,10 @@ func (rs *Ruleset) buildEngines() {
 	}
 	if rs.opts.TraceCapacity > 0 {
 		rs.trace = telemetry.NewTraceRing(rs.opts.TraceCapacity)
+	}
+	rs.traceEmit = make([]func(fsa, end int), len(rs.programs))
+	for i := range rs.programs {
+		rs.traceEmit[i] = rs.traceMatches(i, nil)
 	}
 	if rs.opts.Latency || rs.opts.Profile {
 		rs.lat = rs.collector.EnableLatency()
@@ -532,11 +540,13 @@ func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, e
 	return rs.NewScanner().FindAllContext(ctx, input)
 }
 
-// Scan streams every match to fn, automaton by automaton, on the engine
-// selected by Options.Engine. Like every one-shot Ruleset scan it runs on
-// a fresh Scanner, whose lazy-DFA runners read the ruleset's shared,
-// already warm transition tables. Hot paths scanning many inputs should
-// still reuse a Scanner, which also keeps its per-goroutine buffers.
+// Scan streams every match to fn, on the engine selected by
+// Options.Engine: first the events of every AC-routed group, which come
+// from one literal pass in end order, then the other automata's, automaton
+// by automaton. Like every one-shot Ruleset scan it runs on a fresh
+// Scanner, whose lazy-DFA runners read the ruleset's shared, already warm
+// transition tables. Hot paths scanning many inputs should still reuse a
+// Scanner, which also keeps its per-goroutine buffers.
 func (rs *Ruleset) Scan(input []byte, fn func(Match)) {
 	rs.NewScanner().Scan(input, fn)
 }
@@ -574,10 +584,19 @@ func (rs *Ruleset) CountPerRule(input []byte) []int64 {
 // shared Ruleset remains concurrency-safe).
 type Scanner struct {
 	rs       *Ruleset
-	runs     []groupRunner // per automaton, indexed like rs.programs
+	runs     []groupRunner // per automaton, indexed like rs.programs; nil for AC groups
+	lit      *litRunner    // the AC groups' one literal pass; nil without AC groups
 	ruleHits []int64       // per-rule match counts, scanner lifetime
 	timeouts int64         // scans cut short by Options.ScanTimeout
 	faults   *faultpoint.Injector
+
+	// Match wiring, built once: emit[i] reports automaton i's events to fn,
+	// the current scan's callback, and collect appends them to found, the
+	// FindAll buffer.
+	fn      func(Match)
+	emit    []func(fsa, end int)
+	collect func(Match)
+	found   []Match
 
 	// Prefilter scratch; nil/zero while the ruleset is ungated.
 	sweep  *ahocorasick.Sweeper
@@ -593,9 +612,20 @@ func (rs *Ruleset) NewScanner() *Scanner {
 		ruleHits: make([]int64, len(rs.patterns)),
 		faults:   rs.faults,
 	}
+	s.emit = make([]func(fsa, end int), len(rs.programs))
 	for i, x := range rs.plan.exec {
-		s.runs[i] = x.runner()
+		if x.runner != nil {
+			s.runs[i] = x.runner()
+		}
+		rules := rs.programs[i].Rules()
+		s.emit[i] = rs.traceMatches(i, func(fsa, end int) {
+			s.fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
+		})
 	}
+	if rs.plan.lit != nil {
+		s.lit = newLitRunner(rs.plan.lit, rs.opts.accelOn())
+	}
+	s.collect = func(m Match) { s.found = append(s.found, m) }
 	if rs.pf != nil {
 		s.sweep = rs.pf.ac.NewSweeper()
 		s.sweep.SetAccel(rs.opts.accelOn())
@@ -604,7 +634,9 @@ func (rs *Ruleset) NewScanner() *Scanner {
 	return s
 }
 
-// Scan streams every match in input to fn, automaton by automaton.
+// Scan streams every match in input to fn: first the events of every
+// AC-routed group, which come from one literal pass in end order, then the
+// other automata's, automaton by automaton.
 func (s *Scanner) Scan(input []byte, fn func(Match)) {
 	s.run(context.Background(), input, fn, nil)
 }
@@ -620,10 +652,11 @@ func (s *Scanner) ScanContext(ctx context.Context, input []byte, fn func(Match))
 // FindAllContext is FindAll under a context: on cancellation it returns
 // nil matches and the context's error.
 func (s *Scanner) FindAllContext(ctx context.Context, input []byte) ([]Match, error) {
-	var out []Match
-	if err := s.ScanContext(ctx, input, func(m Match) { out = append(out, m) }); err != nil {
+	s.found = s.found[:0]
+	if err := s.ScanContext(ctx, input, s.collect); err != nil || len(s.found) == 0 {
 		return nil, err
 	}
+	out := slices.Clone(s.found)
 	sortByEnd(out)
 	return out, nil
 }
@@ -658,11 +691,11 @@ func (s *Scanner) CountPerRule(input []byte) []int64 {
 	return out
 }
 
-// run executes every automaton over input and returns the match count;
-// perRule, when non-nil, accumulates per-rule counts. The context is
-// polled at engine checkpoints (DefaultCheckpointEvery bytes); on
-// cancellation the partial count gathered so far is returned with the
-// context's error.
+// run executes the literal pass and every other automaton over input and
+// returns the match count; perRule, when non-nil, accumulates per-rule
+// counts. The context is polled at engine checkpoints
+// (DefaultCheckpointEvery bytes); on cancellation the partial count
+// gathered so far is returned with the context's error.
 func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule []int64) (total int64, err error) {
 	rs := s.rs
 	check := timeoutCheckpoint(checkpointOf(ctx), rs.opts.ScanTimeout)
@@ -679,10 +712,32 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 	if err != nil {
 		return 0, s.noteErr(err)
 	}
+	emit := rs.traceEmit
+	if fn != nil {
+		s.fn, emit = fn, s.emit
+		defer func() { s.fn = nil }()
+	}
+	if s.lit != nil {
+		// The AC groups are never gated: their literal pass is their sweep.
+		st0 := rs.stageStart()
+		s.lit.begin(check, s.faults, emit)
+		s.lit.feed(input)
+		runs := s.lit.end()
+		rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
+		for j, i := range rs.plan.lit.groups {
+			total += s.fold(i, &runs[j], perRule)
+		}
+		if err := s.lit.err(); err != nil {
+			return total, s.noteErr(err)
+		}
+	}
 	for i, r := range s.runs {
-		if check != nil && i > 0 {
+		if r == nil {
+			continue
+		}
+		if check != nil && (i > 0 || s.lit != nil) {
 			// Poll between automata too, so a deadline that expired during
-			// automaton i-1's final block (past its last in-chunk
+			// the previous automaton's final block (past its last in-chunk
 			// checkpoint) still cuts the scan off deterministically.
 			if err := check(); err != nil {
 				return total, s.noteErr(err)
@@ -693,32 +748,32 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 			// can match: skip the whole automaton execution.
 			continue
 		}
-		rules := rs.programs[i].Rules()
-		var onMatch func(fsa, end int)
-		if fn != nil {
-			onMatch = func(fsa, end int) {
-				fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
-			}
-		}
-		onMatch = rs.traceMatches(i, onMatch)
 		// Stage timing brackets the whole dispatch, including the degraded
 		// exits — a timed-out automaton's wall clock is exactly the sample
 		// an operator wants attributed.
 		st0 := rs.stageStart()
-		run, stepErr := blockScan(r, input, runCfg{onMatch: onMatch, check: check, faults: s.faults})
+		run, stepErr := blockScan(r, input, runCfg{onMatch: emit[i], check: check, faults: s.faults})
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-		rs.fold(i, &run, s.ruleHits, &s.pref)
-		total += run.matches
-		if perRule != nil {
-			for fsa, n := range run.perFSA {
-				perRule[rules[fsa].RuleID] += n
-			}
-		}
+		total += s.fold(i, &run, perRule)
 		if stepErr != nil {
 			return total, s.noteErr(stepErr)
 		}
 	}
 	return total, nil
+}
+
+// fold folds one group run of automaton i into the ruleset's and the
+// scanner's accounting and into perRule, when non-nil, and returns the
+// run's match count.
+func (s *Scanner) fold(i int, run *groupRun, perRule []int64) int64 {
+	s.rs.fold(i, run, s.ruleHits, &s.pref)
+	if perRule != nil {
+		rules := s.rs.programs[i].Rules()
+		for fsa, n := range run.perFSA {
+			perRule[rules[fsa].RuleID] += n
+		}
+	}
+	return run.matches
 }
 
 // noteErr folds a failed scan into the degradation telemetry (ruleset-wide
@@ -786,9 +841,11 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 	if err != nil {
 		return 0, rs.noteParallelErr(err)
 	}
+	// The AC groups are never gated (their literal pass is their sweep);
+	// they run as one literal pass, outside ids.
 	var ids []int
 	for i := range rs.programs {
-		if gate == nil || gate[i] {
+		if !rs.plan.inLit(i) && (gate == nil || gate[i]) {
 			ids = append(ids, i)
 		}
 	}
@@ -807,11 +864,19 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 }
 
 // scanPool hands every admitted group to the worker pool as one block scan
-// on a fresh runner, folding each outcome as it completes.
+// on a fresh runner, folding each outcome as it completes; the literal pass,
+// when the ruleset has AC groups, is one more task, under the first AC
+// group's id.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() error, total *int64) error {
 	var sum atomic.Int64
+	if lp := rs.plan.lit; lp != nil {
+		ids = append([]int{lp.groups[0]}, ids...)
+	}
 	pt0 := rs.stageStart()
 	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
+		if rs.plan.inLit(i) {
+			return rs.poolLiterals(input, check, &sum)
+		}
 		r := rs.plan.exec[i].runner()
 		folded := false
 		defer func() {
@@ -824,7 +889,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() e
 			}
 		}()
 		st0 := rs.stageStart()
-		run, err := blockScan(r, input, runCfg{onMatch: rs.traceMatches(i, nil), check: check, faults: rs.faults})
+		run, err := blockScan(r, input, runCfg{onMatch: rs.traceEmit[i], check: check, faults: rs.faults})
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		folded = true
 		rs.fold(i, &run, nil, nil)
@@ -834,6 +899,34 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() e
 	rs.stageEnd(telemetry.StageParallel, pt0)
 	*total = sum.Load()
 	return err
+}
+
+// poolLiterals is scanPool's literal-pass task: one pass on a fresh
+// litRunner, folded per AC group, a contained panic included.
+func (rs *Ruleset) poolLiterals(input []byte, check func() error, sum *atomic.Int64) error {
+	lp := rs.plan.lit
+	x := newLitRunner(lp, rs.opts.accelOn())
+	folded := false
+	defer func() {
+		if !folded {
+			runs := make([]groupRun, len(rs.programs))
+			x.totals(runs)
+			for _, g := range lp.groups {
+				rs.fold(g, &runs[g], nil, nil)
+			}
+		}
+	}()
+	st0 := rs.stageStart()
+	x.begin(check, rs.faults, rs.traceEmit)
+	x.feed(input)
+	runs := x.end()
+	rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
+	folded = true
+	for j, g := range lp.groups {
+		rs.fold(g, &runs[j], nil, nil)
+		sum.Add(runs[j].matches)
+	}
+	return x.err()
 }
 
 // noteParallelErr is noteErr's ruleset-level sibling for the parallel scan

@@ -2,7 +2,9 @@ package imfant
 
 import (
 	"bytes"
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -159,5 +161,44 @@ func TestScanCallback(t *testing.T) {
 	rs.Scan([]byte("xxhx"), func(m Match) { n++ })
 	if n != 3 {
 		t.Fatalf("scan callbacks=%d", n)
+	}
+}
+
+// TestScannerAllocs pins the allocation budget of a warm, reused Scanner
+// over a ruleset that plans every strategy: AC, anchored, eager-DFA and
+// lazy-DFA groups, the last gated by the factor prefilter. The per-group
+// match wiring is built once per Scanner and the engines reuse their
+// per-FSA result slices, so Count allocates nothing and FindAllContext on
+// a match-free payload at most the two its callback costs.
+func TestScannerAllocs(t *testing.T) {
+	rs := MustCompile([]string{
+		"needle", "eedle", // AC
+		"^HDR", "tail$", // anchored
+		"a[bc]+d", "(foo|bar)baz", // eager DFA
+		"xyz[0-9]{200}y", "admin[0-9]{200}z", // lazy DFA, gated
+	}, Options{MergeFactor: 2})
+	want := []Strategy{StrategyAC, StrategyAnchored, StrategyDFA, StrategyLazyDFA}
+	if got := rs.Strategies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("strategies %v, want %v", got, want)
+	}
+	if !rs.PrefilterActive() {
+		t.Fatal("no prefilter sweep: the lazy-DFA group is not gated")
+	}
+	hits := []byte("HDR needle abbd foobaz xyz" + strings.Repeat("7", 200) + "y tail")
+	clean := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 30)
+	sc := rs.NewScanner()
+	for range 3 { // warm the lazy-DFA tables
+		sc.Count(hits)
+		sc.Count(clean)
+	}
+	if n := sc.Count(hits); n != 7 {
+		t.Fatalf("Count = %d, want 7", n)
+	}
+	if a := testing.AllocsPerRun(50, func() { sc.Count(hits) }); a != 0 {
+		t.Errorf("Count: %v allocs per scan, want 0", a)
+	}
+	ctx := context.Background()
+	if a := testing.AllocsPerRun(50, func() { sc.FindAllContext(ctx, clean) }); a > 2 {
+		t.Errorf("FindAllContext on a match-free payload: %v allocs per scan, want at most 2", a)
 	}
 }

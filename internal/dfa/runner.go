@@ -61,13 +61,19 @@ type Runner struct {
 func NewRunner(d *DFA) *Runner { return &Runner{d: d} }
 
 // Begin starts a scan. Calling Begin while one is in progress abandons it
-// without folding totals.
+// without folding totals. The runner reuses its Result.PerRule slice: a
+// Result returned by End is valid until the next Begin.
 func (r *Runner) Begin(cfg Config) {
 	r.cfg = cfg
 	r.q = r.d.Start
 	r.base = 0
 	r.stop = nil
-	r.res = Result{PerRule: make([]int64, r.d.NumRules)}
+	per := r.res.PerRule
+	if per == nil {
+		per = make([]int64, r.d.NumRules)
+	}
+	clear(per)
+	r.res = Result{PerRule: per}
 	r.began = true
 }
 

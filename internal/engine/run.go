@@ -211,11 +211,18 @@ func (r *Runner) Run(input []byte, cfg Config) Result {
 }
 
 // Begin starts a (possibly chunked) scan, resetting all traversal state.
-// Follow with any number of Feed calls and one End.
+// Follow with any number of Feed calls and one End. The runner reuses its
+// Result.PerFSA slice: a Result returned by End is valid until the next
+// Begin (or Run).
 func (r *Runner) Begin(cfg Config) {
 	W := r.p.words
 	r.cfg = cfg
-	r.res = Result{PerFSA: make([]int64, r.p.numFSAs)}
+	per := r.res.PerFSA
+	if per == nil {
+		per = make([]int64, r.p.numFSAs)
+	}
+	clear(per)
+	r.res = Result{PerFSA: per}
 	r.offset = 0
 	r.stop = nil
 	r.hasHeld = false

@@ -346,7 +346,9 @@ func (r *Runner) Run(input []byte, cfg Config) Result {
 	return r.End()
 }
 
-// Begin starts a (possibly chunked) scan from the restart state.
+// Begin starts a (possibly chunked) scan from the restart state. The runner
+// reuses its Result.PerFSA slice: a Result returned by End is valid until
+// the next Begin (or Run).
 func (r *Runner) Begin(cfg Config) {
 	switch {
 	case cfg.MaxFlushes == 0:
@@ -373,7 +375,12 @@ func (r *Runner) Begin(cfg Config) {
 	r.thrashed = false
 	r.maxFlushes = cfg.MaxFlushes
 	r.cfg = cfg
-	r.res = Result{PerFSA: make([]int64, r.m.p.NumFSAs()), Grew: grew}
+	per := r.res.PerFSA
+	if per == nil {
+		per = make([]int64, r.m.p.NumFSAs())
+	}
+	clear(per)
+	r.res = Result{PerFSA: per, Grew: grew}
 	r.offset = 0
 	r.snap, r.cur, r.savedActs, r.savedLive = nil, 0, 0, -1
 	r.stop = nil

@@ -139,7 +139,9 @@ type PrefilterStats struct {
 	FilterableRules int `json:"filterable_rules"`
 	// Factors is the number of distinct factor strings swept for.
 	Factors int `json:"factors"`
-	// Sweeps counts Aho–Corasick sweeps (one per gated scan or stream).
+	// Sweeps counts Aho–Corasick literal passes run: the factor sweep of
+	// a gated scan or stream, plus the one fused pass of the AC-routed
+	// groups per scan or stream.
 	Sweeps int64 `json:"sweeps"`
 	// FactorHits counts distinct factors found per sweep, summed over
 	// sweeps (the prefilter_factor_hits counter).

@@ -24,9 +24,11 @@ const (
 	StrategyIMFAnt Strategy = iota
 	// StrategyLazyDFA runs the group on the lazy-DFA engine.
 	StrategyLazyDFA
-	// StrategyAC runs an all-literal group as a pure Aho–Corasick scan:
-	// no automaton executes at all, and the literal scan doubles as the
-	// group's factor sweep.
+	// StrategyAC runs an all-literal group without any automaton: the
+	// literals of every AC-routed group of the Ruleset form one
+	// Aho–Corasick matcher, run once per scan, whose hits are attributed
+	// back to their owning groups and rules. That one literal pass doubles
+	// as those groups' factor sweep.
 	StrategyAC
 	// StrategyAnchored runs a group of anchored-literal rules (`^lit$`,
 	// `^lit`, `lit$`, `^prefix<set>*suffix$`) as O(1)-ish per-scan checks:
@@ -68,12 +70,82 @@ const (
 	maxEagerDFAStates = 2048
 )
 
-// acGroup is the compiled form of a pure-AC group: the Aho–Corasick
-// automaton over the member literals, in program FSA order (pattern id ==
-// FSA index within the group).
-type acGroup struct {
-	m     *ahocorasick.Matcher
-	rules int
+// litPass is the one literal automaton of a Ruleset: an Aho–Corasick
+// matcher over the deduplicated literals of every AC-routed group, with an
+// owner table from each literal back to the (group, FSA) members that carry
+// it. One pass of it per scan executes every AC group at once.
+type litPass struct {
+	m       *ahocorasick.Matcher
+	owners  [][]int32   // per literal (matcher pattern id): member indices
+	members []litMember // every AC group's FSAs, automaton order, then FSA order
+	groups  []int       // the AC-routed automata, ascending
+	first   []int       // per groups entry: its first member; a closing len(members)
+}
+
+// litMember is one rule of an AC-routed group: its automaton and its FSA
+// index within that automaton's program.
+type litMember struct{ group, fsa int32 }
+
+// newLitPass builds the fused literal automaton over groups, whose members'
+// literals come from shapes. strategy.Classify yields no empty literal, so
+// the matcher build cannot fail.
+func newLitPass(rs *Ruleset, groups []int, shapes []strategy.Shape) *litPass {
+	lp := &litPass{groups: groups}
+	index := make(map[string]int32)
+	var pats [][]byte
+	for _, g := range groups {
+		lp.first = append(lp.first, len(lp.members))
+		for fsa, ri := range rs.programs[g].Rules() {
+			lit := shapes[ri.RuleID].Literal
+			id, ok := index[string(lit)]
+			if !ok {
+				id = int32(len(pats))
+				index[string(lit)] = id
+				pats = append(pats, lit)
+				lp.owners = append(lp.owners, nil)
+			}
+			lp.owners[id] = append(lp.owners[id], int32(len(lp.members)))
+			lp.members = append(lp.members, litMember{group: int32(g), fsa: int32(fsa)})
+		}
+	}
+	lp.first = append(lp.first, len(lp.members))
+	m, err := ahocorasick.New(pats)
+	if err != nil {
+		panic(err)
+	}
+	lp.m = m
+	return lp
+}
+
+// split fills runs (one per AC group, in groups order) with each group's
+// share of one pass over bytes input bytes: one scan, the group's per-FSA
+// counts (aliasing counts, indexed by member) and their sum.
+func (lp *litPass) split(counts []int64, bytes int64, runs []groupRun) {
+	for j := range lp.groups {
+		per := counts[lp.first[j]:lp.first[j+1]]
+		var matches int64
+		for _, n := range per {
+			matches += n
+		}
+		runs[j] = groupRun{scans: 1, bytes: bytes, matches: matches, perFSA: per}
+	}
+}
+
+// deliver attributes one occurrence of literal pat, ending at end, to every
+// member that carries it: counts (indexed by member) is bumped and the
+// owning group's callback in emit (indexed by automaton; a nil slice or nil
+// entries count only) receives the member's FSA.
+func (lp *litPass) deliver(pat, end int, counts []int64, emit []func(fsa, end int)) {
+	for _, k := range lp.owners[pat] {
+		counts[k]++
+		if emit == nil {
+			continue
+		}
+		mb := lp.members[k]
+		if f := emit[mb.group]; f != nil {
+			f(int(mb.fsa), end)
+		}
+	}
 }
 
 // anchRule is one compiled anchored-literal check.
@@ -96,10 +168,10 @@ type anchGroup struct {
 // executors built over them (see exec.go).
 type scanPlan struct {
 	strat   []Strategy
-	ac      []*acGroup   // non-nil iff strat[i] == StrategyAC
+	lit     *litPass     // every StrategyAC group's literals; nil when none
 	anch    []*anchGroup // non-nil iff strat[i] == StrategyAnchored
 	dfas    []*dfa.DFA   // non-nil iff strat[i] == StrategyDFA
-	exec    []groupExec
+	exec    []groupExec  // zero for StrategyAC groups, which run in lit
 	counts  [numStrategies]int
 	planned bool // false under a forced Options.Engine
 }
@@ -112,25 +184,18 @@ func (pl *scanPlan) gatable(i int) bool {
 	return pl.strat[i] != StrategyAC && pl.strat[i] != StrategyAnchored
 }
 
+// inLit reports whether group i runs in the fused literal pass.
+func (pl *scanPlan) inLit(i int) bool { return pl.strat[i] == StrategyAC }
+
 // literalCounts returns the number of rules in AC-routed groups and of
-// distinct literals among them, for the prefilter config section (the AC
-// scans report into the prefilter counters as that many sweeps' factor
-// automata).
-func (pl *scanPlan) literalCounts(rs *Ruleset) (rules, distinct int) {
-	seen := make(map[string]bool)
-	for i, g := range pl.ac {
-		if g == nil {
-			continue
-		}
-		rules += g.rules
-		for _, ri := range rs.programs[i].Rules() {
-			if !seen[ri.Pattern] {
-				seen[ri.Pattern] = true
-				distinct++
-			}
-		}
+// distinct literals among them, for the prefilter config section (the
+// literal pass reports into the prefilter counters as a sweep over that
+// many literals).
+func (pl *scanPlan) literalCounts() (rules, distinct int) {
+	if pl.lit == nil {
+		return 0, 0
 	}
-	return rules, distinct
+	return len(pl.lit.members), pl.lit.m.NumPatterns()
 }
 
 // StrategyOf returns the execution strategy of automaton group i.
@@ -161,20 +226,27 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 	n := len(rs.programs)
 	pl := &scanPlan{
 		strat:   make([]Strategy, n),
-		ac:      make([]*acGroup, n),
 		anch:    make([]*anchGroup, n),
 		dfas:    make([]*dfa.DFA, n),
 		exec:    make([]groupExec, n),
 		planned: rs.opts.Engine == EngineAuto,
 	}
 	def := rs.defaultStrategy()
+	var lits []int
 	for i := range rs.programs {
 		pl.strat[i] = def
 		if pl.planned {
 			rs.classifyGroup(pl, i, shapes, nfas)
 		}
 		pl.counts[pl.strat[i]]++
-		pl.exec[i] = rs.newExec(pl, i)
+		if pl.inLit(i) {
+			lits = append(lits, i)
+		} else {
+			pl.exec[i] = rs.newExec(pl, i)
+		}
+	}
+	if len(lits) > 0 {
+		pl.lit = newLitPass(rs, lits, shapes)
 	}
 	rs.plan = pl
 
@@ -219,15 +291,10 @@ func (rs *Ruleset) classifyGroup(pl *scanPlan, i int, shapes []strategy.Shape, n
 			}
 		}
 		if allLit && len(rules) > 0 {
-			pats := make([][]byte, len(rules))
-			for j, ri := range rules {
-				pats[j] = shapes[ri.RuleID].Literal
-			}
-			if m, err := ahocorasick.New(pats); err == nil {
-				pl.strat[i] = StrategyAC
-				pl.ac[i] = &acGroup{m: m, rules: len(rules)}
-				return
-			}
+			// The literals join the Ruleset's one literal pass, built
+			// once every group is classified.
+			pl.strat[i] = StrategyAC
+			return
 		}
 		if allAnch && len(rules) > 0 {
 			g := &anchGroup{rules: make([]anchRule, len(rules))}

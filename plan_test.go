@@ -3,6 +3,8 @@ package imfant
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,7 +125,7 @@ func TestACGroupSingleSweepAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := sc2.Stats()
-	// Two sweeps — the factor sweep plus the AC group's scan — and still 2
+	// Two sweeps — the factor sweep plus the literal pass — and still 2
 	// distinct hits total: the AC literals counted once, "needleman" absent.
 	if st2.Prefilter.Sweeps != 2 || st2.Prefilter.FactorHits != 2 {
 		t.Fatalf("mixed: Sweeps = %d, FactorHits = %d, want 2 and 2",
@@ -249,5 +251,115 @@ func TestPrefilterTrackerDisablesIneffectiveSweep(t *testing.T) {
 	// Throughout: matching stayed exact.
 	if got := sc.Count(hot); got != 8 {
 		t.Fatalf("Count(hot) = %d, want 8 regardless of tracker state", got)
+	}
+}
+
+// TestLiteralPassAttribution pins the fused literal pass: three AC groups
+// that share and overlap literals (a duplicate across groups, a suffix of
+// another literal, a literal inside another) compile to one Aho–Corasick
+// matcher, and every entry point attributes each hit to its owning group
+// and rule — in the match events, the trace, the per-rule hits and the
+// per-strategy bytes, which count every AC group's scan of the input.
+func TestLiteralPassAttribution(t *testing.T) {
+	patterns := []string{"needle", "cab", "eedle", "needle", "ab", "cab", "a[bc]+d", "x.{2,5}y"}
+	rs := MustCompile(patterns, Options{MergeFactor: 2, TraceCapacity: 1 << 12})
+	wantStrat := []Strategy{StrategyAC, StrategyAC, StrategyAC, StrategyDFA}
+	if got := rs.Strategies(); !slices.Equal(got, wantStrat) {
+		t.Fatalf("strategies %v, want %v", got, wantStrat)
+	}
+	lp := rs.plan.lit
+	if lp == nil || !slices.Equal(lp.groups, []int{0, 1, 2}) || lp.m.NumPatterns() != 4 {
+		t.Fatalf("literal pass %+v, want one matcher over 4 distinct literals for groups 0-2", lp)
+	}
+	if rs.PrefilterActive() {
+		t.Fatal("factor sweep built although no gatable group carries a factor")
+	}
+	owner := make(map[int]int) // rule id → automaton
+	for i := range rs.NumAutomata() {
+		for _, ri := range rs.programs[i].Rules() {
+			owner[ri.RuleID] = i
+		}
+	}
+
+	input := []byte("needle cab-abcab xneedlez abbd needle")
+	want := MustCompile(patterns, Options{Engine: EngineIMFAnt, Prefilter: PrefilterOff,
+		Accel: AccelOff, Segment: SegmentOff}).FindAll(input)
+	perRule := make([]int64, len(patterns))
+	for _, m := range want {
+		perRule[m.Rule]++
+	}
+	if slices.Contains(perRule[:6], 0) {
+		t.Fatalf("reference per-rule counts %v: the input misses a literal", perRule)
+	}
+
+	sc := rs.NewScanner()
+	if got, err := sc.FindAllContext(t.Context(), input); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("Scanner.FindAllContext = %v (err %v), want %v", got, err, want)
+	}
+	if got := rs.CountPerRule(input); !slices.Equal(got, perRule) {
+		t.Fatalf("CountPerRule = %v, want %v", got, perRule)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		if n, err := rs.CountParallel(input, threads); err != nil || n != int64(len(want)) {
+			t.Fatalf("CountParallel(%d) = %d (err %v), want %d", threads, n, err, len(want))
+		}
+	}
+	const blockScans = 5 // FindAllContext, CountPerRule, CountParallel × 3
+
+	// Each match trace event names the automaton that owns its rule, and
+	// the events are exactly the matches of every block scan.
+	var traced []Match
+	for _, ev := range rs.TraceEvents() {
+		if ev.Kind != "match" {
+			continue
+		}
+		if owner[ev.Rule] != ev.Automaton {
+			t.Fatalf("match event %+v attributed to automaton %d, rule %d belongs to %d",
+				ev, ev.Automaton, ev.Rule, owner[ev.Rule])
+		}
+		traced = append(traced, Match{Rule: ev.Rule, Pattern: patterns[ev.Rule], End: int(ev.Offset)})
+	}
+	sortByEnd(traced)
+	var wantTraced []Match
+	for _, m := range want {
+		for range blockScans {
+			wantTraced = append(wantTraced, m)
+		}
+	}
+	if !slices.Equal(traced, wantTraced) {
+		t.Fatalf("traced matches %v, want each of %v %d times", traced, want, blockScans)
+	}
+
+	// Every AC group scanned the whole input once per block scan, and the
+	// per-rule hits count each group's rules.
+	st := rs.Stats()
+	for _, g := range st.Strategy.Groups {
+		if g.Strategy == "ac" && (g.Groups != 3 || g.Bytes != int64(3*len(input)*blockScans)) {
+			t.Fatalf("ac row %+v, want 3 groups and %d bytes", g, 3*len(input)*blockScans)
+		}
+	}
+	for r, n := range st.RuleHits {
+		if n != perRule[r]*blockScans {
+			t.Fatalf("rule %d hits %d, want %d", r, n, perRule[r]*blockScans)
+		}
+	}
+	// One literal pass per block scan is one sweep; its hits are the four
+	// distinct literals, each seen.
+	if pf := st.Prefilter; pf == nil || pf.Sweeps != blockScans || pf.FactorHits != 4*blockScans {
+		t.Fatalf("prefilter section %+v, want %d sweeps with 4 hits each", st.Prefilter, blockScans)
+	}
+
+	for _, parts := range []int{2, 3, 8} {
+		if got, err := rs.findAllSegmented(t.Context(), input, parts); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("findAllSegmented(%d) = %v (err %v), want %v", parts, got, err, want)
+		}
+	}
+	for r, n := range rs.Stats().RuleHits {
+		if n != perRule[r]*(blockScans+3) {
+			t.Fatalf("after segmented scans: rule %d hits %d, want %d", r, n, perRule[r]*(blockScans+3))
+		}
+	}
+	if got, _ := streamAll(t, rs, input, randomChunks(rand.New(rand.NewSource(1)))); !slices.Equal(got, want) {
+		t.Fatalf("StreamMatcher = %v, want %v", got, want)
 	}
 }

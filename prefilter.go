@@ -79,7 +79,7 @@ func (rs *Ruleset) buildPrefilter(factors []string) {
 		// The Prefilter stats section is live whenever literal gating
 		// happens anywhere: the factor sweep, AC-routed groups (whose scans
 		// report as sweeps), or both.
-		acRules, acLits := rs.plan.literalCounts(rs)
+		acRules, acLits := rs.plan.literalCounts()
 		if rs.pf != nil || acRules > 0 {
 			rs.prefEnabled = true
 			rs.prefRules += acRules

@@ -65,14 +65,37 @@ func (rs *Ruleset) segmentParts(n, threads int) int {
 	return p
 }
 
-// scanSegmented runs the admitted groups in turn, each over parts segments
-// with exact boundary stitching (package segment) when its executor offers
-// a segment-parallel scan and the group is not pinned serial; anchored and
+// scanSegmented runs the literal pass of the AC groups, when the ruleset
+// has any, then the admitted groups in turn, each over parts segments with
+// exact boundary stitching (package segment) when its executor offers a
+// segment-parallel scan and the group is not pinned serial; anchored and
 // eager-DFA groups run serially — their scans are O(1) or a single
 // cache-resident sweep, and segmenting them buys nothing.
 func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, check func() error,
 	emit func(automaton, fsa, end int), total *int64) error {
 	bounds := segment.Boundaries(len(input), parts)
+	if lp := rs.plan.lit; lp != nil {
+		emits := make([]func(fsa, end int), len(rs.programs))
+		for _, g := range lp.groups {
+			var groupEmit func(fsa, end int)
+			if emit != nil {
+				groupEmit = func(fsa, end int) { emit(g, fsa, end) }
+			}
+			emits[g] = rs.traceMatches(g, groupEmit)
+		}
+		st0 := rs.stageStart()
+		runs, err := rs.scanLiterals(input, bounds, check, emits)
+		rs.stageEnd(telemetry.StageSegment, st0)
+		for j, g := range lp.groups {
+			rs.fold(g, &runs[j], nil, nil)
+		}
+		if err != nil {
+			return err
+		}
+		for j := range runs {
+			*total += runs[j].matches
+		}
+	}
 	for _, i := range ids {
 		var groupEmit func(fsa, end int)
 		if emit != nil {

@@ -60,7 +60,7 @@ func (rs *Ruleset) StatsVar() expvar.Var {
 // executed, including a partial scan still in progress. Not safe for use
 // concurrent with the scanner's scans (the Scanner itself is single-owner).
 func (s *Scanner) Stats() Stats {
-	return s.rs.localStats(runTotals(s.runs), nil, s.ruleHits, s.timeouts, &s.pref)
+	return s.rs.localStats(runTotals(s.runs, s.lit), nil, s.ruleHits, s.timeouts, &s.pref)
 }
 
 // Stats returns this stream's telemetry, including the in-progress state of
@@ -71,16 +71,22 @@ func (s *Scanner) Stats() Stats {
 func (sm *StreamMatcher) Stats() Stats {
 	totals := sm.final
 	if totals == nil {
-		totals = runTotals(sm.runs)
+		totals = runTotals(sm.runs, sm.lit)
 	}
 	return sm.rs.localStats(totals, sm.gated, sm.ruleHits, sm.timeouts, &sm.pref)
 }
 
-// runTotals reads every runner's totals.
-func runTotals(runs []groupRunner) []groupRun {
+// runTotals reads every runner's totals, the AC groups' from the literal
+// pass lit (nil when there are none).
+func runTotals(runs []groupRunner, lit *litRunner) []groupRun {
 	out := make([]groupRun, len(runs))
 	for i, r := range runs {
-		out[i] = r.totals()
+		if r != nil {
+			out[i] = r.totals()
+		}
+	}
+	if lit != nil {
+		lit.totals(out)
 	}
 	return out
 }

@@ -63,7 +63,8 @@ import (
 type StreamMatcher struct {
 	mu       sync.Mutex // serializes Write/Close/Err/Matches
 	rs       *Ruleset
-	runs     []groupRunner // per automaton, indexed like rs.programs; nil after Close
+	runs     []groupRunner // per automaton, indexed like rs.programs; nil for AC groups
+	lit      *litRunner    // the AC groups' one literal pass; nil without AC groups
 	final    []groupRun    // the runners' totals frozen at Close, before their release
 	check    func() error  // context poll; nil when not cancellable
 	onMatch  func(Match)
@@ -113,9 +114,10 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 		faults:   rs.faults,
 	}
 	sm.runs = make([]groupRunner, len(rs.programs))
+	emits := make([]func(fsa, end int), len(rs.programs))
 	for i, x := range rs.plan.exec {
 		rules := rs.programs[i].Rules()
-		emit := func(fsa, end int) {
+		emits[i] = func(fsa, end int) {
 			sm.matches++
 			ri := rules[fsa]
 			if ri.RuleID >= 0 && ri.RuleID < len(sm.ruleHits) {
@@ -125,8 +127,14 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 				sm.onMatch(Match{Rule: ri.RuleID, Pattern: ri.Pattern, End: end})
 			}
 		}
-		sm.runs[i] = x.runner()
-		sm.runs[i].begin(runCfg{onMatch: emit, faults: sm.faults})
+		if x.runner != nil {
+			sm.runs[i] = x.runner()
+			sm.runs[i].begin(runCfg{onMatch: emits[i], faults: sm.faults})
+		}
+	}
+	if lp := rs.plan.lit; lp != nil {
+		sm.lit = newLitRunner(lp, rs.opts.accelOn())
+		sm.lit.begin(nil, sm.faults, emits)
 	}
 	if pf := rs.pf; pf != nil {
 		sm.gated = make([]bool, len(rs.programs))
@@ -150,10 +158,14 @@ func (sm *StreamMatcher) isGated(i int) bool {
 	return sm.gated != nil && sm.gated[i]
 }
 
-// feed hands one chunk to every active automaton; gated ones stay idle.
+// feed hands one chunk to the literal pass and every active automaton;
+// gated ones stay idle.
 func (sm *StreamMatcher) feed(chunk []byte, final bool) {
+	if sm.lit != nil {
+		sm.lit.feed(chunk)
+	}
 	for i, r := range sm.runs {
-		if !sm.isGated(i) {
+		if r != nil && !sm.isGated(i) {
 			r.feed(chunk, final)
 		}
 	}
@@ -237,7 +249,9 @@ func (sm *StreamMatcher) prefilterAdmit(p []byte) error {
 // stream will never see a proper end.
 func (sm *StreamMatcher) flushHeld() {
 	for _, r := range sm.runs {
-		r.flushHeld()
+		if r != nil {
+			r.flushHeld()
+		}
 	}
 }
 
@@ -379,16 +393,22 @@ func (sm *StreamMatcher) Close() error {
 	if sm.sweep != nil {
 		sm.rs.collector.AddPrefilterScan(sm.pref.sweeps, sm.pref.hits, sm.pref.skipped, sm.pref.saved)
 	}
+	if sm.lit != nil {
+		runs := sm.lit.end()
+		for j, i := range sm.rs.plan.lit.groups {
+			sm.rs.fold(i, &runs[j], nil, &sm.pref)
+		}
+	}
 	for i, r := range sm.runs {
-		if !sm.isGated(i) {
+		if r != nil && !sm.isGated(i) {
 			run := r.end()
 			sm.rs.fold(i, &run, nil, &sm.pref)
 		}
 	}
 	// Freeze this stream's totals: the lazy-DFA gauges read tables other
 	// streams keep filling, and the runners are dropped.
-	sm.final = runTotals(sm.runs)
-	sm.runs = nil
+	sm.final = runTotals(sm.runs, sm.lit)
+	sm.runs, sm.lit = nil, nil
 	if sm.rs.trace != nil {
 		sm.rs.trace.Record(telemetry.Event{Kind: telemetry.EventStreamEnd,
 			Automaton: -1, Rule: -1, Offset: sm.consumed, Value: sm.matches})
