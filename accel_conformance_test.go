@@ -180,9 +180,9 @@ func TestSnortAccelAccounting(t *testing.T) {
 			if st.Prefilter == nil || st.Prefilter.Sweeps == 0 {
 				t.Fatalf("version %s served no gated scans", name)
 			}
-			// Sweeps counts literal passes executed — the factor sweep plus
-			// the AC groups' one fused pass — so the partition denominator is
-			// the scan-call count the test tracked through the swaps.
+			// Sweeps counts literal passes executed — one per gated scan,
+			// which also runs the AC groups — so the partition denominator
+			// is the scan-call count the test tracked through the swaps.
 			total := int64(rs.NumAutomata()) * int64(len(benign)) * scansOf[name]
 			if got := st.BytesScanned + st.Prefilter.BytesSaved; got != total {
 				t.Fatalf("version %s: BytesScanned %d + BytesSaved %d = %d, want %d (automata × bytes × %d scans)",

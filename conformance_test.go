@@ -57,6 +57,9 @@ var confPatterns = []string{
 	"/adm[a-z]*",                             // one start byte: acceleration skips filler
 	"(xc+)?", "(xc+)?y", "((c)+[^ab]c){0,1}", // an optional over a + loop
 	"x[0-9a-c]{40}y", // a long counted chain
+	// A gated rule whose factor is an AC literal: one pattern of the literal
+	// pass both delivers "needle" and wakes this rule's group.
+	"needle[0-9]*x",
 }
 
 // confFragments salt the generated inputs with near and full matches of
@@ -451,6 +454,22 @@ func TestConformanceMatrix(t *testing.T) {
 	if acGroups < 3 {
 		t.Fatalf("no auto cell plans more than %d AC groups, want 3", acGroups)
 	}
+	// Some auto cell must gate a group on a factor that is also an AC
+	// literal, or the pass's owner and wake lists never meet on one pattern.
+	fused := false
+	for i, cfg := range conformanceConfigs() {
+		if cfg.opts.Engine != EngineAuto || fused {
+			continue
+		}
+		if lp := MustCompile(rulesets[i%len(rulesets)].patterns, cfg.opts).plan.lit; lp != nil {
+			for k := range lp.owners {
+				fused = fused || len(lp.owners[k]) > 0 && len(lp.wakes[k]) > 0
+			}
+		}
+	}
+	if !fused {
+		t.Fatal("no auto cell gates a group on a factor that is also an AC literal")
+	}
 	// Runs once every parallel cell has finished.
 	t.Cleanup(func() { checkGoroutines(t, goroutines) })
 	for i, cfg := range conformanceConfigs() {
@@ -772,6 +791,14 @@ func FuzzConformance(f *testing.F) {
 	add([]string{`[^a\x90]+`, `\s\S`, `.[\x80-\xff]`}, "a\x90\xff \v\x0b\x00x\x80\n\x90", 5, 10)
 	add(snortPatterns(f)[7:], "x.php?u=http://SITE  ExEc\x90\x90\x90\x90\x90\x90\x90\x90\x90", 87, 11)
 	configs := conformanceConfigs()
+	// An AC literal that is also a gated group's factor: the first auto
+	// cell with the prefilter on and one rule per group.
+	for i, cfg := range configs {
+		if cfg.opts.Engine == EngineAuto && cfg.opts.Prefilter == PrefilterOn && cfg.opts.MergeFactor == 1 {
+			add([]string{"needle", "needle[0-9]*x", "cab"}, "cab needle42x needlex needle", uint(i), 12)
+			break
+		}
+	}
 	f.Fuzz(func(t *testing.T, patterns, input string, config uint, chunkSeed int64) {
 		pats := strings.Split(patterns, "\n")
 		if len(pats) > 8 || len(input) > 64 {

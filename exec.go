@@ -15,7 +15,7 @@ import (
 // groupExec is one automaton group's execution unit, built by buildPlan
 // beside the group's compiled artifact. Every entry point — Scanner block
 // scans, CountParallel, segmented scans and StreamMatchers — runs groups
-// only through it, and folds every outcome through Ruleset.fold.
+// only through it, and gathers every outcome into a scanFold.
 type groupExec struct {
 	// runner returns a fresh runner: one per Scanner, StreamMatcher,
 	// CountParallel task, serial run of a segmented scan and one-shot
@@ -25,9 +25,10 @@ type groupExec struct {
 	// others cached.
 	runner func() groupRunner
 	// segment scans the input segment-parallel over bounds (as produced by
-	// segment.Boundaries); nil for strategies whose scans are O(1) or one
-	// cache-resident sweep, which run serially inside segmented scans.
-	segment func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error)
+	// segment.Boundaries) into run; nil for strategies whose scans are O(1)
+	// or one cache-resident sweep, which run serially inside segmented
+	// scans.
+	segment func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error
 }
 
 // runCfg is the per-run wiring of a groupRunner.
@@ -47,25 +48,21 @@ type groupRunner interface {
 	// flushHeld matches a held-back byte as ordinary data: the stream end
 	// will never be observed.
 	flushHeld()
-	// end finishes the run and returns its outcome.
-	end() groupRun
-	// totals returns the runner's cumulative counters, including a run in
-	// progress, with the live cache gauges; perFSA stays nil.
-	totals() groupRun
+	// end finishes the run and writes its outcome into run.
+	end(run *groupRun)
+	// totals writes the runner's cumulative counters, including a run in
+	// progress, with the live cache gauges into run; perFSA stays nil.
+	totals(run *groupRun)
 	err() error
 }
 
 // groupRun is the outcome of one group execution, or a runner's cumulative
-// totals. fold turns it into the accounting updates.
+// totals. Callers own it and pass it by pointer; foldRun gathers it into a
+// scanFold.
 type groupRun struct {
 	scans, bytes, matches int64
 	perFSA                []int64 // per-FSA match counts, program FSA order
 	accel                 int64   // bytes jumped by byte-skipping acceleration
-
-	// sweep marks the run that carries a literal pass, which doubles as the
-	// AC groups' factor sweep; sweepHits counts the distinct literals seen.
-	sweep     bool
-	sweepHits int64
 
 	// Lazy-DFA runs.
 	lazy                                          bool
@@ -78,11 +75,20 @@ type groupRun struct {
 	segments, segFallbacks, parallelBytes, stitchBytes int64
 }
 
-// blockScan runs r over a whole input.
-func blockScan(r groupRunner, input []byte, c runCfg) (groupRun, error) {
+// set overwrites run with the common counters. It zeroes the struct in
+// place and assigns the fields, where assigning a composite literal through
+// the pointer would build it in a temporary and copy it.
+func (run *groupRun) set(scans, bytes, matches int64, perFSA []int64, accel int64) {
+	*run = groupRun{}
+	run.scans, run.bytes, run.matches, run.perFSA, run.accel = scans, bytes, matches, perFSA, accel
+}
+
+// blockScan runs r over a whole input into run.
+func blockScan(r groupRunner, input []byte, c runCfg, run *groupRun) error {
 	r.begin(c)
 	r.feed(input, true)
-	return r.end(), r.err()
+	r.end(run)
+	return r.err()
 }
 
 // newExec builds group i's executor for its planned strategy — the one
@@ -107,39 +113,39 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 			runner: func() groupRunner {
 				return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg}
 			},
-			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error) {
+			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error {
 				lc := lcfg
 				lc.Checkpoint, lc.Faults = check, rs.faults
-				return rs.segmentScan(segment.Group{Lazy: m, LazyCfg: lc}, i, ecfg, input, bounds, check, emit)
+				return rs.segmentScan(segment.Group{Lazy: m, LazyCfg: lc}, i, ecfg, input, bounds, check, emit, run)
 			},
 		}
 	default:
 		return groupExec{
 			runner: func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} },
-			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int)) (groupRun, error) {
-				return rs.segmentScan(segment.Group{}, i, ecfg, input, bounds, check, emit)
+			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error {
+				return rs.segmentScan(segment.Group{}, i, ecfg, input, bounds, check, emit, run)
 			},
 		}
 	}
 }
 
-// segmentScan runs default-engine group i segment-parallel: iMFAnt or
-// lazy-DFA workers per segment plus the sequential boundary stitch. A scan
-// whose boundary carry exceeds the frontier budget, or outlives a whole
-// segment (its stitch then costs a serial scan of that segment), completes
-// exactly; when the input is at least segmentMinBytes it also pins the group
-// serial for subsequent segmented scans, and the pin counts as one segment
-// fallback. Smaller inputs never pin: their segments are too short for a
-// carry that outlives one to predict anything about a large scan.
+// segmentScan runs default-engine group i segment-parallel into run:
+// iMFAnt or lazy-DFA workers per segment plus the sequential boundary
+// stitch. A scan whose boundary carry exceeds the frontier budget, or
+// outlives a whole segment (its stitch then costs a serial scan of that
+// segment), completes exactly; when the input is at least segmentMinBytes
+// it also pins the group serial for subsequent segmented scans, and the pin
+// counts as one segment fallback. Smaller inputs never pin: their segments
+// are too short for a carry that outlives one to predict anything about a
+// large scan.
 func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input []byte, bounds []int,
-	check func() error, emit func(fsa, end int)) (groupRun, error) {
+	check func() error, emit func(fsa, end int), run *groupRun) error {
 	g.Automaton, g.Program, g.MaxFrontier = i, rs.programs[i], segmentMaxFrontier
 	g.Cfg = cfg
 	g.Cfg.Checkpoint, g.Cfg.Faults = check, rs.faults
 	res, err := segment.Scan(g, input, bounds, emit)
-	run := groupRun{scans: 1, bytes: res.ParallelBytes + res.StitchBytes, matches: res.Matches,
-		perFSA: res.PerFSA, accel: res.AccelBytes, segments: int64(res.Segments),
-		parallelBytes: res.ParallelBytes, stitchBytes: res.StitchBytes}
+	run.set(1, res.ParallelBytes+res.StitchBytes, res.Matches, res.PerFSA, res.AccelBytes)
+	run.segments, run.parallelBytes, run.stitchBytes = int64(res.Segments), res.ParallelBytes, res.StitchBytes
 	if (res.FellBack || res.CarryOutlived) && len(input) >= segmentMinBytes {
 		run.segFallbacks = 1
 		rs.segSerial[i].Store(true)
@@ -149,54 +155,72 @@ func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input 
 		run.hits, run.misses, run.flushes = res.CacheHits, res.CacheMisses, res.Flushes
 		run.fallbacks, run.fellBack = res.Thrashes, res.Thrashes > 0
 	}
-	return run, err
+	return err
 }
 
-// fold performs every accounting update of one group run of automaton i:
-// the ruleset collector's totals, rule hits, strategy and accel bytes, the
-// AC-scan-as-factor-sweep update, segment counters, and the lazy-DFA cache,
-// degradation, gauges and lazy_* trace events. ruleHits and pref, when
-// non-nil, are the owning Scanner's or StreamMatcher's local tables.
-func (rs *Ruleset) fold(i int, run *groupRun, ruleHits []int64, pref *prefCounters) {
-	c := rs.collector
-	c.AddScans(run.scans)
-	c.AddBytes(run.bytes)
-	c.AddMatches(run.matches)
-	c.AddStrategyBytes(int(rs.plan.strat[i]), run.bytes)
-	c.AddAccelScan(run.accel)
-	rules := rs.programs[i].Rules()
-	for fsa, n := range run.perFSA {
-		if n == 0 {
-			continue
-		}
-		id := rules[fsa].RuleID
-		c.AddRuleHits(id, n)
-		if id >= 0 && id < len(ruleHits) {
-			ruleHits[id] += n
-		}
+// scanFold gathers the accounting of one scan — the group runs of a
+// Scanner or CountParallel block scan, a segmented scan or a closed stream
+// — so that Ruleset.flush makes one batch of collector updates per scan
+// instead of one per group run. Only rule hits, which need a per-rule
+// table, reach the collector as they are gathered, and only where nonzero.
+type scanFold struct {
+	ruleHits []int64 // the owner's per-rule table; nil when it keeps none
+	perRule  []int64 // CountPerRule's table; nil otherwise
+
+	scans, bytes, matches, accel int64
+	strat                        [numStrategies]int64
+	pref                         prefCounters
+
+	lazy                                               bool
+	hits, misses, flushes, fallbacks, grows, pins      int64
+	segScans, segments, segFallbacks, parallel, stitch int64
+}
+
+// rule adds n events of rule id to the collector and the owner's tables.
+func (f *scanFold) rule(c *telemetry.Collector, id int, n int64) {
+	c.AddRuleHits(id, n)
+	if id >= 0 && id < len(f.ruleHits) {
+		f.ruleHits[id] += n
 	}
-	if run.sweep && rs.prefEnabled {
-		c.AddPrefilterScan(1, run.sweepHits, 0, 0)
-		if pref != nil {
-			pref.sweeps++
-			pref.hits += run.sweepHits
+	if id >= 0 && id < len(f.perRule) {
+		f.perRule[id] += n
+	}
+}
+
+// foldRun gathers one group run of automaton i into f: totals, rule hits,
+// strategy and accel bytes, segment and lazy-DFA counters, and the lazy_*
+// trace events.
+func (rs *Ruleset) foldRun(f *scanFold, i int, run *groupRun) {
+	f.scans += run.scans
+	f.bytes += run.bytes
+	f.matches += run.matches
+	f.strat[rs.plan.strat[i]] += run.bytes
+	f.accel += run.accel
+	if len(run.perFSA) > 0 {
+		rules := rs.programs[i].Rules()
+		for fsa, n := range run.perFSA {
+			if n != 0 {
+				f.rule(rs.collector, rules[fsa].RuleID, n)
+			}
 		}
 	}
 	if run.segments > 0 {
-		c.AddSegmentScan(run.segments, run.segFallbacks, run.parallelBytes, run.stitchBytes)
+		f.segScans++
+		f.segments += run.segments
+		f.segFallbacks += run.segFallbacks
+		f.parallel += run.parallelBytes
+		f.stitch += run.stitchBytes
 	}
 	if !run.lazy {
 		return
 	}
-	c.AddLazyScan(run.hits, run.misses, run.flushes, run.fallbacks)
-	if run.grows != 0 || run.pins != 0 {
-		c.AddLazyDegraded(run.grows, run.pins)
-	}
-	if run.segments == 0 {
-		c.SetCachedStates(i, run.cached)
-		c.SetCacheBytes(i, run.cacheBytes)
-		c.SetAccelStates(i, run.accelStates)
-	}
+	f.lazy = true
+	f.hits += run.hits
+	f.misses += run.misses
+	f.flushes += run.flushes
+	f.fallbacks += run.fallbacks
+	f.grows += run.grows
+	f.pins += run.pins
 	if rs.trace == nil {
 		return
 	}
@@ -212,6 +236,53 @@ func (rs *Ruleset) fold(i int, run *groupRun, ruleHits []int64, pref *prefCounte
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyPin,
 			Automaton: int32(i), Rule: -1, Offset: -1, Value: run.pins})
 	}
+}
+
+// flush makes f's one batch of collector updates, adds its prefilter
+// counters to pref (the owner's; nil at ruleset scope) and resets f,
+// keeping its tables.
+func (rs *Ruleset) flush(f *scanFold, pref *prefCounters) {
+	c := rs.collector
+	// A panicked pool task folds a partial run: bytes and matches without
+	// a completed scan.
+	if f.scans != 0 {
+		c.AddScans(f.scans)
+	}
+	if f.bytes != 0 {
+		c.AddBytes(f.bytes)
+		for k, n := range f.strat {
+			if n != 0 {
+				c.AddStrategyBytes(k, n)
+			}
+		}
+	}
+	if f.matches != 0 {
+		c.AddMatches(f.matches)
+	}
+	if f.accel != 0 {
+		c.AddAccelScan(f.accel)
+	}
+	if p := f.pref; p != (prefCounters{}) {
+		c.AddPrefilterScan(p.sweeps, p.hits, p.skipped, p.saved)
+		if pref != nil {
+			pref.sweeps += p.sweeps
+			pref.hits += p.hits
+			pref.skipped += p.skipped
+			pref.saved += p.saved
+		}
+	}
+	if f.segScans > 0 {
+		c.AddSegmentScans(f.segScans, f.segments, f.segFallbacks, f.parallel, f.stitch)
+	}
+	if f.lazy {
+		c.AddLazyScan(f.hits, f.misses, f.flushes, f.fallbacks)
+		if f.grows != 0 || f.pins != 0 {
+			c.AddLazyDegraded(f.grows, f.pins)
+		}
+	}
+	ruleHits, perRule := f.ruleHits, f.perRule
+	*f = scanFold{}
+	f.ruleHits, f.perRule = ruleHits, perRule
 }
 
 // imfantRunner runs a group on the paper's iMFAnt engine.
@@ -230,15 +301,14 @@ func (x *imfantRunner) feed(chunk []byte, final bool) { x.r.Feed(chunk, final) }
 func (x *imfantRunner) flushHeld()                    { x.r.FlushHeld() }
 func (x *imfantRunner) err() error                    { return x.r.Err() }
 
-func (x *imfantRunner) end() groupRun {
+func (x *imfantRunner) end(run *groupRun) {
 	res := x.r.End()
-	return groupRun{scans: 1, bytes: int64(res.Symbols), matches: res.Matches,
-		perFSA: res.PerFSA, accel: res.AccelBytes}
+	run.set(1, int64(res.Symbols), res.Matches, res.PerFSA, res.AccelBytes)
 }
 
-func (x *imfantRunner) totals() groupRun {
+func (x *imfantRunner) totals(run *groupRun) {
 	t := x.r.Totals()
-	return groupRun{scans: t.Scans, bytes: t.Symbols, matches: t.Matches, accel: t.AccelBytes}
+	run.set(t.Scans, t.Symbols, t.Matches, nil, t.AccelBytes)
 }
 
 // lazyRunner runs a group on the lazy-DFA engine, as a cursor on m's
@@ -259,12 +329,11 @@ func (x *lazyRunner) feed(chunk []byte, final bool) { x.r.Feed(chunk, final) }
 func (x *lazyRunner) flushHeld()                    { x.r.FlushHeld() }
 func (x *lazyRunner) err() error                    { return x.r.Err() }
 
-func (x *lazyRunner) end() groupRun {
+func (x *lazyRunner) end(run *groupRun) {
 	res := x.r.End()
-	run := groupRun{scans: 1, bytes: int64(res.Symbols), matches: res.Matches,
-		perFSA: res.PerFSA, accel: res.AccelBytes, lazy: true,
-		hits: res.CacheHits, misses: res.CacheMisses, flushes: int64(res.Flushes),
-		fellBack: res.FellBack}
+	run.set(1, int64(res.Symbols), res.Matches, res.PerFSA, res.AccelBytes)
+	run.lazy, run.hits, run.misses, run.flushes = true, res.CacheHits, res.CacheMisses, int64(res.Flushes)
+	run.fellBack = res.FellBack
 	if res.Thrashed {
 		run.fallbacks = 1
 	}
@@ -274,20 +343,13 @@ func (x *lazyRunner) end() groupRun {
 	if res.Pinned {
 		run.pins = 1
 	}
-	x.gauges(&run)
-	return run
 }
 
-func (x *lazyRunner) totals() groupRun {
+func (x *lazyRunner) totals(run *groupRun) {
 	t := x.r.Totals()
-	run := groupRun{scans: t.Scans, bytes: t.Symbols, matches: t.Matches, accel: t.AccelBytes,
-		lazy: true, hits: t.CacheHits, misses: t.CacheMisses, flushes: t.Flushes,
-		fallbacks: t.Fallbacks, grows: t.Grows, pins: t.Pins}
-	x.gauges(&run)
-	return run
-}
-
-func (x *lazyRunner) gauges(run *groupRun) {
+	run.set(t.Scans, t.Symbols, t.Matches, nil, t.AccelBytes)
+	run.lazy, run.hits, run.misses, run.flushes = true, t.CacheHits, t.CacheMisses, t.Flushes
+	run.fallbacks, run.grows, run.pins = t.Fallbacks, t.Grows, t.Pins
 	st := x.m.Stats()
 	run.cached, run.accelStates, run.cacheBytes = int64(st.States), int64(st.AccelStates), st.Bytes
 	run.maxStates, run.classes = st.MaxStates, x.m.NumClasses()
@@ -310,99 +372,105 @@ func (x *dfaRunner) feed(chunk []byte, _ bool) {
 func (x *dfaRunner) flushHeld() {}
 func (x *dfaRunner) err() error { return x.r.Err() }
 
-func (x *dfaRunner) end() groupRun {
+func (x *dfaRunner) end(run *groupRun) {
 	res := x.r.End()
-	return groupRun{scans: 1, bytes: res.Symbols, matches: res.Matches, perFSA: res.PerRule}
+	run.set(1, res.Symbols, res.Matches, res.PerRule, 0)
 }
 
-func (x *dfaRunner) totals() groupRun {
+func (x *dfaRunner) totals(run *groupRun) {
 	t := x.r.Totals()
-	return groupRun{scans: t.Scans, bytes: t.Symbols, matches: t.Matches}
+	run.set(t.Scans, t.Symbols, t.Matches, nil, 0)
 }
 
 // tally is the run bookkeeping of the anchored runner, whose checks keep no
 // totals of their own: the current run and the ended ones.
 type tally struct {
-	cur, done groupRun
-	open      bool
+	perFSA                            []int64 // the current run's per-FSA counts
+	bytes, matches                    int64   // the current run
+	doneScans, doneBytes, doneMatches int64   // the ended runs
+	open                              bool
 }
 
 func (t *tally) startRun(perFSA []int64) {
 	clear(perFSA)
-	t.cur = groupRun{scans: 1, perFSA: perFSA}
-	t.open = true
+	t.perFSA, t.bytes, t.matches, t.open = perFSA, 0, 0, true
 }
 
 func (t *tally) hit(fsa int) {
-	t.cur.matches++
-	t.cur.perFSA[fsa]++
+	t.matches++
+	t.perFSA[fsa]++
 }
 
-func (t *tally) endRun() groupRun {
+func (t *tally) endRun(run *groupRun) {
 	if t.open {
 		t.open = false
-		t.done.scans++
-		t.done.bytes += t.cur.bytes
-		t.done.matches += t.cur.matches
+		t.doneScans++
+		t.doneBytes += t.bytes
+		t.doneMatches += t.matches
 	}
-	return t.cur
+	run.set(1, t.bytes, t.matches, t.perFSA, 0)
 }
 
-func (t *tally) totals() groupRun {
-	run := t.done
+func (t *tally) totals(run *groupRun) {
+	run.set(t.doneScans, t.doneBytes, t.doneMatches, nil, 0)
 	if t.open {
-		run.bytes += t.cur.bytes
-		run.matches += t.cur.matches
+		run.bytes += t.bytes
+		run.matches += t.matches
 	}
-	return run
 }
 
-// litRunner runs the fused literal pass of a Ruleset (see litPass): one
-// resumable Aho–Corasick scan in checkpoint-sized blocks, whose every hit is
-// attributed to the members carrying the literal. Each AC-routed group gets
-// its own run out of it — one scan over the same bytes, its own matches and
-// per-FSA counts — so the accounting is that of separate group runs. The
-// pass doubles as the groups' factor sweep: the distinct literals it sees
-// are the sweep's hits, reported once, on the first group's run. Not safe
-// for concurrent use.
+// litRunner runs the literal pass of a Ruleset (see litPass): one
+// resumable Aho–Corasick pass in checkpoint-sized blocks, whose every
+// literal hit is attributed to the members carrying the literal and whose
+// first-seen patterns decide the factor gates. A pass without literals to
+// deliver stops once every pattern has been seen. Not safe for concurrent
+// use.
 type litRunner struct {
-	lp     *litPass
-	sc     *ahocorasick.StreamScanner
-	check  func() error // checkpoint poll; nil when not cancellable
-	faults *faultpoint.Injector
-	emit   []func(fsa, end int) // per automaton; nil entries count only
-	seen   []bool               // per literal: seen in the current run
-	hits   int64                // distinct literals seen in the current run
-	counts []int64              // per member: events in the current run
-	bytes  int64                // bytes of the current run
-	skip0  int64                // sc.Skipped() at begin
-	stop   error
-	open   bool
-	runs   []groupRun // per AC group: the last end()'s outcome
-	done   []groupRun // per AC group: totals of the ended runs
+	lp      *litPass
+	pass    *ahocorasick.Pass
+	onHit   func(pat, end int) // x.hit, bound once
+	check   func() error       // checkpoint poll; nil when not cancellable
+	faults  *faultpoint.Injector
+	emit    []func(fsa, end int) // per automaton; nil entries count only
+	counts  []int64              // per member: events in the current run
+	touched []int32              // members counted in the current run
+	bytes   int64                // bytes of the current run
+	base    int                  // offset of the block being scanned
+	skip0   int64                // pass.Skipped() at begin
+	stop    error
+	open    bool
+	runs    int64   // ended runs
+	done    int64   // bytes of the ended runs
+	doneBy  []int64 // per member: events of the ended runs
 }
 
 func newLitRunner(lp *litPass, accel bool) *litRunner {
-	sc := lp.m.NewStreamScanner()
-	sc.SetAccel(accel)
-	return &litRunner{lp: lp, sc: sc, seen: make([]bool, lp.m.NumPatterns()),
-		counts: make([]int64, len(lp.members)), runs: make([]groupRun, len(lp.groups)),
-		done: make([]groupRun, len(lp.groups))}
+	x := &litRunner{lp: lp, pass: lp.m.NewPass(lp.deliver), counts: make([]int64, len(lp.members)),
+		touched: make([]int32, 0, len(lp.members)), doneBy: make([]int64, len(lp.members))}
+	x.pass.SetAccel(accel)
+	x.onHit = x.hit
+	return x
 }
 
 // begin starts a run; emit, indexed by automaton, receives each AC group's
 // events (nil: count only).
 func (x *litRunner) begin(check func() error, faults *faultpoint.Injector, emit []func(fsa, end int)) {
-	x.check, x.faults, x.emit, x.stop, x.skip0 = check, faults, emit, nil, x.sc.Skipped()
-	x.sc.Reset()
-	clear(x.seen)
-	clear(x.counts)
-	x.hits, x.bytes, x.open = 0, 0, true
+	x.check, x.faults, x.emit, x.stop, x.skip0 = check, faults, emit, nil, x.pass.Skipped()
+	x.pass.Reset()
+	for _, k := range x.touched {
+		x.counts[k] = 0
+	}
+	x.touched = x.touched[:0]
+	x.bytes, x.open = 0, true
+}
+
+func (x *litRunner) hit(pat, end int) {
+	x.lp.deliverHit(pat, x.base+end, x.counts, &x.touched, x.emit)
 }
 
 func (x *litRunner) feed(chunk []byte) {
 	const block = engine.DefaultCheckpointEvery
-	for off := 0; off < len(chunk) && x.stop == nil; off += block {
+	for off := 0; off < len(chunk) && x.stop == nil && !x.pass.Done(); off += block {
 		if x.check != nil {
 			if x.stop = x.check(); x.stop != nil {
 				return
@@ -412,36 +480,47 @@ func (x *litRunner) feed(chunk []byte) {
 		// site, so a stalled chunk is cut by ScanTimeout on every strategy.
 		x.faults.Stall()
 		blk := chunk[off:min(off+block, len(chunk))]
-		base := int(x.bytes)
-		x.sc.Scan(blk, func(pat, e int) {
-			if !x.seen[pat] {
-				x.seen[pat] = true
-				x.hits++
-			}
-			x.lp.deliver(pat, base+e, x.counts, x.emit)
-		})
+		x.base = int(x.bytes)
+		x.pass.Scan(blk, x.onHit)
 		x.bytes += int64(len(blk))
 	}
 }
 
 func (x *litRunner) err() error { return x.stop }
 
-// end finishes the run and returns one outcome per AC group, in
-// litPass.groups order. The slice and its per-FSA counts are reused by the
-// next begin.
-func (x *litRunner) end() []groupRun {
-	x.lp.split(x.counts, x.bytes, x.runs)
-	if x.open {
-		for j := range x.runs {
-			x.done[j].scans++
-			x.done[j].bytes += x.bytes
-			x.done[j].matches += x.runs[j].matches
-		}
+// end finishes the run and folds it into f: each AC group scanned the
+// pass's bytes once, the members' counts are rule hits, the pass's root
+// skips are accel bytes and, when the prefilter section is live (prefOn),
+// the pass is one sweep whose hits are its distinct patterns. Returns the
+// AC groups' match count. The seen patterns stay readable until the next
+// begin.
+func (x *litRunner) end(f *scanFold, c *telemetry.Collector, prefOn bool) int64 {
+	var matches int64
+	for _, k := range x.touched {
+		n := x.counts[k]
+		matches += n
+		x.doneBy[k] += n
+		x.counts[k] = 0
+		f.rule(c, int(x.lp.members[k].rule), n)
 	}
-	x.runs[0].sweep, x.runs[0].sweepHits = true, x.hits
-	x.runs[0].accel = x.sc.Skipped() - x.skip0
-	x.open = false
-	return x.runs
+	x.touched = x.touched[:0]
+	if g := int64(len(x.lp.groups)); g > 0 {
+		f.scans += g
+		f.bytes += g * x.bytes
+		f.strat[StrategyAC] += g * x.bytes
+		f.matches += matches
+		f.accel += x.pass.Skipped() - x.skip0
+	}
+	if prefOn {
+		f.pref.sweeps++
+		f.pref.hits += int64(len(x.pass.Firsts()))
+	}
+	if x.open {
+		x.runs++
+		x.done += x.bytes
+	}
+	x.bytes, x.open = 0, false
+	return matches
 }
 
 // totals writes every AC group's cumulative totals, including a run in
@@ -450,41 +529,58 @@ func (x *litRunner) end() []groupRun {
 func (x *litRunner) totals(out []groupRun) {
 	lp := x.lp
 	for j, g := range lp.groups {
-		t := x.done[j]
+		t := &out[g]
+		t.set(x.runs, x.done, 0, nil, 0)
 		if x.open {
 			t.bytes += x.bytes
-			for _, n := range x.counts[lp.first[j]:lp.first[j+1]] {
-				t.matches += n
-			}
 		}
-		out[g] = t
+		for k := lp.first[j]; k < lp.first[j+1]; k++ {
+			t.matches += x.doneBy[k] + x.counts[k]
+		}
 	}
-	out[lp.groups[0]].accel = x.sc.Skipped()
+	if len(lp.groups) > 0 {
+		out[lp.groups[0]].accel = x.pass.Skipped()
+	}
 }
 
 // scanLiterals runs the literal pass over input segment-parallel (see
-// segment.ScanAC): each worker scans its segment plus the longest literal's
-// left context, so no stitching is needed. emit is indexed by automaton.
-// Returns one outcome per AC group, in litPass.groups order.
+// segment.ScanAC) and folds it into f: each worker scans its segment plus
+// the longest pattern's left context, so no stitching is needed. emit is
+// indexed by automaton. Returns the patterns seen and the AC groups' match
+// count.
 func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
-	emit []func(fsa, end int)) ([]groupRun, error) {
+	emit []func(fsa, end int), f *scanFold) ([]int32, int64, error) {
 	lp := rs.plan.lit
 	counts := make([]int64, len(lp.members))
+	var touched []int32
 	res, err := segment.ScanAC(lp.m, input, bounds, rs.opts.accelOn(), check, 0, func(pat, end int) {
-		lp.deliver(pat, end, counts, emit)
+		lp.deliverHit(pat, end, counts, &touched, emit)
 	})
-	runs := make([]groupRun, len(lp.groups))
-	lp.split(counts, res.ScannedBytes, runs)
-	for j := range runs {
-		runs[j].segments, runs[j].parallelBytes = int64(len(bounds)-1), res.ScannedBytes
+	var matches int64
+	for _, k := range touched {
+		matches += counts[k]
+		f.rule(rs.collector, int(lp.members[k].rule), counts[k])
 	}
-	runs[0].sweep, runs[0].accel = true, res.SkippedBytes
-	for _, n := range res.PerPattern {
+	g := int64(len(lp.groups))
+	f.scans += g
+	f.bytes += g * res.ScannedBytes
+	f.strat[StrategyAC] += g * res.ScannedBytes
+	f.matches += matches
+	f.accel += res.SkippedBytes
+	f.segScans += g
+	f.segments += g * int64(len(bounds)-1)
+	f.parallel += g * res.ScannedBytes
+	var seen []int32
+	for k, n := range res.PerPattern {
 		if n != 0 {
-			runs[0].sweepHits++
+			seen = append(seen, int32(k))
 		}
 	}
-	return runs, err
+	if rs.prefEnabled {
+		f.pref.sweeps++
+		f.pref.hits += int64(len(seen))
+	}
+	return seen, matches, err
 }
 
 // anchRunner evaluates an anchored-literal group. Everything it needs is
@@ -528,7 +624,7 @@ func (st *anchRunner) emit(fsa, end int) {
 func (st *anchRunner) feed(chunk []byte, final bool) {
 	if len(chunk) > 0 {
 		st.c.faults.Stall()
-		base := st.cur.bytes
+		base := st.bytes
 		for fsa := range st.g.rules {
 			st.feedRule(fsa, base, chunk)
 		}
@@ -544,7 +640,7 @@ func (st *anchRunner) feed(chunk []byte, final bool) {
 				st.tail = append(st.tail, chunk...)
 			}
 		}
-		st.cur.bytes += int64(len(chunk))
+		st.bytes += int64(len(chunk))
 	}
 	if final {
 		// The clean stream end: `$` is observable now, and only now.
@@ -626,7 +722,7 @@ func (st *anchRunner) finish() {
 		return
 	}
 	st.finished = true
-	L := st.cur.bytes
+	L := st.bytes
 	for fsa := range st.g.rules {
 		r := &st.g.rules[fsa]
 		rs := &st.rules[fsa]
@@ -665,7 +761,7 @@ func (st *anchRunner) finish() {
 	}
 }
 
-func (st *anchRunner) flushHeld()       {}
-func (st *anchRunner) err() error       { return nil }
-func (st *anchRunner) end() groupRun    { return st.endRun() }
-func (st *anchRunner) totals() groupRun { return st.tally.totals() }
+func (st *anchRunner) flushHeld()           {}
+func (st *anchRunner) err() error           { return nil }
+func (st *anchRunner) end(run *groupRun)    { st.endRun(run) }
+func (st *anchRunner) totals(run *groupRun) { st.tally.totals(run) }

@@ -25,10 +25,10 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ahocorasick"
 	"repro/internal/anml"
 	"repro/internal/engine"
 	"repro/internal/factor"
@@ -65,9 +65,9 @@ const (
 // stepping the automaton once per byte. The lazy-DFA engine classifies every
 // cached state at construction and jumps while parked in states with at most
 // four live outgoing bytes; the iMFAnt engine skips to the next possible
-// start byte while its activation vector is empty; the prefilter's
-// Aho–Corasick sweep skips while parked at its root. All three are exact:
-// match results are byte-identical in every mode.
+// start byte while its activation vector is empty; the Ruleset's
+// Aho–Corasick literal pass skips while parked at its root. All three are
+// exact: match results are byte-identical in every mode.
 type AccelMode int
 
 const (
@@ -101,15 +101,16 @@ type Options struct {
 	Engine EngineMode
 	// Prefilter selects the literal-factor prefilter: a compile-time
 	// Hyperscan-style decomposition that extracts a required literal factor
-	// from each rule where one exists, and a scan-time Aho–Corasick sweep
-	// that skips whole MFSA groups whose rules cannot match the input. The
-	// zero value (PrefilterAuto) engages it only when at least one group is
-	// fully filterable; PrefilterOn additionally biases grouping so
-	// filterable rules share MFSAs. Factors are literals of at least
-	// three bytes. Results are identical in every mode.
+	// from each rule where one exists, and scan-time gating in the one
+	// Aho–Corasick literal pass that skips whole MFSA groups whose rules
+	// cannot match the input. The zero value (PrefilterAuto) engages it
+	// only when at least one group is fully filterable; PrefilterOn
+	// additionally biases grouping so filterable rules share MFSAs.
+	// Factors are literals of at least three bytes. Results are identical
+	// in every mode.
 	Prefilter PrefilterMode
 	// Accel selects byte-skipping acceleration (lazy-DFA state
-	// acceleration, the iMFAnt start-byte skip, and the prefilter sweep's
+	// acceleration, the iMFAnt start-byte skip, and the literal pass's
 	// root skip). The zero value (AccelAuto) enables it; results are
 	// byte-identical in every mode. See AccelMode.
 	Accel AccelMode
@@ -141,7 +142,7 @@ type Options struct {
 	// proportional sampling cost. Ignored when Profile is false.
 	ProfileStride int
 	// Latency enables per-stage wall-clock latency attribution: monotonic
-	// timers bracket the prefilter sweep, each automaton's strategy
+	// timers bracket the literal pass, each automaton's strategy
 	// dispatch, the parallel fan-out, and stream chunk/flush work, folded
 	// into allocation-free log2 histograms and surfaced as the
 	// Stats().Latency section (p50/p90/p99 per stage, nanoseconds).
@@ -226,12 +227,11 @@ type Ruleset struct {
 	collector *telemetry.Collector
 	plan      *scanPlan    // per-group execution strategies (see plan.go)
 	pf        *prefilter   // literal-factor gating plan; nil when inactive
-	tracker   *prefTracker // runtime sweep-effectiveness tracker; nil when ungated
+	tracker   *prefTracker // runtime gating-effectiveness tracker; nil when ungated
 	sched     *scanGate    // overload shedding for parallel scans; nil when unbounded
 	// prefEnabled (with the rule/factor config counts) drives the Prefilter
-	// stats section: it is on whenever literal gating is happening — via the
-	// factor sweep (rs.pf) or via AC-routed groups, whose strategy scan IS
-	// their factor sweep.
+	// stats section: it is on whenever the literal pass runs with the
+	// prefilter enabled — to gate (rs.pf), to run AC-routed groups, or both.
 	prefEnabled bool
 	prefRules   int
 	prefFactors int
@@ -409,7 +409,7 @@ func newRuleset(patterns []string, out *pipeline.Output, opts Options) *Ruleset 
 		nfasByID[a.ID] = a
 	}
 	rs.buildPlan(out.Shapes, nfasByID)
-	rs.buildPrefilter(out.Factors)
+	rs.buildPrefilter(out.Shapes, out.Factors)
 	return rs
 }
 
@@ -513,9 +513,11 @@ func LoadANML(r io.Reader, opts Options) (*Ruleset, error) {
 		shapes = shapesOf(rs.patterns)
 	}
 	rs.buildPlan(shapes, nil)
+	var factors []string
 	if opts.Prefilter != PrefilterOff {
-		rs.buildPrefilter(factorsOf(rs.patterns))
+		factors = factorsOf(rs.patterns)
 	}
+	rs.buildPrefilter(shapes, factors)
 	return rs, nil
 }
 
@@ -585,10 +587,14 @@ func (rs *Ruleset) CountPerRule(input []byte) []int64 {
 type Scanner struct {
 	rs       *Ruleset
 	runs     []groupRunner // per automaton, indexed like rs.programs; nil for AC groups
-	lit      *litRunner    // the AC groups' one literal pass; nil without AC groups
+	lit      *litRunner    // the one literal pass; nil when the ruleset has none
 	ruleHits []int64       // per-rule match counts, scanner lifetime
 	timeouts int64         // scans cut short by Options.ScanTimeout
 	faults   *faultpoint.Injector
+	cur      groupRun // the current group run
+	fold     scanFold // the current scan's accounting
+	active   []bool   // the current scan's activation mask; nil while ungated
+	pref     prefCounters
 
 	// Match wiring, built once: emit[i] reports automaton i's events to fn,
 	// the current scan's callback, and collect appends them to found, the
@@ -597,11 +603,6 @@ type Scanner struct {
 	emit    []func(fsa, end int)
 	collect func(Match)
 	found   []Match
-
-	// Prefilter scratch; nil/zero while the ruleset is ungated.
-	sweep  *ahocorasick.Sweeper
-	active []bool
-	pref   prefCounters
 }
 
 // NewScanner returns a matching context for the ruleset.
@@ -612,6 +613,7 @@ func (rs *Ruleset) NewScanner() *Scanner {
 		ruleHits: make([]int64, len(rs.patterns)),
 		faults:   rs.faults,
 	}
+	s.fold.ruleHits = s.ruleHits
 	s.emit = make([]func(fsa, end int), len(rs.programs))
 	for i, x := range rs.plan.exec {
 		if x.runner != nil {
@@ -627,8 +629,6 @@ func (rs *Ruleset) NewScanner() *Scanner {
 	}
 	s.collect = func(m Match) { s.found = append(s.found, m) }
 	if rs.pf != nil {
-		s.sweep = rs.pf.ac.NewSweeper()
-		s.sweep.SetAccel(rs.opts.accelOn())
 		s.active = make([]bool, len(rs.programs))
 	}
 	return s
@@ -695,7 +695,8 @@ func (s *Scanner) CountPerRule(input []byte) []int64 {
 // returns the match count; perRule, when non-nil, accumulates per-rule
 // counts. The context is polled at engine checkpoints
 // (DefaultCheckpointEvery bytes); on cancellation the partial count
-// gathered so far is returned with the context's error.
+// gathered so far is returned with the context's error. The scan's
+// accounting reaches the collector in one batch, a failed scan's included.
 func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule []int64) (total int64, err error) {
 	rs := s.rs
 	check := timeoutCheckpoint(checkpointOf(ctx), rs.opts.ScanTimeout)
@@ -708,28 +709,26 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 		rs.traceScan(telemetry.EventScanBegin, int64(len(input)))
 		defer func() { rs.traceScan(telemetry.EventScanEnd, total) }()
 	}
-	gate, err := rs.sweepMask(input, check, s.faults, s.sweep, s.active, &s.pref)
-	if err != nil {
-		return 0, s.noteErr(err)
-	}
 	emit := rs.traceEmit
 	if fn != nil {
 		s.fn, emit = fn, s.emit
 		defer func() { s.fn = nil }()
 	}
-	if s.lit != nil {
-		// The AC groups are never gated: their literal pass is their sweep.
-		st0 := rs.stageStart()
-		s.lit.begin(check, s.faults, emit)
-		s.lit.feed(input)
-		runs := s.lit.end()
-		rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
-		for j, i := range rs.plan.lit.groups {
-			total += s.fold(i, &runs[j], perRule)
-		}
-		if err := s.lit.err(); err != nil {
-			return total, s.noteErr(err)
-		}
+	s.fold.perRule = perRule
+	total, err = s.scan(input, check, emit)
+	rs.flush(&s.fold, &s.pref)
+	s.fold.perRule = nil
+	return total, s.noteErr(err)
+}
+
+// scan runs the literal pass, whose AC groups are never gated and whose
+// outcome gates the other groups, then every admitted automaton, gathering
+// the runs into s.fold.
+func (s *Scanner) scan(input []byte, check func() error, emit []func(fsa, end int)) (total int64, err error) {
+	rs := s.rs
+	gate, total, err := rs.blockPass(s.lit, input, check, s.faults, emit, s.active, &s.fold)
+	if err != nil {
+		return total, err
 	}
 	for i, r := range s.runs {
 		if r == nil {
@@ -740,7 +739,7 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 			// the previous automaton's final block (past its last in-chunk
 			// checkpoint) still cuts the scan off deterministically.
 			if err := check(); err != nil {
-				return total, s.noteErr(err)
+				return total, err
 			}
 		}
 		if gate != nil && !gate[i] {
@@ -752,28 +751,40 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 		// exits — a timed-out automaton's wall clock is exactly the sample
 		// an operator wants attributed.
 		st0 := rs.stageStart()
-		run, stepErr := blockScan(r, input, runCfg{onMatch: emit[i], check: check, faults: s.faults})
+		stepErr := blockScan(r, input, runCfg{onMatch: emit[i], check: check, faults: s.faults}, &s.cur)
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-		total += s.fold(i, &run, perRule)
+		rs.foldRun(&s.fold, i, &s.cur)
+		total += s.cur.matches
 		if stepErr != nil {
-			return total, s.noteErr(stepErr)
+			return total, stepErr
 		}
 	}
 	return total, nil
 }
 
-// fold folds one group run of automaton i into the ruleset's and the
-// scanner's accounting and into perRule, when non-nil, and returns the
-// run's match count.
-func (s *Scanner) fold(i int, run *groupRun, perRule []int64) int64 {
-	s.rs.fold(i, run, s.ruleHits, &s.pref)
-	if perRule != nil {
-		rules := s.rs.programs[i].Rules()
-		for fsa, n := range run.perFSA {
-			perRule[rules[fsa].RuleID] += n
-		}
+// blockPass runs the literal pass x over input as one block scan, when
+// passPlan says it runs, and folds it into f. It returns the AC groups'
+// match count and the activation mask of the other groups (active, filled;
+// nil when every group runs).
+func (rs *Ruleset) blockPass(x *litRunner, input []byte, check func() error, faults *faultpoint.Injector,
+	emit []func(fsa, end int), active []bool, f *scanFold) ([]bool, int64, error) {
+	run, gate := rs.passPlan(faults)
+	if !run {
+		return nil, 0, nil
 	}
-	return run.matches
+	stage := telemetry.StagePrefilter
+	if x.lp.delivers() {
+		stage = telemetry.StrategyStage(int(StrategyAC))
+	}
+	st0 := rs.stageStart()
+	x.begin(check, faults, emit)
+	x.feed(input)
+	rs.stageEnd(stage, st0)
+	n := x.end(f, rs.collector, rs.prefEnabled)
+	if err := x.err(); err != nil || !gate {
+		return nil, n, err
+	}
+	return rs.gate(x.pass.Firsts(), active, int64(len(input)), f), n, nil
 }
 
 // noteErr folds a failed scan into the degradation telemetry (ruleset-wide
@@ -837,22 +848,32 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 		rs.traceScan(telemetry.EventScanBegin, int64(len(input)))
 		defer func() { rs.traceScan(telemetry.EventScanEnd, total) }()
 	}
-	gate, err := rs.sweepMask(input, check, rs.faults, nil, nil, nil)
-	if err != nil {
-		return 0, rs.noteParallelErr(err)
+	var f scanFold
+	defer rs.flush(&f, nil)
+	// A gated scan runs the literal pass up front: its outcome admits the
+	// other groups. Ungated, the pass runs beside them, as one more pool
+	// task or the first step of a segmented scan.
+	var gate []bool
+	pass := rs.plan.lit != nil
+	if rs.pf != nil {
+		var n int64
+		gate, n, err = rs.upfrontPass(input, parts, check, emit, &f)
+		if err != nil {
+			return 0, rs.noteParallelErr(err)
+		}
+		total, pass = n, false
 	}
-	// The AC groups are never gated (their literal pass is their sweep);
-	// they run as one literal pass, outside ids.
 	var ids []int
 	for i := range rs.programs {
 		if !rs.plan.inLit(i) && (gate == nil || gate[i]) {
 			ids = append(ids, i)
 		}
 	}
+	var n int64
 	if parts > 1 {
-		err = rs.scanSegmented(input, parts, ids, check, emit, &total)
+		n, err = rs.scanSegmented(input, parts, ids, pass, check, emit, &f)
 	} else {
-		err = rs.scanPool(input, threads, ids, check, &total)
+		n, err = rs.scanPool(input, threads, ids, pass, check, &f)
 	}
 	if err != nil {
 		// err may join several workers' failures (panics, timeouts); each
@@ -860,73 +881,93 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 		// scan_error span's cause mask carries the union.
 		return 0, rs.noteParallelErr(err)
 	}
-	return total, nil
+	return total + n, nil
+}
+
+// upfrontPass runs the literal pass of a gated parallel scan before any
+// other group: segment-parallel when the scan is segmented and the pass has
+// AC literals to deliver, serially otherwise (a pass that only gates ends
+// once every factor has been seen). Returns the activation mask and the AC
+// groups' match count.
+func (rs *Ruleset) upfrontPass(input []byte, parts int, check func() error,
+	emit func(automaton, fsa, end int), f *scanFold) ([]bool, int64, error) {
+	if parts > 1 && rs.plan.lit.delivers() {
+		// A delivering pass always runs; passPlan still says whether it
+		// gates.
+		_, gate := rs.passPlan(rs.faults)
+		seen, n, err := rs.segmentedPass(input, parts, check, emit, f)
+		if err != nil || !gate {
+			return nil, n, err
+		}
+		return rs.gate(seen, nil, int64(len(input)), f), n, nil
+	}
+	return rs.blockPass(newLitRunner(rs.plan.lit, rs.opts.accelOn()), input, check, rs.faults,
+		rs.parallelEmit(emit), nil, f)
+}
+
+// parallelEmit adapts a parallel scan's event sink to per-automaton
+// callbacks that also record match trace events; the trace callbacks alone
+// when emit is nil.
+func (rs *Ruleset) parallelEmit(emit func(automaton, fsa, end int)) []func(fsa, end int) {
+	if emit == nil {
+		return rs.traceEmit
+	}
+	emits := make([]func(fsa, end int), len(rs.programs))
+	for g := range emits {
+		emits[g] = rs.traceMatches(g, func(fsa, end int) { emit(g, fsa, end) })
+	}
+	return emits
 }
 
 // scanPool hands every admitted group to the worker pool as one block scan
-// on a fresh runner, folding each outcome as it completes; the literal pass,
-// when the ruleset has AC groups, is one more task, under the first AC
-// group's id.
-func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, check func() error, total *int64) error {
+// on a fresh runner; the literal pass, when pass is set, is one more task,
+// under the first AC group's id. Every task gathers its run into f, a
+// contained panic's partial work included.
+func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, check func() error,
+	f *scanFold) (int64, error) {
 	var sum atomic.Int64
-	if lp := rs.plan.lit; lp != nil {
-		ids = append([]int{lp.groups[0]}, ids...)
+	var mu sync.Mutex
+	if pass {
+		ids = append([]int{rs.plan.lit.groups[0]}, ids...)
 	}
 	pt0 := rs.stageStart()
 	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
 		if rs.plan.inLit(i) {
-			return rs.poolLiterals(input, check, &sum)
+			x := newLitRunner(rs.plan.lit, rs.opts.accelOn())
+			defer func() {
+				mu.Lock()
+				defer mu.Unlock()
+				sum.Add(x.end(f, rs.collector, rs.prefEnabled))
+			}()
+			st0 := rs.stageStart()
+			x.begin(check, rs.faults, rs.traceEmit)
+			x.feed(input)
+			rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
+			return x.err()
 		}
 		r := rs.plan.exec[i].runner()
-		folded := false
+		var run groupRun
+		ended := false
 		defer func() {
-			if !folded {
+			if !ended {
 				// A contained worker panic: fold the work done up to it (the
 				// fresh runner's totals cover this task only), so the byte
 				// partitions of the stats stay exact.
-				run := r.totals()
-				rs.fold(i, &run, nil, nil)
+				r.totals(&run)
 			}
+			mu.Lock()
+			defer mu.Unlock()
+			rs.foldRun(f, i, &run)
+			sum.Add(run.matches)
 		}()
 		st0 := rs.stageStart()
-		run, err := blockScan(r, input, runCfg{onMatch: rs.traceEmit[i], check: check, faults: rs.faults})
+		err := blockScan(r, input, runCfg{onMatch: rs.traceEmit[i], check: check, faults: rs.faults}, &run)
 		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-		folded = true
-		rs.fold(i, &run, nil, nil)
-		sum.Add(run.matches)
+		ended = true
 		return err
 	})
 	rs.stageEnd(telemetry.StageParallel, pt0)
-	*total = sum.Load()
-	return err
-}
-
-// poolLiterals is scanPool's literal-pass task: one pass on a fresh
-// litRunner, folded per AC group, a contained panic included.
-func (rs *Ruleset) poolLiterals(input []byte, check func() error, sum *atomic.Int64) error {
-	lp := rs.plan.lit
-	x := newLitRunner(lp, rs.opts.accelOn())
-	folded := false
-	defer func() {
-		if !folded {
-			runs := make([]groupRun, len(rs.programs))
-			x.totals(runs)
-			for _, g := range lp.groups {
-				rs.fold(g, &runs[g], nil, nil)
-			}
-		}
-	}()
-	st0 := rs.stageStart()
-	x.begin(check, rs.faults, rs.traceEmit)
-	x.feed(input)
-	runs := x.end()
-	rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
-	folded = true
-	for j, g := range lp.groups {
-		rs.fold(g, &runs[j], nil, nil)
-		sum.Add(runs[j].matches)
-	}
-	return x.err()
+	return sum.Load(), err
 }
 
 // noteParallelErr is noteErr's ruleset-level sibling for the parallel scan

@@ -165,145 +165,116 @@ func (m *Matcher) Scan(input []byte, fn func(pattern, end int)) {
 // the prefilter query of the decomposition matcher. It short-circuits when
 // every pattern has been seen.
 func (m *Matcher) Hits(input []byte) []bool {
-	s := m.NewSweeper()
-	s.Sweep(input)
-	return s.hits
+	p := m.NewPass(nil)
+	p.Scan(input, nil)
+	return p.seen
 }
 
-// Sweeper is a resumable Hits query: the automaton state is carried across
-// Sweep calls, so a pattern split over two chunks of a stream still
-// registers — no byte tail is buffered, only the current trie node. The
-// zero chunking of a stream therefore never changes the hit set. Reuse via
-// Reset. A Sweeper is not safe for concurrent use.
-type Sweeper struct {
+// Pass is one resumable scan that does two jobs at once: it reports every
+// occurrence of the patterns marked for delivery, and it records the first
+// occurrence of every pattern. The automaton state is carried across Scan
+// calls, so a pattern split over two chunks of a stream still registers —
+// no byte tail is buffered, only the current trie node — and the chunking
+// of a stream never changes what a pass reports. A pass that delivers
+// nothing ends early: once every pattern has been seen, further chunks are
+// no-ops (Done). Reuse via Reset. A Pass is not safe for concurrent use.
+type Pass struct {
 	m       *Matcher
 	state   int32
-	hits    []bool
-	left    int // patterns not seen yet; 0 short-circuits Sweep
+	deliver []bool  // per pattern: report every occurrence
+	live    int     // patterns marked for delivery; 0 allows the early end
+	seen    []bool  // per pattern: occurred since the last Reset
+	firsts  []int32 // the seen patterns, in first-occurrence order
 	accel   bool
 	skipped int64
 }
 
-// NewSweeper returns a fresh resumable hit query over the matcher. Root-state
-// acceleration is on by default; SetAccel(false) disables it.
-func (m *Matcher) NewSweeper() *Sweeper {
-	return &Sweeper{m: m, hits: make([]bool, len(m.patterns)),
-		left: len(m.patterns), accel: true}
+// NewPass returns a fresh pass over the matcher. deliver marks, per
+// pattern, the ones whose every occurrence Scan reports; nil delivers none.
+// The pass keeps deliver without copying it. Root-state acceleration is on
+// by default; SetAccel(false) disables it.
+func (m *Matcher) NewPass(deliver []bool) *Pass {
+	n := len(m.patterns)
+	p := &Pass{m: m, deliver: deliver, seen: make([]bool, n), firsts: make([]int32, 0, n), accel: true}
+	if p.deliver == nil {
+		p.deliver = make([]bool, n)
+	}
+	for _, d := range p.deliver {
+		if d {
+			p.live++
+		}
+	}
+	return p
 }
 
-// SetAccel toggles the root-state byte skip for subsequent Sweeps. The hit
-// set is byte-identical either way; off exists for measurement and tests.
-func (s *Sweeper) SetAccel(on bool) { s.accel = on }
+// SetAccel toggles the root-state byte skip for subsequent chunks. What the
+// pass reports is byte-identical either way; off exists for measurement and
+// tests.
+func (p *Pass) SetAccel(on bool) { p.accel = on }
 
 // Skipped returns the cumulative number of bytes the root-state skip jumped
 // over (across Resets).
-func (s *Sweeper) Skipped() int64 { return s.skipped }
+func (p *Pass) Skipped() int64 { return p.skipped }
 
-// Sweep consumes the next chunk of the stream, updating the hit set.
-func (s *Sweeper) Sweep(chunk []byte) {
-	if s.left == 0 {
+// Scan consumes the next chunk: fn receives every occurrence of a
+// delivered pattern, at its chunk-relative last-byte offset, and every
+// pattern's first occurrence is recorded. fn may be nil when nothing is
+// delivered.
+func (p *Pass) Scan(chunk []byte, fn func(pattern, end int)) {
+	if p.Done() {
 		return
 	}
-	m := s.m
-	state := s.state
-	accel := s.accel && m.rootAccel
-	for pos := 0; pos < len(chunk) && s.left > 0; pos++ {
+	m := p.m
+	state := p.state
+	accel := p.accel && m.rootAccel
+	for pos := 0; pos < len(chunk); pos++ {
 		if accel && state == 0 {
 			// Parked at the root: every byte outside the root-live set is
 			// a self-loop with no outputs, so jump to the next live byte.
 			j := m.rootFinder.Index(chunk[pos:])
 			if j < 0 {
-				s.skipped += int64(len(chunk) - pos)
+				p.skipped += int64(len(chunk) - pos)
 				break
 			}
-			s.skipped += int64(j)
+			p.skipped += int64(j)
 			pos += j
 		}
 		state = m.next[int(state)<<8|int(chunk[pos])]
 		for _, pi := range m.outputs[state] {
-			if !s.hits[pi] {
-				s.hits[pi] = true
-				s.left--
+			if !p.seen[pi] {
+				p.seen[pi] = true
+				p.firsts = append(p.firsts, pi)
+				if p.live == 0 && len(p.firsts) == len(p.seen) {
+					p.state = state
+					return
+				}
+			}
+			if p.deliver[pi] {
+				fn(int(pi), pos)
 			}
 		}
 	}
-	s.state = state
+	p.state = state
 }
 
-// Hits returns the per-pattern hit set accumulated so far. The slice is a
-// copy; later Sweeps do not mutate it.
-func (s *Sweeper) Hits() []bool {
-	return append([]bool(nil), s.hits...)
-}
+// Seen reports whether pattern has occurred since the last Reset.
+func (p *Pass) Seen(pattern int) bool { return p.seen[pattern] }
 
-// Hit reports whether pattern has occurred in the swept stream so far.
-func (s *Sweeper) Hit(pattern int) bool { return s.hits[pattern] }
+// Firsts returns the distinct patterns seen since the last Reset, in the
+// order of their first occurrences. The slice is the pass's own and is
+// valid until the next Reset.
+func (p *Pass) Firsts() []int32 { return p.firsts }
 
-// Seen returns the number of distinct patterns that have occurred so far.
-func (s *Sweeper) Seen() int { return len(s.hits) - s.left }
+// Done reports whether further chunks are no-ops: nothing is delivered and
+// every pattern has been seen.
+func (p *Pass) Done() bool { return p.live == 0 && len(p.firsts) == len(p.seen) }
 
-// Done reports whether every pattern has been seen; further Sweeps are
-// no-ops.
-func (s *Sweeper) Done() bool { return s.left == 0 }
-
-// Reset clears the hit set and rewinds the automaton for a new stream.
-func (s *Sweeper) Reset() {
-	s.state = 0
-	s.left = len(s.hits)
-	for i := range s.hits {
-		s.hits[i] = false
+// Reset rewinds the automaton and forgets the seen patterns, for a new
+// stream. It costs the number of patterns seen, not the number of patterns.
+func (p *Pass) Reset() {
+	p.state = 0
+	for _, pi := range p.firsts {
+		p.seen[pi] = false
 	}
+	p.firsts = p.firsts[:0]
 }
-
-// StreamScanner is a resumable match-emitting Scan: the automaton state is
-// carried across chunks, so a pattern split over a chunk boundary still
-// reports (at its chunk-relative end offset in the chunk that completes it).
-// Unlike Sweeper it reports every occurrence, not just first-seen. Not safe
-// for concurrent use.
-type StreamScanner struct {
-	m       *Matcher
-	state   int32
-	accel   bool
-	skipped int64
-}
-
-// NewStreamScanner returns a fresh resumable occurrence scan over the
-// matcher. Root-state acceleration is on by default.
-func (m *Matcher) NewStreamScanner() *StreamScanner {
-	return &StreamScanner{m: m, accel: true}
-}
-
-// SetAccel toggles the root-state byte skip for subsequent chunks.
-func (s *StreamScanner) SetAccel(on bool) { s.accel = on }
-
-// Skipped returns the cumulative number of bytes the root-state skip jumped
-// over (across Resets).
-func (s *StreamScanner) Skipped() int64 { return s.skipped }
-
-// Scan consumes the next chunk, reporting pattern occurrences at their
-// chunk-relative last-byte offsets.
-func (s *StreamScanner) Scan(chunk []byte, fn func(pattern, end int)) {
-	m := s.m
-	state := s.state
-	accel := s.accel && m.rootAccel
-	for pos := 0; pos < len(chunk); pos++ {
-		if accel && state == 0 {
-			j := m.rootFinder.Index(chunk[pos:])
-			if j < 0 {
-				s.skipped += int64(len(chunk) - pos)
-				s.state = 0
-				return
-			}
-			s.skipped += int64(j)
-			pos += j
-		}
-		state = m.next[int(state)<<8|int(chunk[pos])]
-		for _, pi := range m.outputs[state] {
-			fn(int(pi), pos)
-		}
-	}
-	s.state = state
-}
-
-// Reset rewinds the automaton for a new stream.
-func (s *StreamScanner) Reset() { s.state = 0 }

@@ -123,7 +123,7 @@ func (m *Matcher) ScanWith(input []byte, cfg engine.Config, onMatch func(rule, e
 	cfg.KeepOnMatch = m.keep
 	var hits []bool
 	if m.ac != nil {
-		sw := m.ac.NewSweeper()
+		sw := m.ac.NewPass(nil)
 		every := cfg.CheckpointEvery
 		if every <= 0 {
 			every = engine.DefaultCheckpointEvery
@@ -138,9 +138,12 @@ func (m *Matcher) ScanWith(input []byte, cfg engine.Config, onMatch func(rule, e
 			if end > len(input) {
 				end = len(input)
 			}
-			sw.Sweep(input[off:end])
+			sw.Scan(input[off:end], nil)
 		}
-		hits = sw.Hits()
+		hits = make([]bool, m.ac.NumPatterns())
+		for _, pi := range sw.Firsts() {
+			hits[pi] = true
+		}
 	}
 	run := func(rule int) error {
 		rcfg := cfg

@@ -476,6 +476,10 @@ func ScanAC(m *ahocorasick.Matcher, input []byte, bounds []int, accel bool,
 		every = engine.DefaultCheckpointEvery
 	}
 	overlap := m.MaxPatternLen() - 1
+	all := make([]bool, m.NumPatterns())
+	for i := range all {
+		all[i] = true
+	}
 
 	type acOut struct {
 		events  []Event // FSA field holds the pattern id
@@ -495,7 +499,7 @@ func ScanAC(m *ahocorasick.Matcher, input []byte, bounds []int, accel bool,
 		if wstart < 0 {
 			wstart = 0
 		}
-		s := m.NewStreamScanner()
+		s := m.NewPass(all)
 		s.SetAccel(accel)
 		for off := wstart; off < hi; off += every {
 			if check != nil {

@@ -13,8 +13,8 @@ const (
 	// StageScan brackets one whole block scan (Scanner.run): prefilter
 	// sweep, every per-automaton dispatch, and match delivery.
 	StageScan Stage = iota
-	// StagePrefilter brackets the literal-factor Aho–Corasick sweep that
-	// gates a scan or stream chunk.
+	// StagePrefilter brackets the literal pass of a scan when it only
+	// gates (a pass that also runs AC-routed groups is StageStrategyAC).
 	StagePrefilter
 	// StageStrategyIMFAnt through StageStrategyDFA bracket one automaton's
 	// dispatch under the named execution strategy. The five constants are

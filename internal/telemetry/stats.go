@@ -135,16 +135,19 @@ type SegmentStats struct {
 // snapshot. GroupsSkipped versus Scans is the skip rate; BytesSaved is the
 // input volume the skipped automaton executions never had to touch.
 type PrefilterStats struct {
-	// FilterableRules is the number of rules carrying a literal factor.
+	// FilterableRules is the number of rules carrying a literal factor or
+	// running as an AC literal.
 	FilterableRules int `json:"filterable_rules"`
-	// Factors is the number of distinct factor strings swept for.
+	// Factors is the number of distinct strings of the one literal pass:
+	// gating factors and AC literals, a string that is both counted once.
 	Factors int `json:"factors"`
-	// Sweeps counts Aho–Corasick literal passes run: the factor sweep of
-	// a gated scan or stream, plus the one fused pass of the AC-routed
-	// groups per scan or stream.
+	// Sweeps counts literal passes run: one Aho–Corasick pass per block
+	// scan or stream, which both runs the AC-routed groups and decides the
+	// factor gates.
 	Sweeps int64 `json:"sweeps"`
-	// FactorHits counts distinct factors found per sweep, summed over
-	// sweeps (the prefilter_factor_hits counter).
+	// FactorHits counts the distinct patterns — factors and AC literals —
+	// each pass saw, summed over passes (the prefilter_factor_hits
+	// counter).
 	FactorHits int64 `json:"prefilter_factor_hits"`
 	// GroupsSkipped counts whole MFSA executions elided by the prefilter.
 	GroupsSkipped int64 `json:"groups_skipped"`
@@ -167,8 +170,9 @@ type StrategyStats struct {
 	// Groups lists, per execution strategy in use, how many automaton
 	// groups run it and how many input bytes it has matched against.
 	Groups []StrategyGroupStats `json:"groups,omitempty"`
-	// SweepsDisabled counts factor sweeps elided entirely because the
-	// effectiveness tracker had disabled gating for every gated group.
+	// SweepsDisabled counts literal passes elided entirely because the
+	// effectiveness tracker had disabled gating for every gated group and
+	// the pass had no AC literals to deliver.
 	SweepsDisabled int64 `json:"sweeps_disabled"`
 	// SweepProbes counts sweeps re-run as explicit probes while disabled,
 	// checking whether gating has become worthwhile again.
@@ -274,10 +278,12 @@ func Summarize(s hist.Snapshot) HistStats {
 // least one observation. The stages, in pipeline order:
 //
 //   - "scan": one whole block scan or parallel count, end to end.
-//   - "prefilter": one literal-factor Aho–Corasick sweep.
+//   - "prefilter": one literal pass that only gates (no AC literals).
 //   - "strategy_imfant", "strategy_lazydfa", "strategy_ac",
 //     "strategy_anchored", "strategy_dfa": one automaton's dispatch under
-//     that execution strategy — where a scan's time went, by strategy.
+//     that execution strategy — where a scan's time went, by strategy;
+//     "strategy_ac" times the one literal pass when it delivers AC
+//     literals, its gating included.
 //   - "parallel": the worker-pool fan-out of a CountParallel
 //     call (wall clock over all admitted automata together).
 //   - "stream_write": one StreamMatcher.Write chunk.

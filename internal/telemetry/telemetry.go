@@ -73,6 +73,7 @@ type Collector struct {
 	pinnedScans  atomic.Int64
 
 	profileFn atomic.Value // func() *ProfileStats
+	gaugeFn   func()       // refreshes the gauges at Snapshot; nil when none
 }
 
 // NewCollector returns a Collector tracking numRules per-rule hit
@@ -131,13 +132,13 @@ func (c *Collector) EnableStrategy(planned bool, names []string, groups []int) {
 // EnableSegment turns on the segment-parallel section of the snapshot.
 func (c *Collector) EnableSegment() { c.segEnabled = true }
 
-// AddSegmentScan folds one segment-parallel group execution: the number of
-// segments it ran, whether its frontier budget fell back, and its
-// parallel/stitch byte split. parallelBytes + stitchBytes must equal the
-// bytes the same execution folded via AddBytes, so the segment partition of
-// BytesScanned stays exact.
-func (c *Collector) AddSegmentScan(segments, fallbacks, parallelBytes, stitchBytes int64) {
-	c.segScans.Add(1)
+// AddSegmentScans folds scans segment-parallel group executions: the
+// number of segments they ran, how many fell back past the frontier budget,
+// and their parallel/stitch byte split. parallelBytes + stitchBytes must
+// equal the bytes the same executions folded via AddBytes, so the segment
+// partition of BytesScanned stays exact.
+func (c *Collector) AddSegmentScans(scans, segments, fallbacks, parallelBytes, stitchBytes int64) {
+	c.segScans.Add(scans)
 	c.segSegments.Add(segments)
 	c.segFallbacks.Add(fallbacks)
 	c.segParallel.Add(parallelBytes)
@@ -270,10 +271,20 @@ func (c *Collector) SetProfileFunc(fn func() *ProfileStats) {
 	c.profileFn.Store(fn)
 }
 
+// SetGaugeFunc installs fn, which Snapshot calls first so that the gauges
+// it sets (SetCachedStates, SetCacheBytes, SetAccelStates) are current: a
+// producer whose gauges live in shared structures — the lazy-DFA tables —
+// reads them once per snapshot instead of storing them on every scan. Must
+// be called before the collector is shared (build time).
+func (c *Collector) SetGaugeFunc(fn func()) { c.gaugeFn = fn }
+
 // Snapshot returns a point-in-time copy of every counter. Counters are
 // read individually, so a snapshot taken during concurrent scans is
 // internally consistent per counter but not across counters.
 func (c *Collector) Snapshot() Stats {
+	if c.gaugeFn != nil {
+		c.gaugeFn()
+	}
 	s := Stats{
 		Scans:        c.scans.Load(),
 		BytesScanned: c.bytes.Load(),

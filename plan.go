@@ -25,10 +25,10 @@ const (
 	// StrategyLazyDFA runs the group on the lazy-DFA engine.
 	StrategyLazyDFA
 	// StrategyAC runs an all-literal group without any automaton: the
-	// literals of every AC-routed group of the Ruleset form one
-	// Aho–Corasick matcher, run once per scan, whose hits are attributed
-	// back to their owning groups and rules. That one literal pass doubles
-	// as those groups' factor sweep.
+	// literals of every AC-routed group of the Ruleset, together with the
+	// prefilter's factors, form one Aho–Corasick matcher, run once per
+	// scan, whose hits are attributed back to their owning groups and
+	// rules. The same pass decides the factor gates of the other groups.
 	StrategyAC
 	// StrategyAnchored runs a group of anchored-literal rules (`^lit$`,
 	// `^lit`, `lit$`, `^prefix<set>*suffix$`) as O(1)-ish per-scan checks:
@@ -71,72 +71,40 @@ const (
 )
 
 // litPass is the one literal automaton of a Ruleset: an Aho–Corasick
-// matcher over the deduplicated literals of every AC-routed group, with an
-// owner table from each literal back to the (group, FSA) members that carry
-// it. One pass of it per scan executes every AC group at once.
+// matcher over the deduplicated union of the AC-routed groups' literals and
+// the factor prefilter's factors. Each pattern carries an owner list — the
+// (group, FSA) members whose literal it is — and a wake list — the gated
+// automata whose factor it is. One pass of it per scan executes every AC
+// group and decides every factor gate.
 type litPass struct {
 	m       *ahocorasick.Matcher
-	owners  [][]int32   // per literal (matcher pattern id): member indices
+	deliver []bool      // per pattern: owners is non-empty
+	owners  [][]int32   // per pattern: member indices
+	wakes   [][]int32   // per pattern: the gated automata it wakes
 	members []litMember // every AC group's FSAs, automaton order, then FSA order
 	groups  []int       // the AC-routed automata, ascending
 	first   []int       // per groups entry: its first member; a closing len(members)
 }
 
-// litMember is one rule of an AC-routed group: its automaton and its FSA
-// index within that automaton's program.
-type litMember struct{ group, fsa int32 }
+// litMember is one rule of an AC-routed group: its automaton, its FSA
+// index within that automaton's program, and its rule id.
+type litMember struct{ group, fsa, rule int32 }
 
-// newLitPass builds the fused literal automaton over groups, whose members'
-// literals come from shapes. strategy.Classify yields no empty literal, so
-// the matcher build cannot fail.
-func newLitPass(rs *Ruleset, groups []int, shapes []strategy.Shape) *litPass {
-	lp := &litPass{groups: groups}
-	index := make(map[string]int32)
-	var pats [][]byte
-	for _, g := range groups {
-		lp.first = append(lp.first, len(lp.members))
-		for fsa, ri := range rs.programs[g].Rules() {
-			lit := shapes[ri.RuleID].Literal
-			id, ok := index[string(lit)]
-			if !ok {
-				id = int32(len(pats))
-				index[string(lit)] = id
-				pats = append(pats, lit)
-				lp.owners = append(lp.owners, nil)
-			}
-			lp.owners[id] = append(lp.owners[id], int32(len(lp.members)))
-			lp.members = append(lp.members, litMember{group: int32(g), fsa: int32(fsa)})
-		}
-	}
-	lp.first = append(lp.first, len(lp.members))
-	m, err := ahocorasick.New(pats)
-	if err != nil {
-		panic(err)
-	}
-	lp.m = m
-	return lp
-}
-
-// split fills runs (one per AC group, in groups order) with each group's
-// share of one pass over bytes input bytes: one scan, the group's per-FSA
-// counts (aliasing counts, indexed by member) and their sum.
-func (lp *litPass) split(counts []int64, bytes int64, runs []groupRun) {
-	for j := range lp.groups {
-		per := counts[lp.first[j]:lp.first[j+1]]
-		var matches int64
-		for _, n := range per {
-			matches += n
-		}
-		runs[j] = groupRun{scans: 1, bytes: bytes, matches: matches, perFSA: per}
-	}
-}
+// delivers reports whether the pass has literals to deliver, i.e. whether
+// the Ruleset has AC-routed groups. A pass without them is the factor
+// sweep alone, which ends once every factor has been seen.
+func (lp *litPass) delivers() bool { return len(lp.members) > 0 }
 
 // deliver attributes one occurrence of literal pat, ending at end, to every
-// member that carries it: counts (indexed by member) is bumped and the
+// member that carries it: counts (indexed by member) is bumped, a member
+// counted for the first time in the run is appended to touched, and the
 // owning group's callback in emit (indexed by automaton; a nil slice or nil
 // entries count only) receives the member's FSA.
-func (lp *litPass) deliver(pat, end int, counts []int64, emit []func(fsa, end int)) {
+func (lp *litPass) deliverHit(pat, end int, counts []int64, touched *[]int32, emit []func(fsa, end int)) {
 	for _, k := range lp.owners[pat] {
+		if counts[k] == 0 {
+			*touched = append(*touched, k)
+		}
 		counts[k]++
 		if emit == nil {
 			continue
@@ -168,7 +136,7 @@ type anchGroup struct {
 // executors built over them (see exec.go).
 type scanPlan struct {
 	strat   []Strategy
-	lit     *litPass     // every StrategyAC group's literals; nil when none
+	lit     *litPass     // AC literals and gating factors; nil when neither exists
 	anch    []*anchGroup // non-nil iff strat[i] == StrategyAnchored
 	dfas    []*dfa.DFA   // non-nil iff strat[i] == StrategyDFA
 	exec    []groupExec  // zero for StrategyAC groups, which run in lit
@@ -177,26 +145,15 @@ type scanPlan struct {
 }
 
 // gatable reports whether group i participates in factor-prefilter gating.
-// AC groups would be double-scanned (their strategy scan is itself a
-// literal sweep) and anchored groups are O(1) already, so only DFA and
-// default-engine groups are worth gating.
+// AC groups run in the literal pass that decides the gates, and anchored
+// groups are O(1) already, so only DFA and default-engine groups are worth
+// gating.
 func (pl *scanPlan) gatable(i int) bool {
 	return pl.strat[i] != StrategyAC && pl.strat[i] != StrategyAnchored
 }
 
 // inLit reports whether group i runs in the fused literal pass.
 func (pl *scanPlan) inLit(i int) bool { return pl.strat[i] == StrategyAC }
-
-// literalCounts returns the number of rules in AC-routed groups and of
-// distinct literals among them, for the prefilter config section (the
-// literal pass reports into the prefilter counters as a sweep over that
-// many literals).
-func (pl *scanPlan) literalCounts() (rules, distinct int) {
-	if pl.lit == nil {
-		return 0, 0
-	}
-	return len(pl.lit.members), pl.lit.m.NumPatterns()
-}
 
 // StrategyOf returns the execution strategy of automaton group i.
 func (rs *Ruleset) StrategyOf(i int) Strategy { return rs.plan.strat[i] }
@@ -221,7 +178,8 @@ func (rs *Ruleset) defaultStrategy() Strategy {
 // per-rule classification (indexed by original rule id; nil disables the
 // fast shapes); nfas maps rule id to its optimized per-rule NFA (nil — e.g.
 // rulesets loaded from ANML — disables the eager-DFA strategy). Called
-// after buildEngines, before buildPrefilter (which consults the plan).
+// after buildEngines, before buildPrefilter, which builds the literal pass
+// of the AC groups planned here.
 func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 	n := len(rs.programs)
 	pl := &scanPlan{
@@ -232,21 +190,15 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 		planned: rs.opts.Engine == EngineAuto,
 	}
 	def := rs.defaultStrategy()
-	var lits []int
 	for i := range rs.programs {
 		pl.strat[i] = def
 		if pl.planned {
 			rs.classifyGroup(pl, i, shapes, nfas)
 		}
 		pl.counts[pl.strat[i]]++
-		if pl.inLit(i) {
-			lits = append(lits, i)
-		} else {
+		if !pl.inLit(i) {
 			pl.exec[i] = rs.newExec(pl, i)
 		}
-	}
-	if len(lits) > 0 {
-		pl.lit = newLitPass(rs, lits, shapes)
 	}
 	rs.plan = pl
 
@@ -259,6 +211,7 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 		}
 		rs.collector.EnableLazy(pl.counts[StrategyLazyDFA], len(rs.programs),
 			lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates), classes)
+		rs.collector.SetGaugeFunc(rs.lazyGauges)
 	}
 
 	names := make([]string, numStrategies)
@@ -291,8 +244,8 @@ func (rs *Ruleset) classifyGroup(pl *scanPlan, i int, shapes []strategy.Shape, n
 			}
 		}
 		if allLit && len(rules) > 0 {
-			// The literals join the Ruleset's one literal pass, built
-			// once every group is classified.
+			// The literals join the Ruleset's one literal pass, built by
+			// buildPrefilter once every group is classified.
 			pl.strat[i] = StrategyAC
 			return
 		}
@@ -400,8 +353,10 @@ func shapesOf(patterns []string) []strategy.Shape {
 // sweeps has its gate disabled (the sweep is pure overhead for it). A
 // disabled group re-enables for free on any sweep — run for the other
 // groups — in which it would not have woken. Once every gated group is
-// disabled the sweep itself is elided, with one explicit probe sweep every
-// trackerProbeEvery elisions so a traffic shift can re-arm gating.
+// disabled a pass with no literals to deliver is elided, with one explicit
+// probe pass every trackerProbeEvery elisions so a traffic shift can re-arm
+// gating; a pass that delivers AC literals runs anyway, and its gating
+// outcome is observed like any other.
 const (
 	trackerWindow     = 16
 	trackerProbeEvery = 32
@@ -409,8 +364,7 @@ const (
 
 // prefTracker is the runtime prefilter-effectiveness tracker, shared by
 // every Scanner and CountParallel call of a ruleset (streams gate exactly
-// and retire their sweep after the first chunk, so they neither consult nor
-// feed the tracker). All state is atomic; windows are approximate under
+// on their first Write, so they neither consult nor feed the tracker). All state is atomic; windows are approximate under
 // concurrency, which only shifts when a decision lands, never its
 // soundness — a disabled gate means more groups run, and a sweep that does
 // run is always exact.

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/ahocorasick"
+	"repro/internal/engine"
 	"repro/internal/faultpoint"
 )
 
@@ -108,7 +111,7 @@ func TestACGroupSingleSweepAccounting(t *testing.T) {
 		t.Fatalf("ruleset-scope FactorHits = %+v, want 2", rst)
 	}
 
-	// Mixed ruleset: the AC group stays out of the factor sweep, which gates
+	// Mixed ruleset: the AC group is not gated; the one literal pass gates
 	// only the loop-carrying group.
 	mixed := MustCompile([]string{"alpha", "beta7", "needleman[0-9]*x"},
 		Options{MergeFactor: 2, Prefilter: PrefilterOn})
@@ -125,10 +128,10 @@ func TestACGroupSingleSweepAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := sc2.Stats()
-	// Two sweeps — the factor sweep plus the literal pass — and still 2
-	// distinct hits total: the AC literals counted once, "needleman" absent.
-	if st2.Prefilter.Sweeps != 2 || st2.Prefilter.FactorHits != 2 {
-		t.Fatalf("mixed: Sweeps = %d, FactorHits = %d, want 2 and 2",
+	// One literal pass, which both runs the AC group and gates the other,
+	// and 2 distinct hits: the AC literals, "needleman" absent.
+	if st2.Prefilter.Sweeps != 1 || st2.Prefilter.FactorHits != 2 {
+		t.Fatalf("mixed: Sweeps = %d, FactorHits = %d, want 1 and 2",
 			st2.Prefilter.Sweeps, st2.Prefilter.FactorHits)
 	}
 	if st2.Prefilter.GroupsSkipped != 1 {
@@ -361,5 +364,164 @@ func TestLiteralPassAttribution(t *testing.T) {
 	}
 	if got, _ := streamAll(t, rs, input, randomChunks(rand.New(rand.NewSource(1)))); !slices.Equal(got, want) {
 		t.Fatalf("StreamMatcher = %v, want %v", got, want)
+	}
+}
+
+// countMatchers collects the addresses of the Aho–Corasick matchers
+// reachable from v.
+func countMatchers(v reflect.Value, seen map[uintptr]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		if v.Type() == reflect.TypeFor[*ahocorasick.Matcher]() {
+			seen[v.Pointer()] = true
+			return
+		}
+		countMatchers(v.Elem(), seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			countMatchers(v.Field(i), seen)
+		}
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Struct || k == reflect.Slice {
+			for i := range v.Len() {
+				countMatchers(v.Index(i), seen)
+			}
+		}
+	}
+}
+
+// TestOneLiteralPass pins the one literal pass per scan: the AC groups'
+// literals and the gating factors share one Aho–Corasick matcher whose
+// patterns carry owner lists (AC members) and wake lists (gated groups).
+// The ruleset has an AC literal that is also a gated group's factor
+// ("needle"), a factor that is a suffix of an AC literal ("stack" of
+// "haystack") and an AC literal that is a suffix of a factor ("cone" of
+// "pinecone"). Every entry point gates and attributes exactly like a
+// forced-iMFAnt, PrefilterOff reference, and every block scan runs one
+// pass.
+func TestOneLiteralPass(t *testing.T) {
+	patterns := []string{"needle", "haystack", "cone", `needle[0-9]+x`, `stack[0-9]+y`, `pinecone[a-z]+z`}
+	rs := MustCompile(patterns, Options{MergeFactor: 1})
+	want := []Strategy{StrategyAC, StrategyAC, StrategyAC, StrategyDFA, StrategyDFA, StrategyDFA}
+	if got := rs.Strategies(); !slices.Equal(got, want) {
+		t.Fatalf("strategies %v, want %v", got, want)
+	}
+	if !rs.PrefilterActive() {
+		t.Fatal("the DFA groups are not gated")
+	}
+	seen := make(map[uintptr]bool)
+	countMatchers(reflect.ValueOf(rs.plan), seen)
+	countMatchers(reflect.ValueOf(rs.pf), seen)
+	lp := rs.plan.lit
+	if len(seen) != 1 || lp == nil || !seen[reflect.ValueOf(lp.m).Pointer()] {
+		t.Fatalf("%d Aho–Corasick matchers in the plan, want the literal pass's one", len(seen))
+	}
+	// Each string is one pattern, delivered iff it has owners, waking the
+	// groups whose factor it is: the pattern a scan of the string reports at
+	// its last byte that a scan of its tail does not.
+	endingAt := func(s string) map[int]bool {
+		ids := make(map[int]bool)
+		lp.m.Scan([]byte(s), func(p, end int) { ids[p] = ids[p] || end == len(s)-1 })
+		return ids
+	}
+	for s, want := range map[string][2]int{ // owners, wakes
+		"needle": {1, 1}, "haystack": {1, 0}, "cone": {1, 0}, "stack": {0, 1}, "pinecone": {0, 1},
+	} {
+		k := -1
+		tail := endingAt(s[1:])
+		for p, last := range endingAt(s) {
+			if last && !tail[p] {
+				k = p
+			}
+		}
+		if k < 0 || len(lp.owners[k]) != want[0] || len(lp.wakes[k]) != want[1] || lp.deliver[k] != (want[0] > 0) {
+			t.Fatalf("%q: pattern %d, want %d owners and %d wakes, delivered iff owned", s, k, want[0], want[1])
+		}
+		if slices.Contains(rs.PrefilterFactors(), s) != (want[1] > 0) {
+			t.Fatalf("%q: PrefilterFactors %q", s, rs.PrefilterFactors())
+		}
+	}
+	if lp.m.NumPatterns() != 5 {
+		t.Fatalf("%d patterns in the pass, want 5", lp.m.NumPatterns())
+	}
+
+	ref := MustCompile(patterns, Options{Engine: EngineIMFAnt, Prefilter: PrefilterOff,
+		Accel: AccelOff, Segment: SegmentOff})
+	// The waking inputs come last: a gate that wakes on every scan of a
+	// tracker window is disabled (see prefTracker).
+	inputs := []struct {
+		in      string
+		skipped int64 // gated groups the pass leaves asleep
+	}{
+		{"cone cone cone", 3},
+		{"", 3},
+		{"needle42x haystack7y pineconeabz needle", 0},
+		{"a cone, a haystack and a needle", 1}, // wakes needle's and stack's groups
+	}
+	blockScans := int64(0)
+	for _, c := range inputs {
+		in := []byte(c.in)
+		wantM := ref.FindAll(in)
+		perRule := ref.CountPerRule(in)
+		before := rs.Stats().Prefilter.GroupsSkipped
+		sc := rs.NewScanner()
+		if got, err := sc.FindAllContext(t.Context(), in); err != nil || !slices.Equal(got, wantM) {
+			t.Fatalf("%q: Scanner.FindAllContext = %v (err %v), want %v", c.in, got, err, wantM)
+		}
+		if got := sc.Stats().RuleHits; !slices.Equal(got, perRule) {
+			t.Fatalf("%q: Scanner rule hits %v, want %v", c.in, got, perRule)
+		}
+		if got := rs.Stats().Prefilter.GroupsSkipped - before; got != c.skipped {
+			t.Fatalf("%q: the pass skipped %d gated groups, want %d", c.in, got, c.skipped)
+		}
+		if got := rs.Count(in); got != int64(len(wantM)) {
+			t.Fatalf("%q: Count = %d, want %d", c.in, got, len(wantM))
+		}
+		if got := rs.CountPerRule(in); !slices.Equal(got, perRule) {
+			t.Fatalf("%q: CountPerRule = %v, want %v", c.in, got, perRule)
+		}
+		for _, threads := range []int{1, 2, 4} {
+			if n, err := rs.CountParallel(in, threads); err != nil || n != int64(len(wantM)) {
+				t.Fatalf("%q: CountParallel(%d) = %d (err %v), want %d", c.in, threads, n, err, len(wantM))
+			}
+		}
+		blockScans += 6
+		if len(in) >= 8 {
+			for _, parts := range []int{2, 3, 8} {
+				if got, err := rs.findAllSegmented(t.Context(), in, parts); err != nil || !slices.Equal(got, wantM) {
+					t.Fatalf("%q: findAllSegmented(%d) = %v (err %v), want %v", c.in, parts, got, err, wantM)
+				}
+			}
+			blockScans += 3
+		}
+		if pf := rs.Stats().Prefilter; pf.Sweeps != blockScans {
+			t.Fatalf("%q: Sweeps = %d after %d block scans, want one pass each", c.in, pf.Sweeps, blockScans)
+		}
+		if got, _ := streamAll(t, ref, in, fixedChunks(max(len(in), 1))); !slices.Equal(got, wantM) {
+			t.Fatalf("%q: reference stream %v, want %v", c.in, got, wantM)
+		}
+		for _, chunk := range []int{max(len(in), 1), 3} {
+			if got, _ := streamAll(t, rs, in, fixedChunks(chunk)); !slices.Equal(got, wantM) {
+				t.Fatalf("%q: StreamMatcher in %d-byte writes = %v, want %v", c.in, chunk, got, wantM)
+			}
+		}
+		blockScans += 2 // each stream is one pass too
+	}
+
+	// Without AC literals the pass only gates, and ends once every factor
+	// has been seen.
+	gates := MustCompile(patterns[3:], Options{MergeFactor: 1})
+	if gates.plan.lit.delivers() {
+		t.Fatal("a ruleset without AC groups delivers literals")
+	}
+	x := newLitRunner(gates.plan.lit, true)
+	x.begin(nil, nil, nil)
+	long := append([]byte("needle stack pinecone "), bytes.Repeat([]byte("-"), 3*engine.DefaultCheckpointEvery)...)
+	x.feed(long)
+	if x.bytes >= int64(len(long)) || !x.pass.Done() {
+		t.Fatalf("the gating-only pass scanned %d of %d bytes after seeing every factor", x.bytes, len(long))
 	}
 }

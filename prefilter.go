@@ -1,36 +1,22 @@
 package imfant
 
 import (
+	"slices"
+
 	"repro/internal/ahocorasick"
-	"repro/internal/engine"
 	"repro/internal/factor"
 	"repro/internal/faultpoint"
 	"repro/internal/rex"
+	"repro/internal/strategy"
 	"repro/internal/telemetry"
 )
-
-// wakeAll is the PrefilterWake fault: the sweeper desyncs and every gated
-// automaton is spuriously woken (reported active without a sweep). Waking is
-// always sound — the prefilter only ever elides provably dead work — so the
-// fault adversarially exercises the ungated paths without changing results.
-// Returns nil (no injector, or the point did not fire) or the all-active
-// mask.
-func wakeAll(in *faultpoint.Injector, n int) []bool {
-	if !in.Hit(faultpoint.PrefilterWake) {
-		return nil
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	return active
-}
 
 // PrefilterMode selects the literal-factor prefilter stage (Hyperscan-style
 // decomposition, §II of the paper's related work): at compile time every
 // rule is analysed for a required literal factor — a string that occurs in
-// every match of the rule — and at scan time one Aho–Corasick sweep over
-// the input decides which MFSA groups can be skipped outright. A group runs
+// every match of the rule — and at scan time the Ruleset's one literal
+// Aho–Corasick pass over the input, the same pass that runs the AC-routed
+// groups, decides which MFSA groups can be skipped outright. A group runs
 // only if it contains a rule without a factor or one of its members'
 // factors occurred in the input; otherwise no member rule can match and the
 // whole automaton execution is elided. The prefilter never changes results,
@@ -49,99 +35,134 @@ const (
 	// more groups fully skippable. Match results are unchanged; automaton
 	// boundaries may differ from PrefilterOff compilation.
 	PrefilterOn
-	// PrefilterOff disables factor extraction and sweeping entirely.
+	// PrefilterOff disables factor extraction and gating entirely; the
+	// literal pass then carries the AC-routed groups' literals only.
 	PrefilterOff
 )
 
-// prefilter is the compiled gating plan of a ruleset: the Aho–Corasick
-// automaton over the deduplicated factor strings plus, per MFSA group, the
-// factor set that can wake it.
+// prefilter is the compiled gating plan of a ruleset. The factors
+// themselves are patterns of the literal pass (rs.plan.lit), whose wake
+// lists map each factor to the gated automata it wakes.
 type prefilter struct {
-	ac           *ahocorasick.Matcher
-	factors      []string  // deduplicated factor strings, AC pattern order
-	filterable   int       // number of rules carrying a factor
-	groupFactors [][]int32 // per automaton: AC pattern ids of member factors
-	groupAlways  []bool    // automaton has a factor-less member: always runs
+	factors     []string // the gating factors, literal-pass pattern order
+	filterable  int      // number of rules of gatable groups carrying a factor
+	groupAlways []bool   // per automaton: not gated, always runs
+	gated       []int    // the gated automata, ascending
 }
 
-// buildPrefilter compiles the gating plan from per-rule factors (indexed by
-// rule id, "" meaning unfilterable). Called after buildPlan — only groups
-// the plan left gatable participate: AC-routed groups must not ALSO be swept
-// (their strategy scan is itself a literal sweep; gating them would scan the
-// same literals twice), and anchored groups are O(1) already. A nil factors
-// slice, PrefilterOff, or a plan with no gatable factor-covered group leaves
-// rs.pf nil and scans ungated.
-func (rs *Ruleset) buildPrefilter(factors []string) {
+// buildPrefilter builds the Ruleset's one literal pass (see litPass) and
+// its gating plan, from the AC-routed groups' literals (read from shapes)
+// and per-rule factors (indexed by rule id, "" meaning unfilterable).
+// Called after buildPlan: only groups the plan left gatable are gated — AC
+// groups run in the pass itself, and anchored groups are O(1) already. A
+// gatable group whose every member carries a factor is gated, and each of
+// its distinct factors gets a wake-list entry naming it. factors is nil
+// under PrefilterOff. When no group is gated rs.pf stays nil and scans are
+// ungated; with neither AC groups nor gated groups no pass is built.
+func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string) {
+	lp := &litPass{}
+	index := make(map[string]int32)
+	var pats [][]byte
+	patternOf := func(s []byte) int32 {
+		k, ok := index[string(s)]
+		if !ok {
+			k = int32(len(pats))
+			index[string(s)] = k
+			pats = append(pats, s)
+			lp.owners = append(lp.owners, nil)
+			lp.wakes = append(lp.wakes, nil)
+		}
+		return k
+	}
+	for g, p := range rs.programs {
+		if !rs.plan.inLit(g) {
+			continue
+		}
+		lp.groups = append(lp.groups, g)
+		lp.first = append(lp.first, len(lp.members))
+		for fsa, ri := range p.Rules() {
+			k := patternOf(shapes[ri.RuleID].Literal)
+			lp.owners[k] = append(lp.owners[k], int32(len(lp.members)))
+			lp.members = append(lp.members, litMember{group: int32(g), fsa: int32(fsa), rule: int32(ri.RuleID)})
+		}
+	}
+	lp.first = append(lp.first, len(lp.members))
+	pf := rs.gatingPlan(factors)
+	if pf != nil {
+		for _, g := range pf.gated {
+			var seen []int32
+			for _, ri := range rs.programs[g].Rules() {
+				k := patternOf([]byte(factors[ri.RuleID]))
+				if !slices.Contains(seen, k) {
+					seen = append(seen, k)
+					lp.wakes[k] = append(lp.wakes[k], int32(g))
+				}
+			}
+		}
+		for k, w := range lp.wakes {
+			if len(w) > 0 {
+				pf.factors = append(pf.factors, string(pats[k]))
+			}
+		}
+	}
+	if len(pats) == 0 {
+		return
+	}
+	// strategy.Classify yields no empty literal and factors are at least
+	// factor.MinLen bytes, so the matcher build cannot fail.
+	m, err := ahocorasick.New(pats)
+	if err != nil {
+		panic(err)
+	}
+	lp.m = m
+	lp.deliver = make([]bool, len(pats))
+	for k, o := range lp.owners {
+		lp.deliver[k] = len(o) > 0
+	}
+	rs.plan.lit = lp
 	if rs.opts.Prefilter == PrefilterOff {
 		return
 	}
-	defer func() {
-		// The Prefilter stats section is live whenever literal gating
-		// happens anywhere: the factor sweep, AC-routed groups (whose scans
-		// report as sweeps), or both.
-		acRules, acLits := rs.plan.literalCounts()
-		if rs.pf != nil || acRules > 0 {
-			rs.prefEnabled = true
-			rs.prefRules += acRules
-			rs.prefFactors += acLits
-			rs.collector.EnablePrefilter(rs.prefRules, rs.prefFactors)
-		}
-	}()
-	if factors == nil {
-		return
+	// The Prefilter stats section is live whenever the literal pass runs:
+	// it gates, runs AC-routed groups, or both.
+	rs.prefEnabled = true
+	rs.prefRules = len(lp.members)
+	if pf != nil {
+		rs.pf = pf
+		rs.prefRules += pf.filterable
+		rs.tracker = newPrefTracker(pf.groupAlways)
 	}
-	pf := &prefilter{}
-	index := make(map[string]int32)
-	pf.groupFactors = make([][]int32, len(rs.programs))
-	pf.groupAlways = make([]bool, len(rs.programs))
-	anyGated := false
+	rs.prefFactors = m.NumPatterns()
+	rs.collector.EnablePrefilter(rs.prefRules, rs.prefFactors)
+}
+
+// gatingPlan picks the gated groups for per-rule factors; nil when no
+// gatable group is fully filterable.
+func (rs *Ruleset) gatingPlan(factors []string) *prefilter {
+	if factors == nil {
+		return nil
+	}
+	pf := &prefilter{groupAlways: make([]bool, len(rs.programs))}
 	for i, p := range rs.programs {
 		if !rs.plan.gatable(i) {
 			pf.groupAlways[i] = true
 			continue
 		}
-		seen := make(map[int32]bool)
 		for _, ri := range p.Rules() {
-			f := ""
-			if ri.RuleID >= 0 && ri.RuleID < len(factors) {
-				f = factors[ri.RuleID]
-			}
-			if f == "" {
+			if ri.RuleID >= 0 && ri.RuleID < len(factors) && factors[ri.RuleID] != "" {
+				pf.filterable++
+			} else {
 				pf.groupAlways[i] = true
-				continue
-			}
-			pi, ok := index[f]
-			if !ok {
-				pi = int32(len(pf.factors))
-				index[f] = pi
-				pf.factors = append(pf.factors, f)
-			}
-			pf.filterable++
-			if !seen[pi] {
-				seen[pi] = true
-				pf.groupFactors[i] = append(pf.groupFactors[i], pi)
 			}
 		}
 		if !pf.groupAlways[i] {
-			anyGated = true
+			pf.gated = append(pf.gated, i)
 		}
 	}
-	if !anyGated || len(pf.factors) == 0 {
-		return
+	if len(pf.gated) == 0 {
+		return nil
 	}
-	pats := make([][]byte, len(pf.factors))
-	for i, f := range pf.factors {
-		pats[i] = []byte(f)
-	}
-	ac, err := ahocorasick.New(pats)
-	if err != nil {
-		return
-	}
-	pf.ac = ac
-	rs.pf = pf
-	rs.prefRules = pf.filterable
-	rs.prefFactors = len(pf.factors)
-	rs.tracker = newPrefTracker(pf.groupAlways)
+	return pf
 }
 
 // factorsOf re-derives per-rule factors from pattern sources, for rulesets
@@ -170,25 +191,13 @@ func factorsOf(patterns []string) []string {
 	return out
 }
 
-// active reports whether automaton i must run given the sweep's hit set.
-func (pf *prefilter) active(i int, sw *ahocorasick.Sweeper) bool {
-	if pf.groupAlways[i] {
-		return true
-	}
-	for _, pid := range pf.groupFactors[i] {
-		if sw.Hit(int(pid)) {
-			return true
-		}
-	}
-	return false
-}
-
 // PrefilterActive reports whether the literal-factor prefilter gates this
 // ruleset's scans (see PrefilterMode for when it engages).
 func (rs *Ruleset) PrefilterActive() bool { return rs.pf != nil }
 
-// PrefilterFactors returns the deduplicated literal factors the prefilter
-// sweeps for; nil when the prefilter is not active.
+// PrefilterFactors returns the deduplicated literal factors that gate
+// groups, each a pattern of the literal pass; nil when the prefilter is not
+// active.
 func (rs *Ruleset) PrefilterFactors() []string {
 	if rs.pf == nil {
 		return nil
@@ -202,8 +211,8 @@ type prefCounters struct {
 	sweeps, hits, skipped, saved int64
 }
 
-// stats converts the counters to the public shape; nil when no literal
-// gating (factor sweep or AC-routed groups) is live on the ruleset.
+// stats converts the counters to the public shape; nil when the ruleset
+// runs no literal pass or the prefilter is off.
 func (p *prefCounters) stats(rs *Ruleset) *PrefilterStats {
 	if !rs.prefEnabled {
 		return nil
@@ -218,83 +227,70 @@ func (p *prefCounters) stats(rs *Ruleset) *PrefilterStats {
 	}
 }
 
-// sweepMask sweeps input through the factor automaton and returns the
-// per-automaton activation mask, or nil when every automaton must run
-// (prefilter inactive, or the effectiveness tracker elided the sweep). The
-// sweep polls check between blocks so hostile inputs cannot wedge a
-// cancellable scan inside the prefilter. sw and active, when non-nil, are
-// the caller's reusable sweeper and mask; pref, when non-nil, receives the
-// owner's local counts. Collector counters and prefilter_skip trace events
-// are recorded here.
-func (rs *Ruleset) sweepMask(input []byte, check func() error, faults *faultpoint.Injector,
-	sw *ahocorasick.Sweeper, active []bool, pref *prefCounters) ([]bool, error) {
-	pf := rs.pf
-	if pf == nil {
-		return nil, nil
+// passPlan decides how the next block scan runs the literal pass: whether
+// it runs at all, and whether its outcome gates the other groups. The
+// PrefilterWake fault — the pass desyncs and every gated automaton is
+// spuriously woken, which is always sound since the prefilter only ever
+// elides provably dead work — and an effectiveness tracker that has
+// disabled every gate make the scan ungated; the pass then still runs when
+// it has literals to deliver, and is elided otherwise.
+func (rs *Ruleset) passPlan(faults *faultpoint.Injector) (run, gate bool) {
+	lp := rs.plan.lit
+	switch {
+	case lp == nil:
+		return false, false
+	case rs.pf == nil || faults.Hit(faultpoint.PrefilterWake):
+		return lp.delivers(), false
+	case !lp.delivers():
+		run, probe := rs.tracker.decide()
+		if !run {
+			// Every gated group's gate is disabled — the pass could skip
+			// nothing, so it is pure overhead: elide it and run everything.
+			rs.collector.AddSweepsElided(1)
+			return false, false
+		}
+		if probe {
+			rs.collector.AddSweepProbes(1)
+		}
 	}
-	if woke := wakeAll(faults, len(rs.programs)); woke != nil {
-		return woke, nil
-	}
-	run, probe := rs.tracker.decide()
-	if !run {
-		// Every gated group's gate is disabled — the sweep could skip
-		// nothing, so it is pure overhead: elide it and run everything.
-		rs.collector.AddSweepsElided(1)
-		return nil, nil
-	}
-	if probe {
-		rs.collector.AddSweepProbes(1)
-	}
-	if sw == nil {
-		sw = pf.ac.NewSweeper()
-		sw.SetAccel(rs.opts.accelOn())
-	} else {
-		sw.Reset()
-	}
+	return true, true
+}
+
+// gate turns the patterns one pass saw over an n-byte input into the
+// activation mask active (indexed by automaton; allocated when nil): a
+// gated group runs when a pattern whose wake list names it was seen, or
+// when the tracker has disabled its gate. It feeds the tracker, records
+// prefilter_skip trace events and adds the skipped groups and bytes to f.
+func (rs *Ruleset) gate(seen []int32, active []bool, n int64, f *scanFold) []bool {
+	pf, lp := rs.pf, rs.plan.lit
 	if active == nil {
 		active = make([]bool, len(rs.programs))
 	}
-	st0 := rs.stageStart()
-	const block = engine.DefaultCheckpointEvery
-	for off := 0; off < len(input) && !sw.Done(); off += block {
-		if check != nil {
-			if err := check(); err != nil {
-				rs.stageEnd(telemetry.StagePrefilter, st0)
-				return nil, err
-			}
+	copy(active, pf.groupAlways)
+	for _, k := range seen {
+		for _, g := range lp.wakes[k] {
+			active[g] = true
 		}
-		sw.Sweep(input[off:min(off+block, len(input))])
 	}
-	rs.stageEnd(telemetry.StagePrefilter, st0)
 	var skipped int64
-	for i := range active {
-		woke := pf.active(i, sw)
-		act := woke
-		if !pf.groupAlways[i] {
-			// A gate the tracker disabled runs its group regardless of the
-			// sweep outcome; the observation below may re-enable it.
-			if rs.tracker.isDisabled(i) {
-				act = true
-			}
-			rs.tracker.observe(i, woke)
+	for _, i := range pf.gated {
+		woke := active[i]
+		// A gate the tracker disabled runs its group regardless of the
+		// pass outcome; the observation below may re-enable it.
+		if !woke && rs.tracker.isDisabled(i) {
+			active[i] = true
 		}
-		active[i] = act
-		if !act {
+		rs.tracker.observe(i, woke)
+		if !active[i] {
 			skipped++
 			if rs.trace != nil {
 				rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
-					Automaton: int32(i), Rule: -1, Offset: -1, Value: int64(len(input))})
+					Automaton: int32(i), Rule: -1, Offset: -1, Value: n})
 			}
 		}
 	}
 	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
-	hits, saved := int64(sw.Seen()), skipped*int64(len(input))
-	rs.collector.AddPrefilterScan(1, hits, skipped, saved)
-	if pref != nil {
-		pref.sweeps++
-		pref.hits += hits
-		pref.skipped += skipped
-		pref.saved += saved
-	}
-	return active, nil
+	f.pref.skipped += skipped
+	f.pref.saved += skipped * n
+	return active
 }

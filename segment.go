@@ -65,37 +65,22 @@ func (rs *Ruleset) segmentParts(n, threads int) int {
 	return p
 }
 
-// scanSegmented runs the literal pass of the AC groups, when the ruleset
-// has any, then the admitted groups in turn, each over parts segments with
-// exact boundary stitching (package segment) when its executor offers a
-// segment-parallel scan and the group is not pinned serial; anchored and
-// eager-DFA groups run serially — their scans are O(1) or a single
-// cache-resident sweep, and segmenting them buys nothing.
-func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, check func() error,
-	emit func(automaton, fsa, end int), total *int64) error {
-	bounds := segment.Boundaries(len(input), parts)
-	if lp := rs.plan.lit; lp != nil {
-		emits := make([]func(fsa, end int), len(rs.programs))
-		for _, g := range lp.groups {
-			var groupEmit func(fsa, end int)
-			if emit != nil {
-				groupEmit = func(fsa, end int) { emit(g, fsa, end) }
-			}
-			emits[g] = rs.traceMatches(g, groupEmit)
-		}
-		st0 := rs.stageStart()
-		runs, err := rs.scanLiterals(input, bounds, check, emits)
-		rs.stageEnd(telemetry.StageSegment, st0)
-		for j, g := range lp.groups {
-			rs.fold(g, &runs[j], nil, nil)
-		}
-		if err != nil {
-			return err
-		}
-		for j := range runs {
-			*total += runs[j].matches
+// scanSegmented runs the literal pass, when pass is set, then the admitted
+// groups in turn, each over parts segments with exact boundary stitching
+// (package segment) when its executor offers a segment-parallel scan and
+// the group is not pinned serial; anchored and eager-DFA groups run
+// serially — their scans are O(1) or a single cache-resident sweep, and
+// segmenting them buys nothing. Every run is gathered into f. Returns the
+// match count.
+func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, pass bool, check func() error,
+	emit func(automaton, fsa, end int), f *scanFold) (total int64, err error) {
+	if pass {
+		if _, total, err = rs.segmentedPass(input, parts, check, emit, f); err != nil {
+			return total, err
 		}
 	}
+	bounds := segment.Boundaries(len(input), parts)
+	var run groupRun
 	for _, i := range ids {
 		var groupEmit func(fsa, end int)
 		if emit != nil {
@@ -105,24 +90,32 @@ func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, check func(
 		groupEmit = rs.traceMatches(i, groupEmit)
 		x := rs.plan.exec[i]
 		st0 := rs.stageStart()
-		var run groupRun
-		var err error
 		if x.segment != nil && !rs.segSerial[i].Load() {
-			run, err = x.segment(input, bounds, check, groupEmit)
+			err = x.segment(input, bounds, check, groupEmit, &run)
 			rs.stageEnd(telemetry.StageSegment, st0)
 		} else {
 			// Bytes of serial runs carry no segment fold, so they land in
 			// the derived SerialBytes bucket of the Segment partition.
-			run, err = blockScan(x.runner(), input, runCfg{onMatch: groupEmit, check: check, faults: rs.faults})
+			err = blockScan(x.runner(), input, runCfg{onMatch: groupEmit, check: check, faults: rs.faults}, &run)
 			rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
 		}
-		rs.fold(i, &run, nil, nil)
+		rs.foldRun(f, i, &run)
 		if err != nil {
-			return err
+			return total, err
 		}
-		*total += run.matches
+		total += run.matches
 	}
-	return nil
+	return total, nil
+}
+
+// segmentedPass runs the literal pass over parts segments (see
+// scanLiterals). Returns the patterns seen and the AC groups' match count.
+func (rs *Ruleset) segmentedPass(input []byte, parts int, check func() error,
+	emit func(automaton, fsa, end int), f *scanFold) ([]int32, int64, error) {
+	st0 := rs.stageStart()
+	seen, n, err := rs.scanLiterals(input, segment.Boundaries(len(input), parts), check, rs.parallelEmit(emit), f)
+	rs.stageEnd(telemetry.StageSegment, st0)
+	return seen, n, err
 }
 
 // findAllSegmented is FindAll's segment-parallel path: collect every event

@@ -76,13 +76,28 @@ func (sm *StreamMatcher) Stats() Stats {
 	return sm.rs.localStats(totals, sm.gated, sm.ruleHits, sm.timeouts, &sm.pref)
 }
 
+// lazyGauges refreshes the collector's lazy-DFA gauges from the lazy
+// groups' shared transition tables; the collector calls it at Snapshot.
+func (rs *Ruleset) lazyGauges() {
+	c := rs.collector
+	for i, st := range rs.plan.strat {
+		if st != StrategyLazyDFA {
+			continue
+		}
+		t := rs.lazy[i].Stats()
+		c.SetCachedStates(i, int64(t.States))
+		c.SetCacheBytes(i, t.Bytes)
+		c.SetAccelStates(i, int64(t.AccelStates))
+	}
+}
+
 // runTotals reads every runner's totals, the AC groups' from the literal
-// pass lit (nil when there are none).
+// pass lit (nil when there is none).
 func runTotals(runs []groupRunner, lit *litRunner) []groupRun {
 	out := make([]groupRun, len(runs))
 	for i, r := range runs {
 		if r != nil {
-			out[i] = r.totals()
+			r.totals(&out[i])
 		}
 	}
 	if lit != nil {

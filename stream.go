@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ahocorasick"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/telemetry"
@@ -40,17 +39,18 @@ import (
 //
 // On rulesets whose literal-factor prefilter is active (Options.Prefilter)
 // the stream stays exact while still skipping work: fully filterable
-// automata start gated. The first Write is swept for factors before any
-// byte is fed, so a gated automaton whose factor occurs activates with zero
-// bytes consumed — exactly as if it had never been gated. An automaton
-// still gated when a second Write arrives cannot be activated lazily any
-// more (a match could start before its factor's first occurrence), so it
-// wakes by replaying the buffered first chunk and the prefilter retires for
-// the rest of the stream; matches from that replay are reported during the
-// later Write. An automaton still gated at Close is skipped outright, which
-// is sound: its rules each require a factor that never occurred anywhere in
-// the stream. The streamed match set is byte-identical to the unfiltered
-// one in every case; the savings concentrate on single-Write streams.
+// automata start gated. The Ruleset's one literal pass runs over the first
+// Write before any gated automaton is fed; a gated automaton whose factor
+// occurs in it then runs the first Write from its first byte, exactly as if
+// it had never been gated. An automaton still gated when a second Write
+// arrives cannot be activated lazily any more (a match could start before
+// its factor's first occurrence), so it wakes by replaying the buffered
+// first chunk and the prefilter retires for the rest of the stream; matches
+// from that replay are reported during the later Write. An automaton still
+// gated at Close is skipped outright, which is sound: its rules each require
+// a factor that never occurred anywhere in the stream. The streamed match
+// set is byte-identical to the unfiltered one in every case; the savings
+// concentrate on single-Write streams.
 //
 // Write, Close, Err, and Matches serialize on an internal mutex, pinning
 // the Close-during-concurrent-Write contract: a Write racing Close either
@@ -64,7 +64,7 @@ type StreamMatcher struct {
 	mu       sync.Mutex // serializes Write/Close/Err/Matches
 	rs       *Ruleset
 	runs     []groupRunner // per automaton, indexed like rs.programs; nil for AC groups
-	lit      *litRunner    // the AC groups' one literal pass; nil without AC groups
+	lit      *litRunner    // the one literal pass; nil when the ruleset has none
 	final    []groupRun    // the runners' totals frozen at Close, before their release
 	check    func() error  // context poll; nil when not cancellable
 	onMatch  func(Match)
@@ -80,7 +80,6 @@ type StreamMatcher struct {
 	onClose  func() // registry drain hook; runs once, after a Close completes
 
 	// Prefilter state; inert when the ruleset is ungated.
-	sweep      *ahocorasick.Sweeper
 	gated      []bool // per automaton: skipped until its factor occurs
 	gatedCount int
 	pending    []byte // first chunk, buffered while any automaton is gated
@@ -138,16 +137,10 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 	}
 	if pf := rs.pf; pf != nil {
 		sm.gated = make([]bool, len(rs.programs))
-		for i := range sm.gated {
-			if !pf.groupAlways[i] {
-				sm.gated[i] = true
-				sm.gatedCount++
-			}
+		for _, i := range pf.gated {
+			sm.gated[i] = true
 		}
-		if sm.gatedCount > 0 {
-			sm.sweep = pf.ac.NewSweeper()
-			sm.sweep.SetAccel(rs.opts.accelOn())
-		}
+		sm.gatedCount = len(pf.gated)
 	}
 	return sm
 }
@@ -159,9 +152,10 @@ func (sm *StreamMatcher) isGated(i int) bool {
 }
 
 // feed hands one chunk to the literal pass and every active automaton;
-// gated ones stay idle.
+// gated ones stay idle. A pass that only gates has done its job once the
+// first Write is in.
 func (sm *StreamMatcher) feed(chunk []byte, final bool) {
-	if sm.lit != nil {
+	if sm.lit != nil && (!sm.wrote || sm.lit.lp.delivers()) {
 		sm.lit.feed(chunk)
 	}
 	for i, r := range sm.runs {
@@ -171,50 +165,23 @@ func (sm *StreamMatcher) feed(chunk []byte, final bool) {
 	}
 }
 
-// prefilterAdmit advances the gating state for an incoming chunk, before
-// any of it is fed. A no-op once nothing is gated.
-func (sm *StreamMatcher) prefilterAdmit(p []byte) error {
+// admit advances the gating state for an incoming Write, before any of it
+// is fed. A no-op once nothing is gated.
+func (sm *StreamMatcher) admit() error {
 	if sm.gatedCount == 0 {
 		return nil
 	}
 	if sm.faults.Hit(faultpoint.PrefilterWake) && !sm.wrote {
-		// Injected sweeper desync: wake everything before the first byte is
+		// Injected pass desync: wake everything before the first byte is
 		// fed. Waking before any byte is consumed is exactly the ungated
 		// start path, so it is always sound.
-		for i := range sm.gated {
-			if sm.gated[i] {
-				sm.gated[i] = false
-				sm.gatedCount--
-			}
-		}
+		clear(sm.gated)
+		sm.gatedCount = 0
 		return nil
 	}
-	pf := sm.rs.pf
 	if !sm.wrote {
-		// First chunk: sweep before feeding, so a factor-triggered
-		// automaton activates with zero bytes consumed and runs the stream
-		// from its first byte like an ungated one.
-		for off := 0; off < len(p) && !sm.sweep.Done(); off += engine.DefaultCheckpointEvery {
-			if err := sm.poll(); err != nil {
-				return err
-			}
-			end := off + engine.DefaultCheckpointEvery
-			if end > len(p) {
-				end = len(p)
-			}
-			sm.sweep.Sweep(p[off:end])
-		}
-		sm.pref.sweeps = 1
-		sm.pref.hits = int64(sm.sweep.Seen())
-		for i := range sm.gated {
-			if sm.gated[i] && pf.active(i, sm.sweep) {
-				sm.gated[i] = false
-				sm.gatedCount--
-			}
-		}
-		if sm.gatedCount > 0 {
-			sm.pending = append([]byte(nil), p...)
-		}
+		// The first Write: the literal pass decides the gates as it goes
+		// (openGates).
 		return nil
 	}
 	// A later chunk arrived with automata still gated. Activating one
@@ -242,6 +209,26 @@ func (sm *StreamMatcher) prefilterAdmit(p []byte) error {
 	}
 	sm.pending = nil
 	return nil
+}
+
+// openGates ends the first Write of a gated stream, of which the literal
+// pass and every ungated automaton have consumed the bytes in first: each
+// gated automaton whose factor the pass saw wakes and runs first from its
+// first byte, and first is kept for the replay of those still gated.
+func (sm *StreamMatcher) openGates(first []byte) {
+	lp := sm.lit.lp
+	for _, k := range sm.lit.pass.Firsts() {
+		for _, g := range lp.wakes[k] {
+			if sm.gated[g] {
+				sm.gated[g] = false
+				sm.gatedCount--
+				sm.runs[g].feed(first, false)
+			}
+		}
+	}
+	if sm.gatedCount > 0 {
+		sm.pending = append([]byte(nil), first...)
+	}
 }
 
 // flushHeld feeds each runner's held-back byte as ordinary data, so that
@@ -326,33 +313,41 @@ func (sm *StreamMatcher) Write(p []byte) (int, error) {
 			sm.rs.lat.Record(telemetry.StageStreamWrite, time.Since(t0).Nanoseconds())
 		}(time.Now())
 	}
-	if err := sm.prefilterAdmit(p); err != nil {
+	if err := sm.admit(); err != nil {
 		return 0, err
 	}
+	gating := sm.gatedCount > 0 && !sm.wrote
 	// The chunk is fed in checkpoint-sized blocks so a cancelled context
 	// stops consuming input promptly and the consumed-byte count stays
 	// exact. The runners themselves hold back the most recent byte until
 	// the stream end is known; it still counts as consumed because a
 	// cancellation flushes it (see poll).
 	n := 0
-	for len(p) > 0 {
-		blk := p
+	var err error
+	for rest := p; len(rest) > 0; {
+		blk := rest
 		if sm.splitChunks() && len(blk) > engine.DefaultCheckpointEvery {
 			blk = blk[:engine.DefaultCheckpointEvery]
 		}
 		sm.feed(blk, false)
-		p = p[len(blk):]
+		rest = rest[len(blk):]
 		n += len(blk)
 		sm.consumed += int64(len(blk))
-		if len(p) > 0 {
-			if err := sm.poll(); err != nil {
-				sm.wrote = true
-				return n, err
+		if len(rest) > 0 {
+			if err = sm.poll(); err != nil {
+				break
 			}
 		}
 	}
+	if gating {
+		sm.openGates(p[:n])
+		if err != nil {
+			// The woken automata caught up after poll flushed the others.
+			sm.flushHeld()
+		}
+	}
 	sm.wrote = true
-	return n, nil
+	return n, err
 }
 
 // Close marks the stream end, flushing the runners' held bytes as final.
@@ -376,9 +371,10 @@ func (sm *StreamMatcher) Close() error {
 	sm.rs.stageEnd(telemetry.StageStreamFlush, ft0)
 	// Automata still gated here are skipped for good: each of their rules
 	// requires a factor that never occurred in the stream.
+	var f scanFold
 	if sm.gatedCount > 0 {
-		sm.pref.skipped = int64(sm.gatedCount)
-		sm.pref.saved = int64(sm.gatedCount) * sm.consumed
+		f.pref.skipped = int64(sm.gatedCount)
+		f.pref.saved = int64(sm.gatedCount) * sm.consumed
 		if sm.rs.trace != nil {
 			for i := range sm.gated {
 				if sm.gated[i] {
@@ -388,23 +384,17 @@ func (sm *StreamMatcher) Close() error {
 			}
 		}
 	}
-	// The admission sweep folds before the runs: AC runs add their own
-	// sweeps to sm.pref, which must not reach the collector twice.
-	if sm.sweep != nil {
-		sm.rs.collector.AddPrefilterScan(sm.pref.sweeps, sm.pref.hits, sm.pref.skipped, sm.pref.saved)
-	}
 	if sm.lit != nil {
-		runs := sm.lit.end()
-		for j, i := range sm.rs.plan.lit.groups {
-			sm.rs.fold(i, &runs[j], nil, &sm.pref)
-		}
+		sm.lit.end(&f, sm.rs.collector, sm.rs.prefEnabled)
 	}
+	var run groupRun
 	for i, r := range sm.runs {
 		if r != nil && !sm.isGated(i) {
-			run := r.end()
-			sm.rs.fold(i, &run, nil, &sm.pref)
+			r.end(&run)
+			sm.rs.foldRun(&f, i, &run)
 		}
 	}
+	sm.rs.flush(&f, &sm.pref)
 	// Freeze this stream's totals: the lazy-DFA gauges read tables other
 	// streams keep filling, and the runners are dropped.
 	sm.final = runTotals(sm.runs, sm.lit)
