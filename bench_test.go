@@ -295,6 +295,80 @@ func BenchmarkScannerPacketsThroughput(b *testing.B) {
 	b.ReportMetric(float64(n)/1e6/b.Elapsed().Seconds(), "MB/s")
 }
 
+// BenchmarkStreamFlowsThroughput drives the many-open-flows shape end to
+// end: 64 StreamMatchers open at once over the BRO, TCP and PEN rules at
+// MergeFactor 10 with KeepOnMatch, fed 256-byte Writes in turn; each flow
+// closes after 64 Writes and a fresh one opens in its place, so gating and
+// table warm-up recur. Flow bodies are seeded bytes, one in three binary,
+// with a sample of a random rule planted in every KiB. One op is one
+// Write; MB/s is the written bytes over the elapsed time.
+func BenchmarkStreamFlowsThroughput(b *testing.B) {
+	var pats []string
+	for _, abbr := range []string{"BRO", "TCP", "PEN"} {
+		s, err := dataset.ByAbbr(abbr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pats = append(pats, s.Patterns()...)
+	}
+	rs, err := Compile(pats, Options{MergeFactor: 10, KeepOnMatch: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const flows, writes, chunk = 64, 64, 256
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 4*flows)
+	for i := range bodies {
+		p := make([]byte, writes*chunk)
+		for j := range p {
+			if i%3 == 0 {
+				p[j] = byte(rng.Intn(256))
+			} else {
+				p[j] = byte(0x20 + rng.Intn(0x5f))
+			}
+		}
+		for off := 0; off < len(p); off += 1 << 10 {
+			ast, err := rex.Parse(pats[rng.Intn(len(pats))])
+			if err != nil {
+				b.Fatal(err)
+			}
+			copy(p[off+rng.Intn(1<<10):], dataset.SampleString(rng, ast))
+		}
+		bodies[i] = p
+	}
+	sms := make([]*StreamMatcher, flows)
+	body := make([][]byte, flows)
+	opened := 0
+	open := func(k int) {
+		sms[k], body[k] = rs.NewStreamMatcher(nil), bodies[opened%len(bodies)]
+		opened++
+	}
+	write := func(i int) {
+		k := i % flows
+		if _, err := sms[k].Write(body[k][:chunk]); err != nil {
+			b.Fatal(err)
+		}
+		if body[k] = body[k][chunk:]; len(body[k]) == 0 {
+			if err := sms[k].Close(); err != nil {
+				b.Fatal(err)
+			}
+			open(k)
+		}
+	}
+	for k := range sms {
+		open(k)
+	}
+	for i := range flows * writes { // warm the lazy-DFA tables
+		write(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(i)
+	}
+	b.ReportMetric(float64(b.N)*chunk/1e6/b.Elapsed().Seconds(), "MB/s")
+}
+
 // BenchmarkINFAntBaseline isolates the baseline: the same ruleset executed
 // as separate per-RE automata on one thread (the M=1 configuration the
 // paper compares against).

@@ -470,6 +470,20 @@ func TestConformanceMatrix(t *testing.T) {
 	if !fused {
 		t.Fatal("no auto cell gates a group on a factor that is also an AC literal")
 	}
+	// Some auto cell must run lazy-DFA groups fused into one execution
+	// unit, or the units' owner map goes unexercised.
+	multi := false
+	for i, cfg := range conformanceConfigs() {
+		if cfg.opts.Engine != EngineAuto || multi {
+			continue
+		}
+		for _, x := range MustCompile(rulesets[i%len(rulesets)].patterns, cfg.opts).plan.units {
+			multi = multi || len(x.groups) >= 2
+		}
+	}
+	if !multi {
+		t.Fatal("no auto cell runs an execution unit of two or more groups")
+	}
 	// Runs once every parallel cell has finished.
 	t.Cleanup(func() { checkGoroutines(t, goroutines) })
 	for i, cfg := range conformanceConfigs() {
@@ -721,11 +735,13 @@ func streamAll(t testing.TB, rs *Ruleset, in []byte, chunk func(left int) int) (
 // stdlib regexp: '.', a literal letter, digit or unspecial punctuation, an
 // escaped punctuation byte, a \xNN escape, a \d \D \w \W \s \S shorthand, a
 // bracket of letters, digits, \xNN escapes, their ranges, shorthands and
-// POSIX classes, or an operator.
+// POSIX classes, or an operator. Counted bounds are not zero-led: this
+// parser reads `{01}` as `{1}` (POSIX intervals are decimal), stdlib as
+// literal text.
 var confToken = regexp.MustCompile(`^(?:[.0-9A-Za-z _/<>=:;,!@#%&~'"-]|\\[!-/:-@[-` + "`" + `{-~]|\\x[0-9a-fA-F]{2}|\\[dDwWsS]|` +
 	`\[\^?(?:(?:[0-9A-Za-z]|\\x[0-9a-fA-F]{2})(?:-(?:[0-9A-Za-z]|\\x[0-9a-fA-F]{2}))?|\\[dDwWsS]|` +
 	`\[:(?:alpha|digit|alnum|upper|lower|space|blank|punct|print|graph|cntrl|xdigit|word):\])+\]|` +
-	`[()|*+?]|\{[0-9]{1,2}(?:,[0-9]{0,2})?\})`)
+	`[()|*+?]|\{(?:0|[1-9][0-9]?)(?:,(?:0|[1-9][0-9]?)?)?\})`)
 
 // inConfSubset reports whether a fuzzed pattern lies in the subset whose
 // syntax this repo's parser and stdlib regexp read alike (after

@@ -12,14 +12,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// groupExec is one automaton group's execution unit, built by buildPlan
-// beside the group's compiled artifact. Every entry point — Scanner block
-// scans, CountParallel, segmented scans and StreamMatchers — runs groups
-// only through it, and gathers every outcome into a scanFold.
+// groupExec is one execution unit's executor, built by buildPlan beside
+// the unit's compiled artifact. Every entry point — Scanner block scans,
+// CountParallel, segmented scans and StreamMatchers — runs groups only
+// through their units' executors, and gathers every outcome into a
+// scanFold.
 type groupExec struct {
 	// runner returns a fresh runner: one per Scanner, StreamMatcher,
 	// CountParallel task, serial run of a segmented scan and one-shot
-	// Ruleset scan. A lazy-DFA group's runners are cursors on the group's
+	// Ruleset scan. A lazy-DFA unit's runners are cursors on the unit's
 	// one transition table (its lazydfa.Matcher, which belongs to this
 	// compiled Ruleset alone), so every runner starts warm on what the
 	// others cached.
@@ -38,9 +39,9 @@ type runCfg struct {
 	faults  *faultpoint.Injector
 }
 
-// groupRunner runs one group as a block scan (begin, feed(input, true),
-// end) or as a stream (one begin, many feeds, one end). Not safe for
-// concurrent use.
+// groupRunner runs one execution unit as a block scan (begin,
+// feed(input, true), end) or as a stream (one begin, many feeds, one end).
+// Not safe for concurrent use.
 type groupRunner interface {
 	begin(c runCfg)
 	// feed consumes the next chunk; final announces the clean stream end.
@@ -56,12 +57,12 @@ type groupRunner interface {
 	err() error
 }
 
-// groupRun is the outcome of one group execution, or a runner's cumulative
+// groupRun is the outcome of one unit execution, or a runner's cumulative
 // totals. Callers own it and pass it by pointer; foldRun gathers it into a
 // scanFold.
 type groupRun struct {
 	scans, bytes, matches int64
-	perFSA                []int64 // per-FSA match counts, program FSA order
+	perFSA                []int64 // per-FSA match counts, unit program FSA order
 	accel                 int64   // bytes jumped by byte-skipping acceleration
 
 	// Lazy-DFA runs.
@@ -91,24 +92,27 @@ func blockScan(r groupRunner, input []byte, c runCfg, run *groupRun) error {
 	return r.err()
 }
 
-// newExec builds group i's executor for its planned strategy — the one
+// newExec builds unit u's executor for its planned strategy — the one
 // place the root package dispatches on Strategy.
-func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
+func (rs *Ruleset) newExec(u int) groupExec {
+	x := &rs.plan.units[u]
 	accel := rs.opts.accelOn()
-	p := rs.programs[i]
-	ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: accel, Profile: rs.profileOf(i)}
-	switch pl.strat[i] {
+	g, p := x.groups[0], x.prog
+	// Profiled Rulesets run every group as a unit of its own, so a profile
+	// is always the unit's program's.
+	ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: accel, Profile: rs.profileOf(g)}
+	switch x.strat {
 	case StrategyAnchored:
-		g := pl.anch[i]
+		a := rs.plan.anch[g]
 		return groupExec{runner: func() groupRunner {
-			return &anchRunner{g: g, rules: make([]anchRuleState, len(g.rules)), perFSA: make([]int64, len(g.rules))}
+			return &anchRunner{g: a, rules: make([]anchRuleState, len(a.rules)), perFSA: make([]int64, len(a.rules))}
 		}}
 	case StrategyDFA:
-		d := pl.dfas[i]
+		d := rs.plan.dfas[g]
 		return groupExec{runner: func() groupRunner { return &dfaRunner{r: dfa.NewRunner(d)} }}
 	case StrategyLazyDFA:
-		m := rs.lazy[i]
-		lcfg := lazydfa.Config{Profile: rs.profileOf(i)}
+		m := x.lazy
+		lcfg := lazydfa.Config{Profile: rs.profileOf(g)}
 		return groupExec{
 			runner: func() groupRunner {
 				return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg}
@@ -116,31 +120,32 @@ func (rs *Ruleset) newExec(pl *scanPlan, i int) groupExec {
 			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error {
 				lc := lcfg
 				lc.Checkpoint, lc.Faults = check, rs.faults
-				return rs.segmentScan(segment.Group{Lazy: m, LazyCfg: lc}, i, ecfg, input, bounds, check, emit, run)
+				return rs.segmentScan(segment.Group{Lazy: m, LazyCfg: lc}, u, ecfg, input, bounds, check, emit, run)
 			},
 		}
 	default:
 		return groupExec{
 			runner: func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} },
 			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error {
-				return rs.segmentScan(segment.Group{}, i, ecfg, input, bounds, check, emit, run)
+				return rs.segmentScan(segment.Group{}, u, ecfg, input, bounds, check, emit, run)
 			},
 		}
 	}
 }
 
-// segmentScan runs default-engine group i segment-parallel into run:
+// segmentScan runs default-engine unit u segment-parallel into run:
 // iMFAnt or lazy-DFA workers per segment plus the sequential boundary
 // stitch. A scan whose boundary carry exceeds the frontier budget, or
 // outlives a whole segment (its stitch then costs a serial scan of that
 // segment), completes exactly; when the input is at least segmentMinBytes
-// it also pins the group serial for subsequent segmented scans, and the pin
+// it also pins the unit serial for subsequent segmented scans, and the pin
 // counts as one segment fallback. Smaller inputs never pin: their segments
 // are too short for a carry that outlives one to predict anything about a
 // large scan.
-func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input []byte, bounds []int,
+func (rs *Ruleset) segmentScan(g segment.Group, u int, cfg engine.Config, input []byte, bounds []int,
 	check func() error, emit func(fsa, end int), run *groupRun) error {
-	g.Automaton, g.Program, g.MaxFrontier = i, rs.programs[i], segmentMaxFrontier
+	x := &rs.plan.units[u]
+	g.Automaton, g.Program, g.MaxFrontier = x.groups[0], x.prog, segmentMaxFrontier
 	g.Cfg = cfg
 	g.Cfg.Checkpoint, g.Cfg.Faults = check, rs.faults
 	res, err := segment.Scan(g, input, bounds, emit)
@@ -148,7 +153,7 @@ func (rs *Ruleset) segmentScan(g segment.Group, i int, cfg engine.Config, input 
 	run.segments, run.parallelBytes, run.stitchBytes = int64(res.Segments), res.ParallelBytes, res.StitchBytes
 	if (res.FellBack || res.CarryOutlived) && len(input) >= segmentMinBytes {
 		run.segFallbacks = 1
-		rs.segSerial[i].Store(true)
+		rs.segSerial[u].Store(true)
 	}
 	if g.Lazy != nil {
 		run.lazy = true
@@ -187,17 +192,22 @@ func (f *scanFold) rule(c *telemetry.Collector, id int, n int64) {
 	}
 }
 
-// foldRun gathers one group run of automaton i into f: totals, rule hits,
-// strategy and accel bytes, segment and lazy-DFA counters, and the lazy_*
-// trace events.
-func (rs *Ruleset) foldRun(f *scanFold, i int, run *groupRun) {
-	f.scans += run.scans
-	f.bytes += run.bytes
+// foldRun gathers one run of unit u into f, attributed back to the
+// unit's member groups: each member scanned the unit's bytes once, so
+// scans, bytes, strategy bytes and the segment counters count once per
+// member; the events count under their rules; the accel bytes, the lazy-DFA
+// counters and the lazy_* trace events — the one table's — count once per
+// unit, the events under the unit's first member.
+func (rs *Ruleset) foldRun(f *scanFold, u int, run *groupRun) {
+	x := &rs.plan.units[u]
+	k := int64(len(x.groups))
+	f.scans += k * run.scans
+	f.bytes += k * run.bytes
 	f.matches += run.matches
-	f.strat[rs.plan.strat[i]] += run.bytes
+	f.strat[x.strat] += k * run.bytes
 	f.accel += run.accel
 	if len(run.perFSA) > 0 {
-		rules := rs.programs[i].Rules()
+		rules := x.rules
 		for fsa, n := range run.perFSA {
 			if n != 0 {
 				f.rule(rs.collector, rules[fsa].RuleID, n)
@@ -205,11 +215,11 @@ func (rs *Ruleset) foldRun(f *scanFold, i int, run *groupRun) {
 		}
 	}
 	if run.segments > 0 {
-		f.segScans++
-		f.segments += run.segments
-		f.segFallbacks += run.segFallbacks
-		f.parallel += run.parallelBytes
-		f.stitch += run.stitchBytes
+		f.segScans += k
+		f.segments += k * run.segments
+		f.segFallbacks += k * run.segFallbacks
+		f.parallel += k * run.parallelBytes
+		f.stitch += k * run.stitchBytes
 	}
 	if !run.lazy {
 		return
@@ -224,17 +234,18 @@ func (rs *Ruleset) foldRun(f *scanFold, i int, run *groupRun) {
 	if rs.trace == nil {
 		return
 	}
+	a := int32(x.groups[0])
 	if run.flushes > 0 {
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyFlush,
-			Automaton: int32(i), Rule: -1, Offset: -1, Value: run.flushes})
+			Automaton: a, Rule: -1, Offset: -1, Value: run.flushes})
 	}
 	if run.fellBack {
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyFallback,
-			Automaton: int32(i), Rule: -1, Offset: -1, Value: run.fallbacks})
+			Automaton: a, Rule: -1, Offset: -1, Value: run.fallbacks})
 	}
 	if run.pins > 0 {
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventLazyPin,
-			Automaton: int32(i), Rule: -1, Offset: -1, Value: run.pins})
+			Automaton: a, Rule: -1, Offset: -1, Value: run.pins})
 	}
 }
 
@@ -431,7 +442,7 @@ type litRunner struct {
 	onHit   func(pat, end int) // x.hit, bound once
 	check   func() error       // checkpoint poll; nil when not cancellable
 	faults  *faultpoint.Injector
-	emit    []func(fsa, end int) // per automaton; nil entries count only
+	emit    []func(fsa, end int) // per unit; nil entries count only
 	counts  []int64              // per member: events in the current run
 	touched []int32              // members counted in the current run
 	bytes   int64                // bytes of the current run
@@ -452,7 +463,7 @@ func newLitRunner(lp *litPass, accel bool) *litRunner {
 	return x
 }
 
-// begin starts a run; emit, indexed by automaton, receives each AC group's
+// begin starts a run; emit, indexed by unit, receives each AC group's
 // events (nil: count only).
 func (x *litRunner) begin(check func() error, faults *faultpoint.Injector, emit []func(fsa, end int)) {
 	x.check, x.faults, x.emit, x.stop, x.skip0 = check, faults, emit, nil, x.pass.Skipped()
@@ -504,7 +515,7 @@ func (x *litRunner) end(f *scanFold, c *telemetry.Collector, prefOn bool) int64 
 		f.rule(c, int(x.lp.members[k].rule), n)
 	}
 	x.touched = x.touched[:0]
-	if g := int64(len(x.lp.groups)); g > 0 {
+	if g := int64(len(x.lp.units)); g > 0 {
 		f.scans += g
 		f.bytes += g * x.bytes
 		f.strat[StrategyAC] += g * x.bytes
@@ -523,13 +534,13 @@ func (x *litRunner) end(f *scanFold, c *telemetry.Collector, prefOn bool) int64 
 	return matches
 }
 
-// totals writes every AC group's cumulative totals, including a run in
-// progress, into out (indexed by automaton). The pass's skipped bytes count
-// on the first group.
+// totals writes every AC unit's cumulative totals, including a run in
+// progress, into out (indexed by unit). The pass's skipped bytes count on
+// the first unit.
 func (x *litRunner) totals(out []groupRun) {
 	lp := x.lp
-	for j, g := range lp.groups {
-		t := &out[g]
+	for j, u := range lp.units {
+		t := &out[u]
 		t.set(x.runs, x.done, 0, nil, 0)
 		if x.open {
 			t.bytes += x.bytes
@@ -538,15 +549,15 @@ func (x *litRunner) totals(out []groupRun) {
 			t.matches += x.doneBy[k] + x.counts[k]
 		}
 	}
-	if len(lp.groups) > 0 {
-		out[lp.groups[0]].accel = x.pass.Skipped()
+	if len(lp.units) > 0 {
+		out[lp.units[0]].accel = x.pass.Skipped()
 	}
 }
 
 // scanLiterals runs the literal pass over input segment-parallel (see
 // segment.ScanAC) and folds it into f: each worker scans its segment plus
 // the longest pattern's left context, so no stitching is needed. emit is
-// indexed by automaton. Returns the patterns seen and the AC groups' match
+// indexed by unit. Returns the patterns seen and the AC groups' match
 // count.
 func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
 	emit []func(fsa, end int), f *scanFold) ([]int32, int64, error) {
@@ -561,7 +572,7 @@ func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
 		matches += counts[k]
 		f.rule(rs.collector, int(lp.members[k].rule), counts[k])
 	}
-	g := int64(len(lp.groups))
+	g := int64(len(lp.units))
 	f.scans += g
 	f.bytes += g * res.ScannedBytes
 	f.strat[StrategyAC] += g * res.ScannedBytes

@@ -33,7 +33,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/factor"
 	"repro/internal/faultpoint"
-	"repro/internal/lazydfa"
 	"repro/internal/metrics"
 	"repro/internal/mfsa"
 	"repro/internal/nfa"
@@ -115,8 +114,9 @@ type Options struct {
 	// byte-identical in every mode. See AccelMode.
 	Accel AccelMode
 	// LazyDFAMaxStates caps the lazy-DFA transition table of each
-	// automaton: one table per automaton group per compiled Ruleset,
-	// shared by every matching context on it (Scanners, StreamMatchers,
+	// execution unit — one lazy-DFA automaton group, or several fused into
+	// one program of at most 64 FSAs — per compiled Ruleset, shared by
+	// every matching context on it (Scanners, StreamMatchers,
 	// CountParallel tasks, segment workers and one-shot scans); 0 selects
 	// lazydfa.DefaultMaxStates. Smaller caps bound memory at the cost of
 	// more cache flushes.
@@ -142,7 +142,7 @@ type Options struct {
 	// proportional sampling cost. Ignored when Profile is false.
 	ProfileStride int
 	// Latency enables per-stage wall-clock latency attribution: monotonic
-	// timers bracket the literal pass, each automaton's strategy
+	// timers bracket the literal pass, each execution unit's strategy
 	// dispatch, the parallel fan-out, and stream chunk/flush work, folded
 	// into allocation-free log2 histograms and surfaced as the
 	// Stats().Latency section (p50/p90/p99 per stage, nanoseconds).
@@ -220,12 +220,11 @@ type Ruleset struct {
 	patterns  []string
 	mfsas     []*mfsa.MFSA
 	programs  []*engine.Program
-	lazy      []*lazydfa.Matcher
 	times     StageTimes
 	comp      metrics.Compression
 	opts      Options
 	collector *telemetry.Collector
-	plan      *scanPlan    // per-group execution strategies (see plan.go)
+	plan      *scanPlan    // per-group strategies and the execution units (see plan.go)
 	pf        *prefilter   // literal-factor gating plan; nil when inactive
 	tracker   *prefTracker // runtime gating-effectiveness tracker; nil when ungated
 	sched     *scanGate    // overload shedding for parallel scans; nil when unbounded
@@ -240,10 +239,11 @@ type Ruleset struct {
 	// (see internal/faultpoint). Always nil in production use; set by
 	// in-package tests via setFaultInjector.
 	faults *faultpoint.Injector
-	// segSerial[i], once set, pins group i to the serial path in segmented
-	// scans: its speculative boundary frontier exceeded segmentMaxFrontier,
-	// or a boundary carry outlived a whole segment, so the group is almost
-	// always mid-match and segmentation buys nothing (see segment.go).
+	// segSerial[u], once set, pins execution unit u to the serial path in
+	// segmented scans: its speculative boundary frontier exceeded
+	// segmentMaxFrontier, or a boundary carry outlived a whole segment, so
+	// the unit is almost always mid-match and segmentation buys nothing
+	// (see segment.go).
 	// Set only by scans of at least segmentMinBytes; sticky for the
 	// ruleset's lifetime.
 	segSerial []atomic.Bool
@@ -252,9 +252,9 @@ type Ruleset struct {
 	// Options.Profile is false.
 	profiles []*engine.Profile
 	trace    *telemetry.TraceRing
-	// traceEmit is the count-only match callback of each automaton: it
-	// records match trace events, and its entries are nil when tracing is
-	// off.
+	// traceEmit is the count-only match callback of each execution unit:
+	// it records match trace events, and its entries are nil when tracing
+	// is off.
 	traceEmit []func(fsa, end int)
 	// lat is the per-stage latency histogram set; nil unless
 	// Options.Latency or Options.Profile is set — the single nil check
@@ -265,16 +265,12 @@ type Ruleset struct {
 // accelOn resolves the Accel knob: every mode but AccelOff accelerates.
 func (o Options) accelOn() bool { return o.Accel != AccelOff }
 
-// buildEngines lowers the compiled MFSAs into executable programs and their
-// lazy-DFA matchers, and sets up the ruleset-wide telemetry collector.
+// buildEngines sets up the ruleset-wide telemetry collector and the
+// per-group instrumentation over the compiled programs; buildPlan then
+// builds the execution units and their lazy-DFA tables.
 func (rs *Ruleset) buildEngines() {
-	rs.lazy = make([]*lazydfa.Matcher, len(rs.programs))
-	for i, p := range rs.programs {
-		rs.lazy[i] = lazydfa.New(p, lazydfa.Options{KeepOnMatch: rs.opts.KeepOnMatch,
-			Accel: rs.opts.accelOn(), MaxStates: rs.opts.LazyDFAMaxStates})
-	}
 	rs.collector = telemetry.NewCollector(len(rs.patterns))
-	// The Lazy section is enabled by buildPlan, which knows how many groups
+	// The Lazy section is enabled by buildPlan, which knows how many units
 	// actually run on the lazy-DFA engine.
 	if rs.opts.accelOn() {
 		rs.collector.EnableAccel(len(rs.programs))
@@ -282,7 +278,6 @@ func (rs *Ruleset) buildEngines() {
 	if rs.opts.Segment != SegmentOff {
 		rs.collector.EnableSegment()
 	}
-	rs.segSerial = make([]atomic.Bool, len(rs.programs))
 	if rs.opts.Profile {
 		rs.profiles = make([]*engine.Profile, len(rs.programs))
 		for i, p := range rs.programs {
@@ -292,10 +287,6 @@ func (rs *Ruleset) buildEngines() {
 	}
 	if rs.opts.TraceCapacity > 0 {
 		rs.trace = telemetry.NewTraceRing(rs.opts.TraceCapacity)
-	}
-	rs.traceEmit = make([]func(fsa, end int), len(rs.programs))
-	for i := range rs.programs {
-		rs.traceEmit[i] = rs.traceMatches(i, nil)
 	}
 	if rs.opts.Latency || rs.opts.Profile {
 		rs.lat = rs.collector.EnableLatency()
@@ -408,8 +399,7 @@ func newRuleset(patterns []string, out *pipeline.Output, opts Options) *Ruleset 
 	for _, a := range out.FSAs {
 		nfasByID[a.ID] = a
 	}
-	rs.buildPlan(out.Shapes, nfasByID)
-	rs.buildPrefilter(out.Shapes, out.Factors)
+	rs.buildPlan(out.Shapes, nfasByID, out.Factors)
 	return rs
 }
 
@@ -512,12 +502,11 @@ func LoadANML(r io.Reader, opts Options) (*Ruleset, error) {
 	if opts.Engine == EngineAuto {
 		shapes = shapesOf(rs.patterns)
 	}
-	rs.buildPlan(shapes, nil)
 	var factors []string
 	if opts.Prefilter != PrefilterOff {
 		factors = factorsOf(rs.patterns)
 	}
-	rs.buildPrefilter(shapes, factors)
+	rs.buildPlan(shapes, nil, factors)
 	return rs, nil
 }
 
@@ -544,8 +533,8 @@ func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, e
 
 // Scan streams every match to fn, on the engine selected by
 // Options.Engine: first the events of every AC-routed group, which come
-// from one literal pass in end order, then the other automata's, automaton
-// by automaton. Like every one-shot Ruleset scan it runs on a fresh
+// from one literal pass in end order, then the other groups', execution
+// unit by execution unit. Like every one-shot Ruleset scan it runs on a fresh
 // Scanner, whose lazy-DFA runners read the ruleset's shared, already warm
 // transition tables. Hot paths scanning many inputs should still reuse a
 // Scanner, which also keeps its per-goroutine buffers.
@@ -579,14 +568,14 @@ func (rs *Ruleset) CountPerRule(input []byte) []int64 {
 }
 
 // Scanner is a reusable matching context over one Ruleset: the scratch
-// state of every automaton's engine — in lazy-DFA mode a cursor on the
-// automaton's transition table, which the Ruleset's every scan shares and
-// which stays warm across scans of similar traffic.
+// state of every execution unit's engine — in lazy-DFA mode a cursor on the
+// unit's transition table, which the Ruleset's every scan shares and which
+// stays warm across scans of similar traffic.
 // A Scanner is not safe for concurrent use; create one per goroutine (the
 // shared Ruleset remains concurrency-safe).
 type Scanner struct {
 	rs       *Ruleset
-	runs     []groupRunner // per automaton, indexed like rs.programs; nil for AC groups
+	runs     []groupRunner // per execution unit; nil for AC units
 	lit      *litRunner    // the one literal pass; nil when the ruleset has none
 	ruleHits []int64       // per-rule match counts, scanner lifetime
 	timeouts int64         // scans cut short by Options.ScanTimeout
@@ -596,8 +585,8 @@ type Scanner struct {
 	active   []bool   // the current scan's activation mask; nil while ungated
 	pref     prefCounters
 
-	// Match wiring, built once: emit[i] reports automaton i's events to fn,
-	// the current scan's callback, and collect appends them to found, the
+	// Match wiring, built once: emit[u] reports unit u's events to fn, the
+	// current scan's callback, and collect appends them to found, the
 	// FindAll buffer.
 	fn      func(Match)
 	emit    []func(fsa, end int)
@@ -607,20 +596,22 @@ type Scanner struct {
 
 // NewScanner returns a matching context for the ruleset.
 func (rs *Ruleset) NewScanner() *Scanner {
+	units := rs.plan.units
 	s := &Scanner{
 		rs:       rs,
-		runs:     make([]groupRunner, len(rs.programs)),
+		runs:     make([]groupRunner, len(units)),
 		ruleHits: make([]int64, len(rs.patterns)),
 		faults:   rs.faults,
 	}
 	s.fold.ruleHits = s.ruleHits
-	s.emit = make([]func(fsa, end int), len(rs.programs))
-	for i, x := range rs.plan.exec {
-		if x.runner != nil {
-			s.runs[i] = x.runner()
+	s.emit = make([]func(fsa, end int), len(units))
+	for u := range units {
+		x := &units[u]
+		if x.exec.runner != nil {
+			s.runs[u] = x.exec.runner()
 		}
-		rules := rs.programs[i].Rules()
-		s.emit[i] = rs.traceMatches(i, func(fsa, end int) {
+		rules := x.rules
+		s.emit[u] = rs.traceMatches(u, func(fsa, end int) {
 			s.fn(Match{Rule: rules[fsa].RuleID, Pattern: rules[fsa].Pattern, End: end})
 		})
 	}
@@ -629,14 +620,14 @@ func (rs *Ruleset) NewScanner() *Scanner {
 	}
 	s.collect = func(m Match) { s.found = append(s.found, m) }
 	if rs.pf != nil {
-		s.active = make([]bool, len(rs.programs))
+		s.active = make([]bool, len(units))
 	}
 	return s
 }
 
 // Scan streams every match in input to fn: first the events of every
 // AC-routed group, which come from one literal pass in end order, then the
-// other automata's, automaton by automaton.
+// other groups', execution unit by execution unit.
 func (s *Scanner) Scan(input []byte, fn func(Match)) {
 	s.run(context.Background(), input, fn, nil)
 }
@@ -691,7 +682,7 @@ func (s *Scanner) CountPerRule(input []byte) []int64 {
 	return out
 }
 
-// run executes the literal pass and every other automaton over input and
+// run executes the literal pass and every other unit over input and
 // returns the match count; perRule, when non-nil, accumulates per-rule
 // counts. The context is polled at engine checkpoints
 // (DefaultCheckpointEvery bytes); on cancellation the partial count
@@ -722,38 +713,38 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 }
 
 // scan runs the literal pass, whose AC groups are never gated and whose
-// outcome gates the other groups, then every admitted automaton, gathering
-// the runs into s.fold.
+// outcome gates the other units, then every admitted unit, gathering the
+// runs into s.fold.
 func (s *Scanner) scan(input []byte, check func() error, emit []func(fsa, end int)) (total int64, err error) {
 	rs := s.rs
 	gate, total, err := rs.blockPass(s.lit, input, check, s.faults, emit, s.active, &s.fold)
 	if err != nil {
 		return total, err
 	}
-	for i, r := range s.runs {
+	for u, r := range s.runs {
 		if r == nil {
 			continue
 		}
-		if check != nil && (i > 0 || s.lit != nil) {
-			// Poll between automata too, so a deadline that expired during
-			// the previous automaton's final block (past its last in-chunk
+		if check != nil && (u > 0 || s.lit != nil) {
+			// Poll between units too, so a deadline that expired during the
+			// previous unit's final block (past its last in-chunk
 			// checkpoint) still cuts the scan off deterministically.
 			if err := check(); err != nil {
 				return total, err
 			}
 		}
-		if gate != nil && !gate[i] {
+		if gate != nil && !gate[u] {
 			// No member rule's factor occurred anywhere in input, so none
-			// can match: skip the whole automaton execution.
+			// can match: skip the whole unit execution.
 			continue
 		}
 		// Stage timing brackets the whole dispatch, including the degraded
-		// exits — a timed-out automaton's wall clock is exactly the sample
-		// an operator wants attributed.
+		// exits — a timed-out unit's wall clock is exactly the sample an
+		// operator wants attributed.
 		st0 := rs.stageStart()
-		stepErr := blockScan(r, input, runCfg{onMatch: emit[i], check: check, faults: s.faults}, &s.cur)
-		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
-		rs.foldRun(&s.fold, i, &s.cur)
+		stepErr := blockScan(r, input, runCfg{onMatch: emit[u], check: check, faults: s.faults}, &s.cur)
+		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.units[u].strat)), st0)
+		rs.foldRun(&s.fold, u, &s.cur)
 		total += s.cur.matches
 		if stepErr != nil {
 			return total, stepErr
@@ -764,8 +755,8 @@ func (s *Scanner) scan(input []byte, check func() error, emit []func(fsa, end in
 
 // blockPass runs the literal pass x over input as one block scan, when
 // passPlan says it runs, and folds it into f. It returns the AC groups'
-// match count and the activation mask of the other groups (active, filled;
-// nil when every group runs).
+// match count and the activation mask of the execution units (active,
+// filled; nil when every unit runs).
 func (rs *Ruleset) blockPass(x *litRunner, input []byte, check func() error, faults *faultpoint.Injector,
 	emit []func(fsa, end int), active []bool, f *scanFold) ([]bool, int64, error) {
 	run, gate := rs.passPlan(faults)
@@ -802,8 +793,8 @@ func (s *Scanner) noteErr(err error) error {
 }
 
 // CountParallel scans input with the paper's multi-threaded scheme
-// (§VI-C2): a pool of `threads` workers each executing whole MFSAs until
-// none remain. It returns the total match count. A panic inside a worker is
+// (§VI-C2): a pool of `threads` workers each executing whole execution
+// units (MFSAs, or fused lazy-DFA groups of them) until none remain. It returns the total match count. A panic inside a worker is
 // contained and returned as an error instead of crashing the process.
 func (rs *Ruleset) CountParallel(input []byte, threads int) (int64, error) {
 	return rs.CountParallelContext(context.Background(), input, threads)
@@ -819,15 +810,15 @@ func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threa
 }
 
 // scanParallel is the ruleset-level parallel scan behind CountParallel and
-// FindAll on large buffers. With parts ≤ 1 the admitted groups are dealt to
+// FindAll on large buffers. With parts ≤ 1 the admitted units are dealt to
 // the §VI-C2 worker pool, one block scan each. With parts > 1 the
-// parallelism is intra-input instead: every group in turn runs over parts
-// segments with exact boundary stitching (see segment.go), and groups
+// parallelism is intra-input instead: every unit in turn runs over parts
+// segments with exact boundary stitching (see segment.go), and units
 // without a segment-parallel scan run serially. emit, when non-nil,
-// receives every event of a segmented scan; events arrive grouped by
-// automaton, unsorted.
+// receives every event of a segmented scan, by unit and unit FSA; events
+// arrive grouped by unit, unsorted.
 func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, parts int,
-	emit func(automaton, fsa, end int)) (total int64, err error) {
+	emit func(unit, fsa, end int)) (total int64, err error) {
 	// The ScanTimeout budget is anchored BEFORE the admission gate, so time
 	// spent queueing for a slot is charged against the same deadline the
 	// scan runs under.
@@ -851,7 +842,7 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 	var f scanFold
 	defer rs.flush(&f, nil)
 	// A gated scan runs the literal pass up front: its outcome admits the
-	// other groups. Ungated, the pass runs beside them, as one more pool
+	// other units. Ungated, the pass runs beside them, as one more pool
 	// task or the first step of a segmented scan.
 	var gate []bool
 	pass := rs.plan.lit != nil
@@ -864,9 +855,9 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 		total, pass = n, false
 	}
 	var ids []int
-	for i := range rs.programs {
-		if !rs.plan.inLit(i) && (gate == nil || gate[i]) {
-			ids = append(ids, i)
+	for u := range rs.plan.units {
+		if !rs.plan.inLit(u) && (gate == nil || gate[u]) {
+			ids = append(ids, u)
 		}
 	}
 	var n int64
@@ -885,12 +876,12 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 }
 
 // upfrontPass runs the literal pass of a gated parallel scan before any
-// other group: segment-parallel when the scan is segmented and the pass has
+// other unit: segment-parallel when the scan is segmented and the pass has
 // AC literals to deliver, serially otherwise (a pass that only gates ends
 // once every factor has been seen). Returns the activation mask and the AC
 // groups' match count.
 func (rs *Ruleset) upfrontPass(input []byte, parts int, check func() error,
-	emit func(automaton, fsa, end int), f *scanFold) ([]bool, int64, error) {
+	emit func(unit, fsa, end int), f *scanFold) ([]bool, int64, error) {
 	if parts > 1 && rs.plan.lit.delivers() {
 		// A delivering pass always runs; passPlan still says whether it
 		// gates.
@@ -905,34 +896,42 @@ func (rs *Ruleset) upfrontPass(input []byte, parts int, check func() error,
 		rs.parallelEmit(emit), nil, f)
 }
 
-// parallelEmit adapts a parallel scan's event sink to per-automaton
-// callbacks that also record match trace events; the trace callbacks alone
-// when emit is nil.
-func (rs *Ruleset) parallelEmit(emit func(automaton, fsa, end int)) []func(fsa, end int) {
+// parallelEmit adapts a parallel scan's event sink to per-unit callbacks
+// that also record match trace events; the trace callbacks alone when emit
+// is nil.
+func (rs *Ruleset) parallelEmit(emit func(unit, fsa, end int)) []func(fsa, end int) {
 	if emit == nil {
 		return rs.traceEmit
 	}
-	emits := make([]func(fsa, end int), len(rs.programs))
-	for g := range emits {
-		emits[g] = rs.traceMatches(g, func(fsa, end int) { emit(g, fsa, end) })
+	emits := make([]func(fsa, end int), len(rs.plan.units))
+	for u := range emits {
+		emits[u] = rs.traceMatches(u, func(fsa, end int) { emit(u, fsa, end) })
 	}
 	return emits
 }
 
-// scanPool hands every admitted group to the worker pool as one block scan
-// on a fresh runner; the literal pass, when pass is set, is one more task,
-// under the first AC group's id. Every task gathers its run into f, a
-// contained panic's partial work included.
+// scanPool hands every admitted unit (ids) to the worker pool as one block
+// scan on a fresh runner; the literal pass, when pass is set, is one more
+// task, that of the first AC unit. A task runs under its unit's first
+// member's automaton id, which labels its profile samples and a contained
+// panic. Every task gathers its run into f, a contained panic's partial
+// work included.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, check func() error,
 	f *scanFold) (int64, error) {
 	var sum atomic.Int64
 	var mu sync.Mutex
+	units := rs.plan.units
 	if pass {
-		ids = append([]int{rs.plan.lit.groups[0]}, ids...)
+		ids = append([]int{rs.plan.lit.units[0]}, ids...)
+	}
+	groups := make([]int, len(ids))
+	for j, u := range ids {
+		groups[j] = units[u].groups[0]
 	}
 	pt0 := rs.stageStart()
-	err := engine.ForEach(ids, threads, rs.faults, check, func(i int, check func() error) error {
-		if rs.plan.inLit(i) {
+	err := engine.ForEach(groups, threads, rs.faults, check, func(g int, check func() error) error {
+		u := int(rs.plan.unitOf[g])
+		if rs.plan.inLit(u) {
 			x := newLitRunner(rs.plan.lit, rs.opts.accelOn())
 			defer func() {
 				mu.Lock()
@@ -945,7 +944,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, che
 			rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
 			return x.err()
 		}
-		r := rs.plan.exec[i].runner()
+		r := units[u].exec.runner()
 		var run groupRun
 		ended := false
 		defer func() {
@@ -957,12 +956,12 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, che
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			rs.foldRun(f, i, &run)
+			rs.foldRun(f, u, &run)
 			sum.Add(run.matches)
 		}()
 		st0 := rs.stageStart()
-		err := blockScan(r, input, runCfg{onMatch: rs.traceEmit[i], check: check, faults: rs.faults}, &run)
-		rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
+		err := blockScan(r, input, runCfg{onMatch: rs.traceEmit[u], check: check, faults: rs.faults}, &run)
+		rs.stageEnd(telemetry.StrategyStage(int(units[u].strat)), st0)
 		ended = true
 		return err
 	})

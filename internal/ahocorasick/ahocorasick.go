@@ -6,8 +6,9 @@
 //
 // The automaton is built in the standard three steps — trie (goto
 // function), BFS failure links, and output sets — and then flattened into a
-// fully-resolved dense next table, so scanning is one table lookup per
-// input byte, like a DFA.
+// fully-resolved next table over byte classes, so scanning is one table
+// lookup per input byte, like a DFA, and a node's row is as wide as the
+// patterns' distinct bytes (plus one), not the alphabet.
 package ahocorasick
 
 import (
@@ -20,8 +21,20 @@ import (
 
 // Matcher is an immutable multi-pattern string matcher; build with New.
 type Matcher struct {
-	next     []int32   // nodes × 256, fully resolved
-	outputs  [][]int32 // pattern ids emitted at each node
+	// next is the fully resolved transition table in byte-class rows: a
+	// state is its node's premultiplied row offset (node·stride), so one
+	// step is next[state+class[b]], and the successor is again a state.
+	next  []int32
+	class [256]uint8 // byte → class: one per distinct pattern byte, one for the rest
+	// stride is the class count, the width of every row.
+	stride int
+	// matchMin is the first state of an output-bearing node: nodes are
+	// numbered with every output-bearing node last, so a step emits iff
+	// the new state is at least matchMin.
+	matchMin int32
+	// outputs[node - matchMin/stride] holds the pattern ids emitted at an
+	// output-bearing node.
+	outputs  [][]int32
 	patterns [][]byte
 	nodes    int
 	// rootFinder (valid when rootAccel) hunts the root-live bytes — the ≤ 4
@@ -40,6 +53,30 @@ func New(patterns [][]byte) (*Matcher, error) {
 			return nil, fmt.Errorf("ahocorasick: pattern %d is empty", i)
 		}
 	}
+	// Byte classes: bytes that occur in no pattern all behave alike — they
+	// lead every node back to the root — so they share one class; every
+	// pattern byte gets its own.
+	var used [256]bool
+	for _, p := range patterns {
+		for _, c := range p {
+			used[c] = true
+		}
+	}
+	m := &Matcher{patterns: patterns}
+	nc := 0
+	for c := 0; c < 256; c++ {
+		if !used[c] {
+			nc = 1 // class 0 is the rest
+			break
+		}
+	}
+	for c := 0; c < 256; c++ {
+		if used[c] {
+			m.class[c] = uint8(nc)
+			nc++
+		}
+	}
+	m.stride = nc
 	// Size the table exactly: taken in sorted order, each pattern adds one
 	// trie node per byte past its longest common prefix with the previous
 	// one.
@@ -56,19 +93,20 @@ func New(patterns [][]byte) (*Matcher, error) {
 		}
 		nodes += len(p) - lcp
 	}
-	// Trie construction, straight into the dense table: next[u*256+c] is
-	// u's goto edge on c, or 0 (the root is nobody's child) when absent.
-	next := make([]int32, nodes*256)
+	// Trie construction, straight into a class-wide table of node ids:
+	// trie[u*nc+k] is u's goto edge on class k, or 0 (the root is nobody's
+	// child) when absent.
+	trie := make([]int32, nodes*nc)
 	outputs := make([][]int32, 1, nodes)
 	for pi, p := range patterns {
 		cur := int32(0)
 		for _, c := range p {
-			e := int(cur)<<8 | int(c)
-			if next[e] == 0 {
-				next[e] = int32(len(outputs))
+			e := int(cur)*nc + int(m.class[c])
+			if trie[e] == 0 {
+				trie[e] = int32(len(outputs))
 				outputs = append(outputs, nil)
 			}
-			cur = next[e]
+			cur = trie[e]
 		}
 		outputs[cur] = append(outputs[cur], int32(pi))
 	}
@@ -78,35 +116,57 @@ func New(patterns [][]byte) (*Matcher, error) {
 	// u's own goto edges written over it; each child's failure node is
 	// then one lookup in that resolved row. Outputs are merged down the
 	// failure links in the same pass.
-	fail := make([]int32, len(outputs))
-	queue := make([]int32, 0, len(outputs))
-	for c := 0; c < 256; c++ {
-		if v := next[c]; v != 0 {
+	fail := make([]int32, nodes)
+	queue := make([]int32, 0, nodes)
+	for _, v := range trie[:nc] {
+		if v != 0 {
 			queue = append(queue, v) // fail[v] = 0
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		row, frow := next[int(u)<<8:][:256], next[int(fail[u])<<8:][:256]
-		for c, v := range row {
+		row, frow := trie[int(u)*nc:][:nc], trie[int(fail[u])*nc:][:nc]
+		for k, v := range row {
 			if v == 0 {
-				row[c] = frow[c]
+				row[k] = frow[k]
 				continue
 			}
-			fail[v] = frow[c]
+			fail[v] = frow[k]
 			outputs[v] = append(outputs[v], outputs[fail[v]]...)
 			queue = append(queue, v)
 		}
 	}
-	m := &Matcher{
-		next:     next,
-		outputs:  outputs,
-		patterns: patterns,
-		nodes:    len(outputs),
+	// Renumber with the output-bearing nodes last, keeping the trie order
+	// within each part (so the root, which emits nothing, stays 0), and
+	// premultiply the successors.
+	id := make([]int32, nodes)
+	n := int32(0)
+	for pass := 0; pass < 2; pass++ {
+		for u, out := range outputs {
+			if (len(out) > 0) == (pass == 1) {
+				id[u] = n
+				n++
+			}
+		}
+		if pass == 0 {
+			m.matchMin = n * int32(nc)
+		}
 	}
+	m.next = make([]int32, nodes*nc)
+	m.outputs = make([][]int32, nodes-int(m.matchMin)/nc)
+	for u, out := range outputs {
+		row := m.next[int(id[u])*nc:][:nc]
+		for k, v := range trie[u*nc:][:nc] {
+			row[k] = id[v] * int32(nc)
+		}
+		if len(out) > 0 {
+			m.outputs[int(id[u])-int(m.matchMin)/nc] = out
+		}
+	}
+	m.nodes = nodes
 	var rootBytes []byte
 	for c := 0; c < 256; c++ {
-		if m.next[c] != 0 {
+		if m.next[m.class[c]] != 0 {
 			rootBytes = append(rootBytes, byte(c))
 		}
 	}
@@ -117,6 +177,12 @@ func New(patterns [][]byte) (*Matcher, error) {
 		}
 	}
 	return m, nil
+}
+
+// emits returns the pattern ids emitted on entering state, which must be
+// at least matchMin.
+func (m *Matcher) emits(state int32) []int32 {
+	return m.outputs[int(state-m.matchMin)/m.stride]
 }
 
 // NumNodes returns the automaton size in trie nodes.
@@ -154,9 +220,11 @@ func (m *Matcher) Scan(input []byte, fn func(pattern, end int)) {
 			}
 			pos += j
 		}
-		state = m.next[int(state)<<8|int(input[pos])]
-		for _, pi := range m.outputs[state] {
-			fn(int(pi), pos)
+		state = m.next[int(state)+int(m.class[input[pos]])]
+		if state >= m.matchMin {
+			for _, pi := range m.emits(state) {
+				fn(int(pi), pos)
+			}
 		}
 	}
 }
@@ -239,8 +307,11 @@ func (p *Pass) Scan(chunk []byte, fn func(pattern, end int)) {
 			p.skipped += int64(j)
 			pos += j
 		}
-		state = m.next[int(state)<<8|int(chunk[pos])]
-		for _, pi := range m.outputs[state] {
+		state = m.next[int(state)+int(m.class[chunk[pos]])]
+		if state < m.matchMin {
+			continue
+		}
+		for _, pi := range m.emits(state) {
 			if !p.seen[pi] {
 				p.seen[pi] = true
 				p.firsts = append(p.firsts, pi)

@@ -2,8 +2,10 @@ package ahocorasick
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -245,10 +247,12 @@ func resolve(trie []refNode, u int32, c byte) int32 {
 	}
 }
 
-// TestQuickTablesMatchReference compares New's BFS row-copy flattening
-// with the fail-chain reference on random pattern sets over a small
-// alphabet that includes NUL and 0xFF, with prefixes, suffixes and exact
-// duplicates.
+// TestQuickTablesMatchReference walks New's class-compressed table in
+// lockstep with the fail-chain reference on random pattern sets over a
+// small alphabet that includes NUL and 0xFF, with prefixes, suffixes and
+// exact duplicates: from the two roots, every byte must lead both tables to
+// corresponding states — one state per reference node — with the same
+// outputs, and the match threshold must separate the emitting states.
 func TestQuickTablesMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	alpha := []byte{0x00, 0xff, 'a', 'b'}
@@ -272,9 +276,8 @@ func TestQuickTablesMatchReference(t *testing.T) {
 			t.Logf("patterns=%q: %v", patterns, err)
 			return false
 		}
-		next, outputs := refTables(patterns)
-		if m.nodes != len(outputs) || !reflect.DeepEqual(m.next, next) || !reflect.DeepEqual(m.outputs, outputs) {
-			t.Logf("patterns=%q: tables differ from the reference", patterns)
+		if err := lockstep(m, patterns); err != "" {
+			t.Logf("patterns=%q: %s", patterns, err)
 			return false
 		}
 		return true
@@ -282,6 +285,53 @@ func TestQuickTablesMatchReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lockstep walks m and the reference tables of patterns together over
+// every byte from every reachable state pair, and describes the first
+// disagreement ("" when none).
+func lockstep(m *Matcher, patterns [][]byte) string {
+	next, outputs := refTables(patterns)
+	if m.nodes != len(outputs) || len(m.next) != m.nodes*m.stride {
+		return fmt.Sprintf("%d nodes of %d classes in %d entries, reference %d nodes",
+			m.nodes, m.stride, len(m.next), len(outputs))
+	}
+	toRef := map[int32]int32{0: 0}
+	fromRef := map[int32]int32{0: 0}
+	queue := []int32{0}
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
+		u := toRef[s]
+		for c := 0; c < 256; c++ {
+			s2 := m.next[int(s)+int(m.class[c])]
+			u2 := next[int(u)*256+c]
+			if s2%int32(m.stride) != 0 {
+				return fmt.Sprintf("state %d on %#x: successor %d is not a row offset", s, c, s2)
+			}
+			if w, ok := toRef[s2]; ok {
+				if w != u2 {
+					return fmt.Sprintf("state %d on %#x: reaches node %d, reference %d", s, c, w, u2)
+				}
+				continue
+			}
+			if w, ok := fromRef[u2]; ok {
+				return fmt.Sprintf("reference node %d is both states %d and %d", u2, w, s2)
+			}
+			var got []int32
+			if s2 >= m.matchMin {
+				got = m.emits(s2)
+			}
+			if len(got) == 0 && s2 >= m.matchMin || !slices.Equal(got, outputs[u2]) {
+				return fmt.Sprintf("state %d (node %d): outputs %v, reference %v", s2, u2, got, outputs[u2])
+			}
+			toRef[s2], fromRef[u2] = u2, s2
+			queue = append(queue, s2)
+		}
+	}
+	if len(queue) != m.nodes {
+		return fmt.Sprintf("%d states reachable of %d nodes", len(queue), m.nodes)
+	}
+	return ""
 }
 
 func BenchmarkScan(b *testing.B) {

@@ -83,3 +83,63 @@ func maxID(b BelongSet) int {
 	b.ForEach(func(id int) { max = id })
 	return max
 }
+
+// Union returns the disjoint union of zs as one MFSA: the states of zs[k]
+// follow those of zs[:k], its FSA identifiers follow theirs, and every
+// belonging set and mask is widened to the union's FSA count. Nothing is
+// merged — each FSA keeps exactly its own paths — so the union recognizes
+// what its parts recognize, under the renumbering. The parts are not
+// modified.
+func Union(zs []*MFSA) *MFSA {
+	n, states, trans := 0, 0, 0
+	for _, p := range zs {
+		n += p.NumFSAs()
+		states += p.NumStates
+		trans += len(p.Trans)
+	}
+	z := &MFSA{
+		NumStates: states,
+		Trans:     make([]Transition, 0, trans),
+		Bel:       make([]BelongSet, 0, trans),
+		FSAs:      make([]FSAInfo, 0, n),
+		byKey:     make(map[transKey]int, trans),
+	}
+	soff, foff := StateID(0), 0
+	for _, p := range zs {
+		for i, t := range p.Trans {
+			t.From += soff
+			t.To += soff
+			z.byKey[transKey{t.From, t.To, t.Label}] = len(z.Trans)
+			z.Trans = append(z.Trans, t)
+			b := NewBelongSet(n)
+			p.Bel[i].ForEach(func(id int) { b.Set(id + foff) })
+			z.Bel = append(z.Bel, b)
+		}
+		for _, info := range p.FSAs {
+			info.ID += foff
+			info.Init += soff
+			info.Finals = shifted(info.Finals, soff)
+			info.Embed = shifted(info.Embed, soff)
+			z.FSAs = append(z.FSAs, info)
+		}
+		soff += StateID(p.NumStates)
+		foff += p.NumFSAs()
+	}
+	z.ensureMaskCapacity(n)
+	for _, info := range z.FSAs {
+		z.InitMask[info.Init].Set(info.ID)
+		for _, f := range info.Finals {
+			z.FinalMask[f].Set(info.ID)
+		}
+	}
+	return z
+}
+
+// shifted returns a copy of qs with every state offset by d.
+func shifted(qs []StateID, d StateID) []StateID {
+	out := make([]StateID, len(qs))
+	for i, q := range qs {
+		out[i] = q + d
+	}
+	return out
+}

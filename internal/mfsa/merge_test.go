@@ -237,6 +237,39 @@ func TestMergeGroups(t *testing.T) {
 	}
 }
 
+// TestUnion checks the disjoint union of merged groups against the
+// structural invariants, with the parts' FSAs renumbered in order: every
+// FSA keeps exactly its own paths, states and transitions add up, and
+// belonging sets widen past one word when the union exceeds 64 FSAs.
+func TestUnion(t *testing.T) {
+	var patterns []string
+	for i := 0; i < 70; i++ {
+		patterns = append(patterns, string(rune('a'+i%7))+"(b|c)*"+string(rune('d'+i%5)))
+	}
+	fsas := compileAll(t, patterns...)
+	zs, err := MergeGroups(fsas, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := Union(zs)
+	if err := Validate(z, fsas); err != nil {
+		t.Fatal(err)
+	}
+	states, trans := 0, 0
+	for _, p := range zs {
+		states += p.NumStates
+		trans += p.NumTrans()
+	}
+	if z.NumStates != states || z.NumTrans() != trans || z.NumFSAs() != len(fsas) || len(z.Bel[0]) != 2 {
+		t.Fatalf("union %v of %d states, %d transitions; belonging sets of %d words", z, states, trans, len(z.Bel[0]))
+	}
+	for j, info := range z.FSAs {
+		if info.ID != j || info.RuleID != j {
+			t.Fatalf("FSA %d: id %d, rule %d", j, info.ID, info.RuleID)
+		}
+	}
+}
+
 func TestMergeRejectsUnoptimized(t *testing.T) {
 	ast := rex.MustParse("a|bb")
 	raw, err := nfa.Build(ast)

@@ -48,6 +48,28 @@ func TestParseShapes(t *testing.T) {
 	}
 }
 
+// TestParseZeroLedBounds pins POSIX interval syntax: the bounds of a
+// counted repetition are decimal, so leading zeros do not change them —
+// `a{01}` is `a{1}` and `a{02,010}` is `a{2,10}` — where stdlib regexp reads
+// a zero-led bound as literal text.
+func TestParseZeroLedBounds(t *testing.T) {
+	for in, want := range map[string]string{
+		"a{01}":     "a{1}",
+		"a{00}b":    "a{0}b",
+		"a{02,010}": "a{2,10}",
+		"a{001,}":   "a{1,}",
+		"([0]){01}": "([0]){1}",
+	} {
+		got, err := Parse(in)
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if g, w := got.String(), MustParse(want).String(); g != w {
+			t.Errorf("%s: AST %s, want %s (%s)", in, g, w, want)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	for _, in := range []string{
 		"(", ")", "(a", "a)", "*", "+a", "?", "a(b", "{2}", "a{2,1}",

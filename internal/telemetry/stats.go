@@ -150,6 +150,8 @@ type PrefilterStats struct {
 	// counter).
 	FactorHits int64 `json:"prefilter_factor_hits"`
 	// GroupsSkipped counts whole MFSA executions elided by the prefilter.
+	// Gating acts on execution units, so a group is skipped only with
+	// every member of its unit: when no member's factor occurred.
 	GroupsSkipped int64 `json:"groups_skipped"`
 	// BytesSaved totals the input bytes those executions would have
 	// scanned.
@@ -303,16 +305,18 @@ type StageLatency struct {
 	HistStats
 }
 
-// LazyStats aggregates transition-cache behaviour across the automata of a
-// ruleset running on the lazy-DFA engine. The hit rate is the primary
+// LazyStats aggregates transition-cache behaviour across the lazy-DFA
+// execution units of a ruleset: one table each, of one automaton or of
+// several fused ones. The hit rate is the primary
 // signal for sizing Options.LazyDFAMaxStates: a low rate on steady traffic
 // means the cap is too small for the ruleset; a rising Fallbacks count
 // means the input mix is defeating determinization outright.
 type LazyStats struct {
-	// Automata is the number of MFSAs contributing to these counters.
+	// Automata is the number of lazy-DFA execution units — tables —
+	// contributing to these counters; fused automata count once.
 	Automata int `json:"automata"`
 	// CachedStates is the most recently observed total number of cached
-	// DFA states across automata (a gauge, not a cumulative counter).
+	// DFA states across units (a gauge, not a cumulative counter).
 	CachedStates int64 `json:"cached_states"`
 	// CacheBytes is the memory held by the transition caches behind
 	// CachedStates — row, state, index and word-arena tables, by capacity
@@ -325,7 +329,9 @@ type LazyStats struct {
 	// ByteClasses is the total byte-class count across automata — the
 	// width of each automaton's compressed transition rows.
 	ByteClasses int `json:"byte_classes"`
-	// Hits counts input bytes served by a cached transition.
+	// Hits counts input bytes served by a cached transition. A fused
+	// unit's bytes count once, so Hits + Misses is the lazy units' bytes,
+	// not the lazy groups' share of BytesScanned.
 	Hits int64 `json:"hits"`
 	// Misses counts transitions computed on demand (one per uncached
 	// (state, class) edge taken).

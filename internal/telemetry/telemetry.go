@@ -32,8 +32,8 @@ type Collector struct {
 	misses       atomic.Int64
 	flushes      atomic.Int64
 	fallbacks    atomic.Int64
-	cachedStates []atomic.Int64 // per-automaton gauge
-	cacheBytes   []atomic.Int64 // per-automaton gauge
+	cachedStates []atomic.Int64 // per-table gauge, one slot per execution unit
+	cacheBytes   []atomic.Int64 // per-table gauge, one slot per execution unit
 
 	prefEnabled bool
 	prefRules   int
@@ -46,7 +46,7 @@ type Collector struct {
 	accelEnabled  bool
 	accelAutomata int
 	accelBytes    atomic.Int64
-	accelStates   []atomic.Int64 // per-automaton gauge (lazy engine only)
+	accelStates   []atomic.Int64 // per-table gauge (lazy engine only)
 
 	stratEnabled  bool
 	stratPlanned  bool
@@ -87,10 +87,11 @@ func NewCollector(numRules int) *Collector {
 }
 
 // EnableLazy turns on the lazy-DFA section of the snapshot and records
-// the static cache configuration: the number of lazy automata, the
-// per-automaton state capacity, and the total byte-class count. The
-// cached-states gauge keeps one slot per automaton of the ruleset (total),
-// because SetCachedStates is indexed by automaton, not by lazy rank.
+// the static cache configuration: the number of lazy-DFA tables (execution
+// units of one or more fused automata), the per-table state capacity, and
+// the total byte-class count. The cached-states gauge keeps one slot per
+// execution unit of the ruleset (total), because SetCachedStates is indexed
+// by unit, not by lazy rank.
 func (c *Collector) EnableLazy(automata, total, maxStates, byteClasses int) {
 	c.lazyEnabled = true
 	c.lazyAutomata = automata
@@ -183,7 +184,7 @@ func (c *Collector) AddAccelScan(bytesSkipped int64) {
 }
 
 // SetAccelStates records the current number of accelerable cached states of
-// one automaton (lazy engine only).
+// one lazy-DFA table, by execution unit (lazy engine only).
 func (c *Collector) SetAccelStates(automaton int, n int64) {
 	if automaton >= 0 && automaton < len(c.accelStates) {
 		c.accelStates[automaton].Store(n)
@@ -249,15 +250,16 @@ func (c *Collector) AddLazyDegraded(grows, pins int64) {
 	c.pinnedScans.Add(pins)
 }
 
-// SetCachedStates records the current cache population of one automaton.
+// SetCachedStates records the current cache population of one lazy-DFA
+// table, by execution unit.
 func (c *Collector) SetCachedStates(automaton int, n int64) {
 	if automaton >= 0 && automaton < len(c.cachedStates) {
 		c.cachedStates[automaton].Store(n)
 	}
 }
 
-// SetCacheBytes records the transition-cache bytes of one automaton's most
-// recently finished runner.
+// SetCacheBytes records the transition-cache bytes of one lazy-DFA table,
+// by execution unit.
 func (c *Collector) SetCacheBytes(automaton int, n int64) {
 	if automaton >= 0 && automaton < len(c.cacheBytes) {
 		c.cacheBytes[automaton].Store(n)

@@ -87,17 +87,19 @@ func (rs *Ruleset) traceScan(kind telemetry.EventKind, value int64) {
 	}
 }
 
-// traceMatches wraps automaton i's match callback so every match is also
-// recorded as a match event. onMatch may be nil; it is returned unchanged
+// traceMatches wraps execution unit u's match callback so every match is
+// also recorded as a match event, under the automaton id of the member
+// group that owns the FSA. onMatch may be nil; it is returned unchanged
 // when tracing is off.
-func (rs *Ruleset) traceMatches(i int, onMatch func(fsa, end int)) func(fsa, end int) {
+func (rs *Ruleset) traceMatches(u int, onMatch func(fsa, end int)) func(fsa, end int) {
 	if rs.trace == nil {
 		return onMatch
 	}
-	rules := rs.programs[i].Rules()
+	x := &rs.plan.units[u]
+	rules, owner := x.rules, x.owner
 	return func(fsa, end int) {
 		rs.trace.Record(telemetry.Event{Kind: telemetry.EventMatch,
-			Automaton: int32(i), Rule: int32(rules[fsa].RuleID), Offset: int64(end), Value: 1})
+			Automaton: owner[fsa].group, Rule: int32(rules[fsa].RuleID), Offset: int64(end), Value: 1})
 		if onMatch != nil {
 			onMatch(fsa, end)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dfa"
 	"repro/internal/engine"
 	"repro/internal/lazydfa"
+	"repro/internal/mfsa"
 	"repro/internal/nfa"
 	"repro/internal/rex"
 	"repro/internal/strategy"
@@ -73,22 +74,22 @@ const (
 // litPass is the one literal automaton of a Ruleset: an Aho–Corasick
 // matcher over the deduplicated union of the AC-routed groups' literals and
 // the factor prefilter's factors. Each pattern carries an owner list — the
-// (group, FSA) members whose literal it is — and a wake list — the gated
-// automata whose factor it is. One pass of it per scan executes every AC
-// group and decides every factor gate.
+// (unit, FSA) members whose literal it is — and a wake list — the gated
+// execution units whose factor it is. One pass of it per scan executes
+// every AC group and decides every factor gate.
 type litPass struct {
 	m       *ahocorasick.Matcher
 	deliver []bool      // per pattern: owners is non-empty
 	owners  [][]int32   // per pattern: member indices
-	wakes   [][]int32   // per pattern: the gated automata it wakes
-	members []litMember // every AC group's FSAs, automaton order, then FSA order
-	groups  []int       // the AC-routed automata, ascending
-	first   []int       // per groups entry: its first member; a closing len(members)
+	wakes   [][]int32   // per pattern: the gated units it wakes
+	members []litMember // every AC group's FSAs, unit order, then FSA order
+	units   []int       // the AC-routed units (one group each), ascending
+	first   []int       // per units entry: its first member; a closing len(members)
 }
 
-// litMember is one rule of an AC-routed group: its automaton, its FSA
-// index within that automaton's program, and its rule id.
-type litMember struct{ group, fsa, rule int32 }
+// litMember is one rule of an AC-routed group: its execution unit, its FSA
+// index within the unit's program (the group's own) and its rule id.
+type litMember struct{ unit, fsa, rule int32 }
 
 // delivers reports whether the pass has literals to deliver, i.e. whether
 // the Ruleset has AC-routed groups. A pass without them is the factor
@@ -98,7 +99,7 @@ func (lp *litPass) delivers() bool { return len(lp.members) > 0 }
 // deliver attributes one occurrence of literal pat, ending at end, to every
 // member that carries it: counts (indexed by member) is bumped, a member
 // counted for the first time in the run is appended to touched, and the
-// owning group's callback in emit (indexed by automaton; a nil slice or nil
+// owning unit's callback in emit (indexed by unit; a nil slice or nil
 // entries count only) receives the member's FSA.
 func (lp *litPass) deliverHit(pat, end int, counts []int64, touched *[]int32, emit []func(fsa, end int)) {
 	for _, k := range lp.owners[pat] {
@@ -110,7 +111,7 @@ func (lp *litPass) deliverHit(pat, end int, counts []int64, touched *[]int32, em
 			continue
 		}
 		mb := lp.members[k]
-		if f := emit[mb.group]; f != nil {
+		if f := emit[mb.unit]; f != nil {
 			f(int(mb.fsa), end)
 		}
 	}
@@ -132,17 +133,44 @@ type anchGroup struct {
 }
 
 // scanPlan is the planner's output, recorded on the Ruleset: one strategy
-// per automaton group, the compiled per-strategy artifacts, and the group
-// executors built over them (see exec.go).
+// per automaton group, the compiled per-strategy artifacts, and the
+// execution units that run the groups (see exec.go).
 type scanPlan struct {
-	strat   []Strategy
+	strat   []Strategy   // per automaton group
+	units   []execUnit   // partition the groups; ordered by first member
+	unitOf  []int32      // per automaton group: its unit
 	lit     *litPass     // AC literals and gating factors; nil when neither exists
 	anch    []*anchGroup // non-nil iff strat[i] == StrategyAnchored
 	dfas    []*dfa.DFA   // non-nil iff strat[i] == StrategyDFA
-	exec    []groupExec  // zero for StrategyAC groups, which run in lit
 	counts  [numStrategies]int
 	planned bool // false under a forced Options.Engine
 }
+
+// execUnit is one execution unit: the automaton groups that run as one
+// program over one table. A unit of one group runs the group's own program;
+// the planner fuses lazy-DFA groups of one gating class, up to maxUnitFSAs
+// FSAs, into one unit over the disjoint union of their MFSAs, so a byte
+// costs one table walk per unit instead of one per group. Every entry
+// point runs units, and attributes their outcomes back to the member groups
+// through owner.
+type execUnit struct {
+	groups []int             // member automata, ascending
+	strat  Strategy          // the members' common strategy
+	prog   *engine.Program   // the members' disjoint union; the group's own program when alone
+	owner  []unitOwner       // per unit FSA: its member automaton and FSA there
+	rules  []engine.RuleInfo // per unit FSA: its owner's rule, read through owner
+	lazy   *lazydfa.Matcher  // the unit's one shared table; nil unless StrategyLazyDFA
+	exec   groupExec         // zero for StrategyAC units, which run in lit
+}
+
+// unitOwner is the member group, and the FSA within it, that a unit FSA
+// stands for.
+type unitOwner struct{ group, fsa int32 }
+
+// maxUnitFSAs caps a fused unit at one machine word of FSA ids, so its
+// program keeps Words() == 1 and the engines' one-word paths (the lazy
+// DFA's miss step, its thrash fallback and the segment stitch).
+const maxUnitFSAs = 64
 
 // gatable reports whether group i participates in factor-prefilter gating.
 // AC groups run in the literal pass that decides the gates, and anchored
@@ -152,8 +180,8 @@ func (pl *scanPlan) gatable(i int) bool {
 	return pl.strat[i] != StrategyAC && pl.strat[i] != StrategyAnchored
 }
 
-// inLit reports whether group i runs in the fused literal pass.
-func (pl *scanPlan) inLit(i int) bool { return pl.strat[i] == StrategyAC }
+// inLit reports whether unit u runs in the fused literal pass.
+func (pl *scanPlan) inLit(u int) bool { return pl.units[u].strat == StrategyAC }
 
 // StrategyOf returns the execution strategy of automaton group i.
 func (rs *Ruleset) StrategyOf(i int) Strategy { return rs.plan.strat[i] }
@@ -174,19 +202,19 @@ func (rs *Ruleset) defaultStrategy() Strategy {
 	return StrategyLazyDFA
 }
 
-// buildPlan classifies every automaton group. shapes is the Front-End's
-// per-rule classification (indexed by original rule id; nil disables the
-// fast shapes); nfas maps rule id to its optimized per-rule NFA (nil — e.g.
-// rulesets loaded from ANML — disables the eager-DFA strategy). Called
-// after buildEngines, before buildPrefilter, which builds the literal pass
-// of the AC groups planned here.
-func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
+// buildPlan classifies every automaton group, packs the groups into
+// execution units and builds the units' executors, then the literal pass
+// (buildPrefilter). shapes is the Front-End's per-rule classification
+// (indexed by original rule id; nil disables the fast shapes); nfas maps
+// rule id to its optimized per-rule NFA (nil — e.g. rulesets loaded from
+// ANML — disables the eager-DFA strategy); factors holds the per-rule
+// literal factors (nil under PrefilterOff). Called after buildEngines.
+func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA, factors []string) {
 	n := len(rs.programs)
 	pl := &scanPlan{
 		strat:   make([]Strategy, n),
 		anch:    make([]*anchGroup, n),
 		dfas:    make([]*dfa.DFA, n),
-		exec:    make([]groupExec, n),
 		planned: rs.opts.Engine == EngineAuto,
 	}
 	def := rs.defaultStrategy()
@@ -196,20 +224,31 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 			rs.classifyGroup(pl, i, shapes, nfas)
 		}
 		pl.counts[pl.strat[i]]++
-		if !pl.inLit(i) {
-			pl.exec[i] = rs.newExec(pl, i)
-		}
 	}
 	rs.plan = pl
 
-	if pl.counts[StrategyLazyDFA] > 0 {
-		classes := 0
-		for i, st := range pl.strat {
-			if st == StrategyLazyDFA {
-				classes += rs.lazy[i].NumClasses()
-			}
+	groupAlways, filterable := rs.gatingPlan(factors)
+	rs.formUnits(pl, groupAlways)
+	lazyUnits, classes := 0, 0
+	for u := range pl.units {
+		x := &pl.units[u]
+		if x.strat == StrategyLazyDFA {
+			x.lazy = lazydfa.New(x.prog, lazydfa.Options{KeepOnMatch: rs.opts.KeepOnMatch,
+				Accel: rs.opts.accelOn(), MaxStates: rs.opts.LazyDFAMaxStates})
+			lazyUnits++
+			classes += x.lazy.NumClasses()
 		}
-		rs.collector.EnableLazy(pl.counts[StrategyLazyDFA], len(rs.programs),
+		if x.strat != StrategyAC {
+			x.exec = rs.newExec(u)
+		}
+	}
+	rs.segSerial = make([]atomic.Bool, len(pl.units))
+	rs.traceEmit = make([]func(fsa, end int), len(pl.units))
+	for u := range pl.units {
+		rs.traceEmit[u] = rs.traceMatches(u, nil)
+	}
+	if lazyUnits > 0 {
+		rs.collector.EnableLazy(lazyUnits, len(pl.units),
 			lazydfa.ResolveMaxStates(rs.opts.LazyDFAMaxStates), classes)
 		rs.collector.SetGaugeFunc(rs.lazyGauges)
 	}
@@ -221,6 +260,88 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 		groups[k] = pl.counts[k]
 	}
 	rs.collector.EnableStrategy(pl.planned, names, groups)
+
+	var pf *prefilter
+	if groupAlways != nil {
+		pf = &prefilter{filterable: filterable, always: make([]bool, len(pl.units))}
+		for u, x := range pl.units {
+			// Units form within one gating class, so the first member
+			// speaks for all.
+			pf.always[u] = groupAlways[x.groups[0]]
+			if !pf.always[u] {
+				pf.gated = append(pf.gated, u)
+			}
+		}
+	}
+	rs.buildPrefilter(shapes, factors, pf)
+}
+
+// formUnits packs the planned groups into execution units, in group order.
+// A lazy-DFA group joins the open unit of its gating class (groupAlways;
+// nil when nothing is gated) while the unit stays within maxUnitFSAs FSAs,
+// and otherwise opens the next one. Every other group is a unit of its own,
+// and so is a lazy-DFA group with a dot-star state, whose table blows up
+// when fused with others, and every group of a forced Options.Engine or of
+// a profiled Ruleset (the profiler samples each group's own states). Then
+// each fused unit gets its program: the disjoint union of its members'
+// MFSAs.
+func (rs *Ruleset) formUnits(pl *scanPlan, groupAlways []bool) {
+	open := [2]int{-1, -1} // per gating class (always-run, gated): the unit still taking members
+	var fsas []int         // per unit: FSAs so far
+	pl.unitOf = make([]int32, len(rs.programs))
+	for i, p := range rs.programs {
+		fuse := pl.planned && pl.strat[i] == StrategyLazyDFA && !rs.opts.Profile && !hasDotStar(rs.mfsas[i])
+		class := 0
+		if groupAlways != nil && !groupAlways[i] {
+			class = 1
+		}
+		if u := open[class]; fuse && u >= 0 && fsas[u]+p.NumFSAs() <= maxUnitFSAs {
+			pl.units[u].groups = append(pl.units[u].groups, i)
+			fsas[u] += p.NumFSAs()
+			pl.unitOf[i] = int32(u)
+			continue
+		}
+		if fuse {
+			open[class] = len(pl.units)
+		}
+		pl.unitOf[i] = int32(len(pl.units))
+		pl.units = append(pl.units, execUnit{groups: []int{i}, strat: pl.strat[i]})
+		fsas = append(fsas, p.NumFSAs())
+	}
+	for u := range pl.units {
+		x := &pl.units[u]
+		x.prog = rs.programs[x.groups[0]]
+		if len(x.groups) > 1 {
+			zs := make([]*mfsa.MFSA, len(x.groups))
+			for k, g := range x.groups {
+				zs[k] = rs.mfsas[g]
+			}
+			x.prog = engine.NewProgram(mfsa.Union(zs))
+		}
+		x.owner = make([]unitOwner, 0, fsas[u])
+		for _, g := range x.groups {
+			for fsa := range rs.programs[g].NumFSAs() {
+				x.owner = append(x.owner, unitOwner{group: int32(g), fsa: int32(fsa)})
+			}
+		}
+		x.rules = make([]engine.RuleInfo, len(x.owner))
+		for k, o := range x.owner {
+			x.rules[k] = rs.programs[o.group].Rules()[o.fsa]
+		}
+	}
+}
+
+// hasDotStar reports whether z has a dot-star state: a self-loop labelled
+// with at least the 255 bytes of `.`. Such a state keeps every thread that
+// reaches it alive for good — the "amnesia" shapes that multiply a lazy
+// DFA's states — so its group runs on a table of its own.
+func hasDotStar(z *mfsa.MFSA) bool {
+	for _, t := range z.Trans {
+		if t.From == t.To && t.Label.Len() >= 255 {
+			return true
+		}
+	}
+	return false
 }
 
 // classifyGroup decides group i's strategy, in preference order: pure AC
@@ -348,11 +469,11 @@ func shapesOf(patterns []string) []strategy.Shape {
 	return out
 }
 
-// Effectiveness-tracker tuning: per-group wake rates are judged over
-// windows of trackerWindow sweeps; a group waking in ≥ 90% of a window's
-// sweeps has its gate disabled (the sweep is pure overhead for it). A
-// disabled group re-enables for free on any sweep — run for the other
-// groups — in which it would not have woken. Once every gated group is
+// Effectiveness-tracker tuning: per-unit wake rates are judged over
+// windows of trackerWindow sweeps; a gated unit waking in ≥ 90% of a
+// window's sweeps has its gate disabled (the sweep is pure overhead for
+// it). A disabled unit re-enables for free on any sweep — run for the other
+// units — in which it would not have woken. Once every gated unit is
 // disabled a pass with no literals to deliver is elided, with one explicit
 // probe pass every trackerProbeEvery elisions so a traffic shift can re-arm
 // gating; a pass that delivers AC literals runs anyway, and its gating
@@ -364,29 +485,31 @@ const (
 
 // prefTracker is the runtime prefilter-effectiveness tracker, shared by
 // every Scanner and CountParallel call of a ruleset (streams gate exactly
-// on their first Write, so they neither consult nor feed the tracker). All state is atomic; windows are approximate under
+// on their first Write, so they neither consult nor feed the tracker). It
+// judges execution units, the granularity gating acts on, and counts in
+// member groups. All state is atomic; windows are approximate under
 // concurrency, which only shifts when a decision lands, never its
-// soundness — a disabled gate means more groups run, and a sweep that does
+// soundness — a disabled gate means more units run, and a sweep that does
 // run is always exact.
 type prefTracker struct {
-	groups   []trackerGroup // indexed by automaton; only gated entries used
-	gated    int            // number of gated (non-always) groups
-	disabled atomic.Int64   // gauge: gated groups currently disabled
-	elided   atomic.Int64   // elided sweeps since the last probe
+	units    []trackerUnit // indexed by execution unit; only gated entries used
+	gated    int64         // member groups of the gated units
+	disabled atomic.Int64  // gauge: member groups of the disabled units
+	elided   atomic.Int64  // elided sweeps since the last probe
 }
 
-type trackerGroup struct {
-	off    atomic.Bool // gate disabled: the group runs every scan
+type trackerUnit struct {
+	groups int64       // member groups: the unit's weight in the gauges
+	off    atomic.Bool // gate disabled: the unit runs every scan
 	sweeps atomic.Int64
 	wakes  atomic.Int64
 }
 
-func newPrefTracker(groupAlways []bool) *prefTracker {
-	t := &prefTracker{groups: make([]trackerGroup, len(groupAlways))}
-	for _, always := range groupAlways {
-		if !always {
-			t.gated++
-		}
+func newPrefTracker(pf *prefilter, units []execUnit) *prefTracker {
+	t := &prefTracker{units: make([]trackerUnit, len(units))}
+	for _, u := range pf.gated {
+		t.units[u].groups = int64(len(units[u].groups))
+		t.gated += t.units[u].groups
 	}
 	return t
 }
@@ -397,7 +520,7 @@ func (t *prefTracker) decide() (run, probe bool) {
 	if t == nil || t.gated == 0 {
 		return true, false
 	}
-	if t.disabled.Load() < int64(t.gated) {
+	if t.disabled.Load() < t.gated {
 		return true, false
 	}
 	if t.elided.Add(1) >= trackerProbeEvery {
@@ -416,28 +539,26 @@ func (t *prefTracker) disabledNow() int64 {
 	return t.disabled.Load()
 }
 
-// isDisabled reports whether group i's gate is currently off. Nil-safe.
-func (t *prefTracker) isDisabled(i int) bool {
-	return t != nil && t.groups[i].off.Load()
+// isDisabled reports whether unit u's gate is currently off. Nil-safe.
+func (t *prefTracker) isDisabled(u int) bool {
+	return t != nil && t.units[u].off.Load()
 }
 
-// observe folds one sweep's outcome for gated group i: woke means the
-// group's factors occurred, so gating saved nothing. Returns the group's
-// disabled state to apply to this scan (a disabled group runs even when
-// the sweep says it could be skipped). Nil-safe.
-func (t *prefTracker) observe(i int, woke bool) {
+// observe folds one sweep's outcome for gated unit u: woke means a member's
+// factors occurred, so gating saved nothing. Nil-safe.
+func (t *prefTracker) observe(u int, woke bool) {
 	if t == nil {
 		return
 	}
-	g := &t.groups[i]
+	g := &t.units[u]
 	if g.off.Load() {
 		if !woke {
-			// The sweep ran anyway (for the other groups) and this group
+			// The sweep ran anyway (for the other units) and this unit
 			// would have been skipped: gating pays again.
 			if g.off.CompareAndSwap(true, false) {
 				g.sweeps.Store(0)
 				g.wakes.Store(0)
-				t.disabled.Add(-1)
+				t.disabled.Add(-g.groups)
 			}
 		}
 		return
@@ -452,7 +573,7 @@ func (t *prefTracker) observe(i int, woke bool) {
 		g.wakes.Store(0)
 		if w*10 >= s*9 {
 			if g.off.CompareAndSwap(false, true) {
-				t.disabled.Add(1)
+				t.disabled.Add(g.groups)
 			}
 		}
 	}

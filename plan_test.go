@@ -3,6 +3,7 @@ package imfant
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -271,7 +272,7 @@ func TestLiteralPassAttribution(t *testing.T) {
 		t.Fatalf("strategies %v, want %v", got, wantStrat)
 	}
 	lp := rs.plan.lit
-	if lp == nil || !slices.Equal(lp.groups, []int{0, 1, 2}) || lp.m.NumPatterns() != 4 {
+	if lp == nil || !slices.Equal(lp.units, []int{0, 1, 2}) || lp.m.NumPatterns() != 4 {
 		t.Fatalf("literal pass %+v, want one matcher over 4 distinct literals for groups 0-2", lp)
 	}
 	if rs.PrefilterActive() {
@@ -523,5 +524,141 @@ func TestOneLiteralPass(t *testing.T) {
 	x.feed(long)
 	if x.bytes >= int64(len(long)) || !x.pass.Done() {
 		t.Fatalf("the gating-only pass scanned %d of %d bytes after seeing every factor", x.bytes, len(long))
+	}
+}
+
+// TestFusedLazyUnits pins the planner's execution units and their
+// attribution back to the member groups. The ruleset interleaves gated and
+// always-run lazy-DFA groups, more gated FSAs than one unit's word holds,
+// and one always-run group with a dot-star state (`a.*b`): units fuse
+// within a gating class up to 64 FSAs, and the dot-star group runs alone.
+// Every entry point must then report what a forced-iMFAnt, unfiltered
+// compilation reports, trace each match under the group owning its rule,
+// and keep the strategy bytes summing to BytesScanned.
+func TestFusedLazyUnits(t *testing.T) {
+	var pats []string
+	add := func(n int, format string) {
+		for i := range n {
+			pats = append(pats, fmt.Sprintf(format, i))
+		}
+	}
+	add(72, "g%02d[a-e]+") // groups 0-8: gated on "gNN"
+	add(8, "[xy]%d[0-9]+") // group 9: always-run
+	pats = append(pats, "a.*b")
+	add(7, "[pq]%d[a-c]+") // group 10: always-run, with a dot-star state
+	add(8, "[mn]%d[0-9]+") // group 11: always-run
+	add(8, "h%02d[a-e]+")  // group 12: gated on "hNN"
+	opts := Options{MergeFactor: 8, TraceCapacity: 1 << 16}
+	rs := MustCompile(pats, opts)
+	for i, st := range rs.Strategies() {
+		if st != StrategyLazyDFA {
+			t.Fatalf("group %d planned %v, want every group on the lazy DFA", i, st)
+		}
+	}
+	var units [][]int
+	for _, x := range rs.plan.units {
+		units = append(units, x.groups)
+		if x.prog.NumFSAs() > maxUnitFSAs || x.prog.Words() != 1 {
+			t.Fatalf("unit %v holds %d FSAs in %d words", x.groups, x.prog.NumFSAs(), x.prog.Words())
+		}
+	}
+	wantUnits := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {8, 12}, {9, 11}, {10}}
+	if !reflect.DeepEqual(units, wantUnits) {
+		t.Fatalf("units %v, want %v", units, wantUnits)
+	}
+	groupOf := make([]int, len(pats)) // rule id → automaton
+	for i := range rs.NumAutomata() {
+		for _, ri := range rs.programs[i].Rules() {
+			groupOf[ri.RuleID] = i
+		}
+	}
+
+	frags := []string{"g07abc", "g70e", "g33ddd", "h03dd", "h05a", "x3 99", "y512", "a..zb", "azzb",
+		"p2cab", "q6a", "n09", "m7 0", "zz", " ", "b", "a"}
+	r := rand.New(rand.NewSource(25))
+	gen := func(keep func(string) bool) []byte {
+		var b []byte
+		for len(b) < 600 {
+			if f := frags[r.Intn(len(frags))]; keep(f) {
+				b = append(b, f...)
+			}
+		}
+		return b
+	}
+	inputs := [][]byte{
+		gen(func(string) bool { return true }),                                         // wakes both gated units
+		gen(func(f string) bool { return f[0] != 'g' && f[0] != 'h' }),                 // wakes none
+		gen(func(f string) bool { return f[0] != 'g' && f[0] != 'h' || f == "h03dd" }), // wakes {8, 12}
+	}
+	ref := MustCompile(pats, Options{MergeFactor: 8, Engine: EngineIMFAnt, Prefilter: PrefilterOff})
+	sc := rs.NewScanner()
+	scHits := make([]int64, len(pats))
+	ctx := t.Context()
+	for k, in := range inputs {
+		want := ref.FindAll(in)
+		perRule := make([]int64, len(pats))
+		for _, m := range want {
+			perRule[m.Rule]++
+		}
+		fail := func(what string, got any) {
+			t.Helper()
+			t.Fatalf("input %d: %s:\ngot  %v\nwant %v", k, what, got, want)
+		}
+		if got, err := sc.FindAllContext(ctx, in); err != nil || !slices.Equal(got, want) {
+			fail(fmt.Sprintf("Scanner (err %v)", err), got)
+		}
+		for r, n := range perRule {
+			scHits[r] += n
+		}
+		if got := sc.Stats().RuleHits; !slices.Equal(got, scHits) {
+			fail("Scanner rule hits", got)
+		}
+		if n := rs.Count(in); n != int64(len(want)) {
+			fail("Count", n)
+		}
+		if got := rs.CountPerRule(in); !slices.Equal(got, perRule) {
+			fail("CountPerRule", got)
+		}
+		for _, threads := range []int{1, 2, 4} {
+			if n, err := rs.CountParallel(in, threads); err != nil || n != int64(len(want)) {
+				fail(fmt.Sprintf("CountParallel(%d) (err %v)", threads, err), n)
+			}
+		}
+		for _, parts := range []int{2, 3, 8} {
+			if got, err := rs.findAllSegmented(ctx, in, parts); err != nil || !slices.Equal(got, want) {
+				fail(fmt.Sprintf("findAllSegmented(%d) (err %v)", parts, err), got)
+			}
+		}
+		for _, n := range []int{1, 3} {
+			if got, _ := streamAll(t, rs, in, fixedChunks(n)); !slices.Equal(got, want) {
+				fail(fmt.Sprintf("%d-byte stream writes", n), got)
+			}
+		}
+	}
+
+	// Every match event names the group owning its rule, and fused
+	// members other than a unit's first report their own events.
+	byGroup := make(map[int]int)
+	for _, ev := range rs.TraceEvents() {
+		if ev.Kind != "match" {
+			continue
+		}
+		if ev.Automaton != groupOf[ev.Rule] {
+			t.Fatalf("match event %+v under automaton %d, rule %d belongs to %d",
+				ev, ev.Automaton, ev.Rule, groupOf[ev.Rule])
+		}
+		byGroup[ev.Automaton]++
+	}
+	if byGroup[12] == 0 || byGroup[11] == 0 || byGroup[4] == 0 {
+		t.Fatalf("match events per group %v: a fused member's events are missing", byGroup)
+	}
+	for _, st := range []Stats{rs.Stats(), sc.Stats()} {
+		var strat int64
+		for _, g := range st.Strategy.Groups {
+			strat += g.Bytes
+		}
+		if strat != st.BytesScanned || st.BytesScanned == 0 {
+			t.Fatalf("strategy bytes %d, BytesScanned %d", strat, st.BytesScanned)
+		}
 	}
 }

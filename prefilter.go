@@ -40,26 +40,26 @@ const (
 	PrefilterOff
 )
 
-// prefilter is the compiled gating plan of a ruleset. The factors
-// themselves are patterns of the literal pass (rs.plan.lit), whose wake
-// lists map each factor to the gated automata it wakes.
+// prefilter is the compiled gating plan of a ruleset, over execution
+// units: a unit is gated when its members' groups are, and wakes when any
+// member's factor occurs. The factors themselves are patterns of the
+// literal pass (rs.plan.lit), whose wake lists map each factor to the gated
+// units it wakes.
 type prefilter struct {
-	factors     []string // the gating factors, literal-pass pattern order
-	filterable  int      // number of rules of gatable groups carrying a factor
-	groupAlways []bool   // per automaton: not gated, always runs
-	gated       []int    // the gated automata, ascending
+	factors    []string // the gating factors, literal-pass pattern order
+	filterable int      // number of rules of gatable groups carrying a factor
+	always     []bool   // per execution unit: not gated, always runs
+	gated      []int    // the gated units, ascending
 }
 
 // buildPrefilter builds the Ruleset's one literal pass (see litPass) and
-// its gating plan, from the AC-routed groups' literals (read from shapes)
-// and per-rule factors (indexed by rule id, "" meaning unfilterable).
-// Called after buildPlan: only groups the plan left gatable are gated — AC
-// groups run in the pass itself, and anchored groups are O(1) already. A
-// gatable group whose every member carries a factor is gated, and each of
-// its distinct factors gets a wake-list entry naming it. factors is nil
-// under PrefilterOff. When no group is gated rs.pf stays nil and scans are
-// ungated; with neither AC groups nor gated groups no pass is built.
-func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string) {
+// its gating plan pf (nil when no group is gated), from the AC-routed
+// groups' literals (read from shapes) and per-rule factors (indexed by rule
+// id, "" meaning unfilterable; nil under PrefilterOff). Each distinct
+// factor of a gated unit's members gets a wake-list entry naming the unit.
+// When pf is nil scans are ungated; with neither AC groups nor gated units
+// no pass is built.
+func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf *prefilter) {
 	lp := &litPass{}
 	index := make(map[string]int32)
 	var pats [][]byte
@@ -74,28 +74,28 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string) {
 		}
 		return k
 	}
-	for g, p := range rs.programs {
-		if !rs.plan.inLit(g) {
+	units := rs.plan.units
+	for u, x := range units {
+		if !rs.plan.inLit(u) {
 			continue
 		}
-		lp.groups = append(lp.groups, g)
+		lp.units = append(lp.units, u)
 		lp.first = append(lp.first, len(lp.members))
-		for fsa, ri := range p.Rules() {
+		for fsa, ri := range x.rules {
 			k := patternOf(shapes[ri.RuleID].Literal)
 			lp.owners[k] = append(lp.owners[k], int32(len(lp.members)))
-			lp.members = append(lp.members, litMember{group: int32(g), fsa: int32(fsa), rule: int32(ri.RuleID)})
+			lp.members = append(lp.members, litMember{unit: int32(u), fsa: int32(fsa), rule: int32(ri.RuleID)})
 		}
 	}
 	lp.first = append(lp.first, len(lp.members))
-	pf := rs.gatingPlan(factors)
 	if pf != nil {
-		for _, g := range pf.gated {
+		for _, u := range pf.gated {
 			var seen []int32
-			for _, ri := range rs.programs[g].Rules() {
+			for _, ri := range units[u].rules {
 				k := patternOf([]byte(factors[ri.RuleID]))
 				if !slices.Contains(seen, k) {
 					seen = append(seen, k)
-					lp.wakes[k] = append(lp.wakes[k], int32(g))
+					lp.wakes[k] = append(lp.wakes[k], int32(u))
 				}
 			}
 		}
@@ -130,39 +130,39 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string) {
 	if pf != nil {
 		rs.pf = pf
 		rs.prefRules += pf.filterable
-		rs.tracker = newPrefTracker(pf.groupAlways)
+		rs.tracker = newPrefTracker(pf, units)
 	}
 	rs.prefFactors = m.NumPatterns()
 	rs.collector.EnablePrefilter(rs.prefRules, rs.prefFactors)
 }
 
-// gatingPlan picks the gated groups for per-rule factors; nil when no
-// gatable group is fully filterable.
-func (rs *Ruleset) gatingPlan(factors []string) *prefilter {
+// gatingPlan picks the gated groups for per-rule factors: per automaton,
+// whether the group always runs, and the number of factor-bearing rules of
+// gatable groups. always is nil when no gatable group is fully filterable.
+func (rs *Ruleset) gatingPlan(factors []string) (always []bool, filterable int) {
 	if factors == nil {
-		return nil
+		return nil, 0
 	}
-	pf := &prefilter{groupAlways: make([]bool, len(rs.programs))}
+	always = make([]bool, len(rs.programs))
+	gated := false
 	for i, p := range rs.programs {
 		if !rs.plan.gatable(i) {
-			pf.groupAlways[i] = true
+			always[i] = true
 			continue
 		}
 		for _, ri := range p.Rules() {
 			if ri.RuleID >= 0 && ri.RuleID < len(factors) && factors[ri.RuleID] != "" {
-				pf.filterable++
+				filterable++
 			} else {
-				pf.groupAlways[i] = true
+				always[i] = true
 			}
 		}
-		if !pf.groupAlways[i] {
-			pf.gated = append(pf.gated, i)
-		}
+		gated = gated || !always[i]
 	}
-	if len(pf.gated) == 0 {
-		return nil
+	if !gated {
+		return nil, 0
 	}
-	return pf
+	return always, filterable
 }
 
 // factorsOf re-derives per-rule factors from pattern sources, for rulesets
@@ -257,40 +257,50 @@ func (rs *Ruleset) passPlan(faults *faultpoint.Injector) (run, gate bool) {
 }
 
 // gate turns the patterns one pass saw over an n-byte input into the
-// activation mask active (indexed by automaton; allocated when nil): a
-// gated group runs when a pattern whose wake list names it was seen, or
-// when the tracker has disabled its gate. It feeds the tracker, records
-// prefilter_skip trace events and adds the skipped groups and bytes to f.
+// activation mask active (indexed by execution unit; allocated when nil):
+// a gated unit runs when a pattern whose wake list names it was seen, or
+// when the tracker has disabled its gate. It feeds the tracker, records a
+// prefilter_skip trace event per member group of a skipped unit and adds
+// the skipped groups and bytes to f.
 func (rs *Ruleset) gate(seen []int32, active []bool, n int64, f *scanFold) []bool {
 	pf, lp := rs.pf, rs.plan.lit
 	if active == nil {
-		active = make([]bool, len(rs.programs))
+		active = make([]bool, len(rs.plan.units))
 	}
-	copy(active, pf.groupAlways)
+	copy(active, pf.always)
 	for _, k := range seen {
-		for _, g := range lp.wakes[k] {
-			active[g] = true
+		for _, u := range lp.wakes[k] {
+			active[u] = true
 		}
 	}
 	var skipped int64
-	for _, i := range pf.gated {
-		woke := active[i]
-		// A gate the tracker disabled runs its group regardless of the
+	for _, u := range pf.gated {
+		woke := active[u]
+		// A gate the tracker disabled runs its unit regardless of the
 		// pass outcome; the observation below may re-enable it.
-		if !woke && rs.tracker.isDisabled(i) {
-			active[i] = true
+		if !woke && rs.tracker.isDisabled(u) {
+			active[u] = true
 		}
-		rs.tracker.observe(i, woke)
-		if !active[i] {
-			skipped++
-			if rs.trace != nil {
-				rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
-					Automaton: int32(i), Rule: -1, Offset: -1, Value: n})
-			}
+		rs.tracker.observe(u, woke)
+		if !active[u] {
+			skipped += rs.traceSkip(u, n)
 		}
 	}
 	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
 	f.pref.skipped += skipped
 	f.pref.saved += skipped * n
 	return active
+}
+
+// traceSkip records a prefilter_skip trace event, worth n bytes, for each
+// member group of skipped unit u, and returns the number of members.
+func (rs *Ruleset) traceSkip(u int, n int64) int64 {
+	groups := rs.plan.units[u].groups
+	if rs.trace != nil {
+		for _, g := range groups {
+			rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
+				Automaton: int32(g), Rule: -1, Offset: -1, Value: n})
+		}
+	}
+	return int64(len(groups))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -74,8 +75,9 @@ func TestPrefilterSkipsAndStats(t *testing.T) {
 	}
 }
 
-// TestPrefilterPartialWake verifies group granularity: an input containing
-// only one group's factors runs that group and skips the other.
+// TestPrefilterPartialWake verifies execution-unit granularity: gated
+// groups fused into one unit wake together, and an input containing only
+// one unit's factors runs that unit and skips the other.
 func TestPrefilterPartialWake(t *testing.T) {
 	rs := MustCompile(pfPatterns, Options{MergeFactor: 2})
 	input := []byte("a needlexz sails through") // factor of rule 2 only
@@ -83,13 +85,30 @@ func TestPrefilterPartialWake(t *testing.T) {
 	if len(got) != 1 || got[0].Rule != 2 {
 		t.Fatalf("matches = %v, want exactly rule 2", got)
 	}
-	pf := rs.Stats().Prefilter
-	if pf.GroupsSkipped == 0 || pf.GroupsSkipped >= int64(rs.NumAutomata()) {
-		t.Fatalf("GroupsSkipped = %d of %d groups; want a strict subset skipped",
-			pf.GroupsSkipped, rs.NumAutomata())
+	if len(rs.plan.units) != 1 {
+		t.Fatalf("%d units, want the two gated lazy-DFA groups fused", len(rs.plan.units))
 	}
-	if pf.FactorHits == 0 {
-		t.Fatal("FactorHits = 0 despite a factor occurring")
+	pf := rs.Stats().Prefilter
+	if pf.GroupsSkipped != 0 || pf.FactorHits == 0 {
+		t.Fatalf("fused unit: GroupsSkipped = %d, FactorHits = %d; want its groups woken together", pf.GroupsSkipped, pf.FactorHits)
+	}
+
+	// 35 + 35 FSAs exceed one unit's word: two units.
+	var pats []string
+	for _, p := range []string{"alpha", "bravo"} {
+		for i := range 35 {
+			pats = append(pats, fmt.Sprintf("%s%02d[a-z]*", p, i))
+		}
+	}
+	rs = MustCompile(pats, Options{MergeFactor: 35})
+	if len(rs.plan.units) != 2 || !rs.PrefilterActive() {
+		t.Fatalf("%d units, prefilter active %v; want two gated units", len(rs.plan.units), rs.PrefilterActive())
+	}
+	if got := rs.FindAll([]byte("an alpha07q sails through")); len(got) != 1 || got[0].Rule != 7 {
+		t.Fatalf("matches = %v, want exactly rule 7", got)
+	}
+	if pf := rs.Stats().Prefilter; pf.GroupsSkipped != 1 {
+		t.Fatalf("GroupsSkipped = %d of %d groups; want the other unit's group skipped", pf.GroupsSkipped, rs.NumAutomata())
 	}
 }
 

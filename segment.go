@@ -66,14 +66,14 @@ func (rs *Ruleset) segmentParts(n, threads int) int {
 }
 
 // scanSegmented runs the literal pass, when pass is set, then the admitted
-// groups in turn, each over parts segments with exact boundary stitching
-// (package segment) when its executor offers a segment-parallel scan and
-// the group is not pinned serial; anchored and eager-DFA groups run
+// units (ids) in turn, each over parts segments with exact boundary
+// stitching (package segment) when its executor offers a segment-parallel
+// scan and the unit is not pinned serial; anchored and eager-DFA units run
 // serially — their scans are O(1) or a single cache-resident sweep, and
 // segmenting them buys nothing. Every run is gathered into f. Returns the
 // match count.
 func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, pass bool, check func() error,
-	emit func(automaton, fsa, end int), f *scanFold) (total int64, err error) {
+	emit func(unit, fsa, end int), f *scanFold) (total int64, err error) {
 	if pass {
 		if _, total, err = rs.segmentedPass(input, parts, check, emit, f); err != nil {
 			return total, err
@@ -81,25 +81,25 @@ func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, pass bool, 
 	}
 	bounds := segment.Boundaries(len(input), parts)
 	var run groupRun
-	for _, i := range ids {
-		var groupEmit func(fsa, end int)
+	for _, u := range ids {
+		var unitEmit func(fsa, end int)
 		if emit != nil {
-			automaton := i
-			groupEmit = func(fsa, end int) { emit(automaton, fsa, end) }
+			unit := u
+			unitEmit = func(fsa, end int) { emit(unit, fsa, end) }
 		}
-		groupEmit = rs.traceMatches(i, groupEmit)
-		x := rs.plan.exec[i]
+		unitEmit = rs.traceMatches(u, unitEmit)
+		x := &rs.plan.units[u]
 		st0 := rs.stageStart()
-		if x.segment != nil && !rs.segSerial[i].Load() {
-			err = x.segment(input, bounds, check, groupEmit, &run)
+		if x.exec.segment != nil && !rs.segSerial[u].Load() {
+			err = x.exec.segment(input, bounds, check, unitEmit, &run)
 			rs.stageEnd(telemetry.StageSegment, st0)
 		} else {
 			// Bytes of serial runs carry no segment fold, so they land in
 			// the derived SerialBytes bucket of the Segment partition.
-			err = blockScan(x.runner(), input, runCfg{onMatch: groupEmit, check: check, faults: rs.faults}, &run)
-			rs.stageEnd(telemetry.StrategyStage(int(rs.plan.strat[i])), st0)
+			err = blockScan(x.exec.runner(), input, runCfg{onMatch: unitEmit, check: check, faults: rs.faults}, &run)
+			rs.stageEnd(telemetry.StrategyStage(int(x.strat)), st0)
 		}
-		rs.foldRun(f, i, &run)
+		rs.foldRun(f, u, &run)
 		if err != nil {
 			return total, err
 		}
@@ -111,7 +111,7 @@ func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, pass bool, 
 // segmentedPass runs the literal pass over parts segments (see
 // scanLiterals). Returns the patterns seen and the AC groups' match count.
 func (rs *Ruleset) segmentedPass(input []byte, parts int, check func() error,
-	emit func(automaton, fsa, end int), f *scanFold) ([]int32, int64, error) {
+	emit func(unit, fsa, end int), f *scanFold) ([]int32, int64, error) {
 	st0 := rs.stageStart()
 	seen, n, err := rs.scanLiterals(input, segment.Boundaries(len(input), parts), check, rs.parallelEmit(emit), f)
 	rs.stageEnd(telemetry.StageSegment, st0)
@@ -122,8 +122,8 @@ func (rs *Ruleset) segmentedPass(input []byte, parts int, check func() error,
 // with rule attribution, then impose the serial report order.
 func (rs *Ruleset) findAllSegmented(ctx context.Context, input []byte, parts int) ([]Match, error) {
 	var out []Match
-	_, err := rs.scanParallel(ctx, input, 0, parts, func(automaton, fsa, end int) {
-		r := rs.programs[automaton].Rules()[fsa]
+	_, err := rs.scanParallel(ctx, input, 0, parts, func(unit, fsa, end int) {
+		r := rs.plan.units[unit].rules[fsa]
 		out = append(out, Match{Rule: r.RuleID, Pattern: r.Pattern, End: end})
 	})
 	if err != nil {

@@ -129,11 +129,11 @@ func TestCountParallelPanicNotPooled(t *testing.T) {
 	}
 }
 
-// TestCacheBytesFlatAcrossStreams pins what one shared table per group
-// buys: lazy-DFA memory does not grow with the number of open streams. The
-// same 64 flows, fed one open stream at a time and then all 64 open at
+// TestCacheBytesFlatAcrossStreams pins what one shared table per execution
+// unit buys: lazy-DFA memory does not grow with the number of open streams.
+// The same 64 flows, fed one open stream at a time and then all 64 open at
 // once with their chunks interleaved, leave the ruleset's
-// Stats().Lazy.CacheBytes — the summed bytes of its groups' tables —
+// Stats().Lazy.CacheBytes — the summed bytes of its units' tables —
 // within 1.1× of each other.
 func TestCacheBytesFlatAcrossStreams(t *testing.T) {
 	ds, err := dataset.ByAbbr("BRO")

@@ -77,22 +77,24 @@ func (sm *StreamMatcher) Stats() Stats {
 }
 
 // lazyGauges refreshes the collector's lazy-DFA gauges from the lazy
-// groups' shared transition tables; the collector calls it at Snapshot.
+// units' shared transition tables, one per unit; the collector calls it at
+// Snapshot.
 func (rs *Ruleset) lazyGauges() {
 	c := rs.collector
-	for i, st := range rs.plan.strat {
-		if st != StrategyLazyDFA {
+	for u := range rs.plan.units {
+		m := rs.plan.units[u].lazy
+		if m == nil {
 			continue
 		}
-		t := rs.lazy[i].Stats()
-		c.SetCachedStates(i, int64(t.States))
-		c.SetCacheBytes(i, t.Bytes)
-		c.SetAccelStates(i, int64(t.AccelStates))
+		t := m.Stats()
+		c.SetCachedStates(u, int64(t.States))
+		c.SetCacheBytes(u, t.Bytes)
+		c.SetAccelStates(u, int64(t.AccelStates))
 	}
 }
 
-// runTotals reads every runner's totals, the AC groups' from the literal
-// pass lit (nil when there is none).
+// runTotals reads every unit runner's totals, the AC units' from the
+// literal pass lit (nil when there is none).
 func runTotals(runs []groupRunner, lit *litRunner) []groupRun {
 	out := make([]groupRun, len(runs))
 	for i, r := range runs {
@@ -107,11 +109,12 @@ func runTotals(runs []groupRunner, lit *litRunner) []groupRun {
 }
 
 // localStats builds a Scanner- or StreamMatcher-scope snapshot from the
-// owner's per-automaton runner totals (automata marked in gated never ran
-// and are left out), its rule hits, timeouts and prefilter counters. The
-// planner section takes its classification from the shared plan and the
-// tracker's ungated gauge; the tracker's sweep-disable event counters are
-// ruleset-scope and stay zero here.
+// owner's per-unit runner totals (units marked in gated never ran and are
+// left out), attributed to the member groups as foldRun does, its rule
+// hits, timeouts and prefilter counters. The planner section takes its
+// classification from the shared plan and the tracker's ungated gauge; the
+// tracker's sweep-disable event counters are ruleset-scope and stay zero
+// here.
 func (rs *Ruleset) localStats(totals []groupRun, gated []bool, ruleHits []int64, timeouts int64, pref *prefCounters) Stats {
 	st := Stats{RuleHits: append([]int64(nil), ruleHits...),
 		Degraded: &DegradedStats{ScanTimeouts: timeouts}}
@@ -121,14 +124,16 @@ func (rs *Ruleset) localStats(totals []groupRun, gated []bool, ruleHits []int64,
 	}
 	var stratBytes [numStrategies]int64
 	var l *LazyStats
-	for i, t := range totals {
-		if gated != nil && gated[i] {
+	for u, t := range totals {
+		if gated != nil && gated[u] {
 			continue
 		}
-		st.Scans += t.scans
-		st.BytesScanned += t.bytes
+		x := &rs.plan.units[u]
+		k := int64(len(x.groups))
+		st.Scans += k * t.scans
+		st.BytesScanned += k * t.bytes
 		st.Matches += t.matches
-		stratBytes[rs.plan.strat[i]] += t.bytes
+		stratBytes[x.strat] += k * t.bytes
 		if accel != nil {
 			accel.BytesSkipped += t.accel
 			accel.AccelStates += t.accelStates

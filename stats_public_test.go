@@ -118,7 +118,7 @@ func TestLazyStats(t *testing.T) {
 
 // TestLazyCachedStatesGauge pins the ruleset-scope cached-states gauge when
 // the lazy group is not among the first groups: the gauge is indexed by
-// automaton, so a lazy group at index 3 of a ruleset with one lazy group
+// execution unit, so a lazy group at unit 3 of a ruleset with one lazy group
 // must still be counted, and the ruleset and scanner scopes must agree.
 func TestLazyCachedStatesGauge(t *testing.T) {
 	rs := MustCompile([]string{"abc", "xyz", `a[^\n]*b[0-9]+c`, "q(r|s)*t[0-9]+"},

@@ -19,7 +19,7 @@ import (
 // io.Copy or a TeeReader in a packet-processing pipeline.
 //
 // The matcher runs on the engine selected by Options.Engine: in lazy-DFA
-// mode each automaton's runner is a cursor on the automaton's one bounded
+// mode each execution unit's runner is a cursor on the unit's one bounded
 // transition table, shared by every stream and scan of the Ruleset, so a
 // new stream starts on the table earlier and concurrent streams warmed; in
 // iMFAnt mode the classic chunked runner.
@@ -38,17 +38,18 @@ import (
 // later Write and Close returns the same sticky error (Err).
 //
 // On rulesets whose literal-factor prefilter is active (Options.Prefilter)
-// the stream stays exact while still skipping work: fully filterable
-// automata start gated. The Ruleset's one literal pass runs over the first
-// Write before any gated automaton is fed; a gated automaton whose factor
-// occurs in it then runs the first Write from its first byte, exactly as if
-// it had never been gated. An automaton still gated when a second Write
-// arrives cannot be activated lazily any more (a match could start before
-// its factor's first occurrence), so it wakes by replaying the buffered
-// first chunk and the prefilter retires for the rest of the stream; matches
-// from that replay are reported during the later Write. An automaton still
-// gated at Close is skipped outright, which is sound: its rules each require
-// a factor that never occurred anywhere in the stream. The streamed match
+// the stream stays exact while still skipping work: the execution units of
+// fully filterable automata start gated. The Ruleset's one literal pass
+// runs over the first Write before any gated unit is fed; a gated unit a
+// member's factor of which occurs in it then runs the first Write from its
+// first byte, exactly as if it had never been gated. A unit still gated
+// when a second Write arrives cannot be activated lazily any more (a match
+// could start before its factor's first occurrence), so it wakes by
+// replaying the buffered first chunk and the prefilter retires for the rest
+// of the stream; matches from that replay are reported during the later
+// Write. A unit still gated at Close is skipped outright, which is sound:
+// its rules each require a factor that never occurred anywhere in the
+// stream. The streamed match
 // set is byte-identical to the unfiltered one in every case; the savings
 // concentrate on single-Write streams.
 //
@@ -63,7 +64,7 @@ import (
 type StreamMatcher struct {
 	mu       sync.Mutex // serializes Write/Close/Err/Matches
 	rs       *Ruleset
-	runs     []groupRunner // per automaton, indexed like rs.programs; nil for AC groups
+	runs     []groupRunner // per execution unit; nil for AC units
 	lit      *litRunner    // the one literal pass; nil when the ruleset has none
 	final    []groupRun    // the runners' totals frozen at Close, before their release
 	check    func() error  // context poll; nil when not cancellable
@@ -80,9 +81,9 @@ type StreamMatcher struct {
 	onClose  func() // registry drain hook; runs once, after a Close completes
 
 	// Prefilter state; inert when the ruleset is ungated.
-	gated      []bool // per automaton: skipped until its factor occurs
+	gated      []bool // per execution unit: skipped until a member's factor occurs
 	gatedCount int
-	pending    []byte // first chunk, buffered while any automaton is gated
+	pending    []byte // first chunk, buffered while any unit is gated
 	wrote      bool   // a Write has consumed bytes
 	pref       prefCounters
 }
@@ -112,11 +113,13 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 		budget:   rs.opts.ScanTimeout,
 		faults:   rs.faults,
 	}
-	sm.runs = make([]groupRunner, len(rs.programs))
-	emits := make([]func(fsa, end int), len(rs.programs))
-	for i, x := range rs.plan.exec {
-		rules := rs.programs[i].Rules()
-		emits[i] = func(fsa, end int) {
+	units := rs.plan.units
+	sm.runs = make([]groupRunner, len(units))
+	emits := make([]func(fsa, end int), len(units))
+	for u := range units {
+		x := &units[u]
+		rules := x.rules
+		emits[u] = func(fsa, end int) {
 			sm.matches++
 			ri := rules[fsa]
 			if ri.RuleID >= 0 && ri.RuleID < len(sm.ruleHits) {
@@ -126,9 +129,9 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 				sm.onMatch(Match{Rule: ri.RuleID, Pattern: ri.Pattern, End: end})
 			}
 		}
-		if x.runner != nil {
-			sm.runs[i] = x.runner()
-			sm.runs[i].begin(runCfg{onMatch: emits[i], faults: sm.faults})
+		if x.exec.runner != nil {
+			sm.runs[u] = x.exec.runner()
+			sm.runs[u].begin(runCfg{onMatch: emits[u], faults: sm.faults})
 		}
 	}
 	if lp := rs.plan.lit; lp != nil {
@@ -136,23 +139,22 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 		sm.lit.begin(nil, sm.faults, emits)
 	}
 	if pf := rs.pf; pf != nil {
-		sm.gated = make([]bool, len(rs.programs))
-		for _, i := range pf.gated {
-			sm.gated[i] = true
+		sm.gated = make([]bool, len(units))
+		for _, u := range pf.gated {
+			sm.gated[u] = true
 		}
 		sm.gatedCount = len(pf.gated)
 	}
 	return sm
 }
 
-// isGated reports whether automaton i is currently skipped by the
-// prefilter.
-func (sm *StreamMatcher) isGated(i int) bool {
-	return sm.gated != nil && sm.gated[i]
+// isGated reports whether unit u is currently skipped by the prefilter.
+func (sm *StreamMatcher) isGated(u int) bool {
+	return sm.gated != nil && sm.gated[u]
 }
 
-// feed hands one chunk to the literal pass and every active automaton;
-// gated ones stay idle. A pass that only gates has done its job once the
+// feed hands one chunk to the literal pass and every active unit; gated
+// ones stay idle. A pass that only gates has done its job once the
 // first Write is in.
 func (sm *StreamMatcher) feed(chunk []byte, final bool) {
 	if sm.lit != nil && (!sm.wrote || sm.lit.lp.delivers()) {
@@ -184,12 +186,12 @@ func (sm *StreamMatcher) admit() error {
 		// (openGates).
 		return nil
 	}
-	// A later chunk arrived with automata still gated. Activating one
+	// A later chunk arrived with units still gated. Activating one
 	// mid-stream cannot be exact — a match may start before the factor's
-	// first occurrence — so every gated automaton wakes by replaying the
+	// first occurrence — so every gated unit wakes by replaying the
 	// buffered first chunk, and the prefilter retires for this stream.
-	for i := range sm.gated {
-		if !sm.gated[i] {
+	for u := range sm.gated {
+		if !sm.gated[u] {
 			continue
 		}
 		pending := sm.pending
@@ -201,10 +203,10 @@ func (sm *StreamMatcher) admit() error {
 			if sm.splitChunks() && len(blk) > engine.DefaultCheckpointEvery {
 				blk = blk[:engine.DefaultCheckpointEvery]
 			}
-			sm.runs[i].feed(blk, false)
+			sm.runs[u].feed(blk, false)
 			pending = pending[len(blk):]
 		}
-		sm.gated[i] = false
+		sm.gated[u] = false
 		sm.gatedCount--
 	}
 	sm.pending = nil
@@ -212,17 +214,17 @@ func (sm *StreamMatcher) admit() error {
 }
 
 // openGates ends the first Write of a gated stream, of which the literal
-// pass and every ungated automaton have consumed the bytes in first: each
-// gated automaton whose factor the pass saw wakes and runs first from its
-// first byte, and first is kept for the replay of those still gated.
+// pass and every ungated unit have consumed the bytes in first: each gated
+// unit a member's factor of which the pass saw wakes and runs first from
+// its first byte, and first is kept for the replay of those still gated.
 func (sm *StreamMatcher) openGates(first []byte) {
 	lp := sm.lit.lp
 	for _, k := range sm.lit.pass.Firsts() {
-		for _, g := range lp.wakes[k] {
-			if sm.gated[g] {
-				sm.gated[g] = false
+		for _, u := range lp.wakes[k] {
+			if sm.gated[u] {
+				sm.gated[u] = false
 				sm.gatedCount--
-				sm.runs[g].feed(first, false)
+				sm.runs[u].feed(first, false)
 			}
 		}
 	}
@@ -369,29 +371,23 @@ func (sm *StreamMatcher) Close() error {
 		sm.feed(nil, true)
 	}
 	sm.rs.stageEnd(telemetry.StageStreamFlush, ft0)
-	// Automata still gated here are skipped for good: each of their rules
+	// Units still gated here are skipped for good: each of their rules
 	// requires a factor that never occurred in the stream.
 	var f scanFold
-	if sm.gatedCount > 0 {
-		f.pref.skipped = int64(sm.gatedCount)
-		f.pref.saved = int64(sm.gatedCount) * sm.consumed
-		if sm.rs.trace != nil {
-			for i := range sm.gated {
-				if sm.gated[i] {
-					sm.rs.trace.Record(telemetry.Event{Kind: telemetry.EventPrefilterSkip,
-						Automaton: int32(i), Rule: -1, Offset: -1, Value: sm.consumed})
-				}
-			}
+	for u := range sm.gated {
+		if sm.gated[u] {
+			f.pref.skipped += sm.rs.traceSkip(u, sm.consumed)
 		}
 	}
+	f.pref.saved = f.pref.skipped * sm.consumed
 	if sm.lit != nil {
 		sm.lit.end(&f, sm.rs.collector, sm.rs.prefEnabled)
 	}
 	var run groupRun
-	for i, r := range sm.runs {
-		if r != nil && !sm.isGated(i) {
+	for u, r := range sm.runs {
+		if r != nil && !sm.isGated(u) {
 			r.end(&run)
-			sm.rs.foldRun(&f, i, &run)
+			sm.rs.foldRun(&f, u, &run)
 		}
 	}
 	sm.rs.flush(&f, &sm.pref)
