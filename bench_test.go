@@ -295,6 +295,34 @@ func BenchmarkScannerPacketsThroughput(b *testing.B) {
 	b.ReportMetric(float64(n)/1e6/b.Elapsed().Seconds(), "MB/s")
 }
 
+// BenchmarkCountParallelDS9Throughput drives the bulk shape end to end on
+// the Dotstar09 rules, which are all dot-star literal chains: CountParallel
+// at 2 threads over the dataset's 1 MiB stream at MergeFactor 10, after one
+// warming call. One op is one call; MB/s is the scanned bytes over the
+// elapsed time.
+func BenchmarkCountParallelDS9Throughput(b *testing.B) {
+	s, err := dataset.ByAbbr("DS9")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := Compile(s.Patterns(), Options{MergeFactor: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := s.Stream(1<<20, 0)
+	if _, err := rs.CountParallel(in, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rs.CountParallel(in, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(in))/1e6/b.Elapsed().Seconds(), "MB/s")
+}
+
 // BenchmarkStreamFlowsThroughput drives the many-open-flows shape end to
 // end: 64 StreamMatchers open at once over the BRO, TCP and PEN rules at
 // MergeFactor 10 with KeepOnMatch, fed 256-byte Writes in turn; each flow

@@ -60,6 +60,10 @@ var confPatterns = []string{
 	// A gated rule whose factor is an AC literal: one pattern of the literal
 	// pass both delivers "needle" and wakes this rule's group.
 	"needle[0-9]*x",
+	// Dot-star literal chains, a chain group at M ≤ 2: overlapping and
+	// repeated pieces, three pieces one of which is an AC literal and a
+	// factor, and gaps that two bytes kill.
+	"ab.*ba", "ab.*ab", "cab.*needle.*xy", `needle[^\x0d\x0a]*cab`,
 }
 
 // confFragments salt the generated inputs with near and full matches of
@@ -67,6 +71,7 @@ var confPatterns = []string{
 var confFragments = []string{
 	"needle", "neede", "cab", "\x90\x90\x90", "HDR", "tail", "abd", "acbd", "foobaz", "barba",
 	"xqqy", "x12345y", "bbc", "/admin", "xc", "xccy", "cc", "c", "y", "\n",
+	"aba", "abba", "xy", "\r\n", "\r",
 }
 
 // snortFragments salt the snort ruleset's inputs with the literals of its
@@ -470,6 +475,17 @@ func TestConformanceMatrix(t *testing.T) {
 	if !fused {
 		t.Fatal("no auto cell gates a group on a factor that is also an AC literal")
 	}
+	// Some auto cell must plan a chain group, or the pass's phase state goes
+	// unexercised.
+	chains := false
+	for i, cfg := range conformanceConfigs() {
+		if cfg.opts.Engine == EngineAuto && !chains {
+			chains = slices.Contains(MustCompile(rulesets[i%len(rulesets)].patterns, cfg.opts).Strategies(), StrategyChain)
+		}
+	}
+	if !chains {
+		t.Fatal("no auto cell plans a chain group")
+	}
 	// Some auto cell must run lazy-DFA groups fused into one execution
 	// unit, or the units' owner map goes unexercised.
 	multi := false
@@ -812,6 +828,16 @@ func FuzzConformance(f *testing.F) {
 	for i, cfg := range configs {
 		if cfg.opts.Engine == EngineAuto && cfg.opts.Prefilter == PrefilterOn && cfg.opts.MergeFactor == 1 {
 			add([]string{"needle", "needle[0-9]*x", "cab"}, "cab needle42x needlex needle", uint(i), 12)
+			break
+		}
+	}
+	// Two chain groups, one over gaps that two bytes kill, with the kill
+	// bytes between and beside the pieces: the first auto cell with two
+	// rules per group.
+	for i, cfg := range configs {
+		if cfg.opts.Engine == EngineAuto && cfg.opts.MergeFactor == 2 {
+			add([]string{"ab.*ba", "ab.*ab", "cab.*needle.*xy", `needle[^\x0d\x0a]*cab`},
+				"abba\nab cab needle\r\nxy abab needlecab cab needle xy", uint(i), 13)
 			break
 		}
 	}

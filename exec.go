@@ -432,51 +432,45 @@ func (t *tally) totals(run *groupRun) {
 
 // litRunner runs the literal pass of a Ruleset (see litPass): one
 // resumable Aho–Corasick pass in checkpoint-sized blocks, whose every
-// literal hit is attributed to the members carrying the literal and whose
-// first-seen patterns decide the factor gates. A pass without literals to
-// deliver stops once every pattern has been seen. Not safe for concurrent
-// use.
+// literal hit is attributed to the members carrying the literal, whose
+// piece hits advance the chain members, and whose first-seen patterns
+// decide the factor gates. A pass without literals to deliver stops once
+// every pattern has been seen. Not safe for concurrent use.
 type litRunner struct {
-	lp      *litPass
-	pass    *ahocorasick.Pass
-	onHit   func(pat, end int) // x.hit, bound once
-	check   func() error       // checkpoint poll; nil when not cancellable
-	faults  *faultpoint.Injector
-	emit    []func(fsa, end int) // per unit; nil entries count only
-	counts  []int64              // per member: events in the current run
-	touched []int32              // members counted in the current run
-	bytes   int64                // bytes of the current run
-	base    int                  // offset of the block being scanned
-	skip0   int64                // pass.Skipped() at begin
-	stop    error
-	open    bool
-	runs    int64   // ended runs
-	done    int64   // bytes of the ended runs
-	doneBy  []int64 // per member: events of the ended runs
+	lp     *litPass
+	pass   *ahocorasick.Pass
+	onHit  func(pat, end int) // x.hit, bound once
+	check  func() error       // checkpoint poll; nil when not cancellable
+	faults *faultpoint.Injector
+	emit   []func(fsa, end int) // per unit; nil entries count only
+	st     litState             // the current run; its buf is the block being scanned
+	bytes  int64                // bytes of the current run
+	skip0  int64                // pass.Skipped() at begin
+	stop   error
+	open   bool
+	runs   int64   // ended runs
+	done   int64   // bytes of the ended runs
+	doneBy []int64 // per member: events of the ended runs
 }
 
 func newLitRunner(lp *litPass, accel bool) *litRunner {
-	x := &litRunner{lp: lp, pass: lp.m.NewPass(lp.deliver), counts: make([]int64, len(lp.members)),
-		touched: make([]int32, 0, len(lp.members)), doneBy: make([]int64, len(lp.members))}
+	x := &litRunner{lp: lp, pass: lp.m.NewPass(lp.deliver), st: lp.newState(), doneBy: make([]int64, len(lp.members))}
 	x.pass.SetAccel(accel)
 	x.onHit = x.hit
 	return x
 }
 
-// begin starts a run; emit, indexed by unit, receives each AC group's
-// events (nil: count only).
+// begin starts a run; emit, indexed by unit, receives each AC and chain
+// group's events (nil: count only).
 func (x *litRunner) begin(check func() error, faults *faultpoint.Injector, emit []func(fsa, end int)) {
 	x.check, x.faults, x.emit, x.stop, x.skip0 = check, faults, emit, nil, x.pass.Skipped()
 	x.pass.Reset()
-	for _, k := range x.touched {
-		x.counts[k] = 0
-	}
-	x.touched = x.touched[:0]
+	x.st.reset()
 	x.bytes, x.open = 0, true
 }
 
 func (x *litRunner) hit(pat, end int) {
-	x.lp.deliverHit(pat, x.base+end, x.counts, &x.touched, x.emit)
+	x.lp.deliverHit(pat, x.st.bufAt+end, &x.st, x.emit)
 }
 
 func (x *litRunner) feed(chunk []byte) {
@@ -491,34 +485,36 @@ func (x *litRunner) feed(chunk []byte) {
 		// site, so a stalled chunk is cut by ScanTimeout on every strategy.
 		x.faults.Stall()
 		blk := chunk[off:min(off+block, len(chunk))]
-		x.base = int(x.bytes)
+		x.st.buf, x.st.bufAt = blk, int(x.bytes)
 		x.pass.Scan(blk, x.onHit)
 		x.bytes += int64(len(blk))
+		// The next block's bytes replace this one's: finish its hunt.
+		x.lp.huntKills(&x.st, int(x.bytes))
 	}
+	x.st.buf = nil
 }
 
 func (x *litRunner) err() error { return x.stop }
 
-// end finishes the run and folds it into f: each AC group scanned the
-// pass's bytes once, the members' counts are rule hits, the pass's root
-// skips are accel bytes and, when the prefilter section is live (prefOn),
-// the pass is one sweep whose hits are its distinct patterns. Returns the
-// AC groups' match count. The seen patterns stay readable until the next
-// begin.
+// end finishes the run and folds it into f: each AC and chain group
+// scanned the pass's bytes once, the members' counts are rule hits, the
+// pass's root skips are accel bytes and, when the prefilter section is live
+// (prefOn), the pass is one sweep whose hits are its distinct patterns.
+// Returns the groups' match count. The seen patterns stay readable until
+// the next begin.
 func (x *litRunner) end(f *scanFold, c *telemetry.Collector, prefOn bool) int64 {
+	st := &x.st
 	var matches int64
-	for _, k := range x.touched {
-		n := x.counts[k]
+	for _, k := range st.touched {
+		n := st.counts[k]
 		matches += n
 		x.doneBy[k] += n
-		x.counts[k] = 0
+		st.counts[k] = 0
 		f.rule(c, int(x.lp.members[k].rule), n)
 	}
-	x.touched = x.touched[:0]
-	if g := int64(len(x.lp.units)); g > 0 {
-		f.scans += g
-		f.bytes += g * x.bytes
-		f.strat[StrategyAC] += g * x.bytes
+	st.touched = st.touched[:0]
+	if x.lp.delivers() {
+		x.lp.foldBytes(f, x.bytes)
 		f.matches += matches
 		f.accel += x.pass.Skipped() - x.skip0
 	}
@@ -534,7 +530,18 @@ func (x *litRunner) end(f *scanFold, c *telemetry.Collector, prefOn bool) int64 
 	return matches
 }
 
-// totals writes every AC unit's cumulative totals, including a run in
+// foldBytes counts one pass over n bytes into f: one scan of n bytes per
+// group that runs in the pass, under the group's strategy.
+func (lp *litPass) foldBytes(f *scanFold, n int64) {
+	g := int64(len(lp.units))
+	f.scans += g
+	f.bytes += g * n
+	for k, units := range lp.perStrat {
+		f.strat[k] += units * n
+	}
+}
+
+// totals writes every pass unit's cumulative totals, including a run in
 // progress, into out (indexed by unit). The pass's skipped bytes count on
 // the first unit.
 func (x *litRunner) totals(out []groupRun) {
@@ -546,7 +553,7 @@ func (x *litRunner) totals(out []groupRun) {
 			t.bytes += x.bytes
 		}
 		for k := lp.first[j]; k < lp.first[j+1]; k++ {
-			t.matches += x.doneBy[k] + x.counts[k]
+			t.matches += x.doneBy[k] + x.st.counts[k]
 		}
 	}
 	if len(lp.units) > 0 {
@@ -556,26 +563,25 @@ func (x *litRunner) totals(out []groupRun) {
 
 // scanLiterals runs the literal pass over input segment-parallel (see
 // segment.ScanAC) and folds it into f: each worker scans its segment plus
-// the longest pattern's left context, so no stitching is needed. emit is
-// indexed by unit. Returns the patterns seen and the AC groups' match
-// count.
+// the longest pattern's left context, so no stitching is needed, and the
+// hits are replayed in end order, which is what the chain members need.
+// emit is indexed by unit. Returns the patterns seen and the AC and chain
+// groups' match count.
 func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
 	emit []func(fsa, end int), f *scanFold) ([]int32, int64, error) {
 	lp := rs.plan.lit
-	counts := make([]int64, len(lp.members))
-	var touched []int32
+	st := lp.newState()
+	st.buf = input
 	res, err := segment.ScanAC(lp.m, input, bounds, rs.opts.accelOn(), check, 0, func(pat, end int) {
-		lp.deliverHit(pat, end, counts, &touched, emit)
+		lp.deliverHit(pat, end, &st, emit)
 	})
 	var matches int64
-	for _, k := range touched {
-		matches += counts[k]
-		f.rule(rs.collector, int(lp.members[k].rule), counts[k])
+	for _, k := range st.touched {
+		matches += st.counts[k]
+		f.rule(rs.collector, int(lp.members[k].rule), st.counts[k])
 	}
 	g := int64(len(lp.units))
-	f.scans += g
-	f.bytes += g * res.ScannedBytes
-	f.strat[StrategyAC] += g * res.ScannedBytes
+	lp.foldBytes(f, res.ScannedBytes)
 	f.matches += matches
 	f.accel += res.SkippedBytes
 	f.segScans += g

@@ -47,7 +47,8 @@ type EngineMode int
 const (
 	// EngineAuto runs every group on the lazy-DFA engine, under either
 	// match semantics, unless the strategy planner routes it to a faster
-	// special-purpose engine (Aho–Corasick, anchored literals, eager DFA).
+	// special-purpose engine (Aho–Corasick, dot-star literal chains on the
+	// same pass, anchored literals, eager DFA).
 	EngineAuto EngineMode = iota
 	// EngineIMFAnt forces the paper's NFA-style iMFAnt engine.
 	EngineIMFAnt
@@ -230,7 +231,8 @@ type Ruleset struct {
 	sched     *scanGate    // overload shedding for parallel scans; nil when unbounded
 	// prefEnabled (with the rule/factor config counts) drives the Prefilter
 	// stats section: it is on whenever the literal pass runs with the
-	// prefilter enabled — to gate (rs.pf), to run AC-routed groups, or both.
+	// prefilter enabled — to gate (rs.pf), to run AC and chain groups, or
+	// both.
 	prefEnabled bool
 	prefRules   int
 	prefFactors int
@@ -532,7 +534,7 @@ func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, e
 }
 
 // Scan streams every match to fn, on the engine selected by
-// Options.Engine: first the events of every AC-routed group, which come
+// Options.Engine: first the events of every AC and chain group, which come
 // from one literal pass in end order, then the other groups', execution
 // unit by execution unit. Like every one-shot Ruleset scan it runs on a fresh
 // Scanner, whose lazy-DFA runners read the ruleset's shared, already warm
@@ -575,7 +577,7 @@ func (rs *Ruleset) CountPerRule(input []byte) []int64 {
 // shared Ruleset remains concurrency-safe).
 type Scanner struct {
 	rs       *Ruleset
-	runs     []groupRunner // per execution unit; nil for AC units
+	runs     []groupRunner // per execution unit; nil for the pass's units
 	lit      *litRunner    // the one literal pass; nil when the ruleset has none
 	ruleHits []int64       // per-rule match counts, scanner lifetime
 	timeouts int64         // scans cut short by Options.ScanTimeout
@@ -625,8 +627,8 @@ func (rs *Ruleset) NewScanner() *Scanner {
 	return s
 }
 
-// Scan streams every match in input to fn: first the events of every
-// AC-routed group, which come from one literal pass in end order, then the
+// Scan streams every match in input to fn: first the events of every AC
+// and chain group, which come from one literal pass in end order, then the
 // other groups', execution unit by execution unit.
 func (s *Scanner) Scan(input []byte, fn func(Match)) {
 	s.run(context.Background(), input, fn, nil)
@@ -712,9 +714,9 @@ func (s *Scanner) run(ctx context.Context, input []byte, fn func(Match), perRule
 	return total, s.noteErr(err)
 }
 
-// scan runs the literal pass, whose AC groups are never gated and whose
-// outcome gates the other units, then every admitted unit, gathering the
-// runs into s.fold.
+// scan runs the literal pass, whose AC and chain groups are never gated
+// and whose outcome gates the other units, then every admitted unit,
+// gathering the runs into s.fold.
 func (s *Scanner) scan(input []byte, check func() error, emit []func(fsa, end int)) (total int64, err error) {
 	rs := s.rs
 	gate, total, err := rs.blockPass(s.lit, input, check, s.faults, emit, s.active, &s.fold)
@@ -754,23 +756,19 @@ func (s *Scanner) scan(input []byte, check func() error, emit []func(fsa, end in
 }
 
 // blockPass runs the literal pass x over input as one block scan, when
-// passPlan says it runs, and folds it into f. It returns the AC groups'
-// match count and the activation mask of the execution units (active,
-// filled; nil when every unit runs).
+// passPlan says it runs, and folds it into f. It returns the AC and chain
+// groups' match count and the activation mask of the execution units
+// (active, filled; nil when every unit runs).
 func (rs *Ruleset) blockPass(x *litRunner, input []byte, check func() error, faults *faultpoint.Injector,
 	emit []func(fsa, end int), active []bool, f *scanFold) ([]bool, int64, error) {
 	run, gate := rs.passPlan(faults)
 	if !run {
 		return nil, 0, nil
 	}
-	stage := telemetry.StagePrefilter
-	if x.lp.delivers() {
-		stage = telemetry.StrategyStage(int(StrategyAC))
-	}
 	st0 := rs.stageStart()
 	x.begin(check, faults, emit)
 	x.feed(input)
-	rs.stageEnd(stage, st0)
+	rs.stageEnd(x.lp.stage, st0)
 	n := x.end(f, rs.collector, rs.prefEnabled)
 	if err := x.err(); err != nil || !gate {
 		return nil, n, err
@@ -877,9 +875,9 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 
 // upfrontPass runs the literal pass of a gated parallel scan before any
 // other unit: segment-parallel when the scan is segmented and the pass has
-// AC literals to deliver, serially otherwise (a pass that only gates ends
-// once every factor has been seen). Returns the activation mask and the AC
-// groups' match count.
+// AC literals or chain pieces to deliver, serially otherwise (a pass that
+// only gates ends once every factor has been seen). Returns the activation
+// mask and the AC and chain groups' match count.
 func (rs *Ruleset) upfrontPass(input []byte, parts int, check func() error,
 	emit func(unit, fsa, end int), f *scanFold) ([]bool, int64, error) {
 	if parts > 1 && rs.plan.lit.delivers() {
@@ -912,7 +910,7 @@ func (rs *Ruleset) parallelEmit(emit func(unit, fsa, end int)) []func(fsa, end i
 
 // scanPool hands every admitted unit (ids) to the worker pool as one block
 // scan on a fresh runner; the literal pass, when pass is set, is one more
-// task, that of the first AC unit. A task runs under its unit's first
+// task, that of the pass's first unit. A task runs under its unit's first
 // member's automaton id, which labels its profile samples and a contained
 // panic. Every task gathers its run into f, a contained panic's partial
 // work included.
@@ -941,7 +939,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, che
 			st0 := rs.stageStart()
 			x.begin(check, rs.faults, rs.traceEmit)
 			x.feed(input)
-			rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
+			rs.stageEnd(x.lp.stage, st0)
 			return x.err()
 		}
 		r := units[u].exec.runner()

@@ -7,6 +7,12 @@
 // over the Front-End's AST, and a rule that does not match a fast shape
 // simply stays on the general engines, so misclassification is impossible by
 // construction (there is no "almost literal" shape, only exact ones).
+//
+// A third fast shape, the dot-star literal chain `L1<G>*L2…<G>*Lk`, is the
+// Dotstar09 family that blows up a DFA. Instead of determinizing the gaps,
+// a chain is decided by remembering that its pieces occurred in order with
+// no byte outside G between them — Quesada et al.'s cure for "amnesia" —
+// so its pieces run as literals on the one literal pass.
 package strategy
 
 import (
@@ -32,6 +38,15 @@ const (
 	// compares plus, for the middle, a vectorized hunt for a violating
 	// byte.
 	KindAnchored
+	// KindChain is an unanchored dot-star literal chain: k ≥ 2 non-empty
+	// literal Pieces joined by `<G>*`, one byte class G throughout, whose
+	// complement (the kill bytes, in MiddleExcluded) has at most
+	// bytescan.MaxNeedles bytes (`.` kills only \n) and occurs in no piece. The rule matches at end
+	// e iff the last piece ends at e, the others occur before it in order,
+	// each starting after the previous one ends, and no kill byte lies
+	// between the first piece's start and e. Every final state of such a
+	// rule is a sink, so pop and KeepOnMatch report the same events.
+	KindChain
 )
 
 func (k Kind) String() string {
@@ -40,6 +55,8 @@ func (k Kind) String() string {
 		return "literal"
 	case KindAnchored:
 		return "anchored"
+	case KindChain:
+		return "chain"
 	default:
 		return "general"
 	}
@@ -69,6 +86,9 @@ type Shape struct {
 	// most bytescan.MaxNeedles entries — larger complements fail
 	// classification.
 	MiddleExcluded []byte
+	// Pieces are the KindChain literals, in order; the gaps' excluded
+	// bytes, the chain's kill bytes, are in MiddleExcluded.
+	Pieces [][]byte
 }
 
 // MinLen returns the shortest input length the shape can match.
@@ -151,11 +171,14 @@ func flatten(n *rex.Node, out []part) ([]part, bool) {
 }
 
 // Classify reduces a rule AST to its execution shape. Rules outside the
-// literal and anchored-literal grammars come back KindGeneral.
+// literal, anchored-literal and chain grammars come back KindGeneral.
 func Classify(ast *rex.Node) Shape {
 	parts, ok := flatten(ast, nil)
 	if !ok {
 		return Shape{}
+	}
+	if sh, ok := chain(parts); ok {
+		return sh
 	}
 	sh := Shape{}
 	// Split the spine: [^]? pre... [mid]? suf... [$]?
@@ -225,6 +248,41 @@ func Classify(ast *rex.Node) Shape {
 	default:
 		return Shape{}
 	}
+}
+
+// chain reads the spine as a dot-star literal chain: literal runs
+// separated by `<G>*` middles of one set G, no anchors, at least two runs,
+// and no run holding a byte outside G.
+func chain(parts []part) (Shape, bool) {
+	var pieces [][]byte
+	var cur []byte
+	var gap charset.Set
+	for _, p := range parts {
+		switch {
+		case p.isLit:
+			cur = append(cur, p.lit)
+		case p.isMid && len(cur) > 0 && p.minMid == 0 && (len(pieces) == 0 || p.mid.Equal(gap)):
+			pieces, cur, gap = append(pieces, cur), nil, p.mid
+		default:
+			return Shape{}, false
+		}
+	}
+	if len(pieces) == 0 || len(cur) == 0 {
+		return Shape{}, false
+	}
+	pieces = append(pieces, cur)
+	kill := gap.Complement()
+	if kill.Len() > bytescan.MaxNeedles {
+		return Shape{}, false
+	}
+	for _, pc := range pieces {
+		for _, b := range pc {
+			if kill.Contains(b) {
+				return Shape{}, false
+			}
+		}
+	}
+	return Shape{Kind: KindChain, Pieces: pieces, MiddleExcluded: kill.Bytes()}, true
 }
 
 func boolInt(b bool) int {

@@ -160,9 +160,12 @@ type PrefilterStats struct {
 
 // StrategyStats is the strategy-planner section of a stats snapshot: the
 // compile-time classification outcome (see DESIGN.md for the rules) plus
-// the runtime prefilter-effectiveness tracker's counters. At Scanner and
-// StreamMatcher scope the sweep-disable counters stay zero — the tracker is
-// shared ruleset-wide and its event counters are reported there — while
+// the runtime prefilter-effectiveness tracker's counters. The tracker
+// exists only on rulesets whose literal pass gates without delivering
+// anything (no AC or chain group): elsewhere the pass runs every scan and
+// the three tracker counters stay zero. At Scanner and StreamMatcher scope
+// the sweep-disable counters stay zero — the tracker is shared
+// ruleset-wide and its event counters are reported there — while
 // GroupsUngated reflects the shared gauge.
 type StrategyStats struct {
 	// Planned reports whether the planner classified groups individually;
@@ -173,8 +176,8 @@ type StrategyStats struct {
 	// groups run it and how many input bytes it has matched against.
 	Groups []StrategyGroupStats `json:"groups,omitempty"`
 	// SweepsDisabled counts literal passes elided entirely because the
-	// effectiveness tracker had disabled gating for every gated group and
-	// the pass had no AC literals to deliver.
+	// effectiveness tracker had disabled gating for every gated group (the
+	// pass then has no AC literals or chain pieces to deliver).
 	SweepsDisabled int64 `json:"sweeps_disabled"`
 	// SweepProbes counts sweeps re-run as explicit probes while disabled,
 	// checking whether gating has become worthwhile again.
@@ -187,8 +190,8 @@ type StrategyStats struct {
 
 // StrategyGroupStats is one strategy's row in the planner section.
 type StrategyGroupStats struct {
-	// Strategy names the execution strategy: "ac", "anchored", "dfa",
-	// "imfant", or "lazydfa".
+	// Strategy names the execution strategy: "ac", "anchored", "chain",
+	// "dfa", "imfant", or "lazydfa".
 	Strategy string `json:"strategy"`
 	// Groups is the number of automaton groups the planner routed here.
 	Groups int `json:"groups"`
@@ -280,12 +283,14 @@ func Summarize(s hist.Snapshot) HistStats {
 // least one observation. The stages, in pipeline order:
 //
 //   - "scan": one whole block scan or parallel count, end to end.
-//   - "prefilter": one literal pass that only gates (no AC literals).
+//   - "prefilter": one literal pass that only gates (no AC literals or
+//     chain pieces).
 //   - "strategy_imfant", "strategy_lazydfa", "strategy_ac",
-//     "strategy_anchored", "strategy_dfa": one automaton's dispatch under
-//     that execution strategy — where a scan's time went, by strategy;
-//     "strategy_ac" times the one literal pass when it delivers AC
-//     literals, its gating included.
+//     "strategy_anchored", "strategy_dfa", "strategy_chain": one
+//     automaton's dispatch under that execution strategy — where a scan's
+//     time went, by strategy; "strategy_ac" times the one literal pass when
+//     it delivers AC literals, its chain pieces and gating included, and
+//     "strategy_chain" a pass that delivers chain pieces but no AC literal.
 //   - "parallel": the worker-pool fan-out of a CountParallel
 //     call (wall clock over all admitted automata together).
 //   - "stream_write": one StreamMatcher.Write chunk.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/nfa"
 	"repro/internal/rex"
 	"repro/internal/strategy"
+	"repro/internal/telemetry"
 )
 
 // Strategy is the execution strategy the planner assigned to one automaton
@@ -27,9 +28,10 @@ const (
 	StrategyLazyDFA
 	// StrategyAC runs an all-literal group without any automaton: the
 	// literals of every AC-routed group of the Ruleset, together with the
-	// prefilter's factors, form one Aho–Corasick matcher, run once per
-	// scan, whose hits are attributed back to their owning groups and
-	// rules. The same pass decides the factor gates of the other groups.
+	// chain groups' pieces and the prefilter's factors, form one
+	// Aho–Corasick matcher, run once per scan, whose hits are attributed
+	// back to their owning groups and rules. The same pass decides the
+	// factor gates of the other groups.
 	StrategyAC
 	// StrategyAnchored runs a group of anchored-literal rules (`^lit$`,
 	// `^lit`, `lit$`, `^prefix<set>*suffix$`) as O(1)-ish per-scan checks:
@@ -40,12 +42,19 @@ const (
 	// (internal/dfa): one table lookup per input byte, no activation
 	// bookkeeping.
 	StrategyDFA
+	// StrategyChain runs a group of dot-star literal chains (`L1.*L2`,
+	// `L1.*L2.*L3`, and gaps over any class with at most four excluded
+	// bytes), possibly mixed with plain literals, without any automaton:
+	// the pieces are patterns of the one literal pass, and each rule keeps,
+	// per piece, the earliest end of a chain through it since the last
+	// excluded byte, so a piece hit decides a match in O(1).
+	StrategyChain
 
-	numStrategies = 5
+	numStrategies = 6
 )
 
 // String returns the snapshot label ("imfant", "lazydfa", "ac", "anchored",
-// "dfa").
+// "dfa", "chain").
 func (s Strategy) String() string {
 	switch s {
 	case StrategyIMFAnt:
@@ -58,6 +67,8 @@ func (s Strategy) String() string {
 		return "anchored"
 	case StrategyDFA:
 		return "dfa"
+	case StrategyChain:
+		return "chain"
 	}
 	return "unknown"
 }
@@ -72,48 +83,158 @@ const (
 )
 
 // litPass is the one literal automaton of a Ruleset: an Aho–Corasick
-// matcher over the deduplicated union of the AC-routed groups' literals and
-// the factor prefilter's factors. Each pattern carries an owner list — the
-// (unit, FSA) members whose literal it is — and a wake list — the gated
-// execution units whose factor it is. One pass of it per scan executes
-// every AC group and decides every factor gate.
+// matcher over the deduplicated union of the AC-routed groups' literals, the
+// chain groups' pieces and the factor prefilter's factors. Each pattern
+// carries an owner list — the (unit, FSA) members whose literal it is —, a
+// link list — the chain members whose piece it is, one entry per (member,
+// phase) — and a wake list — the gated execution units whose factor it is.
+// One pass of it per scan executes every AC and chain group and decides
+// every factor gate.
 type litPass struct {
-	m       *ahocorasick.Matcher
-	deliver []bool      // per pattern: owners is non-empty
-	owners  [][]int32   // per pattern: member indices
-	wakes   [][]int32   // per pattern: the gated units it wakes
-	members []litMember // every AC group's FSAs, unit order, then FSA order
-	units   []int       // the AC-routed units (one group each), ascending
-	first   []int       // per units entry: its first member; a closing len(members)
+	m        *ahocorasick.Matcher
+	deliver  []bool               // per pattern: it has owners or links
+	owners   [][]int32            // per pattern: member indices
+	links    [][]chainLink        // per pattern: chain pieces, the last phase first (see chainLink)
+	wakes    [][]int32            // per pattern: the gated units it wakes
+	members  []litMember          // every AC and chain group's FSAs, unit order, then FSA order
+	units    []int                // the units that run in the pass (one group each), ascending
+	first    []int                // per units entry: its first member; a closing len(members)
+	slots    int                  // chain phase slots: one per non-final piece of every chain member
+	kills    []bytescan.Finder    // per chain kill set: hunts its bytes
+	perStrat [numStrategies]int64 // per strategy: the units that run in the pass
+	stage    telemetry.Stage      // the latency stage a block pass is timed under
 }
 
-// litMember is one rule of an AC-routed group: its execution unit, its FSA
-// index within the unit's program (the group's own) and its rule id.
+// litMember is one rule of an AC or chain group: its execution unit, its
+// FSA index within the unit's program (the group's own) and its rule id.
 type litMember struct{ unit, fsa, rule int32 }
 
+// chainLink is piece j of a chain member, as an entry of its pattern. A hit
+// of the piece at [s, e] extends the member's chain when phase j-1 holds an
+// end below s that no later kill byte has voided; the last piece then
+// matches at e, an earlier one records e in its own slot unless that slot
+// already holds a live, earlier end — the earliest end serves every later
+// piece hit best. A pattern's entries run from the last phase down, so a
+// repeated piece (`ab.*ab`) reads phase j-1 before the same hit records
+// there; the start check alone already keeps a hit from extending its own
+// end, so the order is not what makes this exact.
+type chainLink struct {
+	member int32
+	slot   int32 // the piece's phase slot; phase j-1's is slot-1
+	kill   int32 // the member's kill set; -1 when its gaps take every byte
+	len    int32 // the piece's length
+	first  bool  // j == 0: the piece opens a chain
+	last   bool  // j == k-1: the piece closes one, a match
+}
+
+// litState is one run's state of the pass's owners: the members' event
+// counts, the chains' phase ends and the kill bytes found so far. Offsets
+// are absolute within the run and stored plus one, so zero means "none".
+// Kill bytes are not patterns of the pass — as root-live bytes they would
+// switch off its root skip — but are hunted in the input, lazily, up to
+// each piece hit that consults them: a piece holds no kill byte, so the
+// last kill before the hit's end is the last before its start.
+type litState struct {
+	counts  []int64 // per member: events in the current run
+	touched []int32 // members counted in the current run
+	ends    []int   // per chain slot: end+1 of the earliest live chain through that phase
+	killed  []int   // per kill set: end+1 of the last kill byte found
+	hunted  []int   // per kill set: the offset up to which the input was hunted
+	buf     []byte  // the input being scanned, which holds the offsets from bufAt on
+	bufAt   int
+}
+
+// newState returns the state of a fresh run of the pass.
+func (lp *litPass) newState() litState {
+	return litState{counts: make([]int64, len(lp.members)), touched: make([]int32, 0, len(lp.members)),
+		ends: make([]int, lp.slots), killed: make([]int, len(lp.kills)), hunted: make([]int, len(lp.kills))}
+}
+
+// reset forgets the current run: counts, chains and kills.
+func (st *litState) reset() {
+	for _, k := range st.touched {
+		st.counts[k] = 0
+	}
+	st.touched = st.touched[:0]
+	clear(st.ends)
+	clear(st.killed)
+	clear(st.hunted)
+}
+
+// lastKill hunts kill set ks's bytes in st.buf up to offset upTo and
+// returns end+1 of the last one found in the run so far; 0 for ks < 0.
+// st.buf must hold every offset from the set's hunted mark to upTo.
+func (lp *litPass) lastKill(st *litState, ks int32, upTo int) int {
+	if ks < 0 {
+		return 0
+	}
+	for from := st.hunted[ks]; from < upTo; {
+		j := lp.kills[ks].Index(st.buf[from-st.bufAt : upTo-st.bufAt])
+		if j < 0 {
+			break
+		}
+		from += j + 1
+		st.killed[ks] = from
+	}
+	st.hunted[ks] = max(st.hunted[ks], upTo)
+	return st.killed[ks]
+}
+
+// huntKills hunts every kill set up to offset upTo: litRunner calls it at
+// the end of each block, before st.buf moves on to the next.
+func (lp *litPass) huntKills(st *litState, upTo int) {
+	for ks := range lp.kills {
+		lp.lastKill(st, int32(ks), upTo)
+	}
+}
+
 // delivers reports whether the pass has literals to deliver, i.e. whether
-// the Ruleset has AC-routed groups. A pass without them is the factor
+// the Ruleset has AC or chain groups. A pass without them is the factor
 // sweep alone, which ends once every factor has been seen.
 func (lp *litPass) delivers() bool { return len(lp.members) > 0 }
 
-// deliver attributes one occurrence of literal pat, ending at end, to every
-// member that carries it: counts (indexed by member) is bumped, a member
-// counted for the first time in the run is appended to touched, and the
-// owning unit's callback in emit (indexed by unit; a nil slice or nil
-// entries count only) receives the member's FSA.
-func (lp *litPass) deliverHit(pat, end int, counts []int64, touched *[]int32, emit []func(fsa, end int)) {
+// deliverHit attributes one occurrence of pattern pat, ending at end, to
+// its owners and chain links in st; hits must arrive in end order. Each
+// event of a member bumps its count (a member counted for the first time in
+// the run is appended to st.touched), and the owning unit's callback in
+// emit (indexed by unit; a nil slice or nil entries count only) receives
+// the member's FSA.
+func (lp *litPass) deliverHit(pat, end int, st *litState, emit []func(fsa, end int)) {
 	for _, k := range lp.owners[pat] {
-		if counts[k] == 0 {
-			*touched = append(*touched, k)
+		lp.event(k, end, st, emit)
+	}
+	for i := range lp.links[pat] {
+		l := &lp.links[pat][i]
+		killed := lp.lastKill(st, l.kill, end+1)
+		if !l.first {
+			// Phase j-1's end must be live (past the last kill) and below
+			// the piece's start, end-len+1; stored plus one, that is
+			// killed < prev <= end-len+1.
+			if prev := st.ends[l.slot-1]; prev <= killed || prev > end-int(l.len)+1 {
+				continue
+			}
 		}
-		counts[k]++
-		if emit == nil {
-			continue
+		if l.last {
+			lp.event(l.member, end, st, emit)
+		} else if st.ends[l.slot] <= killed {
+			st.ends[l.slot] = end + 1
 		}
-		mb := lp.members[k]
-		if f := emit[mb.unit]; f != nil {
-			f(int(mb.fsa), end)
-		}
+	}
+}
+
+// event counts one event of member k at end into st and reports it to its
+// unit's callback in emit.
+func (lp *litPass) event(k int32, end int, st *litState, emit []func(fsa, end int)) {
+	if st.counts[k] == 0 {
+		st.touched = append(st.touched, k)
+	}
+	st.counts[k]++
+	if emit == nil {
+		return
+	}
+	mb := lp.members[k]
+	if f := emit[mb.unit]; f != nil {
+		f(int(mb.fsa), end)
 	}
 }
 
@@ -139,7 +260,7 @@ type scanPlan struct {
 	strat   []Strategy   // per automaton group
 	units   []execUnit   // partition the groups; ordered by first member
 	unitOf  []int32      // per automaton group: its unit
-	lit     *litPass     // AC literals and gating factors; nil when neither exists
+	lit     *litPass     // AC literals, chain pieces and gating factors; nil when none exists
 	anch    []*anchGroup // non-nil iff strat[i] == StrategyAnchored
 	dfas    []*dfa.DFA   // non-nil iff strat[i] == StrategyDFA
 	counts  [numStrategies]int
@@ -160,7 +281,7 @@ type execUnit struct {
 	owner  []unitOwner       // per unit FSA: its member automaton and FSA there
 	rules  []engine.RuleInfo // per unit FSA: its owner's rule, read through owner
 	lazy   *lazydfa.Matcher  // the unit's one shared table; nil unless StrategyLazyDFA
-	exec   groupExec         // zero for StrategyAC units, which run in lit
+	exec   groupExec         // zero for the units that run in lit
 }
 
 // unitOwner is the member group, and the FSA within it, that a unit FSA
@@ -173,15 +294,18 @@ type unitOwner struct{ group, fsa int32 }
 const maxUnitFSAs = 64
 
 // gatable reports whether group i participates in factor-prefilter gating.
-// AC groups run in the literal pass that decides the gates, and anchored
-// groups are O(1) already, so only DFA and default-engine groups are worth
-// gating.
+// AC and chain groups run in the literal pass that decides the gates, and
+// anchored groups are O(1) already, so only DFA and default-engine groups
+// are worth gating.
 func (pl *scanPlan) gatable(i int) bool {
-	return pl.strat[i] != StrategyAC && pl.strat[i] != StrategyAnchored
+	return !inPass(pl.strat[i]) && pl.strat[i] != StrategyAnchored
 }
 
+// inPass reports whether groups of strategy s run in the literal pass.
+func inPass(s Strategy) bool { return s == StrategyAC || s == StrategyChain }
+
 // inLit reports whether unit u runs in the fused literal pass.
-func (pl *scanPlan) inLit(u int) bool { return pl.units[u].strat == StrategyAC }
+func (pl *scanPlan) inLit(u int) bool { return inPass(pl.units[u].strat) }
 
 // StrategyOf returns the execution strategy of automaton group i.
 func (rs *Ruleset) StrategyOf(i int) Strategy { return rs.plan.strat[i] }
@@ -238,7 +362,7 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA, fac
 			lazyUnits++
 			classes += x.lazy.NumClasses()
 		}
-		if x.strat != StrategyAC {
+		if !inPass(x.strat) {
 			x.exec = rs.newExec(u)
 		}
 	}
@@ -334,7 +458,10 @@ func (rs *Ruleset) formUnits(pl *scanPlan, groupAlways []bool) {
 // hasDotStar reports whether z has a dot-star state: a self-loop labelled
 // with at least the 255 bytes of `.`. Such a state keeps every thread that
 // reaches it alive for good — the "amnesia" shapes that multiply a lazy
-// DFA's states — so its group runs on a table of its own.
+// DFA's states — so its group runs on a table of its own. Groups of
+// dot-star literal chains never get here: they run in the literal pass
+// (StrategyChain); this isolates the dot-star rules that are not chains,
+// and chains that share a group with other rules.
 func hasDotStar(z *mfsa.MFSA) bool {
 	for _, t := range z.Trans {
 		if t.From == t.To && t.Label.Len() >= 255 {
@@ -345,12 +472,13 @@ func hasDotStar(z *mfsa.MFSA) bool {
 }
 
 // classifyGroup decides group i's strategy, in preference order: pure AC
-// (every member a plain literal), anchored-literal, eager DFA (small,
-// unanchored, and pop ≡ keep for every member), default engine.
+// (every member a plain literal), chain (every member a dot-star literal
+// chain or a plain literal, a one-piece chain), anchored-literal, eager DFA
+// (small, unanchored, and pop ≡ keep for every member), default engine.
 func (rs *Ruleset) classifyGroup(pl *scanPlan, i int, shapes []strategy.Shape, nfas map[int]*nfa.NFA) {
 	rules := rs.programs[i].Rules()
 	if len(shapes) > 0 {
-		allLit, allAnch := true, true
+		allLit, allAnch, chains := true, true, false
 		for _, ri := range rules {
 			if ri.RuleID < 0 || ri.RuleID >= len(shapes) {
 				return
@@ -358,6 +486,8 @@ func (rs *Ruleset) classifyGroup(pl *scanPlan, i int, shapes []strategy.Shape, n
 			switch shapes[ri.RuleID].Kind {
 			case strategy.KindLiteral:
 				allAnch = false
+			case strategy.KindChain:
+				allAnch, chains = false, true
 			case strategy.KindAnchored:
 				allLit = false
 			default:
@@ -365,9 +495,12 @@ func (rs *Ruleset) classifyGroup(pl *scanPlan, i int, shapes []strategy.Shape, n
 			}
 		}
 		if allLit && len(rules) > 0 {
-			// The literals join the Ruleset's one literal pass, built by
-			// buildPrefilter once every group is classified.
+			// The literals and pieces join the Ruleset's one literal pass,
+			// built by buildPrefilter once every group is classified.
 			pl.strat[i] = StrategyAC
+			if chains {
+				pl.strat[i] = StrategyChain
+			}
 			return
 		}
 		if allAnch && len(rules) > 0 {
@@ -474,19 +607,20 @@ func shapesOf(patterns []string) []strategy.Shape {
 // window's sweeps has its gate disabled (the sweep is pure overhead for
 // it). A disabled unit re-enables for free on any sweep — run for the other
 // units — in which it would not have woken. Once every gated unit is
-// disabled a pass with no literals to deliver is elided, with one explicit
-// probe pass every trackerProbeEvery elisions so a traffic shift can re-arm
-// gating; a pass that delivers AC literals runs anyway, and its gating
-// outcome is observed like any other.
+// disabled the pass is elided, with one explicit probe pass every
+// trackerProbeEvery elisions so a traffic shift can re-arm gating. Only
+// rulesets whose pass delivers nothing have a tracker: a pass that delivers
+// AC literals or chain pieces runs every scan anyway, so elision could never
+// pay there, and a disabled gate would only run its unit needlessly.
 const (
 	trackerWindow     = 16
 	trackerProbeEvery = 32
 )
 
-// prefTracker is the runtime prefilter-effectiveness tracker, shared by
-// every Scanner and CountParallel call of a ruleset (streams gate exactly
-// on their first Write, so they neither consult nor feed the tracker). It
-// judges execution units, the granularity gating acts on, and counts in
+// prefTracker is the runtime prefilter-effectiveness tracker of a ruleset
+// whose literal pass only gates, shared by every Scanner and CountParallel
+// call of the ruleset (streams gate exactly on their first Write, so they
+// neither consult nor feed the tracker). It judges execution units, the granularity gating acts on, and counts in
 // member groups. All state is atomic; windows are approximate under
 // concurrency, which only shifts when a decision lands, never its
 // soundness — a disabled gate means more units run, and a sweep that does

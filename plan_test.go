@@ -7,12 +7,15 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ahocorasick"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
+	"repro/internal/obs"
 )
 
 // TestStrategyPlanClassification pins the compile-time classification: each
@@ -255,6 +258,36 @@ func TestPrefilterTrackerDisablesIneffectiveSweep(t *testing.T) {
 	// Throughout: matching stayed exact.
 	if got := sc.Count(hot); got != 8 {
 		t.Fatalf("Count(hot) = %d, want 8 regardless of tracker state", got)
+	}
+}
+
+// TestDeliveringPassKeepsGates pins that a ruleset whose literal pass
+// delivers AC literals has no effectiveness tracker: the pass runs every
+// scan anyway, so a gated group whose factor occurs in every input keeps its
+// gate however long it wakes, and factor-free input still skips it.
+func TestDeliveringPassKeepsGates(t *testing.T) {
+	rs := MustCompile([]string{"needleman[0-9]*x", "alpha"}, Options{MergeFactor: 1, Prefilter: PrefilterOn})
+	if want := []Strategy{StrategyDFA, StrategyAC}; !slices.Equal(rs.Strategies(), want) || !rs.PrefilterActive() {
+		t.Fatalf("strategies %v (prefilter %v), want %v with the DFA group gated", rs.Strategies(), rs.PrefilterActive(), want)
+	}
+	sc := rs.NewScanner()
+	hot := bytes.Repeat([]byte("stuff needleman7x alpha "), 8)
+	cold := bytes.Repeat([]byte("nothing of note here "), 8)
+	for range 2 * trackerWindow {
+		if n, err := sc.CountContext(t.Context(), hot); err != nil || n != 16 {
+			t.Fatalf("Count(hot) = %d (err %v), want 16", n, err)
+		}
+	}
+	st := rs.Stats()
+	if s := st.Strategy; s.GroupsUngated != 0 || s.SweepsDisabled != 0 || s.SweepProbes != 0 {
+		t.Fatalf("after %d all-wake scans: Strategy = %+v, want the gate kept", 2*trackerWindow, s)
+	}
+	before := st.Prefilter.GroupsSkipped
+	if n := sc.Count(cold); n != 0 {
+		t.Fatalf("Count(cold) = %d, want 0", n)
+	}
+	if after := rs.Stats().Prefilter.GroupsSkipped; after != before+1 {
+		t.Fatalf("GroupsSkipped %d -> %d on factor-free input, want the gated group skipped", before, after)
 	}
 }
 
@@ -660,5 +693,164 @@ func TestFusedLazyUnits(t *testing.T) {
 		if strat != st.BytesScanned || st.BytesScanned == 0 {
 			t.Fatalf("strategy bytes %d, BytesScanned %d", strat, st.BytesScanned)
 		}
+	}
+}
+
+// TestChainStrategy pins the chain strategy: dot-star literal chains over
+// `.` and `[^\r\n]`, alone and beside plain literals, plan onto the one
+// literal pass, whose pattern "needle" is at once a chain piece, an AC
+// literal and a gating factor. Every entry point must report exactly the
+// events of the forced iMFAnt reference under both semantics, on inputs
+// with overlapping pieces (`ab.*ba` on "aba" and "abba"), repeated pieces
+// (`ab.*ab`), kill bytes between phases, pieces and kill bytes split across
+// stream Writes and across the pass's checkpoint blocks, and segment bounds
+// that fall inside a piece and between phases.
+func TestChainStrategy(t *testing.T) {
+	patterns := []string{
+		`ab.*ba`, `ab.*ab`, // overlapping and repeated pieces
+		`cab.*needle.*xy`, "needle", // a 3-piece chain beside a literal that is also its piece
+		`cab[^\r\n]*xy`, "xy", // two kill bytes
+		`needle[0-9]*x`, // gated on "needle"
+	}
+	frags := []string{"ab", "ba", "aba", "abba", "cab", "needle", "needle42x", "xy", "\n", "\r", "\r\n", " ", "-", "x", "e"}
+	r := rand.New(rand.NewSource(27))
+	inputs := [][]byte{nil, []byte("aba"), []byte("abba"), []byte("ababab"), []byte("ab\nba abab"),
+		[]byte("cab needle xy"), []byte("cab\nneedle xy cab needle\nxy"), []byte("cab\rxy cab\nxy cabxy")}
+	for range 40 {
+		var b []byte
+		for n := r.Intn(48); len(b) < n; {
+			b = append(b, frags[r.Intn(len(frags))]...)
+		}
+		inputs = append(inputs, b)
+	}
+	// Shifted copies move the segment bounds across pieces and gaps.
+	line := "cab needle ab\nba xy abba cab\r\nxy needle7x cab ab needle xy"
+	for shift := range 12 {
+		inputs = append(inputs, []byte(strings.Repeat("-", shift)+line))
+	}
+	// Pieces, gaps and kill bytes across the pass's checkpoint blocks.
+	const block = engine.DefaultCheckpointEvery
+	big := []byte(strings.Repeat("-", 3*block))
+	for at, s := range map[int]string{100: "cab", block - 3: "needle", 2*block - 1: "xy",
+		block + 50: "ab", block + 60: "\n", 2*block + 100: "ba", 2*block + 200: "ab", 2*block + 300: "ba",
+		3*block - 40: "cab", 3*block - 30: "\r", 3*block - 20: "cab", 3*block - 3: "xy"} {
+		copy(big[at:], s)
+	}
+	inputs = append(inputs, big)
+
+	for _, keep := range []bool{false, true} {
+		opts := Options{MergeFactor: 2, KeepOnMatch: keep}
+		rs := MustCompile(patterns, opts)
+		wantStrat := []Strategy{StrategyChain, StrategyChain, StrategyChain, StrategyDFA}
+		if got := rs.Strategies(); !slices.Equal(got, wantStrat) {
+			t.Fatalf("strategies %v, want %v", got, wantStrat)
+		}
+		lp := rs.plan.lit
+		shared := false
+		for k := range lp.owners {
+			shared = shared || len(lp.owners[k]) > 0 && len(lp.links[k]) > 0 && len(lp.wakes[k]) > 0
+		}
+		if !rs.PrefilterActive() || !shared {
+			t.Fatal("no pattern of the literal pass is at once a piece, an AC literal and a gating factor")
+		}
+		ref := MustCompile(patterns, Options{MergeFactor: 2, KeepOnMatch: keep, Engine: EngineIMFAnt,
+			Prefilter: PrefilterOff})
+		sc := rs.NewScanner()
+		hits := make([]int64, len(patterns))
+		total := make([]int64, len(patterns))
+		ctx := t.Context()
+		for k, in := range inputs {
+			want := ref.FindAll(in)
+			perRule := make([]int64, len(patterns))
+			for _, m := range want {
+				perRule[m.Rule]++
+			}
+			fail := func(what string, got any) {
+				t.Helper()
+				t.Fatalf("keep=%v input %d %.60q: %s:\ngot  %v\nwant %v", keep, k, in, what, got, want)
+			}
+			if got, err := sc.FindAllContext(ctx, in); err != nil || !slices.Equal(got, want) {
+				fail(fmt.Sprintf("Scanner (err %v)", err), got)
+			}
+			for r, n := range perRule {
+				hits[r] += n
+				total[r] += n
+			}
+			if got := sc.Stats().RuleHits; !slices.Equal(got, hits) {
+				fail("Scanner rule hits", got)
+			}
+			if n := rs.Count(in); n != int64(len(want)) {
+				fail("Count", n)
+			}
+			if got := rs.CountPerRule(in); !slices.Equal(got, perRule) {
+				fail("CountPerRule", got)
+			}
+			for _, threads := range []int{1, 2, 4} {
+				if n, err := rs.CountParallel(in, threads); err != nil || n != int64(len(want)) {
+					fail(fmt.Sprintf("CountParallel(%d) (err %v)", threads, err), n)
+				}
+			}
+			for _, parts := range []int{2, 3, 8} {
+				if got, err := rs.findAllSegmented(ctx, in, parts); err != nil || !slices.Equal(got, want) {
+					fail(fmt.Sprintf("findAllSegmented(%d) (err %v)", parts, err), got)
+				}
+			}
+			for _, n := range []int{1, 3} {
+				if got, _ := streamAll(t, rs, in, fixedChunks(n)); !slices.Equal(got, want) {
+					fail(fmt.Sprintf("%d-byte stream writes", n), got)
+				}
+			}
+		}
+		if slices.Contains(total, 0) {
+			t.Fatalf("keep=%v: reference events per rule %v: a rule never matched", keep, total)
+		}
+		st := rs.Stats()
+		var strat int64
+		for _, g := range st.Strategy.Groups {
+			strat += g.Bytes
+			if g.Strategy == "chain" && g.Groups != 3 {
+				t.Fatalf("chain row %+v, want 3 groups", g)
+			}
+		}
+		if strat != st.BytesScanned || st.Lazy != nil {
+			t.Fatalf("strategy bytes %d, BytesScanned %d, Lazy section %+v", strat, st.BytesScanned, st.Lazy)
+		}
+	}
+
+	// The Dotstar09 rules are all chains: at M=10 every group runs in the
+	// literal pass, with no lazy-DFA table and no segment stitch, and the
+	// stats, latency stages and metric families name the strategy.
+	spec, _ := dataset.ByAbbr("DS9")
+	pats := spec.Patterns()
+	rs := MustCompile(pats, Options{MergeFactor: 10, Latency: true})
+	for i, st := range rs.Strategies() {
+		if st != StrategyChain {
+			t.Fatalf("DS9 group %d planned %v, want chain", i, st)
+		}
+	}
+	in := spec.Stream(64<<10, 0)
+	want := MustCompile(pats, Options{MergeFactor: 10, Engine: EngineLazyDFA, Prefilter: PrefilterOff}).FindAll(in)
+	if got := rs.FindAll(in); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("DS9: %d events, lazy-DFA reference %d", len(got), len(want))
+	}
+	if got, err := rs.findAllSegmented(t.Context(), in, 2); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("DS9 segmented: %d events (err %v), lazy-DFA reference %d", len(got), err, len(want))
+	}
+	st := rs.Stats()
+	if st.Lazy != nil || st.Segment.Fallbacks != 0 {
+		t.Fatalf("DS9: Lazy section %+v, segment fallbacks %d, want neither", st.Lazy, st.Segment.Fallbacks)
+	}
+	if g := st.Strategy.Groups; len(g) != 1 || g[0].Strategy != "chain" || g[0].Bytes != st.BytesScanned {
+		t.Fatalf("DS9 strategy rows %+v, want one chain row of all %d bytes", g, st.BytesScanned)
+	}
+	if !slices.ContainsFunc(st.Latency.Stages, func(s StageLatency) bool { return s.Stage == "strategy_chain" }) {
+		t.Fatalf("DS9 latency stages %+v, want strategy_chain", st.Latency.Stages)
+	}
+	var text strings.Builder
+	if err := obs.Write(&text, obs.StatsFamilies(st, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), `imfant_strategy_groups{strategy="chain"} 30`) {
+		t.Fatalf("metrics carry no chain strategy row:\n%s", text.String())
 	}
 }

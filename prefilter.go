@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/ahocorasick"
+	"repro/internal/bytescan"
 	"repro/internal/factor"
 	"repro/internal/faultpoint"
 	"repro/internal/rex"
@@ -15,7 +16,7 @@ import (
 // decomposition, §II of the paper's related work): at compile time every
 // rule is analysed for a required literal factor — a string that occurs in
 // every match of the rule — and at scan time the Ruleset's one literal
-// Aho–Corasick pass over the input, the same pass that runs the AC-routed
+// Aho–Corasick pass over the input, the same pass that runs the AC and chain
 // groups, decides which MFSA groups can be skipped outright. A group runs
 // only if it contains a rule without a factor or one of its members'
 // factors occurred in the input; otherwise no member rule can match and the
@@ -36,7 +37,7 @@ const (
 	// boundaries may differ from PrefilterOff compilation.
 	PrefilterOn
 	// PrefilterOff disables factor extraction and gating entirely; the
-	// literal pass then carries the AC-routed groups' literals only.
+	// literal pass then carries the AC literals and chain pieces only.
 	PrefilterOff
 )
 
@@ -54,11 +55,12 @@ type prefilter struct {
 
 // buildPrefilter builds the Ruleset's one literal pass (see litPass) and
 // its gating plan pf (nil when no group is gated), from the AC-routed
-// groups' literals (read from shapes) and per-rule factors (indexed by rule
-// id, "" meaning unfilterable; nil under PrefilterOff). Each distinct
-// factor of a gated unit's members gets a wake-list entry naming the unit.
-// When pf is nil scans are ungated; with neither AC groups nor gated units
-// no pass is built.
+// groups' literals and the chain groups' pieces and kill sets (read from
+// shapes) and per-rule factors (indexed by rule id, "" meaning
+// unfilterable; nil under PrefilterOff). Each distinct factor of a gated
+// unit's members gets a wake-list entry naming the unit. When pf is nil
+// scans are ungated; with neither AC nor chain groups nor gated units no
+// pass is built.
 func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf *prefilter) {
 	lp := &litPass{}
 	index := make(map[string]int32)
@@ -70,9 +72,26 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 			index[string(s)] = k
 			pats = append(pats, s)
 			lp.owners = append(lp.owners, nil)
+			lp.links = append(lp.links, nil)
 			lp.wakes = append(lp.wakes, nil)
 		}
 		return k
+	}
+	killSets := make(map[string]int32)
+	killSetOf := func(kill []byte) int32 {
+		if len(kill) == 0 {
+			return -1
+		}
+		ks, ok := killSets[string(kill)]
+		if !ok {
+			// strategy.Classify admits at most bytescan.MaxNeedles kill
+			// bytes, which a Finder always takes.
+			f, _ := bytescan.NewFinder(kill)
+			ks = int32(len(lp.kills))
+			killSets[string(kill)] = ks
+			lp.kills = append(lp.kills, f)
+		}
+		return ks
 	}
 	units := rs.plan.units
 	for u, x := range units {
@@ -81,13 +100,34 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 		}
 		lp.units = append(lp.units, u)
 		lp.first = append(lp.first, len(lp.members))
+		lp.perStrat[x.strat]++
 		for fsa, ri := range x.rules {
-			k := patternOf(shapes[ri.RuleID].Literal)
-			lp.owners[k] = append(lp.owners[k], int32(len(lp.members)))
+			k := int32(len(lp.members))
 			lp.members = append(lp.members, litMember{unit: int32(u), fsa: int32(fsa), rule: int32(ri.RuleID)})
+			sh := &shapes[ri.RuleID]
+			if sh.Kind == strategy.KindLiteral {
+				p := patternOf(sh.Literal)
+				lp.owners[p] = append(lp.owners[p], k)
+				continue
+			}
+			// A chain: piece j's phase slot is base+j; the last piece,
+			// which matches instead of recording, needs no slot of its own.
+			ks, base, n := killSetOf(sh.MiddleExcluded), lp.slots, len(sh.Pieces)
+			for j := n - 1; j >= 0; j-- {
+				p := patternOf(sh.Pieces[j])
+				lp.links[p] = append(lp.links[p], chainLink{member: k, slot: int32(base + j), kill: ks,
+					len: int32(len(sh.Pieces[j])), first: j == 0, last: j == n-1})
+			}
+			lp.slots += n - 1
 		}
 	}
 	lp.first = append(lp.first, len(lp.members))
+	lp.stage = telemetry.StagePrefilter
+	if lp.perStrat[StrategyAC] > 0 {
+		lp.stage = telemetry.StrategyStage(int(StrategyAC))
+	} else if lp.perStrat[StrategyChain] > 0 {
+		lp.stage = telemetry.StrategyStage(int(StrategyChain))
+	}
 	if pf != nil {
 		for _, u := range pf.gated {
 			var seen []int32
@@ -108,29 +148,33 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 	if len(pats) == 0 {
 		return
 	}
-	// strategy.Classify yields no empty literal and factors are at least
-	// factor.MinLen bytes, so the matcher build cannot fail.
+	// strategy.Classify yields no empty literal or piece and factors are
+	// at least factor.MinLen bytes, so the matcher build cannot fail.
 	m, err := ahocorasick.New(pats)
 	if err != nil {
 		panic(err)
 	}
 	lp.m = m
 	lp.deliver = make([]bool, len(pats))
-	for k, o := range lp.owners {
-		lp.deliver[k] = len(o) > 0
+	for k := range pats {
+		lp.deliver[k] = len(lp.owners[k])+len(lp.links[k]) > 0
 	}
 	rs.plan.lit = lp
 	if rs.opts.Prefilter == PrefilterOff {
 		return
 	}
 	// The Prefilter stats section is live whenever the literal pass runs:
-	// it gates, runs AC-routed groups, or both.
+	// it gates, runs AC and chain groups, or both.
 	rs.prefEnabled = true
 	rs.prefRules = len(lp.members)
 	if pf != nil {
 		rs.pf = pf
 		rs.prefRules += pf.filterable
-		rs.tracker = newPrefTracker(pf, units)
+		if !lp.delivers() {
+			// A delivering pass runs every scan, so only a gating-only one
+			// can be elided; see prefTracker.
+			rs.tracker = newPrefTracker(pf, units)
+		}
 	}
 	rs.prefFactors = m.NumPatterns()
 	rs.collector.EnablePrefilter(rs.prefRules, rs.prefFactors)
@@ -231,9 +275,9 @@ func (p *prefCounters) stats(rs *Ruleset) *PrefilterStats {
 // it runs at all, and whether its outcome gates the other groups. The
 // PrefilterWake fault — the pass desyncs and every gated automaton is
 // spuriously woken, which is always sound since the prefilter only ever
-// elides provably dead work — and an effectiveness tracker that has
-// disabled every gate make the scan ungated; the pass then still runs when
-// it has literals to deliver, and is elided otherwise.
+// elides provably dead work — makes the scan ungated; the pass then still
+// runs when it has literals or pieces to deliver. A pass that only gates is
+// elided once the effectiveness tracker has disabled every gate.
 func (rs *Ruleset) passPlan(faults *faultpoint.Injector) (run, gate bool) {
 	lp := rs.plan.lit
 	switch {
@@ -259,11 +303,11 @@ func (rs *Ruleset) passPlan(faults *faultpoint.Injector) (run, gate bool) {
 // gate turns the patterns one pass saw over an n-byte input into the
 // activation mask active (indexed by execution unit; allocated when nil):
 // a gated unit runs when a pattern whose wake list names it was seen, or
-// when the tracker has disabled its gate. It feeds the tracker, records a
-// prefilter_skip trace event per member group of a skipped unit and adds
-// the skipped groups and bytes to f.
+// when the tracker (if the ruleset has one) has disabled its gate. It feeds
+// the tracker, records a prefilter_skip trace event per member group of a
+// skipped unit and adds the skipped groups and bytes to f.
 func (rs *Ruleset) gate(seen []int32, active []bool, n int64, f *scanFold) []bool {
-	pf, lp := rs.pf, rs.plan.lit
+	pf, lp, t := rs.pf, rs.plan.lit, rs.tracker
 	if active == nil {
 		active = make([]bool, len(rs.plan.units))
 	}
@@ -275,18 +319,22 @@ func (rs *Ruleset) gate(seen []int32, active []bool, n int64, f *scanFold) []boo
 	}
 	var skipped int64
 	for _, u := range pf.gated {
-		woke := active[u]
-		// A gate the tracker disabled runs its unit regardless of the
-		// pass outcome; the observation below may re-enable it.
-		if !woke && rs.tracker.isDisabled(u) {
-			active[u] = true
+		if t != nil {
+			woke := active[u]
+			// A gate the tracker disabled runs its unit regardless of the
+			// pass outcome; the observation below may re-enable it.
+			if !woke && t.isDisabled(u) {
+				active[u] = true
+			}
+			t.observe(u, woke)
 		}
-		rs.tracker.observe(u, woke)
 		if !active[u] {
 			skipped += rs.traceSkip(u, n)
 		}
 	}
-	rs.collector.SetGroupsUngated(rs.tracker.disabledNow())
+	if t != nil {
+		rs.collector.SetGroupsUngated(t.disabledNow())
+	}
 	f.pref.skipped += skipped
 	f.pref.saved += skipped * n
 	return active

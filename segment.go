@@ -109,7 +109,8 @@ func (rs *Ruleset) scanSegmented(input []byte, parts int, ids []int, pass bool, 
 }
 
 // segmentedPass runs the literal pass over parts segments (see
-// scanLiterals). Returns the patterns seen and the AC groups' match count.
+// scanLiterals). Returns the patterns seen and the AC and chain groups'
+// match count.
 func (rs *Ruleset) segmentedPass(input []byte, parts int, check func() error,
 	emit func(unit, fsa, end int), f *scanFold) ([]int32, int64, error) {
 	st0 := rs.stageStart()

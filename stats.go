@@ -93,8 +93,8 @@ func (rs *Ruleset) lazyGauges() {
 	}
 }
 
-// runTotals reads every unit runner's totals, the AC units' from the
-// literal pass lit (nil when there is none).
+// runTotals reads every unit runner's totals, the AC and chain units' from
+// the literal pass lit (nil when there is none).
 func runTotals(runs []groupRunner, lit *litRunner) []groupRun {
 	out := make([]groupRun, len(runs))
 	for i, r := range runs {

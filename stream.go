@@ -64,7 +64,7 @@ import (
 type StreamMatcher struct {
 	mu       sync.Mutex // serializes Write/Close/Err/Matches
 	rs       *Ruleset
-	runs     []groupRunner // per execution unit; nil for AC units
+	runs     []groupRunner // per execution unit; nil for the pass's units
 	lit      *litRunner    // the one literal pass; nil when the ruleset has none
 	final    []groupRun    // the runners' totals frozen at Close, before their release
 	check    func() error  // context poll; nil when not cancellable
