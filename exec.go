@@ -491,7 +491,7 @@ func (x *litRunner) feed(chunk []byte) {
 		// The next block's bytes replace this one's: finish its hunt.
 		x.lp.huntKills(&x.st, int(x.bytes))
 	}
-	x.st.buf = nil
+	x.st.buf = nil // keep no reference to the caller's chunk
 }
 
 func (x *litRunner) err() error { return x.stop }

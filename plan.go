@@ -673,17 +673,12 @@ func (t *prefTracker) disabledNow() int64 {
 	return t.disabled.Load()
 }
 
-// isDisabled reports whether unit u's gate is currently off. Nil-safe.
-func (t *prefTracker) isDisabled(u int) bool {
-	return t != nil && t.units[u].off.Load()
-}
+// isDisabled reports whether unit u's gate is currently off.
+func (t *prefTracker) isDisabled(u int) bool { return t.units[u].off.Load() }
 
 // observe folds one sweep's outcome for gated unit u: woke means a member's
-// factors occurred, so gating saved nothing. Nil-safe.
+// factors occurred, so gating saved nothing.
 func (t *prefTracker) observe(u int, woke bool) {
-	if t == nil {
-		return
-	}
 	g := &t.units[u]
 	if g.off.Load() {
 		if !woke {
