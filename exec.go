@@ -443,8 +443,9 @@ type litRunner struct {
 	check  func() error       // checkpoint poll; nil when not cancellable
 	faults *faultpoint.Injector
 	emit   []func(fsa, end int) // per unit; nil entries count only
-	st     litState             // the current run; its buf is the block being scanned
+	st     litState             // the current run
 	bytes  int64                // bytes of the current run
+	base   int                  // offset of the block being scanned
 	skip0  int64                // pass.Skipped() at begin
 	stop   error
 	open   bool
@@ -470,7 +471,7 @@ func (x *litRunner) begin(check func() error, faults *faultpoint.Injector, emit 
 }
 
 func (x *litRunner) hit(pat, end int) {
-	x.lp.deliverHit(pat, x.st.bufAt+end, &x.st, x.emit)
+	x.lp.deliverHit(pat, x.base+end, &x.st, x.emit)
 }
 
 func (x *litRunner) feed(chunk []byte) {
@@ -485,13 +486,10 @@ func (x *litRunner) feed(chunk []byte) {
 		// site, so a stalled chunk is cut by ScanTimeout on every strategy.
 		x.faults.Stall()
 		blk := chunk[off:min(off+block, len(chunk))]
-		x.st.buf, x.st.bufAt = blk, int(x.bytes)
+		x.base = int(x.bytes)
 		x.pass.Scan(blk, x.onHit)
 		x.bytes += int64(len(blk))
-		// The next block's bytes replace this one's: finish its hunt.
-		x.lp.huntKills(&x.st, int(x.bytes))
 	}
-	x.st.buf = nil // keep no reference to the caller's chunk
 }
 
 func (x *litRunner) err() error { return x.stop }
@@ -571,7 +569,6 @@ func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
 	emit []func(fsa, end int), f *scanFold) ([]int32, int64, error) {
 	lp := rs.plan.lit
 	st := lp.newState()
-	st.buf = input
 	res, err := segment.ScanAC(lp.m, input, bounds, rs.opts.accelOn(), check, 0, func(pat, end int) {
 		lp.deliverHit(pat, end, &st, emit)
 	})

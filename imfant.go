@@ -765,10 +765,14 @@ func (rs *Ruleset) blockPass(x *litRunner, input []byte, check func() error, fau
 	if !run {
 		return nil, 0, nil
 	}
+	stage := telemetry.StagePrefilter
+	if x.lp.delivers() {
+		stage = telemetry.StrategyStage(int(StrategyAC))
+	}
 	st0 := rs.stageStart()
 	x.begin(check, faults, emit)
 	x.feed(input)
-	rs.stageEnd(x.lp.stage, st0)
+	rs.stageEnd(stage, st0)
 	n := x.end(f, rs.collector, rs.prefEnabled)
 	if err := x.err(); err != nil || !gate {
 		return nil, n, err
@@ -939,7 +943,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, che
 			st0 := rs.stageStart()
 			x.begin(check, rs.faults, rs.traceEmit)
 			x.feed(input)
-			rs.stageEnd(x.lp.stage, st0)
+			rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
 			return x.err()
 		}
 		r := units[u].exec.runner()

@@ -14,19 +14,17 @@ const (
 	// sweep, every per-automaton dispatch, and match delivery.
 	StageScan Stage = iota
 	// StagePrefilter brackets the literal pass of a scan when it only
-	// gates (a pass that also runs AC-routed groups is StageStrategyAC,
-	// one that runs chain groups but no AC group StageStrategyChain).
+	// gates (a pass that also runs AC-routed groups is StageStrategyAC).
 	StagePrefilter
-	// StageStrategyIMFAnt through StageStrategyChain bracket one
-	// automaton's dispatch under the named execution strategy. The six
-	// constants are contiguous and ordered exactly like the root package's
-	// Strategy values so StrategyStage is a direct offset.
+	// StageStrategyIMFAnt through StageStrategyDFA bracket one automaton's
+	// dispatch under the named execution strategy. The five constants are
+	// contiguous and ordered exactly like the root package's Strategy
+	// values so StrategyStage is a direct offset.
 	StageStrategyIMFAnt
 	StageStrategyLazyDFA
 	StageStrategyAC
 	StageStrategyAnchored
 	StageStrategyDFA
-	StageStrategyChain
 	// StageParallel brackets the multi-threaded engine fan-out of a
 	// parallel count (all default-strategy automata together — wall clock,
 	// not the sum of per-worker time).
@@ -45,7 +43,9 @@ const (
 )
 
 // StrategyStage maps the root package's strategy index k (imfant=0,
-// lazydfa=1, ac=2, anchored=3, dfa=4, chain=5) to its dispatch stage.
+// lazydfa=1, ac=2, anchored=3, dfa=4) to its dispatch stage. Chain groups
+// (k=5) run in the literal pass, which is timed as StageStrategyAC, and
+// have no dispatch stage of their own.
 func StrategyStage(k int) Stage { return StageStrategyIMFAnt + Stage(k) }
 
 // String returns the stable snake_case stage name used in JSON stats and
@@ -66,8 +66,6 @@ func (s Stage) String() string {
 		return "strategy_anchored"
 	case StageStrategyDFA:
 		return "strategy_dfa"
-	case StageStrategyChain:
-		return "strategy_chain"
 	case StageParallel:
 		return "parallel"
 	case StageStreamWrite:

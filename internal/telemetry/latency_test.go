@@ -56,7 +56,6 @@ func TestStageNames(t *testing.T) {
 		StageStrategyAC:       "strategy_ac",
 		StageStrategyAnchored: "strategy_anchored",
 		StageStrategyDFA:      "strategy_dfa",
-		StageStrategyChain:    "strategy_chain",
 		StageParallel:         "parallel",
 		StageStreamWrite:      "stream_write",
 		StageStreamFlush:      "stream_flush",
@@ -79,7 +78,7 @@ func TestStageNames(t *testing.T) {
 // on: strategy k's stage name is "strategy_" + the root package's
 // Strategy(k).String() value.
 func TestStrategyStageOrder(t *testing.T) {
-	names := []string{"imfant", "lazydfa", "ac", "anchored", "dfa", "chain"}
+	names := []string{"imfant", "lazydfa", "ac", "anchored", "dfa"}
 	for k, n := range names {
 		if got := StrategyStage(k).String(); got != "strategy_"+n {
 			t.Errorf("StrategyStage(%d) = %q, want %q", k, got, "strategy_"+n)

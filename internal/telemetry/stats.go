@@ -286,11 +286,10 @@ func Summarize(s hist.Snapshot) HistStats {
 //   - "prefilter": one literal pass that only gates (no AC literals or
 //     chain pieces).
 //   - "strategy_imfant", "strategy_lazydfa", "strategy_ac",
-//     "strategy_anchored", "strategy_dfa", "strategy_chain": one
-//     automaton's dispatch under that execution strategy — where a scan's
-//     time went, by strategy; "strategy_ac" times the one literal pass when
-//     it delivers AC literals, its chain pieces and gating included, and
-//     "strategy_chain" a pass that delivers chain pieces but no AC literal.
+//     "strategy_anchored", "strategy_dfa": one automaton's dispatch under
+//     that execution strategy — where a scan's time went, by strategy;
+//     "strategy_ac" times the one literal pass when it delivers AC
+//     literals or chain pieces, its gating included.
 //   - "parallel": the worker-pool fan-out of a CountParallel
 //     call (wall clock over all admitted automata together).
 //   - "stream_write": one StreamMatcher.Write chunk.

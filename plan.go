@@ -12,7 +12,6 @@ import (
 	"repro/internal/nfa"
 	"repro/internal/rex"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 )
 
 // Strategy is the execution strategy the planner assigned to one automaton
@@ -84,25 +83,26 @@ const (
 
 // litPass is the one literal automaton of a Ruleset: an Aho–Corasick
 // matcher over the deduplicated union of the AC-routed groups' literals, the
-// chain groups' pieces and the factor prefilter's factors. Each pattern
-// carries an owner list — the (unit, FSA) members whose literal it is —, a
-// link list — the chain members whose piece it is, one entry per (member,
-// phase) — and a wake list — the gated execution units whose factor it is.
-// One pass of it per scan executes every AC and chain group and decides
-// every factor gate.
+// chain groups' pieces and kill bytes, and the factor prefilter's factors.
+// Each pattern carries an owner list — the (unit, FSA) members whose literal
+// it is —, a link list — the chain members whose piece it is, one entry per
+// (member, phase) —, a kill list — the chain kill sets that hold it, for a
+// one-byte pattern — and a wake list — the gated execution units whose
+// factor it is. One pass of it per scan executes every AC and chain group
+// and decides every factor gate.
 type litPass struct {
 	m        *ahocorasick.Matcher
-	deliver  []bool               // per pattern: it has owners or links
+	deliver  []bool               // per pattern: it has owners, links or kills
 	owners   [][]int32            // per pattern: member indices
 	links    [][]chainLink        // per pattern: chain pieces, the last phase first (see chainLink)
+	kills    [][]int32            // per pattern: the kill sets it belongs to
 	wakes    [][]int32            // per pattern: the gated units it wakes
 	members  []litMember          // every AC and chain group's FSAs, unit order, then FSA order
 	units    []int                // the units that run in the pass (one group each), ascending
 	first    []int                // per units entry: its first member; a closing len(members)
 	slots    int                  // chain phase slots: one per non-final piece of every chain member
-	kills    []bytescan.Finder    // per chain kill set: hunts its bytes
+	killSets int                  // distinct chain kill sets
 	perStrat [numStrategies]int64 // per strategy: the units that run in the pass
-	stage    telemetry.Stage      // the latency stage a block pass is timed under
 }
 
 // litMember is one rule of an AC or chain group: its execution unit, its
@@ -121,33 +121,29 @@ type litMember struct{ unit, fsa, rule int32 }
 type chainLink struct {
 	member int32
 	slot   int32 // the piece's phase slot; phase j-1's is slot-1
-	kill   int32 // the member's kill set; -1 when its gaps take every byte
+	kill   int32 // the member's kill set
 	len    int32 // the piece's length
 	first  bool  // j == 0: the piece opens a chain
 	last   bool  // j == k-1: the piece closes one, a match
 }
 
 // litState is one run's state of the pass's owners: the members' event
-// counts, the chains' phase ends and the kill bytes found so far. Offsets
-// are absolute within the run and stored plus one, so zero means "none".
-// Kill bytes are not patterns of the pass — as root-live bytes they would
-// switch off its root skip — but are hunted in the input, lazily, up to
-// each piece hit that consults them: a piece holds no kill byte, so the
-// last kill before the hit's end is the last before its start.
+// counts, the chains' phase ends and the last kill byte of every kill set.
+// Offsets are absolute within the run and stored plus one, so zero means
+// "none". Every kill byte is a one-byte pattern of the pass, so a kill costs
+// one store per kill set that holds it, and a phase end at or below its set's
+// last kill reads as absent.
 type litState struct {
 	counts  []int64 // per member: events in the current run
 	touched []int32 // members counted in the current run
 	ends    []int   // per chain slot: end+1 of the earliest live chain through that phase
-	killed  []int   // per kill set: end+1 of the last kill byte found
-	hunted  []int   // per kill set: the offset up to which the input was hunted
-	buf     []byte  // the input being scanned, which holds the offsets from bufAt on
-	bufAt   int
+	killed  []int   // per kill set: end+1 of its last kill byte
 }
 
 // newState returns the state of a fresh run of the pass.
 func (lp *litPass) newState() litState {
 	return litState{counts: make([]int64, len(lp.members)), touched: make([]int32, 0, len(lp.members)),
-		ends: make([]int, lp.slots), killed: make([]int, len(lp.kills)), hunted: make([]int, len(lp.kills))}
+		ends: make([]int, lp.slots), killed: make([]int, lp.killSets)}
 }
 
 // reset forgets the current run: counts, chains and kills.
@@ -158,34 +154,6 @@ func (st *litState) reset() {
 	st.touched = st.touched[:0]
 	clear(st.ends)
 	clear(st.killed)
-	clear(st.hunted)
-}
-
-// lastKill hunts kill set ks's bytes in st.buf up to offset upTo and
-// returns end+1 of the last one found in the run so far; 0 for ks < 0.
-// st.buf must hold every offset from the set's hunted mark to upTo.
-func (lp *litPass) lastKill(st *litState, ks int32, upTo int) int {
-	if ks < 0 {
-		return 0
-	}
-	for from := st.hunted[ks]; from < upTo; {
-		j := lp.kills[ks].Index(st.buf[from-st.bufAt : upTo-st.bufAt])
-		if j < 0 {
-			break
-		}
-		from += j + 1
-		st.killed[ks] = from
-	}
-	st.hunted[ks] = max(st.hunted[ks], upTo)
-	return st.killed[ks]
-}
-
-// huntKills hunts every kill set up to offset upTo: litRunner calls it at
-// the end of each block, before st.buf moves on to the next.
-func (lp *litPass) huntKills(st *litState, upTo int) {
-	for ks := range lp.kills {
-		lp.lastKill(st, int32(ks), upTo)
-	}
 }
 
 // delivers reports whether the pass has literals to deliver, i.e. whether
@@ -194,18 +162,23 @@ func (lp *litPass) huntKills(st *litState, upTo int) {
 func (lp *litPass) delivers() bool { return len(lp.members) > 0 }
 
 // deliverHit attributes one occurrence of pattern pat, ending at end, to
-// its owners and chain links in st; hits must arrive in end order. Each
-// event of a member bumps its count (a member counted for the first time in
-// the run is appended to st.touched), and the owning unit's callback in
-// emit (indexed by unit; a nil slice or nil entries count only) receives
-// the member's FSA.
+// its owners, kill sets and chain links in st; hits must arrive in end
+// order. A kill byte and a piece hit of the same kill set never end at one
+// offset, as no piece holds a byte of its own kill set. Each event of a
+// member bumps its count (a member counted for the first time in the run is
+// appended to st.touched), and the owning unit's callback in emit (indexed
+// by unit; a nil slice or nil entries count only) receives the member's
+// FSA.
 func (lp *litPass) deliverHit(pat, end int, st *litState, emit []func(fsa, end int)) {
 	for _, k := range lp.owners[pat] {
 		lp.event(k, end, st, emit)
 	}
+	for _, ks := range lp.kills[pat] {
+		st.killed[ks] = end + 1
+	}
 	for i := range lp.links[pat] {
 		l := &lp.links[pat][i]
-		killed := lp.lastKill(st, l.kill, end+1)
+		killed := st.killed[l.kill]
 		if !l.first {
 			// Phase j-1's end must be live (past the last kill) and below
 			// the piece's start, end-len+1; stored plus one, that is

@@ -818,8 +818,9 @@ func TestChainStrategy(t *testing.T) {
 	}
 
 	// The Dotstar09 rules are all chains: at M=10 every group runs in the
-	// literal pass, with no lazy-DFA table and no segment stitch, and the
-	// stats, latency stages and metric families name the strategy.
+	// literal pass, with no lazy-DFA table and no segment stitch; the stats
+	// and metric families name the strategy, and the pass is timed as
+	// strategy_ac.
 	spec, _ := dataset.ByAbbr("DS9")
 	pats := spec.Patterns()
 	rs := MustCompile(pats, Options{MergeFactor: 10, Latency: true})
@@ -843,8 +844,8 @@ func TestChainStrategy(t *testing.T) {
 	if g := st.Strategy.Groups; len(g) != 1 || g[0].Strategy != "chain" || g[0].Bytes != st.BytesScanned {
 		t.Fatalf("DS9 strategy rows %+v, want one chain row of all %d bytes", g, st.BytesScanned)
 	}
-	if !slices.ContainsFunc(st.Latency.Stages, func(s StageLatency) bool { return s.Stage == "strategy_chain" }) {
-		t.Fatalf("DS9 latency stages %+v, want strategy_chain", st.Latency.Stages)
+	if !slices.ContainsFunc(st.Latency.Stages, func(s StageLatency) bool { return s.Stage == "strategy_ac" }) {
+		t.Fatalf("DS9 latency stages %+v, want strategy_ac for the pass", st.Latency.Stages)
 	}
 	var text strings.Builder
 	if err := obs.Write(&text, obs.StatsFamilies(st, nil)); err != nil {
@@ -852,5 +853,57 @@ func TestChainStrategy(t *testing.T) {
 	}
 	if !strings.Contains(text.String(), `imfant_strategy_groups{strategy="chain"} 30`) {
 		t.Fatalf("metrics carry no chain strategy row:\n%s", text.String())
+	}
+}
+
+// TestChainKillDenseLinear pins the cost of kill bytes on input dense with
+// one kill byte and free of the other: a chain over [^\r\n] must scan 256
+// KiB of \r followed by its pieces about as fast as a chain over [^\r],
+// whose one kill byte is the same \r, on the block path and on the
+// segmented one, whose replay runs from offset 0 to the first piece hit in
+// one go. Each kill byte is a one-byte pattern of the literal pass, so a
+// kill is one store whatever its set. A search that looked for both kill
+// bytes at once and resumed after each \r would rescan the rest of the
+// input for the absent \n every time, which is quadratic.
+func TestChainKillDenseLinear(t *testing.T) {
+	in := append(bytes.Repeat([]byte{'\r'}, 256<<10), "needle cab"...)
+	both := MustCompile([]string{`needle[^\r\n]*cab`}, Options{})
+	one := MustCompile([]string{`needle[^\r]*cab`}, Options{})
+	for _, rs := range []*Ruleset{both, one} {
+		if got := rs.Strategies(); !slices.Equal(got, []Strategy{StrategyChain}) {
+			t.Fatalf("strategies %v, want one chain group", got)
+		}
+	}
+	ctx := t.Context()
+	for _, path := range []struct {
+		name string
+		run  func(rs *Ruleset) int
+	}{
+		{"block", func(rs *Ruleset) int { return int(rs.Count(in)) }},
+		{"segmented", func(rs *Ruleset) int {
+			ms, err := rs.findAllSegmented(ctx, in, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(ms)
+		}},
+	} {
+		// The fastest of a few alternating runs each, so a stall of the
+		// machine does not decide the ratio.
+		best := [2]time.Duration{time.Hour, time.Hour}
+		for range 5 {
+			for k, rs := range []*Ruleset{both, one} {
+				t0 := time.Now()
+				if n := path.run(rs); n != 1 {
+					t.Fatalf("%s: %d matches, want 1", path.name, n)
+				}
+				best[k] = min(best[k], time.Since(t0))
+			}
+		}
+		t.Logf("%s: [^\\r\\n] %v, [^\\r] %v", path.name, best[0], best[1])
+		if best[0] > 3*best[1]+time.Millisecond {
+			t.Errorf("%s: the two-byte kill set took %v against %v for one kill byte over the same input",
+				path.name, best[0], best[1])
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/ahocorasick"
-	"repro/internal/bytescan"
 	"repro/internal/factor"
 	"repro/internal/faultpoint"
 	"repro/internal/rex"
@@ -73,23 +72,24 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 			pats = append(pats, s)
 			lp.owners = append(lp.owners, nil)
 			lp.links = append(lp.links, nil)
+			lp.kills = append(lp.kills, nil)
 			lp.wakes = append(lp.wakes, nil)
 		}
 		return k
 	}
 	killSets := make(map[string]int32)
 	killSetOf := func(kill []byte) int32 {
-		if len(kill) == 0 {
-			return -1
-		}
 		ks, ok := killSets[string(kill)]
 		if !ok {
-			// strategy.Classify admits at most bytescan.MaxNeedles kill
-			// bytes, which a Finder always takes.
-			f, _ := bytescan.NewFinder(kill)
-			ks = int32(len(lp.kills))
+			// Each kill byte is a one-byte pattern naming the set; a set
+			// without bytes (gaps over every byte) is never killed.
+			ks = int32(lp.killSets)
+			lp.killSets++
 			killSets[string(kill)] = ks
-			lp.kills = append(lp.kills, f)
+			for _, b := range kill {
+				p := patternOf([]byte{b})
+				lp.kills[p] = append(lp.kills[p], ks)
+			}
 		}
 		return ks
 	}
@@ -122,12 +122,6 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 		}
 	}
 	lp.first = append(lp.first, len(lp.members))
-	lp.stage = telemetry.StagePrefilter
-	if lp.perStrat[StrategyAC] > 0 {
-		lp.stage = telemetry.StrategyStage(int(StrategyAC))
-	} else if lp.perStrat[StrategyChain] > 0 {
-		lp.stage = telemetry.StrategyStage(int(StrategyChain))
-	}
 	if pf != nil {
 		for _, u := range pf.gated {
 			var seen []int32
@@ -157,7 +151,7 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 	lp.m = m
 	lp.deliver = make([]bool, len(pats))
 	for k := range pats {
-		lp.deliver[k] = len(lp.owners[k])+len(lp.links[k]) > 0
+		lp.deliver[k] = len(lp.owners[k])+len(lp.links[k])+len(lp.kills[k]) > 0
 	}
 	rs.plan.lit = lp
 	if rs.opts.Prefilter == PrefilterOff {
