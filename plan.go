@@ -94,8 +94,8 @@ type litPass struct {
 	m        *ahocorasick.Matcher
 	deliver  []bool               // per pattern: it has owners, links or kills
 	owners   [][]int32            // per pattern: member indices
-	links    [][]chainLink        // per pattern: chain pieces, the last phase first (see chainLink)
-	kills    [][]int32            // per pattern: the kill sets it belongs to
+	links    [][]chainLink        // per pattern: chain pieces, the last phase first (see chainLink); nil without chains
+	kills    [][]int32            // per pattern: the kill sets it belongs to; nil without chains
 	wakes    [][]int32            // per pattern: the gated units it wakes
 	members  []litMember          // every AC and chain group's FSAs, unit order, then FSA order
 	units    []int                // the units that run in the pass (one group each), ascending
@@ -172,6 +172,9 @@ func (lp *litPass) delivers() bool { return len(lp.members) > 0 }
 func (lp *litPass) deliverHit(pat, end int, st *litState, emit []func(fsa, end int)) {
 	for _, k := range lp.owners[pat] {
 		lp.event(k, end, st, emit)
+	}
+	if lp.kills == nil {
+		return
 	}
 	for _, ks := range lp.kills[pat] {
 		st.killed[ks] = end + 1

@@ -153,6 +153,11 @@ func (rs *Ruleset) buildPrefilter(shapes []strategy.Shape, factors []string, pf 
 	for k := range pats {
 		lp.deliver[k] = len(lp.owners[k])+len(lp.links[k])+len(lp.kills[k]) > 0
 	}
+	if lp.slots == 0 {
+		// No chain member, so no pattern has links or kills: drop the
+		// per-pattern slices, which deliverHit then skips.
+		lp.links, lp.kills = nil, nil
+	}
 	rs.plan.lit = lp
 	if rs.opts.Prefilter == PrefilterOff {
 		return
