@@ -189,69 +189,6 @@ type strategyEntry struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-// segmentEntry is one (workload, workers) measurement of the segmentation
-// scaling study. Speedup is bounded by the host's core count — interpret it
-// against the record's "cpus" field.
-type segmentEntry struct {
-	// Benchmark names the measurement: segment/<workload>/<workers>.
-	Benchmark string `json:"benchmark"`
-	// Workers is the segment count per scan.
-	Workers int `json:"workers"`
-	// Matches is the per-scan match count, identical segmented and serial.
-	Matches int64 `json:"matches"`
-	// SerialNsPerOp / SegNsPerOp are whole-ruleset scan latencies with
-	// Options.Segment off and on; Speedup is their ratio.
-	SerialNsPerOp int64   `json:"serial_ns_per_op"`
-	SegNsPerOp    int64   `json:"seg_ns_per_op"`
-	Speedup       float64 `json:"speedup"`
-	// StitchPct is boundary-stitch re-scan cost as a percentage of the
-	// bytes scanned in segment workers.
-	StitchPct float64 `json:"stitch_pct"`
-}
-
-// writeSegmentJSON records the segmentation scaling study as
-// BENCH_segment.json, archived by CI next to the other study artifacts.
-func writeSegmentJSON(rows []segmentRow, o experiments.Opts) (string, error) {
-	out := struct {
-		Name    string         `json:"name"`
-		Created string         `json:"created"`
-		Go      string         `json:"go"`
-		GOOS    string         `json:"goos"`
-		GOARCH  string         `json:"goarch"`
-		CPUs    int            `json:"cpus"`
-		Config  benchConfig    `json:"config"`
-		Results []segmentEntry `json:"results"`
-	}{
-		Name:    "segment",
-		Created: time.Now().UTC().Format(time.RFC3339),
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		CPUs:    runtime.NumCPU(),
-		Config:  benchConfig{StreamSize: o.StreamSize, Reps: o.Reps},
-	}
-	for _, row := range rows {
-		out.Results = append(out.Results, segmentEntry{
-			Benchmark:     fmt.Sprintf("segment/%s/%d", row.Workload, row.Workers),
-			Workers:       row.Workers,
-			Matches:       row.Matches,
-			SerialNsPerOp: row.SerialTime.Nanoseconds(),
-			SegNsPerOp:    row.SegTime.Nanoseconds(),
-			Speedup:       row.Speedup,
-			StitchPct:     row.StitchPct,
-		})
-	}
-	path := "BENCH_segment.json"
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
 // writeStrategyJSON records the planner-vs-lazy comparison as
 // BENCH_strategy.json, archived by CI next to BENCH_accel.json.
 func writeStrategyJSON(rows []strategyRow, o experiments.Opts) (string, error) {

@@ -72,7 +72,6 @@ func main() {
 		prefilter    = flag.Bool("prefilter", false, "run the production Options.Prefilter study and write BENCH_prefilter.json")
 		accel        = flag.Bool("accel", false, "run the production Options.Accel study and write BENCH_accel.json")
 		strategy     = flag.Bool("strategy", false, "run the strategy-planner study and write BENCH_strategy.json")
-		segmentStudy = flag.Bool("segment", false, "run the segment-parallel scaling study and write BENCH_segment.json")
 		obsStudy     = flag.Bool("obs", false, "run the observability-overhead study and write BENCH_obs.json")
 		obsBound     = flag.Float64("obs-bound", 0, "with -obs: fail when latency-attribution overhead exceeds this ratio (0 = report only)")
 		paper        = flag.Bool("paper", false, "use the paper's full-scale configuration (1 MB, 15 reps)")
@@ -123,7 +122,7 @@ func main() {
 		}
 	}
 
-	extrasOnly := (*ablation || *baseline || *ccrefine || *stride || *lazy || *clustering || *decomp || *prefilter || *accel || *strategy || *segmentStudy || *obsStudy) && len(figs) == 0 && len(tables) == 0 && !*all
+	extrasOnly := (*ablation || *baseline || *ccrefine || *stride || *lazy || *clustering || *decomp || *prefilter || *accel || *strategy || *obsStudy) && len(figs) == 0 && len(tables) == 0 && !*all
 	if *ablation {
 		if _, err := r.Ablation(w); err != nil {
 			fatal(err)
@@ -198,17 +197,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(w, "strategy results written to %s\n\n", path)
-	}
-	if *segmentStudy {
-		rows, err := runSegment(w, o)
-		if err != nil {
-			fatal(err)
-		}
-		path, err := writeSegmentJSON(rows, o)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "segment results written to %s\n\n", path)
 	}
 	if *obsStudy {
 		rows, err := runObs(w, o, *obsBound)

@@ -69,34 +69,6 @@ func TestRunStrategy(t *testing.T) {
 	}
 }
 
-// TestRunSegment smoke-tests the -segment study at a small size: every
-// (workload, workers) cell must report match counts identical to the serial
-// scan (exactness is the study's precondition) and positive timings. The
-// speedup numbers are CI artifacts, not test assertions — they depend on
-// the host's core count.
-func TestRunSegment(t *testing.T) {
-	o := experiments.Opts{StreamSize: 32 << 10, Reps: 1}
-	rows, err := runSegment(nil, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 { // 2 workloads × workers {2, 4, 8}
-		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	for _, row := range rows {
-		if row.Matches <= 0 {
-			t.Errorf("%s/%d: no matches — the workload is not exercising the rules", row.Workload, row.Workers)
-		}
-		if row.SerialTime <= 0 || row.SegTime <= 0 {
-			t.Errorf("%s/%d: non-positive timing %v / %v", row.Workload, row.Workers, row.SerialTime, row.SegTime)
-		}
-		if row.Workload == "match-sparse" && row.StitchPct > 5 {
-			t.Errorf("match-sparse/%d: stitch cost %.2f%%, want near zero (carries should die fast)",
-				row.Workers, row.StitchPct)
-		}
-	}
-}
-
 // TestRunObs smoke-tests the -obs study at a small size: the three
 // instrumentation configs must report identical matches (instrumentation
 // never changes results) and positive timings. Overhead ratios are CI

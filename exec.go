@@ -8,29 +8,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultpoint"
 	"repro/internal/lazydfa"
-	"repro/internal/segment"
 	"repro/internal/telemetry"
 )
-
-// groupExec is one execution unit's executor, built by buildPlan beside
-// the unit's compiled artifact. Every entry point — Scanner block scans,
-// CountParallel, segmented scans and StreamMatchers — runs groups only
-// through their units' executors, and gathers every outcome into a
-// scanFold.
-type groupExec struct {
-	// runner returns a fresh runner: one per Scanner, StreamMatcher,
-	// CountParallel task, serial run of a segmented scan and one-shot
-	// Ruleset scan. A lazy-DFA unit's runners are cursors on the unit's
-	// one transition table (its lazydfa.Matcher, which belongs to this
-	// compiled Ruleset alone), so every runner starts warm on what the
-	// others cached.
-	runner func() groupRunner
-	// segment scans the input segment-parallel over bounds (as produced by
-	// segment.Boundaries) into run; nil for strategies whose scans are O(1)
-	// or one cache-resident sweep, which run serially inside segmented
-	// scans.
-	segment func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error
-}
 
 // runCfg is the per-run wiring of a groupRunner.
 type runCfg struct {
@@ -71,9 +50,6 @@ type groupRun struct {
 	fellBack                                      bool // finished on iMFAnt
 	cached, accelStates, cacheBytes               int64
 	maxStates, classes                            int
-
-	// Segment-parallel runs; segments == 0 for runner-based runs.
-	segments, segFallbacks, parallelBytes, stitchBytes int64
 }
 
 // set overwrites run with the common counters. It zeroes the struct in
@@ -92,80 +68,41 @@ func blockScan(r groupRunner, input []byte, c runCfg, run *groupRun) error {
 	return r.err()
 }
 
-// newExec builds unit u's executor for its planned strategy — the one
-// place the root package dispatches on Strategy.
-func (rs *Ruleset) newExec(u int) groupExec {
+// newRunnerOf returns unit u's runner constructor for its planned strategy
+// — the one place the root package dispatches on Strategy. Every entry
+// point — Scanner block scans, CountParallel tasks and StreamMatchers —
+// runs a unit only through a runner from it, one per Scanner,
+// StreamMatcher, pool task and one-shot Ruleset scan. A lazy-DFA unit's
+// runners are cursors on the unit's one transition table (its
+// lazydfa.Matcher, which belongs to this compiled Ruleset alone), so every
+// runner starts warm on what the others cached.
+func (rs *Ruleset) newRunnerOf(u int) func() groupRunner {
 	x := &rs.plan.units[u]
-	accel := rs.opts.accelOn()
 	g, p := x.groups[0], x.prog
-	// Profiled Rulesets run every group as a unit of its own, so a profile
-	// is always the unit's program's.
-	ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: accel, Profile: rs.profileOf(g)}
 	switch x.strat {
 	case StrategyAnchored:
 		a := rs.plan.anch[g]
-		return groupExec{runner: func() groupRunner {
+		return func() groupRunner {
 			return &anchRunner{g: a, rules: make([]anchRuleState, len(a.rules)), perFSA: make([]int64, len(a.rules))}
-		}}
+		}
 	case StrategyDFA:
 		d := rs.plan.dfas[g]
-		return groupExec{runner: func() groupRunner { return &dfaRunner{r: dfa.NewRunner(d)} }}
+		return func() groupRunner { return &dfaRunner{r: dfa.NewRunner(d)} }
 	case StrategyLazyDFA:
 		m := x.lazy
 		lcfg := lazydfa.Config{Profile: rs.profileOf(g)}
-		return groupExec{
-			runner: func() groupRunner {
-				return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg}
-			},
-			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error {
-				lc := lcfg
-				lc.Checkpoint, lc.Faults = check, rs.faults
-				return rs.segmentScan(segment.Group{Lazy: m, LazyCfg: lc}, u, ecfg, input, bounds, check, emit, run)
-			},
-		}
+		return func() groupRunner { return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg} }
 	default:
-		return groupExec{
-			runner: func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} },
-			segment: func(input []byte, bounds []int, check func() error, emit func(fsa, end int), run *groupRun) error {
-				return rs.segmentScan(segment.Group{}, u, ecfg, input, bounds, check, emit, run)
-			},
-		}
+		// Profiled Rulesets run every group as a unit of its own, so a
+		// profile is always the unit's program's.
+		ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: rs.opts.accelOn(), Profile: rs.profileOf(g)}
+		return func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} }
 	}
 }
 
-// segmentScan runs default-engine unit u segment-parallel into run:
-// iMFAnt or lazy-DFA workers per segment plus the sequential boundary
-// stitch. A scan whose boundary carry exceeds the frontier budget, or
-// outlives a whole segment (its stitch then costs a serial scan of that
-// segment), completes exactly; when the input is at least segmentMinBytes
-// it also pins the unit serial for subsequent segmented scans, and the pin
-// counts as one segment fallback. Smaller inputs never pin: their segments
-// are too short for a carry that outlives one to predict anything about a
-// large scan.
-func (rs *Ruleset) segmentScan(g segment.Group, u int, cfg engine.Config, input []byte, bounds []int,
-	check func() error, emit func(fsa, end int), run *groupRun) error {
-	x := &rs.plan.units[u]
-	g.Automaton, g.Program, g.MaxFrontier = x.groups[0], x.prog, segmentMaxFrontier
-	g.Cfg = cfg
-	g.Cfg.Checkpoint, g.Cfg.Faults = check, rs.faults
-	res, err := segment.Scan(g, input, bounds, emit)
-	run.set(1, res.ParallelBytes+res.StitchBytes, res.Matches, res.PerFSA, res.AccelBytes)
-	run.segments, run.parallelBytes, run.stitchBytes = int64(res.Segments), res.ParallelBytes, res.StitchBytes
-	if (res.FellBack || res.CarryOutlived) && len(input) >= segmentMinBytes {
-		run.segFallbacks = 1
-		rs.segSerial[u].Store(true)
-	}
-	if g.Lazy != nil {
-		run.lazy = true
-		run.hits, run.misses, run.flushes = res.CacheHits, res.CacheMisses, res.Flushes
-		run.fallbacks, run.fellBack = res.Thrashes, res.Thrashes > 0
-	}
-	return err
-}
-
-// scanFold gathers the accounting of one scan — the group runs of a
-// Scanner or CountParallel block scan, a segmented scan or a closed stream
-// — so that Ruleset.flush makes one batch of collector updates per scan
+// scanFold gathers the accounting of one scan — the group runs and the
+// literal pass of a Scanner or CountParallel block scan, or a closed
+// stream — so that Ruleset.flush makes one batch of collector updates per scan
 // instead of one per group run. Only rule hits, which need a per-rule
 // table, reach the collector as they are gathered, and only where nonzero.
 type scanFold struct {
@@ -176,9 +113,9 @@ type scanFold struct {
 	strat                        [numStrategies]int64
 	pref                         prefCounters
 
-	lazy                                               bool
-	hits, misses, flushes, fallbacks, grows, pins      int64
-	segScans, segments, segFallbacks, parallel, stitch int64
+	lazy                                          bool
+	hits, misses, flushes, fallbacks, grows, pins int64
+	segScans, segments, parallel                  int64 // the segmented literal pass (see scanLiterals)
 }
 
 // rule adds n events of rule id to the collector and the owner's tables.
@@ -194,8 +131,7 @@ func (f *scanFold) rule(c *telemetry.Collector, id int, n int64) {
 
 // foldRun gathers one run of unit u into f, attributed back to the
 // unit's member groups: each member scanned the unit's bytes once, so
-// scans, bytes, strategy bytes and the segment counters count once per
-// member; the events count under their rules; the accel bytes, the lazy-DFA
+// scans, bytes and strategy bytes count once per member; the events count under their rules; the accel bytes, the lazy-DFA
 // counters and the lazy_* trace events — the one table's — count once per
 // unit, the events under the unit's first member.
 func (rs *Ruleset) foldRun(f *scanFold, u int, run *groupRun) {
@@ -213,13 +149,6 @@ func (rs *Ruleset) foldRun(f *scanFold, u int, run *groupRun) {
 				f.rule(rs.collector, rules[fsa].RuleID, n)
 			}
 		}
-	}
-	if run.segments > 0 {
-		f.segScans += k
-		f.segments += k * run.segments
-		f.segFallbacks += k * run.segFallbacks
-		f.parallel += k * run.parallelBytes
-		f.stitch += k * run.stitchBytes
 	}
 	if !run.lazy {
 		return
@@ -283,7 +212,7 @@ func (rs *Ruleset) flush(f *scanFold, pref *prefCounters) {
 		}
 	}
 	if f.segScans > 0 {
-		c.AddSegmentScans(f.segScans, f.segments, f.segFallbacks, f.parallel, f.stitch)
+		c.AddSegmentScans(f.segScans, f.segments, f.parallel)
 	}
 	if f.lazy {
 		c.AddLazyScan(f.hits, f.misses, f.flushes, f.fallbacks)
@@ -557,44 +486,6 @@ func (x *litRunner) totals(out []groupRun) {
 	if len(lp.units) > 0 {
 		out[lp.units[0]].accel = x.pass.Skipped()
 	}
-}
-
-// scanLiterals runs the literal pass over input segment-parallel (see
-// segment.ScanAC) and folds it into f: each worker scans its segment plus
-// the longest pattern's left context, so no stitching is needed, and the
-// hits are replayed in end order, which is what the chain members need.
-// emit is indexed by unit. Returns the patterns seen and the AC and chain
-// groups' match count.
-func (rs *Ruleset) scanLiterals(input []byte, bounds []int, check func() error,
-	emit []func(fsa, end int), f *scanFold) ([]int32, int64, error) {
-	lp := rs.plan.lit
-	st := lp.newState()
-	res, err := segment.ScanAC(lp.m, input, bounds, rs.opts.accelOn(), check, 0, func(pat, end int) {
-		lp.deliverHit(pat, end, &st, emit)
-	})
-	var matches int64
-	for _, k := range st.touched {
-		matches += st.counts[k]
-		f.rule(rs.collector, int(lp.members[k].rule), st.counts[k])
-	}
-	g := int64(len(lp.units))
-	lp.foldBytes(f, res.ScannedBytes)
-	f.matches += matches
-	f.accel += res.SkippedBytes
-	f.segScans += g
-	f.segments += g * int64(len(bounds)-1)
-	f.parallel += g * res.ScannedBytes
-	var seen []int32
-	for k, n := range res.PerPattern {
-		if n != 0 {
-			seen = append(seen, int32(k))
-		}
-	}
-	if rs.prefEnabled {
-		f.pref.sweeps++
-		f.pref.hits += int64(len(seen))
-	}
-	return seen, matches, err
 }
 
 // anchRunner evaluates an anchored-literal group. Everything it needs is

@@ -118,7 +118,7 @@ type Options struct {
 	// execution unit — one lazy-DFA automaton group, or several fused into
 	// one program of at most 64 FSAs — per compiled Ruleset, shared by
 	// every matching context on it (Scanners, StreamMatchers,
-	// CountParallel tasks, segment workers and one-shot scans); 0 selects
+	// CountParallel tasks and one-shot scans); 0 selects
 	// lazydfa.DefaultMaxStates. Smaller caps bound memory at the cost of
 	// more cache flushes.
 	LazyDFAMaxStates int
@@ -178,19 +178,19 @@ type Options struct {
 	// whenever every slot is busy (fail-fast). Ignored without
 	// MaxConcurrentScans.
 	MaxQueuedScans int
-	// Segment selects segment-parallel scanning for whole-buffer ruleset
+	// Segment selects segmenting the literal pass of whole-buffer ruleset
 	// scans (CountParallel, FindAll): the input is cut into contiguous
-	// segments scanned concurrently, with exact boundary stitching — the
-	// reported events are byte-identical to a serial scan. The segment
-	// count is CountParallel's threads argument when positive, GOMAXPROCS
-	// otherwise. SegmentAuto (the zero value) segments inputs of at least
-	// 1 MiB; SegmentOn segments every input large enough to cut;
-	// SegmentOff disables the path. A group whose boundary carry exceeds
-	// 64 active states, or outlives a whole segment, still finishes the
-	// scan exactly; on an input of at least 1 MiB it also runs serially
-	// from then on (counted in Stats().Segment.Fallbacks). Scanner and
-	// StreamMatcher scans are never segmented — their value is warm
-	// per-goroutine state, not intra-input parallelism.
+	// segments, one per worker, and each worker runs the pass over its
+	// segment plus the longest pass pattern's left context, so no boundary
+	// needs stitching and the reported events are byte-identical to a
+	// serial scan. Every other execution unit runs whole, as one task of
+	// the §VI-C2 worker pool, whatever the mode. The segment count is
+	// CountParallel's threads argument when positive, GOMAXPROCS otherwise.
+	// SegmentAuto (the zero value) segments inputs of at least 1 MiB;
+	// SegmentOn segments every input large enough to cut; SegmentOff runs
+	// the pass as one pool task. Scanner and StreamMatcher scans are never
+	// segmented — their value is warm per-goroutine state, not
+	// intra-input parallelism.
 	Segment SegmentMode
 }
 
@@ -241,15 +241,6 @@ type Ruleset struct {
 	// (see internal/faultpoint). Always nil in production use; set by
 	// in-package tests via setFaultInjector.
 	faults *faultpoint.Injector
-	// segSerial[u], once set, pins execution unit u to the serial path in
-	// segmented scans: its speculative boundary frontier exceeded
-	// segmentMaxFrontier, or a boundary carry outlived a whole segment, so
-	// the unit is almost always mid-match and segmentation buys nothing
-	// (see segment.go).
-	// Set only by scans of at least segmentMinBytes; sticky for the
-	// ruleset's lifetime.
-	segSerial []atomic.Bool
-
 	// profiles holds per-program sampled state heat; nil when
 	// Options.Profile is false.
 	profiles []*engine.Profile
@@ -524,9 +515,9 @@ func (rs *Ruleset) FindAll(input []byte) []Match {
 // expiry stops the scan at the next engine checkpoint (about every 4 KiB of
 // input per automaton) and returns the context's error with nil matches.
 func (rs *Ruleset) FindAllContext(ctx context.Context, input []byte) ([]Match, error) {
-	// Large buffers take the segment-parallel path: the input is cut into
-	// per-worker segments with exact boundary stitching, so the result is
-	// byte-identical to the serial scan (see segment.go).
+	// Large buffers take the parallel path: the literal pass runs over
+	// per-worker segments and the other units in the worker pool, and the
+	// events are sorted into the serial order (see segment.go).
 	if parts := rs.segmentParts(len(input), 0); parts > 1 {
 		return rs.findAllSegmented(ctx, input, parts)
 	}
@@ -609,8 +600,8 @@ func (rs *Ruleset) NewScanner() *Scanner {
 	s.emit = make([]func(fsa, end int), len(units))
 	for u := range units {
 		x := &units[u]
-		if x.exec.runner != nil {
-			s.runs[u] = x.exec.runner()
+		if x.newRunner != nil {
+			s.runs[u] = x.newRunner()
 		}
 		rules := x.rules
 		s.emit[u] = rs.traceMatches(u, func(fsa, end int) {
@@ -812,13 +803,13 @@ func (rs *Ruleset) CountParallelContext(ctx context.Context, input []byte, threa
 }
 
 // scanParallel is the ruleset-level parallel scan behind CountParallel and
-// FindAll on large buffers. With parts ≤ 1 the admitted units are dealt to
-// the §VI-C2 worker pool, one block scan each. With parts > 1 the
-// parallelism is intra-input instead: every unit in turn runs over parts
-// segments with exact boundary stitching (see segment.go), and units
-// without a segment-parallel scan run serially. emit, when non-nil,
-// receives every event of a segmented scan, by unit and unit FSA; events
-// arrive grouped by unit, unsorted.
+// FindAll on large buffers. The admitted units are dealt to the §VI-C2
+// worker pool, one block scan each, at threads workers. The literal pass
+// runs ahead of them when it gates them or when the scan is segmented
+// (parts > 1): then a pass with AC literals or chain pieces to deliver runs
+// over parts segments (see segmentedPass). Otherwise the pass is one more
+// pool task. emit, when non-nil, receives every event, by unit and unit
+// FSA, unsorted and from several goroutines at once.
 func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, parts int,
 	emit func(unit, fsa, end int)) (total int64, err error) {
 	// The ScanTimeout budget is anchored BEFORE the admission gate, so time
@@ -843,14 +834,12 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 	}
 	var f scanFold
 	defer rs.flush(&f, nil)
-	// A gated scan runs the literal pass up front: its outcome admits the
-	// other units. Ungated, the pass runs beside them, as one more pool
-	// task or the first step of a segmented scan.
+	emits := rs.parallelEmit(emit)
 	var gate []bool
 	pass := rs.plan.lit != nil
-	if rs.pf != nil {
+	if pass && (rs.pf != nil || parts > 1) {
 		var n int64
-		gate, n, err = rs.upfrontPass(input, parts, check, emit, &f)
+		gate, n, err = rs.upfrontPass(input, parts, check, emits, &f)
 		if err != nil {
 			return 0, rs.noteParallelErr(err)
 		}
@@ -862,12 +851,7 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 			ids = append(ids, u)
 		}
 	}
-	var n int64
-	if parts > 1 {
-		n, err = rs.scanSegmented(input, parts, ids, pass, check, emit, &f)
-	} else {
-		n, err = rs.scanPool(input, threads, ids, pass, check, &f)
-	}
+	n, err := rs.scanPool(input, threads, ids, pass, check, emits, &f)
 	if err != nil {
 		// err may join several workers' failures (panics, timeouts); each
 		// is accounted individually in the Degraded section, and the
@@ -877,13 +861,14 @@ func (rs *Ruleset) scanParallel(ctx context.Context, input []byte, threads, part
 	return total + n, nil
 }
 
-// upfrontPass runs the literal pass of a gated parallel scan before any
-// other unit: segment-parallel when the scan is segmented and the pass has
-// AC literals or chain pieces to deliver, serially otherwise (a pass that
-// only gates ends once every factor has been seen). Returns the activation
-// mask and the AC and chain groups' match count.
+// upfrontPass runs the literal pass of a parallel scan before any other
+// unit: segment-parallel when the scan is segmented and the pass has AC
+// literals or chain pieces to deliver, serially otherwise (a pass that only
+// gates ends once every factor has been seen). emit is indexed by unit.
+// Returns the activation mask, nil when the pass does not gate, and the AC
+// and chain groups' match count.
 func (rs *Ruleset) upfrontPass(input []byte, parts int, check func() error,
-	emit func(unit, fsa, end int), f *scanFold) ([]bool, int64, error) {
+	emit []func(fsa, end int), f *scanFold) ([]bool, int64, error) {
 	if parts > 1 && rs.plan.lit.delivers() {
 		// A delivering pass always runs; passPlan still says whether it
 		// gates.
@@ -894,8 +879,7 @@ func (rs *Ruleset) upfrontPass(input []byte, parts int, check func() error,
 		}
 		return rs.gate(seen, nil, int64(len(input)), f), n, nil
 	}
-	return rs.blockPass(newLitRunner(rs.plan.lit, rs.opts.accelOn()), input, check, rs.faults,
-		rs.parallelEmit(emit), nil, f)
+	return rs.blockPass(newLitRunner(rs.plan.lit, rs.opts.accelOn()), input, check, rs.faults, emit, nil, f)
 }
 
 // parallelEmit adapts a parallel scan's event sink to per-unit callbacks
@@ -914,17 +898,23 @@ func (rs *Ruleset) parallelEmit(emit func(unit, fsa, end int)) []func(fsa, end i
 
 // scanPool hands every admitted unit (ids) to the worker pool as one block
 // scan on a fresh runner; the literal pass, when pass is set, is one more
-// task, that of the pass's first unit. A task runs under its unit's first
-// member's automaton id, which labels its profile samples and a contained
-// panic. Every task gathers its run into f, a contained panic's partial
-// work included.
+// task, that of the pass's first unit. emit, indexed by unit, receives the
+// events (see parallelEmit). A task runs under its unit's first member's
+// automaton id, which labels its profile samples and a contained panic.
+// Every task gathers its run into f, a contained panic's partial work
+// included.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, check func() error,
-	f *scanFold) (int64, error) {
+	emit []func(fsa, end int), f *scanFold) (int64, error) {
 	var sum atomic.Int64
 	var mu sync.Mutex
 	units := rs.plan.units
 	if pass {
 		ids = append([]int{rs.plan.lit.units[0]}, ids...)
+	}
+	if len(ids) == 0 {
+		// Nothing to fan out, e.g. a ruleset that runs only in a segmented
+		// pass: no parallel stage to time.
+		return 0, nil
 	}
 	groups := make([]int, len(ids))
 	for j, u := range ids {
@@ -941,12 +931,12 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, che
 				sum.Add(x.end(f, rs.collector, rs.prefEnabled))
 			}()
 			st0 := rs.stageStart()
-			x.begin(check, rs.faults, rs.traceEmit)
+			x.begin(check, rs.faults, emit)
 			x.feed(input)
 			rs.stageEnd(telemetry.StrategyStage(int(StrategyAC)), st0)
 			return x.err()
 		}
-		r := units[u].exec.runner()
+		r := units[u].newRunner()
 		var run groupRun
 		ended := false
 		defer func() {
@@ -962,7 +952,7 @@ func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, che
 			sum.Add(run.matches)
 		}()
 		st0 := rs.stageStart()
-		err := blockScan(r, input, runCfg{onMatch: rs.traceEmit[u], check: check, faults: rs.faults}, &run)
+		err := blockScan(r, input, runCfg{onMatch: emit[u], check: check, faults: rs.faults}, &run)
 		rs.stageEnd(telemetry.StrategyStage(int(units[u].strat)), st0)
 		ended = true
 		return err

@@ -23,16 +23,6 @@ type Config struct {
 	// the skip on or off — a dead byte fires no transition, so skipping it
 	// cannot lose activations or match events.
 	Accel bool
-	// NoInits runs the scan carry-only: no FSA is ever (re)activated from
-	// an initial state, so the traversal propagates exactly the activations
-	// seeded through Resume and dies permanently once the vector empties.
-	// This is the boundary-stitching mode of segmented scanning: a runner
-	// resumed from a segment-boundary carry reports precisely the events
-	// that carry can still produce, and Feed returns as soon as the vector
-	// is dead (Result.Symbols then counts only the bytes actually
-	// traversed). Accel is ignored under NoInits — an empty vector is a
-	// terminal state, not a skippable gap.
-	NoInits bool
 	// OnMatch, when non-nil, is invoked for every match with the FSA
 	// identifier and the end offset of the match (inclusive). Each
 	// (FSA, end offset) pair is reported exactly once, even when several
@@ -179,10 +169,6 @@ type Runner struct {
 	ended    bool // End already folded this scan into totals
 	profFill int  // symbols fed since the last profiler sample
 	totals   Totals
-
-	// noInit is the all-zero init vector selected under Config.NoInits,
-	// allocated once on the first NoInits Begin.
-	noInit []uint64
 }
 
 // NewRunner returns an execution context for p.
@@ -230,9 +216,6 @@ func (r *Runner) Begin(cfg Config) {
 	r.profFill = 0
 	r.cur.reset(W)
 	r.nxt.reset(W)
-	if cfg.NoInits && r.noInit == nil {
-		r.noInit = make([]uint64, r.p.numStates*W)
-	}
 }
 
 // Feed consumes the next chunk of the stream. Set final on the last chunk
@@ -344,18 +327,9 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 	cfg := r.cfg
 	res := &r.res
 	last := len(chunk) - 1
-	noInits := cfg.NoInits
-	accel := cfg.Accel && p.startAccel && !noInits
-	// processed is the number of bytes this call actually traversed: the
-	// whole chunk, unless a NoInits scan's vector dies mid-chunk — the
-	// remaining bytes provably produce nothing and are not consumed.
-	processed := len(chunk)
+	accel := cfg.Accel && p.startAccel
 
 	for pos := 0; pos < len(chunk); pos++ {
-		if noInits && len(r.cur.dirty) == 0 {
-			processed = pos
-			break
-		}
 		if accel && len(r.cur.dirty) == 0 && r.offset+pos > 0 {
 			// Empty vector mid-stream: only a start byte does anything.
 			// Jump to the next one; every skipped byte provably fires no
@@ -375,12 +349,9 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 		seenHere := false // r.seen holds a stale position until cleared
 		// The ^-anchored inits participate only in the stream's first
 		// step; selecting the init vector here keeps the branch out of
-		// the inner transition loop. NoInits scans select the all-zero
-		// vector: activations carry, nothing restarts.
+		// the inner transition loop.
 		init := p.initAlways
-		if noInits {
-			init = r.noInit
-		} else if r.offset == 0 && pos == 0 {
+		if r.offset == 0 && pos == 0 {
 			init = p.initAll
 		}
 		for _, ti := range p.lists[c] {
@@ -487,8 +458,8 @@ func (r *Runner) feedBody(chunk []byte, final bool) {
 		cur.reset(W)
 		r.cur, r.nxt = nxt, cur
 	}
-	res.Symbols += processed
-	r.offset += processed
+	res.Symbols += len(chunk)
+	r.offset += len(chunk)
 }
 
 // End finishes a chunked scan and returns the accumulated result. If no

@@ -10,17 +10,9 @@ func (r *Runner) feedW1(chunk []byte, final bool) {
 	res := &r.res
 	last := len(chunk) - 1
 	endAnchored := p.endAnchored[0]
-	noInits := cfg.NoInits
-	accel := cfg.Accel && p.startAccel && !noInits
-	// processed: the whole chunk, unless a NoInits scan's vector dies
-	// mid-chunk (see feedBody).
-	processed := len(chunk)
+	accel := cfg.Accel && p.startAccel
 
 	for pos := 0; pos < len(chunk); pos++ {
-		if noInits && len(r.cur.dirty) == 0 {
-			processed = pos
-			break
-		}
 		if accel && len(r.cur.dirty) == 0 && r.offset+pos > 0 {
 			// Empty vector mid-stream: jump to the next start byte (see
 			// the W>1 loop). Skipped bytes fire no transitions, so neither
@@ -41,12 +33,9 @@ func (r *Runner) feedW1(chunk []byte, final bool) {
 		// each (FSA, end) pair must be reported exactly once.
 		seen := uint64(0)
 		// Select the init vector once per symbol: the ^-anchored inits
-		// participate only in the stream's first step, and NoInits scans
-		// carry activations without ever restarting.
+		// participate only in the stream's first step.
 		init := p.initAlways
-		if noInits {
-			init = r.noInit
-		} else if r.offset == 0 && pos == 0 {
+		if r.offset == 0 && pos == 0 {
 			init = p.initAll
 		}
 		for _, ti := range p.lists[c] {
@@ -107,6 +96,6 @@ func (r *Runner) feedW1(chunk []byte, final bool) {
 		cur.reset(1)
 		r.cur, r.nxt = nxt, cur
 	}
-	res.Symbols += processed
-	r.offset += processed
+	res.Symbols += len(chunk)
+	r.offset += len(chunk)
 }

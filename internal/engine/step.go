@@ -205,8 +205,7 @@ func (r *Runner) Frontier() []Activation {
 // given activation vector as if it had already consumed offset bytes of the
 // stream, so subsequent Feed calls report absolute offsets and never
 // re-apply the ^-anchored inits. It is the hand-off path of the lazy-DFA
-// engine when it abandons caching for a thrashing input, and the seeding
-// path of segmented scanning's speculative workers and stitch runners.
+// engine when it abandons caching for a thrashing input.
 func (r *Runner) Resume(cfg Config, acts []Activation, offset int) {
 	r.Begin(cfg)
 	r.offset = offset

@@ -402,26 +402,6 @@ func (r *Runner) Begin(cfg Config) {
 	}
 }
 
-// BeginAt starts a chunked scan mid-stream: like Begin, but the scan's
-// first byte sits at absolute stream offset. The ^-anchored inits never
-// fire (they belong to offset 0), reported match offsets are absolute, and
-// the cached path keys its first step off the ordinary transition rows
-// instead of the stream-start row — a fresh scan that simply is not at the
-// head of the stream. This is the speculative-worker entry point of
-// segmented scanning. BeginAt(cfg, 0) is identical to Begin(cfg).
-func (r *Runner) BeginAt(cfg Config, offset int) {
-	r.Begin(cfg)
-	if offset == 0 {
-		return
-	}
-	r.offset = offset
-	if r.fb != nil {
-		// Begin started the ladder-pinned delegate at offset 0; re-resume
-		// it at the true offset.
-		r.fb.Resume(r.fallbackCfg(), nil, offset)
-	}
-}
-
 // Frontier returns the scan's current activation vector in canonical form
 // (sorted by state, fresh slices): the complete traversal state after the
 // bytes fed so far — in pop mode the post-pop vector, exactly what an iMFAnt

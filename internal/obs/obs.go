@@ -152,7 +152,7 @@ func StatsFamilies(s telemetry.Stats, lat *telemetry.Latency) []Family {
 	}
 	if sg := s.Segment; sg != nil {
 		segBytes := Family{Name: "imfant_segment_bytes", Kind: Counter,
-			Help: "Input bytes by segment-parallel scan path; paths partition imfant_bytes_scanned."}
+			Help: "Input bytes by segment path (parallel: segmented literal pass; stitch: always 0); paths partition imfant_bytes_scanned."}
 		for _, p := range []struct {
 			path string
 			v    int64
@@ -165,9 +165,9 @@ func StatsFamilies(s telemetry.Stats, lat *telemetry.Latency) []Family {
 				Labels: []Label{{Name: "path", Value: p.path}}, Value: float64(p.v)})
 		}
 		fams = append(fams,
-			CounterFamily("imfant_segment_scans", "Automaton-group executions run segment-parallel.", float64(sg.SegmentedScans)),
-			CounterFamily("imfant_segment_segments", "Segments executed across segmented scans.", float64(sg.Segments)),
-			CounterFamily("imfant_segment_fallbacks", "Segmented scans that pinned their group serial.", float64(sg.Fallbacks)),
+			CounterFamily("imfant_segment_scans", "AC and chain group executions run in a segmented literal pass.", float64(sg.SegmentedScans)),
+			CounterFamily("imfant_segment_segments", "Segments executed across segmented literal passes.", float64(sg.Segments)),
+			CounterFamily("imfant_segment_fallbacks", "Always 0: no group is pinned serial; kept for the schema.", float64(sg.Fallbacks)),
 			segBytes,
 		)
 	}

@@ -34,9 +34,9 @@ const (
 	// StageStreamFlush brackets the end-of-stream flush inside
 	// StreamMatcher.Close (held-chunk replay, final feed, engine End).
 	StageStreamFlush
-	// StageSegment brackets one segment-parallel group execution: worker
-	// fan-out plus the sequential boundary stitch (wall clock, not the sum
-	// of per-worker time).
+	// StageSegment brackets one segmented literal pass: worker fan-out
+	// plus the ordered replay of the hits (wall clock, not the sum of
+	// per-worker time).
 	StageSegment
 	// NumStages is the number of stages; not itself a stage.
 	NumStages

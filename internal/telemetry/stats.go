@@ -51,11 +51,11 @@ type Stats struct {
 	// Scanner and StreamMatcher snapshots omit it (the profiler is shared
 	// ruleset-wide).
 	Profile *ProfileStats `json:"profile,omitempty"`
-	// Segment holds the segment-parallel scanning counters; nil when
-	// segmented scanning is disabled (Options.Segment == SegmentOff). Its
-	// byte counters partition BytesScanned exactly. At Scanner and
-	// StreamMatcher scope every byte is serial — those owners never run the
-	// segment-parallel path.
+	// Segment holds the counters of the segmented literal pass; nil when
+	// segmenting is disabled (Options.Segment == SegmentOff). Its byte
+	// counters partition BytesScanned exactly. At Scanner and
+	// StreamMatcher scope every byte is serial — those owners never
+	// segment.
 	Segment *SegmentStats `json:"segment,omitempty"`
 	// Degraded accounts every rung of the degradation ladder taken:
 	// timeouts, shed scans, contained worker panics, lazy-DFA thrash
@@ -102,32 +102,30 @@ type DegradedStats struct {
 	PinnedScans int64 `json:"pinned_scans"`
 }
 
-// SegmentStats is the segment-parallel scanning section of a stats snapshot
-// (Options.Segment). ParallelBytes + StitchBytes + SerialBytes ==
-// BytesScanned always holds: every matched-against byte was scanned inside a
-// segment worker, by a boundary-stitch runner, or serially (SerialBytes is
-// derived at snapshot time as the remainder, so the partition holds by
-// construction across mixed workloads). A high StitchBytes share means
-// boundary carries survive deep into segments (match-dense or always-live
-// rules) and segmentation is paying for its parallelism; Fallbacks counts
-// groups pinned serial because their speculative frontier exceeded 64
-// active states or a boundary carry outlived a whole segment.
+// SegmentStats is the segment section of a stats snapshot
+// (Options.Segment): the literal pass of a large CountParallel or FindAll
+// runs over per-worker segments, and every other execution unit runs whole
+// in the worker pool. ParallelBytes + StitchBytes + SerialBytes ==
+// BytesScanned always holds: every matched-against byte was scanned by a
+// worker of the segmented pass or outside it (SerialBytes is derived at
+// snapshot time as the remainder, so the partition holds by construction
+// across mixed workloads). No boundary is ever stitched, so StitchBytes and
+// Fallbacks are always 0; they stay in the schema for its readers.
 type SegmentStats struct {
-	// SegmentedScans counts automaton-group executions that ran
-	// segment-parallel.
+	// SegmentedScans counts the group executions of the AC and chain
+	// groups that ran in a segmented literal pass: one per group per pass.
 	SegmentedScans int64 `json:"segmented_scans"`
 	// Segments counts segments executed across those scans.
 	Segments int64 `json:"segments"`
-	// Fallbacks counts segmented scans of at least 1 MiB whose boundary
-	// frontier exceeded the budget or whose boundary carry outlived a whole
-	// segment; results stayed exact and the group runs serially afterwards.
+	// Fallbacks is always 0: no group is ever pinned serial.
 	Fallbacks int64 `json:"fallbacks"`
-	// ParallelBytes counts input bytes scanned inside segment workers.
+	// ParallelBytes counts input bytes scanned by the workers of segmented
+	// passes, overlap windows included, once per AC and chain group.
 	ParallelBytes int64 `json:"parallel_bytes"`
-	// StitchBytes counts bytes re-scanned by boundary stitching (carry
-	// replay plus local recomputation windows).
+	// StitchBytes is always 0: the pass needs no boundary stitch.
 	StitchBytes int64 `json:"stitch_bytes"`
-	// SerialBytes counts bytes scanned outside the segment-parallel path.
+	// SerialBytes counts bytes scanned outside a segmented pass: every
+	// other execution unit's, and every byte of unsegmented scans.
 	SerialBytes int64 `json:"serial_bytes"`
 }
 
@@ -294,7 +292,7 @@ func Summarize(s hist.Snapshot) HistStats {
 //     call (wall clock over all admitted automata together).
 //   - "stream_write": one StreamMatcher.Write chunk.
 //   - "stream_flush": the end-of-stream flush inside Close.
-//   - "segment": one segment-parallel group execution, stitch included.
+//   - "segment": one segmented literal pass, its ordered replay included.
 //
 // Percentiles come from log2 buckets and are within 2× of exact.
 type LatencyStats struct {

@@ -57,12 +57,10 @@ type Collector struct {
 	sweepProbes   atomic.Int64
 	groupsUngated atomic.Int64
 
-	segEnabled   bool
-	segScans     atomic.Int64
-	segSegments  atomic.Int64
-	segFallbacks atomic.Int64
-	segParallel  atomic.Int64
-	segStitch    atomic.Int64
+	segEnabled  bool
+	segScans    atomic.Int64
+	segSegments atomic.Int64
+	segParallel atomic.Int64
 
 	lat *Latency
 
@@ -130,20 +128,17 @@ func (c *Collector) EnableStrategy(planned bool, names []string, groups []int) {
 	c.stratBytes = make([]atomic.Int64, len(names))
 }
 
-// EnableSegment turns on the segment-parallel section of the snapshot.
+// EnableSegment turns on the segment section of the snapshot.
 func (c *Collector) EnableSegment() { c.segEnabled = true }
 
-// AddSegmentScans folds scans segment-parallel group executions: the
-// number of segments they ran, how many fell back past the frontier budget,
-// and their parallel/stitch byte split. parallelBytes + stitchBytes must
-// equal the bytes the same executions folded via AddBytes, so the segment
-// partition of BytesScanned stays exact.
-func (c *Collector) AddSegmentScans(scans, segments, fallbacks, parallelBytes, stitchBytes int64) {
+// AddSegmentScans folds scans segmented group executions of the literal
+// pass: the number of segments they ran and the bytes their workers
+// scanned. parallelBytes must equal the bytes the same executions folded
+// via AddBytes, so the segment partition of BytesScanned stays exact.
+func (c *Collector) AddSegmentScans(scans, segments, parallelBytes int64) {
 	c.segScans.Add(scans)
 	c.segSegments.Add(segments)
-	c.segFallbacks.Add(fallbacks)
 	c.segParallel.Add(parallelBytes)
-	c.segStitch.Add(stitchBytes)
 }
 
 // EnableLatency turns on the latency section of the snapshot and returns
@@ -354,14 +349,12 @@ func (c *Collector) Snapshot() Stats {
 		s.Strategy = st
 	}
 	if c.segEnabled {
-		par, st := c.segParallel.Load(), c.segStitch.Load()
+		par := c.segParallel.Load()
 		s.Segment = &SegmentStats{
 			SegmentedScans: c.segScans.Load(),
 			Segments:       c.segSegments.Load(),
-			Fallbacks:      c.segFallbacks.Load(),
 			ParallelBytes:  par,
-			StitchBytes:    st,
-			SerialBytes:    s.BytesScanned - par - st,
+			SerialBytes:    s.BytesScanned - par,
 		}
 	}
 	if fn, ok := c.profileFn.Load().(func() *ProfileStats); ok && fn != nil {

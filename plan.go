@@ -251,13 +251,13 @@ type scanPlan struct {
 // point runs units, and attributes their outcomes back to the member groups
 // through owner.
 type execUnit struct {
-	groups []int             // member automata, ascending
-	strat  Strategy          // the members' common strategy
-	prog   *engine.Program   // the members' disjoint union; the group's own program when alone
-	owner  []unitOwner       // per unit FSA: its member automaton and FSA there
-	rules  []engine.RuleInfo // per unit FSA: its owner's rule, read through owner
-	lazy   *lazydfa.Matcher  // the unit's one shared table; nil unless StrategyLazyDFA
-	exec   groupExec         // zero for the units that run in lit
+	groups    []int              // member automata, ascending
+	strat     Strategy           // the members' common strategy
+	prog      *engine.Program    // the members' disjoint union; the group's own program when alone
+	owner     []unitOwner        // per unit FSA: its member automaton and FSA there
+	rules     []engine.RuleInfo  // per unit FSA: its owner's rule, read through owner
+	lazy      *lazydfa.Matcher   // the unit's one shared table; nil unless StrategyLazyDFA
+	newRunner func() groupRunner // a fresh runner (see newRunnerOf); nil for the units that run in lit
 }
 
 // unitOwner is the member group, and the FSA within it, that a unit FSA
@@ -266,7 +266,7 @@ type unitOwner struct{ group, fsa int32 }
 
 // maxUnitFSAs caps a fused unit at one machine word of FSA ids, so its
 // program keeps Words() == 1 and the engines' one-word paths (the lazy
-// DFA's miss step, its thrash fallback and the segment stitch).
+// DFA's miss step and its thrash fallback).
 const maxUnitFSAs = 64
 
 // gatable reports whether group i participates in factor-prefilter gating.
@@ -339,10 +339,9 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA, fac
 			classes += x.lazy.NumClasses()
 		}
 		if !inPass(x.strat) {
-			x.exec = rs.newExec(u)
+			x.newRunner = rs.newRunnerOf(u)
 		}
 	}
-	rs.segSerial = make([]atomic.Bool, len(pl.units))
 	rs.traceEmit = make([]func(fsa, end int), len(pl.units))
 	for u := range pl.units {
 		rs.traceEmit[u] = rs.traceMatches(u, nil)

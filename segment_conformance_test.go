@@ -2,14 +2,22 @@ package imfant
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/ahocorasick"
+	"repro/internal/engine"
 )
 
 // segConfPatterns mixes every planner strategy: pure literals (AC group),
-// anchored literals, an eager-DFA shape, and general engine patterns whose
-// boundary carries exercise the stitch.
+// anchored literals, an eager-DFA shape, and general engine patterns.
 var segConfPatterns = []string{
 	"needle",
 	"haystack",
@@ -23,9 +31,9 @@ var segConfPatterns = []string{
 
 // TestSegmentAutoThreshold pins the SegmentAuto gate: an input one byte
 // under 1 MiB stays serial (Segment section all-serial), a 1 MiB one
-// segments.
+// segments its literal pass, which the AC groups of M = 1 give it.
 func TestSegmentAutoThreshold(t *testing.T) {
-	rs := MustCompile(segConfPatterns, Options{})
+	rs := MustCompile(segConfPatterns, Options{MergeFactor: 1})
 	small := []byte(strings.Repeat("ab", 1<<19)[1:]) // 1 MiB − 1: under the threshold
 	if _, err := rs.CountParallel(small, 4); err != nil {
 		t.Fatal(err)
@@ -46,118 +54,6 @@ func TestSegmentAutoThreshold(t *testing.T) {
 	}
 	if st = rs.Stats(); st.Segment.SegmentedScans == 0 {
 		t.Fatalf("above-threshold scan did not segment: %+v", st.Segment)
-	}
-}
-
-// segPinInput builds a 1 MiB input, the size at which a segmented scan may
-// pin a group: dead filler, which acceleration skips, with run centred on
-// the last cut of n equal segments.
-func segPinInput(n int, filler byte, run string) []byte {
-	in := bytes.Repeat([]byte{filler}, segmentMinBytes)
-	copy(in[(n-1)*len(in)/n-len(run)/2:], run)
-	return in
-}
-
-// TestSegmentFrontierFallbackSticky pins the degradation contract: a group
-// whose boundary carry exceeds the segmentMaxFrontier budget still reports
-// exact results, records a fallback, and runs serially on subsequent
-// segmented scans.
-func TestSegmentFrontierFallbackSticky(t *testing.T) {
-	// Across the last cut of 4 segments lies a run of 'a's, where every
-	// position opens a new "a[ax]{0,100}b" window, so the boundary carry
-	// holds 101 live states, over the budget of segmentMaxFrontier. Each
-	// window dies within 102 bytes, far short of a segment, so the carry
-	// never outlives one: the pin comes from the frontier budget alone.
-	// Engine forced so the planner cannot route the group to the eager-DFA
-	// strategy, which runs serially and never carries a frontier.
-	patterns := []string{"a[ax]{0,100}b"}
-	serial, err := Compile(patterns, Options{Engine: EngineIMFAnt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Compile(patterns, Options{Engine: EngineIMFAnt, Segment: SegmentOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := segPinInput(4, 'q', strings.Repeat("a", 300)+"b"+strings.Repeat("q", 64)+"axb")
-	want := serial.FindAll(in)
-	for round := 0; round < 2; round++ {
-		got, err := rs.findAllSegmented(t.Context(), in, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: exactness lost under frontier fallback: %d matches, want %d", round, len(got), len(want))
-		}
-	}
-	st := rs.Stats()
-	if st.Segment.Fallbacks == 0 {
-		t.Fatalf("no fallback recorded: %+v", st.Segment)
-	}
-	// Sticky: the pinned groups stopped segmenting, so a third scan adds
-	// serial bytes but no fallback growth.
-	fallbacks := st.Segment.Fallbacks
-	serialBytes := st.Segment.SerialBytes
-	if _, err := rs.findAllSegmented(t.Context(), in, 4); err != nil {
-		t.Fatal(err)
-	}
-	st = rs.Stats()
-	if st.Segment.Fallbacks != fallbacks {
-		t.Fatalf("fallbacks grew after pinning: %d -> %d", fallbacks, st.Segment.Fallbacks)
-	}
-	if st.Segment.SerialBytes <= serialBytes {
-		t.Fatalf("pinned group did not run serially: serial bytes %d -> %d",
-			serialBytes, st.Segment.SerialBytes)
-	}
-}
-
-// TestSegmentCarryOutlivedPins pins the stitch-cost rule: in a ruleset
-// whose .* carries never die, every group's first segmented CountParallel
-// of 1 MiB re-stitches a whole segment, so it records exactly one segment
-// fallback and pins the group serial; a second call then stitches nothing
-// and adds no fallback, and both calls count exactly what SegmentOff
-// counts. A segmented scan of a small input, whose carries outlive its
-// few-byte segments just the same, pins nothing and records no fallback.
-// Engines are forced so the planner cannot route these small groups to the
-// serial eager-DFA strategy.
-func TestSegmentCarryOutlivedPins(t *testing.T) {
-	patterns := []string{"a.*b", "c.*d", "e.*f"}
-	small := []byte("axcxexbxdxfxaxcxex") // 18 bytes: 8 segments of 2 or 3
-	// Every carry opens just before the last cut, so only the last of 8
-	// segments runs live.
-	in := segPinInput(8, '-', "axcxexbxdxf")
-	for _, eng := range []EngineMode{EngineLazyDFA, EngineIMFAnt} {
-		off := MustCompile(patterns, Options{MergeFactor: 1, Engine: eng, Segment: SegmentOff})
-		rs := MustCompile(patterns, Options{MergeFactor: 1, Engine: eng, Segment: SegmentOn})
-		if got, err := rs.CountParallel(small, 8); err != nil || got != off.Count(small) {
-			t.Fatalf("engine %d small input: %d matches (err %v), SegmentOff %d", eng, got, err, off.Count(small))
-		}
-		if s := rs.Stats().Segment; s.SegmentedScans == 0 || s.Fallbacks != 0 {
-			t.Fatalf("engine %d small input: %+v, want segmented scans and no fallback", eng, s)
-		}
-		want := off.Count(in)
-		var stitch int64
-		for call := 0; call < 2; call++ {
-			got, err := rs.CountParallel(in, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("engine %d call %d: %d matches, SegmentOff %d", eng, call, got, want)
-			}
-			s := rs.Stats().Segment
-			if s.Fallbacks != int64(rs.NumAutomata()) {
-				t.Fatalf("engine %d call %d: %d fallbacks, want one per group (%d)",
-					eng, call, s.Fallbacks, rs.NumAutomata())
-			}
-			if call == 0 {
-				if stitch = s.StitchBytes; stitch == 0 {
-					t.Fatalf("engine %d: first call stitched nothing", eng)
-				}
-			} else if s.StitchBytes != stitch {
-				t.Fatalf("engine %d: pinned call stitched %d more bytes", eng, s.StitchBytes-stitch)
-			}
-		}
 	}
 }
 
@@ -206,4 +102,232 @@ func TestSegmentedScanTrace(t *testing.T) {
 	if !reflect.DeepEqual(pooled, want) {
 		t.Fatalf("CountParallel trace %v, serial %v", pooled, want)
 	}
+}
+
+// TestSegmentedPassOnly pins what segmenting means: only the literal pass
+// runs over segments, and every other execution unit runs whole in the
+// worker pool. A 1 MiB scan of a ruleset with an AC literal, a chain rule
+// and two lazy-DFA units (one always run, one gated by its factors), under
+// SegmentOn and under SegmentAuto, at two and four threads: each segmented
+// call counts one segmented scan per pass group, stitches nothing and pins
+// nothing, the pass's bytes (its overlap windows included) are parallel,
+// the lazy units' bytes are serial, and CountParallel, findAllSegmented and
+// FindAll report what a reused Scanner reports.
+func TestSegmentedPassOnly(t *testing.T) {
+	patterns := []string{"needle", "foo.*bar", "x[0-9]+", "zz[0-9]+", "abc[0-9]+", "def[a-f]+"}
+	plants := []string{"needle", "foo-bar", "x42", "zz9", "abc12", "defab"}
+	rng := rand.New(rand.NewSource(7))
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 -"
+	in := make([]byte, segmentMinBytes)
+	for i := range in {
+		in[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	for i, off := 0, 0; off+16 < len(in); i, off = i+1, off+4093 {
+		copy(in[off:], plants[i%len(plants)])
+	}
+	for _, mode := range []SegmentMode{SegmentOn, SegmentAuto} {
+		rs := MustCompile(patterns, Options{MergeFactor: 1, Segment: mode})
+		var passGroups, lazyUnits, serialGroups int64
+		for u, x := range rs.plan.units {
+			switch {
+			case rs.plan.inLit(u):
+				passGroups += int64(len(x.groups))
+			case x.strat == StrategyLazyDFA:
+				lazyUnits++
+				serialGroups += int64(len(x.groups))
+			default:
+				t.Fatalf("mode %d: unit %d plans %v, want the pass or the lazy DFA", mode, u, x.strat)
+			}
+		}
+		if passGroups != 2 || lazyUnits < 2 || rs.pf == nil {
+			t.Fatalf("mode %d: %d pass groups and %d lazy units (%v, gated %v), want 2, at least 2 and gated",
+				mode, passGroups, lazyUnits, rs.Strategies(), rs.pf != nil)
+		}
+		sc := rs.NewScanner()
+		want, err := sc.FindAllContext(t.Context(), in)
+		wantN := sc.Count(in)
+		if err != nil || len(want) == 0 || int64(len(want)) != wantN {
+			t.Fatalf("mode %d: Scanner found %d matches, counted %d", mode, len(want), wantN)
+		}
+		overlap := int64(rs.plan.lit.m.MaxPatternLen() - 1)
+		for _, threads := range []int{2, 4} {
+			for _, entry := range []string{"CountParallel", "findAllSegmented"} {
+				before := *rs.Stats().Segment
+				if entry == "CountParallel" {
+					if n, err := rs.CountParallel(in, threads); err != nil || n != wantN {
+						t.Fatalf("mode %d threads %d: CountParallel %d (err %v), Scanner %d", mode, threads, n, err, wantN)
+					}
+				} else if got, err := rs.findAllSegmented(t.Context(), in, threads); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("mode %d threads %d: findAllSegmented %d matches (err %v), Scanner %d",
+						mode, threads, len(got), err, len(want))
+				}
+				s := *rs.Stats().Segment
+				d := SegmentStats{
+					SegmentedScans: s.SegmentedScans - before.SegmentedScans,
+					Segments:       s.Segments - before.Segments,
+					Fallbacks:      s.Fallbacks - before.Fallbacks,
+					ParallelBytes:  s.ParallelBytes - before.ParallelBytes,
+					StitchBytes:    s.StitchBytes - before.StitchBytes,
+					SerialBytes:    s.SerialBytes - before.SerialBytes,
+				}
+				n, parts := int64(len(in)), int64(threads)
+				wantD := SegmentStats{
+					SegmentedScans: passGroups,
+					Segments:       passGroups * parts,
+					ParallelBytes:  passGroups * (n + (parts-1)*overlap),
+					SerialBytes:    serialGroups * n,
+				}
+				if d != wantD {
+					t.Fatalf("mode %d threads %d %s: segment stats %+v, want %+v", mode, threads, entry, d, wantD)
+				}
+			}
+		}
+		if got := rs.FindAll(in); !slices.Equal(got, want) {
+			t.Fatalf("mode %d: FindAll %d matches, Scanner %d", mode, len(got), len(want))
+		}
+	}
+}
+
+// TestSegmentedPassWorkerPanic pins the panic containment of the segmented
+// pass: a panic inside one scanAC worker surfaces, through scanLiterals, as
+// a *WorkerPanicError once every worker has joined; no goroutine outlives
+// the call, and the fold counts the bytes the workers scanned.
+func TestSegmentedPassWorkerPanic(t *testing.T) {
+	// One-byte literals: the pass has no overlap window, so every block a
+	// worker scans is a whole checkpoint block.
+	rs := MustCompile([]string{"a", "b"}, Options{})
+	lp := rs.plan.lit
+	if lp == nil || !lp.delivers() || lp.m.MaxPatternLen() != 1 {
+		t.Fatal("ruleset does not plan a one-byte delivering literal pass")
+	}
+	const parts, blocks, every = 4, 4, engine.DefaultCheckpointEvery
+	in := bytes.Repeat([]byte("ab-c"), parts*blocks*every/4)
+	var calls, passed atomic.Int64
+	check := func() error {
+		if calls.Add(1) == 6 {
+			panic("injected check panic")
+		}
+		passed.Add(1)
+		return nil
+	}
+	g0 := runtime.NumGoroutine()
+	var f scanFold
+	seen, n, err := rs.scanLiterals(in, boundaries(len(in), parts), check, nil, &f)
+	var wp *engine.WorkerPanicError
+	if !errors.As(err, &wp) || wp.Automaton != -1 {
+		t.Fatalf("err %v, want a *WorkerPanicError of the pass (automaton -1)", err)
+	}
+	if seen != nil || n != 0 {
+		t.Fatalf("a failed pass reported seen %v and %d matches", seen, n)
+	}
+	// The other three workers finished their segments; the panicking one
+	// scanned the blocks before its panic.
+	ok := passed.Load()
+	if ok < (parts-1)*blocks || ok >= parts*blocks {
+		t.Fatalf("%d blocks passed their checkpoint, want [%d, %d)", ok, (parts-1)*blocks, parts*blocks)
+	}
+	g := int64(len(lp.units))
+	scanned := g * ok * every
+	if f.bytes != scanned || f.parallel != scanned || f.segScans != g || f.segments != g*parts {
+		t.Fatalf("fold bytes %d, parallel %d, segmented scans %d, segments %d; want %d, %d, %d, %d",
+			f.bytes, f.parallel, f.segScans, f.segments, scanned, scanned, g, g*parts)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > g0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the pass, %d before", runtime.NumGoroutine(), g0)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if passed.Load() != ok {
+		t.Fatal("a worker polled its checkpoint after the pass returned")
+	}
+}
+
+func TestBoundaries(t *testing.T) {
+	for _, tc := range []struct{ n, parts, wantSegs int }{
+		{100, 4, 4}, {7, 3, 3}, {3, 8, 3}, {1, 1, 1}, {0, 4, 1}, {10, 0, 1},
+	} {
+		b := boundaries(tc.n, tc.parts)
+		if len(b)-1 != tc.wantSegs {
+			t.Fatalf("boundaries(%d,%d)=%v: %d segments, want %d",
+				tc.n, tc.parts, b, len(b)-1, tc.wantSegs)
+		}
+		if b[0] != 0 || b[len(b)-1] != tc.n {
+			t.Fatalf("boundaries(%d,%d)=%v does not cover input", tc.n, tc.parts, b)
+		}
+		for i := 1; i < len(b); i++ {
+			if tc.n > 0 && b[i] <= b[i-1] {
+				t.Fatalf("boundaries(%d,%d)=%v has an empty segment", tc.n, tc.parts, b)
+			}
+		}
+	}
+}
+
+// TestScanACEquivalence checks the segmented Aho–Corasick scan against a
+// serial Matcher.Scan: the same hits, replayed in end order, and a seen
+// list naming each pattern that occurs exactly once, across segment counts
+// and acceleration. Only delivered patterns are replayed; the others still
+// count as seen.
+func TestScanACEquivalence(t *testing.T) {
+	pats := [][]byte{[]byte("abc"), []byte("bca"), []byte("aa"), []byte("cabcab")}
+	m, err := ahocorasick.New(pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := []bool{true, true, false, true}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 63, 1024} {
+		input := make([]byte, n)
+		for i := range input {
+			input[i] = "abc"[rng.Intn(3)]
+		}
+		var want []acHit
+		var wantSeen []int32
+		m.Scan(input, func(pat, end int) {
+			if !slices.Contains(wantSeen, int32(pat)) {
+				wantSeen = append(wantSeen, int32(pat))
+			}
+			if deliver[pat] {
+				want = append(want, acHit{pat, end})
+			}
+		})
+		slices.Sort(wantSeen)
+		for _, parts := range []int{1, 2, 5} {
+			for _, accel := range []bool{false, true} {
+				var got []acHit
+				res, err := scanAC(m, deliver, input, boundaries(len(input), parts), accel, nil,
+					func(pat, end int) { got = append(got, acHit{pat, end}) })
+				if err != nil {
+					t.Fatalf("scanAC: %v", err)
+				}
+				// The replay is in end order; the patterns of one end may
+				// come in any order.
+				if !slices.IsSortedFunc(got, func(a, b acHit) int { return a.end - b.end }) ||
+					!slices.Equal(sortHits(got), sortHits(want)) {
+					t.Fatalf("n=%d parts=%d accel=%v:\ngot  %v\nwant %v", n, parts, accel, got, want)
+				}
+				seen := slices.Clone(res.seen)
+				slices.Sort(seen)
+				if !slices.Equal(seen, wantSeen) {
+					t.Fatalf("n=%d parts=%d accel=%v: seen %v, want %v", n, parts, accel, res.seen, wantSeen)
+				}
+				if res.scanned < int64(n) {
+					t.Fatalf("scanned %d < input %d", res.scanned, n)
+				}
+			}
+		}
+	}
+}
+
+// sortHits returns hits ordered by (end, pattern).
+func sortHits(hits []acHit) []acHit {
+	out := slices.Clone(hits)
+	slices.SortFunc(out, func(a, b acHit) int {
+		if a.end != b.end {
+			return a.end - b.end
+		}
+		return a.pat - b.pat
+	})
+	return out
 }

@@ -24,7 +24,7 @@ type (
 	StrategyStats = telemetry.StrategyStats
 	// StrategyGroupStats is one strategy's row in the planner section.
 	StrategyGroupStats = telemetry.StrategyGroupStats
-	// SegmentStats is the segment-parallel scanning section.
+	// SegmentStats is the segmented literal pass section.
 	SegmentStats = telemetry.SegmentStats
 	// DegradedStats is the degradation-ladder section.
 	DegradedStats = telemetry.DegradedStats

@@ -129,8 +129,8 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 				sm.onMatch(Match{Rule: ri.RuleID, Pattern: ri.Pattern, End: end})
 			}
 		}
-		if x.exec.runner != nil {
-			sm.runs[u] = x.exec.runner()
+		if x.newRunner != nil {
+			sm.runs[u] = x.newRunner()
 			sm.runs[u].begin(runCfg{onMatch: emits[u], faults: sm.faults})
 		}
 	}
