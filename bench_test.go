@@ -326,8 +326,8 @@ func BenchmarkCountParallelDS9Throughput(b *testing.B) {
 // BenchmarkStreamFlowsThroughput drives the many-open-flows shape end to
 // end: 64 StreamMatchers open at once over the BRO, TCP and PEN rules at
 // MergeFactor 10 with KeepOnMatch, fed 256-byte Writes in turn; each flow
-// closes after 64 Writes and a fresh one opens in its place, so gating and
-// table warm-up recur. Flow bodies are seeded bytes, one in three binary,
+// closes after 64 Writes and a fresh one opens in its place, so stream
+// setup and table warm-up recur. Flow bodies are seeded bytes, one in three binary,
 // with a sample of a random rule planted in every KiB. One op is one
 // Write; MB/s is the written bytes over the elapsed time.
 func BenchmarkStreamFlowsThroughput(b *testing.B) {

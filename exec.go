@@ -75,7 +75,8 @@ func blockScan(r groupRunner, input []byte, c runCfg, run *groupRun) error {
 // StreamMatcher, pool task and one-shot Ruleset scan. A lazy-DFA unit's
 // runners are cursors on the unit's one transition table (its
 // lazydfa.Matcher, which belongs to this compiled Ruleset alone), so every
-// runner starts warm on what the others cached.
+// runner starts warm on what the others cached. Under Options.Profile the
+// runners of an engine unit all sample the unit's one engine.Profile.
 func (rs *Ruleset) newRunnerOf(u int) func() groupRunner {
 	x := &rs.plan.units[u]
 	g, p := x.groups[0], x.prog
@@ -90,12 +91,10 @@ func (rs *Ruleset) newRunnerOf(u int) func() groupRunner {
 		return func() groupRunner { return &dfaRunner{r: dfa.NewRunner(d)} }
 	case StrategyLazyDFA:
 		m := x.lazy
-		lcfg := lazydfa.Config{Profile: rs.profileOf(g)}
+		lcfg := lazydfa.Config{Profile: rs.profileOf(u)}
 		return func() groupRunner { return &lazyRunner{r: lazydfa.NewRunner(m), m: m, cfg: lcfg} }
 	default:
-		// Profiled Rulesets run every group as a unit of its own, so a
-		// profile is always the unit's program's.
-		ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: rs.opts.accelOn(), Profile: rs.profileOf(g)}
+		ecfg := engine.Config{KeepOnMatch: rs.opts.KeepOnMatch, Accel: rs.opts.accelOn(), Profile: rs.profileOf(u)}
 		return func() groupRunner { return &imfantRunner{r: engine.NewRunner(p), cfg: ecfg} }
 	}
 }

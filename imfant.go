@@ -136,7 +136,12 @@ type Options struct {
 	// "stream_write" stage histograms, also in Stats().Latency.
 	// Sampling happens once every ProfileStride input bytes outside the
 	// per-byte hot loops; with Profile off the engines pay a single nil
-	// check per chunk and Profile() returns nil.
+	// check per chunk and Profile() returns nil. Profiling does not change
+	// the plan: each execution unit that runs on an engine samples its
+	// whole program (the fused members' states side by side), and the
+	// report maps the unit's states back to its member automata. Samples
+	// and ActiveSet therefore count one sample per unit per stride, the
+	// active pairs of all its members together.
 	Profile bool
 	// ProfileStride is the symbol-sampling stride of the profiler; 0
 	// selects the default (64). Smaller strides sharpen the heat map at a
@@ -241,8 +246,8 @@ type Ruleset struct {
 	// (see internal/faultpoint). Always nil in production use; set by
 	// in-package tests via setFaultInjector.
 	faults *faultpoint.Injector
-	// profiles holds per-program sampled state heat; nil when
-	// Options.Profile is false.
+	// profiles holds per-execution-unit sampled state heat, over the unit's
+	// program; nil when Options.Profile is false.
 	profiles []*engine.Profile
 	trace    *telemetry.TraceRing
 	// traceEmit is the count-only match callback of each execution unit:
@@ -272,10 +277,7 @@ func (rs *Ruleset) buildEngines() {
 		rs.collector.EnableSegment()
 	}
 	if rs.opts.Profile {
-		rs.profiles = make([]*engine.Profile, len(rs.programs))
-		for i, p := range rs.programs {
-			rs.profiles[i] = engine.NewProfile(p, rs.opts.ProfileStride)
-		}
+		// The profiles themselves are the units', built by buildPlan.
 		rs.collector.SetProfileFunc(rs.profileStats)
 	}
 	if rs.opts.TraceCapacity > 0 {
@@ -293,12 +295,12 @@ func (rs *Ruleset) buildEngines() {
 // storms through it; nil disarms.
 func (rs *Ruleset) setFaultInjector(in *faultpoint.Injector) { rs.faults = in }
 
-// profileOf returns automaton i's profile, nil when profiling is off.
-func (rs *Ruleset) profileOf(i int) *engine.Profile {
+// profileOf returns execution unit u's profile, nil when profiling is off.
+func (rs *Ruleset) profileOf(u int) *engine.Profile {
 	if rs.profiles == nil {
 		return nil
 	}
-	return rs.profiles[i]
+	return rs.profiles[u]
 }
 
 // Compile builds a Ruleset from POSIX ERE patterns. Compilation runs under
@@ -900,9 +902,10 @@ func (rs *Ruleset) parallelEmit(emit func(unit, fsa, end int)) []func(fsa, end i
 // scan on a fresh runner; the literal pass, when pass is set, is one more
 // task, that of the pass's first unit. emit, indexed by unit, receives the
 // events (see parallelEmit). A task runs under its unit's first member's
-// automaton id, which labels its profile samples and a contained panic.
-// Every task gathers its run into f, a contained panic's partial work
-// included.
+// automaton id, which labels its pprof samples and a contained panic; under
+// Options.Profile its runner samples the unit's one engine.Profile, which
+// tasks of the same unit in other calls share. Every task gathers its run
+// into f, a contained panic's partial work included.
 func (rs *Ruleset) scanPool(input []byte, threads int, ids []int, pass bool, check func() error,
 	emit []func(fsa, end int), f *scanFold) (int64, error) {
 	var sum atomic.Int64

@@ -109,6 +109,13 @@ func (f *Finder) Needles() []byte {
 	return f.needles[:f.n]
 }
 
+// probeWindow is the first window of a multi-needle Index; each later
+// window doubles. A needle absent from the haystack would otherwise have its
+// IndexByte run to the end of h on every call, so a caller jumping from hit
+// to hit through a long haystack would pay quadratic time; with doubling
+// windows a call costs O(distance to the hit + probeWindow) per needle.
+const probeWindow = 256
+
 // Index returns the index of the first byte of h that belongs to the
 // finder's set, or -1 when none occurs — in particular, always -1 for the
 // empty set. Allocation-free.
@@ -118,7 +125,18 @@ func (f *Finder) Index(h []byte) int {
 		return -1
 	case 1:
 		return bytes.IndexByte(h, f.needles[0])
-	case 2:
+	}
+	for off, w := 0, probeWindow; off < len(h); off, w = off+w, 2*w {
+		if j := f.index(h[off:min(off+w, len(h))]); j >= 0 {
+			return off + j
+		}
+	}
+	return -1
+}
+
+// index is Index over one window, for two or more needles.
+func (f *Finder) index(h []byte) int {
+	if f.n == 2 {
 		return IndexPair(h, f.needles[0], f.needles[1])
 	}
 	best := -1

@@ -140,6 +140,32 @@ func TestFinderEdgeCases(t *testing.T) {
 	}
 }
 
+// TestFinderWindowEdges pins Index across its probe windows: a lone needle
+// byte placed on either side of every window boundary, with the other
+// needles absent, and a later needle shadowed by an earlier one in the next
+// window.
+func TestFinderWindowEdges(t *testing.T) {
+	h := bytes.Repeat([]byte{'.'}, 8*probeWindow)
+	for _, set := range []string{"xy", "xyz", "wxyz"} {
+		f, _ := NewFinder([]byte(set))
+		for w, edge := probeWindow, probeWindow; edge < len(h); w, edge = 2*w, edge+2*w {
+			for _, pos := range []int{edge - 1, edge, edge + 1} {
+				for _, b := range []byte(set) {
+					h2 := append([]byte(nil), h...)
+					h2[pos] = b
+					h2[len(h2)-1] = set[0]
+					if got := f.Index(h2); got != pos {
+						t.Fatalf("%q: %q at %d: Index = %d", set, b, pos, got)
+					}
+				}
+			}
+		}
+		if got := f.Index(h); got != -1 {
+			t.Fatalf("%q: no needle: Index = %d", set, got)
+		}
+	}
+}
+
 // TestFinderProbeOrder checks the rarest-first invariant: needles come out
 // ordered by non-decreasing Rank regardless of input order.
 func TestFinderProbeOrder(t *testing.T) {

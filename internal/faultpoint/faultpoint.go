@@ -50,10 +50,10 @@ const (
 	// Options.ScanTimeout, exercises the timeout rung of the degradation
 	// ladder deterministically.
 	ChunkStall
-	// PrefilterWake spuriously reports every literal factor as seen, waking
-	// all gated automata. Waking is always sound (the prefilter only ever
-	// elides provably dead work), so the fault adversarially exercises the
-	// wake/replay paths without changing results.
+	// PrefilterWake spuriously reports every literal factor of a block
+	// scan as seen, waking all gated automata. Waking is always sound (the
+	// prefilter only ever elides provably dead work), so the fault
+	// adversarially exercises the ungated path without changing results.
 	PrefilterWake
 	// NumPoints is the number of fault points.
 	NumPoints = iota

@@ -152,13 +152,12 @@ func StatsFamilies(s telemetry.Stats, lat *telemetry.Latency) []Family {
 	}
 	if sg := s.Segment; sg != nil {
 		segBytes := Family{Name: "imfant_segment_bytes", Kind: Counter,
-			Help: "Input bytes by segment path (parallel: segmented literal pass; stitch: always 0); paths partition imfant_bytes_scanned."}
+			Help: "Input bytes by segment path (parallel: segmented literal pass); paths partition imfant_bytes_scanned."}
 		for _, p := range []struct {
 			path string
 			v    int64
 		}{
 			{"parallel", sg.ParallelBytes},
-			{"stitch", sg.StitchBytes},
 			{"serial", sg.SerialBytes},
 		} {
 			segBytes.Samples = append(segBytes.Samples, Sample{
@@ -167,7 +166,6 @@ func StatsFamilies(s telemetry.Stats, lat *telemetry.Latency) []Family {
 		fams = append(fams,
 			CounterFamily("imfant_segment_scans", "AC and chain group executions run in a segmented literal pass.", float64(sg.SegmentedScans)),
 			CounterFamily("imfant_segment_segments", "Segments executed across segmented literal passes.", float64(sg.Segments)),
-			CounterFamily("imfant_segment_fallbacks", "Always 0: no group is pinned serial; kept for the schema.", float64(sg.Fallbacks)),
 			segBytes,
 		)
 	}

@@ -25,6 +25,8 @@ func fullStats() (telemetry.Stats, *telemetry.Latency) {
 	c.EnableStrategy(true, []string{"imfant", "lazydfa", "ac"}, []int{1, 2, 0})
 	c.AddStrategyBytes(0, 100)
 	c.AddStrategyBytes(1, 200)
+	c.EnableSegment()
+	c.AddSegmentScans(2, 4, 1024)
 	c.AddTimeouts(1)
 	c.AddShed(2)
 	lat := c.EnableLatency()
@@ -192,6 +194,41 @@ func TestStrategyLabels(t *testing.T) {
 	}
 	if _, ok := groups["ac"]; ok {
 		t.Error("zero-group strategy 'ac' should be omitted from the snapshot")
+	}
+}
+
+// TestSegmentFamilies pins the segment section's exposition: the parallel
+// and serial byte paths partition imfant_bytes_scanned, and the stitch
+// path and the fallback counter, which nothing can move, are not rendered.
+func TestSegmentFamilies(t *testing.T) {
+	s, lat := fullStats()
+	var b strings.Builder
+	if err := Write(&b, StatsFamilies(s, lat)); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"imfant_segment_scans", "imfant_segment_segments", "imfant_segment_bytes"} {
+		if _, ok := fams[want]; !ok {
+			t.Errorf("family %s missing from exposition", want)
+		}
+	}
+	if _, ok := fams["imfant_segment_fallbacks"]; ok {
+		t.Error("imfant_segment_fallbacks is rendered")
+	}
+	paths := map[string]float64{}
+	var sum float64
+	for _, smp := range fams["imfant_segment_bytes"].Samples {
+		paths[smp.Labels["path"]] = smp.Value
+		sum += smp.Value
+	}
+	if len(paths) != 2 || paths["parallel"] != 1024 || paths["serial"] != 4096-1024 {
+		t.Errorf("segment byte paths = %v, want parallel 1024 and serial 3072 only", paths)
+	}
+	if sum != 4096 {
+		t.Errorf("segment byte paths sum to %v, want imfant_bytes_scanned 4096", sum)
 	}
 }
 

@@ -224,10 +224,11 @@ type ProfileStats struct {
 	// Stride is the symbol-sampling stride in effect (state heat is
 	// sampled once every Stride input bytes).
 	Stride int `json:"stride"`
-	// Samples counts sampling points taken across all scans.
+	// Samples counts sampling points taken across all scans: one per
+	// execution unit per Stride bytes it scans.
 	Samples int64 `json:"samples"`
 	// ActivePairs summarizes the active (state, FSA) pair count at
-	// sampling points — the engine's live working-set size.
+	// sampling points — an execution unit's live working-set size.
 	ActivePairs *HistStats `json:"active_pairs,omitempty"`
 	// HotStates lists the ten most-visited states with rule attribution,
 	// hottest first.

@@ -329,6 +329,12 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA, fac
 
 	groupAlways, filterable := rs.gatingPlan(factors)
 	rs.formUnits(pl, groupAlways)
+	if rs.opts.Profile {
+		rs.profiles = make([]*engine.Profile, len(pl.units))
+		for u := range pl.units {
+			rs.profiles[u] = engine.NewProfile(pl.units[u].prog, rs.opts.ProfileStride)
+		}
+	}
 	lazyUnits, classes := 0, 0
 	for u := range pl.units {
 		x := &pl.units[u]
@@ -380,16 +386,16 @@ func (rs *Ruleset) buildPlan(shapes []strategy.Shape, nfas map[int]*nfa.NFA, fac
 // nil when nothing is gated) while the unit stays within maxUnitFSAs FSAs,
 // and otherwise opens the next one. Every other group is a unit of its own,
 // and so is a lazy-DFA group with a dot-star state, whose table blows up
-// when fused with others, and every group of a forced Options.Engine or of
-// a profiled Ruleset (the profiler samples each group's own states). Then
+// when fused with others, and every group of a forced Options.Engine. Then
 // each fused unit gets its program: the disjoint union of its members'
-// MFSAs.
+// MFSAs, whose states are the members' back to back in group order (the
+// profiler maps unit states back to member automata by that layout).
 func (rs *Ruleset) formUnits(pl *scanPlan, groupAlways []bool) {
 	open := [2]int{-1, -1} // per gating class (always-run, gated): the unit still taking members
 	var fsas []int         // per unit: FSAs so far
 	pl.unitOf = make([]int32, len(rs.programs))
 	for i, p := range rs.programs {
-		fuse := pl.planned && pl.strat[i] == StrategyLazyDFA && !rs.opts.Profile && !hasDotStar(rs.mfsas[i])
+		fuse := pl.planned && pl.strat[i] == StrategyLazyDFA && !hasDotStar(rs.mfsas[i])
 		class := 0
 		if groupAlways != nil && !groupAlways[i] {
 			class = 1
@@ -594,12 +600,12 @@ const (
 
 // prefTracker is the runtime prefilter-effectiveness tracker of a ruleset
 // whose literal pass only gates, shared by every Scanner and CountParallel
-// call of the ruleset (streams gate exactly on their first Write, so they
-// neither consult nor feed the tracker). It judges execution units, the granularity gating acts on, and counts in
-// member groups. All state is atomic; windows are approximate under
-// concurrency, which only shifts when a decision lands, never its
-// soundness — a disabled gate means more units run, and a sweep that does
-// run is always exact.
+// call of the ruleset (streams do not gate, so they neither consult nor
+// feed the tracker). It judges execution units, the granularity gating
+// acts on, and counts in member groups. All state is atomic; windows are
+// approximate under concurrency, which only shifts when a decision lands,
+// never its soundness — a disabled gate means more units run, and a sweep
+// that does run is always exact.
 type prefTracker struct {
 	units    []trackerUnit // indexed by execution unit; only gated entries used
 	gated    int64         // member groups of the gated units

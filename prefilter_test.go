@@ -177,25 +177,29 @@ func TestPrefilterANMLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrefilterStreamSingleWrite verifies the streaming fast path: a
-// one-Write stream of factor-free input skips every gated automaton
-// entirely, and the stream's Stats record the skip.
+// TestPrefilterStreamSingleWrite pins that streams do not gate: a
+// one-Write stream of factor-free input runs every unit over every byte,
+// skips nothing and reports what FindAll reports, while a Scanner block scan
+// of the same input still skips every gated group.
 func TestPrefilterStreamSingleWrite(t *testing.T) {
 	rs := MustCompile(pfPatterns, Options{MergeFactor: 2})
 	input := bytes.Repeat([]byte("benign payload "), 100)
 	got, sm := streamAll(t, rs, input, fixedChunks(len(input)))
-	if len(got) != 0 {
-		t.Fatalf("matches = %v on factor-free stream", got)
+	if want := rs.FindAll(input); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream matches %v, FindAll %v", got, want)
 	}
-	pf := sm.Stats().Prefilter
-	if pf == nil || pf.GroupsSkipped != int64(rs.NumAutomata()) {
-		t.Fatalf("stream prefilter stats = %+v, want all %d groups skipped", pf, rs.NumAutomata())
+	st := sm.Stats()
+	if pf := st.Prefilter; pf == nil || pf.GroupsSkipped != 0 || pf.BytesSaved != 0 {
+		t.Fatalf("stream prefilter stats = %+v, want nothing skipped", pf)
 	}
-	if want := int64(rs.NumAutomata()) * int64(len(input)); pf.BytesSaved != want {
-		t.Fatalf("BytesSaved = %d, want %d", pf.BytesSaved, want)
+	n := int64(rs.NumAutomata())
+	if st.Scans != n || st.BytesScanned != n*int64(len(input)) {
+		t.Fatalf("stream Scans %d, BytesScanned %d; want %d and %d", st.Scans, st.BytesScanned, n, n*int64(len(input)))
 	}
-	if st := sm.Stats(); st.Scans != 0 || st.BytesScanned != 0 {
-		t.Fatalf("skipped stream still counted work: %+v", st)
+	sc := rs.NewScanner()
+	sc.Count(input)
+	if pf := sc.Stats().Prefilter; pf == nil || pf.GroupsSkipped != n {
+		t.Fatalf("block scan prefilter stats = %+v, want all %d groups skipped", pf, n)
 	}
 }
 
@@ -220,10 +224,9 @@ func TestPrefilterHighByteRepeatFactor(t *testing.T) {
 	}
 }
 
-// TestPrefilterStreamWakeReplay pins the mid-stream wake semantics: when a
-// factor first appears in the second Write, gated automata replay the first
-// chunk so a match spanning the boundary — or starting before the factor —
-// is still found.
+// TestPrefilterStreamWakeReplay pins a factor that straddles a Write
+// boundary: the match starts in the first chunk, before the factor is
+// complete, and the stream must still find it.
 func TestPrefilterStreamWakeReplay(t *testing.T) {
 	rs := MustCompile(pfPatterns, Options{MergeFactor: 2})
 	// "needle" is split across the two writes; the match starts in chunk 1.
@@ -242,9 +245,9 @@ func TestPrefilterStreamWakeReplay(t *testing.T) {
 		FindAll(bytes.Join(chunks, nil))
 	sortByEnd(got)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("wake-replay streamed %v, want %v", got, want)
+		t.Fatalf("cross-boundary stream %v, want %v", got, want)
 	}
-	// Nothing may be reported skipped: every automaton ultimately ran.
+	// Nothing may be reported skipped: every automaton ran.
 	if pf := sm.Stats().Prefilter; pf == nil || pf.GroupsSkipped != 0 {
 		t.Fatalf("prefilter stats = %+v, want zero skips after wake", pf)
 	}

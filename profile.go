@@ -60,7 +60,9 @@ type ProfileReport struct {
 	// Stride is the sampling stride in effect: state heat was sampled
 	// once every Stride input bytes.
 	Stride int
-	// Samples counts sampling points across all scans so far.
+	// Samples counts sampling points across all scans so far: one per
+	// execution unit that runs on an engine per Stride bytes it scans,
+	// however many automata the unit fuses.
 	Samples int64
 	// ScanLatency is the wall-clock latency distribution of block scans
 	// (one observation per Scan/FindAll/Count/CountParallel call), in
@@ -70,7 +72,8 @@ type ProfileReport struct {
 	// calls, in nanoseconds: the "stream_write" stage histogram.
 	ChunkLatency Distribution
 	// ActiveSet is the distribution of active (state, FSA) pairs at
-	// sampling points — the engine's live working-set size.
+	// sampling points — an execution unit's live working-set size, over
+	// all of its member automata.
 	ActiveSet Distribution
 
 	visits [][]int64 // per automaton, per state
@@ -181,13 +184,19 @@ func (rs *Ruleset) Profile() *ProfileReport {
 		rs:           rs,
 	}
 	var pairs hist.Snapshot
-	p.visits = make([][]int64, len(rs.profiles))
-	for i, pr := range rs.profiles {
+	p.visits = make([][]int64, len(rs.programs))
+	for u, pr := range rs.profiles {
 		p.Samples += pr.Samples()
 		pairs.Merge(pr.ActivePairs())
-		p.visits[i] = pr.Visits()
-		for _, v := range p.visits[i] {
+		vs := pr.Visits()
+		for _, v := range vs {
 			p.total += v
+		}
+		// A unit program holds its members' states back to back, in
+		// member order (mfsa.Union).
+		for _, g := range rs.plan.units[u].groups {
+			n := rs.programs[g].NumStates()
+			p.visits[g], vs = vs[:n:n], vs[n:]
 		}
 	}
 	p.ActiveSet = Distribution{pairs}
@@ -205,7 +214,7 @@ func (rs *Ruleset) WriteProfileDOT(w io.Writer, a int) error {
 	if a < 0 || a >= len(rs.mfsas) {
 		return fmt.Errorf("imfant: automaton %d out of range [0, %d)", a, len(rs.mfsas))
 	}
-	return mfsa.WriteDOTHeat(w, rs.mfsas[a], rs.profiles[a].Visits())
+	return mfsa.WriteDOTHeat(w, rs.mfsas[a], rs.Profile().Visits(a))
 }
 
 // profileStats builds the Stats().Profile section from the live profiler

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // snortProfiled compiles the snort-derived web-attacks ruleset with the
@@ -315,4 +318,129 @@ func TestProfileConcurrentSnapshots(t *testing.T) {
 		t.Fatalf("chunk latency: report %d, stage %d, want 50 of each",
 			p.ChunkLatency.Count(), counts["stream_write"])
 	}
+}
+
+// flowsRules returns the flows workload's ruleset, the BRO, TCP and PEN
+// rules, and seeded traffic of n bytes over them, a sample of a BRO rule
+// planted every 64 bytes.
+func flowsRules(tb testing.TB, n int) ([]string, []byte) {
+	tb.Helper()
+	var pats []string
+	var traffic []byte
+	for _, abbr := range []string{"BRO", "TCP", "PEN"} {
+		s, err := dataset.ByAbbr(abbr)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pats = append(pats, s.Patterns()...)
+		if traffic == nil {
+			traffic = s.Stream(n, 64)
+		}
+	}
+	return pats, traffic
+}
+
+// TestProfileKeepsPlan pins that the profiler observes the production
+// plan. On the flows ruleset (MergeFactor 10, KeepOnMatch) a profiled
+// compile plans the same execution units and strategies as an unprofiled
+// one. At PrefilterOff, every lazy-DFA group's visits, read back from its
+// fused unit's profile, equal its visits under a forced EngineLazyDFA,
+// which runs every group as a unit of its own: the activation function
+// keeps a fused member's states exactly what they are alone.
+func TestProfileKeepsPlan(t *testing.T) {
+	pats, traffic := flowsRules(t, 64<<10)
+	opts := Options{MergeFactor: 10, KeepOnMatch: true}
+	plain := MustCompile(pats, opts)
+	opts.Profile = true
+	prof := MustCompile(pats, opts)
+	units := func(rs *Ruleset) [][]int {
+		out := make([][]int, len(rs.plan.units))
+		for u, x := range rs.plan.units {
+			out[u] = x.groups
+		}
+		return out
+	}
+	if got, want := units(prof), units(plain); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profiled compile plans %d units, unprofiled %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	if got, want := prof.Strategies(), plain.Strategies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profiled strategies %v, unprofiled %v", got, want)
+	}
+
+	opts.Prefilter = PrefilterOff
+	fused := MustCompile(pats, opts)
+	opts.Engine = EngineLazyDFA
+	alone := MustCompile(pats, opts)
+	if fused.NumAutomata() != alone.NumAutomata() {
+		t.Fatalf("%d automata fused, %d alone", fused.NumAutomata(), alone.NumAutomata())
+	}
+	if got, want := fused.NewScanner().Count(traffic), alone.NewScanner().Count(traffic); got != want {
+		t.Fatalf("Count %d fused, %d alone", got, want)
+	}
+	pf, pa := fused.Profile(), alone.Profile()
+	lazy, members := 0, 0
+	for g := range fused.NumAutomata() {
+		if fused.StrategyOf(g) != StrategyLazyDFA {
+			continue
+		}
+		lazy++
+		if len(fused.plan.units[fused.plan.unitOf[g]].groups) > 1 {
+			members++
+		}
+		if got, want := pf.Visits(g), pa.Visits(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("group %d: fused visits %v, alone %v", g, got, want)
+		}
+	}
+	if members == 0 || pf.TotalVisits() == 0 {
+		t.Fatalf("setup: %d of %d lazy groups fused, %d visits", members, lazy, pf.TotalVisits())
+	}
+
+	// A fused unit's runners share its one profile: a CountParallel call
+	// and two interleaved streams (1000- and 777-byte Writes) over the same
+	// traffic, run at once, add three more copies of every visit. Sample
+	// positions do not depend on chunking, so the totals are exact.
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, err := fused.CountParallel(traffic, 2); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		sizes := []int{1000, 777}
+		rest := [][]byte{traffic, traffic}
+		sms := []*StreamMatcher{fused.NewStreamMatcher(nil), fused.NewStreamMatcher(nil)}
+		for len(rest[0])+len(rest[1]) > 0 {
+			for i, sm := range sms {
+				n := min(sizes[i], len(rest[i]))
+				if _, err := sm.Write(rest[i][:n]); err != nil {
+					t.Error(err)
+					return
+				}
+				rest[i] = rest[i][n:]
+			}
+		}
+		for _, sm := range sms {
+			if err := sm.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	pf = fused.Profile()
+	for g := range fused.NumAutomata() {
+		if fused.StrategyOf(g) != StrategyLazyDFA {
+			continue
+		}
+		want := pa.Visits(g)
+		for q, v := range pf.Visits(g) {
+			if v != 4*want[q] {
+				t.Fatalf("group %d state %d: %d visits after four scans, %d after one alone", g, q, v, want[q])
+			}
+		}
+	}
+	t.Logf("%d units (%d unprofiled); %d of %d lazy groups in fused units; %d visits", len(prof.plan.units),
+		len(plain.plan.units), members, lazy, pf.TotalVisits())
 }

@@ -60,7 +60,7 @@ func (rs *Ruleset) StatsVar() expvar.Var {
 // executed, including a partial scan still in progress. Not safe for use
 // concurrent with the scanner's scans (the Scanner itself is single-owner).
 func (s *Scanner) Stats() Stats {
-	return s.rs.localStats(runTotals(s.runs, s.lit), nil, s.ruleHits, s.timeouts, &s.pref)
+	return s.rs.localStats(runTotals(s.runs, s.lit), s.ruleHits, s.timeouts, &s.pref)
 }
 
 // Stats returns this stream's telemetry, including the in-progress state of
@@ -73,7 +73,7 @@ func (sm *StreamMatcher) Stats() Stats {
 	if totals == nil {
 		totals = runTotals(sm.runs, sm.lit)
 	}
-	return sm.rs.localStats(totals, sm.gated, sm.ruleHits, sm.timeouts, &sm.pref)
+	return sm.rs.localStats(totals, sm.ruleHits, sm.timeouts, &sm.pref)
 }
 
 // lazyGauges refreshes the collector's lazy-DFA gauges from the lazy
@@ -109,13 +109,12 @@ func runTotals(runs []groupRunner, lit *litRunner) []groupRun {
 }
 
 // localStats builds a Scanner- or StreamMatcher-scope snapshot from the
-// owner's per-unit runner totals (units marked in gated never ran and are
-// left out), attributed to the member groups as foldRun does, its rule
-// hits, timeouts and prefilter counters. The planner section takes its
-// classification from the shared plan and the tracker's ungated gauge; the
-// tracker's sweep-disable event counters are ruleset-scope and stay zero
-// here.
-func (rs *Ruleset) localStats(totals []groupRun, gated []bool, ruleHits []int64, timeouts int64, pref *prefCounters) Stats {
+// owner's per-unit runner totals, attributed to the member groups as
+// foldRun does, its rule hits, timeouts and prefilter counters. The
+// planner section takes its classification from the shared plan and the
+// tracker's ungated gauge; the tracker's sweep-disable event counters are
+// ruleset-scope and stay zero here.
+func (rs *Ruleset) localStats(totals []groupRun, ruleHits []int64, timeouts int64, pref *prefCounters) Stats {
 	st := Stats{RuleHits: append([]int64(nil), ruleHits...),
 		Degraded: &DegradedStats{ScanTimeouts: timeouts}}
 	var accel *AccelStats
@@ -125,9 +124,6 @@ func (rs *Ruleset) localStats(totals []groupRun, gated []bool, ruleHits []int64,
 	var stratBytes [numStrategies]int64
 	var l *LazyStats
 	for u, t := range totals {
-		if gated != nil && gated[u] {
-			continue
-		}
 		x := &rs.plan.units[u]
 		k := int64(len(x.groups))
 		st.Scans += k * t.scans

@@ -37,21 +37,12 @@ import (
 // were consumed before the cancellation and the context's error, and every
 // later Write and Close returns the same sticky error (Err).
 //
-// On rulesets whose literal-factor prefilter is active (Options.Prefilter)
-// the stream stays exact while still skipping work: the execution units of
-// fully filterable automata start gated. The Ruleset's one literal pass
-// runs over the first Write before any gated unit is fed; a gated unit a
-// member's factor of which occurs in it then runs the first Write from its
-// first byte, exactly as if it had never been gated. A unit still gated
-// when a second Write arrives cannot be activated lazily any more (a match
-// could start before its factor's first occurrence), so it wakes by
-// replaying the buffered first chunk and the prefilter retires for the rest
-// of the stream; matches from that replay are reported during the later
-// Write. A unit still gated at Close is skipped outright, which is sound:
-// its rules each require a factor that never occurred anywhere in the
-// stream. The streamed match
-// set is byte-identical to the unfiltered one in every case; the savings
-// concentrate on single-Write streams.
+// A stream runs every execution unit on every byte: the literal-factor
+// prefilter (Options.Prefilter) gates block scans only, which see the whole
+// input before any unit runs. A stream cannot know whether a factor occurs
+// later on, so it never skips a unit; it feeds the Ruleset's one literal
+// pass only when that pass executes AC or chain groups. A caller holding the
+// whole buffer gets the gate from a Scanner.
 //
 // Write, Close, Err, and Matches serialize on an internal mutex, pinning
 // the Close-during-concurrent-Write contract: a Write racing Close either
@@ -65,7 +56,7 @@ type StreamMatcher struct {
 	mu       sync.Mutex // serializes Write/Close/Err/Matches
 	rs       *Ruleset
 	runs     []groupRunner // per execution unit; nil for the pass's units
-	lit      *litRunner    // the one literal pass; nil when the ruleset has none
+	lit      *litRunner    // the one literal pass; nil unless it runs AC or chain groups
 	final    []groupRun    // the runners' totals frozen at Close, before their release
 	check    func() error  // context poll; nil when not cancellable
 	onMatch  func(Match)
@@ -78,14 +69,8 @@ type StreamMatcher struct {
 	deadline time.Time     // current call's cutoff; zero without a budget
 	timeouts int64         // 1 once the stream failed with ErrScanTimeout
 	faults   *faultpoint.Injector
-	onClose  func() // registry drain hook; runs once, after a Close completes
-
-	// Prefilter state; inert when the ruleset is ungated.
-	gated      []bool // per execution unit: skipped until a member's factor occurs
-	gatedCount int
-	pending    []byte // first chunk, buffered while any unit is gated
-	wrote      bool   // a Write has consumed bytes
-	pref       prefCounters
+	onClose  func()       // registry drain hook; runs once, after a Close completes
+	pref     prefCounters // the literal pass's sweep counters, at Close
 }
 
 // RuleInfo identifies one rule inside a stream matcher.
@@ -134,102 +119,22 @@ func (rs *Ruleset) NewStreamMatcherContext(ctx context.Context, onMatch func(Mat
 			sm.runs[u].begin(runCfg{onMatch: emits[u], faults: sm.faults})
 		}
 	}
-	if lp := rs.plan.lit; lp != nil {
+	if lp := rs.plan.lit; lp != nil && lp.delivers() {
 		sm.lit = newLitRunner(lp, rs.opts.accelOn())
 		sm.lit.begin(nil, sm.faults, emits)
-	}
-	if pf := rs.pf; pf != nil {
-		sm.gated = make([]bool, len(units))
-		for _, u := range pf.gated {
-			sm.gated[u] = true
-		}
-		sm.gatedCount = len(pf.gated)
 	}
 	return sm
 }
 
-// isGated reports whether unit u is currently skipped by the prefilter.
-func (sm *StreamMatcher) isGated(u int) bool {
-	return sm.gated != nil && sm.gated[u]
-}
-
-// feed hands one chunk to the literal pass and every active unit; gated
-// ones stay idle. A pass that only gates has done its job once the
-// first Write is in.
+// feed hands one chunk to the literal pass and every other unit.
 func (sm *StreamMatcher) feed(chunk []byte, final bool) {
-	if sm.lit != nil && (!sm.wrote || sm.lit.lp.delivers()) {
+	if sm.lit != nil {
 		sm.lit.feed(chunk)
 	}
-	for i, r := range sm.runs {
-		if r != nil && !sm.isGated(i) {
+	for _, r := range sm.runs {
+		if r != nil {
 			r.feed(chunk, final)
 		}
-	}
-}
-
-// admit advances the gating state for an incoming Write, before any of it
-// is fed. A no-op once nothing is gated.
-func (sm *StreamMatcher) admit() error {
-	if sm.gatedCount == 0 {
-		return nil
-	}
-	if sm.faults.Hit(faultpoint.PrefilterWake) && !sm.wrote {
-		// Injected pass desync: wake everything before the first byte is
-		// fed. Waking before any byte is consumed is exactly the ungated
-		// start path, so it is always sound.
-		clear(sm.gated)
-		sm.gatedCount = 0
-		return nil
-	}
-	if !sm.wrote {
-		// The first Write: the literal pass decides the gates as it goes
-		// (openGates).
-		return nil
-	}
-	// A later chunk arrived with units still gated. Activating one
-	// mid-stream cannot be exact — a match may start before the factor's
-	// first occurrence — so every gated unit wakes by replaying the
-	// buffered first chunk, and the prefilter retires for this stream.
-	for u := range sm.gated {
-		if !sm.gated[u] {
-			continue
-		}
-		pending := sm.pending
-		for len(pending) > 0 {
-			if err := sm.poll(); err != nil {
-				return err
-			}
-			blk := pending
-			if sm.splitChunks() && len(blk) > engine.DefaultCheckpointEvery {
-				blk = blk[:engine.DefaultCheckpointEvery]
-			}
-			sm.runs[u].feed(blk, false)
-			pending = pending[len(blk):]
-		}
-		sm.gated[u] = false
-		sm.gatedCount--
-	}
-	sm.pending = nil
-	return nil
-}
-
-// openGates ends the first Write of a gated stream, of which the literal
-// pass and every ungated unit have consumed the bytes in first: each gated
-// unit a member's factor of which the pass saw wakes and runs first from
-// its first byte, and first is kept for the replay of those still gated.
-func (sm *StreamMatcher) openGates(first []byte) {
-	lp := sm.lit.lp
-	for _, k := range sm.lit.pass.Firsts() {
-		for _, u := range lp.wakes[k] {
-			if sm.gated[u] {
-				sm.gated[u] = false
-				sm.gatedCount--
-				sm.runs[u].feed(first, false)
-			}
-		}
-	}
-	if sm.gatedCount > 0 {
-		sm.pending = append([]byte(nil), first...)
 	}
 }
 
@@ -315,10 +220,6 @@ func (sm *StreamMatcher) Write(p []byte) (int, error) {
 			sm.rs.lat.Record(telemetry.StageStreamWrite, time.Since(t0).Nanoseconds())
 		}(time.Now())
 	}
-	if err := sm.admit(); err != nil {
-		return 0, err
-	}
-	gating := sm.gatedCount > 0 && !sm.wrote
 	// The chunk is fed in checkpoint-sized blocks so a cancelled context
 	// stops consuming input promptly and the consumed-byte count stays
 	// exact. The runners themselves hold back the most recent byte until
@@ -341,14 +242,6 @@ func (sm *StreamMatcher) Write(p []byte) (int, error) {
 			}
 		}
 	}
-	if gating {
-		sm.openGates(p[:n])
-		if err != nil {
-			// The woken automata caught up after poll flushed the others.
-			sm.flushHeld()
-		}
-	}
-	sm.wrote = true
 	return n, err
 }
 
@@ -371,21 +264,13 @@ func (sm *StreamMatcher) Close() error {
 		sm.feed(nil, true)
 	}
 	sm.rs.stageEnd(telemetry.StageStreamFlush, ft0)
-	// Units still gated here are skipped for good: each of their rules
-	// requires a factor that never occurred in the stream.
 	var f scanFold
-	for u := range sm.gated {
-		if sm.gated[u] {
-			f.pref.skipped += sm.rs.traceSkip(u, sm.consumed)
-		}
-	}
-	f.pref.saved = f.pref.skipped * sm.consumed
 	if sm.lit != nil {
 		sm.lit.end(&f, sm.rs.collector, sm.rs.prefEnabled)
 	}
 	var run groupRun
 	for u, r := range sm.runs {
-		if r != nil && !sm.isGated(u) {
+		if r != nil {
 			r.end(&run)
 			sm.rs.foldRun(&f, u, &run)
 		}
